@@ -53,7 +53,7 @@ from .graph import (
     build_graph,
     check_degree_bound,
     export_graph,
-    import_graph,
+    read_graph_header,
     stats,
 )
 from .subgraphs import (
@@ -540,8 +540,7 @@ def _sequences_from_rank_rows(rows: list, graph_path: Optional[str]) -> list:
     with open(graph_path, "r", encoding="utf-8") as fh:
         schema = json.load(fh).get("schema")
     if schema == GRAPH_SCHEMA:
-        g = import_graph(graph_path)
-        left, right = list(g.left), list(g.right)
+        _, left, right, _ = read_graph_header(graph_path)
     elif schema == SUBGRAPH_SCHEMA:
         sub = import_subgraph(graph_path)
         left, right = list(left_roster(sub)), list(right_roster(sub))

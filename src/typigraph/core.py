@@ -151,6 +151,10 @@ class JointPmf:
             tuple(sum(row[j] for row in self.probs) for j in range(k)),
         )
 
+    def transpose(self) -> "JointPmf":
+        """The same law with the row and column variables swapped."""
+        return JointPmf(self.col_alphabet, self.row_alphabet, tuple(zip(*self.probs)))
+
 
 @dataclass(frozen=True)
 class CondPmf:

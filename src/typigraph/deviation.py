@@ -30,14 +30,12 @@ from .typicality import (
     BigCount,
     Sequence,
     TypicalityParams,
-    enumerate_joint_ball,
+    degree_table,
     jointly_typical_pair_count,
     jointly_typical_type_keys,
-    multinomial,
     pack_counts,
     sample_uniform_typical,
     typical_set_size,
-    _admissible_count_vectors,
 )
 
 WILSON_Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -62,43 +60,10 @@ def exact_alpha(joint: JointPmf, params: TypicalityParams, n: int) -> float:
     return float(exact_alpha_fraction(joint, params, n))
 
 
-def _transposed(joint: JointPmf) -> JointPmf:
-    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
-    return JointPmf(
-        joint.col_alphabet,
-        joint.row_alphabet,
-        tuple(tuple(joint.cell(i, j) for i in range(kx)) for j in range(ky)),
-    )
-
-
-def _degree_second_moment(
-    joint: JointPmf, own_pmf: Pmf, own_eps, other_pmf: Pmf, other_eps, lam, n: int
-) -> Fraction:
-    """E[(deg(x)/|T_other|)^2] for x uniform on its typical set, exact.
-
-    deg(x) counts other-side typical sequences jointly typical with x; it
-    depends on x only through its type, so the expectation is a sum over
-    the own-side admissible types.
-    """
-    t_own = typical_set_size(own_pmf, own_eps, n).value
-    t_other = typical_set_size(other_pmf, other_eps, n).value
-    acc = Fraction(0)
-    for counts in _admissible_count_vectors(own_pmf.probs, n, Fraction(own_eps)):
-        deg = 0
-        for rows in enumerate_joint_ball(
-            joint,
-            lam,
-            n,
-            col_constraint=(other_pmf, other_eps),
-            fixed_rows=counts,
-        ):
-            ways = 1
-            for a, row in enumerate(rows):
-                ways *= multinomial(counts[a], row)
-            deg += ways
-        if deg:
-            acc += Fraction(multinomial(n, counts) * deg * deg)
-    return acc / (Fraction(t_own) * t_other * t_other)
+def _second_moment(table, t_own: int, t_other: int) -> Fraction:
+    """E[(deg(x)/|T_other|)^2] for x uniform on its typical set, exact."""
+    acc = sum(size * deg * deg for _, size, deg in table)
+    return Fraction(acc, t_own * t_other * t_other)
 
 
 @dataclass(frozen=True)
@@ -134,14 +99,22 @@ def exact_pair_moments(
 ) -> MomentEstimates:
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    alpha = exact_alpha_fraction(joint, params, n)
-    px, py = joint.row_marginal(), joint.col_marginal()
-    left_second = _degree_second_moment(
-        joint, px, params.eps1, py, params.eps2, params.lam, n
-    )
-    right_second = _degree_second_moment(
-        _transposed(joint), py, params.eps2, px, params.eps1, params.lam, n
-    )
+    left = degree_table(joint, params.eps1, params.eps2, params.lam, n)
+    right = degree_table(joint.transpose(), params.eps2, params.eps1, params.lam, n)
+    t1 = sum(size for _, size, _ in left)
+    t2 = sum(size for _, size, _ in right)
+    if t1 == 0 or t2 == 0:
+        raise ValueError("a typical set is empty; the crossing law is undefined")
+    pairs = sum(size * deg for _, size, deg in left)
+    right_pairs = sum(size * deg for _, size, deg in right)
+    if pairs != right_pairs:
+        raise InvariantViolation(
+            f"pair count from the left degrees ({pairs}) differs from the "
+            f"right degrees ({right_pairs})"
+        )
+    alpha = Fraction(pairs, t1 * t2)
+    left_second = _second_moment(left, t1, t2)
+    right_second = _second_moment(right, t2, t1)
     gamma = Fraction(m1 * m2) * alpha
     theta_cap = (
         Fraction(m1 * m2, 2)

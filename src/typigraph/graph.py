@@ -34,12 +34,12 @@ from .typicality import (
     TypicalityParams,
     _admissible_count_vectors,
     cond_typical_set_size,
-    conditional_pair_count,
     empirical_type,
     jointly_typical_pair_count,
     jointly_typical_type_keys,
     log2_int,
     pack_counts,
+    row_type_degree,
     type_class_sequences,
     TypeVector,
     typical_set_size,
@@ -76,6 +76,18 @@ def _roster(pmf, eps, n: int) -> tuple[Sequence, ...]:
         seqs.extend(type_class_sequences(t))
     seqs.sort(key=lambda s: s.symbols)
     return tuple(seqs)
+
+
+def _rosters(spec: GraphSpec) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
+    """Left and right rosters, refused before any work when over the cap."""
+    px, py = spec.joint.row_marginal(), spec.joint.col_marginal()
+    for k in (px.alphabet.size, py.alphabet.size):
+        if k**spec.n > spec.cap:
+            raise CapExceeded(
+                f"{k}^{spec.n} candidate sequences exceed cap {spec.cap}; "
+                "use implicit mode"
+            )
+    return _roster(px, spec.params.eps1, spec.n), _roster(py, spec.params.eps2, spec.n)
 
 
 @dataclass(frozen=True)
@@ -129,28 +141,22 @@ class ImplicitTypicalityGraph:
         return self.left_count.value, self.right_count.value
 
     def degree_of(self, x: Sequence, side: str = "left") -> BigCount:
+        """Exact number of typical other-side sequences jointly typical with x.
+
+        x need not be typical itself; the degree depends on x only through
+        its type.
+        """
         spec = self.spec
         if side == "left":
-            return conditional_pair_count(x, spec.joint, spec.params, spec.n)
-        if side == "right":
-            flipped = _transpose_joint(spec.joint)
-            fparams = TypicalityParams(
-                eps1=spec.params.eps2,
-                eps2=spec.params.eps1,
-                lam=spec.params.lam,
-                schedule=spec.params.schedule,
-            )
-            return conditional_pair_count(x, flipped, fparams, spec.n)
-        raise ValueError("side must be 'left' or 'right'")
-
-
-def _transpose_joint(joint: JointPmf) -> JointPmf:
-    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
-    return JointPmf(
-        joint.col_alphabet,
-        joint.row_alphabet,
-        tuple(tuple(joint.cell(i, j) for i in range(kx)) for j in range(ky)),
-    )
+            joint, other_eps = spec.joint, spec.params.eps2
+        elif side == "right":
+            joint, other_eps = spec.joint.transpose(), spec.params.eps1
+        else:
+            raise ValueError("side must be 'left' or 'right'")
+        counts = empirical_type(x).counts
+        return BigCount.from_int(
+            row_type_degree(joint, counts, other_eps, spec.params.lam, spec.n)
+        )
 
 
 def build_graph(spec: GraphSpec):
@@ -165,14 +171,7 @@ def build_graph(spec: GraphSpec):
             right_count=typical_set_size(py, params.eps2, n),
             edge_count=jointly_typical_pair_count(joint, params, n),
         )
-    for k in (px.alphabet.size, py.alphabet.size):
-        if k**n > spec.cap:
-            raise CapExceeded(
-                f"{k}^{n} candidate sequences exceed cap {spec.cap}; "
-                "use implicit mode"
-            )
-    left = _roster(px, params.eps1, n)
-    right = _roster(py, params.eps2, n)
+    left, right = _rosters(spec)
     keys = jointly_typical_type_keys(joint, params.lam, n)
     ky = py.alphabet.size
     base = n + 1
@@ -369,11 +368,13 @@ def export_graph(
                 writer.writerow([i, j])
 
 
-def import_graph(json_path: str, edges_csv_path: Optional[str] = None):
-    """Rebuild a graph from an export; bit-exact round trip.
+def read_graph_header(json_path: str):
+    """Spec, rosters and edge count of an export, checked against its header.
 
-    Rosters are re-derived deterministically from the embedded spec. With an
-    edge CSV the adjacency is loaded; without one it is recomputed.
+    Rosters are re-derived deterministically from the embedded spec and must
+    match the recorded sizes; the recorded edge count must equal the exact
+    pair count of the spec. Nothing scans sequence pairs. Returns
+    (spec, left, right, edge_count).
     """
     with open(json_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
@@ -387,33 +388,62 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None):
         mode=sdoc["mode"],
         cap=sdoc["cap"],
     )
+    left, right = _rosters(spec)
+    if len(left) != header["left_size"] or len(right) != header["right_size"]:
+        raise InvariantViolation("roster sizes disagree with the export header")
+    edge_count = int(header["edge_count"]["value"])
+    exact = jointly_typical_pair_count(spec.joint, spec.params, spec.n).value
+    if edge_count != exact:
+        raise InvariantViolation(
+            f"edge count {edge_count} in the export header differs from the "
+            f"exact pair count {exact}"
+        )
+    return spec, left, right, edge_count
+
+
+def _read_edge_csv(path: str, n_left: int, n_right: int) -> list[set]:
+    """Per-left-rank neighbour sets; bad, out-of-range or repeated ranks raise."""
+    adj: list[set] = [set() for _ in range(n_left)]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["left_rank", "right_rank"]:
+            raise ValueError("edge CSV must start with left_rank,right_rank")
+        for line, row in enumerate(reader, start=2):
+            try:
+                i, j = (int(v) for v in row)
+            except ValueError:
+                raise ValueError(
+                    f"edge CSV row {line}: expected two integer ranks, got {row!r}"
+                ) from None
+            if not (0 <= i < n_left and 0 <= j < n_right):
+                raise ValueError(
+                    f"edge CSV row {line}: ranks ({i}, {j}) outside the "
+                    f"{n_left} x {n_right} rosters"
+                )
+            if j in adj[i]:
+                raise ValueError(f"edge CSV row {line}: repeated edge ({i}, {j})")
+            adj[i].add(j)
+    return adj
+
+
+def import_graph(json_path: str, edges_csv_path: Optional[str] = None):
+    """Rebuild a graph from an export; bit-exact round trip.
+
+    Rosters are re-derived deterministically from the embedded spec. With an
+    edge CSV the adjacency is loaded; without one it is recomputed.
+    """
+    spec, left, right, edge_count = read_graph_header(json_path)
     if edges_csv_path is None:
         g = build_graph(spec)
     else:
-        px = spec.joint.row_marginal()
-        py = spec.joint.col_marginal()
-        left = _roster(px, spec.params.eps1, spec.n)
-        right = _roster(py, spec.params.eps2, spec.n)
-        adj: list[list[int]] = [[] for _ in left]
-        total = 0
-        with open(edges_csv_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            head = next(reader, None)
-            if head != ["left_rank", "right_rank"]:
-                raise ValueError("edge CSV must start with left_rank,right_rank")
-            for row in reader:
-                i, j = int(row[0]), int(row[1])
-                adj[i].append(j)
-                total += 1
+        adj = _read_edge_csv(edges_csv_path, len(left), len(right))
         g = TypicalityGraph(
             spec=spec,
             left=left,
             right=right,
-            adjacency=tuple(tuple(sorted(n)) for n in adj),
-            edge_count=BigCount.from_int(total),
+            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
+            edge_count=BigCount.from_int(sum(len(nbrs) for nbrs in adj)),
         )
-    if len(g.left) != header["left_size"] or len(g.right) != header["right_size"]:
-        raise InvariantViolation("roster sizes disagree with the export header")
-    if g.edge_count.value != int(header["edge_count"]["value"]):
+    if g.edge_count.value != edge_count:
         raise InvariantViolation("edge count disagrees with the export header")
     return g

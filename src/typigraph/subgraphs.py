@@ -50,12 +50,14 @@ from .core import (
     rational_approximate,
     total_variation,
 )
+from .graph import _params_from_dict, _params_to_dict
 from .typicality import (
     BigCount,
     JointTypeVector,
     Sequence,
     TypeVector,
     TypicalityParams,
+    _counts_typical,
     default_params,
     log2_int,
     multinomial,
@@ -81,13 +83,6 @@ class ContainmentReport:
     premise_ok: bool
 
 
-def _ball_ok(counts, probs, n: int, delta: Fraction) -> bool:
-    return all(
-        (p == 0 and c == 0) or abs(Fraction(c, n) - p) <= delta
-        for c, p in zip(counts, probs)
-    ) and all(c == 0 for c, p in zip(counts, probs) if p == 0)
-
-
 def _containment(
     joint: JointPmf,
     n: int,
@@ -105,11 +100,9 @@ def _containment(
         eps1=params.eps1,
         eps2=params.eps2,
         lam=params.lam,
-        left_contained=_ball_ok(xcounts, px.probs, n, Fraction(params.eps1)),
-        right_contained=_ball_ok(ycounts, py.probs, n, Fraction(params.eps2)),
-        edges_contained=_ball_ok(
-            overall_counts, joint.flat(), n, Fraction(params.lam)
-        ),
+        left_contained=_counts_typical(xcounts, px.probs, n, params.eps1),
+        right_contained=_counts_typical(ycounts, py.probs, n, params.eps2),
+        edges_contained=_counts_typical(overall_counts, joint.flat(), n, params.lam),
         premise_ok=(
             Fraction(params.lam) * n >= 1
             and Fraction(params.eps1) * n >= ky
@@ -726,12 +719,7 @@ def export_subgraph(
         "spec": {
             "joint": joint_to_dict(sub.joint),
             "n": sub.n,
-            "params": {
-                "eps1": str(sub.params.eps1),
-                "eps2": str(sub.params.eps2),
-                "lambda": str(sub.params.lam),
-                "schedule": sub.params.schedule,
-            },
+            "params": _params_to_dict(sub.params),
         },
         "left_size": {"value": str(sub.left_size.value), "log2": sub.left_size.log2},
         "right_size": {"value": str(sub.right_size.value), "log2": sub.right_size.log2},
@@ -778,12 +766,7 @@ def import_subgraph(json_path: str):
         raise ValueError(f"unexpected schema {header.get('schema')!r}")
     sdoc = header["spec"]
     joint = joint_from_dict(sdoc["joint"])
-    params = TypicalityParams(
-        eps1=Fraction(sdoc["params"]["eps1"]),
-        eps2=Fraction(sdoc["params"]["eps2"]),
-        lam=Fraction(sdoc["params"]["lambda"]),
-        schedule=sdoc["params"]["schedule"],
-    )
+    params = _params_from_dict(sdoc["params"])
     if header["kind"] == "single_type":
         sub = build_exact_type_subgraph(joint, sdoc["n"], params)
     else:

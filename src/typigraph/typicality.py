@@ -13,17 +13,25 @@ comparisons:
 Counting is exact over big integers: a type class has multinomial size and
 typical-set sizes are sums of type-class sizes over the admissible ball,
 never enumerations of sequences.
+
+Everything that counts jointly typical pairs goes through one kernel,
+`row_type_degree`: the exact degree of a row type, built row by row from
+compositions clipped to the per-cell boxes of the joint ball. The per-row-type
+table `degree_table` (counts, class size, degree) then gives the pair count,
+every vertex degree and the degree second moments as plain sums.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Optional
 
-from .core import Alphabet, CondPmf, InvariantViolation, JointPmf, Pmf
+from .core import Alphabet, CondPmf, JointPmf, Pmf
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +231,11 @@ def _counts_in_ball(counts, flat_probs, n: int, delta: Fraction) -> bool:
     return all(abs(Fraction(c, n) - p) <= delta for c, p in zip(counts, flat_probs))
 
 
-def _counts_respect_support(counts, flat_probs) -> bool:
-    return all(c == 0 for c, p in zip(counts, flat_probs) if p == 0)
+def _counts_typical(counts, flat_probs, n: int, delta: Fraction) -> bool:
+    """Counts inside the closed delta-ball with no mass off the support."""
+    return all(c == 0 for c, p in zip(counts, flat_probs) if p == 0) and (
+        _counts_in_ball(counts, flat_probs, n, delta)
+    )
 
 
 def is_typical(x: Sequence, p: Pmf, delta) -> bool:
@@ -232,10 +243,7 @@ def is_typical(x: Sequence, p: Pmf, delta) -> bool:
     if x.alphabet != p.alphabet:
         raise ValueError("sequence and pmf alphabets differ")
     d = Fraction(delta)
-    t = empirical_type(x)
-    return _counts_respect_support(t.counts, p.probs) and _counts_in_ball(
-        t.counts, p.probs, x.n, d
-    )
+    return _counts_typical(empirical_type(x).counts, p.probs, x.n, d)
 
 
 def is_cond_typical(y: Sequence, x: Sequence, w: CondPmf, delta) -> bool:
@@ -272,12 +280,7 @@ def is_jointly_typical(x: Sequence, y: Sequence, p: JointPmf, lam) -> bool:
     if x.alphabet != p.row_alphabet or y.alphabet != p.col_alphabet:
         raise ValueError("sequence alphabets do not match the joint pmf")
     d = Fraction(lam)
-    jt = empirical_joint_type(x, y)
-    flat_counts = jt.flat()
-    flat_probs = p.flat()
-    return _counts_respect_support(flat_counts, flat_probs) and _counts_in_ball(
-        flat_counts, flat_probs, x.n, d
-    )
+    return _counts_typical(empirical_joint_type(x, y).flat(), p.flat(), x.n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +350,17 @@ def _ball_box(p: Fraction, n: int, delta: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def _admissible_count_vectors(
-    flat_probs, n: int, delta: Fraction
-) -> Iterator[tuple[int, ...]]:
-    """Count vectors in the delta-ball that put no mass outside the support."""
-    k = len(flat_probs)
-    boxes = []
-    for p in flat_probs:
-        if p == 0:
-            boxes.append((0, 0))
-        else:
-            lo, hi = _ball_box(p, n, delta)
-            if lo > hi:
-                return
-            boxes.append((lo, hi))
+def _ball_boxes(probs, n: int, delta: Fraction) -> list[tuple[int, int]]:
+    """Per-cell count ranges of the delta-ball; cells off the support hold 0."""
+    return [(0, 0) if p == 0 else _ball_box(p, n, delta) for p in probs]
+
+
+def _compositions_in_boxes(boxes, total: int) -> Iterator[tuple[int, ...]]:
+    """Count vectors summing to total with each entry inside its (lo, hi)
+    box, in lexicographic order."""
+    if any(lo > hi for lo, hi in boxes):
+        return
+    k = len(boxes)
     suffix_lo = [0] * (k + 1)
     suffix_hi = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -380,7 +380,14 @@ def _admissible_count_vectors(
             vec[i] = c
             yield from rec(i + 1, remaining - c)
 
-    yield from rec(0, n)
+    yield from rec(0, total)
+
+
+def _admissible_count_vectors(
+    flat_probs, n: int, delta: Fraction
+) -> Iterator[tuple[int, ...]]:
+    """Count vectors in the delta-ball that put no mass outside the support."""
+    return _compositions_in_boxes(_ball_boxes(flat_probs, n, delta), n)
 
 
 def typical_set_size(p: Pmf, delta, n: int) -> BigCount:
@@ -400,8 +407,9 @@ def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
     """Exact |T_delta(w | x)|: output sequences conditionally typical given x.
 
     Counts factor over conditioning-symbol blocks: within the N(a) positions
-    where x equals a, output counts m_{a,.} range over compositions of N(a)
-    meeting the per-pair ball constraint (denominator n, not N(a)).
+    where x equals a, output counts m_{a,.} range over the compositions of
+    N(a) inside the boxes |m_{a,b}/n - (N(a)/n) W(b|a)| <= delta (denominator
+    n, not N(a)), with m_{a,b} = 0 wherever W(b|a) = 0.
     """
     if x.alphabet != w.given_alphabet:
         raise ValueError("sequence alphabet does not match the channel")
@@ -410,7 +418,6 @@ def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
         raise ValueError("delta must be nonnegative")
     n = x.n
     xt = empirical_type(x)
-    ky = w.out_alphabet.size
     total = 1
     for a in range(x.alphabet.size):
         na = xt.counts[a]
@@ -422,107 +429,69 @@ def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
                 "conditional count undefined: x uses a symbol whose channel "
                 "row is undefined"
             )
-        targets = [Fraction(na, n) * row.probs[b] for b in range(ky)]
-        block = 0
-        for comp in _admissible_count_vectors(row.probs, na, Fraction(na)):
-            # the composition ranges over the block; the ball test is global
-            if all(
-                abs(Fraction(comp[b], n) - targets[b]) <= d for b in range(ky)
-            ):
-                block += multinomial(na, comp)
-        total *= block
+        boxes = _ball_boxes([Fraction(na, n) * p for p in row.probs], n, d)
+        total *= sum(multinomial(na, c) for c in _compositions_in_boxes(boxes, na))
         if total == 0:
             break
     return BigCount.from_int(total)
 
 
 # ---------------------------------------------------------------------------
-# joint-type enumeration over pair balls
+# the joint-type kernel: exact degrees per row type
 # ---------------------------------------------------------------------------
 
 
-def enumerate_joint_ball(
-    joint: JointPmf,
-    lam,
-    n: int,
-    row_constraint: Optional[tuple[Pmf, object]] = None,
-    col_constraint: Optional[tuple[Pmf, object]] = None,
-    fixed_rows: Optional[tuple[int, ...]] = None,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Count matrices m in the joint lam-ball around joint (support-safe).
+def row_type_degree(joint: JointPmf, row_counts, col_eps, lam, n: int) -> int:
+    """Exact degree of a row type: the number of col_eps-typical y that are
+    jointly lam-typical with any one x of type row_counts.
 
-    Optional filters: marginal row/col types inside their own balls (with
-    the support condition), or row sums pinned to fixed_rows exactly.
+    Rows are taken one at a time. Row a contributes the compositions of
+    row_counts[a] inside that row's lam-ball boxes, each weighted by the
+    number of ways to place it on the positions where x equals a, and the
+    running weights are kept per vector of partial column sums. Only the
+    complete column sums inside the col_eps ball (and the support) count.
     """
+    if len(row_counts) != joint.row_alphabet.size:
+        raise ValueError("row type does not match the row alphabet")
+    if sum(row_counts) != n:
+        raise ValueError("row type does not sum to n")
     d = Fraction(lam)
-    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
-    flat_probs = joint.flat()
-    for flat in _admissible_count_vectors(flat_probs, n, d):
-        rows = tuple(
-            tuple(flat[a * ky + b] for b in range(ky)) for a in range(kx)
-        )
-        rsums = tuple(sum(r) for r in rows)
-        if fixed_rows is not None and rsums != tuple(fixed_rows):
-            continue
-        if row_constraint is not None:
-            p, delta = row_constraint
-            dd = Fraction(delta)
-            if not (
-                _counts_respect_support(rsums, p.probs)
-                and _counts_in_ball(rsums, p.probs, n, dd)
-            ):
-                continue
-        csums = tuple(sum(rows[a][b] for a in range(kx)) for b in range(ky))
-        if col_constraint is not None:
-            p, delta = col_constraint
-            dd = Fraction(delta)
-            if not (
-                _counts_respect_support(csums, p.probs)
-                and _counts_in_ball(csums, p.probs, n, dd)
-            ):
-                continue
-        yield rows
+    partial = {(0,) * joint.col_alphabet.size: 1}
+    for probs, na in zip(joint.probs, row_counts):
+        row = [
+            (c, multinomial(na, c))
+            for c in _compositions_in_boxes(_ball_boxes(probs, n, d), na)
+        ]
+        nxt: dict = defaultdict(int)
+        for sums, weight in partial.items():
+            for c, ways in row:
+                nxt[tuple(map(add, sums, c))] += weight * ways
+        partial = nxt
+    py = joint.col_marginal().probs
+    eps = Fraction(col_eps)
+    return sum(w for sums, w in partial.items() if _counts_typical(sums, py, n, eps))
+
+
+def degree_table(
+    joint: JointPmf, row_eps, col_eps, lam, n: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(row counts, class size, degree) for every type in the row_eps ball.
+
+    Pair counts, vertex degrees and degree moments of the typicality graph
+    are all sums over this table.
+    """
+    px = joint.row_marginal()
+    return [
+        (counts, multinomial(n, counts), row_type_degree(joint, counts, col_eps, lam, n))
+        for counts in _admissible_count_vectors(px.probs, n, Fraction(row_eps))
+    ]
 
 
 def jointly_typical_pair_count(joint: JointPmf, params: TypicalityParams, n: int) -> BigCount:
     """Exact number of pairs (x, y) with x eps1-typical, y eps2-typical,
     and (x, y) jointly lam-typical."""
-    px = joint.row_marginal()
-    py = joint.col_marginal()
-    total = 0
-    for rows in enumerate_joint_ball(
-        joint,
-        params.lam,
-        n,
-        row_constraint=(px, params.eps1),
-        col_constraint=(py, params.eps2),
-    ):
-        flat = [c for r in rows for c in r]
-        total += multinomial(n, flat)
-    return BigCount.from_int(total)
-
-
-def conditional_pair_count(
-    x: Sequence, joint: JointPmf, params: TypicalityParams, n: int
-) -> BigCount:
-    """Exact number of eps2-typical y jointly lam-typical with this x."""
-    if x.n != n:
-        raise ValueError("sequence length differs from n")
-    xt = empirical_type(x)
-    py = joint.col_marginal()
-    total = 0
-    for rows in enumerate_joint_ball(
-        joint,
-        params.lam,
-        n,
-        col_constraint=(py, params.eps2),
-        fixed_rows=xt.counts,
-    ):
-        ways = 1
-        for a in range(joint.row_alphabet.size):
-            ways *= multinomial(xt.counts[a], rows[a])
-        total += ways
-    return BigCount.from_int(total)
+    table = degree_table(joint, params.eps1, params.eps2, params.lam, n)
+    return BigCount.from_int(sum(size * deg for _, size, deg in table))
 
 
 # ---------------------------------------------------------------------------

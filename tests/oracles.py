@@ -97,6 +97,22 @@ def brute_pair_count(joint_probs, eps1, eps2, lam, n):
     return len(left), len(right), edges
 
 
+def brute_degree(x_symbols, joint_probs, col_eps, lam):
+    """Column-typical y jointly typical with x, counted sequence by sequence.
+
+    x itself need not be typical. For the right side pass the transposed
+    joint and the left slack.
+    """
+    ky = len(joint_probs[0])
+    py = [sum(row[b] for row in joint_probs) for b in range(ky)]
+    return sum(
+        1
+        for y in all_sequences(ky, len(x_symbols))
+        if robust_typical(y, py, col_eps)
+        and jointly_typical(x_symbols, y, joint_probs, lam)
+    )
+
+
 def multinomial_factorial(n, counts):
     v = math.factorial(n)
     for c in counts:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import typigraph.graph
 from typigraph.cli import main
 from typigraph.core import Alphabet, JointPmf, Pmf, save_distribution
 
@@ -250,11 +251,17 @@ def test_wring_product_edges_k0(tmp_path, capsys):
     assert "k=0" in capsys.readouterr().out
 
 
-def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys):
+def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys, monkeypatch):
     gjson = tmp_path / "g.json"
     gcsv = tmp_path / "g.csv"
     main(["graph", "--dist", joint_file, "--n", "4", "--out", str(gjson), "--edges", str(gcsv)])
     capsys.readouterr()
+
+    # the rosters come from the header alone: no second pair scan
+    def no_scan(spec):
+        raise AssertionError("build_graph called while reading a graph header")
+
+    monkeypatch.setattr(typigraph.graph, "build_graph", no_scan)
     rc = main(
         ["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.3"]
     )
@@ -264,6 +271,19 @@ def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys):
     # ranks without a header file: config error
     rc = main(["wring", "--edges", str(gcsv), "--delta", "0.3"])
     assert rc == 2
+
+
+def test_wring_rejects_tampered_edge_count(joint_file, tmp_path, capsys):
+    gjson = tmp_path / "g.json"
+    gcsv = tmp_path / "g.csv"
+    main(["graph", "--dist", joint_file, "--n", "4", "--out", str(gjson), "--edges", str(gcsv)])
+    doc = json.loads(gjson.read_text())
+    doc["edge_count"]["value"] = str(int(doc["edge_count"]["value"]) + 1)
+    gjson.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.3"])
+    assert rc == 4
+    assert "edge count" in capsys.readouterr().err
 
 
 def test_wring_empty_csv_exit_2(tmp_path):

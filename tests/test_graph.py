@@ -183,3 +183,28 @@ def test_import_rejects_tampered_header(binary_joint, tmp_path):
     jpath.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="schema"):
         import_graph(str(jpath))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row, g: ["-1", row[1]], "outside"),
+        (lambda row, g: [row[0], str(len(g.right))], "outside"),
+        (lambda row, g: [row[0], "1.5"], "integer"),
+        (lambda row, g: row + ["0"], "integer"),
+        (lambda row, g: None, "repeated"),
+    ],
+    ids=["negative-left", "right-past-end", "non-integer", "three-fields", "repeated"],
+)
+def test_import_rejects_bad_edge_ranks(binary_joint, tmp_path, edit, message):
+    g = explicit(binary_joint, 4)
+    jpath = tmp_path / "g.json"
+    cpath = tmp_path / "g.csv"
+    export_graph(g, str(jpath), str(cpath))
+    lines = cpath.read_text().splitlines()
+    row = edit(lines[5].split(","), g)
+    # None: repeat the row above, so the edge count stays the same
+    lines[5] = lines[4] if row is None else ",".join(row)
+    cpath.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"row 6.*{message}"):
+        import_graph(str(jpath), str(cpath))

@@ -1,0 +1,104 @@
+"""Property tests: the joint-type kernel against sequence-level brute force.
+
+Random rational joints with up to three symbols a side (zero cells
+included), blocklengths up to 8 with at most 6*10^4 sequence pairs, and
+random slacks. The pair count, degrees of arbitrary (also non-typical)
+sequences on both sides, both degree second moments and conditional
+typical-set sizes must equal what `oracles` counts pair by pair.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from typigraph.core import Alphabet, JointPmf, conditionalize
+from typigraph.deviation import exact_pair_moments
+from typigraph.graph import GraphSpec, build_graph
+from typigraph.typicality import (
+    Sequence,
+    TypicalityParams,
+    cond_typical_set_size,
+    jointly_typical_pair_count,
+)
+
+MAX_PAIRS = 60_000
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+slacks = st.builds(Fraction, st.integers(1, 6), st.integers(2, 12))
+
+
+@st.composite
+def joints(draw):
+    kx = draw(st.integers(1, 3))
+    ky = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max(n for n in range(1, 9) if (kx * ky) ** n <= MAX_PAIRS)))
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any)
+    )
+    total = sum(weights)
+    probs = tuple(
+        tuple(Fraction(weights[a * ky + b], total) for b in range(ky)) for a in range(kx)
+    )
+    joint = JointPmf(Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky))), probs)
+    x = tuple(draw(st.lists(st.integers(0, kx - 1), min_size=n, max_size=n)))
+    y = tuple(draw(st.lists(st.integers(0, ky - 1), min_size=n, max_size=n)))
+    return joint, n, x, y
+
+
+@PROPERTY
+@given(joints(), slacks, slacks, slacks)
+def test_pair_count_degrees_and_moments_match_brute_force(case, eps1, eps2, lam):
+    joint, n, x, y = case
+    probs = joint.probs
+    kx, ky = len(probs), len(probs[0])
+    px = [sum(row) for row in probs]
+    py = [sum(row[b] for row in probs) for b in range(ky)]
+    left = [s for s in oracles.all_sequences(kx, n) if oracles.robust_typical(s, px, eps1)]
+    right = [s for s in oracles.all_sequences(ky, n) if oracles.robust_typical(s, py, eps2)]
+    left_deg = [0] * len(left)
+    right_deg = [0] * len(right)
+    for i, xs in enumerate(left):
+        for j, ys in enumerate(right):
+            if oracles.jointly_typical(xs, ys, probs, lam):
+                left_deg[i] += 1
+                right_deg[j] += 1
+    params = TypicalityParams(eps1=eps1, eps2=eps2, lam=lam)
+
+    assert jointly_typical_pair_count(joint, params, n).value == sum(left_deg)
+
+    g = build_graph(GraphSpec(joint, n, params, mode="implicit"))
+    flipped = tuple(zip(*probs))
+    assert g.degree_of(Sequence(joint.row_alphabet, x), "left").value == (
+        oracles.brute_degree(x, probs, eps2, lam)
+    )
+    assert g.degree_of(Sequence(joint.col_alphabet, y), "right").value == (
+        oracles.brute_degree(y, flipped, eps1, lam)
+    )
+
+    if not left or not right:
+        with pytest.raises(ValueError):
+            exact_pair_moments(joint, params, n, 0.0, 0.0)
+        return
+    m = exact_pair_moments(joint, params, n, 0.0, 0.0)
+    t1, t2 = len(left), len(right)
+    assert m.alpha_exact == Fraction(sum(left_deg), t1 * t2)
+    assert m.left_second_exact == Fraction(sum(d * d for d in left_deg), t1 * t2 * t2)
+    assert m.right_second_exact == Fraction(sum(d * d for d in right_deg), t2 * t1 * t1)
+
+
+@PROPERTY
+@given(joints(), st.builds(Fraction, st.integers(0, 6), st.integers(1, 12)))
+def test_cond_typical_set_size_matches_brute_force(case, delta):
+    joint, n, x, _ = case
+    w = conditionalize(joint, "row")
+    w_rows = [None if r is None else list(r.probs) for r in w.rows]
+    seq = Sequence(joint.row_alphabet, x)
+    if any(w_rows[a] is None for a in x):
+        with pytest.raises(ValueError):
+            cond_typical_set_size(w, seq, delta)
+        return
+    want = oracles.brute_cond_typical_count(w_rows, x, delta, joint.col_alphabet.size)
+    assert cond_typical_set_size(w, seq, delta).value == want
