@@ -50,6 +50,7 @@ from .graph import (
     CapExceeded,
     GraphSpec,
     TypicalityGraph,
+    _read_edge_csv,
     build_graph,
     check_degree_bound,
     export_graph,
@@ -514,7 +515,9 @@ def _parse_label_column(cells: list) -> list:
         return [tuple(tokens) for tokens in cells]
 
 
-def _sequences_from_label_rows(rows: list) -> list:
+def _sequences_from_label_csv(path: str) -> list:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r][1:]
     xs = _parse_label_column([r[0].split() for r in rows])
     ys = _parse_label_column([r[1].split() for r in rows])
     x_alpha = Alphabet(tuple(sorted({t for seq in xs for t in seq})))
@@ -530,7 +533,7 @@ def _sequences_from_label_rows(rows: list) -> list:
     return edges
 
 
-def _sequences_from_rank_rows(rows: list, graph_path: Optional[str]) -> list:
+def _sequences_from_rank_csv(path: str, graph_path: Optional[str]) -> list:
     if not graph_path:
         raise ConfigError(
             "rank-format edge CSV needs --graph HEADER.json for the rosters"
@@ -546,13 +549,7 @@ def _sequences_from_rank_rows(rows: list, graph_path: Optional[str]) -> list:
         left, right = list(left_roster(sub)), list(right_roster(sub))
     else:
         raise ConfigError(f"{graph_path}: unrecognized schema {schema!r}")
-    edges = []
-    for row in rows:
-        i, j = int(row[0]), int(row[1])
-        if not (0 <= i < len(left) and 0 <= j < len(right)):
-            raise ConfigError(f"edge rank ({i}, {j}) outside the rosters")
-        edges.append((left[i], right[j]))
-    return edges
+    return [(left[i], right[j]) for i, j in _read_edge_csv(path, len(left), len(right))]
 
 
 def cmd_wring(args: argparse.Namespace) -> int:
@@ -562,20 +559,20 @@ def cmd_wring(args: argparse.Namespace) -> int:
     if not os.path.exists(args.edges):
         raise ConfigError(f"{args.edges}: file not found")
     with open(args.edges, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        rows = [r for r in reader if r]
-    if head is None or not rows:
-        raise ConfigError(f"{args.edges}: no edges")
+        head = next(csv.reader(fh), None)
     try:
-        if head == ["x", "y"]:
-            edges = _sequences_from_label_rows(rows)
+        if head is None:
+            edges = []
+        elif head == ["x", "y"]:
+            edges = _sequences_from_label_csv(args.edges)
         elif head == ["left_rank", "right_rank"]:
-            edges = _sequences_from_rank_rows(rows, args.graph)
+            edges = _sequences_from_rank_csv(args.edges, args.graph)
         else:
             raise ConfigError(
                 f"{args.edges}: header must be 'x,y' or 'left_rank,right_rank'"
             )
+        if not edges:
+            raise ConfigError(f"{args.edges}: no edges")
         dist = fano_distribution(edges)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{args.edges}: {exc}") from exc

@@ -28,12 +28,11 @@ from typing import Optional
 from .core import InvariantViolation, JointPmf, Pmf
 from .typicality import (
     BigCount,
+    JointTypeIndex,
     Sequence,
     TypicalityParams,
     degree_table,
     jointly_typical_pair_count,
-    jointly_typical_type_keys,
-    pack_counts,
     sample_uniform_typical,
     typical_set_size,
 )
@@ -378,17 +377,9 @@ def draw_codebook(
 def count_pairs(
     xs: Codebook, ys: Codebook, joint: JointPmf, lam, n: int
 ) -> PairCount:
-    keys = jointly_typical_type_keys(joint, lam, n)
-    ky = joint.col_alphabet.size
-    base = n + 1
-    u = 0
-    for x in xs.sequences:
-        for y in ys.sequences:
-            cells = [0] * (joint.row_alphabet.size * ky)
-            for a, b in zip(x.symbols, y.symbols):
-                cells[a * ky + b] += 1
-            if pack_counts(cells, base) in keys:
-                u += 1
+    u = JointTypeIndex.ball(joint, lam, n).count(
+        [x.symbols for x in xs.sequences], [y.symbols for y in ys.sequences]
+    )
     return PairCount(m1=xs.size, m2=ys.size, u=BigCount.from_int(u))
 
 
@@ -455,27 +446,18 @@ def simulate(
     m2 = codebook_size(n, r2)
     px, py = joint.row_marginal(), joint.col_marginal()
     gamma = float(Fraction(m1 * m2) * exact_alpha_fraction(joint, params, n))
-    keys = jointly_typical_type_keys(joint, params.lam, n)
-    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
-    base = n + 1
+    index = JointTypeIndex.ball(joint, params.lam, n)
     thresholds = [a * gamma for a in a_grid]
     tail_hits = [0] * len(a_grid)
     zero_count = 0
     sum_u = 0
     sum_u2 = 0
-    eps1, eps2, lam = params.eps1, params.eps2, params.lam
+    eps1, eps2 = params.eps1, params.eps2
     for t in range(trials):
         rng = _trial_rng(seed, t)
         xs = [sample_uniform_typical(px, eps1, n, rng).symbols for _ in range(m1)]
         ys = [sample_uniform_typical(py, eps2, n, rng).symbols for _ in range(m2)]
-        u = 0
-        for xsym in xs:
-            for ysym in ys:
-                cells = [0] * (kx * ky)
-                for a, b in zip(xsym, ysym):
-                    cells[a * ky + b] += 1
-                if pack_counts(cells, base) in keys:
-                    u += 1
+        u = index.count(xs, ys)
         if u == 0:
             zero_count += 1
         sum_u += u

@@ -8,65 +8,126 @@ away per-letter dependence, the Pinsker near-independence check, and the
 square-root-order strong-converse rate bound.
 
 All distribution arithmetic is exact (counts over the edge multiset);
-entropic values are floats in bits.
+entropic values are floats in bits. The edge multiset is held as one byte
+column of letter-pair codes per position, so per-letter counts are
+`bytes.count` calls and conditioning filters every column with
+`itertools.compress`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .core import InvariantViolation, JointPmf
-from .typicality import JointTypeVector, Sequence
+from .typicality import JointTypeVector
 
 _FP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class EdgeDistribution:
-    """Uniform law over an explicit edge multiset, with per-letter views."""
+    """Uniform law over an explicit edge multiset, kept as byte columns.
+
+    columns[t] holds, edge by edge, the code a*|Y| + b of the letter pair
+    (a, b) at position t: one byte per edge while |X||Y| <= 256, a tuple of
+    ints beyond that. The exact per-letter laws are derived on first use.
+    """
 
     edges: tuple  # ((Sequence, Sequence), ...)
     n: int
-    per_letter: tuple  # JointPmf per position, exact
+    columns: tuple
 
-
-def _letter_counts(edges, t: int, kx: int, ky: int):
-    counts = [[0] * ky for _ in range(kx)]
-    for x, y in edges:
-        counts[x.symbols[t]][y.symbols[t]] += 1
-    return counts
-
-
-def fano_distribution(edges) -> EdgeDistribution:
-    """Exact per-letter joint laws of the uniform distribution over edges."""
-    edges = tuple(edges)
-    if not edges:
-        raise ValueError("edge set is empty")
-    x0, y0 = edges[0]
-    n = x0.n
-    for x, y in edges:
-        if x.n != n or y.n != n:
-            raise ValueError("edges must share one blocklength")
-        if x.alphabet != x0.alphabet or y.alphabet != y0.alphabet:
-            raise ValueError("edges must share alphabets")
-    kx, ky = x0.alphabet.size, y0.alphabet.size
-    total = len(edges)
-    laws = []
-    for t in range(n):
-        counts = _letter_counts(edges, t, kx, ky)
-        laws.append(
+    @cached_property
+    def per_letter(self) -> tuple:
+        """Exact JointPmf of the letter pair at each position."""
+        x0, y0 = self.edges[0]
+        kx, ky = x0.alphabet.size, y0.alphabet.size
+        total = len(self.edges)
+        return tuple(
             JointPmf(
                 x0.alphabet,
                 y0.alphabet,
                 tuple(
-                    tuple(Fraction(c, total) for c in row) for row in counts
+                    tuple(Fraction(c, total) for c in row)
+                    for row in _column_counts(col, kx, ky)
                 ),
             )
+            for col in self.columns
         )
-    return EdgeDistribution(edges=edges, n=n, per_letter=tuple(laws))
+
+
+def _column_counts(column, kx: int, ky: int) -> list[list[int]]:
+    """|X| x |Y| counts of the pair codes in one column."""
+    return [[column.count(a * ky + b) for b in range(ky)] for a in range(kx)]
+
+
+def _endpoint_ids(seqs, n: int, alphabet) -> tuple[list[int], list[tuple]]:
+    """Dense first-occurrence ids of one side's sequences, by symbols, and
+    the distinct symbol tuples. Each distinct object is checked once against
+    the blocklength and the alphabet (by identity, then by equality)."""
+    object_ids = list(map(id, seqs))
+    dense: dict = {}
+    by_symbols: dict = {}
+    for key, s in dict(zip(object_ids, seqs)).items():
+        if s.n != n:
+            raise ValueError("edges must share one blocklength")
+        if s.alphabet is not alphabet and s.alphabet != alphabet:
+            raise ValueError("edges must share alphabets")
+        dense[key] = by_symbols.setdefault(s.symbols, len(by_symbols))
+    return list(map(dense.__getitem__, object_ids)), list(by_symbols)
+
+
+def _edge_ids(edges):
+    """(x ids, y ids, distinct x symbols, distinct y symbols) of an edge
+    tuple; an empty one raises."""
+    if not edges:
+        raise ValueError("edge set is empty")
+    x0, y0 = edges[0]
+    xids, xsyms = _endpoint_ids(list(map(itemgetter(0), edges)), x0.n, x0.alphabet)
+    yids, ysyms = _endpoint_ids(list(map(itemgetter(1), edges)), x0.n, y0.alphabet)
+    return xids, yids, xsyms, ysyms
+
+
+def fano_distribution(edges) -> EdgeDistribution:
+    """Exact per-letter joint laws of the uniform distribution over edges.
+
+    Each distinct sequence is encoded once as a row of digits (a*|Y| on the
+    left, b on the right). The rows of all left and all right endpoints are
+    joined into two byte strings whose sum, as big integers, is every
+    edge's row of pair codes: no digit carries. The sum is then cut into
+    one column per position.
+    """
+    edges = tuple(edges)
+    xids, yids, xsyms, ysyms = _edge_ids(edges)
+    x0, y0 = edges[0]
+    n, ky = x0.n, y0.alphabet.size
+    width = max(1, ((x0.alphabet.size * ky - 1).bit_length() + 7) // 8)
+
+    def joined(ids, syms, scale):
+        rows = [b"".join((a * scale).to_bytes(width, "big") for a in s) for s in syms]
+        return int.from_bytes(b"".join(map(rows.__getitem__, ids)), "big")
+
+    size = len(edges) * n * width
+    blob = (joined(xids, xsyms, ky) + joined(yids, ysyms, 1)).to_bytes(size, "big")
+    if width == 1:
+        columns = tuple(blob[t::n] for t in range(n))
+    else:
+        stride = n * width
+        columns = tuple(
+            tuple(
+                int.from_bytes(blob[k : k + width], "big")
+                for k in range(t * width, size, stride)
+            )
+            for t in range(n)
+        )
+    return EdgeDistribution(edges=edges, n=n, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -119,23 +180,16 @@ def dominant_joint_type(edges) -> DominantTypeResult:
 def block_mi(edges) -> float:
     """Exact I between the two endpoints of a uniform random edge, in bits."""
     edges = tuple(edges)
-    if not edges:
-        raise ValueError("edge set is empty")
+    xids, yids, _, _ = _edge_ids(edges)
     total = len(edges)
-    pair_counts: dict = {}
-    x_counts: dict = {}
-    y_counts: dict = {}
-    for x, y in edges:
-        pair_counts[(x.symbols, y.symbols)] = (
-            pair_counts.get((x.symbols, y.symbols), 0) + 1
-        )
-        x_counts[x.symbols] = x_counts.get(x.symbols, 0) + 1
-        y_counts[y.symbols] = y_counts.get(y.symbols, 0) + 1
+    # pairs counted in first-occurrence order, as the sum below runs
+    pair_counts = Counter([i * total + j for i, j in zip(xids, yids)])
+    x_counts, y_counts = Counter(xids), Counter(yids)
+    log2 = math.log2
     acc = 0.0
-    for (xs, ys), c in pair_counts.items():
-        acc += (c / total) * math.log2(
-            c * total / (x_counts[xs] * y_counts[ys])
-        )
+    for key, c in pair_counts.items():
+        i, j = divmod(key, total)
+        acc += (c / total) * log2(c * total / (x_counts[i] * y_counts[j]))
     return max(0.0, acc)
 
 
@@ -204,8 +258,8 @@ def block_mi_bound(
 # ---------------------------------------------------------------------------
 
 
-def _per_letter_mi(edges, t: int, kx: int, ky: int, total: int) -> float:
-    counts = _letter_counts(edges, t, kx, ky)
+def _per_letter_mi(column, kx: int, ky: int, total: int) -> float:
+    counts = _column_counts(column, kx, ky)
     rows = [sum(r) for r in counts]
     cols = [sum(counts[a][b] for a in range(kx)) for b in range(ky)]
     acc = 0.0
@@ -239,7 +293,6 @@ class WringingResult:
     steps: tuple
     converged: bool
     bound_ok: Optional[bool]  # survival >= (delta/(|X||Y|(2 sigma-delta)))^k
-    emptied: bool
 
 
 def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -> WringingResult:
@@ -254,7 +307,7 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    edges = list(dist.edges)
+    edges = dist.edges
     if not edges:
         raise ValueError("edge set is empty")
     x0, y0 = edges[0]
@@ -265,13 +318,15 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
     total0 = len(edges)
     hard_cap = n * kx * ky
     step_cap = 2.0 * sigma / delta
+    columns = dist.columns
+    kept = range(total0)  # indices of the surviving edges
     positions: list[int] = []
     values: list[tuple] = []
     steps: list[WringingStep] = []
     converged = False
     while True:
-        total = len(edges)
-        mis = [_per_letter_mi(edges, t, kx, ky, total) for t in range(n)]
+        total = len(kept)
+        mis = [_per_letter_mi(col, kx, ky, total) for col in columns]
         worst = max(mis)
         if worst <= delta + _FP_TOL:
             converged = True
@@ -280,17 +335,15 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         if k >= hard_cap or k + 1 > step_cap:
             break  # flagged partial result
         t_star = mis.index(worst)
-        counts = _letter_counts(edges, t_star, kx, ky)
+        counts = _column_counts(columns[t_star], kx, ky)
         best_ab = max(
             ((counts[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky))
         )
         a_star, b_star = best_ab[3], best_ab[4]
-        edges = [
-            (x, y)
-            for x, y in edges
-            if x.symbols[t_star] == a_star and y.symbols[t_star] == b_star
-        ]
-        if not edges:
+        keep = bytes(map((a_star * ky + b_star).__eq__, columns[t_star]))
+        columns = tuple(type(col)(compress(col, keep)) for col in columns)
+        kept = list(compress(kept, keep))
+        if not kept:
             # cannot happen for the argmax value; defensive, loud
             raise InvariantViolation("conditioning emptied the edge multiset")
         positions.append(t_star)
@@ -299,13 +352,13 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
             WringingStep(
                 position=t_star,
                 value=values[-1],
-                surviving=len(edges),
-                fraction=Fraction(len(edges), total0),
+                surviving=len(kept),
+                fraction=Fraction(len(kept), total0),
                 max_mi_before=worst,
             )
         )
-    total = len(edges)
-    final_mi = tuple(_per_letter_mi(edges, t, kx, ky, total) for t in range(n))
+    total = len(kept)
+    final_mi = tuple(_per_letter_mi(col, kx, ky, total) for col in columns)
     k = len(positions)
     fraction = Fraction(total, total0)
     bound_ok: Optional[bool] = None
@@ -320,11 +373,10 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         sigma=sigma,
         surviving_fraction=fraction,
         per_letter_mi=final_mi,
-        edges=tuple(edges),
+        edges=tuple(edges[i] for i in kept),
         steps=tuple(steps),
         converged=converged,
         bound_ok=bound_ok,
-        emptied=False,
     )
 
 
@@ -372,14 +424,14 @@ def pinsker_check(dist: EdgeDistribution, delta: float) -> tuple:
     ky = dist.edges[0][1].alphabet.size
     total = len(dist.edges)
     cap = 2.0 * math.sqrt(delta)
-    tvs = []
-    for t in range(dist.n):
-        mi = _per_letter_mi(dist.edges, t, kx, ky, total)
+    for t, col in enumerate(dist.columns):
+        mi = _per_letter_mi(col, kx, ky, total)
         if mi > delta + _FP_TOL:
             raise ValueError(
                 f"per-letter MI {mi} at position {t} exceeds delta; wring first"
             )
-        law = dist.per_letter[t]
+    tvs = []
+    for law in dist.per_letter:
         rows = law.row_marginal().probs
         cols = law.col_marginal().probs
         tv = sum(

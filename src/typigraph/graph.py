@@ -17,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional
 
 from .core import (
@@ -30,15 +32,14 @@ from .core import (
 )
 from .typicality import (
     BigCount,
+    JointTypeIndex,
     Sequence,
     TypicalityParams,
     _admissible_count_vectors,
     cond_typical_set_size,
     empirical_type,
     jointly_typical_pair_count,
-    jointly_typical_type_keys,
     log2_int,
-    pack_counts,
     row_type_degree,
     type_class_sequences,
     TypeVector,
@@ -112,11 +113,8 @@ class TypicalityGraph:
         raise ValueError("side must be 'left' or 'right'")
 
     def right_degrees(self) -> tuple[int, ...]:
-        degs = [0] * len(self.right)
-        for nbrs in self.adjacency:
-            for j in nbrs:
-                degs[j] += 1
-        return tuple(degs)
+        degs = Counter(chain.from_iterable(self.adjacency))
+        return tuple(degs[j] for j in range(len(self.right)))
 
     def left_degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
@@ -162,37 +160,24 @@ class ImplicitTypicalityGraph:
 def build_graph(spec: GraphSpec):
     """Construct the typicality graph for a joint pmf at blocklength n."""
     joint, n, params = spec.joint, spec.n, spec.params
-    px = joint.row_marginal()
-    py = joint.col_marginal()
     if spec.mode == "implicit":
         return ImplicitTypicalityGraph(
             spec=spec,
-            left_count=typical_set_size(px, params.eps1, n),
-            right_count=typical_set_size(py, params.eps2, n),
+            left_count=typical_set_size(joint.row_marginal(), params.eps1, n),
+            right_count=typical_set_size(joint.col_marginal(), params.eps2, n),
             edge_count=jointly_typical_pair_count(joint, params, n),
         )
     left, right = _rosters(spec)
-    keys = jointly_typical_type_keys(joint, params.lam, n)
-    ky = py.alphabet.size
-    base = n + 1
-    adjacency = []
-    edge_total = 0
-    for x in left:
-        nbrs = []
-        xs = x.symbols
-        for j, y in enumerate(right):
-            cells = [0] * (px.alphabet.size * ky)
-            for a, b in zip(xs, y.symbols):
-                cells[a * ky + b] += 1
-            if pack_counts(cells, base) in keys:
-                nbrs.append(j)
-        adjacency.append(tuple(nbrs))
-        edge_total += len(nbrs)
+    index = JointTypeIndex.ball(joint, params.lam, n)
+    adjacency = tuple(
+        map(tuple, index.scan([x.symbols for x in left], [y.symbols for y in right]))
+    )
+    edge_total = sum(map(len, adjacency))
     return TypicalityGraph(
         spec=spec,
         left=left,
         right=right,
-        adjacency=tuple(adjacency),
+        adjacency=adjacency,
         edge_count=BigCount.from_int(edge_total),
     )
 
@@ -364,8 +349,7 @@ def export_graph(
         with open(edges_csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["left_rank", "right_rank"])
-            for i, j in edge_list(g):
-                writer.writerow([i, j])
+            writer.writerows(edge_list(g))
 
 
 def read_graph_header(json_path: str):
@@ -401,16 +385,24 @@ def read_graph_header(json_path: str):
     return spec, left, right, edge_count
 
 
-def _read_edge_csv(path: str, n_left: int, n_right: int) -> list[set]:
-    """Per-left-rank neighbour sets; bad, out-of-range or repeated ranks raise."""
-    adj: list[set] = [set() for _ in range(n_left)]
+def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int]]:
+    """Yield the (left, right) rank pairs of an edge CSV in file order.
+
+    Blank rows are skipped. Non-integer, out-of-range and repeated ranks
+    raise ValueError naming the CSV row; repeats are found with one set of
+    packed i*n_right + j keys.
+    """
+    seen: set = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["left_rank", "right_rank"]:
             raise ValueError("edge CSV must start with left_rank,right_rank")
         for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
             try:
-                i, j = (int(v) for v in row)
+                i, j = row
+                i, j = int(i), int(j)
             except ValueError:
                 raise ValueError(
                     f"edge CSV row {line}: expected two integer ranks, got {row!r}"
@@ -420,10 +412,11 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> list[set]:
                     f"edge CSV row {line}: ranks ({i}, {j}) outside the "
                     f"{n_left} x {n_right} rosters"
                 )
-            if j in adj[i]:
+            key = i * n_right + j
+            if key in seen:
                 raise ValueError(f"edge CSV row {line}: repeated edge ({i}, {j})")
-            adj[i].add(j)
-    return adj
+            seen.add(key)
+            yield i, j
 
 
 def import_graph(json_path: str, edges_csv_path: Optional[str] = None):
@@ -436,13 +429,15 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None):
     if edges_csv_path is None:
         g = build_graph(spec)
     else:
-        adj = _read_edge_csv(edges_csv_path, len(left), len(right))
+        adj: list[list[int]] = [[] for _ in left]
+        for i, j in _read_edge_csv(edges_csv_path, len(left), len(right)):
+            adj[i].append(j)
         g = TypicalityGraph(
             spec=spec,
             left=left,
             right=right,
             adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-            edge_count=BigCount.from_int(sum(len(nbrs) for nbrs in adj)),
+            edge_count=BigCount.from_int(sum(map(len, adj))),
         )
     if g.edge_count.value != edge_count:
         raise InvariantViolation("edge count disagrees with the export header")

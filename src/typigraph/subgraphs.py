@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .core import (
@@ -53,6 +54,7 @@ from .core import (
 from .graph import _params_from_dict, _params_to_dict
 from .typicality import (
     BigCount,
+    JointTypeIndex,
     JointTypeVector,
     Sequence,
     TypeVector,
@@ -138,6 +140,12 @@ class ExactTypeSubgraph:
     def degree_extremes(self, side: str) -> tuple[int, int]:
         d = self.left_degree.value if side == "left" else self.right_degree.value
         return d, d
+
+    @cached_property
+    def edge_index(self) -> JointTypeIndex:
+        """Adjacency: the joint type of (x, y) equals the rounded type."""
+        kx, ky = self.joint.row_alphabet.size, self.joint.col_alphabet.size
+        return JointTypeIndex(kx, ky, [(self.n, [self.target.flat()])])
 
 
 def build_exact_type_subgraph(
@@ -273,6 +281,18 @@ class AuxSubgraph:
     def degree_extremes(self, side: str) -> tuple[int, int]:
         d = self.left_degree.value if side == "left" else self.right_degree.value
         return d, d
+
+    @cached_property
+    def edge_index(self) -> JointTypeIndex:
+        """Adjacency: in every u-run, the joint type of (x, y) equals that
+        block's target."""
+        kx, ky = self.joint.row_alphabet.size, self.joint.col_alphabet.size
+        blocks = [
+            (nu, [tuple(c for row in target for c in row)])
+            for nu, target in zip(self.block_lengths, self.block_targets)
+            if nu
+        ]
+        return JointTypeIndex(kx, ky, blocks)
 
 
 def build_aux_subgraph(
@@ -466,30 +486,9 @@ def _spliced(alphabet: Alphabet, block_lengths, block_types) -> Iterator[Sequenc
 
 def is_edge(sub, x: Sequence, y: Sequence) -> bool:
     """Exact adjacency predicate for either construction."""
-    if isinstance(sub, ExactTypeSubgraph):
-        ky = sub.joint.col_alphabet.size
-        want = sub.target.flat()
-        cells = [0] * (sub.joint.row_alphabet.size * ky)
-        for a, b in zip(x.symbols, y.symbols):
-            cells[a * ky + b] += 1
-        return tuple(cells) == want
-    if isinstance(sub, AuxSubgraph):
-        kx, ky = sub.joint.row_alphabet.size, sub.joint.col_alphabet.size
-        offset = 0
-        for u, nu in enumerate(sub.block_lengths):
-            if nu == 0:
-                continue
-            cells = [0] * (kx * ky)
-            for pos in range(offset, offset + nu):
-                cells[x.symbols[pos] * ky + y.symbols[pos]] += 1
-            want = tuple(
-                sub.block_targets[u][a][b] for a in range(kx) for b in range(ky)
-            )
-            if tuple(cells) != want:
-                return False
-            offset += nu
-        return True
-    raise ValueError("unsupported subgraph object")
+    if not isinstance(sub, (ExactTypeSubgraph, AuxSubgraph)):
+        raise ValueError("unsupported subgraph object")
+    return sub.edge_index.count([x.symbols], [y.symbols]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +746,13 @@ def export_subgraph(
         raise ValueError(
             f"edge scan over {total} candidate pairs exceeds cap {edge_cap}"
         )
-    left = list(left_roster(sub))
-    right = list(right_roster(sub))
+    left = [x.symbols for x in left_roster(sub)]
+    right = [y.symbols for y in right_roster(sub)]
     with open(edges_csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["left_rank", "right_rank"])
-        for i, x in enumerate(left):
-            for j, y in enumerate(right):
-                if is_edge(sub, x, y):
-                    writer.writerow([i, j])
+        for i, nbrs in enumerate(sub.edge_index.scan(left, right)):
+            writer.writerows([i, j] for j in nbrs)
 
 
 def import_subgraph(json_path: str):

@@ -28,6 +28,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add
 from typing import Iterator, Optional
 
@@ -326,7 +327,8 @@ def _index_alphabet(k: int) -> Alphabet:
 def enumerate_types(
     alphabet_size: int, n: int, ball: Optional[tuple[Pmf, object]] = None
 ) -> Iterator[TypeVector]:
-    """All denominator-n types, colex order, optionally delta-ball filtered."""
+    """All denominator-n types, colex order, optionally filtered to the
+    delta-ball of p with no mass off its support (the types of T_delta(p))."""
     if alphabet_size < 1 or n < 1:
         raise ValueError("alphabet_size and n must be positive")
     if ball is None:
@@ -339,7 +341,7 @@ def enumerate_types(
         raise ValueError("ball pmf does not match alphabet_size")
     d = Fraction(delta)
     for counts in _compositions_colex(alphabet_size, n):
-        if _counts_in_ball(counts, p.probs, n, d):
+        if _counts_typical(counts, p.probs, n, d):
             yield TypeVector(p.alphabet, counts)
 
 
@@ -572,25 +574,153 @@ def count_types(alphabet_size: int, n: int) -> int:
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
-def pack_counts(flat_counts, base: int) -> int:
-    """Injective big-integer encoding of a count vector (all entries < base)."""
-    key = 0
-    for c in flat_counts:
-        key = key * base + c
-    return key
+# ---------------------------------------------------------------------------
+# sequence pairs: joint counts from bitmask popcounts
+# ---------------------------------------------------------------------------
 
 
-def jointly_typical_type_keys(joint: JointPmf, lam, n: int) -> frozenset:
-    """Packed (base n+1) joint count matrices passing the joint ball test.
+@cache
+def _digit_table(a: int) -> bytes:
+    """bytes.translate table sending byte a to b"1" and every other to b"0"."""
+    return bytes(49 if v == a else 48 for v in range(256))
 
-    Turns the per-pair typicality predicate into one dictionary probe, which
-    is what adjacency scans and Monte Carlo inner loops want.
+
+class JointTypeIndex:
+    """Admissible joint types of sequence pairs, filed for bitmask tests.
+
+    A sequence is packed once into one position bitmask per symbol but the
+    last (position t is bit n-1-t), so the joint count N(a, b) of two
+    aligned sequences is the popcount of xmask[a] & ymask[b].
+
+    The positions are split into consecutive blocks: one block of all n
+    positions for the joint ball, one per u-run for conditional types. In a
+    block, every admissible |X| x |Y| count matrix is filed under its (row
+    type, column type) as its free cells N(a, b) with a < |X|-1 and
+    b < |Y|-1; once both marginals are known, these fix the rest of the
+    matrix. A pair (x, y) is admissible when, in every block, the popcounts
+    over the free cells are filed under the block types of x and y. With
+    binary alphabets that is one popcount and one set probe per pair, and
+    types, masks and cells are bare ints.
     """
-    base = n + 1
-    return frozenset(
-        pack_counts(flat, base)
-        for flat in _admissible_count_vectors(joint.flat(), n, Fraction(lam))
-    )
+
+    def __init__(self, kx: int, ky: int, blocks):
+        """blocks: (length, flat count matrices) pairs, in position order."""
+        self.kx, self.ky = kx, ky
+        self._bare = (kx - 1) * (ky - 1) == 1
+        self._one_probe = self._bare and len(blocks) == 1  # binary, one block
+        n = sum(length for length, _ in blocks)
+        self._bits = []
+        # (x block types, y block types) -> admissible free cells per block
+        cells: dict = {((), ()): ()}
+        for length, matrices in blocks:
+            n -= length
+            self._bits.append(((1 << length) - 1) << n)
+            filed = defaultdict(set)
+            for flat in matrices:
+                rows = [flat[a * ky : (a + 1) * ky] for a in range(kx)]
+                types = (
+                    self._key([sum(r) for r in rows[:-1]]),
+                    self._key([sum(c) for c in list(zip(*rows))[:-1]]),
+                )
+                filed[types].add(self._key([c for r in rows[:-1] for c in r[:-1]]))
+            cells = {
+                (xt + (r,), yt + (c,)): found + (frozenset(keys),)
+                for (xt, yt), found in cells.items()
+                for (r, c), keys in filed.items()
+            }
+        self._cells = cells
+        self._tables = {
+            k: [_digit_table(a) for a in range(k - 1)] for k in (kx, ky) if k <= 256
+        }
+
+    @classmethod
+    def ball(cls, joint: JointPmf, lam, n: int) -> "JointTypeIndex":
+        """The joint lam-ball (support included) at blocklength n."""
+        matrices = _admissible_count_vectors(joint.flat(), n, Fraction(lam))
+        return cls(joint.row_alphabet.size, joint.col_alphabet.size, [(n, matrices)])
+
+    def _key(self, items):
+        return items[0] if self._bare else tuple(items)
+
+    def _pack(self, symbols, k: int):
+        """(block types, block masks) of one sequence over k symbols; a
+        block's type is its counts of every symbol but the last."""
+        if k > 256:  # symbols past one byte
+            last = len(symbols) - 1
+            masks = [0] * (k - 1)
+            for t, s in enumerate(symbols):
+                if s < k - 1:
+                    masks[s] |= 1 << (last - t)
+        else:
+            raw = bytes(symbols)
+            masks = [int(raw.translate(table), 2) for table in self._tables[k]]
+        if self._one_probe:  # the block is every position: nothing to restrict
+            return (masks[0].bit_count(),), masks
+        if self._bare:
+            block = tuple(map(masks[0].__and__, self._bits))
+            return tuple(map(int.bit_count, block)), block
+        block = [tuple([m & p for m in masks]) for p in self._bits]
+        return tuple([tuple(map(int.bit_count, b)) for b in block]), block
+
+    def scan(self, xs, ys) -> Iterator[list[int]]:
+        """For each x in xs, the ascending indices of the ys that form an
+        admissible pair with it. xs and ys hold symbol tuples.
+
+        The ys are grouped by block types, and a group whose types admit no
+        joint type with those of x is skipped whole.
+        """
+        packed = [self._pack(y, self.ky) for y in ys]
+        groups: dict = defaultdict(list)
+        for j, (types, _) in enumerate(packed):
+            groups[types].append(j)
+        yfree = list(zip(*(free for _, free in packed)))  # per block
+        for x in xs:
+            xtypes, xfree = self._pack(x, self.kx)
+            hits: list[int] = []
+            for ytypes, ids in groups.items():
+                cells = self._cells.get((xtypes, ytypes))
+                if cells is None:
+                    continue
+                for xf, yf, admissible in zip(xfree, yfree, cells):
+                    if self._bare:
+                        ids = [j for j in ids if (xf & yf[j]).bit_count() in admissible]
+                    else:
+                        ids = [
+                            j
+                            for j in ids
+                            if tuple([(a & b).bit_count() for a in xf for b in yf[j]])
+                            in admissible
+                        ]
+                hits += ids
+            hits.sort()
+            yield hits
+
+    def count(self, xs, ys) -> int:
+        """Number of admissible pairs in xs x ys, probed pair by pair: for the
+        few codewords of a Monte Carlo trial, grouping costs more than it
+        saves."""
+        packed = [self._pack(y, self.ky) for y in ys]
+        bare = self._bare
+        u = 0
+        for x in xs:
+            xtypes, xfree = self._pack(x, self.kx)
+            for ytypes, yfree in packed:
+                cells = self._cells.get((xtypes, ytypes))
+                if cells is None:
+                    continue
+                if self._one_probe:
+                    u += (xfree[0] & yfree[0]).bit_count() in cells[0]
+                    continue
+                for xf, yf, admissible in zip(xfree, yfree, cells):
+                    if bare:
+                        key = (xf & yf).bit_count()
+                    else:
+                        key = tuple([(a & b).bit_count() for a in xf for b in yf])
+                    if key not in admissible:
+                        break
+                else:
+                    u += 1
+        return u
 
 
 def typical_set_rate_envelope(p: Pmf, n: int, delta) -> float:

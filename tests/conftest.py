@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet
 
 BIN = Alphabet((0, 1))
+
+# The one profile of the property tests; each property test file applies it
+# with settings.get_profile("typigraph").
+settings.register_profile("typigraph", max_examples=100, deadline=None, derandomize=True)
 
 
 @pytest.fixture

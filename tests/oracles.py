@@ -118,3 +118,116 @@ def multinomial_factorial(n, counts):
     for c in counts:
         v //= math.factorial(c)
     return v
+
+
+# --- per-edge reference for the converse-side diagnostics ----------------------
+#
+# Edges are (x symbols, y symbols) pairs of index tuples. This is the
+# edge-by-edge code the byte-column diagnostics replaced, kept with the same
+# float operations in the same order.
+
+
+def letter_counts(edges, t, kx, ky):
+    counts = [[0] * ky for _ in range(kx)]
+    for x, y in edges:
+        counts[x[t]][y[t]] += 1
+    return counts
+
+
+def per_letter_laws(edges, kx, ky):
+    """Exact kx x ky Fraction matrices of the letter pair at each position."""
+    total = len(edges)
+    return [
+        [[Fraction(c, total) for c in row] for row in letter_counts(edges, t, kx, ky)]
+        for t in range(len(edges[0][0]))
+    ]
+
+
+def block_mi(edges):
+    total = len(edges)
+    pair_counts, x_counts, y_counts = {}, {}, {}
+    for x, y in edges:
+        pair_counts[(x, y)] = pair_counts.get((x, y), 0) + 1
+        x_counts[x] = x_counts.get(x, 0) + 1
+        y_counts[y] = y_counts.get(y, 0) + 1
+    acc = 0.0
+    for (x, y), c in pair_counts.items():
+        acc += (c / total) * math.log2(c * total / (x_counts[x] * y_counts[y]))
+    return max(0.0, acc)
+
+
+def per_letter_mi(edges, t, kx, ky):
+    total = len(edges)
+    counts = letter_counts(edges, t, kx, ky)
+    rows = [sum(r) for r in counts]
+    cols = [sum(counts[a][b] for a in range(kx)) for b in range(ky)]
+    acc = 0.0
+    for a in range(kx):
+        for b in range(ky):
+            c = counts[a][b]
+            if c:
+                acc += (c / total) * math.log2(c * total / (rows[a] * cols[b]))
+    return max(0.0, acc)
+
+
+def wring(edges, kx, ky, delta, sigma=None, tol=1e-9):
+    """Greedy wringing, edge by edge: returns a dict of the traced run."""
+    n = len(edges[0][0])
+    if sigma is None:
+        sigma = block_mi(edges)
+    total0 = len(edges)
+    step_cap = 2.0 * sigma / delta
+    positions, values, steps = [], [], []
+    converged = False
+    while True:
+        mis = [per_letter_mi(edges, t, kx, ky) for t in range(n)]
+        worst = max(mis)
+        if worst <= delta + tol:
+            converged = True
+            break
+        if len(positions) >= n * kx * ky or len(positions) + 1 > step_cap:
+            break
+        t_star = mis.index(worst)
+        counts = letter_counts(edges, t_star, kx, ky)
+        _, _, _, a, b = max(
+            (counts[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky)
+        )
+        edges = [(x, y) for x, y in edges if x[t_star] == a and y[t_star] == b]
+        positions.append(t_star)
+        values.append((a, b))
+        steps.append((t_star, (a, b), len(edges), Fraction(len(edges), total0), worst))
+    k = len(positions)
+    fraction = Fraction(len(edges), total0)
+    bound_ok = None
+    if converged and 2.0 * sigma - delta > 0 and k < step_cap:
+        floor = (delta / (kx * ky * (2.0 * sigma - delta))) ** k
+        bound_ok = float(fraction) >= floor * (1.0 - 1e-12)
+    return {
+        "positions": tuple(positions),
+        "values": tuple(values),
+        "sigma": sigma,
+        "fraction": fraction,
+        "per_letter_mi": tuple(per_letter_mi(edges, t, kx, ky) for t in range(n)),
+        "edges": edges,
+        "steps": steps,
+        "converged": converged,
+        "bound_ok": bound_ok,
+    }
+
+
+def pinsker_tvs(edges, kx, ky):
+    """Per-letter TV distance to the product of the letter marginals."""
+    tvs = []
+    for law in per_letter_laws(edges, kx, ky):
+        rows = [sum(r) for r in law]
+        cols = [sum(law[a][b] for a in range(kx)) for b in range(ky)]
+        tvs.append(
+            float(
+                sum(
+                    abs(law[a][b] - rows[a] * cols[b])
+                    for a in range(kx)
+                    for b in range(ky)
+                )
+            )
+        )
+    return tvs

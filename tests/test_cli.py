@@ -310,6 +310,42 @@ def test_wring_bad_rank_exit_2(joint_file, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "export",
+    [
+        ["graph", "--n", "4"],
+        ["subgraph", "--kind", "an", "--n", "8"],
+    ],
+    ids=["graph", "subgraph"],
+)
+def test_wring_rejects_doubled_rank_csv(joint_file, tmp_path, capsys, export):
+    header = tmp_path / "h.json"
+    ranks = tmp_path / "e.csv"
+    main(export + ["--dist", joint_file, "--out", str(header), "--edges", str(ranks)])
+    lines = ranks.read_text().splitlines()
+    ranks.write_text("\n".join(lines + lines[1:]) + "\n")
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.3"])
+    assert rc == 2
+    assert f"row {len(lines) + 1}: repeated edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0,x", "integer"), ("0,1,2", "integer"), ("14,0", "outside"), ("0,-1", "outside")],
+)
+def test_wring_names_bad_rank_row(joint_file, tmp_path, capsys, row, message):
+    gjson = tmp_path / "g.json"
+    main(["graph", "--dist", joint_file, "--n", "4", "--out", str(gjson)])
+    path = tmp_path / "ranks.csv"
+    path.write_text(f"left_rank,right_rank\n0,0\n{row}\n")
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(path), "--graph", str(gjson), "--delta", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "row 3" in err and message in err
+
+
 # --- argparse plumbing ---------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ from typigraph.typicality import (
 
 MAX_PAIRS = 60_000
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+PROPERTY = settings.get_profile("typigraph")
 
 slacks = st.builds(Fraction, st.integers(1, 6), st.integers(2, 12))
 

@@ -1,0 +1,227 @@
+"""Property tests: the sequence-level layer against edge-by-edge references.
+
+Random rational joints with up to three symbols a side (zero cells
+included) and blocklengths up to 6. The explicit graph's adjacency and
+`count_pairs` must match the pair predicate of `oracles`; the subgraph edge
+CSVs (both kinds) must list exactly the roster pairs whose (per-block)
+joint type is the target; and the byte-column diagnostics must reproduce
+the per-edge reference in `oracles` exactly, floats included, on label
+multisets with repeated edges.
+"""
+
+import csv
+import itertools
+import os
+import random
+import tempfile
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet
+from typigraph.deviation import Codebook, count_pairs
+from typigraph.diagnostics import block_mi, fano_distribution, pinsker_check, wring
+from typigraph.graph import GraphSpec, build_graph
+from typigraph.subgraphs import (
+    AuxSubgraph,
+    build_aux_subgraph,
+    build_exact_type_subgraph,
+    export_subgraph,
+    left_roster,
+    right_roster,
+)
+from typigraph.typicality import Sequence, TypicalityParams
+
+PROPERTY = settings.get_profile("typigraph")
+
+MAX_PAIRS = 5_000
+
+slacks = st.builds(Fraction, st.integers(1, 6), st.integers(2, 12))
+
+
+@st.composite
+def joints(draw):
+    kx = draw(st.integers(1, 3))
+    ky = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max(n for n in range(1, 7) if (kx * ky) ** n <= MAX_PAIRS)))
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any)
+    )
+    total = sum(weights)
+    probs = tuple(
+        tuple(Fraction(weights[a * ky + b], total) for b in range(ky)) for a in range(kx)
+    )
+    return JointPmf(Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky))), probs), n
+
+
+@PROPERTY
+@given(joints(), slacks, slacks, slacks, st.randoms(use_true_random=False))
+def test_graph_adjacency_and_count_pairs_match_brute_force(case, eps1, eps2, lam, rnd):
+    joint, n = case
+    probs = joint.probs
+    kx, ky = len(probs), len(probs[0])
+    px = [sum(row) for row in probs]
+    py = [sum(row[b] for row in probs) for b in range(ky)]
+    left = [s for s in oracles.all_sequences(kx, n) if oracles.robust_typical(s, px, eps1)]
+    right = [s for s in oracles.all_sequences(ky, n) if oracles.robust_typical(s, py, eps2)]
+    params = TypicalityParams(eps1=eps1, eps2=eps2, lam=lam)
+
+    g = build_graph(GraphSpec(joint, n, params))
+    assert [x.symbols for x in g.left] == left
+    assert [y.symbols for y in g.right] == right
+    want = tuple(
+        tuple(j for j, y in enumerate(right) if oracles.jointly_typical(x, y, probs, lam))
+        for x in left
+    )
+    assert g.adjacency == want
+    assert g.edge_count.value == sum(map(len, want))
+
+    # codebooks of any sequences, typical or not, repeats allowed
+    xs = [tuple(rnd.randrange(kx) for _ in range(n)) for _ in range(rnd.randrange(1, 6))]
+    ys = [tuple(rnd.randrange(ky) for _ in range(n)) for _ in range(rnd.randrange(1, 6))]
+    books = [
+        Codebook(side, 0.0, len(seqs), tuple(Sequence(alpha, s) for s in seqs), "")
+        for side, seqs, alpha in (
+            ("left", xs, joint.row_alphabet),
+            ("right", ys, joint.col_alphabet),
+        )
+    ]
+    pc = count_pairs(books[0], books[1], joint, lam, n)
+    assert pc.u.value == sum(
+        1 for x in xs for y in ys if oracles.jointly_typical(x, y, probs, lam)
+    )
+
+
+def _joint_counts(x, y, kx, ky):
+    cells = [0] * (kx * ky)
+    for a, b in zip(x, y):
+        cells[a * ky + b] += 1
+    return tuple(cells)
+
+
+def _csv_edges(sub):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        export_subgraph(sub, os.path.join(tmp, "s.json"), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[0] == ["left_rank", "right_rank"]
+    return [(int(i), int(j)) for i, j in rows[1:]]
+
+
+@PROPERTY
+@given(joints(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_subgraph_edge_csvs_match_exact_type_brute_force(case, ku, rnd):
+    joint, n = case
+    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
+    pairs = product_alphabet(joint.row_alphabet, joint.col_alphabet)
+    u_alpha = Alphabet(tuple(range(ku)))
+    rows = []
+    for _ in pairs.symbols:
+        w = [rnd.randrange(4) for _ in range(ku)]
+        w[rnd.randrange(ku)] += 1
+        rows.append(Pmf(u_alpha, tuple(Fraction(v, sum(w)) for v in w)))
+    subs = [
+        build_exact_type_subgraph(joint, n),
+        build_aux_subgraph(joint, CondPmf(pairs, u_alpha, tuple(rows)), n),
+    ]
+    for sub in subs:
+        if isinstance(sub, AuxSubgraph):
+            runs, start = [], 0
+            for nu, target in zip(sub.block_lengths, sub.block_targets):
+                runs.append((start, start + nu, tuple(c for row in target for c in row)))
+                start += nu
+        else:
+            runs = [(0, n, sub.target.flat())]
+        left = [x.symbols for x in left_roster(sub)]
+        right = [y.symbols for y in right_roster(sub)]
+        want = [
+            (i, j)
+            for i, x in enumerate(left)
+            for j, y in enumerate(right)
+            if all(
+                _joint_counts(x[lo:hi], y[lo:hi], kx, ky) == target
+                for lo, hi, target in runs
+            )
+        ]
+        assert _csv_edges(sub) == want
+
+
+@st.composite
+def label_multisets(draw):
+    """Edges drawn with repeats from a few sequences, as fresh objects. Most
+    edges join x to its letterwise image, so that letters depend on each
+    other and the wring has work to do."""
+    kx = draw(st.integers(1, 3))
+    ky = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    xpool = draw(
+        st.lists(st.tuples(*[st.integers(0, kx - 1)] * n), min_size=2, max_size=6)
+    )
+    ypool = draw(
+        st.lists(st.tuples(*[st.integers(0, ky - 1)] * n), min_size=1, max_size=3)
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(xpool) - 1), st.integers(-3, len(ypool) - 1)),
+            min_size=6,
+            max_size=40,
+        )
+    )
+    return kx, ky, [
+        (xpool[i], tuple(a % ky for a in xpool[i]) if j < 0 else ypool[j])
+        for i, j in picks
+    ]
+
+
+def _check_diagnostics(kx, ky, raw, delta, sigma=None):
+    xa, ya = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
+    edges = [(Sequence(xa, x), Sequence(ya, y)) for x, y in raw]
+    dist = fano_distribution(edges)
+    laws = [[[law.cell(a, b) for b in range(ky)] for a in range(kx)] for law in dist.per_letter]
+    assert laws == oracles.per_letter_laws(raw, kx, ky)
+    assert block_mi(edges) == oracles.block_mi(raw)
+
+    got = wring(dist, delta, sigma)
+    ref = oracles.wring(raw, kx, ky, delta, sigma)
+    assert got.positions == ref["positions"]
+    assert got.values == ref["values"]
+    assert got.sigma == ref["sigma"]
+    assert got.surviving_fraction == ref["fraction"]
+    assert got.per_letter_mi == ref["per_letter_mi"]
+    assert [(x.symbols, y.symbols) for x, y in got.edges] == ref["edges"]
+    assert [
+        (s.position, s.value, s.surviving, s.fraction, s.max_mi_before) for s in got.steps
+    ] == ref["steps"]
+    assert (got.converged, got.bound_ok) == (ref["converged"], ref["bound_ok"])
+    if got.converged:
+        tvs = pinsker_check(fano_distribution(got.edges), delta)
+        assert list(tvs) == oracles.pinsker_tvs(ref["edges"], kx, ky)
+
+
+@PROPERTY
+@given(label_multisets(), st.sampled_from([0.005, 0.05, 0.2]), st.sampled_from([None, 0.1]))
+def test_diagnostics_match_per_edge_reference(case, delta, sigma):
+    kx, ky, raw = case
+    _check_diagnostics(kx, ky, raw, delta, sigma)
+
+
+def test_diagnostics_wide_pair_codes_match_per_edge_reference():
+    # 17 x 16 letter pairs do not fit one byte: the columns hold ints
+    rng = random.Random(3)
+    pool = [
+        (tuple(rng.randrange(17) for _ in range(4)), tuple(rng.randrange(16) for _ in range(4)))
+        for _ in range(12)
+    ]
+    raw = [rng.choice(pool) for _ in range(60)]
+    _check_diagnostics(17, 16, raw, 0.05)
+
+
+def test_fresh_objects_with_equal_symbols_count_as_one_sequence():
+    xa = Alphabet((0, 1))
+    raw = [((0, 1), (1, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 1))] * 2
+    shared = {s: Sequence(xa, s) for s in itertools.chain.from_iterable(raw)}
+    fresh = [(Sequence(xa, x), Sequence(xa, y)) for x, y in raw]
+    reused = [(shared[x], shared[y]) for x, y in raw]
+    assert block_mi(fresh) == block_mi(reused) == oracles.block_mi(raw)

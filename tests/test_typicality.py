@@ -10,23 +10,21 @@ from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, conditionalize
 from typigraph.typicality import (
     BigCount,
     DEFAULT_SCHEDULE,
+    JointTypeIndex,
     JointTypeVector,
     Sequence,
     TypeVector,
     cond_typical_set_size,
     count_types,
     default_params,
-    empirical_joint_type,
     empirical_type,
     enumerate_types,
     is_cond_typical,
     is_jointly_typical,
     is_typical,
     jointly_typical_pair_count,
-    jointly_typical_type_keys,
     log2_int,
     multinomial,
-    pack_counts,
     sample_uniform_typical,
     schedule_delta,
     type_class_sequences,
@@ -113,6 +111,27 @@ def test_enumerate_types_ball_filter():
     p = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
     got = {t.counts for t in enumerate_types(2, 4, ball=(p, Fraction(1, 4)))}
     assert got == {(1, 3), (2, 2), (3, 1)}
+    # (3, 1) is inside the ball of (1, 0) but puts mass off its support
+    point = Pmf(BIN, (Fraction(1), Fraction(0)))
+    got = [t.counts for t in enumerate_types(2, 4, ball=(point, Fraction(1, 4)))]
+    assert got == [(4, 0)]
+
+
+@pytest.mark.parametrize(
+    "probs, delta, n",
+    [
+        ((Fraction(1), Fraction(0)), Fraction(1, 4), 4),
+        ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), Fraction(1, 3), 6),
+        ((Fraction(0), Fraction(3, 4), Fraction(1, 4)), Fraction(1, 2), 5),
+    ],
+)
+def test_enumerate_types_ball_sums_to_typical_set_size(probs, delta, n):
+    p = Pmf(Alphabet(tuple(range(len(probs)))), probs)
+    types = list(enumerate_types(len(probs), n, ball=(p, delta)))
+    colex = sorted(types, key=lambda t: tuple(reversed(t.counts)))
+    assert [t.counts for t in types] == [t.counts for t in colex]
+    total = sum(type_class_size(t).value for t in types)
+    assert total == typical_set_size(p, delta, n).value
 
 
 def test_count_types_matches_enumeration():
@@ -293,35 +312,52 @@ def test_sampler_uniformity_chi_square():
     assert chi2 < 34.528  # chi2 critical value, df=13, alpha=0.001
 
 
-# --- packed type keys ---------------------------------------------------------
+# --- joint-type index ---------------------------------------------------------
 
 
-def test_pack_counts_injective():
+def test_joint_type_index_files_each_type_apart():
     rng = random.Random(9)
     n = 10
-    seen = {}
-    for _ in range(500):
-        cells = [0, 0, 0, 0]
-        for _ in range(n):
-            cells[rng.randrange(4)] += 1
-        key = pack_counts(cells, n + 1)
-        if key in seen:
-            assert seen[key] == tuple(cells)
-        seen[key] = tuple(cells)
+    for k in (2, 3):
+        draws = []
+        for _ in range(120):
+            cells = [0] * (k * k)
+            for _ in range(n):
+                cells[rng.randrange(k * k)] += 1
+            draws.append(tuple(cells))
+        for target in draws[:12]:
+            index = JointTypeIndex(k, k, [(n, [target])])
+            for other in draws:
+                pairs = [divmod(c, k) for c in range(k * k) for _ in range(other[c])]
+                rng.shuffle(pairs)
+                x = tuple(a for a, _ in pairs)
+                y = tuple(b for _, b in pairs)
+                assert index.count([x], [y]) == (other == target)
 
 
-def test_jointly_typical_type_keys_match_predicate(binary_joint):
+def test_joint_type_index_symbols_past_one_byte():
+    # 300 row symbols: masks are built without the byte translation
+    target = [0] * 600
+    target[299 * 2 + 1] = 2  # (299, 1) twice
+    target[257 * 2 + 0] = 1  # (257, 0) once
+    index = JointTypeIndex(300, 2, [(3, [target])])
+    assert index.count([(299, 257, 299)], [(1, 0, 1)]) == 1
+    assert index.count([(299, 257, 299)], [(1, 1, 0)]) == 0
+    assert index.count([(299, 256, 299)], [(1, 0, 1)]) == 0
+
+
+def test_joint_type_index_matches_predicate(binary_joint):
     n = 5
     params = default_params(n)
-    keys = jointly_typical_type_keys(binary_joint, params.lam, n)
-    for xs in itertools.product(range(2), repeat=n):
-        for ys in itertools.product(range(2), repeat=n):
-            x, y = Sequence(BIN, xs), Sequence(BIN, ys)
-            jt = empirical_joint_type(x, y)
-            packed = pack_counts([c for row in jt.counts for c in row], n + 1)
-            assert (packed in keys) == is_jointly_typical(
-                x, y, binary_joint, params.lam
-            )
+    index = JointTypeIndex.ball(binary_joint, params.lam, n)
+    seqs = list(itertools.product(range(2), repeat=n))
+    for xs, hits in zip(seqs, index.scan(seqs, seqs)):
+        x = Sequence(BIN, xs)
+        assert hits == [
+            j
+            for j, ys in enumerate(seqs)
+            if is_jointly_typical(x, Sequence(BIN, ys), binary_joint, params.lam)
+        ]
 
 
 # --- misc ---------------------------------------------------------------------
