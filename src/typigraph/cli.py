@@ -25,7 +25,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    DEFAULT_CAP,
     Alphabet,
+    CapExceeded,
     CondPmf,
     InvariantViolation,
     JointPmf,
@@ -45,9 +47,7 @@ from .typicality import (
     schedule_delta,
 )
 from .graph import (
-    DEFAULT_CAP,
     GRAPH_SCHEMA,
-    CapExceeded,
     GraphSpec,
     TypicalityGraph,
     _read_edge_csv,
@@ -73,6 +73,7 @@ from .deviation import (
     exponent_report,
     lll_lower_bounds,
     simulate,
+    simulation_sizes,
     suen_tail_bound,
     suen_zero_bound,
 )
@@ -409,6 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args, args.n)
     r1 = _parse_rate(args.r1, "--r1")
     r2 = _parse_rate(args.r2, "--r2")
+    simulation_sizes(args.n, r1, r2, args.trials)  # refuse oversized runs first
     moments = exact_pair_moments(joint, params, args.n, r1, r2)
     lll = lll_lower_bounds(moments, moments.m1, moments.m2, args.n)
     bounds = {
@@ -676,7 +678,8 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: retry with --mode implicit", file=sys.stderr)
+        if args.command == "graph":
+            print("hint: retry with --mode implicit", file=sys.stderr)
         return EXIT_CAP
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -26,6 +26,14 @@ class InvariantViolation(RuntimeError):
     """A postcondition that should hold mathematically failed; a bug."""
 
 
+DEFAULT_CAP = 1 << 24
+
+
+class CapExceeded(RuntimeError):
+    """Work estimated before it starts (candidate sequences, pairs to scan,
+    Monte Carlo pair tests) is over the cap; nothing has been computed."""
+
+
 # ---------------------------------------------------------------------------
 # alphabets and distributions
 # ---------------------------------------------------------------------------

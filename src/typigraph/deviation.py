@@ -25,15 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import InvariantViolation, JointPmf, Pmf
+from .core import DEFAULT_CAP, CapExceeded, InvariantViolation, JointPmf, Pmf
 from .typicality import (
     BigCount,
     JointTypeIndex,
     Sequence,
+    TypicalSampler,
     TypicalityParams,
     degree_table,
     jointly_typical_pair_count,
-    sample_uniform_typical,
     typical_set_size,
 )
 
@@ -370,7 +370,8 @@ def draw_codebook(
     rate: float = 0.0,
     seed_info: str = "",
 ) -> Codebook:
-    seqs = tuple(sample_uniform_typical(pmf, eps, n, rng) for _ in range(size))
+    draw = TypicalSampler(pmf, eps, n).draw
+    seqs = tuple(Sequence(pmf.alphabet, tuple(draw(rng))) for _ in range(size))
     return Codebook(side=side, rate=rate, size=size, sequences=seqs, seed_info=seed_info)
 
 
@@ -422,6 +423,22 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def simulation_sizes(n: int, r1: float, r2: float, trials: int) -> tuple[int, int]:
+    """Codebook sizes (M1, M2) of a Monte Carlo run of `trials` trials.
+
+    Raises CapExceeded, before any work, when the run's M1*M2*trials pair
+    tests are over DEFAULT_CAP.
+    """
+    m1 = codebook_size(n, r1)
+    m2 = codebook_size(n, r2)
+    if m1 * m2 * trials > DEFAULT_CAP:
+        raise CapExceeded(
+            f"{m1}*{m2}*{trials} = {m1 * m2 * trials} Monte Carlo pair tests "
+            f"exceed cap {DEFAULT_CAP}"
+        )
+    return m1, m2
+
+
 def simulate(
     joint: JointPmf,
     params: TypicalityParams,
@@ -438,25 +455,25 @@ def simulate(
     reports are byte-identical for identical (seed, trials) regardless of
     how the work is scheduled. Within a trial the row codebook is drawn
     first, then column codewords in sequence: enlarging M2 with the same
-    seed extends the draw, it never reshuffles it.
+    seed extends the draw, it never reshuffles it. An oversized run raises
+    CapExceeded before any work (see `simulation_sizes`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    m1 = codebook_size(n, r1)
-    m2 = codebook_size(n, r2)
-    px, py = joint.row_marginal(), joint.col_marginal()
+    m1, m2 = simulation_sizes(n, r1, r2, trials)
     gamma = float(Fraction(m1 * m2) * exact_alpha_fraction(joint, params, n))
     index = JointTypeIndex.ball(joint, params.lam, n)
+    draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw
+    draw_y = TypicalSampler(joint.col_marginal(), params.eps2, n).draw
     thresholds = [a * gamma for a in a_grid]
     tail_hits = [0] * len(a_grid)
     zero_count = 0
     sum_u = 0
     sum_u2 = 0
-    eps1, eps2 = params.eps1, params.eps2
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        xs = [sample_uniform_typical(px, eps1, n, rng).symbols for _ in range(m1)]
-        ys = [sample_uniform_typical(py, eps2, n, rng).symbols for _ in range(m2)]
+        xs = [draw_x(rng) for _ in range(m1)]
+        ys = [draw_y(rng) for _ in range(m2)]
         u = index.count(xs, ys)
         if u == 0:
             zero_count += 1

@@ -24,6 +24,8 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from .core import (
+    DEFAULT_CAP,
+    CapExceeded,
     InvariantViolation,
     JointPmf,
     conditionalize,
@@ -45,13 +47,6 @@ from .typicality import (
     TypeVector,
     typical_set_size,
 )
-
-DEFAULT_CAP = 1 << 24
-
-
-class CapExceeded(RuntimeError):
-    """Explicit materialization would scan more candidates than the cap."""
-
 
 @dataclass(frozen=True)
 class GraphSpec:

@@ -35,6 +35,7 @@ from typing import Iterator, Optional
 from .core import (
     Alphabet,
     ApproxResult,
+    CapExceeded,
     CondPmf,
     InvariantViolation,
     JointPmf,
@@ -693,7 +694,17 @@ SUBGRAPH_SCHEMA = "typigraph.subgraph/1"
 def export_subgraph(
     sub, json_path: str, edges_csv_path: Optional[str] = None, edge_cap: int = 1 << 22
 ) -> None:
-    """JSON header with exact provenance; optional edge CSV of roster ranks."""
+    """JSON header with exact provenance; optional edge CSV of roster ranks.
+
+    The edge scan over left_size * right_size pairs is refused with
+    CapExceeded over edge_cap, before any file is written.
+    """
+    if edges_csv_path is not None:
+        total = sub.left_size.value * sub.right_size.value
+        if total > edge_cap:
+            raise CapExceeded(
+                f"edge scan over {total} candidate pairs exceeds cap {edge_cap}"
+            )
     if isinstance(sub, ExactTypeSubgraph):
         kind = "single_type"
         extra = {
@@ -741,11 +752,6 @@ def export_subgraph(
         fh.write("\n")
     if edges_csv_path is None:
         return
-    total = sub.left_size.value * sub.right_size.value
-    if total > edge_cap:
-        raise ValueError(
-            f"edge scan over {total} candidate pairs exceeds cap {edge_cap}"
-        )
     left = [x.symbols for x in left_roster(sub)]
     right = [y.symbols for y in right_roster(sub)]
     with open(edges_csv_path, "w", encoding="utf-8", newline="") as fh:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from operator import add
 from typing import Iterator, Optional
 
@@ -523,50 +524,52 @@ def type_class_sequences(t: TypeVector) -> Iterator[Sequence]:
     yield from rec()
 
 
-_SAMPLER_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _sampler_table(p: Pmf, delta: Fraction, n: int):
-    key = (p, delta, n)
-    tab = _SAMPLER_CACHE.get(key)
-    if tab is None:
-        types = []
-        cum = []
-        total = 0
-        for counts in _admissible_count_vectors(p.probs, n, delta):
-            total += multinomial(n, counts)
-            types.append(counts)
-            cum.append(total)
-        tab = (types, cum, total)
-        _SAMPLER_CACHE[key] = tab
-    return tab
+    """(admissible count vectors, cumulative class sizes, total) of T_delta(p)."""
+    types = []
+    cum = []
+    total = 0
+    for counts in _admissible_count_vectors(p.probs, n, delta):
+        total += multinomial(n, counts)
+        types.append(counts)
+        cum.append(total)
+    return tuple(types), tuple(cum), total
 
 
-def sample_uniform_typical(p: Pmf, delta, n: int, rng: random.Random) -> Sequence:
-    """Exact uniform draw from T_delta(p) at blocklength n.
+class TypicalSampler:
+    """Exact uniform draws from T_delta(p) at blocklength n, as symbol lists.
 
     Two stages: a type is drawn with probability proportional to its exact
     class size (big-integer arithmetic, no floats), then a uniformly random
-    arrangement of that type's multiset is produced.
+    arrangement of that type's multiset is produced. A draw makes exactly
+    one `rng.randrange` and one `rng.shuffle` call. The table is built (or
+    fetched) once per sampler; a type's sorted multiset is expanded on its
+    first draw, so memory grows with the types drawn, not with the ball.
     """
-    d = Fraction(delta)
-    types, cum, total = _sampler_table(p, d, n)
-    if total == 0:
-        raise ValueError("typical set is empty; nothing to sample")
-    r = rng.randrange(total)
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if r < cum[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    counts = types[lo]
-    buf = []
-    for s, c in enumerate(counts):
-        buf.extend([s] * c)
-    rng.shuffle(buf)
-    return Sequence(p.alphabet, tuple(buf))
+
+    def __init__(self, p: Pmf, delta, n: int):
+        self._types, self._cum, self._total = _sampler_table(p, Fraction(delta), n)
+        if self._total == 0:
+            raise ValueError("typical set is empty; nothing to sample")
+        self._multisets: dict = {}
+
+    def draw(self, rng: random.Random) -> list[int]:
+        i = bisect_right(self._cum, rng.randrange(self._total))
+        multiset = self._multisets.get(i)
+        if multiset is None:
+            multiset = self._multisets[i] = [
+                s for s, c in enumerate(self._types[i]) for _ in range(c)
+            ]
+        buf = multiset.copy()
+        rng.shuffle(buf)
+        return buf
+
+
+def sample_uniform_typical(p: Pmf, delta, n: int, rng: random.Random) -> Sequence:
+    """Exact uniform draw from T_delta(p) at blocklength n (see
+    `TypicalSampler`, which draws many without rebuilding anything)."""
+    return Sequence(p.alphabet, tuple(TypicalSampler(p, delta, n).draw(rng)))
 
 
 def count_types(alphabet_size: int, n: int) -> int:

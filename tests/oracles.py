@@ -120,6 +120,32 @@ def multinomial_factorial(n, counts):
     return v
 
 
+def sample_uniform_typical(probs, delta, n, rng):
+    """One exact uniform draw from the delta-typical set, as a tuple, or None
+    (no rng call) when the set is empty.
+
+    The reference for the sampler's random stream: a type is picked by
+    r = rng.randrange(total), walking the typical types in lexicographic
+    order of their count vectors until r falls inside one's class size, then
+    rng.shuffle arranges that type's sorted multiset.
+    """
+    multisets = []
+    for counts in itertools.product(range(n + 1), repeat=len(probs)):
+        multiset = [a for a, c in enumerate(counts) for _ in range(c)]
+        if sum(counts) == n and robust_typical(multiset, probs, delta):
+            multisets.append((multiset, multinomial_factorial(n, counts)))
+    if not multisets:
+        return None
+    r = rng.randrange(sum(size for _, size in multisets))
+    for multiset, size in multisets:
+        if r < size:
+            break
+        r -= size
+    buf = list(multiset)
+    rng.shuffle(buf)
+    return tuple(buf)
+
+
 # --- per-edge reference for the converse-side diagnostics ----------------------
 #
 # Edges are (x symbols, y symbols) pairs of index tuples. This is the

@@ -152,6 +152,19 @@ def test_subgraph_an_verification(joint_file, tmp_path, capsys):
     assert doc["config_sha256"]
 
 
+def test_subgraph_edge_cap_exit_3(joint_file, tmp_path, capsys):
+    out, edges = tmp_path / "s.json", tmp_path / "s.csv"
+    rc = main(
+        ["subgraph", "--dist", joint_file, "--n", "12", "--kind", "an", "--cap", "10",
+         "--out", str(out), "--edges", str(edges)]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "exceeds cap 10" in err
+    assert "Traceback" not in err and "--mode" not in err
+    assert not out.exists() and not edges.exists()
+
+
 def test_subgraph_gamma_requires_aux(joint_file, capsys):
     rc = main(["subgraph", "--dist", joint_file, "--n", "12", "--kind", "gamma"])
     assert rc == 2
@@ -201,6 +214,22 @@ def test_simulate_outputs(joint_file, tmp_path, capsys):
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first  # fixed (config, seed): identical bytes
+
+
+def test_simulate_cap_exit_3(joint_file, tmp_path, capsys):
+    """2 * 4096^2 pair tests are over the cap: refused before the exact
+    moments, the trials or any write."""
+    out = tmp_path / "sim.json"
+    args = [
+        "simulate", "--dist", joint_file, "--n", "12", "--r1", "1", "--r2", "1",
+        "--trials", "2", "--seed", "1", "--out", str(out),
+    ]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert "exceed cap" in captured.err
+    assert "Traceback" not in captured.err and "--mode" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "joint.json"]
 
 
 def test_simulate_validation(joint_file):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from typigraph.core import Alphabet, InvariantViolation
+from typigraph.core import DEFAULT_CAP, Alphabet, CapExceeded, InvariantViolation
 from typigraph.deviation import (
     MomentEstimates,
     codebook_size,
@@ -19,6 +19,7 @@ from typigraph.deviation import (
     lll_lower_bounds,
     phi_root,
     simulate,
+    simulation_sizes,
     suen_tail_bound,
     suen_zero_bound,
     wilson_interval,
@@ -322,6 +323,35 @@ def test_simulate_deterministic(binary_joint):
     assert a == b
     c = simulate(binary_joint, params, 8, 0.25, 0.25, trials=300, seed=6)
     assert c.zero_count != a.zero_count or c.mean_u != a.mean_u
+
+
+def test_simulate_pinned(binary_joint):
+    """The per-trial streams at seed 5, as recorded before the sampler table
+    was hoisted out of the trial loop."""
+    mc = simulate(binary_joint, default_params(8), 8, 0.25, 0.25, trials=300, seed=5)
+    assert (mc.m1, mc.m2) == (4, 4)
+    assert mc.zero_count == 6
+    assert mc.mean_u == 5.01
+    assert mc.var_u == 6.578494983277593
+    assert [p for _, p in mc.tails] == [
+        0.02, 0.02, 0.02, 0.07333333333333333, 0.07333333333333333,
+        0.16666666666666666, 0.16666666666666666, 0.31333333333333335,
+        0.31333333333333335, 0.4633333333333333, 0.4633333333333333,
+    ]
+
+
+def test_simulate_work_cap(binary_joint, monkeypatch):
+    params = default_params(12)
+    assert simulation_sizes(12, 1.0, 1.0, 1) == (4096, 4096)  # exactly the cap
+    with pytest.raises(CapExceeded, match=f"exceed cap {DEFAULT_CAP}"):
+        simulation_sizes(12, 1.0, 1.0, 2)
+
+    def refuse(*args):
+        raise AssertionError("exact work started before the cap check")
+
+    monkeypatch.setattr("typigraph.deviation.exact_alpha_fraction", refuse)
+    with pytest.raises(CapExceeded):
+        simulate(binary_joint, params, 12, 1.0, 1.0, trials=2, seed=1)
 
 
 def test_simulate_mean_tracks_gamma(binary_joint):

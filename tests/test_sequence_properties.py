@@ -6,7 +6,9 @@ included) and blocklengths up to 6. The explicit graph's adjacency and
 CSVs (both kinds) must list exactly the roster pairs whose (per-block)
 joint type is the target; and the byte-column diagnostics must reproduce
 the per-edge reference in `oracles` exactly, floats included, on label
-multisets with repeated edges.
+multisets with repeated edges. The uniform typical-set sampler must draw
+the reference's symbols and leave the generator in the reference's state,
+whether it is built once or once per draw.
 """
 
 import csv
@@ -16,6 +18,7 @@ import random
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -31,7 +34,12 @@ from typigraph.subgraphs import (
     left_roster,
     right_roster,
 )
-from typigraph.typicality import Sequence, TypicalityParams
+from typigraph.typicality import (
+    Sequence,
+    TypicalSampler,
+    TypicalityParams,
+    sample_uniform_typical,
+)
 
 PROPERTY = settings.get_profile("typigraph")
 
@@ -225,3 +233,37 @@ def test_fresh_objects_with_equal_symbols_count_as_one_sequence():
     fresh = [(Sequence(xa, x), Sequence(xa, y)) for x, y in raw]
     reused = [(shared[x], shared[y]) for x, y in raw]
     assert block_mi(fresh) == block_mi(reused) == oracles.block_mi(raw)
+
+
+@st.composite
+def pmfs(draw):
+    """Pmfs on up to three symbols; zero cells and point masses included."""
+    k = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    return Pmf(Alphabet(tuple(range(k))), tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@PROPERTY
+@given(
+    pmfs(),
+    st.integers(1, 8),
+    st.builds(Fraction, st.integers(0, 6), st.integers(2, 12)),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 8),
+)
+def test_sampler_stream_matches_per_draw_calls(p, n, delta, seed, draws):
+    ref = random.Random(seed)
+    want = [oracles.sample_uniform_typical(p.probs, delta, n, ref) for _ in range(draws)]
+    hoisted, per_call = random.Random(seed), random.Random(seed)
+    if want[0] is None:
+        with pytest.raises(ValueError, match="empty"):
+            TypicalSampler(p, delta, n)
+        with pytest.raises(ValueError, match="empty"):
+            sample_uniform_typical(p, delta, n, per_call)
+    else:
+        sampler = TypicalSampler(p, delta, n)
+        assert [tuple(sampler.draw(hoisted)) for _ in range(draws)] == want
+        assert [
+            sample_uniform_typical(p, delta, n, per_call).symbols for _ in range(draws)
+        ] == want
+    assert hoisted.getstate() == per_call.getstate() == ref.getstate()

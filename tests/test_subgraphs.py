@@ -6,6 +6,7 @@ import pytest
 
 from typigraph.core import (
     Alphabet,
+    CapExceeded,
     CondPmf,
     InvariantViolation,
     JointPmf,
@@ -317,7 +318,9 @@ def test_subgraph_export_tamper_detected(binary_joint, tmp_path):
 
 def test_export_edge_cap(binary_joint, tmp_path):
     an = build_exact_type_subgraph(binary_joint, 12)  # 924 x 924 pairs
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(CapExceeded, match="cap"):
         export_subgraph(
             an, str(tmp_path / "a.json"), str(tmp_path / "a.csv"), edge_cap=1000
         )
+    assert not (tmp_path / "a.json").exists()  # refused before the header
+    assert not (tmp_path / "a.csv").exists()

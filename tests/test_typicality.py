@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from typigraph import typicality
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, conditionalize
 from typigraph.typicality import (
     BigCount,
@@ -294,6 +295,10 @@ def test_sample_uniform_typical_point_mass():
     point = Pmf(BIN, (Fraction(1), Fraction(0)))
     s = sample_uniform_typical(point, Fraction(0), 5, random.Random(0))
     assert s.symbols == (0, 0, 0, 0, 0)
+
+
+def test_sampler_table_cache_is_bounded():
+    assert typicality._sampler_table.cache_info().maxsize is not None
 
 
 def test_sampler_uniformity_chi_square():
