@@ -49,12 +49,11 @@ from .typicality import (
 from .graph import (
     GRAPH_SCHEMA,
     GraphSpec,
-    TypicalityGraph,
     _read_edge_csv,
     build_graph,
     check_degree_bound,
     export_graph,
-    read_graph_header,
+    import_graph,
     stats,
 )
 from .subgraphs import (
@@ -283,6 +282,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     _check_common(args)
+    if args.edges and not (args.out and args.mode == "explicit"):
+        raise ConfigError("--edges needs --out and --mode explicit")
     joint = _load_joint(args.dist)
     params = _resolve_params(args, args.n)
     spec = GraphSpec(
@@ -291,7 +292,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     g = build_graph(spec)
     echo = _config_echo(args)
     digest = _config_hash(echo)
-    if isinstance(g, TypicalityGraph):
+    if spec.mode == "explicit":
         st = stats(g)
         print(
             f"left={len(g.left)} right={len(g.right)} "
@@ -333,6 +334,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_subgraph(args: argparse.Namespace) -> int:
     _check_common(args)
+    if args.edges and not args.out:
+        raise ConfigError("--edges needs --out")
     joint = _load_joint(args.dist)
     params = _resolve_params(args, args.n)
     echo = _config_echo(args)
@@ -461,7 +464,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "gamma": moments.gamma,
             "theta_cap": moments.theta_cap,
             "theta_small": moments.theta_small,
-            "tau": moments.tau,
+            "tau": float(moments.alpha_exact),
         },
         "bounds": report.bounds,
         "exponents": report.exponents,
@@ -545,13 +548,14 @@ def _sequences_from_rank_csv(path: str, graph_path: Optional[str]) -> list:
     with open(graph_path, "r", encoding="utf-8") as fh:
         schema = json.load(fh).get("schema")
     if schema == GRAPH_SCHEMA:
-        _, left, right, _ = read_graph_header(graph_path)
+        g = import_graph(graph_path)
+        left, right = g.left, g.right
     elif schema == SUBGRAPH_SCHEMA:
         sub = import_subgraph(graph_path)
         left, right = list(left_roster(sub)), list(right_roster(sub))
     else:
         raise ConfigError(f"{graph_path}: unrecognized schema {schema!r}")
-    return [(left[i], right[j]) for i, j in _read_edge_csv(path, len(left), len(right))]
+    return [(left[i], right[j]) for _, i, j in _read_edge_csv(path, len(left), len(right))]
 
 
 def cmd_wring(args: argparse.Namespace) -> int:
@@ -678,7 +682,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.command == "graph":
+        if args.command == "graph" and not args.edges:  # the roster cap
             print("hint: retry with --mode implicit", file=sys.stderr)
         return EXIT_CAP
     except InvariantViolation as exc:

@@ -9,7 +9,8 @@ bounds is computed exactly at the type level:
   gamma   = M1 M2 alpha = E[U];
   theta_cap ("Theta") = half the sum over dependent ordered pairs of
             crossings of E[U_ij U_kl], via exact degree second moments;
-  theta_small ("theta") = (M1 + M2 - 2) alpha_max, tau = alpha_max.
+  theta_small ("theta") = (M1 + M2 - 2) alpha, the dependent-sum of one
+            crossing (every crossing has the same alpha).
 
 P(U <= a gamma) is bounded above by Suen's correlation inequality and
 P(U = 0) below by two local-lemma variants; Monte Carlo estimates with
@@ -75,13 +76,9 @@ class MomentEstimates:
     alpha_exact: Fraction
     left_second_exact: Fraction  # E[U_ij U_il], j != l (shared row codeword)
     right_second_exact: Fraction  # E[U_ij U_kj], i != k
-    alpha_min: float
-    alpha_max: float
-    beta_max: float
     gamma: float
     theta_cap: float  # "Theta": half-sum of dependent-pair second moments
     theta_small: float  # "theta": max over crossings of the dependent-sum
-    tau: float
 
 
 def codebook_size(n: int, rate: float) -> int:
@@ -127,13 +124,9 @@ def exact_pair_moments(
         alpha_exact=alpha,
         left_second_exact=left_second,
         right_second_exact=right_second,
-        alpha_min=float(alpha),
-        alpha_max=float(alpha),
-        beta_max=float(max(left_second, right_second)),
         gamma=float(gamma),
         theta_cap=float(theta_cap),
         theta_small=float(theta_small),
-        tau=float(alpha),
     )
 
 
@@ -235,10 +228,11 @@ def lll_lower_bounds(moments: MomentEstimates, m1: int, m2: int, n: int) -> LllB
     """Symmetric and phi-function local-lemma lower bounds on P(U = 0).
 
     The symmetric variant needs the exact-arithmetic existence condition
-    alpha_max <= x (1-x)^{M1+M2-2} with x = 1/M1 and then gives
+    alpha <= x (1-x)^{M1+M2-2} with x = 1/M1 and then gives
     (1-x)^{M1 M2}, evaluated exactly (the exp(-(M2+1)) form usually quoted
     is its large-M1 shadow and is reported alongside). The phi variant
-    needs theta_small + tau <= 1/e and gives exp(-gamma * phi(...)).
+    needs theta_small + tau <= 1/e, where tau, the largest crossing
+    probability, is alpha, and gives exp(-gamma * phi(...)).
     """
     del n  # sizes are explicit; nothing here depends on blocklength
     x = Fraction(1, m1)
@@ -253,7 +247,7 @@ def lll_lower_bounds(moments: MomentEstimates, m1: int, m2: int, n: int) -> LllB
     else:
         symmetric = None
         asymptotic = None
-    load = moments.theta_small + moments.tau
+    load = moments.theta_small + float(moments.alpha_exact)
     phi_ok = load <= _E_INV
     phi_bound = (
         math.exp(-moments.gamma * phi_root(load)) if phi_ok else None

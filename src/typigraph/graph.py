@@ -3,13 +3,14 @@
 Left vertices are the eps1-typical sequences for the row marginal, right
 vertices the eps2-typical sequences for the column marginal, and an edge
 joins (x, y) exactly when the pair is jointly lam-typical. Vertex ids are
-lexicographic ranks within each roster. Edges are stored once, left-indexed;
-right-side views are transposed on demand.
+lexicographic ranks within each roster.
 
-Explicit mode materializes rosters and adjacency and is guarded by a cap on
-candidate sequences per side. Implicit mode answers size, edge-count, and
-degree queries through exact type-level counting without materializing
-anything.
+A vertex's degree depends only on its type, so one degree table per side
+(`typicality.degree_table`; the right side's comes from the transposed
+joint) gives the edge count, every degree, the statistics and the degree
+bound exactly, at the level of types. Explicit mode also holds the two
+rosters, capped by their exact sizes; `edge_list` streams the edges from
+one pair scan over them, on demand, and nothing holds the edge set.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import repeat
 from typing import Iterator, Optional
 
 from .core import (
@@ -39,8 +39,8 @@ from .typicality import (
     TypicalityParams,
     _admissible_count_vectors,
     cond_typical_set_size,
+    degree_table,
     empirical_type,
-    jointly_typical_pair_count,
     log2_int,
     row_type_degree,
     type_class_sequences,
@@ -74,64 +74,47 @@ def _roster(pmf, eps, n: int) -> tuple[Sequence, ...]:
     return tuple(seqs)
 
 
-def _rosters(spec: GraphSpec) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
-    """Left and right rosters, refused before any work when over the cap."""
-    px, py = spec.joint.row_marginal(), spec.joint.col_marginal()
-    for k in (px.alphabet.size, py.alphabet.size):
-        if k**spec.n > spec.cap:
-            raise CapExceeded(
-                f"{k}^{spec.n} candidate sequences exceed cap {spec.cap}; "
-                "use implicit mode"
-            )
-    return _roster(px, spec.params.eps1, spec.n), _roster(py, spec.params.eps2, spec.n)
+def _oriented(spec: GraphSpec, side: str):
+    """(joint, row eps, column eps) with the side's sequences as the rows."""
+    p = spec.params
+    if side == "left":
+        return spec.joint, p.eps1, p.eps2
+    if side == "right":
+        return spec.joint.transpose(), p.eps2, p.eps1
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def _degree_table(spec: GraphSpec, side: str) -> dict:
+    """Type counts -> (class size, degree) over the side's typical types."""
+    joint, row_eps, col_eps = _oriented(spec, side)
+    table = degree_table(joint, row_eps, col_eps, spec.params.lam, spec.n)
+    return {counts: (size, deg) for counts, size, deg in table}
 
 
 @dataclass(frozen=True)
 class TypicalityGraph:
-    """Explicit typicality graph with materialized rosters and adjacency."""
+    """Exact vertex and edge counts, degrees per type, rosters if explicit.
 
-    spec: GraphSpec
-    left: tuple[Sequence, ...]
-    right: tuple[Sequence, ...]
-    adjacency: tuple[tuple[int, ...], ...]  # left-indexed, ascending right ids
-    edge_count: BigCount
-
-    def vertex_counts(self) -> tuple[int, int]:
-        return len(self.left), len(self.right)
-
-    def degree(self, side: str, vertex_id: int) -> BigCount:
-        if side == "left":
-            return BigCount.from_int(len(self.adjacency[vertex_id]))
-        if side == "right":
-            deg = sum(1 for nbrs in self.adjacency if vertex_id in set(nbrs))
-            return BigCount.from_int(deg)
-        raise ValueError("side must be 'left' or 'right'")
-
-    def right_degrees(self) -> tuple[int, ...]:
-        degs = Counter(chain.from_iterable(self.adjacency))
-        return tuple(degs[j] for j in range(len(self.right)))
-
-    def left_degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
-
-    def degree_extremes(self, side: str) -> tuple[int, int]:
-        degs = self.left_degrees() if side == "left" else self.right_degrees()
-        if not degs:
-            raise ValueError("empty roster has no degrees")
-        return min(degs), max(degs)
-
-
-@dataclass(frozen=True)
-class ImplicitTypicalityGraph:
-    """Type-level view: sizes and degrees by exact counting, no rosters."""
+    `left` and `right` are the lexicographic rosters in explicit mode and
+    None in implicit mode. Each side's degree table is computed once, when
+    first needed.
+    """
 
     spec: GraphSpec
     left_count: BigCount
     right_count: BigCount
     edge_count: BigCount
+    left: Optional[tuple[Sequence, ...]] = None
+    right: Optional[tuple[Sequence, ...]] = None
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def vertex_counts(self) -> tuple[int, int]:
         return self.left_count.value, self.right_count.value
+
+    def _table(self, side: str) -> dict:
+        if side not in self._tables:
+            self._tables[side] = _degree_table(self.spec, side)
+        return self._tables[side]
 
     def degree_of(self, x: Sequence, side: str = "left") -> BigCount:
         """Exact number of typical other-side sequences jointly typical with x.
@@ -139,46 +122,58 @@ class ImplicitTypicalityGraph:
         x need not be typical itself; the degree depends on x only through
         its type.
         """
-        spec = self.spec
-        if side == "left":
-            joint, other_eps = spec.joint, spec.params.eps2
-        elif side == "right":
-            joint, other_eps = spec.joint.transpose(), spec.params.eps1
-        else:
-            raise ValueError("side must be 'left' or 'right'")
         counts = empirical_type(x).counts
+        entry = self._table(side).get(counts)
+        if entry is not None:
+            return BigCount.from_int(entry[1])
+        joint, _, col_eps = _oriented(self.spec, side)
         return BigCount.from_int(
-            row_type_degree(joint, counts, other_eps, spec.params.lam, spec.n)
+            row_type_degree(joint, counts, col_eps, self.spec.params.lam, self.spec.n)
         )
 
 
-def build_graph(spec: GraphSpec):
-    """Construct the typicality graph for a joint pmf at blocklength n."""
+def build_graph(spec: GraphSpec) -> TypicalityGraph:
+    """Construct the typicality graph for a joint pmf at blocklength n.
+
+    The left degree table gives |L| and the edge count. Explicit mode
+    refuses, with CapExceeded, rosters whose exact size is over spec.cap
+    before enumerating either. No sequence pair is scanned.
+    """
     joint, n, params = spec.joint, spec.n, spec.params
-    if spec.mode == "implicit":
-        return ImplicitTypicalityGraph(
-            spec=spec,
-            left_count=typical_set_size(joint.row_marginal(), params.eps1, n),
-            right_count=typical_set_size(joint.col_marginal(), params.eps2, n),
-            edge_count=jointly_typical_pair_count(joint, params, n),
-        )
-    left, right = _rosters(spec)
-    index = JointTypeIndex.ball(joint, params.lam, n)
-    adjacency = tuple(
-        map(tuple, index.scan([x.symbols for x in left], [y.symbols for y in right]))
-    )
-    edge_total = sum(map(len, adjacency))
+    left_table = _degree_table(spec, "left")
+    left_count = sum(size for size, _ in left_table.values())
+    right_count = typical_set_size(joint.col_marginal(), params.eps2, n).value
+    left = right = None
+    if spec.mode == "explicit":
+        if max(left_count, right_count) > spec.cap:
+            raise CapExceeded(
+                f"rosters of {left_count} and {right_count} sequences exceed "
+                f"cap {spec.cap}"
+            )
+        left = _roster(joint.row_marginal(), params.eps1, n)
+        right = _roster(joint.col_marginal(), params.eps2, n)
     return TypicalityGraph(
         spec=spec,
+        left_count=BigCount.from_int(left_count),
+        right_count=BigCount.from_int(right_count),
+        edge_count=BigCount.from_int(
+            sum(size * deg for size, deg in left_table.values())
+        ),
         left=left,
         right=right,
-        adjacency=adjacency,
-        edge_count=BigCount.from_int(edge_total),
+        _tables={"left": left_table},
     )
 
 
-def degree(g: TypicalityGraph, side: str, vertex_id: int) -> BigCount:
-    return g.degree(side, vertex_id)
+def _rosters(g: TypicalityGraph) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
+    if g.left is None:
+        raise ValueError("an implicit graph holds no rosters; build it in explicit mode")
+    return g.left, g.right
+
+
+def _vertex_degrees(table: dict, roster) -> list[int]:
+    """Each vertex's degree in roster order, read from its type's entry."""
+    return [table[tuple(map(x.symbols.count, range(x.alphabet.size)))][1] for x in roster]
 
 
 @dataclass(frozen=True)
@@ -205,16 +200,22 @@ def _log_stats(degs):
 
 
 def stats(g: TypicalityGraph) -> VertexStats:
-    ld = g.left_degrees()
-    rd = g.right_degrees()
+    """Isolated counts and log2-degree statistics over the rosters.
+
+    The vertices are walked in roster order, so the means are summed in
+    that order.
+    """
+    left, right = _rosters(g)
+    ld = _vertex_degrees(g._table("left"), left)
+    rd = _vertex_degrees(g._table("right"), right)
     lmin, lmax, lmean = _log_stats(ld)
     rmin, rmax, rmean = _log_stats(rd)
     return VertexStats(
-        left_size=BigCount.from_int(len(g.left)),
-        right_size=BigCount.from_int(len(g.right)),
+        left_size=g.left_count,
+        right_size=g.right_count,
         edge_count=g.edge_count,
-        isolated_left=sum(1 for d in ld if d == 0),
-        isolated_right=sum(1 for d in rd if d == 0),
+        isolated_left=ld.count(0),
+        isolated_right=rd.count(0),
         left_degree_log2_min=lmin,
         left_degree_log2_max=lmax,
         left_degree_log2_mean=lmean,
@@ -226,45 +227,32 @@ def stats(g: TypicalityGraph) -> VertexStats:
 
 @dataclass(frozen=True)
 class DegreeBoundReport:
-    """Conditional-typicality cap on degrees, checked exactly per vertex."""
+    """Conditional-typicality cap on degrees, checked exactly per type."""
 
     all_ok: bool
-    worst_slack_bits_per_symbol: float  # min over vertices of (log2 cap - log2 deg)/n
-    violations: tuple  # (side, vertex_id, degree, bound) tuples
+    worst_slack_bits_per_symbol: float  # min over types of (log2 cap - log2 deg)/n
+    violations: tuple  # (side, type counts, degree, bound) tuples
 
 
 def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
-    """Verify degree(x) <= |T_{eps1+lam}(col | x)| and the right analogue."""
-    spec = g.spec
-    n = spec.n
-    w_fwd = conditionalize(spec.joint, given="row")
-    w_bwd = conditionalize(spec.joint, given="col")
-    slack_fwd = Fraction(spec.params.eps1) + Fraction(spec.params.lam)
-    slack_bwd = Fraction(spec.params.eps2) + Fraction(spec.params.lam)
+    """Verify degree(x) <= |T_{eps1+lam}(col | x)| and the right analogue.
+
+    Both sides of the inequality depend on x only through its type, so
+    each typical type is checked once.
+    """
+    spec, params = g.spec, g.spec.params
     worst = math.inf
     violations = []
-    bound_cache: dict = {}
-
-    def bound_for(seq: Sequence, w, slack) -> int:
-        key = (empirical_type(seq).counts, id(w))
-        if key not in bound_cache:
-            bound_cache[key] = cond_typical_set_size(w, seq, slack).value
-        return bound_cache[key]
-
-    ld = g.left_degrees()
-    for i, x in enumerate(g.left):
-        cap = bound_for(x, w_fwd, slack_fwd)
-        if ld[i] > cap:
-            violations.append(("left", i, ld[i], cap))
-        if ld[i] > 0:
-            worst = min(worst, (log2_int(cap) - math.log2(ld[i])) / n)
-    rd = g.right_degrees()
-    for j, y in enumerate(g.right):
-        cap = bound_for(y, w_bwd, slack_bwd)
-        if rd[j] > cap:
-            violations.append(("right", j, rd[j], cap))
-        if rd[j] > 0:
-            worst = min(worst, (log2_int(cap) - math.log2(rd[j])) / n)
+    for side, given, eps in (("left", "row", params.eps1), ("right", "col", params.eps2)):
+        w = conditionalize(spec.joint, given=given)
+        slack = Fraction(eps) + Fraction(params.lam)
+        for counts, (_, deg) in g._table(side).items():
+            x = Sequence(w.given_alphabet, [s for s, c in enumerate(counts) for _ in range(c)])
+            bound = cond_typical_set_size(w, x, slack).value
+            if deg > bound:
+                violations.append((side, counts, deg, bound))
+            if deg > 0:
+                worst = min(worst, (log2_int(bound) - math.log2(deg)) / spec.n)
     return DegreeBoundReport(
         all_ok=not violations,
         worst_slack_bits_per_symbol=worst,
@@ -273,10 +261,14 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
 
 
 def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
-    """Stream (left_id, right_id) pairs in lexicographic order."""
-    for i, nbrs in enumerate(g.adjacency):
-        for j in nbrs:
-            yield (i, j)
+    """Stream (left_id, right_id) pairs in lexicographic order, from one
+    pair scan over the rosters."""
+    left, right = _rosters(g)
+    spec = g.spec
+    index = JointTypeIndex.ball(spec.joint, spec.params.lam, spec.n)
+    rows = index.scan([x.symbols for x in left], [y.symbols for y in right])
+    for i, nbrs in enumerate(rows):
+        yield from zip(repeat(i), nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +299,19 @@ def _params_from_dict(doc: dict) -> TypicalityParams:
 def export_graph(
     g: TypicalityGraph, json_path: str, edges_csv_path: Optional[str] = None
 ) -> None:
-    """JSON header (spec, sizes, log2 stats) plus optional edge CSV."""
+    """JSON header (spec, sizes, log2 stats) plus optional edge CSV.
+
+    The CSV is written straight from `edge_list`. Its scan of |L|*|R|
+    pairs is refused with CapExceeded over spec.cap, before any file is
+    written.
+    """
+    if edges_csv_path is not None:
+        nl, nr = g.vertex_counts()
+        if nl * nr > g.spec.cap:
+            raise CapExceeded(
+                f"edge export scans {nl} x {nr} = {nl * nr} sequence pairs, "
+                f"over cap {g.spec.cap}"
+            )
     st = stats(g)
     header = {
         "schema": GRAPH_SCHEMA,
@@ -318,8 +322,8 @@ def export_graph(
             "mode": g.spec.mode,
             "cap": g.spec.cap,
         },
-        "left_size": len(g.left),
-        "right_size": len(g.right),
+        "left_size": g.left_count.value,
+        "right_size": g.right_count.value,
         "edge_count": {"value": str(g.edge_count.value), "log2": g.edge_count.log2},
         "isolated_left": st.isolated_left,
         "isolated_right": st.isolated_right,
@@ -344,44 +348,19 @@ def export_graph(
         with open(edges_csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["left_rank", "right_rank"])
-            writer.writerows(edge_list(g))
+            written = 0
+            for edge in edge_list(g):
+                writer.writerow(edge)
+                written += 1
+        if written != g.edge_count.value:
+            raise InvariantViolation(
+                f"{written} edges written, but the exact pair count is "
+                f"{g.edge_count.value}"
+            )
 
 
-def read_graph_header(json_path: str):
-    """Spec, rosters and edge count of an export, checked against its header.
-
-    Rosters are re-derived deterministically from the embedded spec and must
-    match the recorded sizes; the recorded edge count must equal the exact
-    pair count of the spec. Nothing scans sequence pairs. Returns
-    (spec, left, right, edge_count).
-    """
-    with open(json_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("schema") != GRAPH_SCHEMA:
-        raise ValueError(f"unexpected schema {header.get('schema')!r}")
-    sdoc = header["spec"]
-    spec = GraphSpec(
-        joint=joint_from_dict(sdoc["joint"]),
-        n=sdoc["n"],
-        params=_params_from_dict(sdoc["params"]),
-        mode=sdoc["mode"],
-        cap=sdoc["cap"],
-    )
-    left, right = _rosters(spec)
-    if len(left) != header["left_size"] or len(right) != header["right_size"]:
-        raise InvariantViolation("roster sizes disagree with the export header")
-    edge_count = int(header["edge_count"]["value"])
-    exact = jointly_typical_pair_count(spec.joint, spec.params, spec.n).value
-    if edge_count != exact:
-        raise InvariantViolation(
-            f"edge count {edge_count} in the export header differs from the "
-            f"exact pair count {exact}"
-        )
-    return spec, left, right, edge_count
-
-
-def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int]]:
-    """Yield the (left, right) rank pairs of an edge CSV in file order.
+def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (CSV row, left rank, right rank) for each edge, in file order.
 
     Blank rows are skipped. Non-integer, out-of-range and repeated ranks
     raise ValueError naming the CSV row; repeats are found with one set of
@@ -411,29 +390,48 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, 
             if key in seen:
                 raise ValueError(f"edge CSV row {line}: repeated edge ({i}, {j})")
             seen.add(key)
-            yield i, j
+            yield line, i, j
 
 
-def import_graph(json_path: str, edges_csv_path: Optional[str] = None):
-    """Rebuild a graph from an export; bit-exact round trip.
+def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
+    """Rebuild a graph from an export, checked against its header.
 
-    Rosters are re-derived deterministically from the embedded spec. With an
-    edge CSV the adjacency is loaded; without one it is recomputed.
+    The graph is rebuilt from the embedded spec, which scans no pair; its
+    roster sizes and exact edge count must match the header. An edge CSV
+    must list the edges of `edge_list` in its order, and is compared with
+    them row by row in one streamed pass.
     """
-    spec, left, right, edge_count = read_graph_header(json_path)
-    if edges_csv_path is None:
-        g = build_graph(spec)
-    else:
-        adj: list[list[int]] = [[] for _ in left]
-        for i, j in _read_edge_csv(edges_csv_path, len(left), len(right)):
-            adj[i].append(j)
-        g = TypicalityGraph(
-            spec=spec,
-            left=left,
-            right=right,
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-            edge_count=BigCount.from_int(sum(map(len, adj))),
+    with open(json_path, "r", encoding="utf-8") as fh:
+        header = json.load(fh)
+    if header.get("schema") != GRAPH_SCHEMA:
+        raise ValueError(f"unexpected schema {header.get('schema')!r}")
+    sdoc = header["spec"]
+    g = build_graph(
+        GraphSpec(
+            joint=joint_from_dict(sdoc["joint"]),
+            n=sdoc["n"],
+            params=_params_from_dict(sdoc["params"]),
+            mode=sdoc["mode"],
+            cap=sdoc["cap"],
         )
-    if g.edge_count.value != edge_count:
-        raise InvariantViolation("edge count disagrees with the export header")
+    )
+    if g.vertex_counts() != (header["left_size"], header["right_size"]):
+        raise InvariantViolation("roster sizes disagree with the export header")
+    recorded = int(header["edge_count"]["value"])
+    if recorded != g.edge_count.value:
+        raise InvariantViolation(
+            f"edge count {recorded} in the export header differs from the "
+            f"exact pair count {g.edge_count.value}"
+        )
+    if edges_csv_path is not None:
+        want = edge_list(g)
+        for line, i, j in _read_edge_csv(edges_csv_path, *g.vertex_counts()):
+            edge = next(want, None)
+            if (i, j) != edge:
+                raise ValueError(
+                    f"edge CSV row {line}: edge ({i}, {j}) where the graph has "
+                    + ("no more edges" if edge is None else f"{edge}")
+                )
+        if next(want, None) is not None:
+            raise ValueError("edge CSV ends before the last edge of the graph")
     return g

@@ -146,6 +146,72 @@ def sample_uniform_typical(probs, delta, n, rng):
     return tuple(buf)
 
 
+# --- per-vertex reference for the graph statistics ------------------------------
+#
+# The vertex-by-vertex code that the type-level statistics and degree-bound
+# check replaced, kept with the same float operations in the same order.
+# `adjacency` lists the ascending right ids of each left vertex.
+
+
+def log_degree_stats(degs):
+    logs = [math.log2(d) for d in degs if d > 0]
+    if not logs:
+        return None, None, None
+    return min(logs), max(logs), sum(logs) / len(logs)
+
+
+def vertex_degrees(adjacency, n_right):
+    right = [0] * n_right
+    for nbrs in adjacency:
+        for j in nbrs:
+            right[j] += 1
+    return [len(nbrs) for nbrs in adjacency], right
+
+
+def graph_stats(adjacency, n_right):
+    """(isolated left, isolated right, left log2 (min, max, mean), right ...)."""
+    left, right = vertex_degrees(adjacency, n_right)
+    return (
+        sum(1 for d in left if d == 0),
+        sum(1 for d in right if d == 0),
+        log_degree_stats(left),
+        log_degree_stats(right),
+    )
+
+
+def channel_rows(joint_probs):
+    """W(b|a) = P(a, b) / P(a) row by row; None where P(a) = 0."""
+    rows = []
+    for row in joint_probs:
+        total = sum(row)
+        rows.append(None if total == 0 else [p / total for p in row])
+    return rows
+
+
+def degree_bound(left, right, adjacency, joint_probs, eps1, eps2, lam):
+    """(worst slack, violations) of deg(x) <= |T_{eps1+lam}(Y | x)| and the
+    right analogue, vertex by vertex; a violation is (side, vertex type
+    counts, degree, bound)."""
+    flipped = [list(col) for col in zip(*joint_probs)]
+    sides = (
+        ("left", left, joint_probs, eps1),
+        ("right", right, flipped, eps2),
+    )
+    left_deg, right_deg = vertex_degrees(adjacency, len(right))
+    worst = math.inf
+    violations = set()
+    for side, roster, probs, eps in sides:
+        degs = left_deg if side == "left" else right_deg
+        rows = channel_rows(probs)
+        for x, deg in zip(roster, degs):
+            bound = brute_cond_typical_count(rows, x, eps + lam, len(probs[0]))
+            if deg > bound:
+                violations.add((side, tuple(counts_of(x, len(probs))), deg, bound))
+            if deg > 0:
+                worst = min(worst, (math.log2(bound) - math.log2(deg)) / len(x))
+    return worst, violations
+
+
 # --- per-edge reference for the converse-side diagnostics ----------------------
 #
 # Edges are (x symbols, y symbols) pairs of index tuples. This is the

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-import typigraph.graph
+import typigraph.cli
+import typigraph.typicality
 from typigraph.cli import main
 from typigraph.core import Alphabet, JointPmf, Pmf, save_distribution
 
@@ -135,6 +136,56 @@ def test_graph_param_overrides(joint_file, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["graph", "--n", "4", "--edges", "e.csv"], "--out"),
+        (["subgraph", "--kind", "an", "--n", "6", "--edges", "e.csv"], "--out"),
+        (
+            ["graph", "--n", "4", "--mode", "implicit", "--out", "h.json", "--edges", "e.csv"],
+            "--mode explicit",
+        ),
+    ],
+    ids=["graph-no-out", "subgraph-no-out", "graph-implicit"],
+)
+def test_edges_flag_misuse_exit_2(joint_file, tmp_path, capsys, monkeypatch, argv, flag):
+    """--edges that would write nothing is refused before any work."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(typigraph.cli, "_load_joint", no_work)
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv + ["--dist", joint_file])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--edges" in err and flag in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "joint.json"]
+
+
+def test_graph_edge_cap_between_roster_and_pair_counts(joint_file, tmp_path, capsys):
+    """n=4 has 14 x 14 = 196 pairs: a cap of 100 admits the rosters, not the scan."""
+    out, edges = tmp_path / "g.json", tmp_path / "g.csv"
+    base = ["graph", "--dist", joint_file, "--n", "4", "--cap", "100", "--out", str(out)]
+    assert main(base) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(base + ["--edges", str(edges)]) == 3
+    err = capsys.readouterr().err
+    assert "14 x 14 = 196" in err and "--mode implicit" not in err
+    assert not out.exists() and not edges.exists()
+
+
+def test_graph_header_scans_no_pair(joint_file, tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a sequence pair was scanned")
+
+    monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "scan", no_scan)
+    out = tmp_path / "g.json"
+    assert main(["graph", "--dist", joint_file, "--n", "6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["edges_csv"] is False
+
+
 # --- subgraph ----------------------------------------------------------------
 
 
@@ -206,6 +257,8 @@ def test_simulate_outputs(joint_file, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["payload"]["monte_carlo"]["trials"] == 200
     assert doc["payload"]["bracket"]["high"] <= 1.0
+    moments = doc["payload"]["moments"]
+    assert moments["tau"] == round(float(Fraction(moments["alpha"])), 6)  # tau is alpha
     csv_path = tmp_path / "sim.csv"
     rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0] == ["a", "empirical", "suen"]
@@ -287,10 +340,10 @@ def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys, monkeypat
     capsys.readouterr()
 
     # the rosters come from the header alone: no second pair scan
-    def no_scan(spec):
-        raise AssertionError("build_graph called while reading a graph header")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a sequence pair was scanned while reading a graph header")
 
-    monkeypatch.setattr(typigraph.graph, "build_graph", no_scan)
+    monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "scan", no_scan)
     rc = main(
         ["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.3"]
     )

@@ -1,8 +1,11 @@
+import inspect
 import json
 import math
 from fractions import Fraction
 
 import pytest
+
+import typigraph
 
 from typigraph.core import (
     Alphabet,
@@ -256,3 +259,17 @@ def test_tuple_labels_survive_json(tmp_path):
     q = load_distribution(str(path))
     assert q == p
     assert q.alphabet.symbols == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_public_names_resolve_sorted_unique():
+    names = typigraph.__all__
+    assert names == sorted(names)
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(typigraph, n)] == []
+    # every public object the package imports is listed, so none lingers unlisted
+    public = {
+        n
+        for n, v in vars(typigraph).items()
+        if not n.startswith("_") and not inspect.ismodule(v)
+    }
+    assert public == set(names)

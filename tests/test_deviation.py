@@ -101,7 +101,6 @@ def test_moment_dataclass_consistency(binary_joint):
     assert m.m1 == m.m2 == 4
     assert m.gamma == pytest.approx(16 * float(m.alpha_exact))
     assert m.theta_small == pytest.approx(6 * float(m.alpha_exact))
-    assert m.tau == float(m.alpha_exact)
     # second moments dominate alpha^2 (positive correlation through sharing)
     assert m.left_second_exact >= m.alpha_exact**2
 
@@ -182,13 +181,9 @@ def fake_moments(alpha, m1, m2):
         alpha_exact=a,
         left_second_exact=a * a,
         right_second_exact=a * a,
-        alpha_min=float(a),
-        alpha_max=float(a),
-        beta_max=float(a * a),
         gamma=float(m1 * m2 * a),
         theta_cap=0.0,
         theta_small=float((m1 + m2 - 2) * a),
-        tau=float(a),
     )
 
 

@@ -1,24 +1,29 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
+import typigraph.graph
 from typigraph.core import Alphabet, InvariantViolation, JointPmf
 from typigraph.graph import (
     CapExceeded,
     GraphSpec,
-    ImplicitTypicalityGraph,
     TypicalityGraph,
     build_graph,
     check_degree_bound,
-    degree,
     edge_list,
     export_graph,
     import_graph,
     stats,
 )
-from typigraph.typicality import TypicalityParams, default_params, is_jointly_typical
+from typigraph.typicality import (
+    BigCount,
+    TypicalityParams,
+    default_params,
+    is_jointly_typical,
+)
 
 BIN = Alphabet((0, 1))
 
@@ -27,6 +32,14 @@ def explicit(joint, n, params=None, cap=1 << 24):
     return build_graph(
         GraphSpec(joint, n, params or default_params(n), mode="explicit", cap=cap)
     )
+
+
+def vertex_degrees(g):
+    """Per-vertex degrees of both sides, counted off the streamed edges."""
+    edges = list(edge_list(g))
+    left = Counter(i for i, _ in edges)
+    right = Counter(j for _, j in edges)
+    return [left[i] for i in range(len(g.left))], [right[j] for j in range(len(g.right))]
 
 
 def test_binary_example_n4(binary_joint):
@@ -52,13 +65,13 @@ def test_adjacency_matches_predicate(binary_joint):
     n = 5
     g = explicit(binary_joint, n)
     lam = g.spec.params.lam
-    for i, x in enumerate(g.left):
-        nbrs = {
-            j
-            for j, y in enumerate(g.right)
-            if is_jointly_typical(x, y, binary_joint, lam)
-        }
-        assert set(g.adjacency[i]) == nbrs
+    want = {
+        (i, j)
+        for i, x in enumerate(g.left)
+        for j, y in enumerate(g.right)
+        if is_jointly_typical(x, y, binary_joint, lam)
+    }
+    assert set(edge_list(g)) == want
 
 
 def test_implicit_agrees_with_explicit(binary_joint):
@@ -66,25 +79,30 @@ def test_implicit_agrees_with_explicit(binary_joint):
         params = default_params(n)
         ge = explicit(binary_joint, n)
         gi = build_graph(GraphSpec(binary_joint, n, params, mode="implicit"))
-        assert isinstance(gi, ImplicitTypicalityGraph)
+        assert isinstance(gi, TypicalityGraph)
+        assert gi.left is None and gi.right is None
         assert gi.vertex_counts() == ge.vertex_counts()
         assert gi.edge_count.value == ge.edge_count.value
         # per-vertex degrees through exact counting
+        ld, rd = vertex_degrees(ge)
         for i in (0, len(ge.left) // 2, len(ge.left) - 1):
-            assert gi.degree_of(ge.left[i], "left").value == len(ge.adjacency[i])
-        rd = ge.right_degrees()
+            assert gi.degree_of(ge.left[i], "left").value == ld[i]
         for j in (0, len(ge.right) - 1):
             assert gi.degree_of(ge.right[j], "right").value == rd[j]
+        # nothing per vertex or per edge without rosters
+        for needs_rosters in (stats, lambda g: next(edge_list(g))):
+            with pytest.raises(ValueError, match="rosters"):
+                needs_rosters(gi)
 
 
 def test_degree_views(binary_joint):
     g = explicit(binary_joint, 4)
-    assert degree(g, "left", 0).value == len(g.adjacency[0])
-    rd = g.right_degrees()
-    assert degree(g, "right", 3).value == rd[3]
-    assert sum(g.left_degrees()) == g.edge_count.value == sum(rd)
+    ld, rd = vertex_degrees(g)
+    assert [g.degree_of(x, "left").value for x in g.left] == ld
+    assert [g.degree_of(y, "right").value for y in g.right] == rd
+    assert sum(ld) == g.edge_count.value == sum(rd)
     with pytest.raises(ValueError):
-        g.degree("middle", 0)
+        g.degree_of(g.left[0], "middle")
 
 
 def test_cap_exceeded(binary_joint):
@@ -110,7 +128,9 @@ def test_stats_and_isolated(binary_joint):
     g = explicit(binary_joint, 6)
     st = stats(g)
     assert st.left_size.value == len(g.left)
-    assert st.isolated_left == sum(1 for d in g.left_degrees() if d == 0)
+    ld, rd = vertex_degrees(g)
+    assert st.isolated_left == ld.count(0)
+    assert st.isolated_right == rd.count(0)
     assert st.left_degree_log2_max >= st.left_degree_log2_min
     assert st.edge_count.value == g.edge_count.value
 
@@ -154,12 +174,12 @@ def test_export_import_roundtrip(binary_joint, tmp_path):
     export_graph(g, str(jpath), str(cpath))
 
     g2 = import_graph(str(jpath), str(cpath))
-    assert g2.adjacency == g.adjacency
+    assert list(edge_list(g2)) == list(edge_list(g))
     assert [s.symbols for s in g2.left] == [s.symbols for s in g.left]
 
     # rebuild-from-spec path (no CSV)
     g3 = import_graph(str(jpath))
-    assert g3.adjacency == g.adjacency
+    assert list(edge_list(g3)) == list(edge_list(g))
 
     # byte-identical re-export
     blob = jpath.read_bytes()
@@ -208,3 +228,56 @@ def test_import_rejects_bad_edge_ranks(binary_joint, tmp_path, edit, message):
     cpath.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"row 6.*{message}"):
         import_graph(str(jpath), str(cpath))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines, g: lines[:4] + [lines[5], lines[4]] + lines[6:], "row 5: edge"),
+        (lambda lines, g: lines[:5] + [non_edge(g)] + lines[6:], "row 6: edge"),
+        (lambda lines, g: lines[:-1], "ends before the last edge"),
+    ],
+    ids=["swapped", "non-edge", "truncated"],
+)
+def test_import_checks_edges_against_the_graph(binary_joint, tmp_path, edit, message):
+    g = explicit(binary_joint, 4)
+    jpath, cpath = tmp_path / "g.json", tmp_path / "g.csv"
+    export_graph(g, str(jpath), str(cpath))
+    lines = edit(cpath.read_text().splitlines(), g)
+    cpath.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        import_graph(str(jpath), str(cpath))
+
+
+def non_edge(g):
+    edges = set(edge_list(g))
+    i, j = next(p for p in itertools.product(range(14), repeat=2) if p not in edges)
+    return f"{i},{j}"
+
+
+def test_export_edge_cap_before_any_file(binary_joint, tmp_path):
+    g = explicit(binary_joint, 4, cap=100)  # rosters of 14 fit, 196 pairs do not
+    jpath, cpath = tmp_path / "g.json", tmp_path / "g.csv"
+    with pytest.raises(CapExceeded, match="14 x 14 = 196"):
+        export_graph(g, str(jpath), str(cpath))
+    assert not jpath.exists() and not cpath.exists()
+    export_graph(g, str(jpath))
+    assert jpath.exists()
+
+
+def test_degree_bound_violation_names_side_type_degree_bound(binary_joint, monkeypatch):
+    g = explicit(binary_joint, 4)
+    monkeypatch.setattr(
+        typigraph.graph, "cond_typical_set_size", lambda w, x, slack: BigCount.from_int(1)
+    )
+    rep = check_degree_bound(g)
+    assert not rep.all_ok
+    ld, rd = vertex_degrees(g)
+    want = {
+        (side, tuple(x.symbols.count(s) for s in (0, 1)), deg, 1)
+        for side, roster, degs in (("left", g.left, ld), ("right", g.right, rd))
+        for x, deg in zip(roster, degs)
+        if deg > 1
+    }
+    assert set(rep.violations) == want
+    assert len(rep.violations) == len(want)  # one per type, not per vertex

@@ -1,12 +1,13 @@
 """Property tests: the sequence-level layer against edge-by-edge references.
 
 Random rational joints with up to three symbols a side (zero cells
-included) and blocklengths up to 6. The explicit graph's adjacency and
-`count_pairs` must match the pair predicate of `oracles`; the subgraph edge
-CSVs (both kinds) must list exactly the roster pairs whose (per-block)
-joint type is the target; and the byte-column diagnostics must reproduce
-the per-edge reference in `oracles` exactly, floats included, on label
-multisets with repeated edges. The uniform typical-set sampler must draw
+included) and blocklengths up to 6. The explicit graph's streamed edges and
+`count_pairs` must match the pair predicate of `oracles`, and the graph's
+type-level statistics and degree-bound check the per-vertex reference
+exactly; the subgraph edge CSVs (both kinds) must list exactly the roster
+pairs whose (per-block) joint type is the target; and the byte-column
+diagnostics must reproduce the per-edge reference in `oracles` exactly,
+floats included, on label multisets with repeated edges. The uniform typical-set sampler must draw
 the reference's symbols and leave the generator in the reference's state,
 whether it is built once or once per draw.
 """
@@ -25,7 +26,7 @@ import oracles
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet
 from typigraph.deviation import Codebook, count_pairs
 from typigraph.diagnostics import block_mi, fano_distribution, pinsker_check, wring
-from typigraph.graph import GraphSpec, build_graph
+from typigraph.graph import GraphSpec, build_graph, check_degree_bound, edge_list, stats
 from typigraph.subgraphs import (
     AuxSubgraph,
     build_aux_subgraph,
@@ -66,6 +67,7 @@ def joints(draw):
 @PROPERTY
 @given(joints(), slacks, slacks, slacks, st.randoms(use_true_random=False))
 def test_graph_adjacency_and_count_pairs_match_brute_force(case, eps1, eps2, lam, rnd):
+    """Edges, statistics and the degree bound against the per-vertex code."""
     joint, n = case
     probs = joint.probs
     kx, ky = len(probs), len(probs[0])
@@ -82,8 +84,29 @@ def test_graph_adjacency_and_count_pairs_match_brute_force(case, eps1, eps2, lam
         tuple(j for j, y in enumerate(right) if oracles.jointly_typical(x, y, probs, lam))
         for x in left
     )
-    assert g.adjacency == want
+    assert list(edge_list(g)) == [(i, j) for i, nbrs in enumerate(want) for j in nbrs]
     assert g.edge_count.value == sum(map(len, want))
+    vs = stats(g)
+    iso_left, iso_right, (lmin, lmax, lmean), (rmin, rmax, rmean) = oracles.graph_stats(
+        want, len(right)
+    )
+    assert (vs.isolated_left, vs.isolated_right) == (iso_left, iso_right)
+    # floats compared exactly: the means must be summed in roster order
+    assert (vs.left_degree_log2_min, vs.left_degree_log2_max, vs.left_degree_log2_mean) == (
+        lmin,
+        lmax,
+        lmean,
+    )
+    assert (
+        vs.right_degree_log2_min,
+        vs.right_degree_log2_max,
+        vs.right_degree_log2_mean,
+    ) == (rmin, rmax, rmean)
+    report = check_degree_bound(g)
+    worst, violations = oracles.degree_bound(left, right, want, probs, eps1, eps2, lam)
+    assert report.worst_slack_bits_per_symbol == worst
+    assert set(report.violations) == violations
+    assert report.all_ok == (not violations)
 
     # codebooks of any sequences, typical or not, repeats allowed
     xs = [tuple(rnd.randrange(kx) for _ in range(n)) for _ in range(rnd.randrange(1, 6))]
