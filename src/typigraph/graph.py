@@ -7,10 +7,11 @@ lexicographic ranks within each roster.
 
 A vertex's degree depends only on its type, so one degree table per side
 (`typicality.degree_table`; the right side's comes from the transposed
-joint) gives the edge count, every degree, the statistics and the degree
-bound exactly, at the level of types. Explicit mode also holds the two
-rosters, capped by their exact sizes; `edge_list` streams the edges from
-one pair scan over them, on demand, and nothing holds the edge set.
+joint) gives the edge count, the statistics and the degree bound exactly,
+at the level of types; `degree_of` counts one type. Explicit mode also
+holds the two rosters, capped by their exact sizes; `edge_list` streams
+the edges from one pair scan over them, on demand, and nothing holds the
+edge set.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .typicality import (
     _admissible_count_vectors,
     cond_typical_set_size,
     degree_table,
-    empirical_type,
     log2_int,
     row_type_degree,
     type_class_sequences,
@@ -74,6 +74,11 @@ def _roster(pmf, eps, n: int) -> tuple[Sequence, ...]:
     return tuple(seqs)
 
 
+def _type_counts(x: Sequence) -> tuple[int, ...]:
+    """x's type as a count vector, the key of a degree table."""
+    return tuple(map(x.symbols.count, range(x.alphabet.size)))
+
+
 def _oriented(spec: GraphSpec, side: str):
     """(joint, row eps, column eps) with the side's sequences as the rows."""
     p = spec.params
@@ -96,8 +101,9 @@ class TypicalityGraph:
     """Exact vertex and edge counts, degrees per type, rosters if explicit.
 
     `left` and `right` are the lexicographic rosters in explicit mode and
-    None in implicit mode. Each side's degree table is computed once, when
-    first needed.
+    None in implicit mode. `stats` and `check_degree_bound` read each
+    side's degree table, computed once, when first needed; `degree_of`
+    counts the one type it is asked about.
     """
 
     spec: GraphSpec
@@ -122,13 +128,11 @@ class TypicalityGraph:
         x need not be typical itself; the degree depends on x only through
         its type.
         """
-        counts = empirical_type(x).counts
-        entry = self._table(side).get(counts)
-        if entry is not None:
-            return BigCount.from_int(entry[1])
         joint, _, col_eps = _oriented(self.spec, side)
         return BigCount.from_int(
-            row_type_degree(joint, counts, col_eps, self.spec.params.lam, self.spec.n)
+            row_type_degree(
+                joint, _type_counts(x), col_eps, self.spec.params.lam, self.spec.n
+            )
         )
 
 
@@ -173,7 +177,7 @@ def _rosters(g: TypicalityGraph) -> tuple[tuple[Sequence, ...], tuple[Sequence, 
 
 def _vertex_degrees(table: dict, roster) -> list[int]:
     """Each vertex's degree in roster order, read from its type's entry."""
-    return [table[tuple(map(x.symbols.count, range(x.alphabet.size)))][1] for x in roster]
+    return [table[_type_counts(x)][1] for x in roster]
 
 
 @dataclass(frozen=True)
