@@ -74,7 +74,8 @@ from .deviation import (
     simulate,
     simulation_sizes,
     suen_tail_bound,
-    suen_zero_bound,
+    suen_tail_log,
+    suen_zero_log,
 )
 from .diagnostics import (
     fano_distribution,
@@ -309,7 +310,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         else:
             print(f"degree-bound: FAIL ({len(report.violations)} violations)")
         if args.out:
-            export_graph(g, args.out, args.edges)
+            export_graph(g, args.out, args.edges, st)
             _stamp(args.out, echo, digest)
         if not report.all_ok:
             raise InvariantViolation("degree bound violated")
@@ -413,21 +414,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args, args.n)
     r1 = _parse_rate(args.r1, "--r1")
     r2 = _parse_rate(args.r2, "--r2")
-    simulation_sizes(args.n, r1, r2, args.trials)  # refuse oversized runs first
+    try:
+        simulation_sizes(args.n, r1, r2, args.trials)  # refuse oversized runs first
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     moments = exact_pair_moments(joint, params, args.n, r1, r2)
     lll = lll_lower_bounds(moments, moments.m1, moments.m2, args.n)
-    bounds = {
-        "suen_zero": suen_zero_bound(
-            moments.gamma, moments.theta_cap, moments.theta_small
-        ),
-        "suen_tail": suen_tail_bound(
+    neg_logs = {
+        "suen_zero": suen_zero_log(moments.gamma, moments.theta_cap, moments.theta_small),
+        "suen_tail": suen_tail_log(
             moments.gamma, moments.theta_cap, moments.theta_small, 0.5
         ),
+    }
+    bounds = {
+        "suen_zero": math.exp(-neg_logs["suen_zero"]),
+        "suen_tail": math.exp(-neg_logs["suen_tail"]),
         "lll_symmetric": lll.symmetric if lll.symmetric_condition_ok else None,
         "lll_phi": lll.phi if lll.phi_condition_ok else None,
     }
     i_xy = mutual_information(joint)
-    report = exponent_report(bounds, args.n, r1, r2, i_xy)
+    report = exponent_report(bounds, args.n, r1, r2, i_xy, neg_logs)
     mc = simulate(joint, params, args.n, r1, r2, args.trials, args.seed)
     lll_floor = max(
         [b for k, b in bounds.items() if k.startswith("lll") and b is not None],

@@ -13,8 +13,9 @@ bounds is computed exactly at the type level:
             crossing (every crossing has the same alpha).
 
 P(U <= a gamma) is bounded above by Suen's correlation inequality and
-P(U = 0) below by two local-lemma variants; Monte Carlo estimates with
-Wilson intervals bracket-check both sides.
+P(U = 0) below by two local-lemma variants, both in the log domain so that
+no work grows with the codebook sizes; for M1 = 1, P(U = 0) is exact.
+Monte Carlo estimates with Wilson intervals bracket-check both sides.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import DEFAULT_CAP, CapExceeded, InvariantViolation, JointPmf, Pmf
 from .typicality import (
@@ -60,6 +61,31 @@ def exact_alpha(joint: JointPmf, params: TypicalityParams, n: int) -> float:
     return float(exact_alpha_fraction(joint, params, n))
 
 
+def exact_zero_probability(
+    joint: JointPmf, params: TypicalityParams, n: int, m2: int
+) -> Fraction:
+    """P(U = 0) with one row codeword and M2 column codewords, exact.
+
+    Given the row codeword x, the M2 column codewords miss its deg(x)
+    neighbours independently, so P(U = 0) is the sum over typical row types
+    of (size/T1) (1 - deg/T2)^{M2}. The numerator has about M2 log2 T2
+    bits; CapExceeded is raised before the powers when that is over
+    DEFAULT_CAP.
+    """
+    if m2 < 0:
+        raise ValueError("m2 must be nonnegative")
+    table = degree_table(joint, params.eps1, params.eps2, params.lam, n)
+    t1 = sum(size for _, size, _ in table)
+    t2 = typical_set_size(joint.col_marginal(), params.eps2, n).value
+    if t1 == 0 or t2 == 0:
+        raise ValueError("a typical set is empty; the crossing law is undefined")
+    bits = m2 * t2.bit_length()
+    if bits > DEFAULT_CAP:
+        raise CapExceeded(f"(1 - deg/T2)^{m2} needs about {bits} bits, over cap {DEFAULT_CAP}")
+    misses = sum(size * (t2 - deg) ** m2 for _, size, deg in table)
+    return Fraction(misses, t1 * t2**m2)
+
+
 def _second_moment(table, t_own: int, t_other: int) -> Fraction:
     """E[(deg(x)/|T_other|)^2] for x uniform on its typical set, exact."""
     acc = sum(size * deg * deg for _, size, deg in table)
@@ -81,13 +107,30 @@ class MomentEstimates:
     theta_small: float  # "theta": max over crossings of the dependent-sum
 
 
+_MAX_CODEBOOK_BITS = 1 << 20  # exact sizes up to 2^(2^20), a 128 KiB int
+
+
 def codebook_size(n: int, rate: float) -> int:
-    """ceil(2^{n*rate}) with float-noise absorbed at integer boundaries."""
+    """ceil(2^{n*rate}) with float-noise absorbed at integer boundaries.
+
+    When n*rate is within 1e-9 of an integer k the size is the exact
+    2^k, also beyond float range. Otherwise 2^{n*rate} must be a float;
+    a size out of float range, or of more than 2^20 bits, raises
+    ValueError.
+    """
     if rate < 0:
         raise ValueError("rates must be nonnegative")
-    v = 2.0 ** (n * rate)
-    m = math.ceil(v - 1e-9)
-    return max(1, m)
+    bits = n * rate
+    if bits > _MAX_CODEBOOK_BITS:
+        raise ValueError(f"n*rate = {bits} exceeds {_MAX_CODEBOOK_BITS} codebook bits")
+    k = round(bits)
+    if abs(bits - k) <= 1e-9:
+        return 1 << k
+    try:
+        v = 2.0**bits
+    except OverflowError:
+        raise ValueError(f"2^(n*rate) is out of float range at n*rate = {bits}") from None
+    return math.ceil(v - 1e-9)
 
 
 def exact_pair_moments(
@@ -135,32 +178,48 @@ def exact_pair_moments(
 # ---------------------------------------------------------------------------
 
 
-def suen_tail_bound(gamma: float, theta_cap: float, theta_small: float, a: float) -> float:
-    """Upper bound on P(U <= a*gamma); branches with zero denominators drop."""
+def suen_tail_log(gamma: float, theta_cap: float, theta_small: float, a: float) -> float:
+    """ln(1/bound) of `suen_tail_bound`: its smallest exponent branch.
+
+    Finite and positive where the bound itself underflows to 0.0.
+    """
     if not 0 <= a < 1:
         raise ValueError("a must lie in [0, 1)")
     if gamma < 0 or theta_cap < 0 or theta_small < 0:
         raise ValueError("moments must be nonnegative")
     if gamma == 0:
-        return 1.0
+        return 0.0
     branches = [(1 - a) ** 2 * gamma**2 / (8 * theta_cap + 2 * gamma)]
     if theta_small > 0:
         branches.append((1 - a) * gamma / (6 * theta_small))
-    return math.exp(-min(branches))
+    return min(branches)
 
 
-def suen_zero_bound(gamma: float, theta_cap: float, theta_small: float) -> float:
-    """Upper bound on P(U = 0)."""
+def suen_tail_bound(gamma: float, theta_cap: float, theta_small: float, a: float) -> float:
+    """Upper bound on P(U <= a*gamma); branches with zero denominators drop."""
+    return math.exp(-suen_tail_log(gamma, theta_cap, theta_small, a))
+
+
+def suen_zero_log(gamma: float, theta_cap: float, theta_small: float) -> float:
+    """ln(1/bound) of `suen_zero_bound`: its smallest exponent branch.
+
+    Finite and positive where the bound itself underflows to 0.0.
+    """
     if gamma < 0 or theta_cap < 0 or theta_small < 0:
         raise ValueError("moments must be nonnegative")
     if gamma == 0:
-        return 1.0
+        return 0.0
     branches = [gamma / 2]
     if theta_cap > 0:
         branches.append(gamma**2 / (8 * theta_cap))
     if theta_small > 0:
         branches.append(gamma / (6 * theta_small))
-    return math.exp(-min(branches))
+    return min(branches)
+
+
+def suen_zero_bound(gamma: float, theta_cap: float, theta_small: float) -> float:
+    """Upper bound on P(U = 0)."""
+    return math.exp(-suen_zero_log(gamma, theta_cap, theta_small))
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +283,102 @@ class LllBounds:
     phi_condition_ok: bool
 
 
+# Half-width of the band around equality, relative to 1 + sum |term|, in
+# which a log-domain comparison is handed to exact integer arithmetic. The
+# float error it must cover is at most 36 * 2^-53 of the same scale (see
+# `lll_lower_bounds`); 2^-40 is 227 times that.
+_LOG_MARGIN = 2.0**-40
+
+
+def _log_sum_nonpositive(terms: tuple[float, ...], exact: Callable[[], bool]) -> bool:
+    """Whether the true values of `terms` sum to <= 0, decided exactly.
+
+    Each float term must lie within 8u(1 + |t|) of its true value, u = 2^-53.
+    The float sign decides outside the margin; `exact()` decides inside it.
+    """
+    diff = math.fsum(terms)
+    margin = _LOG_MARGIN * (1.0 + math.fsum(abs(t) for t in terms))
+    if diff < -margin:
+        return True
+    if diff > margin:
+        return False
+    return exact()
+
+
+def _symmetric_condition(alpha: Fraction, m1: int, m2: int) -> bool:
+    """alpha <= x (1-x)^{M1+M2-2} with x = 1/M1, decided exactly."""
+    p, q = alpha.numerator, alpha.denominator
+    if p == 0:
+        return True
+    degree = m1 + m2 - 2
+
+    def exact() -> bool:  # alpha * M1^{D+1} <= (M1-1)^D, on integers
+        return p * m1 ** (degree + 1) <= q * (m1 - 1) ** degree
+
+    if m1 == 1:  # x = 1: the right side is 0^D
+        return exact()
+    y = 1 / m1  # correctly rounded; 0.0 once M1 > 2^1074
+    # M1 log1p(-1/M1), which is -1 to double precision once y underflows
+    per_codeword = math.log1p(-y) / y if y else -1.0
+    log_rhs_power = (degree / m1) * per_codeword  # D log1p(-1/M1)
+    terms = (math.log(p), -math.log(q), math.log(m1), -log_rhs_power)
+    return _log_sum_nonpositive(terms, exact)
+
+
+def _e_below(r: Fraction) -> bool:
+    """e < r, exactly: r is rational and e is not, so they never tie."""
+    # the partial sums s_k of 1/i! satisfy s_k < e < s_k + 1/(k! k)
+    k, term, s = 1, Fraction(1), Fraction(2)
+    while True:
+        k += 1
+        term /= k
+        s += term
+        if r <= s:
+            return False
+        if r >= s + term / k:
+            return True
+
+
+def _phi_condition(alpha: Fraction, m1: int, m2: int) -> bool:
+    """(M1+M2-1) alpha <= 1/e, decided exactly."""
+    p, q = alpha.numerator, alpha.denominator
+    crossings = m1 + m2 - 1  # one crossing and its M1+M2-2 dependents
+    if p == 0:
+        return True
+    terms = (math.log(crossings), math.log(p), -math.log(q), 1.0)
+    return _log_sum_nonpositive(terms, lambda: _e_below(Fraction(q, crossings * p)))
+
+
 def lll_lower_bounds(moments: MomentEstimates, m1: int, m2: int, n: int) -> LllBounds:
     """Symmetric and phi-function local-lemma lower bounds on P(U = 0).
 
-    The symmetric variant needs the exact-arithmetic existence condition
-    alpha <= x (1-x)^{M1+M2-2} with x = 1/M1 and then gives
-    (1-x)^{M1 M2}, evaluated exactly (the exp(-(M2+1)) form usually quoted
-    is its large-M1 shadow and is reported alongside). The phi variant
-    needs theta_small + tau <= 1/e, where tau, the largest crossing
-    probability, is alpha, and gives exp(-gamma * phi(...)).
+    The symmetric variant needs the existence condition
+    alpha <= x (1-x)^{M1+M2-2} with x = 1/M1 and then gives (1-x)^{M1 M2}
+    (the exp(-(M2+1)) form usually quoted is its large-M1 shadow and is
+    reported alongside). The phi variant needs theta_small + tau <= 1/e,
+    where tau, the largest crossing probability, is alpha, so the load is
+    exactly (M1+M2-1) alpha; it gives exp(-gamma * phi(load)).
+
+    Both conditions are decided exactly, in the log domain. With
+    alpha = p/q in lowest terms and D = M1+M2-2 the symmetric one reads
+    log p - log q + log M1 - D log1p(-1/M1) <= 0, and the phi one
+    log(M1+M2-1) + log p - log q + 1 <= 0. Every float term t is within
+    8u(1 + |t|) of its true value, u = 2^-53: `math.log` of an int rounds
+    the int (or its frexp mantissa) once and adds at most two rounded
+    operations, and D log1p(-1/M1) is formed as (D/M1) * (M1 log1p(-1/M1))
+    from a correctly rounded quotient and a factor with relative error
+    under 4u. `math.fsum` adds at most u times the sum's size. With at most
+    four terms the computed sum is within 36u(1 + sum |t|) of the true one,
+    so when it lies outside the margin 2^-40 (1 + sum |t|), 227 times that
+    error, its sign is the true sign. Inside the margin the symmetric
+    condition falls back to the integer comparison
+    p M1^{D+1} <= q (M1-1)^D, and the phi condition to comparing q/(p(M1+M2-1))
+    with the partial sums of e, which cannot tie. Away from equality no
+    exact power is formed, so the time does not grow with M1 or M2.
+    M1 = 1 (x = 1) and alpha = 0 are decided on integers directly.
     """
     del n  # sizes are explicit; nothing here depends on blocklength
-    x = Fraction(1, m1)
-    degree = m1 + m2 - 2
-    sym_ok = moments.alpha_exact <= x * (1 - x) ** degree
+    sym_ok = _symmetric_condition(moments.alpha_exact, m1, m2)
     if sym_ok:
         if m1 == 1:
             symmetric = 0.0 if m2 >= 1 else 1.0
@@ -248,7 +389,7 @@ def lll_lower_bounds(moments: MomentEstimates, m1: int, m2: int, n: int) -> LllB
         symmetric = None
         asymptotic = None
     load = moments.theta_small + float(moments.alpha_exact)
-    phi_ok = load <= _E_INV
+    phi_ok = _phi_condition(moments.alpha_exact, m1, m2)
     phi_bound = (
         math.exp(-moments.gamma * phi_root(load)) if phi_ok else None
     )
@@ -290,7 +431,20 @@ class BoundReport:
     consistency_ok: Optional[bool]  # every LLL lower bound <= every Suen upper
 
 
-def exponent_report(bounds: dict, n: int, r1: float, r2: float, i_xy: float) -> BoundReport:
+def exponent_report(
+    bounds: dict,
+    n: int,
+    r1: float,
+    r2: float,
+    i_xy: float,
+    neg_logs: Optional[dict] = None,
+) -> BoundReport:
+    """Double-log exponents of `bounds`, with reasons where they are undefined.
+
+    `neg_logs` maps a bound's name to ln(1/bound) (as `suen_zero_log`
+    returns it); it is read only for a bound that underflowed to 0.0, whose
+    exponent is then taken from it instead of being flagged infinite.
+    """
     exponents = {}
     flagged = {}
     for name, b in bounds.items():
@@ -298,7 +452,10 @@ def exponent_report(bounds: dict, n: int, r1: float, r2: float, i_xy: float) -> 
             flagged[name] = "inapplicable"
             continue
         if b <= 0.0:
-            flagged[name] = "bound underflowed to 0; exponent infinite"
+            if neg_logs is not None and name in neg_logs:
+                exponents[name] = math.log2(neg_logs[name] / math.log(2)) / n
+            else:
+                flagged[name] = "bound underflowed to 0; exponent infinite"
             continue
         if b >= 1.0:
             flagged[name] = "vacuous bound (>= 1)"

@@ -301,13 +301,17 @@ def _params_from_dict(doc: dict) -> TypicalityParams:
 
 
 def export_graph(
-    g: TypicalityGraph, json_path: str, edges_csv_path: Optional[str] = None
+    g: TypicalityGraph,
+    json_path: str,
+    edges_csv_path: Optional[str] = None,
+    st: Optional[VertexStats] = None,
 ) -> None:
     """JSON header (spec, sizes, log2 stats) plus optional edge CSV.
 
-    The CSV is written straight from `edge_list`. Its scan of |L|*|R|
-    pairs is refused with CapExceeded over spec.cap, before any file is
-    written.
+    `st` is `stats(g)` when the caller already has it; it is computed
+    otherwise. The CSV is written straight from `edge_list`. Its scan of
+    |L|*|R| pairs is refused with CapExceeded over spec.cap, before any
+    file is written.
     """
     if edges_csv_path is not None:
         nl, nr = g.vertex_counts()
@@ -316,7 +320,8 @@ def export_graph(
                 f"edge export scans {nl} x {nr} = {nl * nr} sequence pairs, "
                 f"over cap {g.spec.cap}"
             )
-    st = stats(g)
+    if st is None:
+        st = stats(g)
     header = {
         "schema": GRAPH_SCHEMA,
         "spec": {

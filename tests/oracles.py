@@ -323,3 +323,28 @@ def pinsker_tvs(edges, kx, ky):
             )
         )
     return tvs
+
+
+def lll_symmetric_condition(alpha, m1, m2):
+    """alpha <= x (1-x)^{M1+M2-2}, x = 1/M1, as one exact Fraction power."""
+    x = Fraction(1, m1)
+    return alpha <= x * (1 - x) ** (m1 + m2 - 2)
+
+
+# E_LOW < e < E_HIGH, 1/(60! 60) (about 1e-84) apart: the series of e
+E_LOW = sum(Fraction(1, math.factorial(i)) for i in range(61))
+E_HIGH = E_LOW + Fraction(1, math.factorial(60) * 60)
+
+
+def lll_phi_condition(alpha, m1, m2):
+    """(M1+M2-1) alpha <= 1/e, against the bracket [E_LOW, E_HIGH] of e.
+
+    Raises if the load lies inside the bracket, where this oracle cannot
+    decide.
+    """
+    load = (m1 + m2 - 1) * alpha
+    if load * E_HIGH <= 1:
+        return True
+    if load * E_LOW > 1:
+        return False
+    raise ValueError("load within 1e-84 of 1/e")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import typigraph.cli
+import typigraph.graph
 import typigraph.typicality
 from typigraph.cli import main
 from typigraph.core import Alphabet, JointPmf, Pmf, save_distribution
@@ -186,6 +187,21 @@ def test_graph_header_scans_no_pair(joint_file, tmp_path, monkeypatch):
     assert json.loads(out.read_text())["edges_csv"] is False
 
 
+def test_graph_computes_stats_once(joint_file, tmp_path, monkeypatch):
+    calls = []
+    real = typigraph.graph.stats
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(typigraph.cli, "stats", counted)
+    monkeypatch.setattr(typigraph.graph, "stats", counted)
+    out = tmp_path / "g.json"
+    assert main(["graph", "--dist", joint_file, "--n", "6", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
 # --- subgraph ----------------------------------------------------------------
 
 
@@ -293,6 +309,15 @@ def test_simulate_validation(joint_file):
         ["simulate", "--dist", joint_file, "--n", "8", "--r1", "-0.5",
          "--r2", "0.25", "--trials", "10", "--seed", "1"]
     ) == 2
+
+
+def test_simulate_codebook_out_of_float_range_exit_2(joint_file, capsys):
+    # n*r1 = 1100.5: 2^(n*r1) is no float and no exact power of two
+    args = ["simulate", "--dist", joint_file, "--n", "4", "--r1", "2201/8",
+            "--r2", "1/4", "--trials", "1", "--seed", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "1100.5" in err and "Traceback" not in err
 
 
 # --- wring ---------------------------------------------------------------------

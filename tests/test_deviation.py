@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from typigraph.core import DEFAULT_CAP, Alphabet, CapExceeded, InvariantViolation
+from typigraph import deviation
+from typigraph.core import (
+    DEFAULT_CAP,
+    Alphabet,
+    CapExceeded,
+    InvariantViolation,
+    mutual_information,
+)
 from typigraph.deviation import (
     MomentEstimates,
     codebook_size,
@@ -15,13 +22,16 @@ from typigraph.deviation import (
     draw_codebook,
     exact_alpha_fraction,
     exact_pair_moments,
+    exact_zero_probability,
     exponent_report,
     lll_lower_bounds,
     phi_root,
     simulate,
     simulation_sizes,
     suen_tail_bound,
+    suen_tail_log,
     suen_zero_bound,
+    suen_zero_log,
     wilson_interval,
 )
 from typigraph.typicality import default_params, is_jointly_typical, is_typical
@@ -119,6 +129,17 @@ def test_codebook_size():
         codebook_size(8, -0.1)
 
 
+def test_codebook_size_beyond_float_range():
+    # integer n*r: the exact power of two, where 2.0 ** 1100 overflows
+    assert codebook_size(4400, 0.25) == 1 << 1100
+    assert codebook_size(3, 1100 / 3) == 1 << 1100
+    # otherwise a size out of float range is refused, naming n*r
+    with pytest.raises(ValueError, match="1100.5"):
+        codebook_size(4, 1100.5 / 4)
+    with pytest.raises(ValueError, match="codebook bits"):
+        codebook_size(1, float(1 << 21))
+
+
 # --- Suen bounds -----------------------------------------------------------------
 
 
@@ -132,6 +153,24 @@ def test_suen_zero_degenerate_branches():
     assert suen_zero_bound(4.0, 0.0, 0.0) == pytest.approx(math.exp(-2.0))
     assert suen_zero_bound(4.0, 1.0, 0.0) == pytest.approx(math.exp(-2.0))
     assert suen_zero_bound(4.0, 0.0, 1 / 3) == pytest.approx(math.exp(-2.0))
+
+
+def test_suen_logs_are_the_bounds_exponents():
+    for gamma, theta_cap, theta_small in (
+        (4.0, 1.0, 1 / 3), (0.0, 1.0, 1.0), (4.0, 0.0, 0.0), (0.3, 0.01, 0.02)
+    ):
+        zero = suen_zero_log(gamma, theta_cap, theta_small)
+        assert suen_zero_bound(gamma, theta_cap, theta_small) == math.exp(-zero)
+        for a in (0.0, 0.5, 0.9):
+            tail = suen_tail_log(gamma, theta_cap, theta_small, a)
+            assert suen_tail_bound(gamma, theta_cap, theta_small, a) == math.exp(-tail)
+    # where the bound underflows its log stays finite
+    assert suen_zero_bound(6000.0, 1.0, 1.0) == 0.0
+    assert suen_zero_log(6000.0, 1.0, 1.0) == pytest.approx(1000.0)
+    with pytest.raises(ValueError):
+        suen_zero_log(-1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        suen_tail_log(1.0, 0.0, 0.0, 1.0)
 
 
 def test_suen_tail_monotone_in_a():
@@ -253,6 +292,79 @@ def test_exponent_value():
     rep = exponent_report({"suen_zero": math.exp(-256 * math.log(2))}, 8, 0.4, 0.4, 0.1)
     # log2 log2 (1/bound) / n = log2(256)/8 = 1
     assert rep.exponents["suen_zero"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_exponent_from_neg_log_where_the_bound_underflows():
+    neg_log = 4096 * math.log(2)  # bound 2^-4096, below the float range
+    bounds = {"suen_zero": 0.0, "suen_tail": 0.0}
+    rep = exponent_report(bounds, 8, 0.4, 0.4, 0.1, {"suen_zero": neg_log})
+    assert rep.exponents["suen_zero"] == pytest.approx(12 / 8, rel=1e-12)
+    assert "suen_zero" not in rep.flagged
+    # a bound without a log keeps the flag
+    assert rep.flagged["suen_tail"] == "bound underflowed to 0; exponent infinite"
+    # the logs are read only for a bound that underflowed
+    rep = exponent_report({"suen_zero": 0.5}, 8, 0.4, 0.4, 0.1, {"suen_zero": 1e9})
+    assert rep.exponents["suen_zero"] == 0.0
+
+
+def test_large_codebook_bounds_finish_with_finite_exponents(binary_joint, monkeypatch):
+    """B2, r = 1/4, n = 96 (M = 2^24) and 192 (M = 2^48): both local-lemma
+    conditions are decided from float logs alone, and Suen's exponents are
+    finite although its bounds underflow."""
+    real = deviation._log_sum_nonpositive
+
+    def no_fallback(terms, exact):
+        return real(terms, lambda: pytest.fail("exact fallback taken away from equality"))
+
+    monkeypatch.setattr(deviation, "_log_sum_nonpositive", no_fallback)
+    i_xy = mutual_information(binary_joint)
+    for n in (96, 192):
+        m = exact_pair_moments(binary_joint, default_params(n), n, 0.25, 0.25)
+        assert m.m1 == m.m2 == 1 << (n // 4)
+        lll = lll_lower_bounds(m, m.m1, m.m2, n)
+        assert not lll.symmetric_condition_ok and not lll.phi_condition_ok
+        neg_logs = {
+            "suen_zero": suen_zero_log(m.gamma, m.theta_cap, m.theta_small),
+            "suen_tail": suen_tail_log(m.gamma, m.theta_cap, m.theta_small, 0.5),
+        }
+        bounds = {name: math.exp(-v) for name, v in neg_logs.items()}
+        assert bounds["suen_zero"] == 0.0  # the float bound underflows
+        rep = exponent_report(bounds, n, 0.25, 0.25, i_xy, neg_logs)
+        assert set(rep.exponents) == {"suen_zero", "suen_tail"}
+        assert all(0 < e < 1 for e in rep.exponents.values())
+
+
+# --- exact M1 = 1 law ----------------------------------------------------------------
+
+
+def test_exact_zero_probability_pinned(binary_joint):
+    p = exact_zero_probability(binary_joint, default_params(12), 12, 16)
+    assert float(p) == pytest.approx(0.0315537990504829, rel=1e-14)
+    assert exact_zero_probability(binary_joint, default_params(12), 12, 0) == 1
+
+
+def test_exact_zero_probability_matches_brute(binary_joint):
+    n, m2 = 5, 3
+    params = default_params(n)
+    px = [sum(row) for row in binary_joint.probs]
+    py = [sum(row[b] for row in binary_joint.probs) for b in range(2)]
+    left = [s for s in itertools.product(range(2), repeat=n)
+            if oracles.robust_typical(s, px, params.eps1)]
+    right = [s for s in itertools.product(range(2), repeat=n)
+             if oracles.robust_typical(s, py, params.eps2)]
+    # one x, then M2 independent y's: count the (x, y_1..y_M2) with no edge
+    misses = sum(
+        sum(1 for y in right if not oracles.jointly_typical(x, y, binary_joint.probs, params.lam))
+        ** m2
+        for x in left
+    )
+    want = Fraction(misses, len(left) * len(right) ** m2)
+    assert exact_zero_probability(binary_joint, params, n, m2) == want
+
+
+def test_exact_zero_probability_cap(binary_joint):
+    with pytest.raises(CapExceeded):
+        exact_zero_probability(binary_joint, default_params(12), 12, 1 << 22)
 
 
 # --- Wilson interval -----------------------------------------------------------------
