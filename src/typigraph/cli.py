@@ -343,21 +343,6 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
     digest = _config_hash(echo)
     if args.kind == "an":
         sub = build_exact_type_subgraph(joint, args.n, params)
-        report = verify_single_type(sub)
-        rates, slack = measure_rates(sub, args.n)
-        print(
-            f"left={sub.left_size.value} right={sub.right_size.value} "
-            f"left_degree={sub.left_degree.value} "
-            f"right_degree={sub.right_degree.value}"
-        )
-        print(
-            f"rates: r_x={float(_f6(rates.r_x)):.6f} r_y={float(_f6(rates.r_y)):.6f} "
-            f"r_x'={float(_f6(rates.r_x_prime)):.6f} "
-            f"r_y'={float(_f6(rates.r_y_prime)):.6f} "
-            f"gen-slack={float(_f6(slack.gen)):.6f} nc-slack={float(_f6(slack.nc)):.6f}"
-        )
-        verdict = report.all_ok
-        print(f"single-type verification: {'PASS' if verdict else 'FAIL'}")
     else:
         if not args.aux:
             raise ConfigError("--kind gamma requires --aux CHANNEL.json")
@@ -368,28 +353,31 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
             sub = build_aux_subgraph(joint, aux, args.n, params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        rates, slack = measure_rates(sub, args.n)
-        t = sub.target_rates
-        tol = 1e-9
+    rates, slack = measure_rates(sub)
+    if sub.kind == "single_type":
+        blocks, name = "", "single-type"
+        verdict = verify_single_type(sub).all_ok
+    else:
+        blocks, name = f" blocks={len(sub.block_lengths)}", "aux"
+        t, tol = sub.target_rates, 1e-9
         verdict = (
             abs(rates.r_x - t.r_x) <= sub.delta3 + tol
             and abs(rates.r_y - t.r_y) <= sub.delta3 + tol
             and abs(rates.r_x_prime - t.r_x_prime) <= sub.delta3 + tol
             and abs(rates.r_y_prime - t.r_y_prime) <= sub.delta3 + tol
         )
-        print(
-            f"left={sub.left_size.value} right={sub.right_size.value} "
-            f"left_degree={sub.left_degree.value} "
-            f"right_degree={sub.right_degree.value} "
-            f"blocks={len(sub.block_lengths)}"
-        )
-        print(
-            f"rates: r_x={float(_f6(rates.r_x)):.6f} r_y={float(_f6(rates.r_y)):.6f} "
-            f"r_x'={float(_f6(rates.r_x_prime)):.6f} "
-            f"r_y'={float(_f6(rates.r_y_prime)):.6f} "
-            f"gen-slack={float(_f6(slack.gen)):.6f} nc-slack={float(_f6(slack.nc)):.6f}"
-        )
-        print(f"aux verification: {'PASS' if verdict else 'FAIL'}")
+    print(
+        f"left={sub.left_size.value} right={sub.right_size.value} "
+        f"left_degree={sub.left_degree.value} "
+        f"right_degree={sub.right_degree.value}{blocks}"
+    )
+    print(
+        f"rates: r_x={float(_f6(rates.r_x)):.6f} r_y={float(_f6(rates.r_y)):.6f} "
+        f"r_x'={float(_f6(rates.r_x_prime)):.6f} "
+        f"r_y'={float(_f6(rates.r_y_prime)):.6f} "
+        f"gen-slack={float(_f6(slack.gen)):.6f} nc-slack={float(_f6(slack.nc)):.6f}"
+    )
+    print(f"{name} verification: {'PASS' if verdict else 'FAIL'}")
     c = sub.containment
     print(
         f"containment: left={c.left_contained} right={c.right_contained} "

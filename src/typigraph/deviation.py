@@ -36,6 +36,7 @@ from .typicality import (
     TypicalityParams,
     degree_table,
     jointly_typical_pair_count,
+    log2_int,
     typical_set_size,
 )
 
@@ -167,10 +168,19 @@ def exact_pair_moments(
         alpha_exact=alpha,
         left_second_exact=left_second,
         right_second_exact=right_second,
-        gamma=float(gamma),
-        theta_cap=float(theta_cap),
-        theta_small=float(theta_small),
+        gamma=_as_float("gamma", gamma),
+        theta_cap=_as_float("theta_cap", theta_cap),
+        theta_small=_as_float("theta_small", theta_small),
     )
+
+
+def _as_float(name: str, q: Fraction) -> float:
+    """q as a float; ValueError naming q and its log2 when it is out of range."""
+    try:
+        return float(q)
+    except OverflowError:
+        log2 = log2_int(q.numerator) - log2_int(q.denominator)
+        raise ValueError(f"{name} = 2^{log2:.1f} is out of float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +592,10 @@ def simulation_sizes(n: int, r1: float, r2: float, trials: int) -> tuple[int, in
     """
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    if m1 * m2 * trials > DEFAULT_CAP:
+    work = m1 * m2 * trials
+    if work > DEFAULT_CAP:
         raise CapExceeded(
-            f"{m1}*{m2}*{trials} = {m1 * m2 * trials} Monte Carlo pair tests "
+            f"M1*M2*trials = 2^{log2_int(work):.1f} Monte Carlo pair tests "
             f"exceed cap {DEFAULT_CAP}"
         )
     return m1, m2

@@ -402,6 +402,17 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, 
             yield line, i, j
 
 
+def _field(header: dict, path: str):
+    """The entry of an export header at a dotted key path; ValueError names
+    the first key on the path that is missing."""
+    doc, keys = header, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"export header has no {'.'.join(keys[: i + 1])!r}")
+        doc = doc[key]
+    return doc
+
+
 def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
     """Rebuild a graph from an export, checked against its header.
 
@@ -414,19 +425,18 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> Typica
         header = json.load(fh)
     if header.get("schema") != GRAPH_SCHEMA:
         raise ValueError(f"unexpected schema {header.get('schema')!r}")
-    sdoc = header["spec"]
-    g = build_graph(
-        GraphSpec(
-            joint=joint_from_dict(sdoc["joint"]),
-            n=sdoc["n"],
-            params=_params_from_dict(sdoc["params"]),
-            mode=sdoc["mode"],
-            cap=sdoc["cap"],
-        )
+    spec = GraphSpec(
+        joint=joint_from_dict(_field(header, "spec.joint")),
+        n=_field(header, "spec.n"),
+        params=_params_from_dict(_field(header, "spec.params")),
+        mode=_field(header, "spec.mode"),
+        cap=_field(header, "spec.cap"),
     )
-    if g.vertex_counts() != (header["left_size"], header["right_size"]):
+    sizes = (_field(header, "left_size"), _field(header, "right_size"))
+    recorded = int(_field(header, "edge_count.value"))
+    g = build_graph(spec)
+    if g.vertex_counts() != sizes:
         raise InvariantViolation("roster sizes disagree with the export header")
-    recorded = int(header["edge_count"]["value"])
     if recorded != g.edge_count.value:
         raise InvariantViolation(
             f"edge count {recorded} in the export header differs from the "

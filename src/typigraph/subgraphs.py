@@ -1,21 +1,22 @@
 """Explicit near-extremal subgraphs of the typicality graph.
 
-Two constructions, both exact-type based:
+One construction, exact-type based. Round the triple law of an auxiliary
+U with (X, Y) to a denominator-n type (one largest-remainder pass over all
+|U||X||Y| cells, which keeps marginals and conditionals consistent by
+construction), fix the lexicographically smallest u-sequence of the rounded
+u-type, and take conditional type classes given u as rosters, with (x, y)
+adjacent when in every u-run their joint type equals that run's rounded
+counts. Every left vertex then has the same degree (a product of per-block
+multinomials, by exchangeability), concentrated at H(Y|XU) of the rounded
+triple, and every right vertex at H(X|YU); the two roles are not symmetric.
 
-* the single-type subgraph: round the joint pmf to a denominator-n type,
-  take the exact type classes of its marginals as rosters, and connect
-  (x, y) exactly when their joint type equals the rounded type. Every left
-  vertex then has the same degree (a product of per-row multinomials, by
-  exchangeability), pinned between 2^{n(H - delta3)} and 2^{nH} for the
-  rounded conditional entropy H.
+A `Subgraph` records which of the two families it belongs to in `kind`:
 
-* the auxiliary-variable subgraph: round the triple law obtained from an
-  auxiliary channel (one largest-remainder pass over all |U||X||Y| cells,
-  which keeps marginals and conditionals consistent by construction), fix
-  the lexicographically smallest u-sequence of the rounded u-type, and use
-  conditional type classes given u as rosters with conditional joint-type
-  adjacency. Left degrees concentrate at H(Y|XU) of the rounded triple and
-  right degrees at H(X|YU); note the two roles are not symmetric.
+* "single_type" (`build_exact_type_subgraph`): U has one letter, so the
+  rosters are the exact type classes of the rounded marginals and every
+  degree is pinned between 2^{n(H - delta3)} and 2^{nH} for the rounded
+  conditional entropy H.
+* "aux_conditional" (`build_aux_subgraph`): any channel to U given (x, y).
 
 Rate/slack measurement and exact Markov-mixture decompositions (weights
 plus per-u factors, used to certify nearly-complete behavior) live here
@@ -52,17 +53,15 @@ from .core import (
     rational_approximate,
     total_variation,
 )
-from .graph import _params_from_dict, _params_to_dict
+from .graph import _field, _params_from_dict, _params_to_dict
 from .typicality import (
     BigCount,
     JointTypeIndex,
-    JointTypeVector,
     Sequence,
     TypeVector,
     TypicalityParams,
     _counts_typical,
     default_params,
-    log2_int,
     multinomial,
     type_class_sequences,
 )
@@ -115,149 +114,21 @@ def _containment(
 
 
 # ---------------------------------------------------------------------------
-# single-type subgraph
+# the subgraph: conditional type classes given a fixed u-sequence
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExactTypeSubgraph:
-    joint: JointPmf
-    n: int
-    params: TypicalityParams
-    tilde: ApproxResult  # rounded joint, denominator n
-    target: JointTypeVector  # n * tilde
-    left_type: TypeVector
-    right_type: TypeVector
-    left_size: BigCount
-    right_size: BigCount
-    left_degree: BigCount  # shared by every left vertex (exchangeability)
-    right_degree: BigCount
-    containment: ContainmentReport
-    delta3: float  # |X| |Y| log2(n+1) / n
+class Subgraph:
+    """Rosters and adjacency conditioned on one u-sequence, block by block.
 
-    def vertex_counts(self) -> tuple[int, int]:
-        return self.left_size.value, self.right_size.value
-
-    def degree_extremes(self, side: str) -> tuple[int, int]:
-        d = self.left_degree.value if side == "left" else self.right_degree.value
-        return d, d
-
-    @cached_property
-    def edge_index(self) -> JointTypeIndex:
-        """Adjacency: the joint type of (x, y) equals the rounded type."""
-        kx, ky = self.joint.row_alphabet.size, self.joint.col_alphabet.size
-        return JointTypeIndex(kx, ky, [(self.n, [self.target.flat()])])
-
-
-def build_exact_type_subgraph(
-    joint: JointPmf, n: int, params: Optional[TypicalityParams] = None
-) -> ExactTypeSubgraph:
-    if params is None:
-        params = default_params(n)
-    tilde = rational_approximate(joint, n)
-    tj: JointPmf = tilde.approx
-    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
-    counts = tuple(
-        tuple(int(tj.cell(a, b) * n) for b in range(ky)) for a in range(kx)
-    )
-    target = JointTypeVector(joint.row_alphabet, joint.col_alphabet, counts)
-    left_type = target.row_type()
-    right_type = target.col_type()
-    left_degree = 1
-    for a in range(kx):
-        left_degree *= multinomial(left_type.counts[a], counts[a])
-    right_degree = 1
-    for b in range(ky):
-        right_degree *= multinomial(
-            right_type.counts[b], tuple(counts[a][b] for a in range(kx))
-        )
-    return ExactTypeSubgraph(
-        joint=joint,
-        n=n,
-        params=params,
-        tilde=tilde,
-        target=target,
-        left_type=left_type,
-        right_type=right_type,
-        left_size=BigCount.from_int(multinomial(n, left_type.counts)),
-        right_size=BigCount.from_int(multinomial(n, right_type.counts)),
-        left_degree=BigCount.from_int(left_degree),
-        right_degree=BigCount.from_int(right_degree),
-        containment=_containment(joint, n, params, target.flat()),
-        delta3=kx * ky * math.log2(n + 1) / n,
-    )
-
-
-@dataclass(frozen=True)
-class SingleTypeReport:
-    """Exact size/degree pins of the single-type subgraph.
-
-    Roster rates sit within |X| log2(n+1)/n of the rounded marginal
-    entropies; every degree sits in [2^{n(H - delta3)}, 2^{nH}] for the
-    matching rounded conditional entropy.
+    kind is "single_type" when built by `build_exact_type_subgraph` (U has
+    one letter, so there is one block of all n positions) and
+    "aux_conditional" when built by `build_aux_subgraph`. It decides only
+    which provenance keys the export header carries.
     """
 
-    left_rate: float
-    left_entropy: float
-    left_rate_bound: float
-    right_rate: float
-    right_entropy: float
-    right_rate_bound: float
-    left_degree_rate: float
-    h_col_given_row: float
-    right_degree_rate: float
-    h_row_given_col: float
-    delta3: float
-    all_ok: bool
-
-
-_FP_TOL = 1e-9
-
-
-def verify_single_type(sub: ExactTypeSubgraph) -> SingleTypeReport:
-    n = sub.n
-    tj: JointPmf = sub.tilde.approx
-    h_x = entropy(tj.row_marginal())
-    h_y = entropy(tj.col_marginal())
-    h_xy = joint_entropy(tj)
-    h_y_x = h_xy - h_x
-    h_x_y = h_xy - h_y
-    kx, ky = tj.row_alphabet.size, tj.col_alphabet.size
-    left_rate = sub.left_size.log2 / n
-    right_rate = sub.right_size.log2 / n
-    lbound = kx * math.log2(n + 1) / n
-    rbound = ky * math.log2(n + 1) / n
-    ldeg_rate = sub.left_degree.log2 / n
-    rdeg_rate = sub.right_degree.log2 / n
-    ok = (
-        abs(left_rate - h_x) <= lbound + _FP_TOL
-        and abs(right_rate - h_y) <= rbound + _FP_TOL
-        and h_y_x - sub.delta3 - _FP_TOL <= ldeg_rate <= h_y_x + _FP_TOL
-        and h_x_y - sub.delta3 - _FP_TOL <= rdeg_rate <= h_x_y + _FP_TOL
-    )
-    return SingleTypeReport(
-        left_rate=left_rate,
-        left_entropy=h_x,
-        left_rate_bound=lbound,
-        right_rate=right_rate,
-        right_entropy=h_y,
-        right_rate_bound=rbound,
-        left_degree_rate=ldeg_rate,
-        h_col_given_row=h_y_x,
-        right_degree_rate=rdeg_rate,
-        h_row_given_col=h_x_y,
-        delta3=sub.delta3,
-        all_ok=ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# auxiliary-variable subgraph
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AuxSubgraph:
+    kind: str
     joint: JointPmf
     aux: CondPmf  # U given (row, col) pairs
     n: int
@@ -270,18 +141,21 @@ class AuxSubgraph:
     right_block_types: tuple  # per u: |Y| count vectors
     left_size: BigCount
     right_size: BigCount
-    left_degree: BigCount
+    left_degree: BigCount  # shared by every left vertex (exchangeability)
     right_degree: BigCount
     containment: ContainmentReport
     target_rates: "RateTuple"  # entropic targets from the rounded triple
     delta3: float  # |X| |Y| |U| log2(n+1) / n
 
-    def vertex_counts(self) -> tuple[int, int]:
-        return self.left_size.value, self.right_size.value
-
-    def degree_extremes(self, side: str) -> tuple[int, int]:
-        d = self.left_degree.value if side == "left" else self.right_degree.value
-        return d, d
+    def rounded_joint(self) -> JointPmf:
+        """The (X, Y) marginal of the rounded triple."""
+        flat = self.tilde.approx.col_marginal().probs
+        ky = self.joint.col_alphabet.size
+        return JointPmf(
+            self.joint.row_alphabet,
+            self.joint.col_alphabet,
+            tuple(flat[i : i + ky] for i in range(0, len(flat), ky)),
+        )
 
     @cached_property
     def edge_index(self) -> JointTypeIndex:
@@ -296,12 +170,38 @@ class AuxSubgraph:
         return JointTypeIndex(kx, ky, blocks)
 
 
+def build_exact_type_subgraph(
+    joint: JointPmf, n: int, params: Optional[TypicalityParams] = None
+) -> Subgraph:
+    """The single-type subgraph: the construction with a one-letter U.
+
+    The joint is rounded to a denominator-n type, the rosters are the type
+    classes of its marginals, and (x, y) is an edge when their joint type
+    is the rounded one.
+    """
+    pairs = product_alphabet(joint.row_alphabet, joint.col_alphabet)
+    u = Alphabet(("u",))
+    one = CondPmf(pairs, u, (Pmf(u, (Fraction(1),)),) * pairs.size)
+    return _build("single_type", joint, one, n, params)
+
+
 def build_aux_subgraph(
     joint: JointPmf,
     aux: CondPmf,
     n: int,
     params: Optional[TypicalityParams] = None,
-) -> AuxSubgraph:
+) -> Subgraph:
+    """The auxiliary-variable subgraph for a channel to U given (x, y)."""
+    return _build("aux_conditional", joint, aux, n, params)
+
+
+def _build(
+    kind: str,
+    joint: JointPmf,
+    aux: CondPmf,
+    n: int,
+    params: Optional[TypicalityParams],
+) -> Subgraph:
     """Round the triple law jointly, then build conditional type classes.
 
     The single rounding pass over all |U||X||Y| cells makes every derived
@@ -380,7 +280,8 @@ def build_aux_subgraph(
         sum(cells[u][idx] for u in range(ku)) for idx in range(kx * ky)
     )
     target_rates = _aux_target_rates(tt, kx, ky)
-    return AuxSubgraph(
+    return Subgraph(
+        kind=kind,
         joint=joint,
         aux=aux,
         n=n,
@@ -435,34 +336,81 @@ def _aux_target_rates(triple: JointPmf, kx: int, ky: int) -> "RateTuple":
     )
 
 
+@dataclass(frozen=True)
+class SingleTypeReport:
+    """Exact size/degree pins of the single-type subgraph.
+
+    Roster rates sit within |X| log2(n+1)/n of the rounded marginal
+    entropies; every degree sits in [2^{n(H - delta3)}, 2^{nH}] for the
+    matching rounded conditional entropy.
+    """
+
+    left_rate: float
+    left_entropy: float
+    left_rate_bound: float
+    right_rate: float
+    right_entropy: float
+    right_rate_bound: float
+    left_degree_rate: float
+    h_col_given_row: float
+    right_degree_rate: float
+    h_row_given_col: float
+    delta3: float
+    all_ok: bool
+
+
+_FP_TOL = 1e-9
+
+
+def verify_single_type(sub: Subgraph) -> SingleTypeReport:
+    n = sub.n
+    tj = sub.rounded_joint()
+    h_x = entropy(tj.row_marginal())
+    h_y = entropy(tj.col_marginal())
+    h_xy = joint_entropy(tj)
+    h_y_x = h_xy - h_x
+    h_x_y = h_xy - h_y
+    kx, ky = tj.row_alphabet.size, tj.col_alphabet.size
+    left_rate = sub.left_size.log2 / n
+    right_rate = sub.right_size.log2 / n
+    lbound = kx * math.log2(n + 1) / n
+    rbound = ky * math.log2(n + 1) / n
+    ldeg_rate = sub.left_degree.log2 / n
+    rdeg_rate = sub.right_degree.log2 / n
+    ok = (
+        abs(left_rate - h_x) <= lbound + _FP_TOL
+        and abs(right_rate - h_y) <= rbound + _FP_TOL
+        and h_y_x - sub.delta3 - _FP_TOL <= ldeg_rate <= h_y_x + _FP_TOL
+        and h_x_y - sub.delta3 - _FP_TOL <= rdeg_rate <= h_x_y + _FP_TOL
+    )
+    return SingleTypeReport(
+        left_rate=left_rate,
+        left_entropy=h_x,
+        left_rate_bound=lbound,
+        right_rate=right_rate,
+        right_entropy=h_y,
+        right_rate_bound=rbound,
+        left_degree_rate=ldeg_rate,
+        h_col_given_row=h_y_x,
+        right_degree_rate=rdeg_rate,
+        h_row_given_col=h_x_y,
+        delta3=sub.delta3,
+        all_ok=ok,
+    )
+
+
 # ---------------------------------------------------------------------------
-# rosters and adjacency for both constructions
+# rosters and adjacency
 # ---------------------------------------------------------------------------
 
 
-def left_roster(sub) -> Iterator[Sequence]:
+def left_roster(sub: Subgraph) -> Iterator[Sequence]:
     """Materialize left vertices in lexicographic order."""
-    if isinstance(sub, ExactTypeSubgraph):
-        yield from type_class_sequences(sub.left_type)
-        return
-    if isinstance(sub, AuxSubgraph):
-        yield from _spliced(
-            sub.joint.row_alphabet, sub.block_lengths, sub.left_block_types
-        )
-        return
-    raise ValueError("unsupported subgraph object")
+    return _spliced(sub.joint.row_alphabet, sub.block_lengths, sub.left_block_types)
 
 
-def right_roster(sub) -> Iterator[Sequence]:
-    if isinstance(sub, ExactTypeSubgraph):
-        yield from type_class_sequences(sub.right_type)
-        return
-    if isinstance(sub, AuxSubgraph):
-        yield from _spliced(
-            sub.joint.col_alphabet, sub.block_lengths, sub.right_block_types
-        )
-        return
-    raise ValueError("unsupported subgraph object")
+def right_roster(sub: Subgraph) -> Iterator[Sequence]:
+    return _spliced(sub.joint.col_alphabet, sub.block_lengths, sub.right_block_types)
 
 
 def _spliced(alphabet: Alphabet, block_lengths, block_types) -> Iterator[Sequence]:
@@ -485,10 +433,8 @@ def _spliced(alphabet: Alphabet, block_lengths, block_types) -> Iterator[Sequenc
     yield from rec(0, ())
 
 
-def is_edge(sub, x: Sequence, y: Sequence) -> bool:
-    """Exact adjacency predicate for either construction."""
-    if not isinstance(sub, (ExactTypeSubgraph, AuxSubgraph)):
-        raise ValueError("unsupported subgraph object")
+def is_edge(sub: Subgraph, x: Sequence, y: Sequence) -> bool:
+    """Exact adjacency predicate."""
     return sub.edge_index.count([x.symbols], [y.symbols]) == 1
 
 
@@ -513,41 +459,24 @@ class SlackReport:
     nc: float  # one-sided nearly-complete slack
 
 
-def measure_rates(subgraph, n: int) -> tuple[RateTuple, SlackReport]:
+def measure_rates(sub: Subgraph) -> tuple[RateTuple, SlackReport]:
     """Measured rates plus the deviations needed to certify the subgraph.
 
-    gen: the smallest two-sided slack for which all left degrees sit within
-    2^{+-n*gen} of a common rate (and right degrees likewise). nc: the
-    smallest one-sided slack for which left degrees reach the right roster
-    rate and right degrees the left roster rate.
+    Sizes and degrees are products of multinomials, so never zero, and
+    every vertex on a side has the same degree. gen, the two-sided slack
+    within which all degrees on a side sit around a common rate, is then
+    0. nc is the smallest one-sided slack for which left degrees reach the
+    right roster rate and right degrees the left roster rate.
     """
-    lcount, rcount = subgraph.vertex_counts()
-    if lcount == 0 or rcount == 0:
-        raise ValueError("empty roster: rates undefined")
-    r_x = log2_int(lcount) / n
-    r_y = log2_int(rcount) / n
-    lmin, lmax = subgraph.degree_extremes("left")
-    rmin, rmax = subgraph.degree_extremes("right")
-    if lmax == 0 or rmax == 0:
-        raise ValueError("subgraph has no edges: degree rates undefined")
-    lhi = log2_int(lmax) / n
-    rhi = log2_int(rmax) / n
-    if lmin > 0 and rmin > 0:
-        llo = log2_int(lmin) / n
-        rlo = log2_int(rmin) / n
-        rates = RateTuple(
-            r_x=r_x,
-            r_y=r_y,
-            r_x_prime=(rlo + rhi) / 2,
-            r_y_prime=(llo + lhi) / 2,
-        )
-        gen = max((lhi - llo) / 2, (rhi - rlo) / 2)
-        nc = max(0.0, r_y - llo, r_x - rlo)
-    else:
-        rates = RateTuple(r_x=r_x, r_y=r_y, r_x_prime=rhi, r_y_prime=lhi)
-        gen = math.inf
-        nc = math.inf
-    return rates, SlackReport(gen=gen, nc=nc)
+    n = sub.n
+    r_x = sub.left_size.log2 / n
+    r_y = sub.right_size.log2 / n
+    r_y_prime = sub.left_degree.log2 / n
+    r_x_prime = sub.right_degree.log2 / n
+    rates = RateTuple(r_x=r_x, r_y=r_y, r_x_prime=r_x_prime, r_y_prime=r_y_prime)
+    return rates, SlackReport(
+        gen=0.0, nc=max(0.0, r_y - r_y_prime, r_x - r_x_prime)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +618,14 @@ def load_decomposition(doc, joint: JointPmf) -> MarkovDecomposition:
 # ---------------------------------------------------------------------------
 
 SUBGRAPH_SCHEMA = "typigraph.subgraph/1"
+_COUNTS = ("left_size", "right_size", "left_degree", "right_degree")
 
 
 def export_subgraph(
-    sub, json_path: str, edges_csv_path: Optional[str] = None, edge_cap: int = 1 << 22
+    sub: Subgraph,
+    json_path: str,
+    edges_csv_path: Optional[str] = None,
+    edge_cap: int = 1 << 22,
 ) -> None:
     """JSON header with exact provenance; optional edge CSV of roster ranks.
 
@@ -705,38 +638,26 @@ def export_subgraph(
             raise CapExceeded(
                 f"edge scan over {total} candidate pairs exceeds cap {edge_cap}"
             )
-    if isinstance(sub, ExactTypeSubgraph):
-        kind = "single_type"
-        extra = {
-            "rounded_joint": joint_to_dict(sub.tilde.approx),
-            "max_rounding_error": str(sub.tilde.max_error),
-            "support_shrunk": sub.tilde.support_shrunk,
-        }
-    elif isinstance(sub, AuxSubgraph):
-        kind = "aux_conditional"
+    if sub.kind == "single_type":
+        extra = {"rounded_joint": joint_to_dict(sub.rounded_joint())}
+    else:
         extra = {
             "rounded_triple": joint_to_dict(sub.tilde.approx),
-            "max_rounding_error": str(sub.tilde.max_error),
-            "support_shrunk": sub.tilde.support_shrunk,
             "u_sequence": [str(l) for l in sub.u_seq.labels()],
             "aux_channel": cond_to_dict(sub.aux),
         }
-    else:
-        raise ValueError("unsupported subgraph object")
+    counts = {name: getattr(sub, name) for name in _COUNTS}
     header = {
         "schema": SUBGRAPH_SCHEMA,
-        "kind": kind,
+        "kind": sub.kind,
         "spec": {
             "joint": joint_to_dict(sub.joint),
             "n": sub.n,
             "params": _params_to_dict(sub.params),
         },
-        "left_size": {"value": str(sub.left_size.value), "log2": sub.left_size.log2},
-        "right_size": {"value": str(sub.right_size.value), "log2": sub.right_size.log2},
-        "left_degree": {"value": str(sub.left_degree.value), "log2": sub.left_degree.log2},
-        "right_degree": {
-            "value": str(sub.right_degree.value),
-            "log2": sub.right_degree.log2,
+        **{
+            name: {"value": str(c.value), "log2": c.log2}
+            for name, c in counts.items()
         },
         "delta3": sub.delta3,
         "containment": {
@@ -745,6 +666,8 @@ def export_subgraph(
             "edges": sub.containment.edges_contained,
             "premise_ok": sub.containment.premise_ok,
         },
+        "max_rounding_error": str(sub.tilde.max_error),
+        "support_shrunk": sub.tilde.support_shrunk,
         **extra,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -761,21 +684,32 @@ def export_subgraph(
             writer.writerows([i, j] for j in nbrs)
 
 
-def import_subgraph(json_path: str):
-    """Rebuild a subgraph deterministically from its export header."""
+def import_subgraph(json_path: str) -> Subgraph:
+    """Rebuild a subgraph deterministically from its export header.
+
+    A missing key or an unknown kind raises ValueError; a rebuilt size or
+    degree that differs from the header raises InvariantViolation.
+    """
     with open(json_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     if header.get("schema") != SUBGRAPH_SCHEMA:
         raise ValueError(f"unexpected schema {header.get('schema')!r}")
-    sdoc = header["spec"]
-    joint = joint_from_dict(sdoc["joint"])
-    params = _params_from_dict(sdoc["params"])
-    if header["kind"] == "single_type":
-        sub = build_exact_type_subgraph(joint, sdoc["n"], params)
+    kind = _field(header, "kind")
+    joint = joint_from_dict(_field(header, "spec.joint"))
+    n = _field(header, "spec.n")
+    params = _params_from_dict(_field(header, "spec.params"))
+    counts = {name: _field(header, f"{name}.value") for name in _COUNTS}
+    if kind == "single_type":
+        sub = build_exact_type_subgraph(joint, n, params)
+    elif kind == "aux_conditional":
+        aux = cond_from_dict(_field(header, "aux_channel"))
+        sub = build_aux_subgraph(joint, aux, n, params)
     else:
-        sub = build_aux_subgraph(
-            joint, cond_from_dict(header["aux_channel"]), sdoc["n"], params
-        )
-    if str(sub.left_size.value) != header["left_size"]["value"]:
-        raise InvariantViolation("rebuilt subgraph disagrees with the header")
+        raise ValueError(f"unknown subgraph kind {kind!r}")
+    for name, recorded in counts.items():
+        if str(getattr(sub, name).value) != recorded:
+            raise InvariantViolation(
+                f"{name} {recorded} in the export header differs from the "
+                f"rebuilt {getattr(sub, name).value}"
+            )
     return sub

@@ -348,3 +348,76 @@ def lll_phi_condition(alpha, m1, m2):
     if load * E_LOW > 1:
         return False
     raise ValueError("load within 1e-84 of 1/e")
+
+
+def _counts_typical(counts, probs, n, delta):
+    """Counts in the closed delta-ball of probs, no mass off the support."""
+    return all(
+        abs(Fraction(c, n) - p) <= delta and (p > 0 or c == 0)
+        for c, p in zip(counts, probs)
+    )
+
+
+def exact_type_subgraph(joint_probs, n, eps1, eps2, lam):
+    """The single-type subgraph, restated from its definition.
+
+    Round the joint to denominator n by largest remainders (ties to the
+    earlier cell in row-major order); the rosters are the type classes of
+    the rounded marginals and (x, y) is an edge when its joint type is the
+    rounded one. Sizes and degrees are products of multinomials.
+    """
+    kx, ky = len(joint_probs), len(joint_probs[0])
+    flat = [p for row in joint_probs for p in row]
+    scaled = [p * n for p in flat]
+    counts = [math.floor(s) for s in scaled]
+    order = sorted(range(kx * ky), key=lambda i: (counts[i] - scaled[i], i))
+    for i in order[: n - sum(counts)]:
+        counts[i] += 1
+    target = tuple(tuple(counts[a * ky : (a + 1) * ky]) for a in range(kx))
+    rows = [sum(r) for r in target]
+    cols = [sum(r[b] for r in target) for b in range(ky)]
+    left_degree = math.prod(multinomial_factorial(rows[a], target[a]) for a in range(kx))
+    right_degree = math.prod(
+        multinomial_factorial(cols[b], [r[b] for r in target]) for b in range(ky)
+    )
+    px = [sum(r) for r in joint_probs]
+    py = [sum(r[b] for r in joint_probs) for b in range(ky)]
+    errors = [abs(Fraction(c, n) - p) for c, p in zip(counts, flat)]
+    return {
+        "target": target,
+        "rounded": tuple(tuple(Fraction(c, n) for c in r) for r in target),
+        "max_rounding_error": max(errors),
+        "support_shrunk": any(c == 0 and p > 0 for c, p in zip(counts, flat)),
+        "left_size": multinomial_factorial(n, rows),
+        "right_size": multinomial_factorial(n, cols),
+        "left_degree": left_degree,
+        "right_degree": right_degree,
+        "containment": (
+            _counts_typical(rows, px, n, eps1),
+            _counts_typical(cols, py, n, eps2),
+            _counts_typical(counts, flat, n, lam),
+            lam * n >= 1 and eps1 * n >= ky and eps2 * n >= kx,
+        ),
+        "delta3": kx * ky * math.log2(n + 1) / n,
+    }
+
+
+def type_class(counts, n):
+    """Sequences with the given symbol counts, in lexicographic order."""
+    k = len(counts)
+    return [s for s in all_sequences(k, n) if counts_of(s, k) == list(counts)]
+
+
+def exact_type_edges(target, n):
+    """(left rank, right rank) of every roster pair whose joint type is
+    target, left-major."""
+    kx, ky = len(target), len(target[0])
+    left = type_class([sum(r) for r in target], n)
+    right = type_class([sum(r[b] for r in target) for b in range(ky)], n)
+    want = [c for r in target for c in r]
+    return left, right, [
+        (i, j)
+        for i, x in enumerate(left)
+        for j, y in enumerate(right)
+        if counts_of([a * ky + b for a, b in zip(x, y)], kx * ky) == want
+    ]

@@ -125,7 +125,7 @@ def test_criterion_3_single_type_degree_and_size_envelopes():
     tol = 1e-9
     for n in (8, 10, 12):
         sub = build_exact_type_subgraph(JOINT, n)
-        tj = sub.tilde.approx
+        tj = sub.rounded_joint()
         h_y_x = conditional_entropy(tj, given="row")
         h_x = entropy(tj.row_marginal())
         h_y = entropy(tj.col_marginal())
@@ -181,7 +181,7 @@ def test_criterion_4_aux_construction_consistency():
                 break
 
     copy = build_aux_subgraph(JOINT, _copy_channel(JOINT), n)
-    rates, _ = measure_rates(copy, n)
+    rates, _ = measure_rates(copy)
     t = copy.target_rates
     ok = ok and abs(rates.r_x - t.r_x) <= 1e-12
     ok = ok and abs(rates.r_y_prime - t.r_y_prime) <= copy.delta3 + 1e-9

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -257,6 +258,53 @@ def test_subgraph_gamma_wrong_aux_type(joint_file, tmp_path, capsys):
     assert rc == 2
 
 
+# Byte pins for the subgraph export, recorded before the single-type
+# subgraph became the auxiliary construction with a one-letter U. The runs
+# use relative paths because the config echo stamped into s.json holds them.
+SUBGRAPH_PINS = {
+    "an": (
+        ["--kind", "an", "--n", "8"],
+        (
+            "left=70 right=70 left_degree=16 right_degree=16\n"
+            "rates: r_x=0.766160 r_y=0.766160 r_x'=0.500000 r_y'=0.500000 "
+            "gen-slack=0.000000 nc-slack=0.266160\n"
+            "single-type verification: PASS\n"
+            "containment: left=True right=True edges=True premise_ok=True\n"
+        ),
+        "454ed9295e685b116b4d917a42e8e7f3ec17bcce5f24f336190ac11b24eb775f",
+        "a4d36c3b0852baa057dd086d6a3b2d5ab81f2e0f19f63f877f8000a08e4b9cde",
+    ),
+    "gamma": (
+        ["--kind", "gamma", "--aux", "copy.json", "--n", "12"],
+        (
+            "left=1 right=36 left_degree=36 right_degree=1 blocks=2\n"
+            "rates: r_x=0.000000 r_y=0.430827 r_x'=0.000000 r_y'=0.430827 "
+            "gen-slack=0.000000 nc-slack=0.000000\n"
+            "aux verification: PASS\n"
+            "containment: left=True right=True edges=True premise_ok=True\n"
+        ),
+        "d688ff1611aed98f5047077b507afbdd0ccd4a95e0e4aaec58460b4583a95ddd",
+        "44a6099cd0dc33b3a09a8060e4a77fcf4f4b49d8d767fbe25552d185740e5c22",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBGRAPH_PINS))
+def test_subgraph_export_bytes_pinned(
+    binary_joint, copy_channel, tmp_path, monkeypatch, capsys, kind
+):
+    args, stdout, json_sha, csv_sha = SUBGRAPH_PINS[kind]
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    save_distribution(copy_channel, "copy.json")
+    rc = main(["subgraph", "--dist", "joint.json", *args,
+               "--out", "s.json", "--edges", "s.csv"])
+    assert rc == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == csv_sha
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -299,6 +347,16 @@ def test_simulate_cap_exit_3(joint_file, tmp_path, capsys):
     assert "Traceback" not in captured.err and "--mode" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [tmp_path / "joint.json"]
+
+
+def test_simulate_cap_message_gives_log2_of_work(joint_file, capsys):
+    # M1 = 2^1100, M2 = 2^4: the work is stated as a power of two
+    args = ["simulate", "--dist", joint_file, "--n", "4", "--r1", "275",
+            "--r2", "1", "--trials", "1", "--seed", "1"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "2^1104.0 Monte Carlo pair tests exceed cap" in err
+    assert len(err) < 120
 
 
 def test_simulate_validation(joint_file):
@@ -435,6 +493,67 @@ def test_wring_rejects_doubled_rank_csv(joint_file, tmp_path, capsys, export):
     rc = main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.3"])
     assert rc == 2
     assert f"row {len(lines) + 1}: repeated edge" in capsys.readouterr().err
+
+
+SUBGRAPH_AN8 = ["subgraph", "--kind", "an", "--n", "8"]
+
+
+def _drop(doc, path):
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
+@pytest.mark.parametrize(
+    "export, edit, message",
+    [
+        (SUBGRAPH_AN8, {"kind": "foo"}, "unknown subgraph kind 'foo'"),
+        (SUBGRAPH_AN8, "kind", "no 'kind'"),
+        (SUBGRAPH_AN8, "spec.n", "no 'spec.n'"),
+        (["graph", "--n", "4"], "spec", "no 'spec'"),
+        (["graph", "--n", "4"], "edge_count", "no 'edge_count'"),
+        (["graph", "--n", "4"], "left_size", "no 'left_size'"),
+    ],
+    ids=["subgraph-kind-foo", "subgraph-no-kind", "subgraph-no-n",
+         "graph-no-spec", "graph-no-edge-count", "graph-no-left-size"],
+)
+def test_wring_malformed_export_header_exit_2(
+    joint_file, tmp_path, capsys, export, edit, message
+):
+    header, ranks = tmp_path / "h.json", tmp_path / "e.csv"
+    main(export + ["--dist", joint_file, "--out", str(header), "--edges", str(ranks)])
+    doc = json.loads(header.read_text())
+    if isinstance(edit, dict):
+        doc.update(edit)
+    else:
+        _drop(doc, edit)
+    header.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, forged, exact",
+    [("left_size", "71", 70), ("right_size", "71", 70),
+     ("left_degree", "17", 16), ("right_degree", "17", 16)],
+)
+def test_wring_tampered_subgraph_count_exit_4(
+    joint_file, tmp_path, capsys, field, forged, exact
+):
+    header, ranks = tmp_path / "s.json", tmp_path / "s.csv"
+    main(SUBGRAPH_AN8 + ["--dist", joint_file, "--out", str(header), "--edges", str(ranks)])
+    doc = json.loads(header.read_text())
+    doc[field]["value"] = forged
+    header.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.3"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"{field} {forged}" in err and f"rebuilt {exact}" in err
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,19 @@ def test_second_moments_match_brute(binary_joint):
     assert m.right_second_exact == m.left_second_exact
 
 
+@pytest.mark.parametrize(
+    "rate, message",
+    [(140, r"gamma = 2\^2238\.2 is out of float range"),
+     (60, r"theta_cap = 2\^1436\.8 is out of float range")],
+    ids=["gamma", "theta_cap"],
+)
+def test_moments_out_of_float_range_name_quantity(binary_joint, rate, message):
+    """M = 2^1120 (gamma) or 2^480 (theta_cap only): a ValueError that names
+    the quantity and its log2, not a bare OverflowError."""
+    with pytest.raises(ValueError, match=message):
+        exact_pair_moments(binary_joint, default_params(8), 8, rate, rate)
+
+
 def test_moment_dataclass_consistency(binary_joint):
     n = 8
     params = default_params(n)

@@ -28,7 +28,6 @@ from typigraph.deviation import Codebook, count_pairs
 from typigraph.diagnostics import block_mi, fano_distribution, pinsker_check, wring
 from typigraph.graph import GraphSpec, build_graph, check_degree_bound, edge_list, stats
 from typigraph.subgraphs import (
-    AuxSubgraph,
     build_aux_subgraph,
     build_exact_type_subgraph,
     export_subgraph,
@@ -158,13 +157,10 @@ def test_subgraph_edge_csvs_match_exact_type_brute_force(case, ku, rnd):
         build_aux_subgraph(joint, CondPmf(pairs, u_alpha, tuple(rows)), n),
     ]
     for sub in subs:
-        if isinstance(sub, AuxSubgraph):
-            runs, start = [], 0
-            for nu, target in zip(sub.block_lengths, sub.block_targets):
-                runs.append((start, start + nu, tuple(c for row in target for c in row)))
-                start += nu
-        else:
-            runs = [(0, n, sub.target.flat())]
+        runs, start = [], 0
+        for nu, target in zip(sub.block_lengths, sub.block_targets):
+            runs.append((start, start + nu, tuple(c for row in target for c in row)))
+            start += nu
         left = [x.symbols for x in left_roster(sub)]
         right = [y.symbols for y in right_roster(sub)]
         want = [

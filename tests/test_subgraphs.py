@@ -1,8 +1,12 @@
+import csv
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from typigraph.core import (
     Alphabet,
@@ -32,6 +36,7 @@ from typigraph.subgraphs import (
     verify_single_type,
 )
 from typigraph.typicality import (
+    TypicalityParams,
     default_params,
     empirical_joint_type,
     is_jointly_typical,
@@ -53,7 +58,7 @@ def test_exact_type_subgraph_frozen_sizes(binary_joint):
         assert sub.left_degree.value == deg
         assert sub.right_degree.value == deg
     sub8 = build_exact_type_subgraph(binary_joint, 8)
-    assert sub8.target.counts == ((3, 1), (1, 3))
+    assert sub8.block_targets == (((3, 1), (1, 3)),)
 
 
 def test_degree_formula_matches_scan(binary_joint):
@@ -78,7 +83,7 @@ def test_is_edge_is_exact_type_match(binary_joint):
     right = list(right_roster(sub))
     x, y = left[0], right[0]
     assert is_edge(sub, x, y) == (
-        empirical_joint_type(x, y).counts == sub.target.counts
+        (empirical_joint_type(x, y).counts,) == sub.block_targets
     )
 
 
@@ -116,11 +121,66 @@ def test_rosters_lex_sorted(binary_joint):
 
 def test_measure_rates_single_type(binary_joint):
     sub = build_exact_type_subgraph(binary_joint, 10)
-    rates, slack = measure_rates(sub, 10)
+    rates, slack = measure_rates(sub)
     assert rates.r_x == pytest.approx(math.log2(252) / 10)
     assert rates.r_y_prime == pytest.approx(math.log2(25) / 10)
     assert slack.gen == 0.0  # degrees are constant
     assert slack.nc == pytest.approx(math.log2(252) / 10 - math.log2(25) / 10)
+
+
+@st.composite
+def single_type_cases(draw):
+    kx, ky = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky)
+    weights = draw(cells.filter(any))
+    total = sum(weights)
+    probs = tuple(
+        tuple(Fraction(weights[a * ky + b], total) for b in range(ky)) for a in range(kx)
+    )
+    slack = st.builds(Fraction, st.integers(1, 6), st.integers(2, 12))
+    params = TypicalityParams(draw(slack), draw(slack), draw(slack))
+    alpha = lambda k: Alphabet(tuple(range(k)))
+    return JointPmf(alpha(kx), alpha(ky), probs), draw(st.integers(1, 9)), params
+
+
+@settings.get_profile("typigraph")
+@given(single_type_cases())
+def test_single_type_matches_former_builder(tmp_path_factory, case):
+    """The one-letter-U construction reproduces the former single-type
+    builder (restated in oracles) field by field, rosters and edge CSV
+    included up to n = 7."""
+    joint, n, params = case
+    sub = build_exact_type_subgraph(joint, n, params)
+    ref = oracles.exact_type_subgraph(
+        joint.probs, n, params.eps1, params.eps2, params.lam
+    )
+    assert sub.kind == "single_type"
+    assert sub.block_lengths == (n,)
+    assert sub.block_targets == (ref["target"],)
+    assert sub.rounded_joint().probs == ref["rounded"]
+    assert sub.tilde.max_error == ref["max_rounding_error"]
+    assert sub.tilde.support_shrunk == ref["support_shrunk"]
+    for name in ("left_size", "right_size", "left_degree", "right_degree"):
+        assert getattr(sub, name).value == ref[name], name
+    c = sub.containment
+    assert (
+        c.left_contained, c.right_contained, c.edges_contained, c.premise_ok
+    ) == ref["containment"]
+    assert sub.delta3 == ref["delta3"]
+    if n > 7:
+        return
+    left, right, edges = oracles.exact_type_edges(ref["target"], n)
+    assert [x.symbols for x in left_roster(sub)] == left
+    assert [y.symbols for y in right_roster(sub)] == right
+    tmp = tmp_path_factory.mktemp("single")
+    export_subgraph(sub, str(tmp / "s.json"), str(tmp / "s.csv"))
+    with open(tmp / "s.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["left_rank", "right_rank"]
+    assert [(int(i), int(j)) for i, j in rows[1:]] == edges
+    header = json.loads((tmp / "s.json").read_text())
+    want = [[str(q) for q in row] for row in ref["rounded"]]
+    assert header["rounded_joint"]["probs"] == want
 
 
 # --- auxiliary construction ------------------------------------------------------
@@ -155,7 +215,7 @@ def test_copy_u_structure(binary_joint, copy_channel):
     assert sub.target_rates.r_y_prime == pytest.approx(h, abs=1e-9)
     assert sub.target_rates.r_x == pytest.approx(0.0, abs=1e-12)
 
-    rates, slack = measure_rates(sub, n)
+    rates, slack = measure_rates(sub)
     assert rates.r_x == 0.0
     assert slack.gen == 0.0
     assert slack.nc == 0.0
@@ -269,7 +329,7 @@ def test_markov_point_certified_by_aux_subgraph():
 
     n = 16
     sub = build_aux_subgraph(joint, aux, n)
-    rates, slack = measure_rates(sub, n)
+    rates, slack = measure_rates(sub)
     h_y_u = sub.target_rates.r_y
     h_y_xu = sub.target_rates.r_y_prime
     h_x_u = sub.target_rates.r_x
@@ -287,7 +347,7 @@ def test_subgraph_export_roundtrip(binary_joint, copy_channel, tmp_path):
     cpath = tmp_path / "an.csv"
     export_subgraph(an, str(jpath), str(cpath))
     an2 = import_subgraph(str(jpath))
-    assert an2.target.counts == an.target.counts
+    assert an2.block_targets == an.block_targets
     assert an2.left_size.value == an.left_size.value
 
     header = json.loads(jpath.read_text())
