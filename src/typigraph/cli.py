@@ -78,6 +78,9 @@ from .deviation import (
     suen_zero_log,
 )
 from .diagnostics import (
+    EdgeDistribution,
+    check_budget,
+    edge_distribution,
     fano_distribution,
     pinsker_check,
     wring,
@@ -514,7 +517,7 @@ def _parse_label_column(cells: list) -> list:
         return [tuple(tokens) for tokens in cells]
 
 
-def _sequences_from_label_csv(path: str) -> list:
+def _label_distribution(path: str) -> EdgeDistribution:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r][1:]
     xs = _parse_label_column([r[0].split() for r in rows])
@@ -529,68 +532,85 @@ def _sequences_from_label_csv(path: str) -> list:
                 Sequence(y_alpha, tuple(y_alpha.index(t) for t in yseq)),
             )
         )
-    return edges
+    return fano_distribution(edges)
 
 
-def _sequences_from_rank_csv(path: str, graph_path: Optional[str]) -> list:
+def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDistribution]:
+    """The edges of a rank CSV with the rosters of the export header at
+    graph_path as rows and the ranks as ids; None if the CSV lists none."""
     if not graph_path:
         raise ConfigError(
             "rank-format edge CSV needs --graph HEADER.json for the rosters"
         )
     if not os.path.exists(graph_path):
         raise ConfigError(f"{graph_path}: file not found")
-    with open(graph_path, "r", encoding="utf-8") as fh:
-        schema = json.load(fh).get("schema")
-    if schema == GRAPH_SCHEMA:
-        g = import_graph(graph_path)
-        left, right = g.left, g.right
-    elif schema == SUBGRAPH_SCHEMA:
-        sub = import_subgraph(graph_path)
-        left, right = list(left_roster(sub)), list(right_roster(sub))
-    else:
-        raise ConfigError(f"{graph_path}: unrecognized schema {schema!r}")
-    return [(left[i], right[j]) for _, i, j in _read_edge_csv(path, len(left), len(right))]
+    try:
+        with open(graph_path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema == GRAPH_SCHEMA:
+            g = import_graph(graph_path)
+            joint, left, right = g.spec.joint, g.left, g.right
+        elif schema == SUBGRAPH_SCHEMA:
+            sub = import_subgraph(graph_path)
+            joint, left, right = sub.joint, tuple(left_roster(sub)), tuple(right_roster(sub))
+        else:
+            raise ConfigError(f"{graph_path}: unrecognized schema {schema!r}")
+    except ValueError as exc:
+        raise ConfigError(f"{graph_path}: {exc}") from exc
+    xids, yids = _read_edge_csv(path, len(left), len(right))
+    if not xids:
+        return None
+    return edge_distribution(
+        xids,
+        yids,
+        [x.symbols for x in left],
+        [y.symbols for y in right],
+        joint.row_alphabet,
+        joint.col_alphabet,
+    )
 
 
 def cmd_wring(args: argparse.Namespace) -> int:
     _check_common(args)
-    if args.delta <= 0:
-        raise ConfigError("--delta must be positive")
+    try:
+        check_budget(args.delta, args.sigma)
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from exc
     if not os.path.exists(args.edges):
         raise ConfigError(f"{args.edges}: file not found")
     with open(args.edges, "r", encoding="utf-8", newline="") as fh:
         head = next(csv.reader(fh), None)
     try:
         if head is None:
-            edges = []
+            dist = None
         elif head == ["x", "y"]:
-            edges = _sequences_from_label_csv(args.edges)
+            dist = _label_distribution(args.edges)
         elif head == ["left_rank", "right_rank"]:
-            edges = _sequences_from_rank_csv(args.edges, args.graph)
+            dist = _rank_distribution(args.edges, args.graph)
         else:
             raise ConfigError(
                 f"{args.edges}: header must be 'x,y' or 'left_rank,right_rank'"
             )
-        if not edges:
-            raise ConfigError(f"{args.edges}: no edges")
-        dist = fano_distribution(edges)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{args.edges}: {exc}") from exc
+    if dist is None:
+        raise ConfigError(f"{args.edges}: no edges")
     result = wring(dist, args.delta, args.sigma)
     print(
-        f"wring: k={result.k} surviving={len(result.edges)}/{len(edges)} "
+        f"wring: k={result.k} surviving={len(result.survivors)}/{len(dist)} "
         f"fraction={format_fraction(result.surviving_fraction)} "
         f"converged={result.converged}"
     )
     pinsker = None
     if result.converged:
-        pinsker = pinsker_check(fano_distribution(result.edges), args.delta)
+        pinsker = pinsker_check(result.survivors, args.delta)
         print(f"pinsker: max per-letter TV = {float(_f6(max(pinsker))):.6f}")
     echo = _config_echo(args)
     digest = _config_hash(echo)
     payload = wringing_to_dict(result)
     payload["pinsker_tv"] = list(pinsker) if pinsker is not None else None
-    payload["edge_count_in"] = len(edges)
+    payload["edge_count_in"] = len(dist)
     if args.out:
         _write_json(args.out, _record(echo, digest, payload))
     return EXIT_OK

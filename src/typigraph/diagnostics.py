@@ -1,59 +1,81 @@
 """Converse-side diagnostics on explicit edge sets.
 
-Given the edges of a (sub)graph as aligned sequence pairs, these tools
-examine the uniform distribution over edges: per-letter joint laws, the
-dominant joint type and its pigeonhole share, the exact block mutual
-information against its counting bound, the wringing loop that conditions
-away per-letter dependence, the Pinsker near-independence check, and the
-square-root-order strong-converse rate bound.
+These tools examine the uniform distribution over the edges of a
+(sub)graph: per-letter joint laws, the dominant joint type and its
+pigeonhole share, the exact block mutual information against its counting
+bound, the wringing loop that conditions away per-letter dependence, the
+Pinsker near-independence check, and the square-root-order strong-converse
+rate bound.
 
 All distribution arithmetic is exact (counts over the edge multiset);
-entropic values are floats in bits. The edge multiset is held as one byte
-column of letter-pair codes per position, so per-letter counts are
-`bytes.count` calls and conditioning filters every column with
-`itertools.compress`.
+entropic values are floats in bits. Every tool takes one form of the edge
+multiset, an `EdgeDistribution`: two id columns that name each edge's
+endpoints, each side's distinct symbol rows indexed by id, and one byte
+column of letter-pair codes per position. Per-letter counts are
+`bytes.count` calls, and conditioning filters every column with
+`itertools.compress`. `edge_distribution` builds it from ids and rows (a
+rank CSV gives both, with the rosters' ranks as ids); `fano_distribution`
+builds it from aligned `Sequence` pairs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress
-from operator import itemgetter
+from functools import cached_property, lru_cache, reduce
+from itertools import compress, repeat
+from operator import add, floordiv, itemgetter, mod, mul
 from typing import Optional
 
-from .core import InvariantViolation, JointPmf
+from .core import Alphabet, InvariantViolation, JointPmf
 from .typicality import JointTypeVector
 
 _FP_TOL = 1e-9
+_JOIN_SLICE = 1 << 15  # edge rows joined per bytes.join call
 
 
 @dataclass(frozen=True)
 class EdgeDistribution:
-    """Uniform law over an explicit edge multiset, kept as byte columns.
+    """Uniform law over an explicit edge multiset, kept as id columns.
 
-    columns[t] holds, edge by edge, the code a*|Y| + b of the letter pair
-    (a, b) at position t: one byte per edge while |X||Y| <= 256, a tuple of
-    ints beyond that. The exact per-letter laws are derived on first use.
+    Edge e joins xrows[xids[e]] to yrows[yids[e]]; the rows of a side are
+    distinct symbol tuples of length n, and an id column is an
+    `array("q")` in edge order. columns[t] holds, edge by edge, the code
+    a*|Y| + b of the letter pair (a, b) at position t: one byte per edge
+    while |X||Y| <= 256, a tuple of ints beyond that. The exact per-letter
+    laws are derived on first use.
     """
 
-    edges: tuple  # ((Sequence, Sequence), ...)
+    xids: array
+    yids: array
+    xrows: tuple
+    yrows: tuple
+    x_alphabet: Alphabet
+    y_alphabet: Alphabet
     n: int
     columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.xids)
+
+    def pairs(self):
+        """Each edge's (x symbols, y symbols), in edge order."""
+        return zip(
+            map(self.xrows.__getitem__, self.xids), map(self.yrows.__getitem__, self.yids)
+        )
 
     @cached_property
     def per_letter(self) -> tuple:
         """Exact JointPmf of the letter pair at each position."""
-        x0, y0 = self.edges[0]
-        kx, ky = x0.alphabet.size, y0.alphabet.size
-        total = len(self.edges)
+        kx, ky = self.x_alphabet.size, self.y_alphabet.size
+        total = len(self)
         return tuple(
             JointPmf(
-                x0.alphabet,
-                y0.alphabet,
+                self.x_alphabet,
+                self.y_alphabet,
                 tuple(
                     tuple(Fraction(c, total) for c in row)
                     for row in _column_counts(col, kx, ky)
@@ -66,6 +88,68 @@ class EdgeDistribution:
 def _column_counts(column, kx: int, ky: int) -> list[list[int]]:
     """|X| x |Y| counts of the pair codes in one column."""
     return [[column.count(a * ky + b) for b in range(ky)] for a in range(kx)]
+
+
+def _check_rows(rows: tuple, n: int, alphabet: Alphabet) -> None:
+    if n < 1:
+        raise ValueError("sequences must have length >= 1")
+    if any(len(r) != n for r in rows):
+        raise ValueError("edges must share one blocklength")
+    if any(s < 0 or s >= alphabet.size for r in rows for s in r):
+        raise ValueError("sequence symbol out of alphabet range")
+    if len(set(rows)) != len(rows):
+        raise ValueError("the rows of a side must be distinct")
+
+
+def edge_distribution(
+    xids, yids, xrows, yrows, x_alphabet: Alphabet, y_alphabet: Alphabet
+) -> EdgeDistribution:
+    """The uniform law over the edges (xrows[xids[e]], yrows[yids[e]]).
+
+    Each row is encoded once as a row of digits (a*|Y| on the left, b on
+    the right). The rows of all left and all right endpoints are joined
+    into two byte strings whose sum, as big integers, is every edge's row
+    of pair codes: no digit carries. The sum is then cut into one column
+    per position.
+    """
+    xids, yids = array("q", xids), array("q", yids)
+    xrows, yrows = tuple(map(tuple, xrows)), tuple(map(tuple, yrows))
+    if len(xids) != len(yids):
+        raise ValueError("the id columns differ in length")
+    if not xids:
+        raise ValueError("edge set is empty")
+    for ids, rows in ((xids, xrows), (yids, yrows)):
+        if min(ids) < 0 or max(ids) >= len(rows):
+            raise ValueError(f"ids must lie in [0, {len(rows)})")
+    n = len(xrows[0])
+    _check_rows(xrows, n, x_alphabet)
+    _check_rows(yrows, n, y_alphabet)
+    ky = y_alphabet.size
+    width = max(1, ((x_alphabet.size * ky - 1).bit_length() + 7) // 8)
+
+    def joined(ids, rows, scale):
+        enc = [b"".join((a * scale).to_bytes(width, "big") for a in r) for r in rows]
+        # bytes.join keeps one buffer record per part: join in slices
+        parts = (
+            b"".join(map(enc.__getitem__, ids[k : k + _JOIN_SLICE]))
+            for k in range(0, len(ids), _JOIN_SLICE)
+        )
+        return int.from_bytes(b"".join(parts), "big")
+
+    size = len(xids) * n * width
+    blob = (joined(xids, xrows, ky) + joined(yids, yrows, 1)).to_bytes(size, "big")
+    if width == 1:
+        columns = tuple(blob[t::n] for t in range(n))
+    else:
+        stride = n * width
+        columns = tuple(
+            tuple(
+                int.from_bytes(blob[k : k + width], "big")
+                for k in range(t * width, size, stride)
+            )
+            for t in range(n)
+        )
+    return EdgeDistribution(xids, yids, xrows, yrows, x_alphabet, y_alphabet, n, columns)
 
 
 def _endpoint_ids(seqs, n: int, alphabet) -> tuple[list[int], list[tuple]]:
@@ -84,50 +168,25 @@ def _endpoint_ids(seqs, n: int, alphabet) -> tuple[list[int], list[tuple]]:
     return list(map(dense.__getitem__, object_ids)), list(by_symbols)
 
 
-def _edge_ids(edges):
-    """(x ids, y ids, distinct x symbols, distinct y symbols) of an edge
-    tuple; an empty one raises."""
+def fano_distribution(edges) -> EdgeDistribution:
+    """Exact per-letter joint laws of the uniform distribution over edges,
+    given as aligned (Sequence, Sequence) pairs.
+
+    Each side's ids are dense, in first-occurrence order of its distinct
+    sequences, compared by symbols.
+    """
+    edges = tuple(edges)
     if not edges:
         raise ValueError("edge set is empty")
     x0, y0 = edges[0]
-    xids, xsyms = _endpoint_ids(list(map(itemgetter(0), edges)), x0.n, x0.alphabet)
-    yids, ysyms = _endpoint_ids(list(map(itemgetter(1), edges)), x0.n, y0.alphabet)
-    return xids, yids, xsyms, ysyms
+    xids, xrows = _endpoint_ids(list(map(itemgetter(0), edges)), x0.n, x0.alphabet)
+    yids, yrows = _endpoint_ids(list(map(itemgetter(1), edges)), x0.n, y0.alphabet)
+    return edge_distribution(xids, yids, xrows, yrows, x0.alphabet, y0.alphabet)
 
 
-def fano_distribution(edges) -> EdgeDistribution:
-    """Exact per-letter joint laws of the uniform distribution over edges.
-
-    Each distinct sequence is encoded once as a row of digits (a*|Y| on the
-    left, b on the right). The rows of all left and all right endpoints are
-    joined into two byte strings whose sum, as big integers, is every
-    edge's row of pair codes: no digit carries. The sum is then cut into
-    one column per position.
-    """
-    edges = tuple(edges)
-    xids, yids, xsyms, ysyms = _edge_ids(edges)
-    x0, y0 = edges[0]
-    n, ky = x0.n, y0.alphabet.size
-    width = max(1, ((x0.alphabet.size * ky - 1).bit_length() + 7) // 8)
-
-    def joined(ids, syms, scale):
-        rows = [b"".join((a * scale).to_bytes(width, "big") for a in s) for s in syms]
-        return int.from_bytes(b"".join(map(rows.__getitem__, ids)), "big")
-
-    size = len(edges) * n * width
-    blob = (joined(xids, xsyms, ky) + joined(yids, ysyms, 1)).to_bytes(size, "big")
-    if width == 1:
-        columns = tuple(blob[t::n] for t in range(n))
-    else:
-        stride = n * width
-        columns = tuple(
-            tuple(
-                int.from_bytes(blob[k : k + width], "big")
-                for k in range(t * width, size, stride)
-            )
-            for t in range(n)
-        )
-    return EdgeDistribution(edges=edges, n=n, columns=columns)
+def _pair_keys(dist: EdgeDistribution):
+    """Each edge's packed pair id xid*|yrows| + yid, in edge order."""
+    return map(add, map(mul, dist.xids, repeat(len(dist.yrows))), dist.yids)
 
 
 @dataclass(frozen=True)
@@ -138,29 +197,26 @@ class DominantTypeResult:
     pigeonhole_ok: bool  # fraction >= (n+1)^(-|X||Y|), exact
 
 
-def dominant_joint_type(edges) -> DominantTypeResult:
+def dominant_joint_type(dist: EdgeDistribution) -> DominantTypeResult:
     """Most frequent joint type among edges; ties to the lexicographically
-    smallest flattened count vector."""
-    edges = tuple(edges)
-    if not edges:
-        raise ValueError("edge set is empty")
-    x0, y0 = edges[0]
-    kx, ky = x0.alphabet.size, y0.alphabet.size
-    n = x0.n
+    smallest flattened count vector. Each distinct pair is typed once."""
+    kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
+    n, width = dist.n, len(dist.yrows)
     tally: dict = {}
-    for x, y in edges:
+    for pair, c in Counter(_pair_keys(dist)).items():
+        i, j = divmod(pair, width)
         cells = [0] * (kx * ky)
-        for a, b in zip(x.symbols, y.symbols):
+        for a, b in zip(dist.xrows[i], dist.yrows[j]):
             cells[a * ky + b] += 1
         key = tuple(cells)
-        tally[key] = tally.get(key, 0) + 1
+        tally[key] = tally.get(key, 0) + c
     best_key = min(tally, key=lambda k: (-tally[k], k))
-    fraction = Fraction(tally[best_key], len(edges))
+    fraction = Fraction(tally[best_key], len(dist))
     counts = tuple(
         tuple(best_key[a * ky + b] for b in range(ky)) for a in range(kx)
     )
     result = DominantTypeResult(
-        joint_type=JointTypeVector(x0.alphabet, y0.alphabet, counts),
+        joint_type=JointTypeVector(dist.x_alphabet, dist.y_alphabet, counts),
         edge_fraction=fraction,
         distinct_types=len(tally),
         pigeonhole_ok=fraction >= Fraction(1, (n + 1) ** (kx * ky)),
@@ -177,19 +233,28 @@ def dominant_joint_type(edges) -> DominantTypeResult:
 # ---------------------------------------------------------------------------
 
 
-def block_mi(edges) -> float:
-    """Exact I between the two endpoints of a uniform random edge, in bits."""
-    edges = tuple(edges)
-    xids, yids, _, _ = _edge_ids(edges)
-    total = len(edges)
-    # pairs counted in first-occurrence order, as the sum below runs
-    pair_counts = Counter([i * total + j for i, j in zip(xids, yids)])
-    x_counts, y_counts = Counter(xids), Counter(yids)
+def block_mi(dist: EdgeDistribution) -> float:
+    """Exact I between the two endpoints of a uniform random edge, in bits.
+
+    The terms are added one after another, in first-occurrence order of
+    their pair. A term depends only on the pair's count c and the product
+    of its endpoints' counts, so equal inputs share one computed term.
+    """
+    total, width = len(dist), len(dist.yrows)
+    pair_counts = Counter(_pair_keys(dist))
+    x_counts, y_counts = Counter(dist.xids), Counter(dist.yids)
+    products = map(
+        mul,
+        map(x_counts.__getitem__, map(floordiv, pair_counts, repeat(width))),
+        map(y_counts.__getitem__, map(mod, pair_counts, repeat(width))),
+    )
     log2 = math.log2
-    acc = 0.0
-    for key, c in pair_counts.items():
-        i, j = divmod(key, total)
-        acc += (c / total) * log2(c * total / (x_counts[i] * y_counts[j]))
+
+    @lru_cache(maxsize=None)
+    def term(c: int, product: int) -> float:
+        return (c / total) * log2(c * total / product)
+
+    acc = reduce(add, map(term, pair_counts.values(), products), 0.0)
     return max(0.0, acc)
 
 
@@ -210,14 +275,14 @@ def block_mi_bound(
     delta_n,
     x_size: int,
     y_size: int,
-    edges=None,
+    edges: Optional[EdgeDistribution] = None,
     exact_cap: int = 2_000_000,
 ) -> BlockMiReport:
     """Counting bound on the block MI of a uniform edge within M1 x M2.
 
     When the edge count meets the construction floor, the count bound is at
     most the closed-form 2 n delta + |X||Y| log2(n+1), and any exact MI
-    computed from supplied edges must sit under it.
+    computed from the supplied edge distribution must sit under it.
     """
     if min(m1_count, m2_count, edge_count) < 1:
         raise ValueError("counts must be positive")
@@ -234,16 +299,12 @@ def block_mi_bound(
     )
     exact = None
     within: Optional[bool] = None
-    if edges is not None:
-        edges = tuple(edges)
-        if len(edges) <= exact_cap:
-            exact = block_mi(edges)
-            if floor_ok:
-                within = exact <= lemma_bound + _FP_TOL
-                if not within:
-                    raise InvariantViolation(
-                        "exact block MI exceeded its counting bound"
-                    )
+    if edges is not None and len(edges) <= exact_cap:
+        exact = block_mi(edges)
+        if floor_ok:
+            within = exact <= lemma_bound + _FP_TOL
+            if not within:
+                raise InvariantViolation("exact block MI exceeded its counting bound")
     return BlockMiReport(
         exact_mi=exact,
         count_bound=count_bound,
@@ -289,10 +350,19 @@ class WringingResult:
     sigma: float
     surviving_fraction: Fraction
     per_letter_mi: tuple  # after conditioning
-    edges: tuple  # surviving edge multiset
+    survivors: EdgeDistribution  # the conditioned edge multiset
     steps: tuple
     converged: bool
     bound_ok: Optional[bool]  # survival >= (delta/(|X||Y|(2 sigma-delta)))^k
+
+
+def check_budget(delta: float, sigma: Optional[float] = None) -> None:
+    """Raise ValueError unless delta is positive and finite and sigma, when
+    given, is nonnegative and finite."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if sigma is not None and not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
 
 def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -> WringingResult:
@@ -303,29 +373,23 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
     lexicographic), and restrict the edge multiset. Conditioning on a point
     law is never selected (its MI is 0), so each step strictly shrinks the
     multiset. Runs past 2*sigma/delta are cut off and flagged, never
-    silently truncated.
+    silently truncated. The survivors keep the id columns and rows of
+    `dist`, restricted to the surviving edges.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    edges = dist.edges
-    if not edges:
-        raise ValueError("edge set is empty")
-    x0, y0 = edges[0]
-    kx, ky = x0.alphabet.size, y0.alphabet.size
-    n = dist.n
+    check_budget(delta, sigma)
+    kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
     if sigma is None:
-        sigma = block_mi(edges)
-    total0 = len(edges)
-    hard_cap = n * kx * ky
+        sigma = block_mi(dist)
+    total0 = len(dist)
+    hard_cap = dist.n * kx * ky
     step_cap = 2.0 * sigma / delta
-    columns = dist.columns
-    kept = range(total0)  # indices of the surviving edges
+    columns, xids, yids = dist.columns, dist.xids, dist.yids
     positions: list[int] = []
     values: list[tuple] = []
     steps: list[WringingStep] = []
     converged = False
     while True:
-        total = len(kept)
+        total = len(xids)
         mis = [_per_letter_mi(col, kx, ky, total) for col in columns]
         worst = max(mis)
         if worst <= delta + _FP_TOL:
@@ -342,22 +406,23 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         a_star, b_star = best_ab[3], best_ab[4]
         keep = bytes(map((a_star * ky + b_star).__eq__, columns[t_star]))
         columns = tuple(type(col)(compress(col, keep)) for col in columns)
-        kept = list(compress(kept, keep))
-        if not kept:
+        xids = array("q", compress(xids, keep))
+        yids = array("q", compress(yids, keep))
+        if not xids:
             # cannot happen for the argmax value; defensive, loud
             raise InvariantViolation("conditioning emptied the edge multiset")
         positions.append(t_star)
-        values.append((x0.alphabet.label(a_star), y0.alphabet.label(b_star)))
+        values.append((dist.x_alphabet.label(a_star), dist.y_alphabet.label(b_star)))
         steps.append(
             WringingStep(
                 position=t_star,
                 value=values[-1],
-                surviving=len(kept),
-                fraction=Fraction(len(kept), total0),
+                surviving=len(xids),
+                fraction=Fraction(len(xids), total0),
                 max_mi_before=worst,
             )
         )
-    total = len(kept)
+    total = len(xids)
     final_mi = tuple(_per_letter_mi(col, kx, ky, total) for col in columns)
     k = len(positions)
     fraction = Fraction(total, total0)
@@ -373,7 +438,7 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         sigma=sigma,
         surviving_fraction=fraction,
         per_letter_mi=final_mi,
-        edges=tuple(edges[i] for i in kept),
+        survivors=replace(dist, xids=xids, yids=yids, columns=columns),
         steps=tuple(steps),
         converged=converged,
         bound_ok=bound_ok,
@@ -391,7 +456,7 @@ def wringing_to_dict(result: WringingResult) -> dict:
         "positions": list(result.positions),
         "values": [[str(a), str(b)] for a, b in result.values],
         "surviving_fraction": str(result.surviving_fraction),
-        "surviving_edges": len(result.edges),
+        "surviving_edges": len(result.survivors),
         "per_letter_mi": list(result.per_letter_mi),
         "steps": [
             {
@@ -418,11 +483,9 @@ def pinsker_check(dist: EdgeDistribution, delta: float) -> tuple:
     first); under that hypothesis the bound is a theorem, so a violation
     raises instead of returning quietly.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    kx = dist.edges[0][0].alphabet.size
-    ky = dist.edges[0][1].alphabet.size
-    total = len(dist.edges)
+    check_budget(delta)
+    kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
+    total = len(dist)
     cap = 2.0 * math.sqrt(delta)
     for t, col in enumerate(dist.columns):
         mi = _per_letter_mi(col, kx, ky, total)

@@ -19,9 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat, zip_longest
+from operator import add, lt, mul
 from typing import Iterator, Optional
 
 from .core import (
@@ -368,7 +371,7 @@ def export_graph(
             )
 
 
-def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int, int]]:
+def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int, int]]:
     """Yield (CSV row, left rank, right rank) for each edge, in file order.
 
     Blank rows are skipped. Non-integer, out-of-range and repeated ranks
@@ -402,15 +405,99 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, 
             yield line, i, j
 
 
-def _field(header: dict, path: str):
-    """The entry of an export header at a dotted key path; ValueError names
-    the first key on the path that is missing."""
+_CSV_CHUNK = 1 << 18  # characters of edge CSV checked per bulk step
+_TWO_COMMAS = re.compile(",[^\n]*,").search
+
+
+def _bulk_edge_columns(path: str, n_left: int, n_right: int):
+    """The edge CSV's (left ranks, right ranks) as `array("q")` columns, read
+    and checked in chunks; None as soon as a chunk is not plain.
+
+    A plain chunk is whole lines of `int,int` (blank lines skipped) with
+    ranks inside the rosters. Repeats cost one comparison per edge while
+    the packed keys i*n_right + j increase, as they do in an export, and
+    one set of all keys otherwise.
+    """
+    lefts, rights = array("q"), array("q")
+    last, increasing = -1, True
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != "left_rank,right_rank":
+            return None
+        rest = ""
+        while True:
+            chunk = fh.read(_CSV_CHUNK)
+            text = rest + chunk
+            if chunk:  # keep the last partial line for the next step
+                cut = text.rfind("\n") + 1
+                text, rest = text[:cut], text[cut:]
+            rows = list(filter(None, text.split("\n")))
+            if rows:
+                if text.count(",") != len(rows) or _TWO_COMMAS(text):
+                    return None
+                cells = ",".join(rows).split(",")
+                try:
+                    i, j = list(map(int, cells[0::2])), list(map(int, cells[1::2]))
+                except ValueError:
+                    return None
+                if min(i) < 0 or max(i) >= n_left or min(j) < 0 or max(j) >= n_right:
+                    return None
+                keys = list(map(add, map(mul, i, repeat(n_right)), j))
+                increasing = (
+                    increasing and last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))
+                )
+                last = keys[-1]
+                lefts.extend(i)
+                rights.extend(j)
+            if not chunk:
+                break
+    if not increasing:
+        keys = list(map(add, map(mul, lefts, repeat(n_right)), rights))
+        if len(set(keys)) != len(keys):
+            return None
+    return lefts, rights
+
+
+def _read_edge_csv(path: str, n_left: int, n_right: int) -> tuple[array, array]:
+    """The edge CSV's (left ranks, right ranks) as `array("q")` id columns, in
+    file order.
+
+    The file is read in bulk; if any chunk is not plain, the whole file is
+    read again row by row, where blank rows are skipped and non-integer,
+    out-of-range and repeated ranks raise a ValueError naming the CSV row.
+    """
+    columns = _bulk_edge_columns(path, n_left, n_right)
+    if columns is None:
+        columns = array("q"), array("q")
+        for _, i, j in _scan_edge_rows(path, n_left, n_right):
+            columns[0].append(i)
+            columns[1].append(j)
+    return columns
+
+
+def _field(header: dict, path: str, expected: type):
+    """The entry of an export header at a dotted key path. ValueError names
+    the first key on the path that is missing, or the key, the expected type
+    and the value found when the entry has another type."""
     doc, keys = header, path.split(".")
     for i, key in enumerate(keys):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"export header has no {'.'.join(keys[: i + 1])!r}")
         doc = doc[key]
+    if not isinstance(doc, expected) or isinstance(doc, bool) is not (expected is bool):
+        raise ValueError(
+            f"export header {path!r} should be {expected.__name__}, found {doc!r}"
+        )
     return doc
+
+
+def _count_field(header: dict, path: str) -> int:
+    """An exact count that an export header writes as a decimal string."""
+    text = _field(header, path, str)
+    if not (text.isascii() and text.isdigit() and str(int(text)) == text):
+        raise ValueError(
+            f"export header {path!r} should be a decimal integer string, found {text!r}"
+        )
+    return int(text)
 
 
 def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
@@ -418,22 +505,22 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> Typica
 
     The graph is rebuilt from the embedded spec, which scans no pair; its
     roster sizes and exact edge count must match the header. An edge CSV
-    must list the edges of `edge_list` in its order, and is compared with
-    them row by row in one streamed pass.
+    must list the edges of `edge_list` in its order; it is read and checked
+    in bulk, then compared with them edge by edge.
     """
     with open(json_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     if header.get("schema") != GRAPH_SCHEMA:
         raise ValueError(f"unexpected schema {header.get('schema')!r}")
     spec = GraphSpec(
-        joint=joint_from_dict(_field(header, "spec.joint")),
-        n=_field(header, "spec.n"),
-        params=_params_from_dict(_field(header, "spec.params")),
-        mode=_field(header, "spec.mode"),
-        cap=_field(header, "spec.cap"),
+        joint=joint_from_dict(_field(header, "spec.joint", dict)),
+        n=_field(header, "spec.n", int),
+        params=_params_from_dict(_field(header, "spec.params", dict)),
+        mode=_field(header, "spec.mode", str),
+        cap=_field(header, "spec.cap", int),
     )
-    sizes = (_field(header, "left_size"), _field(header, "right_size"))
-    recorded = int(_field(header, "edge_count.value"))
+    sizes = (_field(header, "left_size", int), _field(header, "right_size", int))
+    recorded = _count_field(header, "edge_count.value")
     g = build_graph(spec)
     if g.vertex_counts() != sizes:
         raise InvariantViolation("roster sizes disagree with the export header")
@@ -443,14 +530,15 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> Typica
             f"exact pair count {g.edge_count.value}"
         )
     if edges_csv_path is not None:
-        want = edge_list(g)
-        for line, i, j in _read_edge_csv(edges_csv_path, *g.vertex_counts()):
-            edge = next(want, None)
-            if (i, j) != edge:
+        got = zip(*_read_edge_csv(edges_csv_path, *g.vertex_counts()))
+        for k, (edge, pair) in enumerate(zip_longest(edge_list(g), got)):
+            if pair is None:
+                raise ValueError("edge CSV ends before the last edge of the graph")
+            if pair != edge:
+                rows = _scan_edge_rows(edges_csv_path, *g.vertex_counts())
+                line = next(islice(rows, k, None))[0]
                 raise ValueError(
-                    f"edge CSV row {line}: edge ({i}, {j}) where the graph has "
+                    f"edge CSV row {line}: edge {pair} where the graph has "
                     + ("no more edges" if edge is None else f"{edge}")
                 )
-        if next(want, None) is not None:
-            raise ValueError("edge CSV ends before the last edge of the graph")
     return g

@@ -53,7 +53,7 @@ from .core import (
     rational_approximate,
     total_variation,
 )
-from .graph import _field, _params_from_dict, _params_to_dict
+from .graph import _count_field, _field, _params_from_dict, _params_to_dict
 from .typicality import (
     BigCount,
     JointTypeIndex,
@@ -687,27 +687,28 @@ def export_subgraph(
 def import_subgraph(json_path: str) -> Subgraph:
     """Rebuild a subgraph deterministically from its export header.
 
-    A missing key or an unknown kind raises ValueError; a rebuilt size or
-    degree that differs from the header raises InvariantViolation.
+    A missing key, a value of the wrong type or an unknown kind raises
+    ValueError; a rebuilt size or degree that differs from the header
+    raises InvariantViolation.
     """
     with open(json_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     if header.get("schema") != SUBGRAPH_SCHEMA:
         raise ValueError(f"unexpected schema {header.get('schema')!r}")
-    kind = _field(header, "kind")
-    joint = joint_from_dict(_field(header, "spec.joint"))
-    n = _field(header, "spec.n")
-    params = _params_from_dict(_field(header, "spec.params"))
-    counts = {name: _field(header, f"{name}.value") for name in _COUNTS}
+    kind = _field(header, "kind", str)
+    joint = joint_from_dict(_field(header, "spec.joint", dict))
+    n = _field(header, "spec.n", int)
+    params = _params_from_dict(_field(header, "spec.params", dict))
+    counts = {name: _count_field(header, f"{name}.value") for name in _COUNTS}
     if kind == "single_type":
         sub = build_exact_type_subgraph(joint, n, params)
     elif kind == "aux_conditional":
-        aux = cond_from_dict(_field(header, "aux_channel"))
+        aux = cond_from_dict(_field(header, "aux_channel", dict))
         sub = build_aux_subgraph(joint, aux, n, params)
     else:
         raise ValueError(f"unknown subgraph kind {kind!r}")
     for name, recorded in counts.items():
-        if str(getattr(sub, name).value) != recorded:
+        if getattr(sub, name).value != recorded:
             raise InvariantViolation(
                 f"{name} {recorded} in the export header differs from the "
                 f"rebuilt {getattr(sub, name).value}"

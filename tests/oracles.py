@@ -5,6 +5,7 @@ with Fraction arithmetic and closed balls. Deliberately slow and
 deliberately independent of the package internals.
 """
 
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -305,6 +306,36 @@ def wring(edges, kx, ky, delta, sigma=None, tol=1e-9):
         "converged": converged,
         "bound_ok": bound_ok,
     }
+
+
+def read_edge_csv(path, n_left, n_right):
+    """Yield (CSV row, left rank, right rank) for each edge of a rank CSV,
+    row by row: blank rows skipped; non-integer, out-of-range and repeated
+    ranks raise ValueError naming the CSV row."""
+    seen = set()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["left_rank", "right_rank"]:
+            raise ValueError("edge CSV must start with left_rank,right_rank")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                i, j = row
+                i, j = int(i), int(j)
+            except ValueError:
+                raise ValueError(
+                    f"edge CSV row {line}: expected two integer ranks, got {row!r}"
+                ) from None
+            if not (0 <= i < n_left and 0 <= j < n_right):
+                raise ValueError(
+                    f"edge CSV row {line}: ranks ({i}, {j}) outside the "
+                    f"{n_left} x {n_right} rosters"
+                )
+            if (i, j) in seen:
+                raise ValueError(f"edge CSV row {line}: repeated edge ({i}, {j})")
+            seen.add((i, j))
+            yield line, i, j
 
 
 def pinsker_tvs(edges, kx, ky):

@@ -272,7 +272,7 @@ def test_criterion_8_wringing_restores_near_independence():
     result = wring(fano_distribution(edges), delta)
     ok = result.converged and result.surviving_fraction > 0
     ok = ok and max(result.per_letter_mi) <= delta + 1e-12
-    tvs = pinsker_check(fano_distribution(result.edges), delta)
+    tvs = pinsker_check(result.survivors, delta)
     ok = ok and max(tvs) <= 2 * math.sqrt(delta) + 1e-12
     _report(8, "wringing restores near-independence", ok)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import typigraph.cli
+import typigraph.diagnostics
 import typigraph.graph
 import typigraph.typicality
 from typigraph.cli import main
@@ -570,6 +571,152 @@ def test_wring_names_bad_rank_row(joint_file, tmp_path, capsys, row, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert "row 3" in err and message in err
+
+
+def _set(doc, path, value):
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "export, path, value, message",
+    [
+        (SUBGRAPH_AN8, "spec.n", "8", "'spec.n' should be int, found '8'"),
+        (SUBGRAPH_AN8, "spec.n", 8.0, "'spec.n' should be int, found 8.0"),
+        (SUBGRAPH_AN8, "left_size.value", 70, "'left_size.value' should be str, found 70"),
+        (SUBGRAPH_AN8, "left_size.value", "070", "decimal integer string, found '070'"),
+        (SUBGRAPH_AN8, "kind", ["an"], "'kind' should be str, found ['an']"),
+        (["graph", "--n", "4"], "spec.n", True, "'spec.n' should be int, found True"),
+        (["graph", "--n", "4"], "spec.cap", "big", "'spec.cap' should be int, found 'big'"),
+        (["graph", "--n", "4"], "left_size", "14", "'left_size' should be int, found '14'"),
+        (["graph", "--n", "4"], "edge_count.value", "abc", "decimal integer string, found 'abc'"),
+    ],
+    ids=["subgraph-n-str", "subgraph-n-float", "subgraph-count-int", "subgraph-count-zero-pad",
+         "subgraph-kind-list", "graph-n-bool", "graph-cap-str", "graph-size-str",
+         "graph-edge-count-abc"],
+)
+def test_wring_export_header_value_types_exit_2(
+    joint_file, tmp_path, capsys, export, path, value, message
+):
+    header, ranks = tmp_path / "h.json", tmp_path / "e.csv"
+    main(export + ["--dist", joint_file, "--out", str(header), "--edges", str(ranks)])
+    doc = json.loads(header.read_text())
+    _set(doc, path, value)
+    header.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    # the fault is named under the header file, not the edge CSV
+    assert f"error: {header}: export header " in err and message in err
+    assert str(ranks) not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--delta", "nan"], "delta must be positive and finite"),
+        (["--delta", "inf"], "delta must be positive and finite"),
+        (["--delta", "0"], "delta must be positive and finite"),
+        (["--delta", "0.05", "--sigma", "nan"], "sigma must be nonnegative and finite"),
+        (["--delta", "0.05", "--sigma", "inf"], "sigma must be nonnegative and finite"),
+        (["--delta", "0.05", "--sigma", "-1"], "sigma must be nonnegative and finite"),
+    ],
+)
+def test_wring_rejects_nonfinite_budgets_before_reading(tmp_path, capsys, monkeypatch, flags, message):
+    path = tmp_path / "edges.csv"
+    write_xy_csv(path, [((0, 1), (0, 1)), ((1, 0), (1, 1))])
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the edge CSV was read")
+
+    monkeypatch.setattr(typigraph.cli, "_label_distribution", no_read)
+    assert main(["wring", "--edges", str(path), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "export",
+    [["graph", "--n", "8"], SUBGRAPH_AN8],
+    ids=["graph", "subgraph"],
+)
+def test_wring_rank_csv_builds_no_sequence_per_edge(
+    joint_file, tmp_path, capsys, monkeypatch, export
+):
+    header, ranks = tmp_path / "h.json", tmp_path / "e.csv"
+    main(export + ["--dist", joint_file, "--out", str(header), "--edges", str(ranks)])
+    doc = json.loads(header.read_text())
+    sizes = [doc[side] if export[0] == "graph" else int(doc[side]["value"])
+             for side in ("left_size", "right_size")]
+    edges = len(ranks.read_text().splitlines()) - 1
+    calls = []
+    init = typigraph.typicality.Sequence.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        init(self)
+
+    def no_endpoint_ids(*args, **kwargs):
+        raise AssertionError("endpoint ids were recovered from Sequence objects")
+
+    monkeypatch.setattr(typigraph.typicality.Sequence, "__post_init__", counted)
+    monkeypatch.setattr(typigraph.diagnostics, "_endpoint_ids", no_endpoint_ids)
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.05"]) == 0
+    assert f"/{edges} " in capsys.readouterr().out
+    # the rosters are built (the subgraph's from per-block parts), the edges are not
+    assert 0 < len(calls) <= 2 * sum(sizes) + 1 < edges
+
+
+# Byte pins for wring, recorded before the edge multiset was held as rank-id
+# columns. The runs use relative paths because the config echo stamped into
+# the trace holds them.
+WRING_LABEL_ROWS = [
+    ("a b a c", "0 1 0 1"), ("a b a c", "0 1 1 1"), ("b b c c", "1 1 0 1"),
+    ("c a a b", "1 0 0 0"), ("a a b c", "0 0 1 1"), ("c a a b", "1 0 0 1"),
+    ("b c a a", "1 1 0 0"), ("a b a c", "0 1 0 1"), ("b b c c", "1 0 0 1"),
+    ("c c b a", "1 1 1 0"), ("a a b c", "0 0 1 0"), ("a c c b", "0 1 1 0"),
+]
+WRING_PINS = {
+    "graph": (
+        ["graph", "--n", "8", "--out", "g.json", "--edges", "g.csv"],
+        ["--edges", "g.csv", "--graph", "g.json", "--delta", "0.02"],
+        "wring: k=4 surviving=228/16814 fraction=114/8407 converged=True\n"
+        "pinsker: max per-letter TV = 0.070175\n",
+        "89c13aeeafd045a1114cab6ca0b0017c6d644070a854031f63fb020e850ac9b0",
+    ),
+    "subgraph": (
+        ["subgraph", "--kind", "an", "--n", "8", "--out", "s.json", "--edges", "s.csv"],
+        ["--edges", "s.csv", "--graph", "s.json", "--delta", "0.05"],
+        "wring: k=3 surviving=60/1120 fraction=3/56 converged=True\n"
+        "pinsker: max per-letter TV = 0.160000\n",
+        "7650adc70cf6dec2490143cc96327bd1df6226c02fc222c02c183001397fd28c",
+    ),
+    "labels": (
+        None,
+        ["--edges", "e.csv", "--delta", "0.05"],
+        "wring: k=2 surviving=3/12 fraction=1/4 converged=True\n"
+        "pinsker: max per-letter TV = 0.000000\n",
+        "76865bda5fec545550cb7094fddda604f3c8ec21c722bf909788903abe7fd5b9",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(WRING_PINS))
+def test_wring_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys, run):
+    export, args, stdout, trace_sha = WRING_PINS[run]
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    with open("e.csv", "w", newline="") as fh:
+        fh.write("x,y\r\n" + "".join(f"{x},{y}\r\n" for x, y in WRING_LABEL_ROWS))
+    if export:
+        assert main([export[0], "--dist", "joint.json", *export[1:]]) == 0
+    capsys.readouterr()
+    assert main(["wring", *args, "--out", "w.json"]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest() == trace_sha
 
 
 # --- argparse plumbing ---------------------------------------------------------

@@ -10,6 +10,7 @@ from typigraph.diagnostics import (
     block_mi,
     block_mi_bound,
     dominant_joint_type,
+    edge_distribution,
     fano_distribution,
     pinsker_check,
     strong_converse_bound,
@@ -64,7 +65,7 @@ def test_fano_distribution_validation():
 
 
 def test_dominant_type_matching():
-    res = dominant_joint_type(matching_edges())
+    res = dominant_joint_type(fano_distribution(matching_edges()))
     # weight-2 suffixes are the most numerous: C(4,2) = 6 of 16
     assert res.joint_type.counts == ((6, 0), (0, 2))
     assert res.edge_fraction == Fraction(3, 8)
@@ -75,7 +76,7 @@ def test_dominant_type_matching():
 def test_dominant_type_tie_breaks_lex():
     x0 = Sequence(BIN, (0, 0))
     x1 = Sequence(BIN, (1, 1))
-    res = dominant_joint_type([(x0, x0), (x1, x1)])
+    res = dominant_joint_type(fano_distribution([(x0, x0), (x1, x1)]))
     # counts tie 1-1; the flattened count vectors are (2,0,0,0) and
     # (0,0,0,2); lexicographically smaller wins
     assert res.joint_type.counts == ((0, 0), (0, 2))
@@ -83,8 +84,7 @@ def test_dominant_type_tie_breaks_lex():
 
 
 def test_dominant_type_pigeonhole_floor():
-    edges = product_edges()
-    res = dominant_joint_type(edges)
+    res = dominant_joint_type(fano_distribution(product_edges()))
     n = 4
     assert res.edge_fraction >= Fraction(1, (n + 1) ** 4)
 
@@ -93,8 +93,8 @@ def test_dominant_type_pigeonhole_floor():
 
 
 def test_block_mi_matching_and_product():
-    assert block_mi(matching_edges()) == pytest.approx(4.0, abs=1e-12)
-    assert block_mi(product_edges()) == pytest.approx(0.0, abs=1e-12)
+    assert block_mi(fano_distribution(matching_edges())) == pytest.approx(4.0, abs=1e-12)
+    assert block_mi(fano_distribution(product_edges())) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_block_mi_weighted():
@@ -105,13 +105,12 @@ def test_block_mi_weighted():
     # I = H(Y) - H(Y|X): p(y=x0) = 1/2; H(Y|X) = (3/4) H(1/3) contribution
     h_y = 1.0
     h_y_given_x = 0.75 * (-(Fraction(2, 3)) * math.log2(2 / 3) - (1 / 3) * math.log2(1 / 3))
-    assert block_mi(edges) == pytest.approx(h_y - float(h_y_given_x), abs=1e-9)
+    assert block_mi(fano_distribution(edges)) == pytest.approx(h_y - float(h_y_given_x), abs=1e-9)
 
 
 def test_block_mi_bound_report():
-    edges = matching_edges()
     rep = block_mi_bound(
-        16, 16, 16, 8, schedule_delta(8), 2, 2, edges=edges
+        16, 16, 16, 8, schedule_delta(8), 2, 2, edges=fano_distribution(matching_edges())
     )
     assert rep.exact_mi == pytest.approx(4.0)
     assert rep.count_bound == pytest.approx(4.0)
@@ -189,13 +188,49 @@ def test_wring_rejects_bad_delta():
         wring(dist, -0.1)
 
 
+@pytest.mark.parametrize(
+    "delta, sigma",
+    [(math.nan, None), (math.inf, None), (0.05, math.nan), (0.05, math.inf), (0.05, -1.0)],
+)
+def test_wring_rejects_nonfinite_budgets(delta, sigma):
+    dist = fano_distribution(matching_edges())
+    with pytest.raises(ValueError, match="finite"):
+        wring(dist, delta, sigma)
+
+
+def test_edge_distribution_from_ids_and_rows():
+    xa, ya = Alphabet(("a", "b")), BIN
+    dist = edge_distribution([1, 0, 1], [0, 0, 1], [(0, 0), (1, 0)], [(0, 1), (1, 1)], xa, ya)
+    assert len(dist) == 3
+    assert list(dist.pairs()) == [((1, 0), (0, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1))]
+    assert dist.columns == (bytes([2, 0, 3]), bytes([1, 1, 1]))
+    seqs = [(Sequence(xa, x), Sequence(ya, y)) for x, y in dist.pairs()]
+    assert block_mi(dist) == block_mi(fano_distribution(seqs))
+
+
+@pytest.mark.parametrize(
+    "xids, xrows, message",
+    [
+        ([0, 2], [(0, 0), (1, 0)], "ids must lie in"),
+        ([0, -1], [(0, 0), (1, 0)], "ids must lie in"),
+        ([0, 1], [(0, 0), (0, 0)], "distinct"),
+        ([0, 1], [(0, 0), (1,)], "blocklength"),
+        ([0, 1], [(0, 0), (2, 0)], "alphabet"),
+        ([], [(0, 0)], "empty"),
+    ],
+)
+def test_edge_distribution_validation(xids, xrows, message):
+    with pytest.raises(ValueError, match=message):
+        edge_distribution(xids, [0] * len(xids), xrows, [(0, 1)], BIN, BIN)
+
+
 # --- Pinsker and the strong converse --------------------------------------------
 
 
 def test_pinsker_after_wring():
     dist = fano_distribution(matching_edges())
     res = wring(dist, 0.05)
-    tvs = pinsker_check(fano_distribution(res.edges), 0.05)
+    tvs = pinsker_check(res.survivors, 0.05)
     cap = 2 * math.sqrt(0.05)
     assert all(tv <= cap for tv in tvs)
 

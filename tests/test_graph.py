@@ -249,6 +249,39 @@ def test_import_checks_edges_against_the_graph(binary_joint, tmp_path, edit, mes
         import_graph(str(jpath), str(cpath))
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,0,1\n1\n",  # a cell moved up a row: two commas for two rows
+        "0,0\n0,1\n0,1\n1,0\n",  # a repeat next to its original
+        "1,0\n0,1\n1,0\n",  # a repeat in an unsorted file
+        '"0",1\n1,0\n',  # quoted cells: csv reads them as integers
+        "0,0\r0,1\r1,1\r",  # bare CR line ends
+        "0,0\r\n\r\n 0 , 1 \r\n",  # blank row and padded ranks
+        "0,1\n \n1,1\n",  # a row of one space is not blank
+        "0,1\n2,0\n",  # left rank out of range
+        "0,1\n1,0",  # no final line end
+        "",  # header only
+    ],
+)
+def test_bulk_edge_reader_edge_cases(tmp_path, body):
+    """Every chunk size reads what the row-by-row reference reads."""
+    path = tmp_path / "e.csv"
+    path.write_bytes(("left_rank,right_rank\n" + body).encode())
+    try:
+        want = [(i, j) for _, i, j in oracles.read_edge_csv(str(path), 2, 2)]
+    except ValueError as exc:
+        want = str(exc)
+    for chunk in range(1, len(body) + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(typigraph.graph, "_CSV_CHUNK", chunk)
+            try:
+                got = list(zip(*typigraph.graph._read_edge_csv(str(path), 2, 2)))
+            except ValueError as exc:
+                got = str(exc)
+        assert got == want, chunk
+
+
 def non_edge(g):
     edges = set(edge_list(g))
     i, j = next(p for p in itertools.product(range(14), repeat=2) if p not in edges)

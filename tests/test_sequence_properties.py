@@ -5,11 +5,15 @@ included) and blocklengths up to 6. The explicit graph's streamed edges and
 `count_pairs` must match the pair predicate of `oracles`, and the graph's
 type-level statistics and degree-bound check the per-vertex reference
 exactly; the subgraph edge CSVs (both kinds) must list exactly the roster
-pairs whose (per-block) joint type is the target; and the byte-column
-diagnostics must reproduce the per-edge reference in `oracles` exactly,
-floats included, on label multisets with repeated edges. The uniform typical-set sampler must draw
-the reference's symbols and leave the generator in the reference's state,
-whether it is built once or once per draw.
+pairs whose (per-block) joint type is the target; and the diagnostics
+must reproduce the per-edge reference in `oracles` exactly, floats
+included, on label multisets with repeated edges, and give the same floats
+on rank ids into shuffled rosters as on the Sequence pairs they stand for.
+The bulk rank-CSV reader must read what the row-by-row reference in
+`oracles` reads, or raise its error, at every chunk size. The uniform
+typical-set sampler must draw the reference's symbols and leave the
+generator in the reference's state, whether it is built once or once per
+draw.
 """
 
 import csv
@@ -18,15 +22,32 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import typigraph.graph
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet
 from typigraph.deviation import Codebook, count_pairs
-from typigraph.diagnostics import block_mi, fano_distribution, pinsker_check, wring
-from typigraph.graph import GraphSpec, build_graph, check_degree_bound, edge_list, stats
+from typigraph.diagnostics import (
+    block_mi,
+    dominant_joint_type,
+    edge_distribution,
+    fano_distribution,
+    pinsker_check,
+    wring,
+)
+from typigraph.graph import (
+    GraphSpec,
+    _bulk_edge_columns,
+    _read_edge_csv,
+    build_graph,
+    check_degree_bound,
+    edge_list,
+    stats,
+)
 from typigraph.subgraphs import (
     build_aux_subgraph,
     build_exact_type_subgraph,
@@ -208,7 +229,7 @@ def _check_diagnostics(kx, ky, raw, delta, sigma=None):
     dist = fano_distribution(edges)
     laws = [[[law.cell(a, b) for b in range(ky)] for a in range(kx)] for law in dist.per_letter]
     assert laws == oracles.per_letter_laws(raw, kx, ky)
-    assert block_mi(edges) == oracles.block_mi(raw)
+    assert block_mi(dist) == oracles.block_mi(raw)
 
     got = wring(dist, delta, sigma)
     ref = oracles.wring(raw, kx, ky, delta, sigma)
@@ -217,13 +238,13 @@ def _check_diagnostics(kx, ky, raw, delta, sigma=None):
     assert got.sigma == ref["sigma"]
     assert got.surviving_fraction == ref["fraction"]
     assert got.per_letter_mi == ref["per_letter_mi"]
-    assert [(x.symbols, y.symbols) for x, y in got.edges] == ref["edges"]
+    assert list(got.survivors.pairs()) == ref["edges"]
     assert [
         (s.position, s.value, s.surviving, s.fraction, s.max_mi_before) for s in got.steps
     ] == ref["steps"]
     assert (got.converged, got.bound_ok) == (ref["converged"], ref["bound_ok"])
     if got.converged:
-        tvs = pinsker_check(fano_distribution(got.edges), delta)
+        tvs = pinsker_check(got.survivors, delta)
         assert list(tvs) == oracles.pinsker_tvs(ref["edges"], kx, ky)
 
 
@@ -251,7 +272,125 @@ def test_fresh_objects_with_equal_symbols_count_as_one_sequence():
     shared = {s: Sequence(xa, s) for s in itertools.chain.from_iterable(raw)}
     fresh = [(Sequence(xa, x), Sequence(xa, y)) for x, y in raw]
     reused = [(shared[x], shared[y]) for x, y in raw]
-    assert block_mi(fresh) == block_mi(reused) == oracles.block_mi(raw)
+    assert (
+        block_mi(fano_distribution(fresh))
+        == block_mi(fano_distribution(reused))
+        == oracles.block_mi(raw)
+    )
+
+
+def _wring_trace(result):
+    return (
+        result.positions, result.values, result.k, result.sigma,
+        result.surviving_fraction, result.per_letter_mi, result.steps,
+        result.converged, result.bound_ok, list(result.survivors.pairs()),
+        result.survivors.columns,
+    )
+
+
+@PROPERTY
+@given(
+    label_multisets(),
+    st.randoms(use_true_random=False),
+    st.integers(0, 3),
+    st.sampled_from([0.005, 0.05, 0.2]),
+)
+def test_rank_ids_match_sequence_pairs(case, rnd, unused, delta):
+    """Ranks into shuffled rosters (with rows no edge uses) give the same
+    columns, block MI, wring trace and Pinsker TVs, float for float, as the
+    Sequence pairs they stand for."""
+    kx, ky, raw = case
+    n = len(raw[0][0])
+    xa, ya = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
+    rosters = []
+    for side, k in ((0, kx), (1, ky)):
+        rows = set(e[side] for e in raw)
+        rows |= {tuple(rnd.randrange(k) for _ in range(n)) for _ in range(unused)}
+        rows = sorted(rows)
+        rnd.shuffle(rows)
+        rosters.append(rows)
+    xrows, yrows = rosters
+    rank_dist = edge_distribution(
+        [xrows.index(x) for x, _ in raw], [yrows.index(y) for _, y in raw],
+        xrows, yrows, xa, ya,
+    )
+    seq_dist = fano_distribution([(Sequence(xa, x), Sequence(ya, y)) for x, y in raw])
+    assert list(rank_dist.pairs()) == list(seq_dist.pairs()) == raw
+    assert rank_dist.columns == seq_dist.columns
+    assert block_mi(rank_dist) == block_mi(seq_dist)
+    assert dominant_joint_type(rank_dist) == dominant_joint_type(seq_dist)
+    got, want = wring(rank_dist, delta), wring(seq_dist, delta)
+    assert _wring_trace(got) == _wring_trace(want)
+    if want.converged:
+        assert pinsker_check(got.survivors, delta) == pinsker_check(want.survivors, delta)
+
+
+@st.composite
+def edge_csv_texts(draw):
+    """A rank CSV's text and its roster sizes: distinct pairs, sorted or not,
+    with a few rows made blank, padded, quoted, non-integer, three- or
+    one-column, negative, out of range or repeated."""
+    nl, nr = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)), unique=True, max_size=14)
+    )
+    if draw(st.booleans()):
+        pairs.sort()
+    rows = [f"{i},{j}" for i, j in pairs]
+    edits = {
+        "blank": lambda i, j: "",
+        "padded": lambda i, j: f" {i} ,{j}  ",
+        "quoted": lambda i, j: f'"{i}",{j}',
+        "non-integer": lambda i, j: draw(st.sampled_from([f"{i},x", f"{i}.5,{j}", f",{j}", " ,"])),
+        "three-column": lambda i, j: f"{i},{j},0",
+        "one-column": lambda i, j: f"{i}",
+        "negative": lambda i, j: f"{i},-1",
+        "out-of-range": lambda i, j: f"{nl},{j}",
+    }
+    kinds = sorted(edits) + ["repeated", "repeated-next", "shifted"]
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 99)), max_size=3)):
+        k = at % (len(rows) + 1)
+        if kind == "repeated" and rows:
+            rows.insert(k, rows[at % len(rows)])
+        elif kind == "repeated-next" and rows:
+            rows.insert(k, rows[k - 1])
+        elif kind == "shifted" and len(rows) > k + 1:
+            # a cell moves up a row: as many commas as rows, but not one a row
+            head, _, rest = rows[k + 1].partition(",")
+            rows[k : k + 2] = [f"{rows[k]},{head}", rest]
+        elif kind in edits:
+            rows.insert(k, edits[kind](at % nl, at % nr))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    head = draw(st.sampled_from(["left_rank,right_rank"] * 5 + ["left_rank,right", ""]))
+    tail = eol if draw(st.booleans()) else ""
+    return eol.join([head] + rows) + tail, nl, nr
+
+
+@PROPERTY
+@given(edge_csv_texts(), st.integers(1, 40))
+def test_bulk_edge_reader_matches_row_reader(case, chunk):
+    """Same pairs in the same order, or the same ValueError, whatever the
+    chunk size; a file of plain rows is read without the row-by-row path."""
+    text, nl, nr = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = [(i, j) for _, i, j in oracles.read_edge_csv(path, nl, nr)]
+        except ValueError as exc:
+            want = str(exc)
+        with mock.patch.object(typigraph.graph, "_CSV_CHUNK", chunk):
+            try:
+                got = list(zip(*_read_edge_csv(path, nl, nr)))
+            except ValueError as exc:
+                got = str(exc)
+            bulk = _bulk_edge_columns(path, nl, nr)
+    assert got == want
+    if bulk is not None:
+        assert list(zip(*bulk)) == want
+    elif '"' not in text:
+        assert not isinstance(want, list)
 
 
 @st.composite
