@@ -42,7 +42,6 @@ from .core import (
 )
 from .typicality import (
     DEFAULT_SCHEDULE,
-    Sequence,
     TypicalityParams,
     schedule_delta,
 )
@@ -81,7 +80,6 @@ from .diagnostics import (
     EdgeDistribution,
     check_budget,
     edge_distribution,
-    fano_distribution,
     pinsker_check,
     wring,
     wringing_to_dict,
@@ -517,22 +515,22 @@ def _parse_label_column(cells: list) -> list:
         return [tuple(tokens) for tokens in cells]
 
 
+def _label_ids(cells: list) -> tuple[list[int], list[tuple], Alphabet]:
+    """Dense first-occurrence ids of one column's label tuples, each distinct
+    tuple's row of symbol indices, and the sorted alphabet of its labels."""
+    dense: dict = {}
+    ids = [dense.setdefault(t, len(dense)) for t in _parse_label_column(cells)]
+    alphabet = Alphabet(tuple(sorted({t for labels in dense for t in labels})))
+    rows = [tuple(map(alphabet.index, labels)) for labels in dense]
+    return ids, rows, alphabet
+
+
 def _label_distribution(path: str) -> EdgeDistribution:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r][1:]
-    xs = _parse_label_column([r[0].split() for r in rows])
-    ys = _parse_label_column([r[1].split() for r in rows])
-    x_alpha = Alphabet(tuple(sorted({t for seq in xs for t in seq})))
-    y_alpha = Alphabet(tuple(sorted({t for seq in ys for t in seq})))
-    edges = []
-    for xseq, yseq in zip(xs, ys):
-        edges.append(
-            (
-                Sequence(x_alpha, tuple(x_alpha.index(t) for t in xseq)),
-                Sequence(y_alpha, tuple(y_alpha.index(t) for t in yseq)),
-            )
-        )
-    return fano_distribution(edges)
+    xids, xrows, x_alpha = _label_ids([r[0].split() for r in rows])
+    yids, yrows, y_alpha = _label_ids([r[1].split() for r in rows])
+    return edge_distribution(xids, yids, xrows, yrows, x_alpha, y_alpha)
 
 
 def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDistribution]:

@@ -294,13 +294,22 @@ def _params_to_dict(p: TypicalityParams) -> dict:
     }
 
 
-def _params_from_dict(doc: dict) -> TypicalityParams:
-    return TypicalityParams(
-        eps1=Fraction(doc["eps1"]),
-        eps2=Fraction(doc["eps2"]),
-        lam=Fraction(doc["lambda"]),
-        schedule=doc["schedule"],
-    )
+def _params_from_header(header: dict) -> TypicalityParams:
+    """The slack parameters of an export header's spec.params, whose slacks
+    are fraction strings. ValueError names the key that is missing or
+    malformed."""
+    slacks = []
+    for key in ("eps1", "eps2", "lambda"):
+        text = _field(header, f"spec.params.{key}", str)
+        try:
+            slacks.append(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"export header 'spec.params.{key}' should be a fraction string, "
+                f"found {text!r}"
+            ) from None
+    eps1, eps2, lam = slacks
+    return TypicalityParams(eps1, eps2, lam, _field(header, "spec.params.schedule", str))
 
 
 def export_graph(
@@ -515,7 +524,7 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> Typica
     spec = GraphSpec(
         joint=joint_from_dict(_field(header, "spec.joint", dict)),
         n=_field(header, "spec.n", int),
-        params=_params_from_dict(_field(header, "spec.params", dict)),
+        params=_params_from_header(header),
         mode=_field(header, "spec.mode", str),
         cap=_field(header, "spec.cap", int),
     )

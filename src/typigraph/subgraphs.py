@@ -53,7 +53,7 @@ from .core import (
     rational_approximate,
     total_variation,
 )
-from .graph import _count_field, _field, _params_from_dict, _params_to_dict
+from .graph import _count_field, _field, _params_from_header, _params_to_dict
 from .typicality import (
     BigCount,
     JointTypeIndex,
@@ -698,7 +698,7 @@ def import_subgraph(json_path: str) -> Subgraph:
     kind = _field(header, "kind", str)
     joint = joint_from_dict(_field(header, "spec.joint", dict))
     n = _field(header, "spec.n", int)
-    params = _params_from_dict(_field(header, "spec.params", dict))
+    params = _params_from_header(header)
     counts = {name: _count_field(header, f"{name}.value") for name in _COUNTS}
     if kind == "single_type":
         sub = build_exact_type_subgraph(joint, n, params)

@@ -12,7 +12,8 @@ comparisons:
 
 Counting is exact over big integers: a type class has multinomial size and
 typical-set sizes are sums of type-class sizes over the admissible ball,
-never enumerations of sequences.
+never enumerations of sequences. `_box_multinomial_sum` takes that sum by a
+binomial recurrence over the ball's per-cell boxes, without listing types.
 
 Everything that counts jointly typical pairs goes through one kernel,
 `row_type_degree`: the exact degree of a row type, built row by row from
@@ -328,8 +329,12 @@ def _index_alphabet(k: int) -> Alphabet:
 def enumerate_types(
     alphabet_size: int, n: int, ball: Optional[tuple[Pmf, object]] = None
 ) -> Iterator[TypeVector]:
-    """All denominator-n types, colex order, optionally filtered to the
-    delta-ball of p with no mass off its support (the types of T_delta(p))."""
+    """All denominator-n types, colex order, optionally restricted to the
+    delta-ball of p with no mass off its support (the types of T_delta(p)).
+
+    The ball's types are walked inside its per-cell boxes, last cell first:
+    lex order of the reversed vectors is colex order of the vectors.
+    """
     if alphabet_size < 1 or n < 1:
         raise ValueError("alphabet_size and n must be positive")
     if ball is None:
@@ -340,10 +345,9 @@ def enumerate_types(
     p, delta = ball
     if p.alphabet.size != alphabet_size:
         raise ValueError("ball pmf does not match alphabet_size")
-    d = Fraction(delta)
-    for counts in _compositions_colex(alphabet_size, n):
-        if _counts_typical(counts, p.probs, n, d):
-            yield TypeVector(p.alphabet, counts)
+    boxes = _ball_boxes(p.probs, n, Fraction(delta))
+    for reversed_counts in _compositions_in_boxes(boxes[::-1], n):
+        yield TypeVector(p.alphabet, reversed_counts[::-1])
 
 
 def _ball_box(p: Fraction, n: int, delta: Fraction) -> tuple[int, int]:
@@ -393,6 +397,57 @@ def _admissible_count_vectors(
     return _compositions_in_boxes(_ball_boxes(flat_probs, n, delta), n)
 
 
+def _box_multinomial_sum(boxes, total: int) -> int:
+    """Sum of multinomial(total, c) over the count vectors c summing to
+    total with each c_i inside its (lo, hi) box, without listing them.
+
+    A multinomial is the product of the binomials C(r_i, c_i), where r_i is
+    what remains of total before cell i. So a backward pass over the cells,
+    with f_k(r) = [r = 0], gives
+
+        f_i(r) = sum over c in box i of C(r, c) * f_{i+1}(r - c),
+
+    and the sum is f_0(total); the last cell's f is the indicator of its
+    box. f_i is kept only on the remainders that total can reach through
+    cells 0..i-1 and that cells i..k-1 can still use up, and c is clipped
+    so that r - c stays in the range kept for f_{i+1}. Within one r the
+    binomials are stepped as C(r, c+1) = C(r, c) * (r - c) // (c + 1):
+    C(r, c) * (r - c) = C(r, c+1) * (c + 1), so the division is exact.
+
+    The cost is sum_i (remainders kept for f_i) * (width of box i) small
+    steps and big-integer multiply-adds, and one `math.comb` per remainder,
+    where the former loop built a full multinomial per composition.
+    """
+    if any(lo > hi for lo, hi in boxes):
+        return 0
+    k = len(boxes)
+    suffix_lo = [0] * (k + 1)
+    suffix_hi = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix_lo[i] = suffix_lo[i + 1] + boxes[i][0]
+        suffix_hi[i] = suffix_hi[i + 1] + boxes[i][1]
+    # remainders before cell i lie in [total - prefix_hi, total - prefix_lo]
+    lo_sum, hi_sum = suffix_lo[0], suffix_hi[0]
+    if not lo_sum <= total <= hi_sum:
+        return 0
+    f, f_lo, f_hi = [1], 0, 0  # f_k on the remainders [0, 0]
+    for i in range(k - 1, -1, -1):
+        lo, hi = boxes[i]
+        r_lo = max(suffix_lo[i], total - (hi_sum - suffix_hi[i]))
+        r_hi = min(suffix_hi[i], total - (lo_sum - suffix_lo[i]))
+        g = []
+        for r in range(r_lo, r_hi + 1):
+            c_lo, c_hi = max(lo, r - f_hi), min(hi, r - f_lo)
+            w = math.comb(r, c_lo)
+            s = 0
+            for c in range(c_lo, c_hi + 1):
+                s += w * f[r - c - f_lo]
+                w = w * (r - c) // (c + 1)
+            g.append(s)
+        f, f_lo, f_hi = g, r_lo, r_hi
+    return f[0]
+
+
 def typical_set_size(p: Pmf, delta, n: int) -> BigCount:
     """Exact |T_delta(p)| at blocklength n by type-class summation."""
     if n < 1:
@@ -400,10 +455,7 @@ def typical_set_size(p: Pmf, delta, n: int) -> BigCount:
     d = Fraction(delta)
     if d < 0:
         raise ValueError("delta must be nonnegative")
-    total = 0
-    for counts in _admissible_count_vectors(p.probs, n, d):
-        total += multinomial(n, counts)
-    return BigCount.from_int(total)
+    return BigCount.from_int(_box_multinomial_sum(_ball_boxes(p.probs, n, d), n))
 
 
 def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
@@ -433,7 +485,7 @@ def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
                 "row is undefined"
             )
         boxes = _ball_boxes([Fraction(na, n) * p for p in row.probs], n, d)
-        total *= sum(multinomial(na, c) for c in _compositions_in_boxes(boxes, na))
+        total *= _box_multinomial_sum(boxes, na)
         if total == 0:
             break
     return BigCount.from_int(total)

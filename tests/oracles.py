@@ -121,6 +121,52 @@ def multinomial_factorial(n, counts):
     return v
 
 
+def colex_ball_types(probs, delta, n):
+    """The count vectors of the delta-typical set's types, by filtering every
+    composition of n, generated in colexicographic order."""
+
+    def colex(parts, total):
+        if parts == 1:
+            yield (total,)
+            return
+        for last in range(total + 1):
+            for rest in colex(parts - 1, total - last):
+                yield rest + (last,)
+
+    return [c for c in colex(len(probs), n) if _counts_typical(c, probs, n, delta)]
+
+
+def ball_boxes(probs, delta, n):
+    """Per-cell (lo, hi) count ranges of the delta-ball, found by scanning
+    every count 0..n against the closed-ball and support conditions."""
+    boxes = []
+    for p in probs:
+        ok = [c for c in range(n + 1) if _counts_typical([c], [p], n, delta)]
+        boxes.append((ok[0], ok[-1]) if ok else (1, 0))
+    return boxes
+
+
+def box_multinomial_sum(boxes, total):
+    """Sum of multinomial(total, c) over the count vectors c that sum to
+    total with each entry inside its (lo, hi) box, one multinomial per
+    vector (the type-class summation loop)."""
+
+    def vectors(i, left):
+        if i == len(boxes) - 1:
+            lo, hi = boxes[i]
+            if lo <= left <= hi:
+                yield (left,)
+            return
+        lo, hi = boxes[i]
+        for c in range(lo, min(hi, left) + 1):
+            for rest in vectors(i + 1, left - c):
+                yield (c,) + rest
+
+    if not boxes:
+        return int(total == 0)
+    return sum(multinomial_factorial(total, c) for c in vectors(0, total))
+
+
 def sample_uniform_typical(probs, delta, n, rng):
     """One exact uniform draw from the delta-typical set, as a tuple, or None
     (no rng call) when the set is empty.

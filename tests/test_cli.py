@@ -515,9 +515,13 @@ def _drop(doc, path):
         (["graph", "--n", "4"], "spec", "no 'spec'"),
         (["graph", "--n", "4"], "edge_count", "no 'edge_count'"),
         (["graph", "--n", "4"], "left_size", "no 'left_size'"),
+        (["graph", "--n", "4"], "spec.params.eps1", "no 'spec.params.eps1'"),
+        (SUBGRAPH_AN8, "spec.params.eps1", "no 'spec.params.eps1'"),
+        (SUBGRAPH_AN8, "spec.params.schedule", "no 'spec.params.schedule'"),
     ],
     ids=["subgraph-kind-foo", "subgraph-no-kind", "subgraph-no-n",
-         "graph-no-spec", "graph-no-edge-count", "graph-no-left-size"],
+         "graph-no-spec", "graph-no-edge-count", "graph-no-left-size",
+         "graph-no-eps1", "subgraph-no-eps1", "subgraph-no-schedule"],
 )
 def test_wring_malformed_export_header_exit_2(
     joint_file, tmp_path, capsys, export, edit, message
@@ -535,6 +539,7 @@ def test_wring_malformed_export_header_exit_2(
     assert rc == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert f"error: {header}: " in err
 
 
 @pytest.mark.parametrize(
@@ -592,10 +597,19 @@ def _set(doc, path, value):
         (["graph", "--n", "4"], "spec.cap", "big", "'spec.cap' should be int, found 'big'"),
         (["graph", "--n", "4"], "left_size", "14", "'left_size' should be int, found '14'"),
         (["graph", "--n", "4"], "edge_count.value", "abc", "decimal integer string, found 'abc'"),
+        (["graph", "--n", "4"], "spec.params.eps1", 0.5, "'spec.params.eps1' should be str, found 0.5"),
+        (SUBGRAPH_AN8, "spec.params.eps1", 0.5, "'spec.params.eps1' should be str, found 0.5"),
+        (["graph", "--n", "4"], "spec.params.eps2", "wide",
+         "'spec.params.eps2' should be a fraction string, found 'wide'"),
+        (SUBGRAPH_AN8, "spec.params.lambda", "1/0",
+         "'spec.params.lambda' should be a fraction string, found '1/0'"),
+        (SUBGRAPH_AN8, "spec.params.schedule", None,
+         "'spec.params.schedule' should be str, found None"),
     ],
     ids=["subgraph-n-str", "subgraph-n-float", "subgraph-count-int", "subgraph-count-zero-pad",
          "subgraph-kind-list", "graph-n-bool", "graph-cap-str", "graph-size-str",
-         "graph-edge-count-abc"],
+         "graph-edge-count-abc", "graph-eps1-float", "subgraph-eps1-float", "graph-eps2-word",
+         "subgraph-lambda-zero-den", "subgraph-schedule-null"],
 )
 def test_wring_export_header_value_types_exit_2(
     joint_file, tmp_path, capsys, export, path, value, message
@@ -668,6 +682,29 @@ def test_wring_rank_csv_builds_no_sequence_per_edge(
     assert f"/{edges} " in capsys.readouterr().out
     # the rosters are built (the subgraph's from per-block parts), the edges are not
     assert 0 < len(calls) <= 2 * sum(sizes) + 1 < edges
+
+
+def test_wring_label_csv_builds_no_sequence_per_edge(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "e.csv"
+    pairs = [((a, b, a ^ b), (b, a, 1)) for a in (0, 1) for b in (0, 1)] * 50
+    write_xy_csv(path, pairs)
+    calls = []
+    init = typigraph.typicality.Sequence.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        init(self)
+
+    def no_endpoint_ids(*args, **kwargs):
+        raise AssertionError("endpoint ids were recovered from Sequence objects")
+
+    monkeypatch.setattr(typigraph.typicality.Sequence, "__post_init__", counted)
+    monkeypatch.setattr(typigraph.diagnostics, "_endpoint_ids", no_endpoint_ids)
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(path), "--delta", "0.05"]) == 0
+    assert f"/{len(pairs)} " in capsys.readouterr().out
+    # the ids come straight from the label tuples: no Sequence at all
+    assert len(calls) == 0
 
 
 # Byte pins for wring, recorded before the edge multiset was held as rank-id

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from typigraph import typicality
@@ -36,6 +38,11 @@ from typigraph.typicality import (
 
 BIN = Alphabet((0, 1))
 TERN = Alphabet((0, 1, 2))
+# Row marginal of T3, the ternary joint with diagonal (1/5, 1/5, 3/10) and
+# 1/20 in every cell off it.
+T3_ROW = Pmf(TERN, (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5)))
+
+PROPERTY = settings.get_profile("typigraph")
 
 
 def seq(alphabet, *symbols):
@@ -135,6 +142,22 @@ def test_enumerate_types_ball_sums_to_typical_set_size(probs, delta, n):
     assert total == typical_set_size(p, delta, n).value
 
 
+@pytest.mark.parametrize(
+    "p, n",
+    [
+        (T3_ROW, 10),
+        (T3_ROW, 60),
+        (Pmf(BIN, (Fraction(1, 2), Fraction(1, 2))), 60),
+        (Pmf(TERN, (Fraction(1, 2), Fraction(0), Fraction(1, 2))), 60),
+    ],
+)
+def test_enumerate_types_ball_matches_filtering_loop(p, n):
+    delta = schedule_delta(n)
+    types = list(enumerate_types(p.alphabet.size, n, ball=(p, delta)))
+    assert [t.counts for t in types] == oracles.colex_ball_types(p.probs, delta, n)
+    assert all(t.alphabet == p.alphabet for t in types)
+
+
 def test_count_types_matches_enumeration():
     for k, n in ((2, 6), (3, 5), (4, 4)):
         assert count_types(k, n) == len(list(enumerate_types(k, n)))
@@ -230,6 +253,49 @@ def test_typical_set_size_degenerate_cases():
     point = Pmf(BIN, (Fraction(1), Fraction(0)))
     assert typical_set_size(point, Fraction(0), 6).value == 1
     assert typical_set_size(p, Fraction(63, 200), 4).value == 14
+
+
+@st.composite
+def boxes_and_total(draw):
+    """Up to five boxes, some empty (lo > hi) or (0, 0), and a total up to 40,
+    mostly between the sums of the lows and of the highs."""
+    boxes = draw(
+        st.lists(
+            st.one_of(
+                st.just((0, 0)),
+                st.builds(lambda lo, width: (lo, lo + width), st.integers(0, 10), st.integers(-2, 10)),
+            ),
+            max_size=5,
+        )
+    )
+    lo_sum, hi_sum = sum(lo for lo, _ in boxes), sum(hi for _, hi in boxes)
+    feasible = st.integers(min(lo_sum, 40), min(max(lo_sum, hi_sum), 40))
+    return boxes, draw(st.one_of(feasible, st.integers(0, 40)))
+
+
+@PROPERTY
+@given(boxes_and_total())
+def test_box_multinomial_sum_matches_listing(case):
+    boxes, total = case
+    assert typicality._box_multinomial_sum(boxes, total) == (
+        oracles.box_multinomial_sum(boxes, total)
+    )
+
+
+def test_typical_set_size_t3_n400_matches_listing():
+    n = 400
+    delta = schedule_delta(n)
+    want = oracles.box_multinomial_sum(oracles.ball_boxes(T3_ROW.probs, delta, n), n)
+    assert typical_set_size(T3_ROW, delta, n).value == want
+
+
+def test_typical_set_size_t3_n1600_pinned():
+    # sha256 of the decimal |T_delta(P_X)| for T3 at n=1600, the same value
+    # as the benchmark's typical_set_size.n1600 pin
+    value = typical_set_size(T3_ROW, default_params(1600).eps1, 1600).value
+    assert hashlib.sha256(str(value).encode()).hexdigest() == (
+        "e7b97899b27a66a70b1a57833ac4866e3cf47ab5312ba7397c7324765bbf34d8"
+    )
 
 
 def test_cond_typical_set_size_brute(binary_joint):
