@@ -128,19 +128,15 @@ def _jsonify(obj):
     return obj
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    echo = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or v is None:
-            continue
-        echo[k] = v if isinstance(v, (int, bool)) else str(v)
-    return echo
-
-
-def _config_hash(echo: dict) -> str:
+def _config(args: argparse.Namespace) -> dict:
+    """The run's config echo and the sha256 of its canonical JSON."""
+    echo = {
+        k: v if isinstance(v, (int, bool)) else str(v)
+        for k, v in sorted(vars(args).items())
+        if k != "func" and v is not None
+    }
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return {"config": echo, "config_sha256": hashlib.sha256(blob.encode()).hexdigest()}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -149,22 +145,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _stamp(path: str, echo: dict, digest: str) -> None:
+def _stamp(path: str, config: dict) -> None:
     """Inject the config echo and hash into an already-written export."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["config"] = echo
-    doc["config_sha256"] = digest
+    doc.update(config)
     _write_json(path, doc)
 
 
-def _record(echo: dict, digest: str, payload: dict) -> dict:
-    return {
-        "schema": RUN_SCHEMA,
-        "config": echo,
-        "config_sha256": digest,
-        "payload": _jsonify(payload),
-    }
+def _record(config: dict, payload: dict) -> dict:
+    return {"schema": RUN_SCHEMA, **config, "payload": _jsonify(payload)}
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +252,17 @@ def cmd_info(args: argparse.Namespace) -> int:
     for name, v in quantities:
         print(f"{name} = {float(_f6(v)):.6f}")
     if args.out:
-        echo = _config_echo(args)
-        digest = _config_hash(echo)
+        config = _config(args)
         if args.format == "csv":
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["quantity", "bits"])
                 for name, v in quantities:
                     writer.writerow([name, f"{float(_f6(v)):.6f}"])
-                writer.writerow(["config_sha256", digest])
+                writer.writerow(["config_sha256", config["config_sha256"]])
         else:
             payload = {name: v for name, v in quantities}
-            _write_json(args.out, _record(echo, digest, payload))
+            _write_json(args.out, _record(config, payload))
     return EXIT_OK
 
 
@@ -292,8 +281,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         joint=joint, n=args.n, params=params, mode=args.mode, cap=args.cap
     )
     g = build_graph(spec)
-    echo = _config_echo(args)
-    digest = _config_hash(echo)
+    config = _config(args)
     if spec.mode == "explicit":
         st = stats(g)
         print(
@@ -312,7 +300,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
             print(f"degree-bound: FAIL ({len(report.violations)} violations)")
         if args.out:
             export_graph(g, args.out, args.edges, st)
-            _stamp(args.out, echo, digest)
+            _stamp(args.out, config)
         if not report.all_ok:
             raise InvariantViolation("degree bound violated")
     else:
@@ -325,7 +313,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
                 "edge_count": str(g.edge_count.value),
                 "edge_count_log2": g.edge_count.log2,
             }
-            _write_json(args.out, _record(echo, digest, payload))
+            _write_json(args.out, _record(config, payload))
     return EXIT_OK
 
 
@@ -340,8 +328,7 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
         raise ConfigError("--edges needs --out")
     joint = _load_joint(args.dist)
     params = _resolve_params(args, args.n)
-    echo = _config_echo(args)
-    digest = _config_hash(echo)
+    config = _config(args)
     if args.kind == "an":
         sub = build_exact_type_subgraph(joint, args.n, params)
     else:
@@ -386,7 +373,7 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
     )
     if args.out:
         export_subgraph(sub, args.out, args.edges, edge_cap=args.cap)
-        _stamp(args.out, echo, digest)
+        _stamp(args.out, config)
     if not verdict:
         raise InvariantViolation("subgraph rate verification failed")
     return EXIT_OK
@@ -439,8 +426,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"bracket=[{float(_f6(lll_floor)):.6f}, {float(_f6(suen_ceiling)):.6f}]"
     )
     print(f"bracket verdict: {'inside' if inside else 'OUTSIDE'}")
-    echo = _config_echo(args)
-    digest = _config_hash(echo)
+    config = _config(args)
     payload = {
         "monte_carlo": {
             "trials": mc.trials,
@@ -483,7 +469,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
     }
     if args.out:
-        _write_json(args.out, _record(echo, digest, payload))
+        _write_json(args.out, _record(config, payload))
         base, ext = os.path.splitext(args.out)
         csv_path = (base if ext.lower() == ".json" else args.out) + ".csv"
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -604,13 +590,12 @@ def cmd_wring(args: argparse.Namespace) -> int:
     if result.converged:
         pinsker = pinsker_check(result.survivors, args.delta)
         print(f"pinsker: max per-letter TV = {float(_f6(max(pinsker))):.6f}")
-    echo = _config_echo(args)
-    digest = _config_hash(echo)
+    config = _config(args)
     payload = wringing_to_dict(result)
     payload["pinsker_tv"] = list(pinsker) if pinsker is not None else None
     payload["edge_count_in"] = len(dist)
     if args.out:
-        _write_json(args.out, _record(echo, digest, payload))
+        _write_json(args.out, _record(config, payload))
     return EXIT_OK
 
 

@@ -58,10 +58,6 @@ def exact_alpha_fraction(joint: JointPmf, params: TypicalityParams, n: int) -> F
     return Fraction(pairs, t1 * t2)
 
 
-def exact_alpha(joint: JointPmf, params: TypicalityParams, n: int) -> float:
-    return float(exact_alpha_fraction(joint, params, n))
-
-
 def exact_zero_probability(
     joint: JointPmf, params: TypicalityParams, n: int, m2: int
 ) -> Fraction:

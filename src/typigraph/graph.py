@@ -41,13 +41,12 @@ from .typicality import (
     JointTypeIndex,
     Sequence,
     TypicalityParams,
-    _admissible_count_vectors,
-    cond_typical_set_size,
+    _ball_boxes,
+    _box_rows,
+    _cond_ball_size,
     degree_table,
     log2_int,
     row_type_degree,
-    type_class_sequences,
-    TypeVector,
     typical_set_size,
 )
 
@@ -69,12 +68,10 @@ class GraphSpec:
 
 
 def _roster(pmf, eps, n: int) -> tuple[Sequence, ...]:
-    seqs = []
-    for counts in _admissible_count_vectors(pmf.probs, n, Fraction(eps)):
-        t = TypeVector(pmf.alphabet, counts)
-        seqs.extend(type_class_sequences(t))
-    seqs.sort(key=lambda s: s.symbols)
-    return tuple(seqs)
+    """The eps-typical sequences in lexicographic order: one box walk over
+    the ball's per-symbol boxes."""
+    boxes = _ball_boxes(pmf.probs, n, Fraction(eps))
+    return tuple(Sequence(pmf.alphabet, row) for row in _box_rows(len(boxes), [(n, boxes)]))
 
 
 def _type_counts(x: Sequence) -> tuple[int, ...]:
@@ -254,8 +251,7 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
         w = conditionalize(spec.joint, given=given)
         slack = Fraction(eps) + Fraction(params.lam)
         for counts, (_, deg) in g._table(side).items():
-            x = Sequence(w.given_alphabet, [s for s, c in enumerate(counts) for _ in range(c)])
-            bound = cond_typical_set_size(w, x, slack).value
+            bound = _cond_ball_size(w, counts, slack)
             if deg > bound:
                 violations.append((side, counts, deg, bound))
             if deg > 0:

@@ -58,12 +58,11 @@ from .typicality import (
     BigCount,
     JointTypeIndex,
     Sequence,
-    TypeVector,
     TypicalityParams,
+    _box_rows,
     _counts_typical,
     default_params,
     multinomial,
-    type_class_sequences,
 )
 
 
@@ -414,23 +413,12 @@ def right_roster(sub: Subgraph) -> Iterator[Sequence]:
 
 
 def _spliced(alphabet: Alphabet, block_lengths, block_types) -> Iterator[Sequence]:
-    """Sequences assembled per conditioning block, lexicographic overall.
-
-    Blocks occupy contiguous position ranges in u order, so iterating the
-    first block outermost yields global lexicographic order.
-    """
-    blocks = [u for u, nu in enumerate(block_lengths) if nu > 0]
-
-    def rec(i: int, prefix: tuple[int, ...]) -> Iterator[Sequence]:
-        if i == len(blocks):
-            yield Sequence(alphabet, prefix)
-            return
-        u = blocks[i]
-        t = TypeVector(alphabet, tuple(block_types[u]))
-        for part in type_class_sequences(t):
-            yield from rec(i + 1, prefix + part.symbols)
-
-    yield from rec(0, ())
+    """Sequences with the given type in every u-run, in lexicographic
+    order: one box walk with a (c, c) box per count. The runs of u_seq lie
+    in u order, so block u is the u-th run of consecutive positions."""
+    blocks = [(nu, [(c, c) for c in t]) for nu, t in zip(block_lengths, block_types)]
+    for row in _box_rows(alphabet.size, blocks):
+        yield Sequence(alphabet, row)
 
 
 def is_edge(sub: Subgraph, x: Sequence, y: Sequence) -> bool:

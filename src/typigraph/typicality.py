@@ -14,6 +14,8 @@ Counting is exact over big integers: a type class has multinomial size and
 typical-set sizes are sums of type-class sizes over the admissible ball,
 never enumerations of sequences. `_box_multinomial_sum` takes that sum by a
 binomial recurrence over the ball's per-cell boxes, without listing types.
+Where sequences are listed (type classes, rosters), `_box_rows` walks them
+in lexicographic order inside per-block, per-symbol count boxes.
 
 Everything that counts jointly typical pairs goes through one kernel,
 `row_type_degree`: the exact degree of a row type, built row by row from
@@ -254,28 +256,11 @@ def is_cond_typical(y: Sequence, x: Sequence, w: CondPmf, delta) -> bool:
     if x.alphabet != w.given_alphabet or y.alphabet != w.out_alphabet:
         raise ValueError("alphabets do not match the channel")
     d = Fraction(delta)
-    n = x.n
     jt = empirical_joint_type(x, y)
-    xt = jt.row_type()
-    for a in range(x.alphabet.size):
-        row = w.rows[a]
-        if row is None:
-            if xt.counts[a] > 0:
-                raise ValueError(
-                    "conditional typicality undefined: x uses a symbol whose "
-                    "channel row is undefined"
-                )
-            continue
-        for b in range(y.alphabet.size):
-            wb = row.probs[b]
-            cnt = jt.counts[a][b]
-            if wb == 0:
-                if cnt != 0:
-                    return False
-                continue
-            if abs(Fraction(cnt, n) - Fraction(xt.counts[a], n) * wb) > d:
-                return False
-    return True
+    return all(
+        _counts_typical(jt.counts[a], centres, x.n, d)
+        for a, _, centres in _cond_ball(w, jt.row_type().counts, x.n)
+    )
 
 
 def is_jointly_typical(x: Sequence, y: Sequence, p: JointPmf, lam) -> bool:
@@ -312,16 +297,6 @@ def type_class_size(t) -> BigCount:
     raise ValueError("type_class_size expects a TypeVector or JointTypeVector")
 
 
-def _compositions_colex(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All count vectors with given sum, colexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in _compositions_colex(parts - 1, total - last):
-            yield rest + (last,)
-
-
 def _index_alphabet(k: int) -> Alphabet:
     return Alphabet(tuple(range(k)))
 
@@ -332,22 +307,21 @@ def enumerate_types(
     """All denominator-n types, colex order, optionally restricted to the
     delta-ball of p with no mass off its support (the types of T_delta(p)).
 
-    The ball's types are walked inside its per-cell boxes, last cell first:
-    lex order of the reversed vectors is colex order of the vectors.
+    The types are walked inside per-cell boxes, (0, n) without a ball, last
+    cell first: lex order of the reversed vectors is colex order of the
+    vectors.
     """
     if alphabet_size < 1 or n < 1:
         raise ValueError("alphabet_size and n must be positive")
     if ball is None:
-        alphabet = _index_alphabet(alphabet_size)
-        for counts in _compositions_colex(alphabet_size, n):
-            yield TypeVector(alphabet, counts)
-        return
-    p, delta = ball
-    if p.alphabet.size != alphabet_size:
-        raise ValueError("ball pmf does not match alphabet_size")
-    boxes = _ball_boxes(p.probs, n, Fraction(delta))
+        alphabet, boxes = _index_alphabet(alphabet_size), [(0, n)] * alphabet_size
+    else:
+        p, delta = ball
+        if p.alphabet.size != alphabet_size:
+            raise ValueError("ball pmf does not match alphabet_size")
+        alphabet, boxes = p.alphabet, _ball_boxes(p.probs, n, Fraction(delta))
     for reversed_counts in _compositions_in_boxes(boxes[::-1], n):
-        yield TypeVector(p.alphabet, reversed_counts[::-1])
+        yield TypeVector(alphabet, reversed_counts[::-1])
 
 
 def _ball_box(p: Fraction, n: int, delta: Fraction) -> tuple[int, int]:
@@ -358,8 +332,25 @@ def _ball_box(p: Fraction, n: int, delta: Fraction) -> tuple[int, int]:
 
 
 def _ball_boxes(probs, n: int, delta: Fraction) -> list[tuple[int, int]]:
-    """Per-cell count ranges of the delta-ball; cells off the support hold 0."""
+    """Per-cell count ranges of the delta-ball; cells off the support hold 0.
+
+    Every walk or sum over a ball starts here, so a negative delta is
+    refused here, once, for all of them.
+    """
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     return [(0, 0) if p == 0 else _ball_box(p, n, delta) for p in probs]
+
+
+def _suffix_sums(boxes) -> tuple[list[int], list[int]]:
+    """(lo sums, hi sums) of the boxes from cell i on, for i = 0..k."""
+    k = len(boxes)
+    suffix_lo = [0] * (k + 1)
+    suffix_hi = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix_lo[i] = suffix_lo[i + 1] + boxes[i][0]
+        suffix_hi[i] = suffix_hi[i + 1] + boxes[i][1]
+    return suffix_lo, suffix_hi
 
 
 def _compositions_in_boxes(boxes, total: int) -> Iterator[tuple[int, ...]]:
@@ -368,12 +359,7 @@ def _compositions_in_boxes(boxes, total: int) -> Iterator[tuple[int, ...]]:
     if any(lo > hi for lo, hi in boxes):
         return
     k = len(boxes)
-    suffix_lo = [0] * (k + 1)
-    suffix_hi = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + boxes[i][0]
-        suffix_hi[i] = suffix_hi[i + 1] + boxes[i][1]
-
+    suffix_lo, suffix_hi = _suffix_sums(boxes)
     vec = [0] * k
 
     def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
@@ -421,11 +407,7 @@ def _box_multinomial_sum(boxes, total: int) -> int:
     if any(lo > hi for lo, hi in boxes):
         return 0
     k = len(boxes)
-    suffix_lo = [0] * (k + 1)
-    suffix_hi = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + boxes[i][0]
-        suffix_hi[i] = suffix_hi[i + 1] + boxes[i][1]
+    suffix_lo, suffix_hi = _suffix_sums(boxes)
     # remainders before cell i lie in [total - prefix_hi, total - prefix_lo]
     lo_sum, hi_sum = suffix_lo[0], suffix_hi[0]
     if not lo_sum <= total <= hi_sum:
@@ -452,43 +434,50 @@ def typical_set_size(p: Pmf, delta, n: int) -> BigCount:
     """Exact |T_delta(p)| at blocklength n by type-class summation."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = Fraction(delta)
-    if d < 0:
-        raise ValueError("delta must be nonnegative")
-    return BigCount.from_int(_box_multinomial_sum(_ball_boxes(p.probs, n, d), n))
+    boxes = _ball_boxes(p.probs, n, Fraction(delta))
+    return BigCount.from_int(_box_multinomial_sum(boxes, n))
 
 
-def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
-    """Exact |T_delta(w | x)|: output sequences conditionally typical given x.
+def _cond_ball(w: CondPmf, counts, n: int) -> Iterator[tuple[int, int, list[Fraction]]]:
+    """(a, N(a), centres N(a)/n * W(.|a)) per conditioning symbol a, in
+    order, for the symbol counts N(.) of an x of length n: row a of the
+    conditional delta-ball is the delta-ball around these centres, on the
+    denominator n. Undefined rows that x does not use are skipped; one
+    that x uses raises ValueError when the walk reaches it."""
+    for a, (na, row) in enumerate(zip(counts, w.rows)):
+        if row is None:
+            if na > 0:
+                raise ValueError(
+                    "conditional typicality undefined: x uses a symbol whose "
+                    "channel row is undefined"
+                )
+            continue
+        yield a, na, [Fraction(na, n) * p for p in row.probs]
+
+
+def _cond_ball_size(w: CondPmf, counts, delta) -> int:
+    """Exact |T_delta(w | x)| for any x with symbol counts `counts`.
 
     Counts factor over conditioning-symbol blocks: within the N(a) positions
     where x equals a, output counts m_{a,.} range over the compositions of
-    N(a) inside the boxes |m_{a,b}/n - (N(a)/n) W(b|a)| <= delta (denominator
-    n, not N(a)), with m_{a,b} = 0 wherever W(b|a) = 0.
+    N(a) inside the boxes of row a of the conditional ball, with
+    m_{a,b} = 0 wherever W(b|a) = 0.
     """
-    if x.alphabet != w.given_alphabet:
-        raise ValueError("sequence alphabet does not match the channel")
+    n = sum(counts)
     d = Fraction(delta)
-    if d < 0:
-        raise ValueError("delta must be nonnegative")
-    n = x.n
-    xt = empirical_type(x)
     total = 1
-    for a in range(x.alphabet.size):
-        na = xt.counts[a]
-        if na == 0:
-            continue
-        row = w.rows[a]
-        if row is None:
-            raise ValueError(
-                "conditional count undefined: x uses a symbol whose channel "
-                "row is undefined"
-            )
-        boxes = _ball_boxes([Fraction(na, n) * p for p in row.probs], n, d)
-        total *= _box_multinomial_sum(boxes, na)
+    for _, na, centres in _cond_ball(w, counts, n):
+        total *= _box_multinomial_sum(_ball_boxes(centres, n, d), na)
         if total == 0:
             break
-    return BigCount.from_int(total)
+    return total
+
+
+def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
+    """Exact |T_delta(w | x)|: output sequences conditionally typical given x."""
+    if x.alphabet != w.given_alphabet:
+        raise ValueError("sequence alphabet does not match the channel")
+    return BigCount.from_int(_cond_ball_size(w, empirical_type(x).counts, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -554,26 +543,58 @@ def jointly_typical_pair_count(joint: JointPmf, params: TypicalityParams, n: int
 # ---------------------------------------------------------------------------
 
 
+def _box_rows(k: int, blocks) -> Iterator[tuple[int, ...]]:
+    """Symbol rows over k symbols, in lexicographic order, whose counts in
+    each block of consecutive positions lie in that block's boxes.
+
+    blocks: (length, per-symbol (lo, hi) boxes) pairs, in position order.
+    The rows are walked position by position, smallest symbol first. A
+    symbol is appended only while its count in the block stays <= hi and
+    the counts still owed to the block's lo's (`due`) fit in the positions
+    the block has left after it. A block with some lo > hi, or whose lo's
+    or hi's cannot meet its length, has no rows; every other walk reaches
+    a full row from every prefix, so nothing is filtered or sorted.
+    """
+    plan = []  # per position: (its block's counts and due, lo, hi, positions left)
+    for length, boxes in blocks:
+        lo = [max(l, 0) for l, _ in boxes]
+        hi = [min(h, length) for _, h in boxes]
+        if any(l > h for l, h in zip(lo, hi)) or sum(lo) > length or sum(hi) < length:
+            return
+        state = [0] * k + [sum(lo)]
+        plan += [(state, lo, hi, left) for left in range(length, 0, -1)]
+    n = len(plan)
+    row = [0] * n
+    t, s = 0, 0  # position, next symbol to try there
+    while True:
+        if t < n:
+            state, lo, hi, left = plan[t]
+            due = state[k]
+            while s < k:
+                c = state[s]
+                if c < hi[s] and (c < lo[s] or due < left):
+                    state[s], state[k], row[t] = c + 1, due - (c < lo[s]), s
+                    break
+                s += 1
+            if s < k:
+                t, s = t + 1, 0
+                continue
+        else:
+            yield tuple(row)
+        if t == 0:
+            return
+        t -= 1
+        state, lo = plan[t][:2]
+        s = row[t]
+        state[s] -= 1
+        state[k] += state[s] < lo[s]
+        s += 1
+
+
 def type_class_sequences(t: TypeVector) -> Iterator[Sequence]:
     """All sequences of exactly this type, lexicographic order."""
-    k = len(t.counts)
-    n = t.n
-    remaining = list(t.counts)
-    buf: list[int] = []
-
-    def rec() -> Iterator[Sequence]:
-        if len(buf) == n:
-            yield Sequence(t.alphabet, tuple(buf))
-            return
-        for s in range(k):
-            if remaining[s] > 0:
-                remaining[s] -= 1
-                buf.append(s)
-                yield from rec()
-                buf.pop()
-                remaining[s] += 1
-
-    yield from rec()
+    for row in _box_rows(len(t.counts), [(t.n, [(c, c) for c in t.counts])]):
+        yield Sequence(t.alphabet, row)
 
 
 @lru_cache(maxsize=64)

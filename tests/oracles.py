@@ -121,19 +121,42 @@ def multinomial_factorial(n, counts):
     return v
 
 
+def compositions_colex(parts, total):
+    """All count vectors of the given length and sum, in colexicographic
+    order: the last entry varies slowest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for rest in compositions_colex(parts - 1, total - last):
+            yield rest + (last,)
+
+
 def colex_ball_types(probs, delta, n):
     """The count vectors of the delta-typical set's types, by filtering every
     composition of n, generated in colexicographic order."""
+    return [
+        c
+        for c in compositions_colex(len(probs), n)
+        if _counts_typical(c, probs, n, delta)
+    ]
 
-    def colex(parts, total):
-        if parts == 1:
-            yield (total,)
-            return
-        for last in range(total + 1):
-            for rest in colex(parts - 1, total - last):
-                yield rest + (last,)
 
-    return [c for c in colex(len(probs), n) if _counts_typical(c, probs, n, delta)]
+def box_rows(k, blocks):
+    """Every row of all_sequences(k, n), n the summed block lengths, whose
+    symbol counts in each block (consecutive positions, (length, boxes)
+    pairs in order) lie inside that block's per-symbol (lo, hi) boxes."""
+    n = sum(length for length, _ in blocks)
+    rows = []
+    for row in all_sequences(k, n):
+        start, ok = 0, True
+        for length, boxes in blocks:
+            counts = counts_of(row[start : start + length], k)
+            ok = ok and all(lo <= c <= hi for c, (lo, hi) in zip(counts, boxes))
+            start += length
+        if ok:
+            rows.append(row)
+    return rows
 
 
 def ball_boxes(probs, delta, n):

@@ -118,6 +118,27 @@ def test_graph_deterministic_bytes(joint_file, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_graph_export_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys):
+    # Recorded before the rosters came from one lexicographic box walk (they
+    # were sorted type-class unions): the edge ranks pin the roster order.
+    # Relative paths, because the config echo stamped into g.json holds them.
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    rc = main(["graph", "--dist", "joint.json", "--n", "8", "--out", "g.json",
+               "--edges", "g.csv"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "left=238 right=238 edges=16814 isolated_left=0 isolated_right=0\n"
+        "degree-bound: PASS (worst slack 0.135142 bits/symbol)\n"
+    )
+    assert hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest() == (
+        "29ac4fc0d6cd33ad24af28cf71ed234d65c962331cfa52c3ad3042db95c5f631"
+    )
+    assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == (
+        "ee3087e0da5f7c239c1a542dc59c79139d85459130b71c2088526ac194659c11"
+    )
+
+
 def test_graph_cap_exit_3(joint_file, capsys):
     rc = main(["graph", "--dist", joint_file, "--n", "30", "--cap", "1000"])
     assert rc == 3

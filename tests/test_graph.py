@@ -19,7 +19,6 @@ from typigraph.graph import (
     stats,
 )
 from typigraph.typicality import (
-    BigCount,
     TypicalityParams,
     default_params,
     is_jointly_typical,
@@ -300,9 +299,7 @@ def test_export_edge_cap_before_any_file(binary_joint, tmp_path):
 
 def test_degree_bound_violation_names_side_type_degree_bound(binary_joint, monkeypatch):
     g = explicit(binary_joint, 4)
-    monkeypatch.setattr(
-        typigraph.graph, "cond_typical_set_size", lambda w, x, slack: BigCount.from_int(1)
-    )
+    monkeypatch.setattr(typigraph.graph, "_cond_ball_size", lambda w, counts, slack: 1)
     rep = check_degree_bound(g)
     assert not rep.all_ok
     ld, rd = vertex_degrees(g)

@@ -17,6 +17,7 @@ from typigraph.typicality import (
     JointTypeVector,
     Sequence,
     TypeVector,
+    TypicalSampler,
     cond_typical_set_size,
     count_types,
     default_params,
@@ -103,6 +104,37 @@ def test_type_class_sequences_lex_and_complete():
     symbol_lists = [s.symbols for s in seqs]
     assert symbol_lists == sorted(symbol_lists)
     assert all(empirical_type(s).counts == (2, 2) for s in seqs)
+
+
+@st.composite
+def box_blocks(draw):
+    """k <= 3 symbols and 1-3 blocks of at most 7 positions in all, some of
+    length 0, with boxes that may be empty (lo > hi) or whose sums cannot
+    reach their block's length."""
+    k = draw(st.integers(1, 3))
+    lengths = draw(
+        st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 7)
+    )
+    blocks = []
+    for length in lengths:
+        ends = st.tuples(st.integers(-1, length + 1), st.integers(-1, length + 1))
+        box = st.one_of(ends.map(sorted).map(tuple), ends, st.just((0, length)))
+        blocks.append((length, draw(st.lists(box, min_size=k, max_size=k))))
+    return k, blocks
+
+
+@PROPERTY
+@given(box_blocks())
+def test_box_rows_match_filtering_every_row(case):
+    k, blocks = case
+    assert list(typicality._box_rows(k, blocks)) == oracles.box_rows(k, blocks)
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 7), (3, 6), (4, 5), (5, 3)])
+def test_enumerate_types_matches_colex_compositions(k, n):
+    types = list(enumerate_types(k, n))
+    assert [t.counts for t in types] == list(oracles.compositions_colex(k, n))
+    assert all(t.alphabet == Alphabet(tuple(range(k))) for t in types)
 
 
 def test_enumerate_types_colex_order():
@@ -210,6 +242,40 @@ def test_is_cond_typical_undefined_row():
         is_cond_typical(seq(BIN, 0, 0), x_bad, w, Fraction(1, 4))
     # unused undefined rows are fine
     assert is_cond_typical(seq(BIN, 0, 1), seq(BIN, 0, 0), w, Fraction(1, 2))
+
+
+@st.composite
+def channel_pairs(draw):
+    """A channel over |X|, |Y| <= 3 with zero cells and undefined rows (not
+    all of them), an (x, y) pair of length <= 6 and a slack delta >= 0."""
+    kx, ky = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    weights = st.lists(st.integers(0, 3), min_size=ky, max_size=ky).filter(any)
+    rows = draw(
+        st.lists(st.none() | weights, min_size=kx, max_size=kx).filter(lambda rs: any(rs))
+    )
+    n = draw(st.integers(1, 6))
+    x = tuple(draw(st.lists(st.integers(0, kx - 1), min_size=n, max_size=n)))
+    y = tuple(draw(st.lists(st.integers(0, ky - 1), min_size=n, max_size=n)))
+    w_rows = [None if r is None else [Fraction(c, sum(r)) for c in r] for r in rows]
+    return w_rows, ky, x, y, draw(st.fractions(0, 1, max_denominator=12))
+
+
+def outcome(f, *args):
+    """f's value, or "undefined" where it raises ValueError."""
+    try:
+        return f(*args)
+    except ValueError:
+        return "undefined"
+
+
+@PROPERTY
+@given(channel_pairs())
+def test_is_cond_typical_matches_oracle_on_random_channels(case):
+    w_rows, ky, x, y, delta = case
+    xa, ya = Alphabet(tuple(range(len(w_rows)))), Alphabet(tuple(range(ky)))
+    w = CondPmf(xa, ya, tuple(None if r is None else Pmf(ya, tuple(r)) for r in w_rows))
+    got = outcome(is_cond_typical, Sequence(ya, y), Sequence(xa, x), w, delta)
+    assert got == outcome(oracles.cond_typical, y, x, w_rows, delta)
 
 
 def test_is_jointly_typical_matches_oracle(binary_joint):
@@ -355,6 +421,26 @@ def test_sample_uniform_typical_empty_set():
     p = Pmf(BIN, (Fraction(1, 3), Fraction(2, 3)))
     with pytest.raises(ValueError):
         sample_uniform_typical(p, Fraction(0), 4, random.Random(0))  # 4/3 not integral
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda d: list(enumerate_types(3, 60, ball=(T3_ROW, d))),
+        lambda d: TypicalSampler(T3_ROW, d, 60),
+        lambda d: typical_set_size(T3_ROW, d, 60),
+        lambda d: cond_typical_set_size(
+            conditionalize(JointPmf(BIN, BIN, ((Fraction(1, 4),) * 2,) * 2), "row"),
+            seq(BIN, 0, 1, 1),
+            d,
+        ),
+    ],
+    ids=["enumerate_types", "TypicalSampler", "typical_set_size", "cond_typical_set_size"],
+)
+@pytest.mark.parametrize("delta", [-schedule_delta(60), Fraction(-1, 10)])
+def test_negative_delta_refused_by_every_ball_walk(walk, delta):
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        walk(delta)
 
 
 def test_sample_uniform_typical_point_mass():
