@@ -67,11 +67,9 @@ from .subgraphs import (
     verify_single_type,
 )
 from .deviation import (
-    exact_pair_moments,
     exponent_report,
     lll_lower_bounds,
     simulate,
-    simulation_sizes,
     suen_tail_bound,
     suen_tail_log,
     suen_zero_log,
@@ -177,28 +175,23 @@ def _parse_rate(text: str, flag: str) -> float:
 
 
 def _resolve_params(args: argparse.Namespace, n: int) -> TypicalityParams:
-    overrides = [args.eps1, args.eps2, args.lam]
-    if any(v is not None for v in overrides):
-        vals = []
-        base: Optional[Fraction] = None
-        for flag, v in zip(("--eps1", "--eps2", "--lambda"), overrides):
-            if v is None:
-                if base is None:
-                    base = schedule_delta(n, args.schedule)
-                vals.append(base)
-            else:
-                vals.append(_parse_rational(v, flag))
-        try:
-            return TypicalityParams(
-                eps1=vals[0], eps2=vals[1], lam=vals[2], schedule="custom"
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    """The schedule's slack, replaced by each of --eps1, --eps2, --lambda
+    given; an unknown schedule is refused even when all three are."""
     try:
         d = schedule_delta(n, args.schedule)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return TypicalityParams(eps1=d, eps2=d, lam=d, schedule=args.schedule)
+    overrides = [args.eps1, args.eps2, args.lam]
+    if all(v is None for v in overrides):
+        return TypicalityParams(eps1=d, eps2=d, lam=d, schedule=args.schedule)
+    vals = [
+        d if v is None else _parse_rational(v, flag)
+        for flag, v in zip(("--eps1", "--eps2", "--lambda"), overrides)
+    ]
+    try:
+        return TypicalityParams(*vals, schedule="custom")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_joint(path: str) -> JointPmf:
@@ -391,10 +384,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     r1 = _parse_rate(args.r1, "--r1")
     r2 = _parse_rate(args.r2, "--r2")
     try:
-        simulation_sizes(args.n, r1, r2, args.trials)  # refuse oversized runs first
+        mc = simulate(joint, params, args.n, r1, r2, args.trials, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    moments = exact_pair_moments(joint, params, args.n, r1, r2)
+    moments = mc.moments
     lll = lll_lower_bounds(moments, moments.m1, moments.m2, args.n)
     neg_logs = {
         "suen_zero": suen_zero_log(moments.gamma, moments.theta_cap, moments.theta_small),
@@ -410,7 +403,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     i_xy = mutual_information(joint)
     report = exponent_report(bounds, args.n, r1, r2, i_xy, neg_logs)
-    mc = simulate(joint, params, args.n, r1, r2, args.trials, args.seed)
     lll_floor = max(
         [b for k, b in bounds.items() if k.startswith("lll") and b is not None],
         default=0.0,

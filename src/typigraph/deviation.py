@@ -35,7 +35,6 @@ from .typicality import (
     TypicalSampler,
     TypicalityParams,
     degree_table,
-    jointly_typical_pair_count,
     log2_int,
     typical_set_size,
 )
@@ -46,16 +45,6 @@ WILSON_Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 # ---------------------------------------------------------------------------
 # exact crossing probability and moments
 # ---------------------------------------------------------------------------
-
-
-def exact_alpha_fraction(joint: JointPmf, params: TypicalityParams, n: int) -> Fraction:
-    """P(jointly typical) for one uniform typical crossing, exact."""
-    t1 = typical_set_size(joint.row_marginal(), params.eps1, n).value
-    t2 = typical_set_size(joint.col_marginal(), params.eps2, n).value
-    if t1 == 0 or t2 == 0:
-        raise ValueError("a typical set is empty; the crossing law is undefined")
-    pairs = jointly_typical_pair_count(joint, params, n).value
-    return Fraction(pairs, t1 * t2)
 
 
 def exact_zero_probability(
@@ -71,21 +60,21 @@ def exact_zero_probability(
     """
     if m2 < 0:
         raise ValueError("m2 must be nonnegative")
-    table = degree_table(joint, params.eps1, params.eps2, params.lam, n)
-    t1 = sum(size for _, size, _ in table)
+    table = degree_table(joint, params, n).values()
+    t1 = sum(size for size, _ in table)
     t2 = typical_set_size(joint.col_marginal(), params.eps2, n).value
     if t1 == 0 or t2 == 0:
         raise ValueError("a typical set is empty; the crossing law is undefined")
     bits = m2 * t2.bit_length()
     if bits > DEFAULT_CAP:
         raise CapExceeded(f"(1 - deg/T2)^{m2} needs about {bits} bits, over cap {DEFAULT_CAP}")
-    misses = sum(size * (t2 - deg) ** m2 for _, size, deg in table)
+    misses = sum(size * (t2 - deg) ** m2 for size, deg in table)
     return Fraction(misses, t1 * t2**m2)
 
 
 def _second_moment(table, t_own: int, t_other: int) -> Fraction:
     """E[(deg(x)/|T_other|)^2] for x uniform on its typical set, exact."""
-    acc = sum(size * deg * deg for _, size, deg in table)
+    acc = sum(size * deg * deg for size, deg in table)
     return Fraction(acc, t_own * t_other * t_other)
 
 
@@ -135,14 +124,14 @@ def exact_pair_moments(
 ) -> MomentEstimates:
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    left = degree_table(joint, params.eps1, params.eps2, params.lam, n)
-    right = degree_table(joint.transpose(), params.eps2, params.eps1, params.lam, n)
-    t1 = sum(size for _, size, _ in left)
-    t2 = sum(size for _, size, _ in right)
+    left = degree_table(joint, params, n, "left").values()
+    right = degree_table(joint, params, n, "right").values()
+    t1 = sum(size for size, _ in left)
+    t2 = sum(size for size, _ in right)
     if t1 == 0 or t2 == 0:
         raise ValueError("a typical set is empty; the crossing law is undefined")
-    pairs = sum(size * deg for _, size, deg in left)
-    right_pairs = sum(size * deg for _, size, deg in right)
+    pairs = sum(size * deg for size, deg in left)
+    right_pairs = sum(size * deg for size, deg in right)
     if pairs != right_pairs:
         raise InvariantViolation(
             f"pair count from the left degrees ({pairs}) differs from the "
@@ -556,8 +545,9 @@ class MonteCarloReport:
     wilson_high: float
     mean_u: float
     var_u: float
-    gamma: float  # exact E[U] for reference
+    gamma: float  # exact E[U] for reference: moments.gamma
     tails: tuple  # ((a, empirical P(U <= a*gamma)), ...)
+    moments: MomentEstimates  # the exact pair moments at (M1, M2)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99) -> tuple[float, float]:
@@ -614,16 +604,17 @@ def simulate(
     how the work is scheduled. Within a trial the row codebook is drawn
     first, then column codewords in sequence: enlarging M2 with the same
     seed extends the draw, it never reshuffles it. An oversized run raises
-    CapExceeded before any work (see `simulation_sizes`).
+    CapExceeded before any work (see `simulation_sizes`). The exact pair
+    moments, computed once before the first trial, come back on the report.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m1, m2 = simulation_sizes(n, r1, r2, trials)
-    gamma = float(Fraction(m1 * m2) * exact_alpha_fraction(joint, params, n))
+    moments = exact_pair_moments(joint, params, n, r1, r2)
     index = JointTypeIndex.ball(joint, params.lam, n)
     draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw
     draw_y = TypicalSampler(joint.col_marginal(), params.eps2, n).draw
-    thresholds = [a * gamma for a in a_grid]
+    thresholds = [a * moments.gamma for a in a_grid]
     tail_hits = [0] * len(a_grid)
     zero_count = 0
     sum_u = 0
@@ -659,6 +650,7 @@ def simulate(
         wilson_high=high,
         mean_u=mean_u,
         var_u=var_u,
-        gamma=gamma,
+        gamma=moments.gamma,
         tails=tuple((a, tail_hits[i] / trials) for i, a in enumerate(a_grid)),
+        moments=moments,
     )

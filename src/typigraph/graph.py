@@ -6,12 +6,11 @@ joins (x, y) exactly when the pair is jointly lam-typical. Vertex ids are
 lexicographic ranks within each roster.
 
 A vertex's degree depends only on its type, so one degree table per side
-(`typicality.degree_table`; the right side's comes from the transposed
-joint) gives the edge count, the statistics and the degree bound exactly,
-at the level of types; `degree_of` counts one type. Explicit mode also
-holds the two rosters, capped by their exact sizes; `edge_list` streams
-the edges from one pair scan over them, on demand, and nothing holds the
-edge set.
+(`typicality.degree_table`, whose `_oriented` decides what a side is)
+gives the edge count, the statistics and the degree bound exactly, at the
+level of types; `degree_of` counts one type. Explicit mode also holds the
+two rosters, capped by their exact sizes; `edge_list` streams the edges
+from one pair scan over them, on demand, and nothing holds the edge set.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .typicality import (
     _ball_boxes,
     _box_rows,
     _cond_ball_size,
+    _oriented,
     degree_table,
     log2_int,
     row_type_degree,
@@ -79,23 +79,6 @@ def _type_counts(x: Sequence) -> tuple[int, ...]:
     return tuple(map(x.symbols.count, range(x.alphabet.size)))
 
 
-def _oriented(spec: GraphSpec, side: str):
-    """(joint, row eps, column eps) with the side's sequences as the rows."""
-    p = spec.params
-    if side == "left":
-        return spec.joint, p.eps1, p.eps2
-    if side == "right":
-        return spec.joint.transpose(), p.eps2, p.eps1
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def _degree_table(spec: GraphSpec, side: str) -> dict:
-    """Type counts -> (class size, degree) over the side's typical types."""
-    joint, row_eps, col_eps = _oriented(spec, side)
-    table = degree_table(joint, row_eps, col_eps, spec.params.lam, spec.n)
-    return {counts: (size, deg) for counts, size, deg in table}
-
-
 @dataclass(frozen=True)
 class TypicalityGraph:
     """Exact vertex and edge counts, degrees per type, rosters if explicit.
@@ -119,7 +102,8 @@ class TypicalityGraph:
 
     def _table(self, side: str) -> dict:
         if side not in self._tables:
-            self._tables[side] = _degree_table(self.spec, side)
+            spec = self.spec
+            self._tables[side] = degree_table(spec.joint, spec.params, spec.n, side)
         return self._tables[side]
 
     def degree_of(self, x: Sequence, side: str = "left") -> BigCount:
@@ -128,11 +112,10 @@ class TypicalityGraph:
         x need not be typical itself; the degree depends on x only through
         its type.
         """
-        joint, _, col_eps = _oriented(self.spec, side)
+        spec = self.spec
+        joint, _, col_eps = _oriented(spec.joint, spec.params, side)
         return BigCount.from_int(
-            row_type_degree(
-                joint, _type_counts(x), col_eps, self.spec.params.lam, self.spec.n
-            )
+            row_type_degree(joint, _type_counts(x), col_eps, spec.params.lam, spec.n)
         )
 
 
@@ -144,7 +127,7 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
     before enumerating either. No sequence pair is scanned.
     """
     joint, n, params = spec.joint, spec.n, spec.params
-    left_table = _degree_table(spec, "left")
+    left_table = degree_table(joint, params, n)
     left_count = sum(size for size, _ in left_table.values())
     right_count = typical_set_size(joint.col_marginal(), params.eps2, n).value
     left = right = None
@@ -244,12 +227,13 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
     Both sides of the inequality depend on x only through its type, so
     each typical type is checked once.
     """
-    spec, params = g.spec, g.spec.params
+    spec = g.spec
     worst = math.inf
     violations = []
-    for side, given, eps in (("left", "row", params.eps1), ("right", "col", params.eps2)):
-        w = conditionalize(spec.joint, given=given)
-        slack = Fraction(eps) + Fraction(params.lam)
+    for side in ("left", "right"):
+        joint, row_eps, _ = _oriented(spec.joint, spec.params, side)
+        w = conditionalize(joint)
+        slack = row_eps + spec.params.lam
         for counts, (_, deg) in g._table(side).items():
             bound = _cond_ball_size(w, counts, slack)
             if deg > bound:
@@ -263,15 +247,36 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
     )
 
 
-def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
-    """Stream (left_id, right_id) pairs in lexicographic order, from one
-    pair scan over the rosters."""
+def _scan_rows(g: TypicalityGraph) -> Iterator[list[int]]:
+    """One pair scan over the rosters: each left vertex's right ids, in order."""
     left, right = _rosters(g)
     spec = g.spec
     index = JointTypeIndex.ball(spec.joint, spec.params.lam, spec.n)
-    rows = index.scan([x.symbols for x in left], [y.symbols for y in right])
-    for i, nbrs in enumerate(rows):
+    return index.scan([x.symbols for x in left], [y.symbols for y in right])
+
+
+def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
+    """Stream (left_id, right_id) pairs in lexicographic order, from one
+    pair scan over the rosters."""
+    for i, nbrs in enumerate(_scan_rows(g)):
         yield from zip(repeat(i), nbrs)
+
+
+def _write_rank_csv(path: str, rows, expected: int) -> None:
+    """Write a `left_rank,right_rank` edge CSV from scan rows (each left
+    rank's list of right ranks, in left-rank order). InvariantViolation
+    unless exactly `expected` edges were written."""
+    written = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["left_rank", "right_rank"])
+        for i, nbrs in enumerate(rows):
+            writer.writerows(zip(repeat(i), nbrs))
+            written += len(nbrs)
+    if written != expected:
+        raise InvariantViolation(
+            f"{written} edges written, but the exact pair count is {expected}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +322,7 @@ def export_graph(
     """JSON header (spec, sizes, log2 stats) plus optional edge CSV.
 
     `st` is `stats(g)` when the caller already has it; it is computed
-    otherwise. The CSV is written straight from `edge_list`. Its scan of
+    otherwise. The CSV is written straight from the pair scan. Its scan of
     |L|*|R| pairs is refused with CapExceeded over spec.cap, before any
     file is written.
     """
@@ -362,18 +367,7 @@ def export_graph(
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if edges_csv_path is not None:
-        with open(edges_csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["left_rank", "right_rank"])
-            written = 0
-            for edge in edge_list(g):
-                writer.writerow(edge)
-                written += 1
-        if written != g.edge_count.value:
-            raise InvariantViolation(
-                f"{written} edges written, but the exact pair count is "
-                f"{g.edge_count.value}"
-            )
+        _write_rank_csv(edges_csv_path, _scan_rows(g), g.edge_count.value)
 
 
 def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int, int]]:

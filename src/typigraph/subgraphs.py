@@ -25,7 +25,6 @@ as well.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -53,7 +52,13 @@ from .core import (
     rational_approximate,
     total_variation,
 )
-from .graph import _count_field, _field, _params_from_header, _params_to_dict
+from .graph import (
+    _count_field,
+    _field,
+    _params_from_header,
+    _params_to_dict,
+    _write_rank_csv,
+)
 from .typicality import (
     BigCount,
     JointTypeIndex,
@@ -618,7 +623,9 @@ def export_subgraph(
     """JSON header with exact provenance; optional edge CSV of roster ranks.
 
     The edge scan over left_size * right_size pairs is refused with
-    CapExceeded over edge_cap, before any file is written.
+    CapExceeded over edge_cap, before any file is written. An edge CSV
+    whose row count is not left_size * left_degree raises
+    InvariantViolation.
     """
     if edges_csv_path is not None:
         total = sub.left_size.value * sub.right_size.value
@@ -665,11 +672,8 @@ def export_subgraph(
         return
     left = [x.symbols for x in left_roster(sub)]
     right = [y.symbols for y in right_roster(sub)]
-    with open(edges_csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["left_rank", "right_rank"])
-        for i, nbrs in enumerate(sub.edge_index.scan(left, right)):
-            writer.writerows([i, j] for j in nbrs)
+    rows = sub.edge_index.scan(left, right)
+    _write_rank_csv(edges_csv_path, rows, sub.left_size.value * sub.left_degree.value)
 
 
 def import_subgraph(json_path: str) -> Subgraph:

@@ -20,8 +20,10 @@ in lexicographic order inside per-block, per-symbol count boxes.
 Everything that counts jointly typical pairs goes through one kernel,
 `row_type_degree`: the exact degree of a row type, built row by row from
 compositions clipped to the per-cell boxes of the joint ball. The per-row-type
-table `degree_table` (counts, class size, degree) then gives the pair count,
-every vertex degree and the degree second moments as plain sums.
+table `degree_table` ({counts: (class size, degree)}) then gives the pair
+count, every vertex degree and the degree second moments as plain sums.
+One function, `_oriented`, decides a side: the right side's table is the
+left side's on the transposed joint, with eps1 and eps2 swapped.
 """
 
 from __future__ import annotations
@@ -516,26 +518,36 @@ def row_type_degree(joint: JointPmf, row_counts, col_eps, lam, n: int) -> int:
     return sum(w for sums, w in partial.items() if _counts_typical(sums, py, n, eps))
 
 
+def _oriented(joint: JointPmf, params: TypicalityParams, side: str):
+    """(joint, row eps, column eps) with the side's sequences as the rows:
+    the left side is the joint's rows, the right side its columns."""
+    if side == "left":
+        return joint, params.eps1, params.eps2
+    if side == "right":
+        return joint.transpose(), params.eps2, params.eps1
+    raise ValueError("side must be 'left' or 'right'")
+
+
 def degree_table(
-    joint: JointPmf, row_eps, col_eps, lam, n: int
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """(row counts, class size, degree) for every type in the row_eps ball.
+    joint: JointPmf, params: TypicalityParams, n: int, side: str = "left"
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """{counts: (class size, degree)} for every type in the side's ball.
 
     Pair counts, vertex degrees and degree moments of the typicality graph
     are all sums over this table.
     """
-    px = joint.row_marginal()
-    return [
-        (counts, multinomial(n, counts), row_type_degree(joint, counts, col_eps, lam, n))
-        for counts in _admissible_count_vectors(px.probs, n, Fraction(row_eps))
-    ]
+    joint, row_eps, col_eps = _oriented(joint, params, side)
+    return {
+        c: (multinomial(n, c), row_type_degree(joint, c, col_eps, params.lam, n))
+        for c in _admissible_count_vectors(joint.row_marginal().probs, n, row_eps)
+    }
 
 
 def jointly_typical_pair_count(joint: JointPmf, params: TypicalityParams, n: int) -> BigCount:
     """Exact number of pairs (x, y) with x eps1-typical, y eps2-typical,
     and (x, y) jointly lam-typical."""
-    table = degree_table(joint, params.eps1, params.eps2, params.lam, n)
-    return BigCount.from_int(sum(size * deg for _, size, deg in table))
+    table = degree_table(joint, params, n)
+    return BigCount.from_int(sum(size * deg for size, deg in table.values()))
 
 
 # ---------------------------------------------------------------------------

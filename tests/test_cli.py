@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import typigraph.cli
+import typigraph.deviation
 import typigraph.diagnostics
 import typigraph.graph
 import typigraph.typicality
@@ -158,6 +159,12 @@ def test_graph_param_overrides(joint_file, capsys):
     assert rc == 2  # slacks must be positive
     rc = main(["graph", "--dist", joint_file, "--n", "4", "--schedule", "warp"])
     assert rc == 2
+    # the schedule is resolved up front, also when every slack is given
+    slacks = ["--eps1", "1/4", "--eps2", "1/4", "--lambda", "1/4"]
+    capsys.readouterr()
+    rc = main(["graph", "--dist", joint_file, "--n", "4", *slacks, "--schedule", "warp"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown schedule 'warp'\n"
 
 
 @pytest.mark.parametrize(
@@ -398,6 +405,31 @@ def test_simulate_codebook_out_of_float_range_exit_2(joint_file, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "1100.5" in err and "Traceback" not in err
+
+
+def test_simulate_builds_each_degree_table_once(joint_file, monkeypatch):
+    """One run: the left and the right table once each, from the one
+    exact_pair_moments call inside simulate, and no typical-set sum."""
+    sides, sums = [], []
+    real_table = typigraph.typicality.degree_table
+    real_sum = typigraph.typicality.typical_set_size
+
+    def counted_table(joint, params, n, side="left"):
+        sides.append(side)
+        return real_table(joint, params, n, side)
+
+    def counted_sum(*args, **kwargs):
+        sums.append(args)
+        return real_sum(*args, **kwargs)
+
+    for module in (typigraph.typicality, typigraph.graph, typigraph.deviation):
+        monkeypatch.setattr(module, "degree_table", counted_table)
+        monkeypatch.setattr(module, "typical_set_size", counted_sum)
+    args = ["simulate", "--dist", joint_file, "--n", "8", "--r1", "2/8", "--r2", "2/8",
+            "--trials", "20", "--seed", "3"]
+    assert main(args) == 0
+    assert sorted(sides) == ["left", "right"]
+    assert sums == []
 
 
 # --- wring ---------------------------------------------------------------------
@@ -778,6 +810,49 @@ def test_wring_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys, run):
 
 
 # --- argparse plumbing ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["info", "--dist", "nope.json"], "nope.json: file not found"),
+        (
+            ["graph", "--dist", "joint.json", "--n", "4", "--eps1", "1/4",
+             "--schedule", "foo"],
+            "unknown schedule 'foo'",
+        ),
+        (
+            ["subgraph", "--dist", "joint.json", "--n", "6", "--kind", "gamma"],
+            "--kind gamma requires --aux",
+        ),
+        (
+            ["simulate", "--dist", "joint.json", "--n", "3", "--eps1", "1/1000",
+             "--r1", "0", "--r2", "0", "--trials", "1", "--seed", "1", "--out", "m.json"],
+            "a typical set is empty",
+        ),
+        (
+            ["simulate", "--dist", "joint.json", "--n", "4", "--r1", "x/2",
+             "--r2", "0", "--trials", "1", "--seed", "1"],
+            "--r1",
+        ),
+        (["wring", "--edges", "nope.csv", "--delta", "0.1"], "nope.csv: file not found"),
+    ],
+    ids=["info-missing-file", "graph-schedule", "subgraph-no-aux", "simulate-empty-set",
+         "simulate-bad-rate", "wring-missing-file"],
+)
+def test_malformed_input_exits_2_without_traceback(
+    binary_joint, tmp_path, monkeypatch, capsys, argv, message
+):
+    """Every subcommand refuses bad input with exit 2 and one error line;
+    an exception escaping main would print a traceback instead."""
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["joint.json"]
 
 
 def test_unknown_subcommand_exits_2():

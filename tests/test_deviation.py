@@ -20,7 +20,6 @@ from typigraph.deviation import (
     count_pairs,
     deviation_exponent_target,
     draw_codebook,
-    exact_alpha_fraction,
     exact_pair_moments,
     exact_zero_probability,
     exponent_report,
@@ -68,8 +67,8 @@ def brute_alpha(joint, params, n):
 def test_exact_alpha_matches_brute(binary_joint):
     for n in (4, 5, 6):
         params = default_params(n)
-        assert exact_alpha_fraction(binary_joint, params, n) == brute_alpha(
-            binary_joint, params, n
+        assert exact_pair_moments(binary_joint, params, n, 0, 0).alpha_exact == (
+            brute_alpha(binary_joint, params, n)
         )
 
 
@@ -469,7 +468,7 @@ def test_simulate_work_cap(binary_joint, monkeypatch):
     def refuse(*args):
         raise AssertionError("exact work started before the cap check")
 
-    monkeypatch.setattr("typigraph.deviation.exact_alpha_fraction", refuse)
+    monkeypatch.setattr("typigraph.deviation.exact_pair_moments", refuse)
     with pytest.raises(CapExceeded):
         simulate(binary_joint, params, 12, 1.0, 1.0, trials=2, seed=1)
 
@@ -479,6 +478,7 @@ def test_simulate_mean_tracks_gamma(binary_joint):
     params = default_params(n)
     mc = simulate(binary_joint, params, n, 0.25, 0.25, trials=3000, seed=12)
     m = exact_pair_moments(binary_joint, params, n, 0.25, 0.25)
+    assert mc.moments == m
     se = math.sqrt(mc.var_u / mc.trials)
     assert abs(mc.mean_u - m.gamma) <= 5 * se
     assert mc.gamma == pytest.approx(m.gamma)

@@ -36,6 +36,7 @@ from typigraph.subgraphs import (
     verify_single_type,
 )
 from typigraph.typicality import (
+    JointTypeIndex,
     TypicalityParams,
     default_params,
     empirical_joint_type,
@@ -374,6 +375,21 @@ def test_subgraph_export_tamper_detected(binary_joint, tmp_path):
     jpath.write_text(json.dumps(doc))
     with pytest.raises(InvariantViolation):
         import_subgraph(str(jpath))
+
+
+def test_export_counts_written_edges(binary_joint, monkeypatch, tmp_path):
+    """An edge CSV whose rows are not left_size * left_degree is refused."""
+    an = build_exact_type_subgraph(binary_joint, 8)
+    real = JointTypeIndex.scan
+
+    def drop_first_edge(self, xs, ys):
+        rows = real(self, xs, ys)
+        yield next(rows)[1:]
+        yield from rows
+
+    monkeypatch.setattr(JointTypeIndex, "scan", drop_first_edge)
+    with pytest.raises(InvariantViolation, match="1119 edges written.*1120"):
+        export_subgraph(an, str(tmp_path / "a.json"), str(tmp_path / "a.csv"))
 
 
 def test_export_edge_cap(binary_joint, tmp_path):
