@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -604,33 +605,30 @@ def simulate(
     how the work is scheduled. Within a trial the row codebook is drawn
     first, then column codewords in sequence: enlarging M2 with the same
     seed extends the draw, it never reshuffles it. An oversized run raises
-    CapExceeded before any work (see `simulation_sizes`). The exact pair
+    CapExceeded before any work: too many pair tests (`simulation_sizes`)
+    or too large a joint ball (`JointTypeIndex.ball`). U is kept as a
+    histogram, from which every statistic is summed. The exact pair
     moments, computed once before the first trial, come back on the report.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m1, m2 = simulation_sizes(n, r1, r2, trials)
-    moments = exact_pair_moments(joint, params, n, r1, r2)
     index = JointTypeIndex.ball(joint, params.lam, n)
+    moments = exact_pair_moments(joint, params, n, r1, r2)
     draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw
     draw_y = TypicalSampler(joint.col_marginal(), params.eps2, n).draw
-    thresholds = [a * moments.gamma for a in a_grid]
-    tail_hits = [0] * len(a_grid)
-    zero_count = 0
-    sum_u = 0
-    sum_u2 = 0
+    hist: Counter = Counter()  # U -> trials
     for t in range(trials):
         rng = _trial_rng(seed, t)
         xs = [draw_x(rng) for _ in range(m1)]
         ys = [draw_y(rng) for _ in range(m2)]
-        u = index.count(xs, ys)
-        if u == 0:
-            zero_count += 1
-        sum_u += u
-        sum_u2 += u * u
-        for idx, thresh in enumerate(thresholds):
-            if u <= thresh:
-                tail_hits[idx] += 1
+        hist[index.count(xs, ys)] += 1
+    zero_count = hist[0]
+    sum_u = sum(u * c for u, c in hist.items())
+    sum_u2 = sum(u * u * c for u, c in hist.items())
+    tail_hits = [
+        sum(c for u, c in hist.items() if u <= a * moments.gamma) for a in a_grid
+    ]
     mean_u = sum_u / trials
     var_u = (
         (sum_u2 - trials * mean_u * mean_u) / (trials - 1) if trials > 1 else 0.0

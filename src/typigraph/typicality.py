@@ -38,7 +38,7 @@ from functools import cache, lru_cache
 from operator import add
 from typing import Iterator, Optional
 
-from .core import Alphabet, CondPmf, JointPmf, Pmf
+from .core import DEFAULT_CAP, Alphabet, CapExceeded, CondPmf, JointPmf, Pmf
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +385,10 @@ def _admissible_count_vectors(
     return _compositions_in_boxes(_ball_boxes(flat_probs, n, delta), n)
 
 
-def _box_multinomial_sum(boxes, total: int) -> int:
+def _box_multinomial_sum(boxes, total: int, unit: bool = False) -> int:
     """Sum of multinomial(total, c) over the count vectors c summing to
     total with each c_i inside its (lo, hi) box, without listing them.
+    With unit=True every vector weighs 1 instead, so the sum is their number.
 
     A multinomial is the product of the binomials C(r_i, c_i), where r_i is
     what remains of total before cell i. So a backward pass over the cells,
@@ -404,7 +405,8 @@ def _box_multinomial_sum(boxes, total: int) -> int:
 
     The cost is sum_i (remainders kept for f_i) * (width of box i) small
     steps and big-integer multiply-adds, and one `math.comb` per remainder,
-    where the former loop built a full multinomial per composition.
+    where the former loop built a full multinomial per composition. With
+    unit weights C(r, c) is 1, and f_i(r) is the sum of a slice of f_{i+1}.
     """
     if any(lo > hi for lo, hi in boxes):
         return 0
@@ -422,6 +424,9 @@ def _box_multinomial_sum(boxes, total: int) -> int:
         g = []
         for r in range(r_lo, r_hi + 1):
             c_lo, c_hi = max(lo, r - f_hi), min(hi, r - f_lo)
+            if unit:
+                g.append(sum(f[r - c_hi - f_lo : r - c_lo - f_lo + 1]))
+                continue
             w = math.comb(r, c_lo)
             s = 0
             for c in range(c_lo, c_hi + 1):
@@ -627,27 +632,48 @@ class TypicalSampler:
 
     Two stages: a type is drawn with probability proportional to its exact
     class size (big-integer arithmetic, no floats), then a uniformly random
-    arrangement of that type's multiset is produced. A draw makes exactly
-    one `rng.randrange` and one `rng.shuffle` call. The table is built (or
-    fetched) once per sampler; a type's sorted multiset is expanded on its
-    first draw, so memory grows with the types drawn, not with the ball.
+    arrangement of that type's sorted multiset is produced by Fisher-Yates.
+    The table is built (or fetched) once per sampler; a type's multiset is
+    expanded on its first draw, so memory grows with the types drawn, not
+    with the ball.
+
+    Stream contract: a draw reads `rng.getrandbits` only, in exactly the
+    calls that `rng.randrange(total)` followed by `rng.shuffle(multiset)`
+    make on a `random.Random` (CPython's `_randbelow_with_getrandbits`:
+    k-bit words, rejected until below the bound). So the draws and the
+    generator's state after each one equal those of that pair of calls. A
+    `Random` subclass that overrides only `random()` still gets uniform
+    draws, but from its `getrandbits`, so not the stream its own
+    `randrange` and `shuffle` would give.
     """
 
     def __init__(self, p: Pmf, delta, n: int):
         self._types, self._cum, self._total = _sampler_table(p, Fraction(delta), n)
         if self._total == 0:
             raise ValueError("typical set is empty; nothing to sample")
+        self._total_bits = self._total.bit_length()
+        # Fisher-Yates from the back: (i, bits of i + 1) per swap
+        self._steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
         self._multisets: dict = {}
 
     def draw(self, rng: random.Random) -> list[int]:
-        i = bisect_right(self._cum, rng.randrange(self._total))
-        multiset = self._multisets.get(i)
+        getrandbits = rng.getrandbits
+        total, bits = self._total, self._total_bits
+        r = getrandbits(bits)
+        while r >= total:
+            r = getrandbits(bits)
+        t = bisect_right(self._cum, r)
+        multiset = self._multisets.get(t)
         if multiset is None:
-            multiset = self._multisets[i] = [
-                s for s, c in enumerate(self._types[i]) for _ in range(c)
+            multiset = self._multisets[t] = [
+                s for s, c in enumerate(self._types[t]) for _ in range(c)
             ]
         buf = multiset.copy()
-        rng.shuffle(buf)
+        for i, k in self._steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            buf[i], buf[j] = buf[j], buf[i]
         return buf
 
 
@@ -723,8 +749,19 @@ class JointTypeIndex:
 
     @classmethod
     def ball(cls, joint: JointPmf, lam, n: int) -> "JointTypeIndex":
-        """The joint lam-ball (support included) at blocklength n."""
-        matrices = _admissible_count_vectors(joint.flat(), n, Fraction(lam))
+        """The joint lam-ball (support included) at blocklength n.
+
+        The ball's count matrices are counted first, without listing them,
+        and CapExceeded is raised when there are more than DEFAULT_CAP.
+        """
+        boxes = _ball_boxes(joint.flat(), n, Fraction(lam))
+        size = _box_multinomial_sum(boxes, n, unit=True)
+        if size > DEFAULT_CAP:
+            raise CapExceeded(
+                f"the joint ball at n={n} holds {size} count matrices, "
+                f"over cap {DEFAULT_CAP}"
+            )
+        matrices = _compositions_in_boxes(boxes, n)
         return cls(joint.row_alphabet.size, joint.col_alphabet.size, [(n, matrices)])
 
     def _key(self, items):

@@ -388,6 +388,30 @@ def test_simulate_cap_message_gives_log2_of_work(joint_file, capsys):
     assert len(err) < 120
 
 
+def test_simulate_joint_ball_cap_exit_3(tmp_path, monkeypatch, capsys):
+    """D3 (3/4 split over the diagonal) at n=50: the joint ball holds
+    30,095,340 count matrices, refused from their count, before any is
+    listed and before the exact moments."""
+
+    def unlisted(*args):
+        raise AssertionError("the joint ball was listed")
+
+    monkeypatch.setattr(typigraph.typicality, "_compositions_in_boxes", unlisted)
+    monkeypatch.setattr(typigraph.deviation, "exact_pair_moments", unlisted)
+    a = Alphabet((0, 1, 2))
+    d3 = JointPmf(a, a, tuple(
+        tuple(Fraction(1, 4) if i == j else Fraction(1, 24) for j in range(3))
+        for i in range(3)
+    ))
+    path = tmp_path / "d3.json"
+    save_distribution(d3, str(path))
+    args = ["simulate", "--dist", str(path), "--n", "50", "--r1", "1/50",
+            "--r2", "1/50", "--trials", "1", "--seed", "1"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "30095340 count matrices, over cap" in err and "Traceback" not in err
+
+
 def test_simulate_validation(joint_file):
     base = ["simulate", "--dist", joint_file, "--n", "8", "--r1", "0.25", "--r2", "0.25"]
     assert main(base + ["--trials", "0", "--seed", "1"]) == 2

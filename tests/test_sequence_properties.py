@@ -13,7 +13,7 @@ The bulk rank-CSV reader must read what the row-by-row reference in
 `oracles` reads, or raise its error, at every chunk size. The uniform
 typical-set sampler must draw the reference's symbols and leave the
 generator in the reference's state, whether it is built once or once per
-draw.
+draw, also for type tables whose total takes more than 32 bits.
 """
 
 import csv
@@ -21,6 +21,7 @@ import itertools
 import os
 import random
 import tempfile
+from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
 
@@ -55,11 +56,13 @@ from typigraph.subgraphs import (
     left_roster,
     right_roster,
 )
+from typigraph import typicality
 from typigraph.typicality import (
     Sequence,
     TypicalSampler,
     TypicalityParams,
     sample_uniform_typical,
+    schedule_delta,
 )
 
 PROPERTY = settings.get_profile("typigraph")
@@ -425,3 +428,38 @@ def test_sampler_stream_matches_per_draw_calls(p, n, delta, seed, draws):
             sample_uniform_typical(p, delta, n, per_call).symbols for _ in range(draws)
         ] == want
     assert hoisted.getstate() == per_call.getstate() == ref.getstate()
+
+
+def test_random_draws_below_a_bound_from_getrandbits():
+    """The sampler inlines `Random._randbelow_with_getrandbits`; a Python
+    whose `randrange` and `shuffle` draw otherwise breaks the stream here."""
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+FIVE = Alphabet(tuple(range(5)))
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [
+        (Pmf(Alphabet((0, 1, 2)), (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5))), 60),
+        (Pmf(FIVE, tuple(Fraction(w, 12) for w in (1, 2, 3, 2, 4))), 20),
+    ],
+    ids=["T3-row-n60", "five-symbols-n20"],
+)
+def test_sampler_stream_past_32_bits(p, n):
+    """randrange(total) then shuffle over the sampler's own table, for
+    totals of more than 32 bits: the same symbols and generator state after
+    every draw."""
+    delta = schedule_delta(n)
+    types, cum, total = typicality._sampler_table(p, delta, n)
+    assert total.bit_length() > 32
+    sampler = TypicalSampler(p, delta, n)
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            buf = [s for s, c in enumerate(types[bisect_right(cum, ref.randrange(total))])
+                   for _ in range(c)]
+            ref.shuffle(buf)
+            assert sampler.draw(rng) == buf
+            assert rng.getstate() == ref.getstate()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from typigraph import typicality
-from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, conditionalize
+from typigraph.core import DEFAULT_CAP, Alphabet, CapExceeded, CondPmf, JointPmf, Pmf, conditionalize
 from typigraph.typicality import (
     BigCount,
     DEFAULT_SCHEDULE,
@@ -346,6 +346,9 @@ def test_box_multinomial_sum_matches_listing(case):
     assert typicality._box_multinomial_sum(boxes, total) == (
         oracles.box_multinomial_sum(boxes, total)
     )
+    assert typicality._box_multinomial_sum(boxes, total, unit=True) == len(
+        list(typicality._compositions_in_boxes(boxes, total))
+    )
 
 
 def test_typical_set_size_t3_n400_matches_listing():
@@ -501,6 +504,48 @@ def test_joint_type_index_symbols_past_one_byte():
     assert index.count([(299, 257, 299)], [(1, 0, 1)]) == 1
     assert index.count([(299, 257, 299)], [(1, 1, 0)]) == 0
     assert index.count([(299, 256, 299)], [(1, 0, 1)]) == 0
+
+
+def _diagonal_joint(k):
+    """D_k: 3/(4k) on the diagonal, 1/(4k(k-1)) off it."""
+    a = Alphabet(tuple(range(k)))
+    return JointPmf(a, a, tuple(
+        tuple(Fraction(3, 4 * k) if i == j else Fraction(1, 4 * k * (k - 1)) for j in range(k))
+        for i in range(k)
+    ))
+
+
+def _unlisted(*args):
+    raise AssertionError("the joint ball was listed")
+
+
+def test_joint_ball_count_matches_listing():
+    rng = random.Random(12)
+    for _ in range(60):
+        kx, ky = rng.randint(1, 3), rng.randint(1, 3)
+        weights = [rng.randrange(4) for _ in range(kx * ky)]
+        weights[rng.randrange(kx * ky)] += 1
+        flat = [Fraction(w, sum(weights)) for w in weights]
+        n = rng.randint(1, 8)
+        lam = Fraction(rng.randrange(7), rng.randint(2, 12))
+        boxes = typicality._ball_boxes(flat, n, lam)
+        assert typicality._box_multinomial_sum(boxes, n, unit=True) == len(
+            list(typicality._admissible_count_vectors(flat, n, lam))
+        )
+
+
+def test_joint_ball_count_of_d3_at_n30_without_listing(monkeypatch):
+    monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
+    n = 30
+    boxes = typicality._ball_boxes(_diagonal_joint(3).flat(), n, default_params(n).lam)
+    assert typicality._box_multinomial_sum(boxes, n, unit=True) == 2_252_221
+
+
+def test_joint_ball_over_cap_raises_before_listing(monkeypatch):
+    monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
+    n = 50  # D3 at n=50: 30,095,340 count matrices, over 2^24
+    with pytest.raises(CapExceeded, match=f"30095340 count matrices, over cap {DEFAULT_CAP}"):
+        JointTypeIndex.ball(_diagonal_joint(3), default_params(n).lam, n)
 
 
 def test_joint_type_index_matches_predicate(binary_joint):
