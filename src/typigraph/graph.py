@@ -265,14 +265,19 @@ def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
 def _write_rank_csv(path: str, rows, expected: int) -> None:
     """Write a `left_rank,right_rank` edge CSV from scan rows (each left
     rank's list of right ranks, in left-rank order). InvariantViolation
-    unless exactly `expected` edges were written."""
+    unless exactly `expected` edges were written.
+
+    Each left rank's edges go out as one joined string, in the bytes of
+    csv's default dialect: canonical decimal ranks and CRLF line ends.
+    """
     written = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["left_rank", "right_rank"])
+        fh.write("left_rank,right_rank\r\n")
         for i, nbrs in enumerate(rows):
-            writer.writerows(zip(repeat(i), nbrs))
-            written += len(nbrs)
+            if nbrs:
+                head = f"{i},"
+                fh.write(head + f"\r\n{head}".join(map(str, nbrs)) + "\r\n")
+                written += len(nbrs)
     if written != expected:
         raise InvariantViolation(
             f"{written} edges written, but the exact pair count is {expected}"
@@ -412,11 +417,16 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
     """The edge CSV's (left ranks, right ranks) as `array("q")` columns, read
     and checked in chunks; None as soon as a chunk is not plain.
 
-    A plain chunk is whole lines of `int,int` (blank lines skipped) with
-    ranks inside the rosters. Repeats cost one comparison per edge while
+    A plain chunk is whole lines of `rank,rank` (blank lines skipped) whose
+    cells are canonical decimal ranks, as the exports write them. Cells are
+    looked up in a table of each roster's rank spellings, so a miss (out of
+    range, negative, signed, zero-padded, space-padded or not an integer)
+    makes the chunk not plain. Repeats cost one comparison per edge while
     the packed keys i*n_right + j increase, as they do in an export, and
     one set of all keys otherwise.
     """
+    left_ids = {str(k): k for k in range(n_left)}
+    right_ids = left_ids if n_right == n_left else {str(k): k for k in range(n_right)}
     lefts, rights = array("q"), array("q")
     last, increasing = -1, True
     with open(path, "r", encoding="utf-8") as fh:
@@ -429,24 +439,25 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
             if chunk:  # keep the last partial line for the next step
                 cut = text.rfind("\n") + 1
                 text, rest = text[:cut], text[cut:]
-            rows = list(filter(None, text.split("\n")))
-            if rows:
-                if text.count(",") != len(rows) or _TWO_COMMAS(text):
+            text = text.strip("\n")  # universal newlines: no "\r" is left
+            if "\n\n" in text:
+                text = "\n".join(filter(None, text.split("\n")))
+            if text:
+                if text.count(",") != text.count("\n") + 1 or _TWO_COMMAS(text):
                     return None
-                cells = ",".join(rows).split(",")
+                cells = text.replace("\n", ",").split(",")
                 try:
-                    i, j = list(map(int, cells[0::2])), list(map(int, cells[1::2]))
-                except ValueError:
-                    return None
-                if min(i) < 0 or max(i) >= n_left or min(j) < 0 or max(j) >= n_right:
+                    i = list(map(left_ids.__getitem__, cells[0::2]))
+                    j = list(map(right_ids.__getitem__, cells[1::2]))
+                except KeyError:
                     return None
                 keys = list(map(add, map(mul, i, repeat(n_right)), j))
                 increasing = (
                     increasing and last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))
                 )
                 last = keys[-1]
-                lefts.extend(i)
-                rights.extend(j)
+                lefts.fromlist(i)
+                rights.fromlist(j)
             if not chunk:
                 break
     if not increasing:
@@ -460,8 +471,10 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> tuple[array, array]:
     """The edge CSV's (left ranks, right ranks) as `array("q")` id columns, in
     file order.
 
-    The file is read in bulk; if any chunk is not plain, the whole file is
-    read again row by row, where blank rows are skipped and non-integer,
+    The file is read in bulk while every cell is a canonical decimal rank
+    inside its roster, which is how the exports spell them. Otherwise the
+    whole file is read again row by row: there any spelling `int` accepts
+    gives the same pairs, blank rows are skipped, and non-integer,
     out-of-range and repeated ranks raise a ValueError naming the CSV row.
     """
     columns = _bulk_edge_columns(path, n_left, n_right)

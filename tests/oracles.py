@@ -377,6 +377,32 @@ def wring(edges, kx, ky, delta, sigma=None, tol=1e-9):
     }
 
 
+def write_rank_csv(path, rows):
+    """Write a `left_rank,right_rank` edge CSV with csv's default dialect,
+    one edge per row, from each left rank's list of right ranks."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["left_rank", "right_rank"])
+        for i, nbrs in enumerate(rows):
+            writer.writerows((i, j) for j in nbrs)
+
+
+def non_canonical_ranks(text):
+    """Whether a rank CSV's text has a quote, or a cell that `int` reads but
+    that is not spelled as str(int(cell)), as the exports spell ranks."""
+    if '"' in text:
+        return True
+    for line in text.splitlines():
+        for cell in line.split(","):
+            try:
+                value = int(cell)
+            except ValueError:
+                continue
+            if str(value) != cell:
+                return True
+    return False
+
+
 def read_edge_csv(path, n_left, n_right):
     """Yield (CSV row, left rank, right rank) for each edge of a rank CSV,
     row by row: blank rows skipped; non-integer, out-of-range and repeated

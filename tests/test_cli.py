@@ -730,6 +730,40 @@ def test_wring_rejects_nonfinite_budgets_before_reading(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize(
     "export",
+    [["graph", "--n", "6"], SUBGRAPH_AN8],
+    ids=["graph", "subgraph"],
+)
+def test_exported_rank_csv_is_read_in_bulk(joint_file, tmp_path, capsys, monkeypatch, export):
+    """The writer's rank spelling is the one the bulk reader's table holds:
+    an export reads the same with the row-by-row reader disabled."""
+    header, ranks, out = tmp_path / "h.json", tmp_path / "e.csv", tmp_path / "w.json"
+    assert main(export + ["--dist", joint_file, "--out", str(header), "--edges", str(ranks)]) == 0
+    doc = json.loads(header.read_text())
+    sizes = [doc[side] if export[0] == "graph" else int(doc[side]["value"])
+             for side in ("left_size", "right_size")]
+    capsys.readouterr()
+
+    def read_all():
+        columns = typigraph.graph._read_edge_csv(str(ranks), *sizes)
+        if export[0] == "graph":
+            typigraph.graph.import_graph(str(header), str(ranks))
+        argv = ["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.05"]
+        assert main(argv + ["--out", str(out)]) == 0
+        return list(zip(*columns)), capsys.readouterr(), out.read_bytes()
+
+    want = read_all()
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("an exported rank CSV was read row by row")
+
+    monkeypatch.setattr(typigraph.graph, "_scan_edge_rows", no_rows)
+    got = read_all()
+    assert len(got[0]) == len(ranks.read_text().splitlines()) - 1 > 0
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "export",
     [["graph", "--n", "8"], SUBGRAPH_AN8],
     ids=["graph", "subgraph"],
 )

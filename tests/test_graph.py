@@ -257,14 +257,17 @@ def test_import_checks_edges_against_the_graph(binary_joint, tmp_path, edit, mes
         '"0",1\n1,0\n',  # quoted cells: csv reads them as integers
         "0,0\r0,1\r1,1\r",  # bare CR line ends
         "0,0\r\n\r\n 0 , 1 \r\n",  # blank row and padded ranks
+        "+0,1\n01,1\n-0,0\n",  # spellings int reads, and the exports never write
         "0,1\n \n1,1\n",  # a row of one space is not blank
         "0,1\n2,0\n",  # left rank out of range
         "0,1\n1,0",  # no final line end
+        "\n0,0\r\n\r\n1,1\n\n",  # blank rows first, between and last
         "",  # header only
     ],
 )
 def test_bulk_edge_reader_edge_cases(tmp_path, body):
-    """Every chunk size reads what the row-by-row reference reads."""
+    """Every chunk size reads what the row-by-row reference reads, and a
+    readable file spelled as the exports spell ranks is read in bulk."""
     path = tmp_path / "e.csv"
     path.write_bytes(("left_rank,right_rank\n" + body).encode())
     try:
@@ -278,7 +281,12 @@ def test_bulk_edge_reader_edge_cases(tmp_path, body):
                 got = list(zip(*typigraph.graph._read_edge_csv(str(path), 2, 2)))
             except ValueError as exc:
                 got = str(exc)
+            bulk = typigraph.graph._bulk_edge_columns(str(path), 2, 2)
         assert got == want, chunk
+        if bulk is not None:
+            assert list(zip(*bulk)) == want, chunk
+        elif not oracles.non_canonical_ranks(body):
+            assert not isinstance(want, list), chunk
 
 
 def non_edge(g):
