@@ -671,8 +671,6 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.command == "graph" and not args.edges:  # the roster cap
-            print("hint: retry with --mode implicit", file=sys.stderr)
         return EXIT_CAP
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

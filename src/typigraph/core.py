@@ -27,6 +27,8 @@ class InvariantViolation(RuntimeError):
 
 
 DEFAULT_CAP = 1 << 24
+# steps of the joint-type kernel, bounded before it starts (`typicality._DegreeKernel.steps`)
+KERNEL_STEP_CAP = 1 << 30
 
 
 class CapExceeded(RuntimeError):

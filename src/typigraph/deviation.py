@@ -35,6 +35,7 @@ from .typicality import (
     Sequence,
     TypicalSampler,
     TypicalityParams,
+    _side_kernel,
     degree_table,
     log2_int,
     typical_set_size,
@@ -605,14 +606,18 @@ def simulate(
     how the work is scheduled. Within a trial the row codebook is drawn
     first, then column codewords in sequence: enlarging M2 with the same
     seed extends the draw, it never reshuffles it. An oversized run raises
-    CapExceeded before any work: too many pair tests (`simulation_sizes`)
-    or too large a joint ball (`JointTypeIndex.ball`). U is kept as a
-    histogram, from which every statistic is summed. The exact pair
-    moments, computed once before the first trial, come back on the report.
+    CapExceeded before any work: too many pair tests (`simulation_sizes`),
+    too much joint-type kernel work for the exact moments (either side's
+    `_DegreeKernel.steps`) or too large a joint ball (`JointTypeIndex.ball`).
+    U is kept as a histogram, from which every statistic is summed. The
+    exact pair moments, computed once before the first trial, come back on
+    the report.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m1, m2 = simulation_sizes(n, r1, r2, trials)
+    for side in ("left", "right"):
+        _side_kernel(joint, params, n, side)
     index = JointTypeIndex.ball(joint, params.lam, n)
     moments = exact_pair_moments(joint, params, n, r1, r2)
     draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw

@@ -8,9 +8,10 @@ lexicographic ranks within each roster.
 A vertex's degree depends only on its type, so one degree table per side
 (`typicality.degree_table`, whose `_oriented` decides what a side is)
 gives the edge count, the statistics and the degree bound exactly, at the
-level of types; `degree_of` counts one type. Explicit mode also holds the
-two rosters, capped by their exact sizes; `edge_list` streams the edges
-from one pair scan over them, on demand, and nothing holds the edge set.
+level of types; `degree_of` reads a side's table once it is built and
+otherwise counts the one type. Explicit mode also holds the two rosters,
+capped by their exact sizes; `edge_list` streams the edges from one pair
+scan over them, on demand, and nothing holds the edge set.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class TypicalityGraph:
     `left` and `right` are the lexicographic rosters in explicit mode and
     None in implicit mode. `stats` and `check_degree_bound` read each
     side's degree table, computed once, when first needed; `degree_of`
-    counts the one type it is asked about.
+    reads a table already built and otherwise counts the one type it is
+    asked about.
     """
 
     spec: GraphSpec
@@ -110,13 +112,16 @@ class TypicalityGraph:
         """Exact number of typical other-side sequences jointly typical with x.
 
         x need not be typical itself; the degree depends on x only through
-        its type.
+        its type. A side's table already built answers for the typical
+        types; any other type is counted alone, without building a table.
         """
+        counts = _type_counts(x)
+        entry = self._tables.get(side, {}).get(counts)
+        if entry is not None:
+            return BigCount.from_int(entry[1])
         spec = self.spec
         joint, _, col_eps = _oriented(spec.joint, spec.params, side)
-        return BigCount.from_int(
-            row_type_degree(joint, _type_counts(x), col_eps, spec.params.lam, spec.n)
-        )
+        return BigCount.from_int(row_type_degree(joint, counts, col_eps, spec.params.lam, spec.n))
 
 
 def build_graph(spec: GraphSpec) -> TypicalityGraph:
@@ -135,7 +140,7 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
         if max(left_count, right_count) > spec.cap:
             raise CapExceeded(
                 f"rosters of {left_count} and {right_count} sequences exceed "
-                f"cap {spec.cap}"
+                f"cap {spec.cap}; implicit mode builds no rosters"
             )
         left = _roster(joint.row_marginal(), params.eps1, n)
         right = _roster(joint.col_marginal(), params.eps2, n)

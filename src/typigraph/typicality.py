@@ -18,12 +18,21 @@ Where sequences are listed (type classes, rosters), `_box_rows` walks them
 in lexicographic order inside per-block, per-symbol count boxes.
 
 Everything that counts jointly typical pairs goes through one kernel,
-`row_type_degree`: the exact degree of a row type, built row by row from
-compositions clipped to the per-cell boxes of the joint ball. The per-row-type
-table `degree_table` ({counts: (class size, degree)}) then gives the pair
-count, every vertex degree and the degree second moments as plain sums.
-One function, `_oriented`, decides a side: the right side's table is the
-left side's on the transposed joint, with eps1 and eps2 swapped.
+`_DegreeKernel`: the exact degree of a row type, from compositions of its
+row counts inside the per-cell boxes of the joint ball, with the column
+sums tested against the integer boxes of the column ball. Partial column
+sums past a column's hi are dropped as they arise; the front half of the
+rows is multiplied out into a dict of partial sums, the back half is a
+function of those sums memoized across row types, and the last row is
+closed by one `_box_multinomial_sum` over the boxes that the partial sums
+leave it. Before a type or a composition is listed, the kernel bounds its
+steps exactly and refuses with CapExceeded over KERNEL_STEP_CAP.
+`row_type_degree` counts one type; the per-row-type table `degree_table`
+({counts: (class size, degree)}) shares one kernel across the table and
+gives the pair count, every vertex degree and the degree second moments as
+plain sums. One function, `_oriented`, decides a side: the right side's
+table is the left side's on the transposed joint, with eps1 and eps2
+swapped.
 """
 
 from __future__ import annotations
@@ -35,10 +44,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import add
 from typing import Iterator, Optional
 
-from .core import DEFAULT_CAP, Alphabet, CapExceeded, CondPmf, JointPmf, Pmf
+from .core import (
+    DEFAULT_CAP,
+    KERNEL_STEP_CAP,
+    Alphabet,
+    CapExceeded,
+    CondPmf,
+    JointPmf,
+    Pmf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -492,35 +508,168 @@ def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
 # ---------------------------------------------------------------------------
 
 
+class _DegreeKernel:
+    """Exact degrees of row types for one oriented joint, col_eps, lam and n.
+
+    The degree of a row type (n_0, ..., n_{k-1}) sums, over the count
+    matrices whose row a is a composition of n_a inside that row's lam-ball
+    boxes and whose column sums lie inside the integer col_eps boxes (the
+    support included), the product of the rows' multinomials. Rows are
+    joined through their vectors of partial column sums, and a partial sum
+    past a column's hi is dropped at once: no later row can bring it back.
+
+    The rows are split at h = k // 2. The front rows 0..h-1 are multiplied
+    out into a dict {partial sums: weight}, kept per row-count prefix. The
+    back rows h..k-1 are a memoized function of the front's partial sums s
+    and the back row counts: F_a(s) = sum over row a's compositions c of
+    multinomial(n_a, c) * F_{a+1}(s + c). The last row needs no listing:
+    given s, its admissible compositions are exactly those inside the
+    per-cell boxes [max(row lo, col lo - s), min(row hi, col hi - s)], so
+    F_{k-1}(s) is one `_box_multinomial_sum`. The degree is the join
+    sum_s weight(s) * F_h(s). Composition lists, front dicts and all memos
+    are shared by every row type one kernel is asked about, and dropped
+    with it.
+
+    A partial-sum vector is packed into one int, a field of `width` bits
+    per column holding s_j + (2^(width-1) - 1 - hi_j): adding a packed
+    composition adds the vectors, and a sum past some hi_j shows as that
+    field's top bit (`_over`). Each field stays under 2^width, as it is at
+    most 2^(width-1) - 1 before a count of at most n < 2^(width-1) is added.
+    """
+
+    def __init__(self, joint: JointPmf, col_eps, lam, n: int):
+        lam = Fraction(lam)
+        self.n = n
+        self._cells = [_ball_boxes(probs, n, lam) for probs in joint.probs]
+        self._cols = _ball_boxes(joint.col_marginal().probs, n, Fraction(col_eps))
+        self._split = len(self._cells) // 2
+        self._width = n.bit_length() + 1
+        top = 1 << (self._width - 1)
+        self._offsets = [top - 1 - hi for _, hi in self._cols]
+        self._over = self._pack([top] * len(self._cols))
+        self._rows: dict = {}  # (row, count) -> [(packed composition, multinomial)]
+        # row-count prefix -> {packed partial sums: weight}
+        self._front: dict = {(): {self._pack(self._offsets): 1}}
+        self._back: dict = {}  # back row counts but the last -> {partial sums: F}
+        self._last: dict = {}  # partial sums -> last row's box sum
+
+    def _pack(self, vec) -> int:
+        return sum(v << (self._width * j) for j, v in enumerate(vec))
+
+    def _row(self, a: int, count: int) -> list:
+        key = (a, count)
+        if key not in self._rows:
+            self._rows[key] = [
+                (self._pack(c), multinomial(count, c))
+                for c in _compositions_in_boxes(self._cells[a], count)
+            ]
+        return self._rows[key]
+
+    def _front_sums(self, prefix: tuple) -> dict:
+        sums = self._front.get(prefix)
+        if sums is None:
+            over, earlier = self._over, self._front_sums(prefix[:-1])
+            sums = defaultdict(int)
+            for c, ways in self._row(len(prefix) - 1, prefix[-1]):
+                for s, weight in earlier.items():
+                    t = s + c
+                    if not t & over:
+                        sums[t] += weight * ways
+            self._front[prefix] = sums
+        return sums
+
+    def _close(self, s: int) -> int:
+        """Weighted count of the last row's compositions that complete the
+        packed partial sums s inside every column box."""
+        mask = (1 << self._width) - 1
+        vec = [
+            (s >> (self._width * j) & mask) - off for j, off in enumerate(self._offsets)
+        ]
+        boxes = [
+            (max(r_lo, c_lo - v), min(r_hi, c_hi - v))
+            for (r_lo, r_hi), (c_lo, c_hi), v in zip(self._cells[-1], self._cols, vec)
+        ]
+        return _box_multinomial_sum(boxes, self.n - sum(vec))
+
+    def degree(self, counts) -> int:
+        h, k, over = self._split, len(counts), self._over
+        rows = [self._row(a, counts[a]) for a in range(h, k - 1)]
+        memos = [self._back.setdefault(counts[a : k - 1], {}) for a in range(h, k - 1)]
+        last = self._last
+
+        def back(i: int, s: int) -> int:
+            if i == len(rows):
+                v = last.get(s)
+                if v is None:
+                    v = last[s] = self._close(s)
+                return v
+            memo = memos[i]
+            v = memo.get(s)
+            if v is None:
+                v = 0
+                for c, ways in rows[i]:
+                    t = s + c
+                    if not t & over:
+                        v += ways * back(i + 1, t)
+                memo[s] = v
+            return v
+
+        return sum(w * back(0, s) for s, w in self._front_sums(tuple(counts[:h])).items())
+
+    def steps(self, type_boxes) -> int:
+        """Exact upper bound on the steps `degree` takes for every row type
+        inside type_boxes, found without listing a type or a composition.
+
+        A step is one (partial sums, composition) pair. Row a of a type
+        lists N_a(n_a) compositions (the unit box sum), and the partial sums
+        it meets number at most min(prod of N_a' over earlier rows, G), G
+        the grid of partial sums that fit under the column hi's. The bound
+        is the sum over types and rows of that min times N_a(n_a), which
+        also bounds the shared, memoized work. It is summed by a pass over
+        the rows whose states are (count total so far, capped product).
+        """
+        n, grid = self.n, math.prod(hi + 1 for _, hi in self._cols)
+        sizes: dict = {}
+        states = {(0, 1): (1, 0)}  # -> (prefixes, steps summed over them)
+        last = len(type_boxes) - 1
+        for a, (lo, hi) in enumerate(type_boxes):
+            nxt: dict = defaultdict(lambda: (0, 0))
+            for (r, product), (prefixes, done) in states.items():
+                for count in range(max(lo, n - r if a == last else 0), min(hi, n - r) + 1):
+                    if (a, count) not in sizes:
+                        sizes[a, count] = _box_multinomial_sum(self._cells[a], count, True)
+                    size = sizes[a, count]
+                    key = (r + count, min(product * size, grid))
+                    old_prefixes, old_done = nxt[key]
+                    nxt[key] = (
+                        old_prefixes + prefixes,
+                        old_done + done + prefixes * product * size,
+                    )
+            states = nxt
+        return sum(done for (r, _), (_, done) in states.items() if r == n)
+
+    def check(self, type_boxes) -> None:
+        """CapExceeded when the work bound for type_boxes is over
+        KERNEL_STEP_CAP; nothing is listed before it."""
+        steps = self.steps(type_boxes)
+        if steps > KERNEL_STEP_CAP:
+            raise CapExceeded(
+                f"the joint-type kernel at n={self.n} needs up to {steps} steps "
+                f"(2^{math.log2(steps):.1f}), over cap {KERNEL_STEP_CAP}"
+            )
+
+
 def row_type_degree(joint: JointPmf, row_counts, col_eps, lam, n: int) -> int:
     """Exact degree of a row type: the number of col_eps-typical y that are
-    jointly lam-typical with any one x of type row_counts.
-
-    Rows are taken one at a time. Row a contributes the compositions of
-    row_counts[a] inside that row's lam-ball boxes, each weighted by the
-    number of ways to place it on the positions where x equals a, and the
-    running weights are kept per vector of partial column sums. Only the
-    complete column sums inside the col_eps ball (and the support) count.
-    """
+    jointly lam-typical with any one x of type row_counts (see
+    `_DegreeKernel`)."""
     if len(row_counts) != joint.row_alphabet.size:
         raise ValueError("row type does not match the row alphabet")
     if sum(row_counts) != n:
         raise ValueError("row type does not sum to n")
-    d = Fraction(lam)
-    partial = {(0,) * joint.col_alphabet.size: 1}
-    for probs, na in zip(joint.probs, row_counts):
-        row = [
-            (c, multinomial(na, c))
-            for c in _compositions_in_boxes(_ball_boxes(probs, n, d), na)
-        ]
-        nxt: dict = defaultdict(int)
-        for sums, weight in partial.items():
-            for c, ways in row:
-                nxt[tuple(map(add, sums, c))] += weight * ways
-        partial = nxt
-    py = joint.col_marginal().probs
-    eps = Fraction(col_eps)
-    return sum(w for sums, w in partial.items() if _counts_typical(sums, py, n, eps))
+    kernel = _DegreeKernel(joint, col_eps, lam, n)
+    kernel.check([(c, c) for c in row_counts])
+    return kernel.degree(tuple(row_counts))
 
 
 def _oriented(joint: JointPmf, params: TypicalityParams, side: str):
@@ -533,19 +682,27 @@ def _oriented(joint: JointPmf, params: TypicalityParams, side: str):
     raise ValueError("side must be 'left' or 'right'")
 
 
+def _side_kernel(joint: JointPmf, params: TypicalityParams, n: int, side: str):
+    """(kernel, row-type boxes) of a side, its work checked against
+    KERNEL_STEP_CAP before any type or composition is listed."""
+    joint, row_eps, col_eps = _oriented(joint, params, side)
+    boxes = _ball_boxes(joint.row_marginal().probs, n, Fraction(row_eps))
+    kernel = _DegreeKernel(joint, col_eps, params.lam, n)
+    kernel.check(boxes)
+    return kernel, boxes
+
+
 def degree_table(
     joint: JointPmf, params: TypicalityParams, n: int, side: str = "left"
 ) -> dict[tuple[int, ...], tuple[int, int]]:
     """{counts: (class size, degree)} for every type in the side's ball.
 
     Pair counts, vertex degrees and degree moments of the typicality graph
-    are all sums over this table.
+    are all sums over this table. One kernel serves every type, so its
+    composition lists and memos are shared across the table.
     """
-    joint, row_eps, col_eps = _oriented(joint, params, side)
-    return {
-        c: (multinomial(n, c), row_type_degree(joint, c, col_eps, params.lam, n))
-        for c in _admissible_count_vectors(joint.row_marginal().probs, n, row_eps)
-    }
+    kernel, boxes = _side_kernel(joint, params, n, side)
+    return {c: (multinomial(n, c), kernel.degree(c)) for c in _compositions_in_boxes(boxes, n)}
 
 
 def jointly_typical_pair_count(joint: JointPmf, params: TypicalityParams, n: int) -> BigCount:

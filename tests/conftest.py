@@ -25,6 +25,21 @@ def binary_joint():
     )
 
 
+@pytest.fixture(scope="session")
+def diagonal_joint():
+    """D_k as a function of k: the k x k joint with 3/(4k) on the diagonal
+    and 1/(4k(k-1)) off it."""
+
+    def make(k):
+        a = Alphabet(tuple(range(k)))
+        return JointPmf(a, a, tuple(
+            tuple(Fraction(3, 4 * k) if i == j else Fraction(1, 4 * k * (k - 1)) for j in range(k))
+            for i in range(k)
+        ))
+
+    return make
+
+
 @pytest.fixture
 def asym_pmf():
     return Pmf(BIN, (Fraction(3, 4), Fraction(1, 4)))

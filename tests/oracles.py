@@ -8,6 +8,7 @@ deliberately independent of the package internals.
 import csv
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 
@@ -188,6 +189,39 @@ def box_multinomial_sum(boxes, total):
     if not boxes:
         return int(total == 0)
     return sum(multinomial_factorial(total, c) for c in vectors(0, total))
+
+
+def row_type_degree(joint_probs, row_counts, col_eps, lam, n):
+    """Degree of a row type, the former kernel's way: rows are multiplied
+    out one at a time into a dict from column-sum vectors to weights (each
+    row's compositions inside its lam-ball boxes, weighted by multinomials),
+    and the final column sums are kept when they are col_eps-typical."""
+    ky = len(joint_probs[0])
+    partial = {(0,) * ky: 1}
+    for probs, na in zip(joint_probs, row_counts):
+        boxes = ball_boxes(probs, lam, n)
+        row = [
+            (c, multinomial_factorial(na, c))
+            for c in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes))
+            if sum(c) == na
+        ]
+        nxt = defaultdict(int)
+        for sums, weight in partial.items():
+            for c, ways in row:
+                nxt[tuple(s + x for s, x in zip(sums, c))] += weight * ways
+        partial = nxt
+    py = [sum(row[b] for row in joint_probs) for b in range(ky)]
+    return sum(w for sums, w in partial.items() if _counts_typical(sums, py, n, col_eps))
+
+
+def degree_table(joint_probs, row_eps, col_eps, lam, n):
+    """{row counts: (class size, degree)} over the row_eps-typical row types;
+    the columns' side is the same call on the transposed joint."""
+    px = [sum(row) for row in joint_probs]
+    return {
+        c: (multinomial_factorial(n, c), row_type_degree(joint_probs, c, col_eps, lam, n))
+        for c in colex_ball_types(px, row_eps, n)
+    }
 
 
 def sample_uniform_typical(probs, delta, n, rng):

@@ -412,6 +412,34 @@ def test_simulate_joint_ball_cap_exit_3(tmp_path, monkeypatch, capsys):
     assert "30095340 count matrices, over cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["graph"],
+    ["graph", "--mode", "implicit"],
+    ["simulate", "--r1", "1/20", "--r2", "1/20", "--trials", "1", "--seed", "1"],
+])
+def test_kernel_cap_exit_3(command, diagonal_joint, tmp_path, monkeypatch, capsys):
+    """D5 at n=20: the joint-type kernel's work bound is 7,348,706,873 steps,
+    over 2^30. Both subcommands are refused from the bound, before a type or
+    a composition is listed and before the joint ball is counted; the error
+    does not point to implicit mode, which is refused alike."""
+
+    def unlisted(*args):
+        raise AssertionError("compositions were listed")
+
+    monkeypatch.setattr(typigraph.typicality, "_compositions_in_boxes", unlisted)
+    monkeypatch.setattr(typigraph.typicality, "_box_rows", unlisted)
+    monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "ball", unlisted)
+    path = tmp_path / "d5.json"
+    save_distribution(diagonal_joint(5), str(path))
+    args = [command[0], "--dist", str(path), "--n", "20", *command[1:]]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    message = "kernel at n=20 needs up to 7348706873 steps (2^32.8), over cap 1073741824"
+    assert message in captured.err
+    assert "Traceback" not in captured.err and "--mode" not in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_validation(joint_file):
     base = ["simulate", "--dist", joint_file, "--n", "8", "--r1", "0.25", "--r2", "0.25"]
     assert main(base + ["--trials", "0", "--seed", "1"]) == 2

@@ -19,6 +19,7 @@ from typigraph.graph import (
     stats,
 )
 from typigraph.typicality import (
+    Sequence,
     TypicalityParams,
     default_params,
     is_jointly_typical,
@@ -102,6 +103,32 @@ def test_degree_views(binary_joint):
     assert sum(ld) == g.edge_count.value == sum(rd)
     with pytest.raises(ValueError):
         g.degree_of(g.left[0], "middle")
+
+
+def test_degree_of_reads_the_built_table(binary_joint, monkeypatch):
+    """build_graph keeps the left table: a typical left x is looked up there;
+    a non-typical x, or a side with no table yet, is counted alone."""
+    n = 8
+    g = build_graph(GraphSpec(binary_joint, n, default_params(n), mode="implicit"))
+    real = typigraph.graph.row_type_degree
+    calls = []
+
+    def counted(joint, counts, *args):
+        calls.append(counts)
+        return real(joint, counts, *args)
+
+    monkeypatch.setattr(typigraph.graph, "row_type_degree", counted)
+    typical = Sequence(BIN, (0, 1) * 4)
+    assert g.degree_of(typical, "left").value == g._tables["left"][(4, 4)][1]
+    assert calls == []
+    lopsided = Sequence(BIN, (0,) * 8)  # (8, 0) is not eps1-typical
+    assert (8, 0) not in g._tables["left"]
+    assert g.degree_of(lopsided, "left").value == real(
+        binary_joint, (8, 0), default_params(n).eps2, default_params(n).lam, n
+    )
+    assert calls == [(8, 0)]
+    assert g.degree_of(typical, "right").value == g.degree_of(typical, "left").value
+    assert calls == [(8, 0), (4, 4)] and "right" not in g._tables
 
 
 def test_cap_exceeded(binary_joint):

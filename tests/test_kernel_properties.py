@@ -1,10 +1,13 @@
-"""Property tests: the joint-type kernel against sequence-level brute force.
+"""Property tests: the joint-type kernel against sequence-level brute force
+and against the former kernel.
 
 Random rational joints with up to three symbols a side (zero cells
 included), blocklengths up to 8 with at most 6*10^4 sequence pairs, and
 random slacks. The pair count, degrees of arbitrary (also non-typical)
 sequences on both sides, both degree second moments and conditional
-typical-set sizes must equal what `oracles` counts pair by pair.
+typical-set sizes must equal what `oracles` counts pair by pair. Both
+sides' degree tables, on joints up to 5x5, must equal those of
+`oracles.degree_table`, the former dict-of-final-sums kernel.
 """
 
 from fractions import Fraction
@@ -20,6 +23,8 @@ from typigraph.typicality import (
     Sequence,
     TypicalityParams,
     cond_typical_set_size,
+    default_params,
+    degree_table,
     jointly_typical_pair_count,
 )
 
@@ -102,3 +107,46 @@ def test_cond_typical_set_size_matches_brute_force(case, delta):
         return
     want = oracles.brute_cond_typical_count(w_rows, x, delta, joint.col_alphabet.size)
     assert cond_typical_set_size(w, seq, delta).value == want
+
+
+def _both_sides_match_oracle(joint, params, n):
+    probs = joint.probs
+    flipped = tuple(zip(*probs))
+    for side, oriented, row_eps, col_eps in (
+        ("left", probs, params.eps1, params.eps2),
+        ("right", flipped, params.eps2, params.eps1),
+    ):
+        want = oracles.degree_table(oriented, row_eps, col_eps, params.lam, n)
+        assert degree_table(joint, params, n, side) == want
+
+
+# the largest n per cell count that keeps the former kernel fast
+MAX_N_BY_CELLS = ((4, 12), (9, 8), (16, 6), (25, 5))
+
+
+@st.composite
+def wide_joints(draw):
+    kx = draw(st.integers(1, 5))
+    ky = draw(st.integers(1, 5))
+    n_max = next(n for cells, n in MAX_N_BY_CELLS if kx * ky <= cells)
+    n = draw(st.integers(1, n_max))
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any)
+    )
+    total = sum(weights)
+    probs = tuple(
+        tuple(Fraction(weights[a * ky + b], total) for b in range(ky)) for a in range(kx)
+    )
+    return JointPmf(Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky))), probs), n
+
+
+@PROPERTY
+@given(wide_joints(), slacks, slacks, slacks)
+def test_degree_tables_match_former_kernel(case, eps1, eps2, lam):
+    joint, n = case
+    _both_sides_match_oracle(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n)
+
+
+@pytest.mark.parametrize("k, n", [(3, 12), (4, 8), (5, 6)])
+def test_diagonal_degree_tables_match_former_kernel(diagonal_joint, k, n):
+    _both_sides_match_oracle(diagonal_joint(k), default_params(n), n)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from typigraph import typicality
-from typigraph.core import DEFAULT_CAP, Alphabet, CapExceeded, CondPmf, JointPmf, Pmf, conditionalize
+from typigraph.core import (
+    DEFAULT_CAP,
+    KERNEL_STEP_CAP,
+    Alphabet,
+    CapExceeded,
+    CondPmf,
+    JointPmf,
+    Pmf,
+    conditionalize,
+)
 from typigraph.typicality import (
     BigCount,
     DEFAULT_SCHEDULE,
@@ -21,6 +31,7 @@ from typigraph.typicality import (
     cond_typical_set_size,
     count_types,
     default_params,
+    degree_table,
     empirical_type,
     enumerate_types,
     is_cond_typical,
@@ -29,6 +40,7 @@ from typigraph.typicality import (
     jointly_typical_pair_count,
     log2_int,
     multinomial,
+    row_type_degree,
     sample_uniform_typical,
     schedule_delta,
     type_class_sequences,
@@ -472,6 +484,104 @@ def test_sampler_uniformity_chi_square():
     assert chi2 < 34.528  # chi2 critical value, df=13, alpha=0.001
 
 
+# --- joint-type kernel ----------------------------------------------------------
+
+
+def _table_digest(table):
+    text = "".join(
+        f"{','.join(map(str, c))}:{size}:{deg}\n" for c, (size, deg) in sorted(table.items())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# both sides' degree tables of D_k under default_params(n), recorded with the
+# former kernel (one dict of final column sums per row type)
+@pytest.mark.parametrize("k, n, digest", [
+    (4, 20, "6329227ec8a872182016bc69fbcd53ebbd43bc76ca5b18dff310b341925365b9"),
+    (5, 12, "260f09dd2aa49369a8f0ef8bf838816fef97ba6b05db04ade6792f3fce97e137"),
+])
+def test_degree_table_pins(diagonal_joint, k, n, digest):
+    for side in ("left", "right"):
+        assert _table_digest(degree_table(diagonal_joint(k), default_params(n), n, side)) == digest
+
+
+def _kernel(joint, n):
+    """(left kernel, row-type boxes) of joint under default_params(n)."""
+    return typicality._side_kernel(joint, default_params(n), n, "left")
+
+
+def test_kernel_steps_sum_the_per_type_bound():
+    """The pass over (count total, capped product) states equals the bound
+    summed type by type: sum over rows of min(prod of earlier rows'
+    composition counts, column-sum grid) times the row's own count."""
+    rng = random.Random(5)
+    for _ in range(40):
+        kx, ky = rng.randint(1, 4), rng.randint(1, 4)
+        weights = [rng.randrange(4) for _ in range(kx * ky)]
+        weights[rng.randrange(kx * ky)] += 1
+        a, b = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
+        probs = tuple(
+            tuple(Fraction(weights[i * ky + j], sum(weights)) for j in range(ky))
+            for i in range(kx)
+        )
+        joint, n = JointPmf(a, b, probs), rng.randint(1, 10)
+        kernel, boxes = _kernel(joint, n)
+        cells = [typicality._ball_boxes(row, n, default_params(n).lam) for row in probs]
+        cols = typicality._ball_boxes(joint.col_marginal().probs, n, default_params(n).eps2)
+        grid = math.prod(hi + 1 for _, hi in cols)
+        want = 0
+        for counts in typicality._compositions_in_boxes(boxes, n):
+            product = 1
+            for row, count in zip(cells, counts):
+                size = typicality._box_multinomial_sum(row, count, unit=True)
+                want += min(product, grid) * size
+                product *= size
+            assert kernel.steps([(c, c) for c in counts]) <= want
+        assert kernel.steps(boxes) == want
+
+
+def test_kernel_steps_of_the_benchmark_joints(binary_joint, diagonal_joint):
+    # T3 at n=12, B2 at n=192 and D5 at n=12 read 2^14.8, 2^14.4 and 2^27.4
+    third = Alphabet((0, 1, 2))
+    diag = (Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))
+    t3 = JointPmf(third, third, tuple(
+        tuple(diag[i] if i == j else Fraction(1, 20) for j in range(3)) for i in range(3)
+    ))
+    cases = ((t3, 12, 14.8), (binary_joint, 192, 14.4), (diagonal_joint(5), 12, 27.4))
+    for joint, n, log2_steps in cases:
+        kernel, boxes = _kernel(joint, n)
+        assert round(math.log2(kernel.steps(boxes)), 1) == log2_steps
+
+
+def test_kernel_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
+    monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
+    n = 20  # D5 at n=20: up to 7,348,706,873 steps, over 2^30
+    message = re.escape(f"needs up to 7348706873 steps (2^32.8), over cap {KERNEL_STEP_CAP}")
+    for side in ("left", "right"):
+        with pytest.raises(CapExceeded, match=message):
+            degree_table(diagonal_joint(5), default_params(n), n, side)
+
+
+def test_row_type_degree_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
+    monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
+    monkeypatch.setattr(typicality, "KERNEL_STEP_CAP", 1000)
+    params = default_params(12)
+    with pytest.raises(CapExceeded, match="over cap 1000"):
+        row_type_degree(diagonal_joint(5), (3, 2, 2, 3, 2), params.eps2, params.lam, 12)
+
+
+def test_kernel_keeps_no_partial_sum_past_a_column_hi(diagonal_joint):
+    """Partial sums past a column's hi are dropped as they arise: no front
+    dict, back memo or last-row memo holds one."""
+    for joint, n in ((diagonal_joint(3), 30), (diagonal_joint(4), 12), (diagonal_joint(5), 8)):
+        kernel, boxes = _kernel(joint, n)
+        for counts in typicality._compositions_in_boxes(boxes, n):
+            kernel.degree(counts)
+        stored = [kernel._last] + list(kernel._front.values()) + list(kernel._back.values())
+        assert sum(map(len, stored)) > len(kernel._front)
+        assert not any(s & kernel._over for memo in stored for s in memo)
+
+
 # --- joint-type index ---------------------------------------------------------
 
 
@@ -506,15 +616,6 @@ def test_joint_type_index_symbols_past_one_byte():
     assert index.count([(299, 256, 299)], [(1, 0, 1)]) == 0
 
 
-def _diagonal_joint(k):
-    """D_k: 3/(4k) on the diagonal, 1/(4k(k-1)) off it."""
-    a = Alphabet(tuple(range(k)))
-    return JointPmf(a, a, tuple(
-        tuple(Fraction(3, 4 * k) if i == j else Fraction(1, 4 * k * (k - 1)) for j in range(k))
-        for i in range(k)
-    ))
-
-
 def _unlisted(*args):
     raise AssertionError("the joint ball was listed")
 
@@ -534,18 +635,18 @@ def test_joint_ball_count_matches_listing():
         )
 
 
-def test_joint_ball_count_of_d3_at_n30_without_listing(monkeypatch):
+def test_joint_ball_count_of_d3_at_n30_without_listing(monkeypatch, diagonal_joint):
     monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
     n = 30
-    boxes = typicality._ball_boxes(_diagonal_joint(3).flat(), n, default_params(n).lam)
+    boxes = typicality._ball_boxes(diagonal_joint(3).flat(), n, default_params(n).lam)
     assert typicality._box_multinomial_sum(boxes, n, unit=True) == 2_252_221
 
 
-def test_joint_ball_over_cap_raises_before_listing(monkeypatch):
+def test_joint_ball_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
     monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
     n = 50  # D3 at n=50: 30,095,340 count matrices, over 2^24
     with pytest.raises(CapExceeded, match=f"30095340 count matrices, over cap {DEFAULT_CAP}"):
-        JointTypeIndex.ball(_diagonal_joint(3), default_params(n).lam, n)
+        JointTypeIndex.ball(diagonal_joint(3), default_params(n).lam, n)
 
 
 def test_joint_type_index_matches_predicate(binary_joint):
