@@ -56,6 +56,7 @@ from .graph import (
     stats,
 )
 from .subgraphs import (
+    EDGE_SCAN_CAP,
     SUBGRAPH_SCHEMA,
     build_aux_subgraph,
     build_exact_type_subgraph,
@@ -633,7 +634,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dist_n_params(p)
     p.add_argument("--kind", choices=("an", "gamma"), required=True)
     p.add_argument("--aux", help="cond_pmf JSON for --kind gamma")
-    p.add_argument("--cap", type=int, default=1 << 22, help="edge-scan cap")
+    p.add_argument("--cap", type=int, default=EDGE_SCAN_CAP, help="edge-scan cap")
     p.add_argument("--out", help="subgraph header JSON")
     p.add_argument("--edges", help="edge CSV (left_rank,right_rank)")
     p.set_defaults(func=cmd_subgraph)

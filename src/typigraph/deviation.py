@@ -35,7 +35,7 @@ from .typicality import (
     Sequence,
     TypicalSampler,
     TypicalityParams,
-    _side_kernel,
+    _DegreeKernel,
     degree_table,
     log2_int,
     typical_set_size,
@@ -126,8 +126,13 @@ def exact_pair_moments(
 ) -> MomentEstimates:
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    left = degree_table(joint, params, n, "left").values()
-    right = degree_table(joint, params, n, "right").values()
+    left, right = (degree_table(joint, params, n, side).values() for side in ("left", "right"))
+    return _pair_moments(left, right, m1, m2, n)
+
+
+def _pair_moments(left, right, m1: int, m2: int, n: int) -> MomentEstimates:
+    """The moments of U at codebook sizes m1, m2 from the (class size,
+    degree) entries of the left and right degree tables."""
     t1 = sum(size for size, _ in left)
     t2 = sum(size for size, _ in right)
     if t1 == 0 or t2 == 0:
@@ -610,16 +615,17 @@ def simulate(
     too much joint-type kernel work for the exact moments (either side's
     `_DegreeKernel.steps`) or too large a joint ball (`JointTypeIndex.ball`).
     U is kept as a histogram, from which every statistic is summed. The
-    exact pair moments, computed once before the first trial, come back on
-    the report.
+    exact pair moments, computed once before the first trial from the
+    tables of the two kernels bounded there, come back on the report.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m1, m2 = simulation_sizes(n, r1, r2, trials)
-    for side in ("left", "right"):
-        _side_kernel(joint, params, n, side)
+    kernels = [_DegreeKernel(joint, params, n, side) for side in ("left", "right")]
+    for kernel in kernels:
+        kernel.check()
     index = JointTypeIndex.ball(joint, params.lam, n)
-    moments = exact_pair_moments(joint, params, n, r1, r2)
+    moments = _pair_moments(*(kernel.table().values() for kernel in kernels), m1, m2, n)
     draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw
     draw_y = TypicalSampler(joint.col_marginal(), params.eps2, n).draw
     hist: Counter = Counter()  # U -> trials

@@ -5,11 +5,12 @@ vertices the eps2-typical sequences for the column marginal, and an edge
 joins (x, y) exactly when the pair is jointly lam-typical. Vertex ids are
 lexicographic ranks within each roster.
 
-A vertex's degree depends only on its type, so one degree table per side
-(`typicality.degree_table`, whose `_oriented` decides what a side is)
-gives the edge count, the statistics and the degree bound exactly, at the
-level of types; `degree_of` reads a side's table once it is built and
-otherwise counts the one type. Explicit mode also holds the two rosters,
+A vertex's degree depends only on its type, so one degree kernel per side
+(`typicality._DegreeKernel`, whose `_oriented` decides what a side is)
+answers every degree question: its table gives the edge count, the
+statistics and the degree bound exactly, at the level of types, and
+`degree_of` asks the same kernel, which reads the table once it is built
+and otherwise counts the one type. Explicit mode also holds the two rosters,
 capped by their exact sizes; `edge_list` streams the edges from one pair
 scan over them, on demand, and nothing holds the edge set.
 """
@@ -44,10 +45,9 @@ from .typicality import (
     _ball_boxes,
     _box_rows,
     _cond_ball_size,
+    _DegreeKernel,
     _oriented,
-    degree_table,
     log2_int,
-    row_type_degree,
     typical_set_size,
 )
 
@@ -85,10 +85,10 @@ class TypicalityGraph:
     """Exact vertex and edge counts, degrees per type, rosters if explicit.
 
     `left` and `right` are the lexicographic rosters in explicit mode and
-    None in implicit mode. `stats` and `check_degree_bound` read each
-    side's degree table, computed once, when first needed; `degree_of`
-    reads a table already built and otherwise counts the one type it is
-    asked about.
+    None in implicit mode. Each side's degree kernel is built once, when
+    first needed, and answers for that side: `stats` and
+    `check_degree_bound` read its table, and `degree_of` asks it for one
+    type.
     """
 
     spec: GraphSpec
@@ -97,31 +97,28 @@ class TypicalityGraph:
     edge_count: BigCount
     left: Optional[tuple[Sequence, ...]] = None
     right: Optional[tuple[Sequence, ...]] = None
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def vertex_counts(self) -> tuple[int, int]:
         return self.left_count.value, self.right_count.value
 
-    def _table(self, side: str) -> dict:
-        if side not in self._tables:
+    def _kernel(self, side: str) -> _DegreeKernel:
+        if side not in self._kernels:
             spec = self.spec
-            self._tables[side] = degree_table(spec.joint, spec.params, spec.n, side)
-        return self._tables[side]
+            self._kernels[side] = _DegreeKernel(spec.joint, spec.params, spec.n, side)
+        return self._kernels[side]
+
+    def _table(self, side: str) -> dict:
+        return self._kernel(side).table()
 
     def degree_of(self, x: Sequence, side: str = "left") -> BigCount:
         """Exact number of typical other-side sequences jointly typical with x.
 
         x need not be typical itself; the degree depends on x only through
-        its type. A side's table already built answers for the typical
-        types; any other type is counted alone, without building a table.
+        its type, and the side's kernel counts it (see
+        `_DegreeKernel.degree_of`).
         """
-        counts = _type_counts(x)
-        entry = self._tables.get(side, {}).get(counts)
-        if entry is not None:
-            return BigCount.from_int(entry[1])
-        spec = self.spec
-        joint, _, col_eps = _oriented(spec.joint, spec.params, side)
-        return BigCount.from_int(row_type_degree(joint, counts, col_eps, spec.params.lam, spec.n))
+        return BigCount.from_int(self._kernel(side).degree_of(_type_counts(x)))
 
 
 def build_graph(spec: GraphSpec) -> TypicalityGraph:
@@ -132,7 +129,8 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
     before enumerating either. No sequence pair is scanned.
     """
     joint, n, params = spec.joint, spec.n, spec.params
-    left_table = degree_table(joint, params, n)
+    left_kernel = _DegreeKernel(joint, params, n, "left")
+    left_table = left_kernel.table()
     left_count = sum(size for size, _ in left_table.values())
     right_count = typical_set_size(joint.col_marginal(), params.eps2, n).value
     left = right = None
@@ -153,7 +151,7 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
         ),
         left=left,
         right=right,
-        _tables={"left": left_table},
+        _kernels={"left": left_kernel},
     )
 
 

@@ -611,6 +611,7 @@ def load_decomposition(doc, joint: JointPmf) -> MarkovDecomposition:
 # ---------------------------------------------------------------------------
 
 SUBGRAPH_SCHEMA = "typigraph.subgraph/1"
+EDGE_SCAN_CAP = 1 << 22  # candidate pairs an edge export may scan, by default
 _COUNTS = ("left_size", "right_size", "left_degree", "right_degree")
 
 
@@ -618,7 +619,7 @@ def export_subgraph(
     sub: Subgraph,
     json_path: str,
     edges_csv_path: Optional[str] = None,
-    edge_cap: int = 1 << 22,
+    edge_cap: int = EDGE_SCAN_CAP,
 ) -> None:
     """JSON header with exact provenance; optional edge CSV of roster ranks.
 

@@ -1,8 +1,9 @@
 """Sequences, types, typical sets: exact counting and membership.
 
 A length-n sequence over a finite alphabet has a type (empirical pmf with
-denominator n). Membership predicates use closed balls with exact rational
-comparisons:
+denominator n). Membership predicates use closed balls, decided exactly by
+testing the counts against the ball's integer count boxes (`_ball_boxes`),
+the same boxes every count, walk and sampler uses:
 
   robust typicality     max_a |N(a|x)/n - P(a)| <= delta, and no symbol with
                         P(a) = 0 occurs in x;
@@ -17,22 +18,21 @@ binomial recurrence over the ball's per-cell boxes, without listing types.
 Where sequences are listed (type classes, rosters), `_box_rows` walks them
 in lexicographic order inside per-block, per-symbol count boxes.
 
-Everything that counts jointly typical pairs goes through one kernel,
-`_DegreeKernel`: the exact degree of a row type, from compositions of its
-row counts inside the per-cell boxes of the joint ball, with the column
+Everything that counts jointly typical pairs goes through one kernel per
+side, `_DegreeKernel`: the exact degree of a row type, from compositions of
+its row counts inside the per-cell boxes of the joint ball, with the column
 sums tested against the integer boxes of the column ball. Partial column
 sums past a column's hi are dropped as they arise; the front half of the
 rows is multiplied out into a dict of partial sums, the back half is a
 function of those sums memoized across row types, and the last row is
 closed by one `_box_multinomial_sum` over the boxes that the partial sums
 leave it. Before a type or a composition is listed, the kernel bounds its
-steps exactly and refuses with CapExceeded over KERNEL_STEP_CAP.
-`row_type_degree` counts one type; the per-row-type table `degree_table`
-({counts: (class size, degree)}) shares one kernel across the table and
-gives the pair count, every vertex degree and the degree second moments as
-plain sums. One function, `_oriented`, decides a side: the right side's
-table is the left side's on the transposed joint, with eps1 and eps2
-swapped.
+steps exactly and refuses with CapExceeded over KERNEL_STEP_CAP. A kernel
+serves one side, which `_oriented` decides (the right side is the left side
+on the transposed joint, with eps1 and eps2 swapped). Its `table()`,
+{counts: (class size, degree)}, gives the pair count, every vertex degree
+and the degree second moments as plain sums; its `degree_of(counts)` reads
+that table once built and otherwise counts the one type.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ class Sequence:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        syms = tuple(int(s) for s in self.symbols)
+        syms = tuple(map(int, self.symbols))
         if not syms:
             raise ValueError("sequences must have length >= 1")
-        k = self.alphabet.size
-        if any(s < 0 or s >= k for s in syms):
+        if min(syms) < 0 or max(syms) >= self.alphabet.size:
             raise ValueError("sequence symbol out of alphabet range")
         object.__setattr__(self, "symbols", syms)
 
@@ -250,34 +249,28 @@ def empirical_joint_type(x: Sequence, y: Sequence) -> JointTypeVector:
     return JointTypeVector(x.alphabet, y.alphabet, tuple(tuple(r) for r in counts))
 
 
-def _counts_in_ball(counts, flat_probs, n: int, delta: Fraction) -> bool:
-    return all(abs(Fraction(c, n) - p) <= delta for c, p in zip(counts, flat_probs))
-
-
-def _counts_typical(counts, flat_probs, n: int, delta: Fraction) -> bool:
-    """Counts inside the closed delta-ball with no mass off the support."""
-    return all(c == 0 for c, p in zip(counts, flat_probs) if p == 0) and (
-        _counts_in_ball(counts, flat_probs, n, delta)
-    )
+def _counts_typical(counts, probs, n: int, delta: Fraction) -> bool:
+    """Counts inside the integer boxes of the closed delta-ball, which hold
+    0 off the support."""
+    return all(lo <= c <= hi for c, (lo, hi) in zip(counts, _ball_boxes(probs, n, delta)))
 
 
 def is_typical(x: Sequence, p: Pmf, delta) -> bool:
     """Robust typicality of x for p at slack delta (closed ball, exact)."""
     if x.alphabet != p.alphabet:
         raise ValueError("sequence and pmf alphabets differ")
-    d = Fraction(delta)
-    return _counts_typical(empirical_type(x).counts, p.probs, x.n, d)
+    return _counts_typical(empirical_type(x).counts, p.probs, x.n, Fraction(delta))
 
 
 def is_cond_typical(y: Sequence, x: Sequence, w: CondPmf, delta) -> bool:
     """Conditional typicality of y given x under channel w at slack delta."""
     if x.alphabet != w.given_alphabet or y.alphabet != w.out_alphabet:
         raise ValueError("alphabets do not match the channel")
-    d = Fraction(delta)
     jt = empirical_joint_type(x, y)
     return all(
-        _counts_typical(jt.counts[a], centres, x.n, d)
-        for a, _, centres in _cond_ball(w, jt.row_type().counts, x.n)
+        lo <= c <= hi
+        for a, _, boxes in _cond_ball(w, jt.row_type().counts, Fraction(delta))
+        for c, (lo, hi) in zip(jt.counts[a], boxes)
     )
 
 
@@ -285,8 +278,7 @@ def is_jointly_typical(x: Sequence, y: Sequence, p: JointPmf, lam) -> bool:
     """Joint typicality: the robust predicate on the pair alphabet."""
     if x.alphabet != p.row_alphabet or y.alphabet != p.col_alphabet:
         raise ValueError("sequence alphabets do not match the joint pmf")
-    d = Fraction(lam)
-    return _counts_typical(empirical_joint_type(x, y).flat(), p.flat(), x.n, d)
+    return _counts_typical(empirical_joint_type(x, y).flat(), p.flat(), x.n, Fraction(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +386,6 @@ def _compositions_in_boxes(boxes, total: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, total)
 
 
-def _admissible_count_vectors(
-    flat_probs, n: int, delta: Fraction
-) -> Iterator[tuple[int, ...]]:
-    """Count vectors in the delta-ball that put no mass outside the support."""
-    return _compositions_in_boxes(_ball_boxes(flat_probs, n, delta), n)
-
-
 def _box_multinomial_sum(boxes, total: int, unit: bool = False) -> int:
     """Sum of multinomial(total, c) over the count vectors c summing to
     total with each c_i inside its (lo, hi) box, without listing them.
@@ -461,12 +446,14 @@ def typical_set_size(p: Pmf, delta, n: int) -> BigCount:
     return BigCount.from_int(_box_multinomial_sum(boxes, n))
 
 
-def _cond_ball(w: CondPmf, counts, n: int) -> Iterator[tuple[int, int, list[Fraction]]]:
-    """(a, N(a), centres N(a)/n * W(.|a)) per conditioning symbol a, in
-    order, for the symbol counts N(.) of an x of length n: row a of the
-    conditional delta-ball is the delta-ball around these centres, on the
-    denominator n. Undefined rows that x does not use are skipped; one
-    that x uses raises ValueError when the walk reaches it."""
+def _cond_ball(w: CondPmf, counts, delta: Fraction) -> Iterator[tuple[int, int, list]]:
+    """(a, N(a), boxes) per conditioning symbol a, in order, for the symbol
+    counts N(.) of an x of length n: row a of the conditional delta-ball is
+    the delta-ball around the centres N(a)/n * W(.|a), on the denominator
+    n, and boxes are its integer count boxes. Undefined rows that x does
+    not use are skipped; one that x uses raises ValueError when the walk
+    reaches it."""
+    n = sum(counts)
     for a, (na, row) in enumerate(zip(counts, w.rows)):
         if row is None:
             if na > 0:
@@ -475,7 +462,7 @@ def _cond_ball(w: CondPmf, counts, n: int) -> Iterator[tuple[int, int, list[Frac
                     "channel row is undefined"
                 )
             continue
-        yield a, na, [Fraction(na, n) * p for p in row.probs]
+        yield a, na, _ball_boxes([Fraction(na, n) * p for p in row.probs], n, delta)
 
 
 def _cond_ball_size(w: CondPmf, counts, delta) -> int:
@@ -486,11 +473,9 @@ def _cond_ball_size(w: CondPmf, counts, delta) -> int:
     N(a) inside the boxes of row a of the conditional ball, with
     m_{a,b} = 0 wherever W(b|a) = 0.
     """
-    n = sum(counts)
-    d = Fraction(delta)
     total = 1
-    for _, na, centres in _cond_ball(w, counts, n):
-        total *= _box_multinomial_sum(_ball_boxes(centres, n, d), na)
+    for _, na, boxes in _cond_ball(w, counts, Fraction(delta)):
+        total *= _box_multinomial_sum(boxes, na)
         if total == 0:
             break
     return total
@@ -508,8 +493,22 @@ def cond_typical_set_size(w: CondPmf, x: Sequence, delta) -> BigCount:
 # ---------------------------------------------------------------------------
 
 
+def _oriented(joint: JointPmf, params: TypicalityParams, side: str):
+    """(joint, row eps, column eps) with the side's sequences as the rows:
+    the left side is the joint's rows, the right side its columns."""
+    if side == "left":
+        return joint, params.eps1, params.eps2
+    if side == "right":
+        return joint.transpose(), params.eps2, params.eps1
+    raise ValueError("side must be 'left' or 'right'")
+
+
 class _DegreeKernel:
-    """Exact degrees of row types for one oriented joint, col_eps, lam and n.
+    """Exact degrees of one side's row types at blocklength n.
+
+    `_oriented` orients the side, and `boxes` bound its typical row types.
+    `table()` and `degree_of(counts)` share one set of memos, and both
+    bound their work (`check`) before anything is listed.
 
     The degree of a row type (n_0, ..., n_{k-1}) sums, over the count
     matrices whose row a is a composition of n_a inside that row's lam-ball
@@ -537,11 +536,12 @@ class _DegreeKernel:
     most 2^(width-1) - 1 before a count of at most n < 2^(width-1) is added.
     """
 
-    def __init__(self, joint: JointPmf, col_eps, lam, n: int):
-        lam = Fraction(lam)
+    def __init__(self, joint: JointPmf, params: TypicalityParams, n: int, side: str):
+        joint, row_eps, col_eps = _oriented(joint, params, side)
         self.n = n
-        self._cells = [_ball_boxes(probs, n, lam) for probs in joint.probs]
-        self._cols = _ball_boxes(joint.col_marginal().probs, n, Fraction(col_eps))
+        self.boxes = _ball_boxes(joint.row_marginal().probs, n, row_eps)
+        self._cells = [_ball_boxes(probs, n, params.lam) for probs in joint.probs]
+        self._cols = _ball_boxes(joint.col_marginal().probs, n, col_eps)
         self._split = len(self._cells) // 2
         self._width = n.bit_length() + 1
         top = 1 << (self._width - 1)
@@ -552,6 +552,7 @@ class _DegreeKernel:
         self._front: dict = {(): {self._pack(self._offsets): 1}}
         self._back: dict = {}  # back row counts but the last -> {partial sums: F}
         self._last: dict = {}  # partial sums -> last row's box sum
+        self._table: Optional[dict] = None
 
     def _pack(self, vec) -> int:
         return sum(v << (self._width * j) for j, v in enumerate(vec))
@@ -591,7 +592,7 @@ class _DegreeKernel:
         ]
         return _box_multinomial_sum(boxes, self.n - sum(vec))
 
-    def degree(self, counts) -> int:
+    def _degree(self, counts: tuple) -> int:
         h, k, over = self._split, len(counts), self._over
         rows = [self._row(a, counts[a]) for a in range(h, k - 1)]
         memos = [self._back.setdefault(counts[a : k - 1], {}) for a in range(h, k - 1)]
@@ -617,7 +618,7 @@ class _DegreeKernel:
         return sum(w * back(0, s) for s, w in self._front_sums(tuple(counts[:h])).items())
 
     def steps(self, type_boxes) -> int:
-        """Exact upper bound on the steps `degree` takes for every row type
+        """Exact upper bound on the steps `_degree` takes for every row type
         inside type_boxes, found without listing a type or a composition.
 
         A step is one (partial sums, composition) pair. Row a of a type
@@ -648,48 +649,39 @@ class _DegreeKernel:
             states = nxt
         return sum(done for (r, _), (_, done) in states.items() if r == n)
 
-    def check(self, type_boxes) -> None:
-        """CapExceeded when the work bound for type_boxes is over
-        KERNEL_STEP_CAP; nothing is listed before it."""
-        steps = self.steps(type_boxes)
+    def check(self, type_boxes=None) -> None:
+        """CapExceeded when the work bound for type_boxes (by default the
+        side's ball) is over KERNEL_STEP_CAP; nothing is listed before it."""
+        steps = self.steps(self.boxes if type_boxes is None else type_boxes)
         if steps > KERNEL_STEP_CAP:
             raise CapExceeded(
                 f"the joint-type kernel at n={self.n} needs up to {steps} steps "
                 f"(2^{math.log2(steps):.1f}), over cap {KERNEL_STEP_CAP}"
             )
 
+    def table(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """{counts: (class size, degree)} for every type in the side's ball,
+        built on the first call after its work is bounded."""
+        if self._table is None:
+            self.check()
+            self._table = {
+                c: (multinomial(self.n, c), self._degree(c))
+                for c in _compositions_in_boxes(self.boxes, self.n)
+            }
+        return self._table
 
-def row_type_degree(joint: JointPmf, row_counts, col_eps, lam, n: int) -> int:
-    """Exact degree of a row type: the number of col_eps-typical y that are
-    jointly lam-typical with any one x of type row_counts (see
-    `_DegreeKernel`)."""
-    if len(row_counts) != joint.row_alphabet.size:
-        raise ValueError("row type does not match the row alphabet")
-    if sum(row_counts) != n:
-        raise ValueError("row type does not sum to n")
-    kernel = _DegreeKernel(joint, col_eps, lam, n)
-    kernel.check([(c, c) for c in row_counts])
-    return kernel.degree(tuple(row_counts))
-
-
-def _oriented(joint: JointPmf, params: TypicalityParams, side: str):
-    """(joint, row eps, column eps) with the side's sequences as the rows:
-    the left side is the joint's rows, the right side its columns."""
-    if side == "left":
-        return joint, params.eps1, params.eps2
-    if side == "right":
-        return joint.transpose(), params.eps2, params.eps1
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def _side_kernel(joint: JointPmf, params: TypicalityParams, n: int, side: str):
-    """(kernel, row-type boxes) of a side, its work checked against
-    KERNEL_STEP_CAP before any type or composition is listed."""
-    joint, row_eps, col_eps = _oriented(joint, params, side)
-    boxes = _ball_boxes(joint.row_marginal().probs, n, Fraction(row_eps))
-    kernel = _DegreeKernel(joint, col_eps, params.lam, n)
-    kernel.check(boxes)
-    return kernel, boxes
+    def degree_of(self, counts) -> int:
+        """Exact degree of the row type counts: the number of typical
+        other-side sequences jointly typical with any one x of that type."""
+        counts = tuple(counts)
+        if len(counts) != len(self.boxes):
+            raise ValueError("row type does not match the row alphabet")
+        if sum(counts) != self.n:
+            raise ValueError("row type does not sum to n")
+        if self._table is not None and counts in self._table:
+            return self._table[counts][1]
+        self.check([(c, c) for c in counts])
+        return self._degree(counts)
 
 
 def degree_table(
@@ -701,8 +693,7 @@ def degree_table(
     are all sums over this table. One kernel serves every type, so its
     composition lists and memos are shared across the table.
     """
-    kernel, boxes = _side_kernel(joint, params, n, side)
-    return {c: (multinomial(n, c), kernel.degree(c)) for c in _compositions_in_boxes(boxes, n)}
+    return _DegreeKernel(joint, params, n, side).table()
 
 
 def jointly_typical_pair_count(joint: JointPmf, params: TypicalityParams, n: int) -> BigCount:
@@ -777,7 +768,7 @@ def _sampler_table(p: Pmf, delta: Fraction, n: int):
     types = []
     cum = []
     total = 0
-    for counts in _admissible_count_vectors(p.probs, n, delta):
+    for counts in _compositions_in_boxes(_ball_boxes(p.probs, n, delta), n):
         total += multinomial(n, counts)
         types.append(counts)
         cum.append(total)

@@ -459,28 +459,40 @@ def test_simulate_codebook_out_of_float_range_exit_2(joint_file, capsys):
     assert "1100.5" in err and "Traceback" not in err
 
 
-def test_simulate_builds_each_degree_table_once(joint_file, monkeypatch):
-    """One run: the left and the right table once each, from the one
-    exact_pair_moments call inside simulate, and no typical-set sum."""
-    sides, sums = [], []
-    real_table = typigraph.typicality.degree_table
+def test_simulate_builds_one_kernel_per_side(joint_file, monkeypatch):
+    """One run: one degree kernel per side, each bounded and its table
+    built once, the ones whose tables give the moments, and no typical-set
+    sum."""
+    built, calls, sums = [], [], []
     real_sum = typigraph.typicality.typical_set_size
 
-    def counted_table(joint, params, n, side="left"):
-        sides.append(side)
-        return real_table(joint, params, n, side)
+    class Counted(typigraph.typicality._DegreeKernel):
+        def __init__(self, joint, params, n, side):
+            built.append(side)
+            self.side = side
+            super().__init__(joint, params, n, side)
+
+        def check(self, type_boxes=None):
+            calls.append(("check", self.side))
+            super().check(type_boxes)
+
+        def table(self):
+            calls.append(("table", self.side))
+            return super().table()
 
     def counted_sum(*args, **kwargs):
         sums.append(args)
         return real_sum(*args, **kwargs)
 
     for module in (typigraph.typicality, typigraph.graph, typigraph.deviation):
-        monkeypatch.setattr(module, "degree_table", counted_table)
+        monkeypatch.setattr(module, "_DegreeKernel", Counted)
         monkeypatch.setattr(module, "typical_set_size", counted_sum)
     args = ["simulate", "--dist", joint_file, "--n", "8", "--r1", "2/8", "--r2", "2/8",
             "--trials", "20", "--seed", "3"]
     assert main(args) == 0
-    assert sorted(sides) == ["left", "right"]
+    assert built == ["left", "right"]
+    assert calls[:2] == [("check", "left"), ("check", "right")]
+    assert [c for c in calls if c[0] == "table"] == [("table", "left"), ("table", "right")]
     assert sums == []
 
 

@@ -469,6 +469,7 @@ def test_simulate_work_cap(binary_joint, monkeypatch):
         raise AssertionError("exact work started before the cap check")
 
     monkeypatch.setattr("typigraph.deviation.exact_pair_moments", refuse)
+    monkeypatch.setattr("typigraph.deviation._DegreeKernel", refuse)
     with pytest.raises(CapExceeded):
         simulate(binary_joint, params, 12, 1.0, 1.0, trials=2, seed=1)
 

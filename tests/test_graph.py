@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import typigraph.graph
+from typigraph import typicality
 from typigraph.core import Alphabet, InvariantViolation, JointPmf
 from typigraph.graph import (
     CapExceeded,
@@ -22,6 +23,7 @@ from typigraph.typicality import (
     Sequence,
     TypicalityParams,
     default_params,
+    degree_table,
     is_jointly_typical,
 )
 
@@ -106,29 +108,62 @@ def test_degree_views(binary_joint):
 
 
 def test_degree_of_reads_the_built_table(binary_joint, monkeypatch):
-    """build_graph keeps the left table: a typical left x is looked up there;
-    a non-typical x, or a side with no table yet, is counted alone."""
+    """build_graph keeps the left kernel whose table it read: a typical left
+    x is looked up there, with no kernel work."""
     n = 8
     g = build_graph(GraphSpec(binary_joint, n, default_params(n), mode="implicit"))
-    real = typigraph.graph.row_type_degree
-    calls = []
+    kernel = g._kernels["left"]
 
-    def counted(joint, counts, *args):
-        calls.append(counts)
-        return real(joint, counts, *args)
+    def no_work(*args):
+        raise AssertionError("a table hit did kernel work")
 
-    monkeypatch.setattr(typigraph.graph, "row_type_degree", counted)
+    monkeypatch.setattr(kernel, "_degree", no_work)
+    monkeypatch.setattr(kernel, "check", no_work)
     typical = Sequence(BIN, (0, 1) * 4)
-    assert g.degree_of(typical, "left").value == g._tables["left"][(4, 4)][1]
-    assert calls == []
+    assert g.degree_of(typical, "left").value == kernel.table()[(4, 4)][1]
+
+
+def test_degree_of_counts_a_type_off_the_table(binary_joint):
+    """A non-typical x is counted by the side's kernel; a side whose table
+    is not built gets a kernel but no table."""
+    n = 8
+    params = default_params(n)
+    g = build_graph(GraphSpec(binary_joint, n, params, mode="implicit"))
     lopsided = Sequence(BIN, (0,) * 8)  # (8, 0) is not eps1-typical
-    assert (8, 0) not in g._tables["left"]
-    assert g.degree_of(lopsided, "left").value == real(
-        binary_joint, (8, 0), default_params(n).eps2, default_params(n).lam, n
+    assert (8, 0) not in g._table("left")
+    assert g.degree_of(lopsided, "left").value == oracles.row_type_degree(
+        binary_joint.probs, (8, 0), params.eps2, params.lam, n
     )
-    assert calls == [(8, 0)]
+    typical = Sequence(BIN, (0, 1) * 4)
     assert g.degree_of(typical, "right").value == g.degree_of(typical, "left").value
-    assert calls == [(8, 0), (4, 4)] and "right" not in g._tables
+    assert g._kernels["right"]._table is None
+
+
+def test_degree_of_every_right_type_shares_one_kernel(monkeypatch):
+    """After build_graph, degree_of over every typical right type builds one
+    kernel, and its degrees are those of the right degree table."""
+    third = Alphabet((0, 1, 2))
+    diag = (Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))
+    t3 = JointPmf(third, third, tuple(
+        tuple(diag[i] if i == j else Fraction(1, 20) for j in range(3)) for i in range(3)
+    ))
+    n = 10
+    params = default_params(n)
+    g = build_graph(GraphSpec(t3, n, params, mode="implicit"))
+    built = []
+
+    class Counted(typicality._DegreeKernel):
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(typigraph.graph, "_DegreeKernel", Counted)
+    want = degree_table(t3, params, n, "right")
+    for counts, (_, degree) in want.items():
+        y = Sequence(third, tuple(b for b, c in enumerate(counts) for _ in range(c)))
+        assert g.degree_of(y, "right").value == degree
+    assert built == ["right"]
+    assert g._kernels["right"]._table is None
 
 
 def test_cap_exceeded(binary_joint):

@@ -40,7 +40,6 @@ from typigraph.typicality import (
     jointly_typical_pair_count,
     log2_int,
     multinomial,
-    row_type_degree,
     sample_uniform_typical,
     schedule_delta,
     type_class_sequences,
@@ -300,6 +299,60 @@ def test_is_jointly_typical_matches_oracle(binary_joint):
                 ) == oracles.jointly_typical(xs, ys, binary_joint.probs, delta)
 
 
+@st.composite
+def ball_edge_cases(draw):
+    """A joint over |X|, |Y| <= 3 with zero cells and no empty row, and a
+    count matrix summing to n <= 8 that may put mass off the support."""
+    kx, ky, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 3), min_size=ky, max_size=ky).filter(any)
+    weights = draw(st.lists(row, min_size=kx, max_size=kx))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=kx * ky - 1, max_size=kx * ky - 1)))
+    flat = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return weights, flat, n
+
+
+@PROPERTY
+@given(ball_edge_cases())
+def test_predicates_match_the_fraction_reference_on_the_ball_edge(case):
+    """Every slack at which some cell sits exactly on the ball's edge,
+    c/n = p +- delta: the three predicates, which test integer boxes, agree
+    with the `Fraction` distances of `oracles._counts_typical`."""
+    weights, flat, n = case
+    kx, ky = len(weights), len(weights[0])
+    xa, ya = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
+    total = sum(map(sum, weights))
+    joint = JointPmf(xa, ya, tuple(tuple(Fraction(v, total) for v in r) for r in weights))
+    counts = [flat[a * ky : (a + 1) * ky] for a in range(kx)]
+    pairs = [(a, b) for a in range(kx) for b in range(ky) for _ in range(counts[a][b])]
+    x = Sequence(xa, tuple(a for a, _ in pairs))
+    y = Sequence(ya, tuple(b for _, b in pairs))
+    px, w = joint.row_marginal(), conditionalize(joint, "row")
+    rows = [sum(r) for r in counts]
+    centres = [[Fraction(rows[a], n) * p for p in w.rows[a].probs] for a in range(kx)]
+    cases = (
+        (is_typical, (x, px), [(rows, px.probs)]),
+        (is_jointly_typical, (x, y, joint), [(flat, joint.flat())]),
+        (is_cond_typical, (y, x, w), list(zip(counts, centres))),
+    )
+    for predicate, args, balls in cases:
+        for delta in {abs(Fraction(c, n) - p) for cs, ps in balls for c, p in zip(cs, ps)}:
+            want = all(oracles._counts_typical(cs, ps, n, delta) for cs, ps in balls)
+            assert predicate(*args, delta) == want
+
+
+def test_predicates_refuse_a_negative_delta(binary_joint):
+    x = seq(BIN, 0, 1, 1, 0)
+    w = conditionalize(binary_joint, "row")
+    d = Fraction(-1, 8)
+    for predicate, args in (
+        (is_typical, (x, binary_joint.row_marginal())),
+        (is_jointly_typical, (x, x, binary_joint)),
+        (is_cond_typical, (x, x, w)),
+    ):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            predicate(*args, d)
+
+
 # --- set sizes vs brute force -------------------------------------------------
 
 
@@ -507,7 +560,8 @@ def test_degree_table_pins(diagonal_joint, k, n, digest):
 
 def _kernel(joint, n):
     """(left kernel, row-type boxes) of joint under default_params(n)."""
-    return typicality._side_kernel(joint, default_params(n), n, "left")
+    kernel = typicality._DegreeKernel(joint, default_params(n), n, "left")
+    return kernel, kernel.boxes
 
 
 def test_kernel_steps_sum_the_per_type_bound():
@@ -562,12 +616,22 @@ def test_kernel_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
             degree_table(diagonal_joint(5), default_params(n), n, side)
 
 
-def test_row_type_degree_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
+def test_kernel_degree_of_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
+    """One type off the table is bounded alone, and refused before any
+    composition is listed."""
     monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
     monkeypatch.setattr(typicality, "KERNEL_STEP_CAP", 1000)
-    params = default_params(12)
+    kernel, _ = _kernel(diagonal_joint(5), 12)
     with pytest.raises(CapExceeded, match="over cap 1000"):
-        row_type_degree(diagonal_joint(5), (3, 2, 2, 3, 2), params.eps2, params.lam, 12)
+        kernel.degree_of((3, 2, 2, 3, 2))
+
+
+def test_kernel_degree_of_checks_the_row_type(binary_joint):
+    kernel, _ = _kernel(binary_joint, 8)
+    with pytest.raises(ValueError, match="does not match the row alphabet"):
+        kernel.degree_of((4, 2, 2))
+    with pytest.raises(ValueError, match="does not sum to n"):
+        kernel.degree_of((4, 3))
 
 
 def test_kernel_keeps_no_partial_sum_past_a_column_hi(diagonal_joint):
@@ -576,7 +640,7 @@ def test_kernel_keeps_no_partial_sum_past_a_column_hi(diagonal_joint):
     for joint, n in ((diagonal_joint(3), 30), (diagonal_joint(4), 12), (diagonal_joint(5), 8)):
         kernel, boxes = _kernel(joint, n)
         for counts in typicality._compositions_in_boxes(boxes, n):
-            kernel.degree(counts)
+            kernel.degree_of(counts)
         stored = [kernel._last] + list(kernel._front.values()) + list(kernel._back.values())
         assert sum(map(len, stored)) > len(kernel._front)
         assert not any(s & kernel._over for memo in stored for s in memo)
@@ -631,7 +695,7 @@ def test_joint_ball_count_matches_listing():
         lam = Fraction(rng.randrange(7), rng.randint(2, 12))
         boxes = typicality._ball_boxes(flat, n, lam)
         assert typicality._box_multinomial_sum(boxes, n, unit=True) == len(
-            list(typicality._admissible_count_vectors(flat, n, lam))
+            list(typicality._compositions_in_boxes(boxes, n))
         )
 
 
@@ -681,3 +745,11 @@ def test_sequence_validation():
     assert s.n == 3
     assert s.labels() == (1, 0, 1)
     assert empirical_type(s).counts == (1, 2)
+
+
+def test_sequence_validation_messages():
+    with pytest.raises(ValueError, match="sequences must have length >= 1"):
+        Sequence(BIN, ())
+    for symbols in ((0, -1, 1), (1, 2, 0)):
+        with pytest.raises(ValueError, match="sequence symbol out of alphabet range"):
+            Sequence(BIN, symbols)
