@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -538,7 +539,7 @@ def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDis
     xids, yids = _read_edge_csv(path, len(left), len(right))
     if not xids:
         return None
-    return edge_distribution(
+    dist = edge_distribution(
         xids,
         yids,
         [x.symbols for x in left],
@@ -546,6 +547,7 @@ def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDis
         joint.row_alphabet,
         joint.col_alphabet,
     )
+    return replace(dist, distinct=True)  # _read_edge_csv refuses a repeated edge
 
 
 def cmd_wring(args: argparse.Namespace) -> int:

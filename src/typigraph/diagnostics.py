@@ -25,7 +25,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, repeat
 from operator import add, floordiv, itemgetter, mod, mul
 from typing import Optional
@@ -45,8 +45,10 @@ class EdgeDistribution:
     distinct symbol tuples of length n, and an id column is an
     `array("q")` in edge order. columns[t] holds, edge by edge, the code
     a*|Y| + b of the letter pair (a, b) at position t: one byte per edge
-    while |X||Y| <= 256, a tuple of ints beyond that. The exact per-letter
-    laws are derived on first use.
+    while |X||Y| <= 256, a tuple of ints beyond that. distinct is set only
+    where it was proved that no (xid, yid) pair repeats, as the reader of a
+    rank CSV proves it; conditioning keeps it, since a subset of a distinct
+    edge set is distinct. The exact per-letter laws are derived on first use.
     """
 
     xids: array
@@ -57,6 +59,7 @@ class EdgeDistribution:
     y_alphabet: Alphabet
     n: int
     columns: tuple
+    distinct: bool = False
 
     def __len__(self) -> int:
         return len(self.xids)
@@ -95,7 +98,7 @@ def _check_rows(rows: tuple, n: int, alphabet: Alphabet) -> None:
         raise ValueError("sequences must have length >= 1")
     if any(len(r) != n for r in rows):
         raise ValueError("edges must share one blocklength")
-    if any(s < 0 or s >= alphabet.size for r in rows for s in r):
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= alphabet.size:
         raise ValueError("sequence symbol out of alphabet range")
     if len(set(rows)) != len(rows):
         raise ValueError("the rows of a side must be distinct")
@@ -184,6 +187,18 @@ def fano_distribution(edges) -> EdgeDistribution:
     return edge_distribution(xids, yids, xrows, yrows, x0.alphabet, y0.alphabet)
 
 
+class _Memo(dict):
+    """fn(key) by key, each computed on its first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _pair_keys(dist: EdgeDistribution):
     """Each edge's packed pair id xid*|yrows| + yid, in edge order."""
     return map(add, map(mul, dist.xids, repeat(len(dist.yrows))), dist.yids)
@@ -238,24 +253,34 @@ def block_mi(dist: EdgeDistribution) -> float:
 
     The terms are added one after another, in first-occurrence order of
     their pair. A term depends only on the pair's count c and the product
-    of its endpoints' counts, so equal inputs share one computed term.
+    of its endpoints' counts, so equal inputs share one computed term. On
+    a distinct edge set every c is 1 and the pairs come in edge order, so
+    the pairs are not counted: each edge's term is looked up by the product
+    of its endpoints' degrees.
     """
-    total, width = len(dist), len(dist.yrows)
-    pair_counts = Counter(_pair_keys(dist))
-    x_counts, y_counts = Counter(dist.xids), Counter(dist.yids)
-    products = map(
-        mul,
-        map(x_counts.__getitem__, map(floordiv, pair_counts, repeat(width))),
-        map(y_counts.__getitem__, map(mod, pair_counts, repeat(width))),
-    )
+    total = len(dist)
     log2 = math.log2
 
     @lru_cache(maxsize=None)
     def term(c: int, product: int) -> float:
         return (c / total) * log2(c * total / product)
 
-    acc = reduce(add, map(term, pair_counts.values(), products), 0.0)
-    return max(0.0, acc)
+    x_counts, y_counts = Counter(dist.xids.tolist()), Counter(dist.yids.tolist())
+    if dist.distinct:
+        x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
+        y_deg = list(map(y_counts.__getitem__, range(len(dist.yrows))))
+        products = map(mul, map(x_deg.__getitem__, dist.xids), map(y_deg.__getitem__, dist.yids))
+        terms = map(_Memo(partial(term, 1)).__getitem__, products)
+    else:
+        width = len(dist.yrows)
+        pair_counts = Counter(_pair_keys(dist))
+        products = map(
+            mul,
+            map(x_counts.__getitem__, map(floordiv, pair_counts, repeat(width))),
+            map(y_counts.__getitem__, map(mod, pair_counts, repeat(width))),
+        )
+        terms = map(term, pair_counts.values(), products)
+    return max(0.0, reduce(add, terms, 0.0))
 
 
 @dataclass(frozen=True)
@@ -332,6 +357,34 @@ def _per_letter_mi(column, kx: int, ky: int, total: int) -> float:
     return max(0.0, acc)
 
 
+def _restrict(columns: tuple, t: int, code: int, codes: int) -> tuple[bytes, tuple]:
+    """The keep mask of the edges whose pair code at position t is `code`,
+    and every column restricted to those edges.
+
+    Byte columns are filtered with bytes operations while some byte value
+    is no pair code (codes < 256): 0xFF is ORed into the byte of every
+    dropped edge, as one big-integer OR per column, and then deleted.
+    Columns of ints, and byte columns that use all 256 values, go through
+    `compress`.
+    """
+    col = columns[t]
+    if not isinstance(col, bytes):
+        keep = bytes(map(code.__eq__, col))
+        return keep, tuple(tuple(compress(c, keep)) for c in columns)
+    table = bytearray(256)
+    table[code] = 1
+    keep = col.translate(table)
+    if codes == 256:
+        return keep, tuple(bytes(compress(c, keep)) for c in columns)
+    table = bytearray(b"\xff" * 256)
+    table[code] = 0
+    size, drop = len(col), int.from_bytes(col.translate(table), "big")
+    return keep, tuple(
+        (int.from_bytes(c, "big") | drop).to_bytes(size, "big").translate(None, b"\xff")
+        for c in columns
+    )
+
+
 @dataclass(frozen=True)
 class WringingStep:
     position: int
@@ -404,8 +457,7 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
             ((counts[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky))
         )
         a_star, b_star = best_ab[3], best_ab[4]
-        keep = bytes(map((a_star * ky + b_star).__eq__, columns[t_star]))
-        columns = tuple(type(col)(compress(col, keep)) for col in columns)
+        keep, columns = _restrict(columns, t_star, a_star * ky + b_star, kx * ky)
         xids = array("q", compress(xids, keep))
         yids = array("q", compress(yids, keep))
         if not xids:

@@ -271,15 +271,20 @@ def _write_rank_csv(path: str, rows, expected: int) -> None:
     unless exactly `expected` edges were written.
 
     Each left rank's edges go out as one joined string, in the bytes of
-    csv's default dialect: canonical decimal ranks and CRLF line ends.
+    csv's default dialect: canonical decimal ranks and CRLF line ends. Right
+    ranks are spelled from a table of str(k), grown to the largest rank met.
     """
     written = 0
+    spell: list[str] = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("left_rank,right_rank\r\n")
         for i, nbrs in enumerate(rows):
             if nbrs:
+                top = max(nbrs)
+                if top >= len(spell):
+                    spell.extend(map(str, range(len(spell), top + 1)))
                 head = f"{i},"
-                fh.write(head + f"\r\n{head}".join(map(str, nbrs)) + "\r\n")
+                fh.write(head + f"\r\n{head}".join(map(spell.__getitem__, nbrs)) + "\r\n")
                 written += len(nbrs)
     if written != expected:
         raise InvariantViolation(

@@ -391,13 +391,17 @@ def test_simulate_cap_message_gives_log2_of_work(joint_file, capsys):
 def test_simulate_joint_ball_cap_exit_3(tmp_path, monkeypatch, capsys):
     """D3 (3/4 split over the diagonal) at n=50: the joint ball holds
     30,095,340 count matrices, refused from their count, before any is
-    listed and before the exact moments."""
+    listed and before either degree table or the exact moments."""
 
     def unlisted(*args):
         raise AssertionError("the joint ball was listed")
 
+    def untabled(*args):
+        raise AssertionError("a degree table or the moments were computed")
+
     monkeypatch.setattr(typigraph.typicality, "_compositions_in_boxes", unlisted)
-    monkeypatch.setattr(typigraph.deviation, "exact_pair_moments", unlisted)
+    monkeypatch.setattr(typigraph.typicality._DegreeKernel, "table", untabled)
+    monkeypatch.setattr(typigraph.deviation, "_pair_moments", untabled)
     a = Alphabet((0, 1, 2))
     d3 = JointPmf(a, a, tuple(
         tuple(Fraction(1, 4) if i == j else Fraction(1, 24) for j in range(3))
@@ -905,6 +909,18 @@ def test_wring_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys, run):
     assert main(["wring", *args, "--out", "w.json"]) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest() == trace_sha
+
+
+@pytest.mark.parametrize("run", ["graph", "subgraph"])
+def test_wring_rank_csv_skips_pair_count(binary_joint, tmp_path, monkeypatch, capsys, run):
+    """A rank CSV never repeats an edge, so block MI sums one term per edge
+    without counting pairs, to the pinned bytes."""
+
+    def counted(*args):
+        raise AssertionError("the pair keys were counted")
+
+    monkeypatch.setattr(typigraph.diagnostics, "_pair_keys", counted)
+    test_wring_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys, run)
 
 
 # --- argparse plumbing ---------------------------------------------------------

@@ -23,6 +23,7 @@ import os
 import random
 import tempfile
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -233,8 +234,14 @@ def _check_diagnostics(kx, ky, raw, delta, sigma=None):
     dist = fano_distribution(edges)
     laws = [[[law.cell(a, b) for b in range(ky)] for a in range(kx)] for law in dist.per_letter]
     assert laws == oracles.per_letter_laws(raw, kx, ky)
-    assert block_mi(dist) == oracles.block_mi(raw)
+    _check_wring(dist, kx, ky, raw, delta, sigma)
 
+
+def _check_wring(dist, kx, ky, raw, delta, sigma=None):
+    """Block MI, the wring trace and the Pinsker TVs of `dist`, whose edges
+    are `raw`, equal the per-edge reference's, float for float. Returns the
+    wring result."""
+    assert block_mi(dist) == oracles.block_mi(raw)
     got = wring(dist, delta, sigma)
     ref = oracles.wring(raw, kx, ky, delta, sigma)
     assert got.positions == ref["positions"]
@@ -250,6 +257,7 @@ def _check_diagnostics(kx, ky, raw, delta, sigma=None):
     if got.converged:
         tvs = pinsker_check(got.survivors, delta)
         assert list(tvs) == oracles.pinsker_tvs(ref["edges"], kx, ky)
+    return got
 
 
 @PROPERTY
@@ -268,6 +276,52 @@ def test_diagnostics_wide_pair_codes_match_per_edge_reference():
     ]
     raw = [rng.choice(pool) for _ in range(60)]
     _check_diagnostics(17, 16, raw, 0.05)
+
+
+@st.composite
+def distinct_edge_sets(draw, kx, ky):
+    """Distinct edges in shuffled order, ranked into shuffled rosters. As in
+    `label_multisets`, many edges join x to its letterwise image."""
+    n = draw(st.integers(1, 5))
+    xpool = draw(st.lists(st.tuples(*[st.integers(0, kx - 1)] * n), min_size=2, max_size=6))
+    ypool = draw(st.lists(st.tuples(*[st.integers(0, ky - 1)] * n), min_size=1, max_size=4))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(xpool) - 1), st.integers(-3, len(ypool) - 1)),
+            min_size=3,
+            max_size=40,
+        )
+    )
+    raw = draw(st.permutations(list(dict.fromkeys(
+        (xpool[i], tuple(a % ky for a in xpool[i]) if j < 0 else ypool[j]) for i, j in picks
+    ))))
+    xrows = draw(st.permutations(sorted({x for x, _ in raw})))
+    yrows = draw(st.permutations(sorted({y for _, y in raw})))
+    return raw, xrows, yrows
+
+
+@PROPERTY
+@pytest.mark.parametrize("kx, ky", [(2, 2), (16, 16), (17, 16)])
+@given(data=st.data(), delta=st.sampled_from([0.005, 0.05, 0.2]))
+def test_distinct_edge_sets_match_per_edge_reference(kx, ky, data, delta):
+    """With the distinct fact set, block MI skips the pair count and
+    conditioning filters byte columns in bulk: binary codes, 256 codes (no
+    byte value is free) and 17 x 16 codes (int columns) give the per-edge
+    reference's floats, and the survivors stay distinct."""
+    raw, xrows, yrows = data.draw(distinct_edge_sets(kx, ky))
+    xa, ya = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
+    dist = replace(
+        edge_distribution(
+            [xrows.index(x) for x, _ in raw], [yrows.index(y) for _, y in raw],
+            xrows, yrows, xa, ya,
+        ),
+        distinct=True,
+    )
+    assert list(dist.pairs()) == raw
+    assert block_mi(dist) == block_mi(replace(dist, distinct=False))
+    survivors = _check_wring(dist, kx, ky, raw, delta).survivors
+    assert survivors.distinct
+    assert block_mi(survivors) == oracles.block_mi(list(survivors.pairs()))
 
 
 def test_fresh_objects_with_equal_symbols_count_as_one_sequence():
