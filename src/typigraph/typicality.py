@@ -14,7 +14,9 @@ the same boxes every count, walk and sampler uses:
 Counting is exact over big integers: a type class has multinomial size and
 typical-set sizes are sums of type-class sizes over the admissible ball,
 never enumerations of sequences. `_box_multinomial_sum` takes that sum by a
-binomial recurrence over the ball's per-cell boxes, without listing types.
+binomial recurrence over the ball's per-cell boxes, without listing types;
+its last two cells are closed by Pascal's rule in a few big-integer steps
+per remainder, so a ternary ball costs one box width of such steps.
 Where sequences are listed (type classes, rosters), `_box_rows` walks them
 in lexicographic order inside per-block, per-symbol count boxes.
 
@@ -397,17 +399,35 @@ def _box_multinomial_sum(boxes, total: int, unit: bool = False) -> int:
 
         f_i(r) = sum over c in box i of C(r, c) * f_{i+1}(r - c),
 
-    and the sum is f_0(total); the last cell's f is the indicator of its
-    box. f_i is kept only on the remainders that total can reach through
-    cells 0..i-1 and that cells i..k-1 can still use up, and c is clipped
-    so that r - c stays in the range kept for f_{i+1}. Within one r the
-    binomials are stepped as C(r, c+1) = C(r, c) * (r - c) // (c + 1):
-    C(r, c) * (r - c) = C(r, c+1) * (c + 1), so the division is exact.
+    and the sum is f_0(total). f_i is kept only on the remainders that
+    total can reach through cells 0..i-1 and that cells i..k-1 can still
+    use up, and c is clipped to the window [a(r), b(r)] that keeps r - c
+    in the range kept for f_{i+1}. Every remainder kept for f_i is a count
+    in box i plus a remainder kept for f_{i+1}, so no window is empty.
 
-    The cost is sum_i (remainders kept for f_i) * (width of box i) small
-    steps and big-integer multiply-adds, and one `math.comb` per remainder,
-    where the former loop built a full multinomial per composition. With
-    unit weights C(r, c) is 1, and f_i(r) is the sum of a slice of f_{i+1}.
+    The last cell's f is 1 on every remainder kept for it. So the cell
+    before it sums a window of one binomial row, g(r) = sum of C(r, c)
+    over c in [a, b], and both ends of the window grow by 0 or 1 per
+    remainder. By Pascal's rule C(r+1, c) = C(r, c) + C(r, c-1),
+
+        sum over c in [a, b] of C(r+1, c) = 2 g(r) - C(r, b) + C(r, a-1),
+
+    then C(r+1, a) is taken off if a grows and C(r+1, b+1) put on if b
+    grows. Only the two edge binomials are carried, stepped exactly by
+    C(r, c) * c = C(r, c-1) * (r - c + 1) and C(r, c) * (r + 1) =
+    C(r+1, c) * (r + 1 - c), multiplying before dividing. The first
+    remainder's window is one direct sum, stepped as C(r, c+1) =
+    C(r, c) * (r - c) // (c + 1). Every cell before those two sums over
+    its box for each remainder, C(r, c) stepped the same way from one
+    `math.comb(r, c_lo)`.
+
+    The cost is a constant number of big-integer steps per remainder of
+    the second-to-last cell plus one window, and (remainders kept for f_i)
+    * (width of box i) multiply-adds on each earlier cell i, where the
+    former loop built a full multinomial per composition. A ternary ball
+    thus costs O(width) big-integer steps and two `math.comb` calls. With
+    unit weights C(r, c) is 1: the window holds b - a + 1, and f_i(r) is
+    the sum of a slice of f_{i+1}.
     """
     if any(lo > hi for lo, hi in boxes):
         return 0
@@ -417,11 +437,49 @@ def _box_multinomial_sum(boxes, total: int, unit: bool = False) -> int:
     lo_sum, hi_sum = suffix_lo[0], suffix_hi[0]
     if not lo_sum <= total <= hi_sum:
         return 0
-    f, f_lo, f_hi = [1], 0, 0  # f_k on the remainders [0, 0]
-    for i in range(k - 1, -1, -1):
+    if k == 0:
+        return 1
+
+    def kept(i: int) -> tuple[int, int]:
+        return (
+            max(suffix_lo[i], total - (hi_sum - suffix_hi[i])),
+            min(suffix_hi[i], total - (lo_sum - suffix_lo[i])),
+        )
+
+    f_lo, f_hi = kept(k - 1)
+    f = [1] * (f_hi - f_lo + 1)
+    if k > 1:
+        lo, hi = boxes[k - 2]
+        r_lo, r_hi = kept(k - 2)
+        if unit:
+            f = [
+                min(hi, r - f_lo) - max(lo, r - f_hi) + 1 for r in range(r_lo, r_hi + 1)
+            ]
+        else:
+            a, b = max(lo, r_lo - f_hi), min(hi, r_lo - f_lo)
+            s = c_a = c_b = math.comb(r_lo, a)  # the window sum, C(r, a), C(r, b)
+            for c in range(a, b):
+                c_b = c_b * (r_lo - c) // (c + 1)
+                s += c_b
+            f = [s]
+            for r in range(r_lo, r_hi):
+                below = c_a * a // (r - a + 1)  # C(r, a - 1)
+                s = 2 * s - c_b + below
+                c_a += below  # C(r + 1, a)
+                c_b = c_b * (r + 1) // (r + 1 - b)  # C(r + 1, b)
+                if r + 1 - f_hi > a:
+                    s -= c_a
+                    c_a = c_a * (r + 1 - a) // (a + 1)
+                    a += 1
+                if b < hi and r + 1 - f_lo > b:
+                    c_b = c_b * (r + 1 - b) // (b + 1)
+                    s += c_b
+                    b += 1
+                f.append(s)
+        f_lo, f_hi = r_lo, r_hi
+    for i in range(k - 3, -1, -1):
         lo, hi = boxes[i]
-        r_lo = max(suffix_lo[i], total - (hi_sum - suffix_hi[i]))
-        r_hi = min(suffix_hi[i], total - (lo_sum - suffix_lo[i]))
+        r_lo, r_hi = kept(i)
         g = []
         for r in range(r_lo, r_hi + 1):
             c_lo, c_hi = max(lo, r - f_hi), min(hi, r - f_lo)
@@ -451,18 +509,18 @@ def _cond_ball(w: CondPmf, counts, delta: Fraction) -> Iterator[tuple[int, int, 
     counts N(.) of an x of length n: row a of the conditional delta-ball is
     the delta-ball around the centres N(a)/n * W(.|a), on the denominator
     n, and boxes are its integer count boxes. Undefined rows that x does
-    not use are skipped; one that x uses raises ValueError when the walk
-    reaches it."""
+    not use are skipped; one that x uses raises ValueError before the first
+    block is yielded, so a caller that stops at an empty block still sees
+    it."""
+    if any(row is None and na > 0 for na, row in zip(counts, w.rows)):
+        raise ValueError(
+            "conditional typicality undefined: x uses a symbol whose "
+            "channel row is undefined"
+        )
     n = sum(counts)
     for a, (na, row) in enumerate(zip(counts, w.rows)):
-        if row is None:
-            if na > 0:
-                raise ValueError(
-                    "conditional typicality undefined: x uses a symbol whose "
-                    "channel row is undefined"
-                )
-            continue
-        yield a, na, _ball_boxes([Fraction(na, n) * p for p in row.probs], n, delta)
+        if row is not None:
+            yield a, na, _ball_boxes([Fraction(na, n) * p for p in row.probs], n, delta)
 
 
 def _cond_ball_size(w: CondPmf, counts, delta) -> int:

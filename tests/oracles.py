@@ -47,11 +47,12 @@ def cond_typical(y_symbols, x_symbols, w_rows, delta):
     for a, b in zip(x_symbols, y_symbols):
         joint[a][b] += 1
     xc = counts_of(x_symbols, kx)
+    # undefined whenever x uses an undefined row, whatever the other rows say
+    if any(xc[a] > 0 and w_rows[a] is None for a in range(kx)):
+        raise ValueError("conditioning on an undefined row")
     for a in range(kx):
         if xc[a] == 0:
             continue
-        if w_rows[a] is None:
-            raise ValueError("conditioning on an undefined row")
         for b in range(ky):
             w = w_rows[a][b]
             if abs(Fraction(joint[a][b], n) - Fraction(xc[a], n) * w) > delta:

@@ -255,6 +255,21 @@ def test_is_cond_typical_undefined_row():
     assert is_cond_typical(seq(BIN, 0, 1), seq(BIN, 0, 0), w, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("undefined", [0, 1])
+def test_undefined_row_in_use_raises_in_either_symbol_order(undefined):
+    # the defined row's block is empty at delta = 0 (its centre counts 2/3 and
+    # 4/3 are not integers), so the answer would be 0 / False whichever
+    # block comes first; the undefined row must still be reported first
+    row = Pmf(BIN, (Fraction(1, 3), Fraction(2, 3)))
+    rows = (None, row) if undefined == 0 else (row, None)
+    w = CondPmf(BIN, BIN, rows)
+    x = seq(BIN, 0, 0, 1, 1)
+    with pytest.raises(ValueError, match="undefined"):
+        cond_typical_set_size(w, x, Fraction(0))
+    with pytest.raises(ValueError, match="undefined"):
+        is_cond_typical(seq(BIN, 0, 1, 0, 1), x, w, Fraction(0))
+
+
 @st.composite
 def channel_pairs(draw):
     """A channel over |X|, |Y| <= 3 with zero cells and undefined rows (not
@@ -414,6 +429,56 @@ def test_box_multinomial_sum_matches_listing(case):
     assert typicality._box_multinomial_sum(boxes, total, unit=True) == len(
         list(typicality._compositions_in_boxes(boxes, total))
     )
+
+
+@st.composite
+def wide_boxes_and_total(draw):
+    """One to three boxes of width up to 40 and a total up to 120, drawn
+    mostly near the ends of the range the boxes can reach. There the cells'
+    remainder ranges are clipped, so the second-to-last cell's windows
+    start or end against an edge of its box, and its lower edge sits at 0
+    for some remainders and grows for others."""
+    boxes = draw(
+        st.lists(
+            st.builds(lambda lo, width: (lo, lo + width), st.integers(0, 40), st.integers(0, 40)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    lo_sum, hi_sum = sum(lo for lo, _ in boxes), min(sum(hi for _, hi in boxes), 120)
+    total = draw(
+        st.one_of(
+            st.integers(max(0, lo_sum - 2), lo_sum + 5),
+            st.integers(max(0, hi_sum - 5), hi_sum + 2),
+            st.integers(0, 120),
+        )
+    )
+    return boxes, min(total, 120)
+
+
+@PROPERTY
+@given(wide_boxes_and_total())
+def test_box_multinomial_sum_matches_listing_on_wide_windows(case):
+    boxes, total = case
+    assert typicality._box_multinomial_sum(boxes, total) == (
+        oracles.box_multinomial_sum(boxes, total)
+    )
+    assert typicality._box_multinomial_sum(boxes, total, unit=True) == len(
+        list(typicality._compositions_in_boxes(boxes, total))
+    )
+
+
+def test_typical_set_size_makes_the_same_few_comb_calls_at_every_n(monkeypatch):
+    # the second-to-last cell is stepped by Pascal's rule, so a ternary ball
+    # needs no math.comb per remainder: the count does not grow with n
+    comb, calls = math.comb, []
+    monkeypatch.setattr(math, "comb", lambda r, c: calls.append(r) or comb(r, c))
+    made = {}
+    for n in (400, 1600):
+        calls.clear()
+        typical_set_size(T3_ROW, default_params(n).eps1, n)
+        made[n] = len(calls)
+    assert made[400] == made[1600] <= 3
 
 
 def test_typical_set_size_t3_n400_matches_listing():
