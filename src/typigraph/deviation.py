@@ -531,6 +531,24 @@ def draw_codebook(
 def count_pairs(
     xs: Codebook, ys: Codebook, joint: JointPmf, lam, n: int
 ) -> PairCount:
+    """U: the jointly typical pairs of xs x ys under the joint lam-ball.
+
+    ValueError when a codeword's blocklength is not n, or a codebook's
+    alphabet is not the joint's alphabet on its side: either would be
+    packed into bitmasks of another shape and counted silently.
+    """
+    for book, alphabet, side in (
+        (xs, joint.row_alphabet, "row"),
+        (ys, joint.col_alphabet, "column"),
+    ):
+        for s in book.sequences:
+            if s.n != n:
+                raise ValueError(f"a {side} codeword has blocklength {s.n}, not n={n}")
+            if s.alphabet != alphabet:
+                raise ValueError(
+                    f"a {side} codeword's alphabet {list(s.alphabet.symbols)} is not "
+                    f"the joint's {side} alphabet {list(alphabet.symbols)}"
+                )
     u = JointTypeIndex.ball(joint, lam, n).count(
         [x.symbols for x in xs.sequences], [y.symbols for y in ys.sequences]
     )
@@ -572,9 +590,10 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99) -> tupl
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
+def _trial_seed(seed: int, trial: int) -> int:
+    """The seed of one trial's generator: sha256 of typigraph:{seed}:{trial}."""
     digest = hashlib.sha256(f"typigraph:{seed}:{trial}".encode()).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return int.from_bytes(digest, "big")
 
 
 def simulation_sizes(n: int, r1: float, r2: float, trials: int) -> tuple[int, int]:
@@ -606,16 +625,20 @@ def simulate(
 ) -> MonteCarloReport:
     """Monte Carlo law of U under fresh uniform codebooks each trial.
 
-    Per-trial generators are derived from (seed, trial index) alone, so
-    reports are byte-identical for identical (seed, trials) regardless of
-    how the work is scheduled. Within a trial the row codebook is drawn
-    first, then column codewords in sequence: enlarging M2 with the same
-    seed extends the draw, it never reshuffles it. An oversized run raises
-    CapExceeded before any work: too many pair tests (`simulation_sizes`),
-    too much joint-type kernel work for the exact moments (either side's
-    `_DegreeKernel.steps`) or too large a joint ball (`JointTypeIndex.ball`).
-    U is kept as a histogram, from which every statistic is summed. The
-    exact pair moments, computed once before the first trial from the
+    Each trial's generator state is derived from (seed, trial index) alone
+    (`_trial_seed`): one generator is reseeded with it at the start of every
+    trial, which gives the stream a fresh `random.Random` of that seed
+    would, so reports are byte-identical for identical (seed, trials)
+    regardless of how the work is scheduled. Within a trial the row
+    codebook is drawn first, then column codewords in sequence: enlarging
+    M2 with the same seed extends the draw, it never reshuffles it. An
+    oversized run raises CapExceeded before any work: too many pair tests
+    (`simulation_sizes`) or too much joint-type kernel work for the exact
+    moments (either side's `_DegreeKernel.steps`). Pairs are counted by
+    `JointTypeIndex.ball`, which files the bounds the ball's boxes put on
+    each pair of codeword types as it is met and lists no ball, so the
+    ball's size sets no cap. U is kept as a histogram, from which every statistic is summed.
+    The exact pair moments, computed once before the first trial from the
     tables of the two kernels bounded there, come back on the report.
     """
     if trials < 1:
@@ -629,8 +652,9 @@ def simulate(
     draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw
     draw_y = TypicalSampler(joint.col_marginal(), params.eps2, n).draw
     hist: Counter = Counter()  # U -> trials
+    rng = random.Random()
     for t in range(trials):
-        rng = _trial_rng(seed, t)
+        rng.seed(_trial_seed(seed, t))
         xs = [draw_x(rng) for _ in range(m1)]
         ys = [draw_y(rng) for _ in range(m2)]
         hist[index.count(xs, ys)] += 1

@@ -167,7 +167,7 @@ class Subgraph:
         block's target."""
         kx, ky = self.joint.row_alphabet.size, self.joint.col_alphabet.size
         blocks = [
-            (nu, [tuple(c for row in target for c in row)])
+            (nu, [(c, c) for row in target for c in row])
             for nu, target in zip(self.block_lengths, self.block_targets)
             if nu
         ]

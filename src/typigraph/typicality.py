@@ -45,11 +45,10 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterator, Optional
 
 from .core import (
-    DEFAULT_CAP,
     KERNEL_STEP_CAP,
     Alphabet,
     CapExceeded,
@@ -906,122 +905,153 @@ def _digit_table(a: int) -> bytes:
 
 
 class JointTypeIndex:
-    """Admissible joint types of sequence pairs, filed for bitmask tests.
+    """Admissible joint types of sequence pairs, filed on demand for bitmask
+    tests.
 
     A sequence is packed once into one position bitmask per symbol but the
     last (position t is bit n-1-t), so the joint count N(a, b) of two
-    aligned sequences is the popcount of xmask[a] & ymask[b].
+    aligned sequences is the popcount of xmask[a] & ymask[b], and into one
+    int type key that spells its counts of those symbols in every block.
 
     The positions are split into consecutive blocks: one block of all n
-    positions for the joint ball, one per u-run for conditional types. In a
-    block, every admissible |X| x |Y| count matrix is filed under its (row
-    type, column type) as its free cells N(a, b) with a < |X|-1 and
-    b < |Y|-1; once both marginals are known, these fix the rest of the
-    matrix. A pair (x, y) is admissible when, in every block, the popcounts
-    over the free cells are filed under the block types of x and y. With
-    binary alphabets that is one popcount and one set probe per pair, and
-    types, masks and cells are bare ints.
+    positions for the joint ball, one per u-run for conditional types. A
+    block admits the |X| x |Y| count matrices whose every cell lies inside
+    its (lo, hi) box. Once both marginals of a block are known, the free
+    cells N(a, b) with a < |X|-1 and b < |Y|-1 fix the rest of the matrix,
+    so the boxes cut bounds on the free cells, their row sums, their column
+    sums and their total (`_free_bounds`) that a pair meets exactly when its
+    matrix is admissible. These are filed the first time a (row type,
+    column type) pair is asked about, in a dict keyed by the row type key
+    holding one dict of entries keyed by the column type key, so memory
+    grows with the pairs of types seen and no ball or set of matrices is
+    ever listed. On binary alphabets the bounds leave one interval of
+    N(0, 0), filed as a frozenset: a pair test is two int-keyed lookups, a
+    popcount and one set probe, which filters faster than a bitmask's shift
+    and mask. An empty entry admits no pair. Bounds that are each
+    satisfiable can still admit no matrix together; such a type pair is
+    not skipped, and its pairs fail one by one.
     """
 
     def __init__(self, kx: int, ky: int, blocks):
-        """blocks: (length, flat count matrices) pairs, in position order."""
+        """blocks: (length, flat per-cell (lo, hi) count boxes) pairs, in
+        position order."""
         self.kx, self.ky = kx, ky
         self._bare = (kx - 1) * (ky - 1) == 1
         self._one_probe = self._bare and len(blocks) == 1  # binary, one block
+        self._blocks = list(blocks)
         n = sum(length for length, _ in blocks)
         self._bits = []
-        # (x block types, y block types) -> admissible free cells per block
-        cells: dict = {((), ()): ()}
-        for length, matrices in blocks:
+        for length, _ in blocks:
             n -= length
             self._bits.append(((1 << length) - 1) << n)
-            filed = defaultdict(set)
-            for flat in matrices:
-                rows = [flat[a * ky : (a + 1) * ky] for a in range(kx)]
-                types = (
-                    self._key([sum(r) for r in rows[:-1]]),
-                    self._key([sum(c) for c in list(zip(*rows))[:-1]]),
-                )
-                filed[types].add(self._key([c for r in rows[:-1] for c in r[:-1]]))
-            cells = {
-                (xt + (r,), yt + (c,)): found + (frozenset(keys),)
-                for (xt, yt), found in cells.items()
-                for (r, c), keys in filed.items()
-            }
-        self._cells = cells
+        # x type key -> {y type key -> entry}, both levels filled on lookup
+        self._filed = _Filled(lambda xkey: _Filled(partial(self._file, xkey)))
         self._tables = {
             k: [_digit_table(a) for a in range(k - 1)] for k in (kx, ky) if k <= 256
         }
 
     @classmethod
     def ball(cls, joint: JointPmf, lam, n: int) -> "JointTypeIndex":
-        """The joint lam-ball (support included) at blocklength n.
-
-        The ball's count matrices are counted first, without listing them,
-        and CapExceeded is raised when there are more than DEFAULT_CAP.
-        """
+        """The joint lam-ball (support included) at blocklength n: one block
+        of the ball's per-cell boxes, so building it lists nothing."""
         boxes = _ball_boxes(joint.flat(), n, Fraction(lam))
-        size = _box_multinomial_sum(boxes, n, unit=True)
-        if size > DEFAULT_CAP:
-            raise CapExceeded(
-                f"the joint ball at n={n} holds {size} count matrices, "
-                f"over cap {DEFAULT_CAP}"
-            )
-        matrices = _compositions_in_boxes(boxes, n)
-        return cls(joint.row_alphabet.size, joint.col_alphabet.size, [(n, matrices)])
+        return cls(joint.row_alphabet.size, joint.col_alphabet.size, [(n, boxes)])
 
-    def _key(self, items):
-        return items[0] if self._bare else tuple(items)
+    def _pack(self, seqs, k: int) -> list:
+        """(type key, masks) of each sequence in seqs, over k symbols. The
+        key spells the block counts of every symbol but the last, block by
+        block, in base (block length + 1). The masks are one int on binary
+        alphabets with one block, one int per block on binary alphabets,
+        and one tuple of per-symbol masks per block otherwise."""
+        tables = self._tables.get(k)
+        if self._one_probe:  # binary, one block: the key is the count of symbol 0
+            (digits,) = tables
+            masks = [int(bytes(s).translate(digits), 2) for s in seqs]
+            return [(m.bit_count(), m) for m in masks]
+        packed = []
+        for symbols in seqs:
+            if tables is None:  # symbols past one byte
+                last = len(symbols) - 1
+                masks = [0] * (k - 1)
+                for t, s in enumerate(symbols):
+                    if s < k - 1:
+                        masks[s] |= 1 << (last - t)
+            else:
+                raw = bytes(symbols)
+                masks = [int(raw.translate(table), 2) for table in tables]
+            if self._bare:
+                block = tuple(map(masks[0].__and__, self._bits))
+                counts = [[m.bit_count()] for m in block]
+            else:
+                block = [tuple([m & p for m in masks]) for p in self._bits]
+                counts = [list(map(int.bit_count, b)) for b in block]
+            key = 0
+            for (length, _), cs in zip(self._blocks, counts):
+                for c in cs:
+                    key = key * (length + 1) + c
+            packed.append((key, block))
+        return packed
 
-    def _pack(self, symbols, k: int):
-        """(block types, block masks) of one sequence over k symbols; a
-        block's type is its counts of every symbol but the last."""
-        if k > 256:  # symbols past one byte
-            last = len(symbols) - 1
-            masks = [0] * (k - 1)
-            for t, s in enumerate(symbols):
-                if s < k - 1:
-                    masks[s] |= 1 << (last - t)
-        else:
-            raw = bytes(symbols)
-            masks = [int(raw.translate(table), 2) for table in self._tables[k]]
-        if self._one_probe:  # the block is every position: nothing to restrict
-            return (masks[0].bit_count(),), masks
-        if self._bare:
-            block = tuple(map(masks[0].__and__, self._bits))
-            return tuple(map(int.bit_count, block)), block
-        block = [tuple([m & p for m in masks]) for p in self._bits]
-        return tuple([tuple(map(int.bit_count, b)) for b in block]), block
+    def _types(self, key: int, k: int) -> list[list[int]]:
+        """The full per-block count vectors over k symbols that key spells."""
+        types = []
+        for length, _ in reversed(self._blocks):
+            counts = []
+            for _ in range(k - 1):
+                key, c = divmod(key, length + 1)
+                counts.append(c)
+            counts.reverse()
+            types.append(counts + [length - sum(counts)])
+        return types[::-1]
+
+    def _file(self, xkey: int, ykey: int):
+        """The entry of a pair of type keys: per block, the bounds that
+        `_free_bounds` cuts from its boxes, or on binary alphabets the one
+        interval they leave, as a frozenset (that set itself on one binary
+        block); empty when some block admits none."""
+        cells = []
+        for (_, boxes), rows, cols in zip(
+            self._blocks, self._types(xkey, self.kx), self._types(ykey, self.ky)
+        ):
+            bounds = _free_bounds(boxes, rows, cols)
+            if self._bare:
+                lo, hi = max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
+                cells.append(frozenset(range(lo, hi + 1)))
+            else:
+                cells.append(bounds if all(lo <= hi for lo, hi in bounds) else ())
+        if self._one_probe:
+            return cells[0]
+        return tuple(cells) if all(cells) else ()
 
     def scan(self, xs, ys) -> Iterator[list[int]]:
         """For each x in xs, the ascending indices of the ys that form an
         admissible pair with it. xs and ys hold symbol tuples.
 
-        The ys are grouped by block types, and a group whose types admit no
-        joint type with those of x is skipped whole.
+        The ys are grouped by type key, and a group whose entry with x's
+        type key is empty is skipped whole.
         """
-        packed = [self._pack(y, self.ky) for y in ys]
+        packed = self._pack(ys, self.ky)
         groups: dict = defaultdict(list)
-        for j, (types, _) in enumerate(packed):
-            groups[types].append(j)
-        yfree = list(zip(*(free for _, free in packed)))  # per block
-        for x in xs:
-            xtypes, xfree = self._pack(x, self.kx)
+        for j, (key, _) in enumerate(packed):
+            groups[key].append(j)
+        ymasks = [masks for _, masks in packed]
+        if not self._one_probe:
+            ymasks = list(zip(*ymasks))  # per block
+        for xkey, xmasks in self._pack(xs, self.kx):
+            row = self._filed[xkey]
             hits: list[int] = []
-            for ytypes, ids in groups.items():
-                cells = self._cells.get((xtypes, ytypes))
-                if cells is None:
+            for ykey, ids in groups.items():
+                entry = row[ykey]
+                if not entry:
                     continue
-                for xf, yf, admissible in zip(xfree, yfree, cells):
+                if self._one_probe:
+                    hits += [j for j in ids if (xmasks & ymasks[j]).bit_count() in entry]
+                    continue
+                for xf, yf, cells in zip(xmasks, ymasks, entry):
                     if self._bare:
-                        ids = [j for j in ids if (xf & yf[j]).bit_count() in admissible]
+                        ids = [j for j in ids if (xf & yf[j]).bit_count() in cells]
                     else:
-                        ids = [
-                            j
-                            for j in ids
-                            if tuple([(a & b).bit_count() for a in xf for b in yf[j]])
-                            in admissible
-                        ]
+                        ids = [j for j in ids if _inside(cells, xf, yf[j])]
                 hits += ids
             hits.sort()
             yield hits
@@ -1029,29 +1059,76 @@ class JointTypeIndex:
     def count(self, xs, ys) -> int:
         """Number of admissible pairs in xs x ys, probed pair by pair: for the
         few codewords of a Monte Carlo trial, grouping costs more than it
-        saves."""
-        packed = [self._pack(y, self.ky) for y in ys]
-        bare = self._bare
+        saves. Each codeword is packed once."""
+        packed = self._pack(ys, self.ky)
+        filed = self._filed
         u = 0
-        for x in xs:
-            xtypes, xfree = self._pack(x, self.kx)
-            for ytypes, yfree in packed:
-                cells = self._cells.get((xtypes, ytypes))
-                if cells is None:
+        if self._one_probe:
+            for xkey, xmask in self._pack(xs, self.kx):
+                row = filed[xkey]
+                for ykey, ymask in packed:
+                    u += (xmask & ymask).bit_count() in row[ykey]
+            return u
+        for xkey, xmasks in self._pack(xs, self.kx):
+            row = filed[xkey]
+            for ykey, ymasks in packed:
+                entry = row[ykey]
+                if not entry:
                     continue
-                if self._one_probe:
-                    u += (xfree[0] & yfree[0]).bit_count() in cells[0]
-                    continue
-                for xf, yf, admissible in zip(xfree, yfree, cells):
-                    if bare:
-                        key = (xf & yf).bit_count()
-                    else:
-                        key = tuple([(a & b).bit_count() for a in xf for b in yf])
-                    if key not in admissible:
+                for xf, yf, cells in zip(xmasks, ymasks, entry):
+                    if self._bare:
+                        if (xf & yf).bit_count() not in cells:
+                            break
+                    elif not _inside(cells, xf, yf):
                         break
                 else:
                     u += 1
         return u
+
+
+class _Filled(dict):
+    """A dict that files make(key) under a missing key on its first lookup."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+def _free_bounds(boxes, rows, cols) -> list[tuple[int, int]]:
+    """(lo, hi) bounds on the free cells N(a, b), a < |X|-1 and b < |Y|-1 in
+    row-major order, then on their sums per row, their sums per column and
+    their total, that hold exactly when the count matrix with row sums
+    `rows` and column sums `cols` has every cell inside its (lo, hi) box
+    (boxes: flat, row-major). The last column's N(a, |Y|-1) is rows[a]
+    minus row a's free sum, the last row's N(|X|-1, b) is cols[b] minus
+    column b's free sum, and the corner is cols[-1] - sum(rows[:-1]) plus
+    the free total; each is in its box when that sum is in its bound."""
+    kx, ky = len(rows), len(cols)
+    last = [boxes[a * ky + ky - 1] for a in range(kx - 1)]
+    bottom = boxes[(kx - 1) * ky : kx * ky - 1]
+    corner = cols[-1] - sum(rows[:-1])
+    lo, hi = boxes[-1]
+    return (
+        [boxes[a * ky + b] for a in range(kx - 1) for b in range(ky - 1)]
+        + [(r - h, r - l) for r, (l, h) in zip(rows, last)]
+        + [(c - h, c - l) for c, (l, h) in zip(cols, bottom)]
+        + [(lo - corner, hi - corner)]
+    )
+
+
+def _inside(bounds, xf, yf) -> bool:
+    """Whether the free cells of row masks xf and column masks yf, with
+    their row sums, column sums and total, lie inside `_free_bounds`."""
+    free = [(a & b).bit_count() for a in xf for b in yf]
+    w = len(yf)
+    sums = [sum(free[a * w : (a + 1) * w]) for a in range(len(xf))]
+    sums += [sum(free[b::w]) for b in range(w)]
+    return all(lo <= v <= hi for v, (lo, hi) in zip(free + sums + [sum(free)], bounds))
 
 
 def typical_set_rate_envelope(p: Pmf, n: int, delta) -> float:

@@ -6,8 +6,10 @@ deliberately independent of the package internals.
 """
 
 import csv
+import hashlib
 import itertools
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 
@@ -249,6 +251,30 @@ def sample_uniform_typical(probs, delta, n, rng):
     buf = list(multiset)
     rng.shuffle(buf)
     return tuple(buf)
+
+
+def trial_rng(seed, trial):
+    """The generator of one Monte Carlo trial, as the simulation documents
+    it: a fresh `random.Random` seeded with the sha256 of
+    "typigraph:{seed}:{trial}", read as a big-endian int."""
+    digest = hashlib.sha256(f"typigraph:{seed}:{trial}".encode()).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+def monte_carlo_counts(joint_probs, eps1, eps2, lam, n, m1, m2, trials, seed):
+    """U of each trial, by the reference loop: a fresh `trial_rng` per
+    trial, M1 row codewords and then M2 column codewords drawn by
+    `sample_uniform_typical`, and every crossing tested by
+    `jointly_typical`."""
+    px = [sum(row) for row in joint_probs]
+    py = [sum(row[b] for row in joint_probs) for b in range(len(joint_probs[0]))]
+    counts = []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        xs = [sample_uniform_typical(px, eps1, n, rng) for _ in range(m1)]
+        ys = [sample_uniform_typical(py, eps2, n, rng) for _ in range(m2)]
+        counts.append(sum(jointly_typical(x, y, joint_probs, lam) for x in xs for y in ys))
+    return counts
 
 
 # --- per-vertex reference for the graph statistics ------------------------------
@@ -582,3 +608,37 @@ def exact_type_edges(target, n):
         for j, y in enumerate(right)
         if counts_of([a * ky + b for a, b in zip(x, y)], kx * ky) == want
     ]
+
+
+# --- the listed joint ball ----------------------------------------------------------
+
+
+def listed_ball(kx, ky, blocks):
+    """The pair predicate of a ball listed up front, the form the joint-type
+    index had before it filed cells on demand. blocks: (length, per-cell
+    (lo, hi) boxes of the flat kx x ky count matrix) pairs, one per run of
+    consecutive positions, in order. Every count matrix of each block that
+    lies inside its boxes is listed, and (x, y) is admitted when the joint
+    count matrix of every block is among them."""
+    listed = [
+        (
+            length,
+            {
+                c
+                for c in compositions_colex(kx * ky, length)
+                if all(lo <= v <= hi for v, (lo, hi) in zip(c, boxes))
+            },
+        )
+        for length, boxes in blocks
+    ]
+
+    def admits(x, y):
+        start = 0
+        for length, matrices in listed:
+            pairs = [a * ky + b for a, b in zip(x[start : start + length], y[start : start + length])]
+            if tuple(counts_of(pairs, kx * ky)) not in matrices:
+                return False
+            start += length
+        return True
+
+    return admits

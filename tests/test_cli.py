@@ -388,32 +388,31 @@ def test_simulate_cap_message_gives_log2_of_work(joint_file, capsys):
     assert len(err) < 120
 
 
-def test_simulate_joint_ball_cap_exit_3(tmp_path, monkeypatch, capsys):
+def test_simulate_d3_at_n50_exit_0(tmp_path, monkeypatch, capsys):
     """D3 (3/4 split over the diagonal) at n=50: the joint ball holds
-    30,095,340 count matrices, refused from their count, before any is
-    listed and before either degree table or the exact moments."""
+    30,095,340 count matrices, which once exited 3 on a cap on listing
+    them. The ball is filed per pair of codeword types instead, so no whole
+    count matrix is listed and the run writes its record."""
+    listed = typigraph.typicality._compositions_in_boxes
 
-    def unlisted(*args):
-        raise AssertionError("the joint ball was listed")
+    def no_whole_matrix(boxes, total):
+        assert len(boxes) < 9, "a whole count matrix was listed"
+        return listed(boxes, total)
 
-    def untabled(*args):
-        raise AssertionError("a degree table or the moments were computed")
-
-    monkeypatch.setattr(typigraph.typicality, "_compositions_in_boxes", unlisted)
-    monkeypatch.setattr(typigraph.typicality._DegreeKernel, "table", untabled)
-    monkeypatch.setattr(typigraph.deviation, "_pair_moments", untabled)
+    monkeypatch.setattr(typigraph.typicality, "_compositions_in_boxes", no_whole_matrix)
     a = Alphabet((0, 1, 2))
     d3 = JointPmf(a, a, tuple(
         tuple(Fraction(1, 4) if i == j else Fraction(1, 24) for j in range(3))
         for i in range(3)
     ))
-    path = tmp_path / "d3.json"
+    path, out = tmp_path / "d3.json", tmp_path / "mc.json"
     save_distribution(d3, str(path))
     args = ["simulate", "--dist", str(path), "--n", "50", "--r1", "1/50",
-            "--r2", "1/50", "--trials", "1", "--seed", "1"]
-    assert main(args) == 3
-    err = capsys.readouterr().err
-    assert "30095340 count matrices, over cap" in err and "Traceback" not in err
+            "--r2", "1/50", "--trials", "10", "--seed", "1", "--out", str(out)]
+    assert main(args) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    mc = json.loads(out.read_text())["payload"]["monte_carlo"]
+    assert (mc["trials"], mc["m1"], mc["m2"]) == (10, 2, 2)
 
 
 @pytest.mark.parametrize("command", [
@@ -424,7 +423,7 @@ def test_simulate_joint_ball_cap_exit_3(tmp_path, monkeypatch, capsys):
 def test_kernel_cap_exit_3(command, diagonal_joint, tmp_path, monkeypatch, capsys):
     """D5 at n=20: the joint-type kernel's work bound is 7,348,706,873 steps,
     over 2^30. Both subcommands are refused from the bound, before a type or
-    a composition is listed and before the joint ball is counted; the error
+    a composition is listed and before the joint ball is built; the error
     does not point to implicit mode, which is refused alike."""
 
     def unlisted(*args):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from typigraph.core import (
     Alphabet,
     CapExceeded,
     InvariantViolation,
+    Pmf,
     mutual_information,
 )
 from typigraph.deviation import (
@@ -33,7 +35,7 @@ from typigraph.deviation import (
     suen_zero_log,
     wilson_interval,
 )
-from typigraph.typicality import default_params, is_jointly_typical, is_typical
+from typigraph.typicality import Sequence, default_params, is_jointly_typical, is_typical
 
 BIN = Alphabet((0, 1))
 
@@ -430,6 +432,38 @@ def test_count_pairs_matches_pairwise_predicate(binary_joint):
     )
     assert pc.u.value == want
     assert (pc.m1, pc.m2) == (5, 7)
+
+
+def test_count_pairs_refuses_codewords_of_another_blocklength(binary_joint):
+    """Length-8 codewords were read at n=6 and n=10 as other bitmasks and
+    counted without an error."""
+    params = default_params(8)
+    rng = random.Random(17)
+    xs = draw_codebook(binary_joint.row_marginal(), params.eps1, 8, 5, rng)
+    ys = draw_codebook(binary_joint.col_marginal(), params.eps2, 8, 7, rng)
+    short = draw_codebook(binary_joint.col_marginal(), params.eps2, 6, 2, rng)
+    count_pairs(xs, ys, binary_joint, params.lam, 8)
+    for n in (6, 10):
+        with pytest.raises(ValueError, match=f"a row codeword has blocklength 8, not n={n}"):
+            count_pairs(xs, ys, binary_joint, params.lam, n)
+    with pytest.raises(ValueError, match="a column codeword has blocklength 6, not n=8"):
+        count_pairs(xs, short, binary_joint, params.lam, 8)
+
+
+def test_count_pairs_refuses_codebooks_over_another_alphabet(binary_joint):
+    n = 6
+    params = default_params(n)
+    rng = random.Random(3)
+    xs = draw_codebook(binary_joint.row_marginal(), params.eps1, n, 3, rng)
+    ys = draw_codebook(binary_joint.col_marginal(), params.eps2, n, 3, rng)
+    third = Fraction(1, 3)
+    ternary = draw_codebook(Pmf(Alphabet((0, 1, 2)), (third,) * 3), third, n, 3, rng)
+    labels = Alphabet(("a", "b"))
+    relabelled = replace(ys, sequences=tuple(Sequence(labels, y.symbols) for y in ys.sequences))
+    with pytest.raises(ValueError, match=r"row codeword's alphabet \[0, 1, 2\] is not"):
+        count_pairs(ternary, ys, binary_joint, params.lam, n)
+    with pytest.raises(ValueError, match="column codeword's alphabet"):
+        count_pairs(xs, relabelled, binary_joint, params.lam, n)
 
 
 # --- Monte Carlo ------------------------------------------------------------------------

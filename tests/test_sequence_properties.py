@@ -28,12 +28,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 import typigraph.graph
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet
-from typigraph.deviation import Codebook, count_pairs
+from typigraph.deviation import Codebook, count_pairs, simulate
 from typigraph.diagnostics import (
     block_mi,
     dominant_joint_type,
@@ -60,6 +60,7 @@ from typigraph.subgraphs import (
 )
 from typigraph import typicality
 from typigraph.typicality import (
+    JointTypeIndex,
     Sequence,
     TypicalSampler,
     TypicalityParams,
@@ -164,6 +165,91 @@ def _csv_edges(sub):
             rows = list(csv.reader(fh))
     assert rows[0] == ["left_rank", "right_rank"]
     return [(int(i), int(j)) for i, j in rows[1:]]
+
+
+def _index_case(kx, ky, weights, spans, xs, ys):
+    """(joint, blocks, the lam of a one-block ball or None, xs, ys). Per
+    (length, lam, x, y) span, a block holds the joint's lam-ball at its
+    length, as the joint ball does, or for lam None the exact joint type of
+    x, y in its positions, as a subgraph's u-runs do."""
+    flat = [Fraction(w, sum(weights)) for w in weights]
+    joint = JointPmf(
+        Alphabet(tuple(range(kx))),
+        Alphabet(tuple(range(ky))),
+        tuple(tuple(flat[a * ky : (a + 1) * ky]) for a in range(kx)),
+    )
+    blocks, start = [], 0
+    for length, lam, x, y in spans:
+        if lam is None:
+            pairs = [a * ky + b for a, b in zip(x[start : start + length], y[start : start + length])]
+            blocks.append((length, [(c, c) for c in oracles.counts_of(pairs, kx * ky)]))
+        else:
+            blocks.append((length, typicality._ball_boxes(flat, length, lam)))
+        start += length
+    return joint, blocks, spans[0][1] if len(spans) == 1 else None, xs, ys
+
+
+@st.composite
+def indexed_blocks(draw):
+    """An `_index_case` on a joint up to 4x4 (zero cells included) with one
+    to three blocks, and up to 6 row and 8 column codewords."""
+    # (2, 2) twice: binary joints take the index's one-int paths
+    shapes = [(2, 2), (1, 1), (1, 3), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (2, 2), (3, 4)]
+    kx, ky = draw(st.sampled_from(shapes))
+    weights = draw(st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any))
+    longest = 5 if kx * ky <= 9 else 4
+    ball = draw(st.booleans())  # the joint ball: one block
+    if ball:
+        lengths = [draw(st.integers(1, longest + 1))]
+    else:
+        lengths = draw(st.lists(st.integers(1, longest), min_size=1, max_size=3))
+    n = sum(lengths)
+    words = [st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple) for k in (kx, ky)]
+    xs = draw(st.lists(words[0], min_size=1, max_size=6))
+    ys = draw(st.lists(words[1], min_size=1, max_size=6))
+    ys += [tuple(a % ky for a in x) for x in xs[: draw(st.integers(0, 2))]]  # closer pairs
+    spans = [
+        (
+            length,
+            draw(slacks if ball else st.one_of(st.none(), slacks)),
+            draw(st.sampled_from(xs)),
+            draw(st.sampled_from(ys)),
+        )
+        for length in lengths
+    ]
+    return _index_case(kx, ky, weights, spans, xs, ys)
+
+
+X4, Y4 = [(0, 1, 2, 3, 3, 0), (3, 2, 1, 0, 1, 1)], [(0, 1, 2, 3, 0, 3), (0, 1, 3, 3, 3, 0)]
+X2, Y2 = [(0, 1, 1, 0, 1, 0, 0), (1, 0, 0, 1, 1, 0, 0)], [(0, 1, 0, 1, 1, 0, 1), (1, 0, 1, 0, 1, 0, 0)]
+
+
+@PROPERTY
+@given(indexed_blocks())
+@example(_index_case(  # 4 x 4 with a zero cell: a ball block, then an exact one
+    4, 4, [3, 1, 0, 1, 1, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 3],
+    [(3, Fraction(1, 3), X4[0], Y4[0]), (3, None, X4[0], Y4[0])], X4, Y4,
+))
+@example(_index_case(  # binary, three exact runs, as in a subgraph
+    2, 2, [2, 1, 1, 2], [(2, None, X2[0], Y2[0]), (3, None, X2[1], Y2[0]), (2, None, X2[0], Y2[1])],
+    X2, Y2,
+))
+def test_joint_type_index_matches_the_listed_ball(case):
+    """scan and count, which file the admissible cells per pair of types on
+    first use, against the ball listed up front; a second question to the
+    same index reads what the first one filed."""
+    joint, blocks, lam, xs, ys = case
+    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
+    admits = oracles.listed_ball(kx, ky, blocks)
+    want = [[j for j, y in enumerate(ys) if admits(x, y)] for x in xs]
+    indexes = [JointTypeIndex(kx, ky, blocks)]
+    if lam is not None:
+        indexes.append(JointTypeIndex.ball(joint, lam, len(xs[0])))
+    for index in indexes:
+        assert list(index.scan(xs, ys)) == want
+        assert index.count(xs, ys) == sum(map(len, want))
+        assert sum(map(len, index._filed.values())) <= len(set(xs)) * len(set(ys))
+    assert JointTypeIndex(kx, ky, blocks).count(xs, ys) == sum(map(len, want))
 
 
 @PROPERTY
@@ -517,6 +603,39 @@ def test_sampler_stream_matches_per_draw_calls(p, n, delta, seed, draws):
             sample_uniform_typical(p, delta, n, per_call).symbols for _ in range(draws)
         ] == want
     assert hoisted.getstate() == per_call.getstate() == ref.getstate()
+
+
+@PROPERTY
+@given(
+    joints(),
+    slacks,
+    slacks,
+    slacks,
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 4),
+    st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+)
+def test_simulate_matches_the_reference_loop(case, eps1, eps2, lam, seed, trials, bits):
+    """simulate reseeds one generator per trial; the reference loop builds a
+    fresh one per trial and draws and tests pairs from the definitions. The
+    statistics must be equal, floats included."""
+    joint, n = case
+    probs = joint.probs
+    px = [sum(row) for row in probs]
+    py = [sum(row[b] for row in probs) for b in range(len(probs[0]))]
+    assume(oracles.colex_ball_types(px, eps1, n) and oracles.colex_ball_types(py, eps2, n))
+    mc = simulate(joint, TypicalityParams(eps1, eps2, lam), n, bits[0] / n, bits[1] / n, trials, seed)
+    assert (mc.m1, mc.m2) == (1 << bits[0], 1 << bits[1])
+    us = oracles.monte_carlo_counts(probs, eps1, eps2, lam, n, mc.m1, mc.m2, trials, seed)
+    mean = sum(us) / trials
+    assert mc.zero_count == us.count(0)
+    assert mc.mean_u == mean
+    assert mc.var_u == (
+        (sum(u * u for u in us) - trials * mean * mean) / (trials - 1) if trials > 1 else 0.0
+    )
+    assert mc.tails == tuple(
+        (a, sum(1 for u in us if u <= a * mc.gamma) / trials) for a, _ in mc.tails
+    )
 
 
 def test_random_draws_below_a_bound_from_getrandbits():

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from typigraph import typicality
 from typigraph.core import (
-    DEFAULT_CAP,
     KERNEL_STEP_CAP,
     Alphabet,
     CapExceeded,
@@ -725,7 +724,7 @@ def test_joint_type_index_files_each_type_apart():
                 cells[rng.randrange(k * k)] += 1
             draws.append(tuple(cells))
         for target in draws[:12]:
-            index = JointTypeIndex(k, k, [(n, [target])])
+            index = JointTypeIndex(k, k, [(n, [(c, c) for c in target])])
             for other in draws:
                 pairs = [divmod(c, k) for c in range(k * k) for _ in range(other[c])]
                 rng.shuffle(pairs)
@@ -739,7 +738,7 @@ def test_joint_type_index_symbols_past_one_byte():
     target = [0] * 600
     target[299 * 2 + 1] = 2  # (299, 1) twice
     target[257 * 2 + 0] = 1  # (257, 0) once
-    index = JointTypeIndex(300, 2, [(3, [target])])
+    index = JointTypeIndex(300, 2, [(3, [(c, c) for c in target])])
     assert index.count([(299, 257, 299)], [(1, 0, 1)]) == 1
     assert index.count([(299, 257, 299)], [(1, 1, 0)]) == 0
     assert index.count([(299, 256, 299)], [(1, 0, 1)]) == 0
@@ -771,11 +770,34 @@ def test_joint_ball_count_of_d3_at_n30_without_listing(monkeypatch, diagonal_joi
     assert typicality._box_multinomial_sum(boxes, n, unit=True) == 2_252_221
 
 
-def test_joint_ball_over_cap_raises_before_listing(monkeypatch, diagonal_joint):
-    monkeypatch.setattr(typicality, "_compositions_in_boxes", _unlisted)
-    n = 50  # D3 at n=50: 30,095,340 count matrices, over 2^24
-    with pytest.raises(CapExceeded, match=f"30095340 count matrices, over cap {DEFAULT_CAP}"):
-        JointTypeIndex.ball(diagonal_joint(3), default_params(n).lam, n)
+def test_joint_ball_of_d3_at_n50_files_on_demand(monkeypatch, diagonal_joint):
+    """D3 at n=50: the ball holds 30,095,340 count matrices, once refused
+    over a cap on listing them. Built from its boxes, it lists none and
+    agrees with the pair predicate on seeded pairs, which are drawn from
+    the joint so that some are typical."""
+    listed = typicality._compositions_in_boxes
+
+    def no_whole_matrix(boxes, total):
+        assert len(boxes) < 9, "a whole count matrix was listed"
+        return listed(boxes, total)
+
+    monkeypatch.setattr(typicality, "_compositions_in_boxes", no_whole_matrix)
+    n, joint = 50, diagonal_joint(3)
+    lam = default_params(n).lam
+    index = JointTypeIndex.ball(joint, lam, n)
+    rng = random.Random(50)
+    cells = [(a, b) for a in range(3) for b in range(3)]
+    weights = [float(p) for p in joint.flat()]
+    pairs = [list(zip(*rng.choices(cells, weights, k=n))) for _ in range(12)]
+    xs, ys = [tuple(x) for x, _ in pairs], [tuple(y) for _, y in pairs]
+    want = [
+        [j for j, y in enumerate(ys) if oracles.jointly_typical(x, y, joint.probs, lam)]
+        for x in xs
+    ]
+    assert 0 < sum(map(len, want)) < len(xs) * len(ys)
+    assert list(index.scan(xs, ys)) == want
+    assert index.count(xs, ys) == sum(map(len, want))
+    assert sum(map(len, index._filed.values())) <= len(xs) * len(ys)
 
 
 def test_joint_type_index_matches_predicate(binary_joint):
