@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -40,6 +39,7 @@ from .core import (
     load_distribution,
     mutual_information,
     parse_fraction,
+    replace,
 )
 from .typicality import (
     DEFAULT_SCHEDULE,

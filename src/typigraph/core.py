@@ -17,13 +17,110 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence as _Seq
 
 
 class InvariantViolation(RuntimeError):
     """A postcondition that should hold mathematically failed; a bug."""
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+# ---------------------------------------------------------------------------
+
+
+class FrozenInstanceError(AttributeError):
+    """An attribute of a record was assigned or deleted."""
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _arguments(cls, args: tuple, kwargs: dict) -> list:
+    """cls's field values for cls(*args, **kwargs), in field order, with
+    the TypeError a function of those parameters would raise."""
+    names, defaults = cls._fields, cls._defaults
+    if len(args) > len(names):
+        raise TypeError(
+            f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given"
+        )
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+    for name in kwargs:  # left over: given positionally too, or not a field
+        problem = "multiple values for" if name in names else "an unexpected keyword"
+        raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+    return values
+
+
+def record(cls):
+    """Make cls a frozen value class over its annotated fields, in order.
+
+    A class attribute named like a field is that field's default.
+    `__init__` takes the fields positionally or by keyword, then calls
+    `__post_init__` if the class defines one (looked up per call, so it can
+    be patched). `__eq__` compares the fields with an instance of the same
+    class only, `__hash__` hashes their tuple and `__repr__` spells them as
+    `Name(field=value, ...)`, all as `dataclasses` does for a frozen class;
+    assigning or deleting an attribute raises FrozenInstanceError.
+    Instances keep a `__dict__`, so `functools.cached_property` works. The
+    methods are closures compiled with this module: decorating generates,
+    compiles and executes no code, where `dataclasses` does all three.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    count = len(names)
+    has_post = "__post_init__" in cls.__dict__
+    fields = attrgetter(*names)
+    key = fields if count > 1 else lambda self: (fields(self),)
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _arguments(cls, args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if has_post:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        spelled = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({spelled})"
+
+    cls._fields = names
+    cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for method in (__init__, __eq__, __hash__, __repr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def replace(obj, **changes):
+    """A new record like obj with the named fields changed; `__post_init__`
+    runs again, as it does under `dataclasses.replace`."""
+    values = {name: getattr(obj, name) for name in obj._fields}
+    return obj.__class__(**{**values, **changes})
 
 
 DEFAULT_CAP = 1 << 24
@@ -57,12 +154,11 @@ def _thaw_label(label):
     return label
 
 
-@dataclass(frozen=True)
+@record
 class Alphabet:
     """Finite ordered alphabet of distinct labels."""
 
     symbols: tuple
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         syms = tuple(_freeze_label(s) for s in self.symbols)
@@ -102,7 +198,7 @@ def _check_probs(probs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Pmf:
     """Probability mass function with exact rational entries."""
 
@@ -122,7 +218,7 @@ class Pmf:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)
 
 
-@dataclass(frozen=True)
+@record
 class JointPmf:
     """Joint pmf on a product of two alphabets, row variable first."""
 
@@ -166,7 +262,7 @@ class JointPmf:
         return JointPmf(self.col_alphabet, self.row_alphabet, tuple(zip(*self.probs)))
 
 
-@dataclass(frozen=True)
+@record
 class CondPmf:
     """Conditional pmf W(out | given).
 
@@ -268,7 +364,7 @@ def is_product(p: JointPmf) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ApproxResult:
     """A denominator-n rationalization of a distribution."""
 

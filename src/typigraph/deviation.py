@@ -24,11 +24,10 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import DEFAULT_CAP, CapExceeded, InvariantViolation, JointPmf, Pmf
+from .core import DEFAULT_CAP, CapExceeded, InvariantViolation, JointPmf, Pmf, record
 from .typicality import (
     BigCount,
     JointTypeIndex,
@@ -80,7 +79,7 @@ def _second_moment(table, t_own: int, t_other: int) -> Fraction:
     return Fraction(acc, t_own * t_other * t_other)
 
 
-@dataclass(frozen=True)
+@record
 class MomentEstimates:
     """Exact pair moments for U, with float views for the bound formulas."""
 
@@ -274,7 +273,7 @@ def phi_root(x: float) -> float:
     return phi
 
 
-@dataclass(frozen=True)
+@record
 class LllBounds:
     """Lower bounds on P(U = 0); None marks an inapplicable variant."""
 
@@ -416,14 +415,14 @@ def deviation_exponent_target(r1: float, r2: float, i_xy: float, gamma: float = 
     return r1 + r2 - i_xy - gamma
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """Bounds with their double-log exponents and regime annotations."""
 
     bounds: dict
     exponents: dict  # name -> (1/n) log2 log2 (1/bound), when defined
     flagged: dict  # name -> reason the exponent is undefined
-    target: float  # min(r2, r1 + r2 - i_xy)
+    target: float  # deviation_exponent_target(r1, r2, i_xy) = min(r2, r1 + r2 - i_xy)
     n: int
     r1: float
     r2: float
@@ -477,7 +476,7 @@ def exponent_report(
         bounds=dict(bounds),
         exponents=exponents,
         flagged=flagged,
-        target=min(r2, r1 + r2 - i_xy),
+        target=deviation_exponent_target(r1, r2, i_xy),
         n=n,
         r1=r1,
         r2=r2,
@@ -493,7 +492,7 @@ def exponent_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Codebook:
     side: str  # "left" or "right"
     rate: float
@@ -502,7 +501,7 @@ class Codebook:
     seed_info: str
 
 
-@dataclass(frozen=True)
+@record
 class PairCount:
     m1: int
     m2: int
@@ -555,7 +554,7 @@ def count_pairs(
     return PairCount(m1=xs.size, m2=ys.size, u=BigCount.from_int(u))
 
 
-@dataclass(frozen=True)
+@record
 class MonteCarloReport:
     trials: int
     seed: int

@@ -23,21 +23,20 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, repeat
 from operator import add, floordiv, itemgetter, mod, mul
 from typing import Optional
 
-from .core import Alphabet, InvariantViolation, JointPmf
+from .core import Alphabet, InvariantViolation, JointPmf, record, replace
 from .typicality import JointTypeVector
 
 _FP_TOL = 1e-9
 _JOIN_SLICE = 1 << 15  # edge rows joined per bytes.join call
 
 
-@dataclass(frozen=True)
+@record
 class EdgeDistribution:
     """Uniform law over an explicit edge multiset, kept as id columns.
 
@@ -204,7 +203,7 @@ def _pair_keys(dist: EdgeDistribution):
     return map(add, map(mul, dist.xids, repeat(len(dist.yrows))), dist.yids)
 
 
-@dataclass(frozen=True)
+@record
 class DominantTypeResult:
     joint_type: JointTypeVector
     edge_fraction: Fraction
@@ -283,7 +282,7 @@ def block_mi(dist: EdgeDistribution) -> float:
     return max(0.0, reduce(add, terms, 0.0))
 
 
-@dataclass(frozen=True)
+@record
 class BlockMiReport:
     exact_mi: Optional[float]  # None when edges were not supplied/too many
     count_bound: float  # log2(M1*M2 / |edges|)
@@ -385,7 +384,7 @@ def _restrict(columns: tuple, t: int, code: int, codes: int) -> tuple[bytes, tup
     )
 
 
-@dataclass(frozen=True)
+@record
 class WringingStep:
     position: int
     value: tuple  # (x label, y label) conditioned on
@@ -394,7 +393,7 @@ class WringingStep:
     max_mi_before: float
 
 
-@dataclass(frozen=True)
+@record
 class WringingResult:
     positions: tuple
     values: tuple

@@ -22,8 +22,8 @@ import json
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, repeat, zip_longest
 from operator import add, lt, mul
 from typing import Iterator, Optional
@@ -36,6 +36,7 @@ from .core import (
     conditionalize,
     joint_from_dict,
     joint_to_dict,
+    record,
 )
 from .typicality import (
     BigCount,
@@ -51,7 +52,7 @@ from .typicality import (
     typical_set_size,
 )
 
-@dataclass(frozen=True)
+@record
 class GraphSpec:
     joint: JointPmf
     n: int
@@ -80,7 +81,7 @@ def _type_counts(x: Sequence) -> tuple[int, ...]:
     return tuple(map(x.symbols.count, range(x.alphabet.size)))
 
 
-@dataclass(frozen=True)
+@record
 class TypicalityGraph:
     """Exact vertex and edge counts, degrees per type, rosters if explicit.
 
@@ -97,7 +98,10 @@ class TypicalityGraph:
     edge_count: BigCount
     left: Optional[tuple[Sequence, ...]] = None
     right: Optional[tuple[Sequence, ...]] = None
-    _kernels: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _kernels(self) -> dict:  # side -> its _DegreeKernel; outside eq, hash and repr
+        return {}
 
     def vertex_counts(self) -> tuple[int, int]:
         return self.left_count.value, self.right_count.value
@@ -142,7 +146,7 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
             )
         left = _roster(joint.row_marginal(), params.eps1, n)
         right = _roster(joint.col_marginal(), params.eps2, n)
-    return TypicalityGraph(
+    g = TypicalityGraph(
         spec=spec,
         left_count=BigCount.from_int(left_count),
         right_count=BigCount.from_int(right_count),
@@ -151,8 +155,9 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
         ),
         left=left,
         right=right,
-        _kernels={"left": left_kernel},
     )
+    g._kernels["left"] = left_kernel
+    return g
 
 
 def _rosters(g: TypicalityGraph) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
@@ -166,7 +171,7 @@ def _vertex_degrees(table: dict, roster) -> list[int]:
     return [table[_type_counts(x)][1] for x in roster]
 
 
-@dataclass(frozen=True)
+@record
 class VertexStats:
     left_size: BigCount
     right_size: BigCount
@@ -215,7 +220,7 @@ def stats(g: TypicalityGraph) -> VertexStats:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DegreeBoundReport:
     """Conditional-typicality cap on degrees, checked exactly per type."""
 

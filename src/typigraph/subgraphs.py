@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional
@@ -50,6 +49,7 @@ from .core import (
     parse_fraction,
     product_alphabet,
     rational_approximate,
+    record,
     total_variation,
 )
 from .graph import (
@@ -71,7 +71,7 @@ from .typicality import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ContainmentReport:
     """Is the constructed subgraph inside the ambient typicality graph?
 
@@ -122,7 +122,7 @@ def _containment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Subgraph:
     """Rosters and adjacency conditioned on one u-sequence, block by block.
 
@@ -340,7 +340,7 @@ def _aux_target_rates(triple: JointPmf, kx: int, ky: int) -> "RateTuple":
     )
 
 
-@dataclass(frozen=True)
+@record
 class SingleTypeReport:
     """Exact size/degree pins of the single-type subgraph.
 
@@ -436,7 +436,7 @@ def is_edge(sub: Subgraph, x: Sequence, y: Sequence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RateTuple:
     """Rates in bits/symbol: vertex-set sizes and degree concentrations."""
 
@@ -446,7 +446,7 @@ class RateTuple:
     r_y_prime: float  # left-vertex degrees
 
 
-@dataclass(frozen=True)
+@record
 class SlackReport:
     gen: float  # two-sided degree-concentration slack
     nc: float  # one-sided nearly-complete slack
@@ -477,7 +477,7 @@ def measure_rates(sub: Subgraph) -> tuple[RateTuple, SlackReport]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MarkovDecomposition:
     """joint(x, y) ~= sum_u weights(u) * left(x|u) * right(y|u)."""
 

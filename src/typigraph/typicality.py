@@ -43,7 +43,6 @@ import math
 import random
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import Iterator, Optional
@@ -55,6 +54,7 @@ from .core import (
     CondPmf,
     JointPmf,
     Pmf,
+    record,
 )
 
 
@@ -63,7 +63,7 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Sequence:
     """Finite sequence stored as symbol indices into its alphabet."""
 
@@ -90,7 +90,7 @@ class Sequence:
         return Sequence(alphabet, tuple(alphabet.index(l) for l in labels))
 
 
-@dataclass(frozen=True)
+@record
 class TypeVector:
     """Symbol counts of a length-n sequence."""
 
@@ -116,7 +116,7 @@ class TypeVector:
         return Pmf(self.alphabet, tuple(Fraction(c, n) for c in self.counts))
 
 
-@dataclass(frozen=True)
+@record
 class JointTypeVector:
     """Pair counts of two aligned length-n sequences."""
 
@@ -163,7 +163,7 @@ class JointTypeVector:
         )
 
 
-@dataclass(frozen=True)
+@record
 class TypicalityParams:
     """Per-n slack parameters: eps1 (left), eps2 (right), lam (joint)."""
 
@@ -201,7 +201,7 @@ def default_params(n: int, schedule: str = DEFAULT_SCHEDULE) -> TypicalityParams
     return TypicalityParams(eps1=d, eps2=d, lam=d, schedule=schedule)
 
 
-@dataclass(frozen=True)
+@record
 class BigCount:
     """Exact cardinality with a float log2 convenience view."""
 

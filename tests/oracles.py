@@ -6,6 +6,7 @@ deliberately independent of the package internals.
 """
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -642,3 +643,33 @@ def listed_ball(kx, ky, blocks):
         return True
 
     return admits
+
+
+# --- frozen records, in their former dataclass form -------------------------------
+
+
+# Fields the dataclass form declared that the records hold as plain
+# attributes, outside eq, hash and repr.
+_FORMER_HIDDEN_FIELDS = {
+    "Alphabet": [("_index", dict, dataclasses.field(init=False, repr=False, compare=False))],
+    "TypicalityGraph": [
+        ("_kernels", dict, dataclasses.field(default_factory=dict, repr=False, compare=False))
+    ],
+}
+
+
+def dataclass_twin(cls):
+    """`@dataclass(frozen=True)` over cls's annotated fields, class-attribute
+    defaults and `__post_init__`: the form every value class had before the
+    package's `record`, as a `make_dataclass` class of the same name."""
+    specs = [
+        (name, annotation, dataclasses.field(default=cls.__dict__[name]))
+        if name in cls.__dict__
+        else (name, annotation)
+        for name, annotation in cls.__dict__["__annotations__"].items()
+    ]
+    specs += _FORMER_HIDDEN_FIELDS.get(cls.__name__, [])
+    namespace = {}
+    if "__post_init__" in cls.__dict__:
+        namespace["__post_init__"] = cls.__dict__["__post_init__"]
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)

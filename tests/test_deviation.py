@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from typigraph.core import (
     InvariantViolation,
     Pmf,
     mutual_information,
+    replace,
 )
 from typigraph.deviation import (
     MomentEstimates,
@@ -298,6 +298,19 @@ def test_exponent_report_flags_and_consistency():
 
     bad = exponent_report({"lll_symmetric": 0.9, "suen_zero": 0.5}, 8, 0.2, 0.2, 0.1)
     assert bad.consistency_ok is False
+
+
+@pytest.mark.parametrize(
+    "r1, r2, i_xy",
+    [(0.278, 0.1, 0.278), (0.7, 0.2, 0.7), (1 / 6, 1 / 4, 0.278), (0.5, 0.25, 0.278)],
+)
+def test_report_target_is_the_one_target(r1, r2, i_xy):
+    """The report's target is `deviation_exponent_target`, to the bit; at
+    r1 == I(X;Y) it is r2 itself, where r1 + r2 - I rounds below it."""
+    rep = exponent_report({"suen_zero": 0.5}, 8, r1, r2, i_xy)
+    assert rep.target == deviation_exponent_target(r1, r2, i_xy)
+    if r1 == i_xy:
+        assert rep.target == r2
     none_case = exponent_report({"suen_zero": 0.5}, 8, 0.2, 0.2, 0.1)
     assert none_case.consistency_ok is None
 

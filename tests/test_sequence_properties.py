@@ -23,7 +23,6 @@ import os
 import random
 import tempfile
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -32,7 +31,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 import typigraph.graph
-from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet
+from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet, replace
 from typigraph.deviation import Codebook, count_pairs, simulate
 from typigraph.diagnostics import (
     block_mi,
