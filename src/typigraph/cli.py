@@ -68,14 +68,7 @@ from .subgraphs import (
     right_roster,
     verify_single_type,
 )
-from .deviation import (
-    exponent_report,
-    lll_lower_bounds,
-    simulate,
-    suen_tail_bound,
-    suen_tail_log,
-    suen_zero_log,
-)
+from .deviation import bracket, simulate, suen_tail_bound
 from .diagnostics import (
     EdgeDistribution,
     check_budget,
@@ -125,6 +118,9 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    fields = getattr(type(obj), "_fields", None)
+    if fields is not None:  # a record, as the dict of its fields
+        return {name: _jsonify(getattr(obj, name)) for name in fields}
     return obj
 
 
@@ -390,34 +386,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     moments = mc.moments
-    lll = lll_lower_bounds(moments, moments.m1, moments.m2, args.n)
-    neg_logs = {
-        "suen_zero": suen_zero_log(moments.gamma, moments.theta_cap, moments.theta_small),
-        "suen_tail": suen_tail_log(
-            moments.gamma, moments.theta_cap, moments.theta_small, 0.5
-        ),
-    }
-    bounds = {
-        "suen_zero": math.exp(-neg_logs["suen_zero"]),
-        "suen_tail": math.exp(-neg_logs["suen_tail"]),
-        "lll_symmetric": lll.symmetric if lll.symmetric_condition_ok else None,
-        "lll_phi": lll.phi if lll.phi_condition_ok else None,
-    }
     i_xy = mutual_information(joint)
-    report = exponent_report(bounds, args.n, r1, r2, i_xy, neg_logs)
-    lll_floor = max(
-        [b for k, b in bounds.items() if k.startswith("lll") and b is not None],
-        default=0.0,
-    )
-    suen_ceiling = bounds["suen_zero"]
-    inside = (
-        mc.wilson_low <= suen_ceiling + 1e-12
-        and mc.wilson_high >= lll_floor - 1e-12
-    )
+    lll, report = bracket(moments, r1, r2, i_xy)
+    inside = report.contains(mc.wilson_low, mc.wilson_high)
     print(
         f"P(U=0): empirical={float(_f6(mc.p_zero)):.6f} "
         f"wilson99=[{float(_f6(mc.wilson_low)):.6f}, {float(_f6(mc.wilson_high)):.6f}] "
-        f"bracket=[{float(_f6(lll_floor)):.6f}, {float(_f6(suen_ceiling)):.6f}]"
+        f"bracket=[{float(_f6(report.floor)):.6f}, {float(_f6(report.ceiling)):.6f}]"
     )
     print(f"bracket verdict: {'inside' if inside else 'OUTSIDE'}")
     config = _config(args)
@@ -425,8 +400,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "monte_carlo": {
             "trials": mc.trials,
             "seed": mc.seed,
-            "m1": mc.m1,
-            "m2": mc.m2,
+            "m1": moments.m1,
+            "m2": moments.m2,
             "zero_count": mc.zero_count,
             "p_zero": mc.p_zero,
             "wilson99": [mc.wilson_low, mc.wilson_high],
@@ -449,18 +424,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "regime_r1_above_mi": report.regime_r1_above_mi,
         "tightness_regime": report.tightness_regime,
         "consistency_ok": report.consistency_ok,
-        "lll": {
-            "symmetric": lll.symmetric,
-            "symmetric_condition_ok": lll.symmetric_condition_ok,
-            "symmetric_asymptotic_form": lll.symmetric_asymptotic_form,
-            "phi": lll.phi,
-            "phi_condition_ok": lll.phi_condition_ok,
-        },
-        "bracket": {
-            "low": lll_floor,
-            "high": suen_ceiling,
-            "inside": inside,
-        },
+        "lll": lll,
+        "bracket": {"low": report.floor, "high": report.ceiling, "inside": inside},
     }
     if args.out:
         _write_json(args.out, _record(config, payload))

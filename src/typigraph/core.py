@@ -433,28 +433,19 @@ def marginalize(p: JointPmf, keep: str = "row") -> Pmf:
 
 
 def conditionalize(p: JointPmf, given: str = "row") -> CondPmf:
-    """Exact conditional; zero-probability conditioning rows become None."""
-    if given == "row":
-        marg = p.row_marginal()
-        rows = []
-        for i, w in enumerate(marg.probs):
-            if w == 0:
-                rows.append(None)
-            else:
-                rows.append(Pmf(p.col_alphabet, tuple(q / w for q in p.probs[i])))
-        return CondPmf(p.row_alphabet, p.col_alphabet, tuple(rows))
+    """Exact conditional; zero-probability conditioning rows become None.
+
+    given="col" conditions on the column variable: the rows of p's transpose.
+    """
     if given == "col":
-        marg = p.col_marginal()
-        rows = []
-        for j, w in enumerate(marg.probs):
-            if w == 0:
-                rows.append(None)
-            else:
-                rows.append(
-                    Pmf(p.row_alphabet, tuple(row[j] / w for row in p.probs))
-                )
-        return CondPmf(p.col_alphabet, p.row_alphabet, tuple(rows))
-    raise ValueError("given must be 'row' or 'col'")
+        p = p.transpose()
+    elif given != "row":
+        raise ValueError("given must be 'row' or 'col'")
+    rows = tuple(
+        None if w == 0 else Pmf(p.col_alphabet, tuple(q / w for q in row))
+        for w, row in zip(p.row_marginal().probs, p.probs)
+    )
+    return CondPmf(p.row_alphabet, p.col_alphabet, rows)
 
 
 # ---------------------------------------------------------------------------

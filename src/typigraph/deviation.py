@@ -14,8 +14,9 @@ bounds is computed exactly at the type level:
 
 P(U <= a gamma) is bounded above by Suen's correlation inequality and
 P(U = 0) below by two local-lemma variants, both in the log domain so that
-no work grows with the codebook sizes; for M1 = 1, P(U = 0) is exact.
-Monte Carlo estimates with Wilson intervals bracket-check both sides.
+no work grows with the codebook sizes; `bracket` assembles both sides
+into one report. For M1 = 1, P(U = 0) is exact. Monte Carlo estimates
+with Wilson intervals bracket-check both sides.
 """
 
 from __future__ import annotations
@@ -408,11 +409,11 @@ def lll_lower_bounds(moments: MomentEstimates, m1: int, m2: int, n: int) -> LllB
 # ---------------------------------------------------------------------------
 
 
-def deviation_exponent_target(r1: float, r2: float, i_xy: float, gamma: float = 0.0) -> float:
-    """Analytic double-exponential rate for P(U <= (1-ish) share), at slack gamma."""
+def deviation_exponent_target(r1: float, r2: float, i_xy: float) -> float:
+    """Analytic double-exponential rate min(r2, r1 + r2 - i_xy) of P(U = 0)."""
     if r1 >= i_xy:
-        return r2 - gamma
-    return r1 + r2 - i_xy - gamma
+        return r2
+    return r1 + r2 - i_xy
 
 
 @record
@@ -429,7 +430,13 @@ class BoundReport:
     i_xy: float
     regime_r1_above_mi: bool
     tightness_regime: bool  # r2 <= r1 <= i_xy
-    consistency_ok: Optional[bool]  # every LLL lower bound <= every Suen upper
+    floor: float  # the largest applicable LLL bound, else 0.0
+    ceiling: float  # the smallest Suen bound, else 1.0
+    consistency_ok: Optional[bool]  # floor <= ceiling, when both sides are given
+
+    def contains(self, low: float, high: float) -> bool:
+        """Whether [low, high] meets [floor, ceiling], to within 1e-12."""
+        return low <= self.ceiling + 1e-12 and high >= self.floor - 1e-12
 
 
 def exponent_report(
@@ -444,7 +451,9 @@ def exponent_report(
 
     `neg_logs` maps a bound's name to ln(1/bound) (as `suen_zero_log`
     returns it); it is read only for a bound that underflowed to 0.0, whose
-    exponent is then taken from it instead of being flagged infinite.
+    exponent is then taken from it instead of being flagged infinite. The
+    floor is the largest of the given lll_symmetric and lll_phi, the
+    ceiling the smallest of the given suen_zero and suen_tail.
     """
     exponents = {}
     flagged = {}
@@ -467,11 +476,8 @@ def exponent_report(
     uppers = [bounds.get(k) for k in ("suen_zero", "suen_tail")]
     lowers = [v for v in lowers if v is not None]
     uppers = [v for v in uppers if v is not None]
-    consistency: Optional[bool]
-    if lowers and uppers:
-        consistency = max(lowers) <= min(uppers) + 1e-12
-    else:
-        consistency = None
+    floor = max(lowers, default=0.0)
+    ceiling = min(uppers, default=1.0)
     return BoundReport(
         bounds=dict(bounds),
         exponents=exponents,
@@ -483,8 +489,34 @@ def exponent_report(
         i_xy=i_xy,
         regime_r1_above_mi=r1 >= i_xy,
         tightness_regime=r2 <= r1 <= i_xy,
-        consistency_ok=consistency,
+        floor=floor,
+        ceiling=ceiling,
+        consistency_ok=floor <= ceiling + 1e-12 if lowers and uppers else None,
     )
+
+
+def bracket(
+    moments: MomentEstimates, r1: float, r2: float, i_xy: float
+) -> tuple[LllBounds, BoundReport]:
+    """The local-lemma bounds and the bracket [floor, ceiling] on P(U = 0).
+
+    The Suen bounds are suen_zero and suen_tail at a = 1/2, each passed to
+    `exponent_report` with its log, so no exponent is flagged as
+    underflowed. At a = 1/2 each branch of the zero exponent has a branch
+    of the tail exponent at most half its size (gamma/8 against gamma/2,
+    gamma^2/(32 Theta) against gamma^2/(8 Theta), gamma/(12 theta) against
+    gamma/(6 theta)), so suen_tail >= suen_zero and the ceiling is suen_zero.
+    """
+    m = moments
+    lll = lll_lower_bounds(m, m.m1, m.m2, m.n)
+    neg_logs = {
+        "suen_zero": suen_zero_log(m.gamma, m.theta_cap, m.theta_small),
+        "suen_tail": suen_tail_log(m.gamma, m.theta_cap, m.theta_small, 0.5),
+    }
+    bounds = {name: math.exp(-v) for name, v in neg_logs.items()}
+    bounds["lll_symmetric"] = lll.symmetric
+    bounds["lll_phi"] = lll.phi
+    return lll, exponent_report(bounds, m.n, r1, r2, i_xy, neg_logs)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +590,6 @@ def count_pairs(
 class MonteCarloReport:
     trials: int
     seed: int
-    m1: int
-    m2: int
-    n: int
     r1: float
     r2: float
     zero_count: int
@@ -569,7 +598,6 @@ class MonteCarloReport:
     wilson_high: float
     mean_u: float
     var_u: float
-    gamma: float  # exact E[U] for reference: moments.gamma
     tails: tuple  # ((a, empirical P(U <= a*gamma)), ...)
     moments: MomentEstimates  # the exact pair moments at (M1, M2)
 
@@ -671,9 +699,6 @@ def simulate(
     return MonteCarloReport(
         trials=trials,
         seed=seed,
-        m1=m1,
-        m2=m2,
-        n=n,
         r1=r1,
         r2=r2,
         zero_count=zero_count,
@@ -682,7 +707,6 @@ def simulate(
         wilson_high=high,
         mean_u=mean_u,
         var_u=var_u,
-        gamma=moments.gamma,
         tails=tuple((a, tail_hits[i] / trials) for i, a in enumerate(a_grid)),
         moments=moments,
     )

@@ -30,7 +30,7 @@ from operator import add, floordiv, itemgetter, mod, mul
 from typing import Optional
 
 from .core import Alphabet, InvariantViolation, JointPmf, record, replace
-from .typicality import JointTypeVector
+from .typicality import JointTypeVector, _Filled
 
 _FP_TOL = 1e-9
 _JOIN_SLICE = 1 << 15  # edge rows joined per bytes.join call
@@ -186,18 +186,6 @@ def fano_distribution(edges) -> EdgeDistribution:
     return edge_distribution(xids, yids, xrows, yrows, x0.alphabet, y0.alphabet)
 
 
-class _Memo(dict):
-    """fn(key) by key, each computed on its first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _pair_keys(dist: EdgeDistribution):
     """Each edge's packed pair id xid*|yrows| + yid, in edge order."""
     return map(add, map(mul, dist.xids, repeat(len(dist.yrows))), dist.yids)
@@ -269,7 +257,7 @@ def block_mi(dist: EdgeDistribution) -> float:
         x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
         y_deg = list(map(y_counts.__getitem__, range(len(dist.yrows))))
         products = map(mul, map(x_deg.__getitem__, dist.xids), map(y_deg.__getitem__, dist.yids))
-        terms = map(_Memo(partial(term, 1)).__getitem__, products)
+        terms = map(_Filled(partial(term, 1)).__getitem__, products)
     else:
         width = len(dist.yrows)
         pair_counts = Counter(_pair_keys(dist))

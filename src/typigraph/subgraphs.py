@@ -552,8 +552,8 @@ def canonical_markov_decompositions(
     ident_y = CondPmf(
         py.alphabet, py.alphabet, tuple(point_mass(py.alphabet, u) for u in range(ky))
     )
-    d_row = make_decomposition(px, ident_x, conditionalize(joint, "row"), joint)
-    d_col = make_decomposition(py, conditionalize(joint, "col"), ident_y, joint)
+    d_row = make_decomposition(px, ident_x, conditionalize(joint), joint)
+    d_col = make_decomposition(py, conditionalize(joint.transpose()), ident_y, joint)
     for d in (d_row, d_col):
         if d.residual != 0:
             raise InvariantViolation("canonical decomposition failed to reconstruct")

@@ -538,6 +538,46 @@ def lll_phi_condition(alpha, m1, m2):
     raise ValueError("load within 1e-84 of 1/e")
 
 
+def hand_bracket(deviation, moments, r1, r2, i_xy):
+    """The bracket on P(U = 0) as `typigraph simulate` assembled it by hand
+    before `deviation.bracket` existed: string-keyed bounds, the floor
+    picked by the "lll" key prefix, suen_zero as the ceiling.
+
+    The bound formulas are the package's own, passed in as the `deviation`
+    module; only their assembly is the reference here. Returns the local-
+    lemma bounds, the exponent report and a dict of the bracket's fields.
+    """
+    lll = deviation.lll_lower_bounds(moments, moments.m1, moments.m2, moments.n)
+    neg_logs = {
+        "suen_zero": deviation.suen_zero_log(
+            moments.gamma, moments.theta_cap, moments.theta_small
+        ),
+        "suen_tail": deviation.suen_tail_log(
+            moments.gamma, moments.theta_cap, moments.theta_small, 0.5
+        ),
+    }
+    bounds = {
+        "suen_zero": math.exp(-neg_logs["suen_zero"]),
+        "suen_tail": math.exp(-neg_logs["suen_tail"]),
+        "lll_symmetric": lll.symmetric if lll.symmetric_condition_ok else None,
+        "lll_phi": lll.phi if lll.phi_condition_ok else None,
+    }
+    report = deviation.exponent_report(bounds, moments.n, r1, r2, i_xy, neg_logs)
+    lowers = [b for k, b in bounds.items() if k.startswith("lll") and b is not None]
+    uppers = [b for k, b in bounds.items() if k.startswith("suen")]
+    fields = {
+        "floor": max(lowers, default=0.0),
+        "ceiling": bounds["suen_zero"],
+        "consistency_ok": max(lowers) <= min(uppers) + 1e-12 if lowers else None,
+    }
+    return lll, report, fields
+
+
+def hand_inside(low, high, floor, ceiling):
+    """`typigraph simulate`'s former verdict: [low, high] meets the bracket."""
+    return low <= ceiling + 1e-12 and high >= floor - 1e-12
+
+
 def _counts_typical(counts, probs, n, delta):
     """Counts in the closed delta-ball of probs, no mass off the support."""
     return all(

@@ -20,6 +20,7 @@ from typigraph import (
     JointPmf,
     Pmf,
     Sequence,
+    bracket,
     build_aux_subgraph,
     build_exact_type_subgraph,
     build_graph,
@@ -29,14 +30,12 @@ from typigraph import (
     deviation_exponent_target,
     edge_list,
     entropy,
-    exact_pair_moments,
     fano_distribution,
     is_cond_typical,
     is_edge,
     is_jointly_typical,
     is_typical,
     left_roster,
-    lll_lower_bounds,
     measure_rates,
     mutual_information,
     phi_root,
@@ -195,28 +194,14 @@ def test_criterion_5_monte_carlo_bracketed_by_bounds():
     start = time.monotonic()
     n, r = 12, 2 / 12
     params = default_params(n)
-    moments = exact_pair_moments(JOINT, params, n, r, r)
-    lll = lll_lower_bounds(moments, moments.m1, moments.m2, n)
-    floor = max(
-        [
-            b
-            for b, applies in (
-                (lll.symmetric, lll.symmetric_condition_ok),
-                (lll.phi, lll.phi_condition_ok),
-            )
-            if applies
-        ],
-        default=0.0,
-    )
-    ceiling = suen_zero_bound(moments.gamma, moments.theta_cap, moments.theta_small)
     mc = simulate(JOINT, params, n, r, r, trials=100_000, seed=20260814)
-    intersects = mc.wilson_low <= ceiling + 1e-12 and mc.wilson_high >= floor - 1e-12
+    _, report = bracket(mc.moments, r, r, mutual_information(JOINT))
     se = math.sqrt(mc.var_u / mc.trials)
-    mean_ok = abs(mc.mean_u - mc.gamma) <= 4 * se
+    mean_ok = abs(mc.mean_u - mc.moments.gamma) <= 4 * se
     ok = (
-        mc.m1 == 4
-        and mc.m2 == 4
-        and intersects
+        mc.moments.m1 == 4
+        and mc.moments.m2 == 4
+        and report.contains(mc.wilson_low, mc.wilson_high)
         and mean_ok
         and time.monotonic() - start < 300.0
     )
@@ -251,7 +236,7 @@ def test_criterion_7_zero_probability_monotone_in_rate():
         r2 = k / 12
         mc = simulate(JOINT, params, n, r1, r2, trials=1000, seed=99)
         p_zeros.append(mc.p_zero)
-        m2s.append(mc.m2)
+        m2s.append(mc.moments.m2)
         targets.append(deviation_exponent_target(r1, r2, i_xy))
     ok = m2s == [2, 4, 8]
     ok = ok and p_zeros[0] >= p_zeros[1] >= p_zeros[2]

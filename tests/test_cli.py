@@ -362,6 +362,29 @@ def test_simulate_outputs(joint_file, tmp_path, capsys):
     assert out.read_bytes() == first  # fixed (config, seed): identical bytes
 
 
+def test_simulate_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys):
+    """The record and CSV of a small run, as recorded before `deviation.bracket`
+    took over the bracket's assembly."""
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    rc = main(["simulate", "--dist", "joint.json", "--n", "12", "--r1", "2/12", "--r2", "2/12",
+               "--trials", "2000", "--seed", "7", "--out", "mc.json"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "P(U=0): empirical=0.013500 wilson99=[0.008281, 0.021937] "
+        "bracket=[0.000000, 0.641180]\n"
+        "bracket verdict: inside\n"
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("mc.json", "mc.csv")
+    }
+    assert digests == {
+        "mc.json": "27e4d374993fad9a5ffa0916887f3ce35479b660f8070a1745388d108684e086",
+        "mc.csv": "124e1909fbc6bbe7e05406f51510d3c8fca90c8e32e30c5fe59db06076c293e7",
+    }
+
+
 def test_simulate_cap_exit_3(joint_file, tmp_path, capsys):
     """2 * 4096^2 pair tests are over the cap: refused before the exact
     moments, the trials or any write."""

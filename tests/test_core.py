@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,38 @@ def test_conditionalize_zero_row():
     assert w.rows[1] is None
     assert not w.defined(1)
     assert w.defined(0)
+
+
+def _random_joints(count, seed):
+    """Joints up to 4 x 4 with small integer weights, zero columns included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kx, ky = rng.randint(1, 4), rng.randint(1, 4)
+        weights = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(ky)] for _ in range(kx)]
+        weights[rng.randrange(kx)][rng.randrange(ky)] += 1
+        total = sum(map(sum, weights))
+        probs = tuple(tuple(Fraction(w, total) for w in row) for row in weights)
+        yield JointPmf(Alphabet(tuple(range(kx))), Alphabet(tuple("abcd"[:ky])), probs)
+
+
+def test_column_conditional_from_the_definition():
+    """Conditioning on the column variable, as conditionalize(p.transpose())
+    or given="col": row j is p(i, j) / P_Y(j) over the row alphabet, None
+    where P_Y(j) = 0."""
+    zero_columns = 0
+    for joint in _random_joints(300, seed=3):
+        py = joint.col_marginal().probs
+        want = tuple(
+            None
+            if py[j] == 0
+            else Pmf(joint.row_alphabet, tuple(row[j] / py[j] for row in joint.probs))
+            for j in range(joint.col_alphabet.size)
+        )
+        for w in (conditionalize(joint.transpose()), conditionalize(joint, given="col")):
+            assert (w.given_alphabet, w.out_alphabet) == (joint.col_alphabet, joint.row_alphabet)
+            assert w.rows == want
+        zero_columns += want.count(None)
+    assert zero_columns > 0
 
 
 # --- JSON I/O ----------------------------------------------------------------

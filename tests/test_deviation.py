@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from typigraph.core import (
 )
 from typigraph.deviation import (
     MomentEstimates,
+    bracket,
     codebook_size,
     count_pairs,
     deviation_exponent_target,
@@ -277,7 +280,6 @@ def test_lll_below_suen_when_both_apply():
 def test_deviation_exponent_target():
     assert deviation_exponent_target(0.5, 0.2, 0.3) == pytest.approx(0.2)
     assert deviation_exponent_target(0.1, 0.2, 0.3) == pytest.approx(0.0)
-    assert deviation_exponent_target(0.1, 0.2, 0.3, gamma=0.05) == pytest.approx(-0.05)
 
 
 def test_exponent_report_flags_and_consistency():
@@ -348,17 +350,31 @@ def test_large_codebook_bounds_finish_with_finite_exponents(binary_joint, monkey
     for n in (96, 192):
         m = exact_pair_moments(binary_joint, default_params(n), n, 0.25, 0.25)
         assert m.m1 == m.m2 == 1 << (n // 4)
-        lll = lll_lower_bounds(m, m.m1, m.m2, n)
+        lll, rep = bracket(m, 0.25, 0.25, i_xy)
         assert not lll.symmetric_condition_ok and not lll.phi_condition_ok
-        neg_logs = {
-            "suen_zero": suen_zero_log(m.gamma, m.theta_cap, m.theta_small),
-            "suen_tail": suen_tail_log(m.gamma, m.theta_cap, m.theta_small, 0.5),
-        }
-        bounds = {name: math.exp(-v) for name, v in neg_logs.items()}
-        assert bounds["suen_zero"] == 0.0  # the float bound underflows
-        rep = exponent_report(bounds, n, 0.25, 0.25, i_xy, neg_logs)
+        assert rep.bounds["suen_zero"] == 0.0  # the float bound underflows
         assert set(rep.exponents) == {"suen_zero", "suen_tail"}
         assert all(0 < e < 1 for e in rep.exponents.values())
+
+
+def test_only_deviation_assembles_the_bracket():
+    """No module of the package but `deviation` (and `__init__`, which
+    re-exports) imports the pieces that the bracket is built from."""
+    pieces = {"suen_zero_log", "suen_tail_log", "lll_lower_bounds", "exponent_report"}
+    package = Path(deviation.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("deviation.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [(path.name, name) for name in sorted(names & pieces)]
+    assert offenders == []
 
 
 # --- exact M1 = 1 law ----------------------------------------------------------------
@@ -495,7 +511,7 @@ def test_simulate_pinned(binary_joint):
     """The per-trial streams at seed 5, as recorded before the sampler table
     was hoisted out of the trial loop."""
     mc = simulate(binary_joint, default_params(8), 8, 0.25, 0.25, trials=300, seed=5)
-    assert (mc.m1, mc.m2) == (4, 4)
+    assert (mc.moments.m1, mc.moments.m2) == (4, 4)
     assert mc.zero_count == 6
     assert mc.mean_u == 5.01
     assert mc.var_u == 6.578494983277593
@@ -529,7 +545,7 @@ def test_simulate_mean_tracks_gamma(binary_joint):
     assert mc.moments == m
     se = math.sqrt(mc.var_u / mc.trials)
     assert abs(mc.mean_u - m.gamma) <= 5 * se
-    assert mc.gamma == pytest.approx(m.gamma)
+    assert mc.moments.gamma == pytest.approx(m.gamma)
     lo, hi = mc.wilson_low, mc.wilson_high
     assert lo <= mc.p_zero <= hi
 

@@ -624,8 +624,9 @@ def test_simulate_matches_the_reference_loop(case, eps1, eps2, lam, seed, trials
     py = [sum(row[b] for row in probs) for b in range(len(probs[0]))]
     assume(oracles.colex_ball_types(px, eps1, n) and oracles.colex_ball_types(py, eps2, n))
     mc = simulate(joint, TypicalityParams(eps1, eps2, lam), n, bits[0] / n, bits[1] / n, trials, seed)
-    assert (mc.m1, mc.m2) == (1 << bits[0], 1 << bits[1])
-    us = oracles.monte_carlo_counts(probs, eps1, eps2, lam, n, mc.m1, mc.m2, trials, seed)
+    m = mc.moments
+    assert (m.m1, m.m2) == (1 << bits[0], 1 << bits[1])
+    us = oracles.monte_carlo_counts(probs, eps1, eps2, lam, n, m.m1, m.m2, trials, seed)
     mean = sum(us) / trials
     assert mc.zero_count == us.count(0)
     assert mc.mean_u == mean
@@ -633,7 +634,7 @@ def test_simulate_matches_the_reference_loop(case, eps1, eps2, lam, seed, trials
         (sum(u * u for u in us) - trials * mean * mean) / (trials - 1) if trials > 1 else 0.0
     )
     assert mc.tails == tuple(
-        (a, sum(1 for u in us if u <= a * mc.gamma) / trials) for a, _ in mc.tails
+        (a, sum(1 for u in us if u <= a * m.gamma) / trials) for a, _ in mc.tails
     )
 
 
