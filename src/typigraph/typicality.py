@@ -28,13 +28,18 @@ sums past a column's hi are dropped as they arise; the front half of the
 rows is multiplied out into a dict of partial sums, the back half is a
 function of those sums memoized across row types, and the last row is
 closed by one `_box_multinomial_sum` over the boxes that the partial sums
-leave it. Before a type or a composition is listed, the kernel bounds its
-steps exactly and refuses with CapExceeded over KERNEL_STEP_CAP. A kernel
-serves one side, which `_oriented` decides (the right side is the left side
-on the transposed joint, with eps1 and eps2 swapped). Its `table()`,
-{counts: (class size, degree)}, gives the pair count, every vertex degree
-and the degree second moments as plain sums; its `degree_of(counts)` reads
-that table once built and otherwise counts the one type.
+leave it. A last row of two cells (a binary column alphabet) is one window
+of the binomial row of its count r, read off that row's prefix sums, built
+once per r over the cell's box and kept with the kernel: at most one row per
+last-row count in the ball, each of at most box width + 2 entries. Before a
+type or a composition is listed, the kernel bounds its steps exactly, once
+per kernel for its ball, and refuses with CapExceeded over KERNEL_STEP_CAP.
+A kernel serves one side, which `_oriented` decides (the right side is the
+left side on the transposed joint, with eps1 and eps2 swapped). Its
+`table()`, {counts: (class size, degree)}, gives the pair count, every
+vertex degree and the degree second moments as plain sums; its
+`degree_of(counts)` reads that table once built and otherwise counts the
+one type.
 """
 
 from __future__ import annotations
@@ -366,20 +371,28 @@ def _suffix_sums(boxes) -> tuple[list[int], list[int]]:
 
 def _compositions_in_boxes(boxes, total: int) -> Iterator[tuple[int, ...]]:
     """Count vectors summing to total with each entry inside its (lo, hi)
-    box, in lexicographic order."""
+    box, in lexicographic order. Each entry but the last is walked inside
+    the range that the later boxes can still complete; the last entry is
+    what remains of the total."""
     if any(lo > hi for lo, hi in boxes):
         return
     k = len(boxes)
     suffix_lo, suffix_hi = _suffix_sums(boxes)
+    if not suffix_lo[0] <= total <= suffix_hi[0]:
+        return
+    if k < 2:  # () for no box, (total,) for one
+        yield (total,) * k
+        return
     vec = [0] * k
 
     def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            if remaining == 0:
-                yield tuple(vec)
-            return
         lo = max(boxes[i][0], remaining - suffix_hi[i + 1])
         hi = min(boxes[i][1], remaining - suffix_lo[i + 1])
+        if i == k - 2:  # the last cell takes what remains
+            for c in range(lo, hi + 1):
+                vec[i], vec[i + 1] = c, remaining - c
+                yield tuple(vec)
+            return
         for c in range(lo, hi + 1):
             vec[i] = c
             yield from rec(i + 1, remaining - c)
@@ -565,7 +578,8 @@ class _DegreeKernel:
 
     `_oriented` orients the side, and `boxes` bound its typical row types.
     `table()` and `degree_of(counts)` share one set of memos, and both
-    bound their work (`check`) before anything is listed.
+    bound their work (`check`) before anything is listed; a passed bound on
+    the side's ball is recorded, so it is taken once per kernel.
 
     The degree of a row type (n_0, ..., n_{k-1}) sums, over the count
     matrices whose row a is a composition of n_a inside that row's lam-ball
@@ -581,10 +595,17 @@ class _DegreeKernel:
     multinomial(n_a, c) * F_{a+1}(s + c). The last row needs no listing:
     given s, its admissible compositions are exactly those inside the
     per-cell boxes [max(row lo, col lo - s), min(row hi, col hi - s)], so
-    F_{k-1}(s) is one `_box_multinomial_sum`. The degree is the join
-    sum_s weight(s) * F_h(s). Composition lists, front dicts and all memos
-    are shared by every row type one kernel is asked about, and dropped
-    with it.
+    F_{k-1}(s) is one `_box_multinomial_sum`. With two cells the last row
+    of count r needs none: its compositions are (c, r - c) for c in one
+    window [a, b] of the first cell's box, weighted C(r, c), so F_{k-1}(s)
+    is P_r[b + 1 - lo] - P_r[a - lo], where P_r holds the prefix sums of
+    C(r, c) from the box's lo up to min(hi, r). P_r is built on first use
+    from one `math.comb` and at most hi - lo exact steps, and every s with
+    that r reads it: the table holds at most one row per last-row count in
+    the ball, each of at most hi - lo + 2 entries. The degree is the join
+    sum_s weight(s) * F_h(s). Composition lists, front dicts, prefix rows
+    and all memos are shared by every row type one kernel is asked about,
+    and dropped with it.
 
     A partial-sum vector is packed into one int, a field of `width` bits
     per column holding s_j + (2^(width-1) - 1 - hi_j): adding a packed
@@ -609,6 +630,10 @@ class _DegreeKernel:
         self._front: dict = {(): {self._pack(self._offsets): 1}}
         self._back: dict = {}  # back row counts but the last -> {partial sums: F}
         self._last: dict = {}  # partial sums -> last row's box sum
+        # two-cell last row: its count r -> prefix sums of C(r, c) over its
+        # first cell's box
+        self._binomial_rows: dict = {}
+        self._checked = False  # the side's ball is bounded under the cap
         self._table: Optional[dict] = None
 
     def _pack(self, vec) -> int:
@@ -636,9 +661,10 @@ class _DegreeKernel:
             self._front[prefix] = sums
         return sums
 
-    def _close(self, s: int) -> int:
-        """Weighted count of the last row's compositions that complete the
-        packed partial sums s inside every column box."""
+    def _last_boxes(self, s: int) -> tuple[list[tuple[int, int]], int]:
+        """(per-cell boxes, count) of the last row given the packed partial
+        sums s: its compositions that complete s inside every column box
+        are those of the count inside these boxes."""
         mask = (1 << self._width) - 1
         vec = [
             (s >> (self._width * j) & mask) - off for j, off in enumerate(self._offsets)
@@ -647,7 +673,38 @@ class _DegreeKernel:
             (max(r_lo, c_lo - v), min(r_hi, c_hi - v))
             for (r_lo, r_hi), (c_lo, c_hi), v in zip(self._cells[-1], self._cols, vec)
         ]
-        return _box_multinomial_sum(boxes, self.n - sum(vec))
+        return boxes, self.n - sum(vec)
+
+    def _close(self, s: int) -> int:
+        """Weighted count of the last row's compositions that complete the
+        packed partial sums s inside every column box.
+
+        With two cells that is one window [a, b] of the binomial row of the
+        last row's count r, read as a difference of its prefix sums."""
+        boxes, r = self._last_boxes(s)
+        if len(boxes) != 2:
+            return _box_multinomial_sum(boxes, r)
+        (lo, hi), (lo1, hi1) = boxes
+        a, b = max(lo, r - hi1), min(hi, r - lo1)
+        if a > b:
+            return 0
+        prefix = self._binomial_rows.get(r)
+        if prefix is None:
+            prefix = self._binomial_rows[r] = self._binomial_prefix(r)
+        base = self._cells[-1][0][0]
+        return prefix[b + 1 - base] - prefix[a - base]
+
+    def _binomial_prefix(self, r: int) -> list[int]:
+        """Prefix sums of C(r, c) for c from the last row's first-cell lo up
+        to min(its hi, r): entry i sums the first i of them. One `math.comb`,
+        then C(r, c + 1) = C(r, c) * (r - c) // (c + 1)."""
+        lo, hi = self._cells[-1][0]
+        w = math.comb(r, lo)
+        prefix = [0]
+        for c in range(lo, min(hi, r) + 1):
+            prefix.append(prefix[-1] + w)
+            w = w * (r - c) // (c + 1)
+        return prefix
 
     def _degree(self, counts: tuple) -> int:
         h, k, over = self._split, len(counts), self._over
@@ -708,13 +765,19 @@ class _DegreeKernel:
 
     def check(self, type_boxes=None) -> None:
         """CapExceeded when the work bound for type_boxes (by default the
-        side's ball) is over KERNEL_STEP_CAP; nothing is listed before it."""
+        side's ball) is over KERNEL_STEP_CAP; nothing is listed before it.
+        The side's ball is bounded once per kernel: a pass is recorded, a
+        refusal is not, so a refused kernel is refused again."""
+        if type_boxes is None and self._checked:
+            return
         steps = self.steps(self.boxes if type_boxes is None else type_boxes)
         if steps > KERNEL_STEP_CAP:
             raise CapExceeded(
                 f"the joint-type kernel at n={self.n} needs up to {steps} steps "
                 f"(2^{math.log2(steps):.1f}), over cap {KERNEL_STEP_CAP}"
             )
+        if type_boxes is None:
+            self._checked = True
 
     def table(self) -> dict[tuple[int, ...], tuple[int, int]]:
         """{counts: (class size, degree)} for every type in the side's ball,

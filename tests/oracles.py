@@ -137,6 +137,14 @@ def compositions_colex(parts, total):
             yield rest + (last,)
 
 
+def compositions_in_boxes(boxes, total):
+    """Every count vector with each entry inside its (lo, hi) box that sums
+    to total, by filtering the product of the boxes' ranges (so in
+    lexicographic order)."""
+    ranges = (range(lo, hi + 1) for lo, hi in boxes)
+    return [c for c in itertools.product(*ranges) if sum(c) == total]
+
+
 def colex_ball_types(probs, delta, n):
     """The count vectors of the delta-typical set's types, by filtering every
     composition of n, generated in colexicographic order."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from typigraph import deviation
+from typigraph import deviation, typicality
 from typigraph.core import (
     DEFAULT_CAP,
     Alphabet,
@@ -535,6 +535,19 @@ def test_simulate_work_cap(binary_joint, monkeypatch):
     monkeypatch.setattr("typigraph.deviation._DegreeKernel", refuse)
     with pytest.raises(CapExceeded):
         simulate(binary_joint, params, 12, 1.0, 1.0, trials=2, seed=1)
+
+
+def test_simulate_bounds_each_side_once(binary_joint, monkeypatch):
+    # simulate checks both kernels, then builds their tables: one bound each
+    steps, bounded = typicality._DegreeKernel.steps, []
+
+    def counted(kernel, type_boxes):
+        bounded.append(kernel)
+        return steps(kernel, type_boxes)
+
+    monkeypatch.setattr(typicality._DegreeKernel, "steps", counted)
+    simulate(binary_joint, default_params(8), 8, 0.25, 0.25, trials=20, seed=5)
+    assert len(bounded) == 2 and bounded[0] is not bounded[1]
 
 
 def test_simulate_mean_tracks_gamma(binary_joint):

@@ -7,7 +7,9 @@ random slacks. The pair count, degrees of arbitrary (also non-typical)
 sequences on both sides, both degree second moments and conditional
 typical-set sizes must equal what `oracles` counts pair by pair. Both
 sides' degree tables, on joints up to 5x5, must equal those of
-`oracles.degree_table`, the former dict-of-final-sums kernel.
+`oracles.degree_table`, the former dict-of-final-sums kernel. On binary
+joints up to n=40, the two-cell last row's close from binomial prefix rows
+must equal the box sum it replaces.
 """
 
 from fractions import Fraction
@@ -21,6 +23,8 @@ from typigraph.deviation import exact_pair_moments
 from typigraph.graph import GraphSpec, build_graph
 from typigraph.typicality import (
     Sequence,
+    _box_multinomial_sum,
+    _DegreeKernel,
     TypicalityParams,
     cond_typical_set_size,
     default_params,
@@ -150,3 +154,59 @@ def test_degree_tables_match_former_kernel(case, eps1, eps2, lam):
 @pytest.mark.parametrize("k, n", [(3, 12), (4, 8), (5, 6)])
 def test_diagonal_degree_tables_match_former_kernel(diagonal_joint, k, n):
     _both_sides_match_oracle(diagonal_joint(k), default_params(n), n)
+
+
+def _closes_every_partial_sum(kernel) -> set:
+    """Check `_close` against `_box_multinomial_sum` on every partial-sum
+    vector the column boxes admit, met by the kernel or not, and return the
+    kinds of first-cell window [a, b] seen: touching 0, touching the last
+    row's count r, or empty."""
+    kinds = set()
+    his = [hi for _, hi in kernel._cols]
+    for v0 in range(his[0] + 1):
+        for v1 in range(min(his[1], kernel.n - v0) + 1):
+            s = kernel._pack([v + off for v, off in zip((v0, v1), kernel._offsets)])
+            boxes, r = kernel._last_boxes(s)
+            assert kernel._close(s) == _box_multinomial_sum(boxes, r)
+            (lo, hi), (lo1, hi1) = boxes
+            a, b = max(lo, r - hi1), min(hi, r - lo1)
+            if a > b:
+                kinds.add("empty")
+            if a == 0 <= b:
+                kinds.add("0")
+            if a <= b == r:
+                kinds.add("r")
+    return kinds
+
+
+@st.composite
+def binary_joints(draw):
+    weights = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any))
+    probs = tuple(
+        tuple(Fraction(weights[2 * a + b], sum(weights)) for b in range(2)) for a in range(2)
+    )
+    return JointPmf(Alphabet((0, 1)), Alphabet((0, 1)), probs), draw(st.integers(1, 40))
+
+
+@PROPERTY
+@given(binary_joints(), slacks, slacks, slacks, st.sampled_from(("left", "right")))
+def test_two_cell_close_matches_the_box_sum(case, eps1, eps2, lam, side):
+    joint, n = case
+    kernel = _DegreeKernel(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n, side)
+    table = kernel.table()
+    for s, closed in kernel._last.items():
+        assert closed == _box_multinomial_sum(*kernel._last_boxes(s))
+    # one prefix row per last-row count met, each at most box width + 2 long
+    lo, hi = kernel._cells[-1][0]
+    assert len(kernel._binomial_rows) <= len({counts[-1] for counts in table})
+    assert all(len(row) <= hi - lo + 2 for row in kernel._binomial_rows.values())
+    _closes_every_partial_sum(kernel)
+
+
+def test_two_cell_close_meets_every_kind_of_window(binary_joint):
+    kinds = set()
+    for lam in (default_params(12).lam, Fraction(1, 2)):
+        params = TypicalityParams(eps1=lam, eps2=lam, lam=lam)
+        for side in ("left", "right"):
+            kinds |= _closes_every_partial_sum(_DegreeKernel(binary_joint, params, 12, side))
+    assert kinds == {"0", "r", "empty"}

@@ -430,6 +430,16 @@ def test_box_multinomial_sum_matches_listing(case):
     )
 
 
+@PROPERTY
+@given(boxes_and_total())
+def test_compositions_in_boxes_match_the_filtered_product(case):
+    # k = 0..5 boxes, empty and (0, 0) boxes, totals outside [sum lo, sum hi]
+    boxes, total = case
+    assert list(typicality._compositions_in_boxes(boxes, total)) == (
+        oracles.compositions_in_boxes(boxes, total)
+    )
+
+
 @st.composite
 def wide_boxes_and_total(draw):
     """One to three boxes of width up to 40 and a total up to 120, drawn
@@ -696,6 +706,38 @@ def test_kernel_degree_of_checks_the_row_type(binary_joint):
         kernel.degree_of((4, 2, 2))
     with pytest.raises(ValueError, match="does not sum to n"):
         kernel.degree_of((4, 3))
+
+
+def test_b2_tables_close_the_last_row_from_one_prefix_row_per_remainder(
+    monkeypatch, binary_joint
+):
+    # B2's last row has two cells: every close reads a binomial prefix row,
+    # one per last-row count (33 at n=192), and makes no weighted box sum
+    box_sum, weighted = typicality._box_multinomial_sum, []
+
+    def counted(boxes, total, unit=False):
+        if not unit:
+            weighted.append((boxes, total))
+        return box_sum(boxes, total, unit)
+
+    monkeypatch.setattr(typicality, "_box_multinomial_sum", counted)
+    n = 192
+    for side in ("left", "right"):
+        kernel = typicality._DegreeKernel(binary_joint, default_params(n), n, side)
+        last_counts = {counts[-1] for counts in kernel.table()}
+        assert len(kernel._binomial_rows) == len(last_counts) == 33
+    assert weighted == []
+
+
+def test_kernel_refused_over_the_cap_is_refused_again(monkeypatch, binary_joint):
+    """Only a passed bound is recorded on the kernel."""
+    monkeypatch.setattr(typicality, "KERNEL_STEP_CAP", 1000)
+    kernel, _ = _kernel(binary_joint, 192)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="over cap 1000"):
+            kernel.check()
+    with pytest.raises(CapExceeded, match="over cap 1000"):
+        kernel.table()
 
 
 def test_kernel_keeps_no_partial_sum_past_a_column_hi(diagonal_joint):
