@@ -211,12 +211,6 @@ class Pmf:
             raise ValueError("pmf length does not match alphabet size")
         object.__setattr__(self, "probs", probs)
 
-    def prob(self, label) -> Fraction:
-        return self.probs[self.alphabet.index(label)]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
-
 
 @record
 class JointPmf:
@@ -242,10 +236,6 @@ class JointPmf:
 
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(p for row in self.probs for p in row)
-
-    def flatten(self) -> Pmf:
-        """The same distribution viewed on the product alphabet (row-major)."""
-        return Pmf(product_alphabet(self.row_alphabet, self.col_alphabet), self.flat())
 
     def row_marginal(self) -> Pmf:
         return Pmf(self.row_alphabet, tuple(sum(row) for row in self.probs))
@@ -284,9 +274,6 @@ class CondPmf:
             if not isinstance(row, Pmf) or row.alphabet != self.out_alphabet:
                 raise ValueError("conditional rows must be Pmfs on the output alphabet")
         object.__setattr__(self, "rows", rows)
-
-    def row(self, label):
-        return self.rows[self.given_alphabet.index(label)]
 
     def defined(self, i: int) -> bool:
         return self.rows[i] is not None

@@ -15,8 +15,11 @@ bounds is computed exactly at the type level:
 P(U <= a gamma) is bounded above by Suen's correlation inequality and
 P(U = 0) below by two local-lemma variants, both in the log domain so that
 no work grows with the codebook sizes; `bracket` assembles both sides
-into one report. For M1 = 1, P(U = 0) is exact. Monte Carlo estimates
-with Wilson intervals bracket-check both sides.
+into one report. For M1 = 1, P(U = 0) is exact. The moments come from
+`exact_pair_moments` alone. `simulate` is the one path that draws codebooks
+(one `TypicalSampler` per side) and counts their jointly typical pairs
+(one `JointTypeIndex` per run); its Monte Carlo estimates, with Wilson
+intervals, bracket-check both sides and carry the same exact moments.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import DEFAULT_CAP, CapExceeded, InvariantViolation, JointPmf, Pmf, record
+from .core import DEFAULT_CAP, CapExceeded, InvariantViolation, JointPmf, record
 from .typicality import (
-    BigCount,
     JointTypeIndex,
-    Sequence,
     TypicalSampler,
     TypicalityParams,
     _DegreeKernel,
@@ -124,15 +125,17 @@ def codebook_size(n: int, rate: float) -> int:
 def exact_pair_moments(
     joint: JointPmf, params: TypicalityParams, n: int, r1: float, r2: float
 ) -> MomentEstimates:
+    """The exact moments of U at codebook sizes M_i = `codebook_size(n, r_i)`.
+
+    Both sides' kernels are bounded before either table is built, so an
+    oversized run raises CapExceeded before any type is listed.
+    """
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    left, right = (degree_table(joint, params, n, side).values() for side in ("left", "right"))
-    return _pair_moments(left, right, m1, m2, n)
-
-
-def _pair_moments(left, right, m1: int, m2: int, n: int) -> MomentEstimates:
-    """The moments of U at codebook sizes m1, m2 from the (class size,
-    degree) entries of the left and right degree tables."""
+    kernels = [_DegreeKernel(joint, params, n, side) for side in ("left", "right")]
+    for kernel in kernels:
+        kernel.check()
+    left, right = (kernel.table().values() for kernel in kernels)
     t1 = sum(size for size, _ in left)
     t2 = sum(size for size, _ in right)
     if t1 == 0 or t2 == 0:
@@ -520,70 +523,8 @@ def bracket(
 
 
 # ---------------------------------------------------------------------------
-# codebooks and Monte Carlo
+# Monte Carlo
 # ---------------------------------------------------------------------------
-
-
-@record
-class Codebook:
-    side: str  # "left" or "right"
-    rate: float
-    size: int
-    sequences: tuple[Sequence, ...]
-    seed_info: str
-
-
-@record
-class PairCount:
-    m1: int
-    m2: int
-    u: BigCount
-
-    def __post_init__(self):
-        if not 0 <= self.u.value <= self.m1 * self.m2:
-            raise ValueError("pair count outside [0, M1*M2]")
-
-
-def draw_codebook(
-    pmf: Pmf,
-    eps,
-    n: int,
-    size: int,
-    rng: random.Random,
-    side: str = "left",
-    rate: float = 0.0,
-    seed_info: str = "",
-) -> Codebook:
-    draw = TypicalSampler(pmf, eps, n).draw
-    seqs = tuple(Sequence(pmf.alphabet, tuple(draw(rng))) for _ in range(size))
-    return Codebook(side=side, rate=rate, size=size, sequences=seqs, seed_info=seed_info)
-
-
-def count_pairs(
-    xs: Codebook, ys: Codebook, joint: JointPmf, lam, n: int
-) -> PairCount:
-    """U: the jointly typical pairs of xs x ys under the joint lam-ball.
-
-    ValueError when a codeword's blocklength is not n, or a codebook's
-    alphabet is not the joint's alphabet on its side: either would be
-    packed into bitmasks of another shape and counted silently.
-    """
-    for book, alphabet, side in (
-        (xs, joint.row_alphabet, "row"),
-        (ys, joint.col_alphabet, "column"),
-    ):
-        for s in book.sequences:
-            if s.n != n:
-                raise ValueError(f"a {side} codeword has blocklength {s.n}, not n={n}")
-            if s.alphabet != alphabet:
-                raise ValueError(
-                    f"a {side} codeword's alphabet {list(s.alphabet.symbols)} is not "
-                    f"the joint's {side} alphabet {list(alphabet.symbols)}"
-                )
-    u = JointTypeIndex.ball(joint, lam, n).count(
-        [x.symbols for x in xs.sequences], [y.symbols for y in ys.sequences]
-    )
-    return PairCount(m1=xs.size, m2=ys.size, u=BigCount.from_int(u))
 
 
 @record
@@ -624,7 +565,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def simulation_sizes(n: int, r1: float, r2: float, trials: int) -> tuple[int, int]:
-    """Codebook sizes (M1, M2) of a Monte Carlo run of `trials` trials.
+    """The codebook sizes (M1, M2) of a Monte Carlo run of `trials` trials.
 
     Raises CapExceeded, before any work, when the run's M1*M2*trials pair
     tests are over DEFAULT_CAP.
@@ -661,21 +602,18 @@ def simulate(
     M2 with the same seed extends the draw, it never reshuffles it. An
     oversized run raises CapExceeded before any work: too many pair tests
     (`simulation_sizes`) or too much joint-type kernel work for the exact
-    moments (either side's `_DegreeKernel.steps`). Pairs are counted by
+    moments (`exact_pair_moments`). Pairs are counted by
     `JointTypeIndex.ball`, which files the bounds the ball's boxes put on
     each pair of codeword types as it is met and lists no ball, so the
     ball's size sets no cap. U is kept as a histogram, from which every statistic is summed.
-    The exact pair moments, computed once before the first trial from the
-    tables of the two kernels bounded there, come back on the report.
+    The exact pair moments, computed once before the first trial by
+    `exact_pair_moments`, come back on the report.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m1, m2 = simulation_sizes(n, r1, r2, trials)
-    kernels = [_DegreeKernel(joint, params, n, side) for side in ("left", "right")]
-    for kernel in kernels:
-        kernel.check()
+    moments = exact_pair_moments(joint, params, n, r1, r2)
     index = JointTypeIndex.ball(joint, params.lam, n)
-    moments = _pair_moments(*(kernel.table().values() for kernel in kernels), m1, m2, n)
     draw_x = TypicalSampler(joint.row_marginal(), params.eps1, n).draw
     draw_y = TypicalSampler(joint.col_marginal(), params.eps2, n).draw
     hist: Counter = Counter()  # U -> trials

@@ -120,9 +120,15 @@ class TypicalityGraph:
 
         x need not be typical itself; the degree depends on x only through
         its type, and the side's kernel counts it (see
-        `_DegreeKernel.degree_of`).
+        `_DegreeKernel.degree_of`). ValueError when x's alphabet is not the
+        joint's alphabet on that side.
         """
-        return BigCount.from_int(self._kernel(side).degree_of(_type_counts(x)))
+        kernel = self._kernel(side)
+        joint = self.spec.joint
+        alphabet = joint.row_alphabet if side == "left" else joint.col_alphabet
+        if x.alphabet != alphabet:
+            raise ValueError(f"x's alphabet does not match the joint's {side} alphabet")
+        return BigCount.from_int(kernel.degree_of(_type_counts(x)))
 
 
 def build_graph(spec: GraphSpec) -> TypicalityGraph:

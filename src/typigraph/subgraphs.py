@@ -427,7 +427,27 @@ def _spliced(alphabet: Alphabet, block_lengths, block_types) -> Iterator[Sequenc
 
 
 def is_edge(sub: Subgraph, x: Sequence, y: Sequence) -> bool:
-    """Exact adjacency predicate."""
+    """Exact adjacency predicate.
+
+    ValueError when x or y has a blocklength other than sub.n, or an
+    alphabet other than the joint's alphabet on its side (compared by
+    identity, then by equality): either would be packed into bitmasks of
+    another shape and tested silently.
+    """
+    rows, cols = sub.joint.row_alphabet, sub.joint.col_alphabet
+    if not (
+        len(x.symbols) == len(y.symbols) == sub.n
+        and (x.alphabet is rows or x.alphabet == rows)
+        and (y.alphabet is cols or y.alphabet == cols)
+    ):
+        for s, alphabet, side in ((x, rows, "row"), (y, cols, "column")):
+            if s.n != sub.n:
+                raise ValueError(f"a {side} sequence has blocklength {s.n}, not n={sub.n}")
+            if s.alphabet != alphabet:
+                raise ValueError(
+                    f"a {side} sequence's alphabet {list(s.alphabet.symbols)} is not "
+                    f"the joint's {side} alphabet {list(alphabet.symbols)}"
+                )
     return sub.edge_index.count([x.symbols], [y.symbols]) == 1
 
 

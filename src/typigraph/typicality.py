@@ -49,7 +49,7 @@ import random
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from typing import Iterator, Optional
 
 from .core import (
@@ -90,10 +90,6 @@ class Sequence:
     def labels(self) -> tuple:
         return tuple(self.alphabet.label(s) for s in self.symbols)
 
-    @staticmethod
-    def from_labels(alphabet: Alphabet, labels) -> "Sequence":
-        return Sequence(alphabet, tuple(alphabet.index(l) for l in labels))
-
 
 @record
 class TypeVector:
@@ -115,10 +111,6 @@ class TypeVector:
     @property
     def n(self) -> int:
         return sum(self.counts)
-
-    def pmf(self) -> Pmf:
-        n = self.n
-        return Pmf(self.alphabet, tuple(Fraction(c, n) for c in self.counts))
 
 
 @record
@@ -151,21 +143,6 @@ class JointTypeVector:
 
     def row_type(self) -> TypeVector:
         return TypeVector(self.row_alphabet, tuple(sum(row) for row in self.counts))
-
-    def col_type(self) -> TypeVector:
-        k = self.col_alphabet.size
-        return TypeVector(
-            self.col_alphabet,
-            tuple(sum(row[j] for row in self.counts) for j in range(k)),
-        )
-
-    def joint_pmf(self) -> JointPmf:
-        n = self.n
-        return JointPmf(
-            self.row_alphabet,
-            self.col_alphabet,
-            tuple(tuple(Fraction(c, n) for c in row) for row in self.counts),
-        )
 
 
 @record
@@ -882,28 +859,15 @@ def type_class_sequences(t: TypeVector) -> Iterator[Sequence]:
         yield Sequence(t.alphabet, row)
 
 
-@lru_cache(maxsize=64)
-def _sampler_table(p: Pmf, delta: Fraction, n: int):
-    """(admissible count vectors, cumulative class sizes, total) of T_delta(p)."""
-    types = []
-    cum = []
-    total = 0
-    for counts in _compositions_in_boxes(_ball_boxes(p.probs, n, delta), n):
-        total += multinomial(n, counts)
-        types.append(counts)
-        cum.append(total)
-    return tuple(types), tuple(cum), total
-
-
 class TypicalSampler:
     """Exact uniform draws from T_delta(p) at blocklength n, as symbol lists.
 
     Two stages: a type is drawn with probability proportional to its exact
     class size (big-integer arithmetic, no floats), then a uniformly random
     arrangement of that type's sorted multiset is produced by Fisher-Yates.
-    The table is built (or fetched) once per sampler; a type's multiset is
-    expanded on its first draw, so memory grows with the types drawn, not
-    with the ball.
+    The table (admissible count vectors, cumulative class sizes) is built
+    once per sampler; a type's multiset is expanded on its first draw, so
+    memory grows with the types drawn, not with the ball.
 
     Stream contract: a draw reads `rng.getrandbits` only, in exactly the
     calls that `rng.randrange(total)` followed by `rng.shuffle(multiset)`
@@ -916,8 +880,13 @@ class TypicalSampler:
     """
 
     def __init__(self, p: Pmf, delta, n: int):
-        self._types, self._cum, self._total = _sampler_table(p, Fraction(delta), n)
-        if self._total == 0:
+        self._types, self._cum, total = [], [], 0
+        for counts in _compositions_in_boxes(_ball_boxes(p.probs, n, Fraction(delta)), n):
+            total += multinomial(n, counts)
+            self._types.append(counts)
+            self._cum.append(total)
+        self._total = total
+        if total == 0:
             raise ValueError("typical set is empty; nothing to sample")
         self._total_bits = self._total.bit_length()
         # Fisher-Yates from the back: (i, bits of i + 1) per swap
@@ -943,12 +912,6 @@ class TypicalSampler:
                 j = getrandbits(k)
             buf[i], buf[j] = buf[j], buf[i]
         return buf
-
-
-def sample_uniform_typical(p: Pmf, delta, n: int, rng: random.Random) -> Sequence:
-    """Exact uniform draw from T_delta(p) at blocklength n (see
-    `TypicalSampler`, which draws many without rebuilding anything)."""
-    return Sequence(p.alphabet, tuple(TypicalSampler(p, delta, n).draw(rng)))
 
 
 def count_types(alphabet_size: int, n: int) -> int:

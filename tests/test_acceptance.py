@@ -20,6 +20,7 @@ from typigraph import (
     JointPmf,
     Pmf,
     Sequence,
+    TypicalSampler,
     bracket,
     build_aux_subgraph,
     build_exact_type_subgraph,
@@ -42,7 +43,6 @@ from typigraph import (
     pinsker_check,
     product_alphabet,
     right_roster,
-    sample_uniform_typical,
     simulate,
     suen_zero_bound,
     typical_set_size,
@@ -302,6 +302,12 @@ def test_criterion_9_typicality_containment_facts():
     dprimes = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 4))
     eps_pool = (Fraction(1, 10), Fraction(3, 20), Fraction(1, 4))
     counterexamples = 0
+    samplers = {}  # one per (pmf, delta); its draws are those of a fresh one per call
+
+    def draw_x(px, delta):
+        if (px, delta) not in samplers:
+            samplers[px, delta] = TypicalSampler(px, delta, n)
+        return Sequence(px.alphabet, tuple(samplers[px, delta].draw(rng)))
 
     # chained slacks: typical x plus conditionally typical y land the pair
     # in the joint ball at delta + delta', and y in its own ball scaled by |X|
@@ -315,7 +321,7 @@ def test_criterion_9_typicality_containment_facts():
         dprime = dprimes[(proposals // 3) % 3]
         px, py = joint.row_marginal(), joint.col_marginal()
         w = conditionalize(joint, given="row")
-        x = sample_uniform_typical(px, delta, n, rng)
+        x = draw_x(px, delta)
         y = _propose_y(w, x, rng)
         if not is_cond_typical(y, x, w, dprime):
             continue
@@ -337,7 +343,7 @@ def test_criterion_9_typicality_containment_facts():
         eps = eps_pool[proposals % 3]
         px = joint.row_marginal()
         w = conditionalize(joint, given="row")
-        x = sample_uniform_typical(px, delta, n, rng)
+        x = draw_x(px, delta)
         y = _propose_y(w, x, rng)
         if not is_jointly_typical(x, y, joint, eps):
             continue

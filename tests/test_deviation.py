@@ -14,17 +14,13 @@ from typigraph.core import (
     Alphabet,
     CapExceeded,
     InvariantViolation,
-    Pmf,
     mutual_information,
-    replace,
 )
 from typigraph.deviation import (
     MomentEstimates,
     bracket,
     codebook_size,
-    count_pairs,
     deviation_exponent_target,
-    draw_codebook,
     exact_pair_moments,
     exact_zero_probability,
     exponent_report,
@@ -38,7 +34,14 @@ from typigraph.deviation import (
     suen_zero_log,
     wilson_interval,
 )
-from typigraph.typicality import Sequence, default_params, is_jointly_typical, is_typical
+from typigraph.typicality import (
+    JointTypeIndex,
+    Sequence,
+    TypicalSampler,
+    default_params,
+    is_jointly_typical,
+    is_typical,
+)
 
 BIN = Alphabet((0, 1))
 
@@ -436,63 +439,38 @@ def test_wilson_contains_phat():
 
 
 def test_draw_codebook(binary_joint):
+    """A codebook is `size` draws from one sampler: typical, and repeated
+    under the same seed."""
     n = 8
     params = default_params(n)
     px = binary_joint.row_marginal()
-    cb = draw_codebook(px, params.eps1, n, 6, random.Random(4), side="left", rate=0.25)
-    assert cb.size == 6 and len(cb.sequences) == 6
-    assert all(is_typical(s, px, params.eps1) for s in cb.sequences)
-    cb2 = draw_codebook(px, params.eps1, n, 6, random.Random(4))
-    assert [s.symbols for s in cb2.sequences] == [s.symbols for s in cb.sequences]
+    sampler = TypicalSampler(px, params.eps1, n)
+    rng = random.Random(4)
+    cb = [Sequence(px.alphabet, tuple(sampler.draw(rng))) for _ in range(6)]
+    assert all(is_typical(s, px, params.eps1) for s in cb)
+    rng = random.Random(4)
+    assert [tuple(sampler.draw(rng)) for _ in range(6)] == [s.symbols for s in cb]
 
 
 def test_count_pairs_matches_pairwise_predicate(binary_joint):
+    """The ball index counts U over drawn codebooks as the pair predicate does."""
     n = 6
     params = default_params(n)
     rng = random.Random(17)
-    xs = draw_codebook(binary_joint.row_marginal(), params.eps1, n, 5, rng)
-    ys = draw_codebook(binary_joint.col_marginal(), params.eps2, n, 7, rng)
-    pc = count_pairs(xs, ys, binary_joint, params.lam, n)
-    want = sum(
-        1
-        for x in xs.sequences
-        for y in ys.sequences
-        if is_jointly_typical(x, y, binary_joint, params.lam)
+    books = []
+    for pmf, eps, size in (
+        (binary_joint.row_marginal(), params.eps1, 5),
+        (binary_joint.col_marginal(), params.eps2, 7),
+    ):
+        sampler = TypicalSampler(pmf, eps, n)
+        books.append([Sequence(pmf.alphabet, tuple(sampler.draw(rng))) for _ in range(size)])
+    xs, ys = books
+    u = JointTypeIndex.ball(binary_joint, params.lam, n).count(
+        [x.symbols for x in xs], [y.symbols for y in ys]
     )
-    assert pc.u.value == want
-    assert (pc.m1, pc.m2) == (5, 7)
-
-
-def test_count_pairs_refuses_codewords_of_another_blocklength(binary_joint):
-    """Length-8 codewords were read at n=6 and n=10 as other bitmasks and
-    counted without an error."""
-    params = default_params(8)
-    rng = random.Random(17)
-    xs = draw_codebook(binary_joint.row_marginal(), params.eps1, 8, 5, rng)
-    ys = draw_codebook(binary_joint.col_marginal(), params.eps2, 8, 7, rng)
-    short = draw_codebook(binary_joint.col_marginal(), params.eps2, 6, 2, rng)
-    count_pairs(xs, ys, binary_joint, params.lam, 8)
-    for n in (6, 10):
-        with pytest.raises(ValueError, match=f"a row codeword has blocklength 8, not n={n}"):
-            count_pairs(xs, ys, binary_joint, params.lam, n)
-    with pytest.raises(ValueError, match="a column codeword has blocklength 6, not n=8"):
-        count_pairs(xs, short, binary_joint, params.lam, 8)
-
-
-def test_count_pairs_refuses_codebooks_over_another_alphabet(binary_joint):
-    n = 6
-    params = default_params(n)
-    rng = random.Random(3)
-    xs = draw_codebook(binary_joint.row_marginal(), params.eps1, n, 3, rng)
-    ys = draw_codebook(binary_joint.col_marginal(), params.eps2, n, 3, rng)
-    third = Fraction(1, 3)
-    ternary = draw_codebook(Pmf(Alphabet((0, 1, 2)), (third,) * 3), third, n, 3, rng)
-    labels = Alphabet(("a", "b"))
-    relabelled = replace(ys, sequences=tuple(Sequence(labels, y.symbols) for y in ys.sequences))
-    with pytest.raises(ValueError, match=r"row codeword's alphabet \[0, 1, 2\] is not"):
-        count_pairs(ternary, ys, binary_joint, params.lam, n)
-    with pytest.raises(ValueError, match="column codeword's alphabet"):
-        count_pairs(xs, relabelled, binary_joint, params.lam, n)
+    assert u == sum(
+        1 for x in xs for y in ys if is_jointly_typical(x, y, binary_joint, params.lam)
+    )
 
 
 # --- Monte Carlo ------------------------------------------------------------------------
@@ -548,6 +526,30 @@ def test_simulate_bounds_each_side_once(binary_joint, monkeypatch):
     monkeypatch.setattr(typicality._DegreeKernel, "steps", counted)
     simulate(binary_joint, default_params(8), 8, 0.25, 0.25, trials=20, seed=5)
     assert len(bounded) == 2 and bounded[0] is not bounded[1]
+
+
+def test_exact_pair_moments_bounds_both_kernels_before_any_table(binary_joint, monkeypatch):
+    """Only the right kernel is over the cap: the refusal comes before the
+    left table is built."""
+    steps, table = typicality._DegreeKernel.steps, typicality._DegreeKernel.table
+    bounded, built = [], []
+
+    def right_over_cap(kernel, type_boxes):  # the second kernel bounded is the right
+        if kernel not in bounded:
+            bounded.append(kernel)
+        if kernel is bounded[0]:
+            return steps(kernel, type_boxes)
+        return typicality.KERNEL_STEP_CAP + 1
+
+    def recorded(kernel):
+        built.append(kernel)
+        return table(kernel)
+
+    monkeypatch.setattr(typicality._DegreeKernel, "steps", right_over_cap)
+    monkeypatch.setattr(typicality._DegreeKernel, "table", recorded)
+    with pytest.raises(CapExceeded, match="over cap"):
+        exact_pair_moments(binary_joint, default_params(8), 8, 0.25, 0.25)
+    assert len(bounded) == 2 and built == []
 
 
 def test_simulate_mean_tracks_gamma(binary_joint):

@@ -107,6 +107,17 @@ def test_degree_views(binary_joint):
         g.degree_of(g.left[0], "middle")
 
 
+def test_degree_of_refuses_another_alphabet(binary_joint):
+    """A sequence over ("a", "b") got the degree of its (0, 1) twin."""
+    n = 8
+    g = build_graph(GraphSpec(binary_joint, n, default_params(n), mode="implicit"))
+    symbols = (0, 1) * 4
+    assert g.degree_of(Sequence(BIN, symbols), "left").value == 121
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match=f"joint's {side} alphabet"):
+            g.degree_of(Sequence(Alphabet(("a", "b")), symbols), side)
+
+
 def test_degree_of_reads_the_built_table(binary_joint, monkeypatch):
     """build_graph keeps the left kernel whose table it read: a typical left
     x is looked up there, with no kernel work."""

@@ -2,7 +2,8 @@
 
 Random rational joints with up to three symbols a side (zero cells
 included) and blocklengths up to 6. The explicit graph's streamed edges and
-`count_pairs` must match the pair predicate of `oracles`, and the graph's
+the joint ball's pair count (`JointTypeIndex.ball(...).count`) must match
+the pair predicate of `oracles`, and the graph's
 type-level statistics and degree-bound check the per-vertex reference
 exactly; the subgraph edge CSVs (both kinds) must list exactly the roster
 pairs whose (per-block) joint type is the target; and the diagnostics
@@ -32,7 +33,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 import typigraph.graph
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet, replace
-from typigraph.deviation import Codebook, count_pairs, simulate
+from typigraph.deviation import simulate
 from typigraph.diagnostics import (
     block_mi,
     dominant_joint_type,
@@ -63,7 +64,6 @@ from typigraph.typicality import (
     Sequence,
     TypicalSampler,
     TypicalityParams,
-    sample_uniform_typical,
     schedule_delta,
 )
 
@@ -136,15 +136,7 @@ def test_graph_adjacency_and_count_pairs_match_brute_force(case, eps1, eps2, lam
     # codebooks of any sequences, typical or not, repeats allowed
     xs = [tuple(rnd.randrange(kx) for _ in range(n)) for _ in range(rnd.randrange(1, 6))]
     ys = [tuple(rnd.randrange(ky) for _ in range(n)) for _ in range(rnd.randrange(1, 6))]
-    books = [
-        Codebook(side, 0.0, len(seqs), tuple(Sequence(alpha, s) for s in seqs), "")
-        for side, seqs, alpha in (
-            ("left", xs, joint.row_alphabet),
-            ("right", ys, joint.col_alphabet),
-        )
-    ]
-    pc = count_pairs(books[0], books[1], joint, lam, n)
-    assert pc.u.value == sum(
+    assert JointTypeIndex.ball(joint, lam, n).count(xs, ys) == sum(
         1 for x in xs for y in ys if oracles.jointly_typical(x, y, probs, lam)
     )
 
@@ -593,13 +585,11 @@ def test_sampler_stream_matches_per_draw_calls(p, n, delta, seed, draws):
     if want[0] is None:
         with pytest.raises(ValueError, match="empty"):
             TypicalSampler(p, delta, n)
-        with pytest.raises(ValueError, match="empty"):
-            sample_uniform_typical(p, delta, n, per_call)
     else:
         sampler = TypicalSampler(p, delta, n)
         assert [tuple(sampler.draw(hoisted)) for _ in range(draws)] == want
         assert [
-            sample_uniform_typical(p, delta, n, per_call).symbols for _ in range(draws)
+            tuple(TypicalSampler(p, delta, n).draw(per_call)) for _ in range(draws)
         ] == want
     assert hoisted.getstate() == per_call.getstate() == ref.getstate()
 
@@ -660,9 +650,9 @@ def test_sampler_stream_past_32_bits(p, n):
     totals of more than 32 bits: the same symbols and generator state after
     every draw."""
     delta = schedule_delta(n)
-    types, cum, total = typicality._sampler_table(p, delta, n)
-    assert total.bit_length() > 32
     sampler = TypicalSampler(p, delta, n)
+    types, cum, total = sampler._types, sampler._cum, sampler._total
+    assert total.bit_length() > 32
     for seed in range(3):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(25):

@@ -37,6 +37,7 @@ from typigraph.subgraphs import (
 )
 from typigraph.typicality import (
     JointTypeIndex,
+    Sequence,
     TypicalityParams,
     default_params,
     empirical_joint_type,
@@ -86,6 +87,27 @@ def test_is_edge_is_exact_type_match(binary_joint):
     assert is_edge(sub, x, y) == (
         (empirical_joint_type(x, y).counts,) == sub.block_targets
     )
+
+
+def test_is_edge_refuses_another_blocklength_or_alphabet(binary_joint):
+    """These pairs were packed into bitmasks of another shape and read as
+    edges of the B2 n=8 subgraph."""
+    sub = build_exact_type_subgraph(binary_joint, 8)
+    y = next(right_roster(sub))
+    x10 = Sequence(BIN, (0, 1, 0, 1, 1, 1, 0, 1, 0, 1))
+    y10 = Sequence(BIN, (0, 1, 0, 1, 1, 0, 1, 1, 0, 1))
+    ternary = Sequence(Alphabet((0, 1, 2)), (0, 0, 0, 1, 0, 1, 1, 1))
+    with pytest.raises(ValueError, match="a row sequence has blocklength 10, not n=8"):
+        is_edge(sub, x10, y10)
+    with pytest.raises(ValueError, match="a column sequence has blocklength 10, not n=8"):
+        is_edge(sub, next(left_roster(sub)), y10)
+    with pytest.raises(ValueError, match=r"row sequence's alphabet \[0, 1, 2\] is not"):
+        is_edge(sub, ternary, y)
+    relabelled = Sequence(Alphabet(("a", "b")), y.symbols)
+    with pytest.raises(ValueError, match="column sequence's alphabet"):
+        is_edge(sub, Sequence(BIN, (0, 0, 0, 1, 0, 1, 1, 1)), relabelled)
+    # an equal alphabet that is another object is accepted
+    assert is_edge(sub, Sequence(Alphabet((0, 1)), (0, 0, 0, 1, 0, 1, 1, 1)), y)
 
 
 def test_subgraph_contained_in_typicality_graph(binary_joint):

@@ -39,7 +39,6 @@ from typigraph.typicality import (
     jointly_typical_pair_count,
     log2_int,
     multinomial,
-    sample_uniform_typical,
     schedule_delta,
     type_class_sequences,
     type_class_size,
@@ -546,23 +545,24 @@ def test_typical_set_rate_envelope_default_schedule():
 def test_sample_uniform_typical_support_and_determinism():
     p = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
     delta = Fraction(63, 200)
+    sampler = TypicalSampler(p, delta, 4)
     rng = random.Random(11)
     seen = set()
     for _ in range(3000):
-        s = sample_uniform_typical(p, delta, 4, rng)
+        s = Sequence(BIN, tuple(sampler.draw(rng)))
         assert is_typical(s, p, delta)
         seen.add(s.symbols)
     assert len(seen) == 14  # full coverage of the typical set
 
-    a = sample_uniform_typical(p, delta, 4, random.Random(3)).symbols
-    b = sample_uniform_typical(p, delta, 4, random.Random(3)).symbols
+    a = TypicalSampler(p, delta, 4).draw(random.Random(3))
+    b = TypicalSampler(p, delta, 4).draw(random.Random(3))
     assert a == b
 
 
 def test_sample_uniform_typical_empty_set():
     p = Pmf(BIN, (Fraction(1, 3), Fraction(2, 3)))
     with pytest.raises(ValueError):
-        sample_uniform_typical(p, Fraction(0), 4, random.Random(0))  # 4/3 not integral
+        TypicalSampler(p, Fraction(0), 4)  # 4/3 not integral
 
 
 @pytest.mark.parametrize(
@@ -587,24 +587,20 @@ def test_negative_delta_refused_by_every_ball_walk(walk, delta):
 
 def test_sample_uniform_typical_point_mass():
     point = Pmf(BIN, (Fraction(1), Fraction(0)))
-    s = sample_uniform_typical(point, Fraction(0), 5, random.Random(0))
-    assert s.symbols == (0, 0, 0, 0, 0)
-
-
-def test_sampler_table_cache_is_bounded():
-    assert typicality._sampler_table.cache_info().maxsize is not None
+    assert TypicalSampler(point, Fraction(0), 5).draw(random.Random(0)) == [0, 0, 0, 0, 0]
 
 
 def test_sampler_uniformity_chi_square():
     """Uniformity over the 14-member set: chi-square at p = 0.001, df = 13."""
     p = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
     delta = Fraction(63, 200)
+    sampler = TypicalSampler(p, delta, 4)
     rng = random.Random(123)
     counts = {}
     draws = 14_000
     for _ in range(draws):
-        s = sample_uniform_typical(p, delta, 4, rng)
-        counts[s.symbols] = counts.get(s.symbols, 0) + 1
+        s = tuple(sampler.draw(rng))
+        counts[s] = counts.get(s, 0) + 1
     assert len(counts) == 14
     expected = draws / 14
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
