@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence as _Seq
@@ -131,6 +132,12 @@ KERNEL_STEP_CAP = 1 << 30
 class CapExceeded(RuntimeError):
     """Work estimated before it starts (candidate sequences, pairs to scan,
     Monte Carlo pair tests) is over the cap; nothing has been computed."""
+
+
+def id_typecode(size: int) -> str:
+    """The narrowest unsigned `array` typecode that holds every id in
+    [0, size): "B" up to 256 rows, "H" up to 65,536, then "I" and "Q"."""
+    return next(code for code in "BHIQ" if size <= 1 << 8 * array(code).itemsize)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ endpoints, each side's distinct symbol rows indexed by id, and one byte
 column of letter-pair codes per position. Per-letter counts are
 `bytes.count` calls, and conditioning filters every column with
 `itertools.compress`. `edge_distribution` builds it from ids and rows (a
-rank CSV gives both, with the rosters' ranks as ids); `fano_distribution`
-builds it from aligned `Sequence` pairs.
+rank CSV gives both, with the rosters' ranks as ids, and their arrays are
+adopted as they are read); `fano_distribution` builds it from aligned
+`Sequence` pairs.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, floordiv, itemgetter, mod, mul
 from typing import Optional
 
-from .core import Alphabet, InvariantViolation, JointPmf, record, replace
+from .core import Alphabet, InvariantViolation, JointPmf, id_typecode, record, replace
 from .typicality import JointTypeVector, _Filled
 
 _FP_TOL = 1e-9
-_JOIN_SLICE = 1 << 15  # edge rows joined per bytes.join call
+_JOIN_SLICE = 1 << 15  # edges per slice of the column build
 
 
 @record
@@ -41,10 +42,13 @@ class EdgeDistribution:
     """Uniform law over an explicit edge multiset, kept as id columns.
 
     Edge e joins xrows[xids[e]] to yrows[yids[e]]; the rows of a side are
-    distinct symbol tuples of length n, and an id column is an
-    `array("q")` in edge order. columns[t] holds, edge by edge, the code
-    a*|Y| + b of the letter pair (a, b) at position t: one byte per edge
-    while |X||Y| <= 256, a tuple of ints beyond that. distinct is set only
+    distinct symbol tuples of length n, and an id column is an unsigned
+    integer array in edge order, as narrow as its side's row count allows
+    ("H" up to 65,536 rows), which conditioning keeps. columns[t] holds,
+    edge by edge, the code a*|Y| + b of the letter pair (a, b) at position
+    t: one byte per edge while |X||Y| <= 256, a tuple of ints beyond that.
+    So an edge costs the two id widths plus n column bytes: 14 bytes at
+    n = 10 with two "H" columns. distinct is set only
     where it was proved that no (xid, yid) pair repeats, as the reader of a
     rank CSV proves it; conditioning keeps it, since a subset of a distinct
     edge set is distinct. The exact per-letter laws are derived on first use.
@@ -103,55 +107,88 @@ def _check_rows(rows: tuple, n: int, alphabet: Alphabet) -> None:
         raise ValueError("the rows of a side must be distinct")
 
 
+def _id_column(ids, size: int) -> array:
+    """ids as an unsigned integer array: such an array is adopted as given,
+    and anything else (a list, a signed or a float array) is converted
+    once, to the narrowest unsigned typecode that holds [0, size). A
+    negative id, a float or an id too wide for that typecode raises the
+    ValueError of an out-of-range id."""
+    if isinstance(ids, array) and ids.typecode in "BHILQ":
+        return ids
+    try:
+        return array(id_typecode(size), ids)
+    except (OverflowError, TypeError):
+        raise ValueError(f"ids must lie in [0, {size})") from None
+
+
+def _joined(enc: list, ids) -> int:
+    """The rows enc[i] for i in ids, joined and read as one big integer; an
+    id past the rows raises the ValueError of an out-of-range id."""
+    try:
+        return int.from_bytes(b"".join(map(enc.__getitem__, ids)), "big")
+    except IndexError:
+        raise ValueError(f"ids must lie in [0, {len(enc)})") from None
+
+
 def edge_distribution(
     xids, yids, xrows, yrows, x_alphabet: Alphabet, y_alphabet: Alphabet
 ) -> EdgeDistribution:
     """The uniform law over the edges (xrows[xids[e]], yrows[yids[e]]).
 
+    An id column that is an unsigned integer array (as `graph._read_edge_csv`
+    returns) is kept as given, not copied; other id columns are converted
+    once (`_id_column`). Unsigned ids are never negative, and an id past
+    its side's rows fails the lookup of its row, so no id is scanned for
+    its range.
+
     Each row is encoded once as a row of digits (a*|Y| on the left, b on
-    the right). The rows of all left and all right endpoints are joined
-    into two byte strings whose sum, as big integers, is every edge's row
-    of pair codes: no digit carries. The sum is then cut into one column
-    per position.
+    the right). For each slice of `_JOIN_SLICE` edges, the rows of the left
+    and of the right endpoints are joined into two byte strings whose sum,
+    as big integers, is every edge's row of pair codes: no digit carries.
+    The sum is cut into one piece per position, and each column is the
+    join of its pieces. So the big integers stay the size of one slice,
+    and at the end an edge holds its two ids and n column bytes (n codes
+    where |X||Y| > 256).
     """
-    xids, yids = array("q", xids), array("q", yids)
     xrows, yrows = tuple(map(tuple, xrows)), tuple(map(tuple, yrows))
+    xids, yids = _id_column(xids, len(xrows)), _id_column(yids, len(yrows))
     if len(xids) != len(yids):
         raise ValueError("the id columns differ in length")
     if not xids:
         raise ValueError("edge set is empty")
-    for ids, rows in ((xids, xrows), (yids, yrows)):
-        if min(ids) < 0 or max(ids) >= len(rows):
-            raise ValueError(f"ids must lie in [0, {len(rows)})")
+    if not (xrows and yrows):
+        raise ValueError("ids must lie in [0, 0)")
     n = len(xrows[0])
     _check_rows(xrows, n, x_alphabet)
     _check_rows(yrows, n, y_alphabet)
     ky = y_alphabet.size
     width = max(1, ((x_alphabet.size * ky - 1).bit_length() + 7) // 8)
-
-    def joined(ids, rows, scale):
-        enc = [b"".join((a * scale).to_bytes(width, "big") for a in r) for r in rows]
-        # bytes.join keeps one buffer record per part: join in slices
-        parts = (
-            b"".join(map(enc.__getitem__, ids[k : k + _JOIN_SLICE]))
-            for k in range(0, len(ids), _JOIN_SLICE)
-        )
-        return int.from_bytes(b"".join(parts), "big")
-
-    size = len(xids) * n * width
-    blob = (joined(xids, xrows, ky) + joined(yids, yrows, 1)).to_bytes(size, "big")
-    if width == 1:
-        columns = tuple(blob[t::n] for t in range(n))
-    else:
-        stride = n * width
-        columns = tuple(
-            tuple(
-                int.from_bytes(blob[k : k + width], "big")
-                for k in range(t * width, size, stride)
+    xenc, yenc = (
+        [b"".join((a * scale).to_bytes(width, "big") for a in r) for r in rows]
+        for rows, scale in ((xrows, ky), (yrows, 1))
+    )
+    stride = n * width
+    pieces: list = [[] for _ in range(n)]
+    for k in range(0, len(xids), _JOIN_SLICE):
+        xs, ys = xids[k : k + _JOIN_SLICE], yids[k : k + _JOIN_SLICE]
+        size = len(xs) * stride
+        blob = (_joined(xenc, xs) + _joined(yenc, ys)).to_bytes(size, "big")
+        for t, column in enumerate(pieces):
+            column.append(
+                blob[t::n]
+                if width == 1
+                else tuple(
+                    int.from_bytes(blob[j : j + width], "big")
+                    for j in range(t * width, size, stride)
+                )
             )
-            for t in range(n)
-        )
-    return EdgeDistribution(xids, yids, xrows, yrows, x_alphabet, y_alphabet, n, columns)
+    columns = []
+    for column in pieces:  # a column's pieces are dropped once it is joined
+        columns.append(b"".join(column) if width == 1 else tuple(chain.from_iterable(column)))
+        column.clear()
+    return EdgeDistribution(
+        xids, yids, xrows, yrows, x_alphabet, y_alphabet, n, tuple(columns)
+    )
 
 
 def _endpoint_ids(seqs, n: int, alphabet) -> tuple[list[int], list[tuple]]:
@@ -243,7 +280,8 @@ def block_mi(dist: EdgeDistribution) -> float:
     of its endpoints' counts, so equal inputs share one computed term. On
     a distinct edge set every c is 1 and the pairs come in edge order, so
     the pairs are not counted: each edge's term is looked up by the product
-    of its endpoints' degrees.
+    of its endpoints' degrees. Degrees are counted straight off the id
+    arrays, so no per-edge list of ints is built.
     """
     total = len(dist)
     log2 = math.log2
@@ -252,7 +290,7 @@ def block_mi(dist: EdgeDistribution) -> float:
     def term(c: int, product: int) -> float:
         return (c / total) * log2(c * total / product)
 
-    x_counts, y_counts = Counter(dist.xids.tolist()), Counter(dist.yids.tolist())
+    x_counts, y_counts = Counter(dist.xids), Counter(dist.yids)
     if dist.distinct:
         x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
         y_deg = list(map(y_counts.__getitem__, range(len(dist.yrows))))
@@ -445,8 +483,8 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         )
         a_star, b_star = best_ab[3], best_ab[4]
         keep, columns = _restrict(columns, t_star, a_star * ky + b_star, kx * ky)
-        xids = array("q", compress(xids, keep))
-        yids = array("q", compress(yids, keep))
+        xids = array(xids.typecode, compress(xids, keep))
+        yids = array(yids.typecode, compress(yids, keep))
         if not xids:
             # cannot happen for the argmax value; defensive, loud
             raise InvariantViolation("conditioning emptied the edge multiset")

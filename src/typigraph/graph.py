@@ -34,6 +34,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     conditionalize,
+    id_typecode,
     joint_from_dict,
     joint_to_dict,
     record,
@@ -428,13 +429,16 @@ def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int,
             yield line, i, j
 
 
-_CSV_CHUNK = 1 << 18  # characters of edge CSV checked per bulk step
+_CSV_CHUNK = 1 << 16  # characters of edge CSV checked per bulk step
 _TWO_COMMAS = re.compile(",[^\n]*,").search
 
 
 def _bulk_edge_columns(path: str, n_left: int, n_right: int):
-    """The edge CSV's (left ranks, right ranks) as `array("q")` columns, read
-    and checked in chunks; None as soon as a chunk is not plain.
+    """The edge CSV's (left ranks, right ranks) as id columns, read and
+    checked in chunks; None as soon as a chunk is not plain. Each column is
+    the narrowest unsigned array that holds its roster's ranks
+    (`core.id_typecode`: "H" up to 65,536 rows), so an edge costs the two
+    id widths, four bytes on graph_export's 912-row rosters.
 
     A plain chunk is whole lines of `rank,rank` (blank lines skipped) whose
     cells are canonical decimal ranks, as the exports write them. Cells are
@@ -446,7 +450,7 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
     """
     left_ids = {str(k): k for k in range(n_left)}
     right_ids = left_ids if n_right == n_left else {str(k): k for k in range(n_right)}
-    lefts, rights = array("q"), array("q")
+    lefts, rights = array(id_typecode(n_left)), array(id_typecode(n_right))
     last, increasing = -1, True
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != "left_rank,right_rank":
@@ -487,8 +491,10 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
 
 
 def _read_edge_csv(path: str, n_left: int, n_right: int) -> tuple[array, array]:
-    """The edge CSV's (left ranks, right ranks) as `array("q")` id columns, in
-    file order.
+    """The edge CSV's (left ranks, right ranks) as id columns in file order,
+    each the narrowest unsigned array that holds its roster's ranks
+    (`core.id_typecode`), whichever way the file is read.
+    `diagnostics.edge_distribution` adopts these arrays without a copy.
 
     The file is read in bulk while every cell is a canonical decimal rank
     inside its roster, which is how the exports spell them. Otherwise the
@@ -498,7 +504,7 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> tuple[array, array]:
     """
     columns = _bulk_edge_columns(path, n_left, n_right)
     if columns is None:
-        columns = array("q"), array("q")
+        columns = array(id_typecode(n_left)), array(id_typecode(n_right))
         for _, i, j in _scan_edge_rows(path, n_left, n_right):
             columns[0].append(i)
             columns[1].append(j)

@@ -31,7 +31,9 @@ closed by one `_box_multinomial_sum` over the boxes that the partial sums
 leave it. A last row of two cells (a binary column alphabet) is one window
 of the binomial row of its count r, read off that row's prefix sums, built
 once per r over the cell's box and kept with the kernel: at most one row per
-last-row count in the ball, each of at most box width + 2 entries. Before a
+last-row count in the ball, each of at most box width + 2 entries. The
+listed compositions of a two-cell row are weighed the same way, C(r, c)
+stepped along the walk from one `math.comb`. Before a
 type or a composition is listed, the kernel bounds its steps exactly, once
 per kernel for its ball, and refuses with CapExceeded over KERNEL_STEP_CAP.
 A kernel serves one side, which `_oriented` decides (the right side is the
@@ -50,6 +52,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate, repeat
 from typing import Iterator, Optional
 
 from .core import (
@@ -377,6 +380,15 @@ def _compositions_in_boxes(boxes, total: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, total)
 
 
+def _binomials(r: int, lo: int, hi: int) -> Iterator[int]:
+    """C(r, c) for c = lo, ..., hi: one `math.comb`, then the exact step
+    C(r, c + 1) = C(r, c) * (r - c) // (c + 1)."""
+    w = math.comb(r, lo)
+    for c in range(lo, hi + 1):
+        yield w
+        w = w * (r - c) // (c + 1)
+
+
 def _box_multinomial_sum(boxes, total: int, unit: bool = False) -> int:
     """Sum of multinomial(total, c) over the count vectors c summing to
     total with each c_i inside its (lo, hi) box, without listing them.
@@ -617,12 +629,18 @@ class _DegreeKernel:
         return sum(v << (self._width * j) for j, v in enumerate(vec))
 
     def _row(self, a: int, count: int) -> list:
+        """Row a's compositions of count inside its cell boxes, packed, with
+        their multinomials. Two-cell compositions (c, count - c) come with c
+        consecutive and increasing, so their weights C(count, c) are stepped
+        (`_binomials`); longer rows weigh each composition apart."""
         key = (a, count)
         if key not in self._rows:
-            self._rows[key] = [
-                (self._pack(c), multinomial(count, c))
-                for c in _compositions_in_boxes(self._cells[a], count)
-            ]
+            comps = list(_compositions_in_boxes(self._cells[a], count))
+            if len(self._cells[a]) == 2 and comps:
+                weights = _binomials(count, comps[0][0], comps[-1][0])
+            else:
+                weights = map(multinomial, repeat(count), comps)
+            self._rows[key] = list(zip(map(self._pack, comps), weights))
         return self._rows[key]
 
     def _front_sums(self, prefix: tuple) -> dict:
@@ -673,15 +691,9 @@ class _DegreeKernel:
 
     def _binomial_prefix(self, r: int) -> list[int]:
         """Prefix sums of C(r, c) for c from the last row's first-cell lo up
-        to min(its hi, r): entry i sums the first i of them. One `math.comb`,
-        then C(r, c + 1) = C(r, c) * (r - c) // (c + 1)."""
+        to min(its hi, r): entry i sums the first i of them."""
         lo, hi = self._cells[-1][0]
-        w = math.comb(r, lo)
-        prefix = [0]
-        for c in range(lo, min(hi, r) + 1):
-            prefix.append(prefix[-1] + w)
-            w = w * (r - c) // (c + 1)
-        return prefix
+        return [0, *accumulate(_binomials(r, lo, min(hi, r)))]
 
     def _degree(self, counts: tuple) -> int:
         h, k, over = self._split, len(counts), self._over

@@ -1,11 +1,16 @@
 import itertools
 import json
 import math
+import random
+import re
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from typigraph.core import Alphabet, InvariantViolation
+from typigraph import diagnostics
+from typigraph.core import Alphabet, InvariantViolation, id_typecode, replace
 from typigraph.diagnostics import (
     block_mi,
     block_mi_bound,
@@ -17,6 +22,7 @@ from typigraph.diagnostics import (
     wring,
     wringing_to_dict,
 )
+from typigraph.graph import _read_edge_csv
 from typigraph.typicality import Sequence, schedule_delta
 
 BIN = Alphabet((0, 1))
@@ -217,11 +223,112 @@ def test_edge_distribution_from_ids_and_rows():
         ([0, 1], [(0, 0), (1,)], "blocklength"),
         ([0, 1], [(0, 0), (2, 0)], "alphabet"),
         ([], [(0, 0)], "empty"),
+        ([0], [], "ids must lie in"),
     ],
 )
 def test_edge_distribution_validation(xids, xrows, message):
     with pytest.raises(ValueError, match=message):
         edge_distribution(xids, [0] * len(xids), xrows, [(0, 1)], BIN, BIN)
+
+
+# byte columns (2 x 2 codes) and int columns (17 x 16 codes); two rows on
+# the left, three on the right
+ID_CASES = {
+    "bytes": (Alphabet((0, 1)), Alphabet((0, 1)), [(0, 1), (1, 0)], [(0, 0), (1, 1), (0, 1)]),
+    "ints": (
+        Alphabet(tuple(range(17))),
+        Alphabet(tuple(range(16))),
+        [(0, 16), (16, 0)],
+        [(0, 15), (15, 0), (3, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("codes", sorted(ID_CASES))
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda rows: [0, -1],
+        lambda rows: array("q", [0, -1]),
+        lambda rows: [0, rows],
+        lambda rows: array("q", [0, rows]),
+        lambda rows: array(id_typecode(rows), [0, rows]),  # adopted as given
+        lambda rows: array("Q", [0, 1 << 40]),
+        lambda rows: [0.0, 1.0],
+        lambda rows: array("d", [0.0, 1.0]),
+    ],
+    ids=["neg-list", "neg-q", "past-list", "past-q", "past-narrow", "past-Q", "float-list",
+         "float-d"],
+)
+def test_edge_distribution_refuses_ids_outside_the_rows(codes, side, bad):
+    """Negative ids, ids past the side's rows and floats, given as a list or
+    as an array, raise one ValueError naming the side's row count, on the
+    byte-column and on the int-column path."""
+    xa, ya, xrows, yrows = ID_CASES[codes]
+    rows = len(xrows) if side == "x" else len(yrows)
+    ids = {"x": [0, 1], "y": [0, 2], side: bad(rows)}
+    with pytest.raises(ValueError, match=re.escape(f"ids must lie in [0, {rows})")):
+        edge_distribution(ids["x"], ids["y"], xrows, yrows, xa, ya)
+
+
+@pytest.mark.parametrize("codes", sorted(ID_CASES))
+def test_edge_distribution_adopts_unsigned_ids_and_converts_the_rest(codes):
+    """An unsigned id array is kept as the same object; lists, signed and
+    wider arrays become one narrow unsigned array each, the same law."""
+    xa, ya, xrows, yrows = ID_CASES[codes]
+    xids, yids = array("H", [1, 0, 1]), array("Q", [2, 0, 1])
+    dist = edge_distribution(xids, yids, xrows, yrows, xa, ya)
+    assert dist.xids is xids and dist.yids is yids
+    for form in (list, lambda ids: array("q", ids)):
+        other = edge_distribution(form(xids), form(yids), xrows, yrows, xa, ya)
+        assert other.xids.typecode == other.yids.typecode == "B"
+        assert other == dist and other.columns == dist.columns
+
+
+def test_edge_distribution_columns_do_not_depend_on_the_slice(monkeypatch):
+    """The columns are built one slice of edges at a time: any slice length,
+    on both column paths, gives the columns of a single slice."""
+    rng = random.Random(5)
+    for xa, ya, xrows, yrows in ID_CASES.values():
+        xids = [rng.randrange(len(xrows)) for _ in range(50)]
+        yids = [rng.randrange(len(yrows)) for _ in range(50)]
+        want = edge_distribution(xids, yids, xrows, yrows, xa, ya).columns
+        for width in (1, 3, 49, 50):
+            monkeypatch.setattr(diagnostics, "_JOIN_SLICE", width)
+            assert edge_distribution(xids, yids, xrows, yrows, xa, ya).columns == want
+
+
+def test_rank_csv_to_block_mi_holds_each_edge_column_once(tmp_path):
+    """Reading a rank CSV of 200,000 distinct edges, building its distribution
+    and taking its block MI, as `wring` does, keeps the reader's id arrays
+    and stays under 3 (n + 4) bytes of traced memory per edge. An edge needs
+    n + 4 of them (two-byte ids, n column bytes); the rest is room for the
+    per-chunk and per-slice temporaries. Ids held twice or as eight-byte
+    ints, or columns cut from big integers over all edges, go past it."""
+    n, sizes, edges = 10, (1000, 900), 200_000
+    rng = random.Random(11)
+    xrows, yrows = (
+        [tuple(map(int, f"{k:0{n}b}")) for k in rng.sample(range(1 << n), size)]
+        for size in sizes
+    )
+    keys = sorted(rng.sample(range(sizes[0] * sizes[1]), edges))
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "left_rank,right_rank\n" + "".join(f"{k // sizes[1]},{k % sizes[1]}\n" for k in keys)
+    )
+    del keys
+    tracemalloc.start()
+    try:
+        xids, yids = _read_edge_csv(str(path), *sizes)
+        dist = edge_distribution(xids, yids, xrows, yrows, BIN, BIN)
+        block_mi(replace(dist, distinct=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.xids is xids and dist.yids is yids
+    assert (xids.typecode, yids.typecode) == ("H", "H")
+    assert peak < 3 * (n + 4) * edges, f"{peak / edges:.1f} bytes per edge"
 
 
 # --- Pinsker and the strong converse --------------------------------------------

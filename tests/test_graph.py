@@ -7,7 +7,7 @@ import pytest
 import oracles
 import typigraph.graph
 from typigraph import typicality
-from typigraph.core import Alphabet, InvariantViolation, JointPmf
+from typigraph.core import Alphabet, InvariantViolation, JointPmf, id_typecode
 from typigraph.graph import (
     CapExceeded,
     GraphSpec,
@@ -360,6 +360,32 @@ def test_bulk_edge_reader_edge_cases(tmp_path, body):
             assert list(zip(*bulk)) == want, chunk
         elif not oracles.non_canonical_ranks(body):
             assert not isinstance(want, list), chunk
+
+
+@pytest.mark.parametrize("size, code", [(2, "B"), (256, "B"), (257, "H"), (65_536, "H"),
+                                        (65_537, "I")])
+@pytest.mark.parametrize("spelling", ["canonical", "non-canonical"])
+def test_edge_readers_return_the_narrowest_unsigned_ids(tmp_path, size, code, spelling):
+    """The bulk reader and the row-by-row fallback return equal pairs as
+    arrays of the narrowest unsigned typecode that holds the roster's
+    ranks, whether the ranks are spelled as the exports spell them or not."""
+    pairs = list(dict.fromkeys([(0, size - 1), (1, 0), (size - 1, 1), (size - 1, size - 2)]))
+    spell = str if spelling == "canonical" else "+{}".format
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "left_rank,right_rank\n" + "".join(f"{spell(i)},{spell(j)}\n" for i, j in pairs)
+    )
+    got = []
+    for bulk in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not bulk:
+                mp.setattr(typigraph.graph, "_bulk_edge_columns", lambda *args: None)
+            columns = typigraph.graph._read_edge_csv(str(path), size, size)
+        assert [c.typecode for c in columns] == [code, code] == [id_typecode(size)] * 2
+        got.append(list(zip(*columns)))
+    assert got == [pairs, pairs]
+    bulk = typigraph.graph._bulk_edge_columns(str(path), size, size)
+    assert (bulk is None) is (spelling == "non-canonical")
 
 
 def non_edge(g):

@@ -9,7 +9,8 @@ typical-set sizes must equal what `oracles` counts pair by pair. Both
 sides' degree tables, on joints up to 5x5, must equal those of
 `oracles.degree_table`, the former dict-of-final-sums kernel. On binary
 joints up to n=40, the two-cell last row's close from binomial prefix rows
-must equal the box sum it replaces.
+must equal the box sum it replaces, and the stepped weights of two-cell
+row compositions must equal their multinomials.
 """
 
 from fractions import Fraction
@@ -23,13 +24,16 @@ from typigraph.deviation import exact_pair_moments
 from typigraph.graph import GraphSpec, build_graph
 from typigraph.typicality import (
     Sequence,
+    _binomials,
     _box_multinomial_sum,
+    _compositions_in_boxes,
     _DegreeKernel,
     TypicalityParams,
     cond_typical_set_size,
     default_params,
     degree_table,
     jointly_typical_pair_count,
+    multinomial,
 )
 
 MAX_PAIRS = 60_000
@@ -210,3 +214,31 @@ def test_two_cell_close_meets_every_kind_of_window(binary_joint):
         for side in ("left", "right"):
             kinds |= _closes_every_partial_sum(_DegreeKernel(binary_joint, params, 12, side))
     assert kinds == {"0", "r", "empty"}
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorted), min_size=2, max_size=2),
+    st.integers(0, 60),
+)
+def test_stepped_binomials_are_the_multinomials_of_two_cell_boxes(boxes, total):
+    """Two-cell compositions come with the first cell consecutive and
+    increasing, so stepping C(total, c) from their first c gives each
+    composition's multinomial."""
+    comps = list(_compositions_in_boxes(boxes, total))
+    if comps:
+        got = list(_binomials(total, comps[0][0], comps[-1][0]))
+        assert got == [multinomial(total, c) for c in comps]
+
+
+@PROPERTY
+@given(binary_joints(), slacks, slacks, slacks, st.sampled_from(("left", "right")))
+def test_kernel_rows_weigh_each_composition_by_its_multinomial(case, eps1, eps2, lam, side):
+    joint, n = case
+    kernel = _DegreeKernel(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n, side)
+    for a, cells in enumerate(kernel._cells):
+        for count in range(n + 1):
+            assert kernel._row(a, count) == [
+                (kernel._pack(c), multinomial(count, c))
+                for c in _compositions_in_boxes(cells, count)
+            ]

@@ -725,6 +725,32 @@ def test_b2_tables_close_the_last_row_from_one_prefix_row_per_remainder(
     assert weighted == []
 
 
+def test_b2_tables_step_their_row_weights(monkeypatch, binary_joint):
+    # B2's rows have two cells: a listed row's weights are stepped from one
+    # math.comb, a prefix row is stepped from one, and `multinomial` only
+    # sizes the table's type classes
+    calls = {"comb": 0, "multinomial": 0}
+    comb, weigh = math.comb, typicality.multinomial
+
+    def counted_comb(*args):
+        calls["comb"] += 1
+        return comb(*args)
+
+    def counted_multinomial(*args):
+        calls["multinomial"] += 1
+        return weigh(*args)
+
+    monkeypatch.setattr(math, "comb", counted_comb)
+    monkeypatch.setattr(typicality, "multinomial", counted_multinomial)
+    n, types, rows = 600, 0, 0
+    for side in ("left", "right"):
+        kernel = typicality._DegreeKernel(binary_joint, default_params(n), n, side)
+        types += len(kernel.table())
+        rows += len(kernel._rows) + len(kernel._binomial_rows)
+    assert calls["multinomial"] == types
+    assert calls["comb"] <= 2 * types + rows
+
+
 def test_kernel_refused_over_the_cap_is_refused_again(monkeypatch, binary_joint):
     """Only a passed bound is recorded on the kernel."""
     monkeypatch.setattr(typicality, "KERNEL_STEP_CAP", 1000)
