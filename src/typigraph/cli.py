@@ -59,13 +59,12 @@ from .graph import (
 from .subgraphs import (
     EDGE_SCAN_CAP,
     SUBGRAPH_SCHEMA,
+    _spliced,
     build_aux_subgraph,
     build_exact_type_subgraph,
     export_subgraph,
     import_subgraph,
-    left_roster,
     measure_rates,
-    right_roster,
     verify_single_type,
 )
 from .deviation import bracket, simulate, suen_tail_bound
@@ -493,10 +492,12 @@ def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDis
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema == GRAPH_SCHEMA:
             g = import_graph(graph_path)
-            joint, left, right = g.spec.joint, g.left, g.right
+            joint = g.spec.joint
+            left, right = [x.symbols for x in g.left], [y.symbols for y in g.right]
         elif schema == SUBGRAPH_SCHEMA:
             sub = import_subgraph(graph_path)
-            joint, left, right = sub.joint, tuple(left_roster(sub)), tuple(right_roster(sub))
+            joint = sub.joint
+            left, right = list(_spliced(sub, "left")), list(_spliced(sub, "right"))
         else:
             raise ConfigError(f"{graph_path}: unrecognized schema {schema!r}")
     except ValueError as exc:
@@ -505,12 +506,7 @@ def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDis
     if not xids:
         return None
     dist = edge_distribution(
-        xids,
-        yids,
-        [x.symbols for x in left],
-        [y.symbols for y in right],
-        joint.row_alphabet,
-        joint.col_alphabet,
+        xids, yids, left, right, joint.row_alphabet, joint.col_alphabet
     )
     return replace(dist, distinct=True)  # _read_edge_csv refuses a repeated edge
 
@@ -601,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dist_n_params(p)
     p.add_argument("--kind", choices=("an", "gamma"), required=True)
     p.add_argument("--aux", help="cond_pmf JSON for --kind gamma")
-    p.add_argument("--cap", type=int, default=EDGE_SCAN_CAP, help="edge-scan cap")
+    p.add_argument("--cap", type=int, default=EDGE_SCAN_CAP, help="edge-export cap (edges)")
     p.add_argument("--out", help="subgraph header JSON")
     p.add_argument("--edges", help="edge CSV (left_rank,right_rank)")
     p.set_defaults(func=cmd_subgraph)

@@ -22,9 +22,10 @@ import json
 import math
 import re
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat, zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, lt, mul
 from typing import Iterator, Optional
 
@@ -445,8 +446,9 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
     looked up in a table of each roster's rank spellings, so a miss (out of
     range, negative, signed, zero-padded, space-padded or not an integer)
     makes the chunk not plain. Repeats cost one comparison per edge while
-    the packed keys i*n_right + j increase, as they do in an export, and
-    one set of all keys otherwise.
+    the packed keys i*n_right + j increase, as they do in an export.
+    Otherwise the right ids are counting-sorted by left id into one array of
+    their width, and each left id's run is checked with a set of its own.
     """
     left_ids = {str(k): k for k in range(n_left)}
     right_ids = left_ids if n_right == n_left else {str(k): k for k in range(n_right)}
@@ -484,8 +486,12 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
             if not chunk:
                 break
     if not increasing:
-        keys = list(map(add, map(mul, lefts, repeat(n_right)), rights))
-        if len(set(keys)) != len(keys):
+        starts = list(accumulate(map(Counter(lefts).get, range(n_left), repeat(0)), initial=0))
+        grouped, fill = array(rights.typecode, bytes(len(rights) * rights.itemsize)), starts[:-1]
+        for i, j in zip(lefts, rights):
+            grouped[fill[i]] = j
+            fill[i] += 1
+        if any(len(set(grouped[a:b])) != b - a for a, b in zip(starts, islice(starts, 1, None))):
             return None
     return lefts, rights
 

@@ -9,6 +9,9 @@ adjacent when in every u-run their joint type equals that run's rounded
 counts. Every left vertex then has the same degree (a product of per-block
 multinomials, by exchangeability), concentrated at H(Y|XU) of the rounded
 triple, and every right vertex at H(X|YU); the two roles are not symmetric.
+So a left vertex x's neighbours are the products of one arrangement of
+each (u-run, letter of x) class of positions with that class's target
+type; the edge export lists them so, per left vertex, and tests no pair.
 
 A `Subgraph` records which of the two families it belongs to in `kind`:
 
@@ -28,7 +31,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, partial
+from itertools import accumulate, islice, product
+from operator import lshift
 from typing import Iterator, Optional
 
 from .core import (
@@ -61,7 +66,6 @@ from .graph import (
 )
 from .typicality import (
     BigCount,
-    JointTypeIndex,
     Sequence,
     TypicalityParams,
     _box_rows,
@@ -160,18 +164,6 @@ class Subgraph:
             self.joint.col_alphabet,
             tuple(flat[i : i + ky] for i in range(0, len(flat), ky)),
         )
-
-    @cached_property
-    def edge_index(self) -> JointTypeIndex:
-        """Adjacency: in every u-run, the joint type of (x, y) equals that
-        block's target."""
-        kx, ky = self.joint.row_alphabet.size, self.joint.col_alphabet.size
-        blocks = [
-            (nu, [(c, c) for row in target for c in row])
-            for nu, target in zip(self.block_lengths, self.block_targets)
-            if nu
-        ]
-        return JointTypeIndex(kx, ky, blocks)
 
 
 def build_exact_type_subgraph(
@@ -410,29 +402,62 @@ def verify_single_type(sub: Subgraph) -> SingleTypeReport:
 
 def left_roster(sub: Subgraph) -> Iterator[Sequence]:
     """Materialize left vertices in lexicographic order."""
-    return _spliced(sub.joint.row_alphabet, sub.block_lengths, sub.left_block_types)
+    return map(partial(Sequence, sub.joint.row_alphabet), _spliced(sub, "left"))
 
 
 def right_roster(sub: Subgraph) -> Iterator[Sequence]:
-    return _spliced(sub.joint.col_alphabet, sub.block_lengths, sub.right_block_types)
+    return map(partial(Sequence, sub.joint.col_alphabet), _spliced(sub, "right"))
 
 
-def _spliced(alphabet: Alphabet, block_lengths, block_types) -> Iterator[Sequence]:
-    """Sequences with the given type in every u-run, in lexicographic
-    order: one box walk with a (c, c) box per count. The runs of u_seq lie
-    in u order, so block u is the u-th run of consecutive positions."""
-    blocks = [(nu, [(c, c) for c in t]) for nu, t in zip(block_lengths, block_types)]
-    for row in _box_rows(alphabet.size, blocks):
-        yield Sequence(alphabet, row)
+def _spliced(sub: Subgraph, side: str) -> Iterator[tuple[int, ...]]:
+    """Symbol rows of the "left" or "right" roster: the rows with that
+    side's type in every u-run, in lexicographic order, from one box walk
+    with a (c, c) box per count. The runs of u_seq lie in u order, so block
+    u is the u-th run of consecutive positions."""
+    if side == "left":
+        k, types = sub.joint.row_alphabet.size, sub.left_block_types
+    else:
+        k, types = sub.joint.col_alphabet.size, sub.right_block_types
+    return _box_rows(k, [(nu, [(c, c) for c in t]) for nu, t in zip(sub.block_lengths, types)])
+
+
+def _neighbour_rows(sub: Subgraph, left, right) -> Iterator[list[int]]:
+    """For each row x of `left`, the ascending ranks in `right` (the right
+    roster's rows, in order) of x's neighbours: the y whose restriction to
+    the positions where x = a in u-run u has the type block_targets[u][a].
+
+    So x's neighbours are the product of one arrangement of that type per
+    (u-run, letter of x) class, listed by `_box_rows` with a (c, c) box per
+    count, once per type. A row reads as an int with one fixed-width digit
+    per position, most significant first, so a neighbour's int is the sum
+    of its classes' arrangement ints, and its rank is looked up among the
+    right rows' ints. The work is O(n) per edge; no pair is tested.
+    """
+    n, ky = sub.n, sub.joint.col_alphabet.size
+    shifts = [max(1, (ky - 1).bit_length()) * (n - 1 - t) for t in range(n)]
+    rank = {sum(map(lshift, y, shifts)): j for j, y in enumerate(right)}
+    arrangements = cache(lambda t: list(_box_rows(ky, [(sum(t), [(c, c) for c in t])])))
+    ends = list(accumulate(sub.block_lengths, initial=0))
+    runs = list(zip(map(range, ends, ends[1:]), sub.block_targets))
+    for x in left:
+        factors = []
+        for positions, target in runs:
+            classes = [[] for _ in target]
+            for t in positions:
+                classes[x[t]].append(shifts[t])
+            for place, counts in zip(classes, target):
+                factors.append([sum(map(lshift, r, place)) for r in arrangements(counts)])
+        yield sorted(map(rank.__getitem__, map(sum, product(*factors))))
 
 
 def is_edge(sub: Subgraph, x: Sequence, y: Sequence) -> bool:
-    """Exact adjacency predicate.
+    """Exact adjacency predicate: in every u-run, the joint counts of
+    (x, y) equal that run's target.
 
     ValueError when x or y has a blocklength other than sub.n, or an
     alphabet other than the joint's alphabet on its side (compared by
-    identity, then by equality): either would be packed into bitmasks of
-    another shape and tested silently.
+    identity, then by equality): either would be counted against targets
+    of another shape and tested silently.
     """
     rows, cols = sub.joint.row_alphabet, sub.joint.col_alphabet
     if not (
@@ -448,7 +473,14 @@ def is_edge(sub: Subgraph, x: Sequence, y: Sequence) -> bool:
                     f"a {side} sequence's alphabet {list(s.alphabet.symbols)} is not "
                     f"the joint's {side} alphabet {list(alphabet.symbols)}"
                 )
-    return sub.edge_index.count([x.symbols], [y.symbols]) == 1
+    pairs = zip(x.symbols, y.symbols)
+    for nu, target in zip(sub.block_lengths, sub.block_targets):
+        counts = [[0] * cols.size for _ in target]
+        for a, b in islice(pairs, nu):
+            counts[a][b] += 1
+        if tuple(map(tuple, counts)) != target:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +663,7 @@ def load_decomposition(doc, joint: JointPmf) -> MarkovDecomposition:
 # ---------------------------------------------------------------------------
 
 SUBGRAPH_SCHEMA = "typigraph.subgraph/1"
-EDGE_SCAN_CAP = 1 << 22  # candidate pairs an edge export may scan, by default
+EDGE_SCAN_CAP = 1 << 22  # edges an edge export may write, by default
 _COUNTS = ("left_size", "right_size", "left_degree", "right_degree")
 
 
@@ -643,17 +675,16 @@ def export_subgraph(
 ) -> None:
     """JSON header with exact provenance; optional edge CSV of roster ranks.
 
-    The edge scan over left_size * right_size pairs is refused with
-    CapExceeded over edge_cap, before any file is written. An edge CSV
-    whose row count is not left_size * left_degree raises
+    The edges are listed per left vertex by `_neighbour_rows`, so the work
+    follows the edge count E = left_size * left_degree. An export of more
+    than edge_cap edges is refused with CapExceeded before any file is
+    written; since E is at least left_size and right_size, the cap bounds
+    both rosters too. An edge CSV whose row count is not E raises
     InvariantViolation.
     """
-    if edges_csv_path is not None:
-        total = sub.left_size.value * sub.right_size.value
-        if total > edge_cap:
-            raise CapExceeded(
-                f"edge scan over {total} candidate pairs exceeds cap {edge_cap}"
-            )
+    edges = sub.left_size.value * sub.left_degree.value
+    if edges_csv_path is not None and edges > edge_cap:
+        raise CapExceeded(f"edge export of {edges} edges exceeds cap {edge_cap}")
     if sub.kind == "single_type":
         extra = {"rounded_joint": joint_to_dict(sub.rounded_joint())}
     else:
@@ -691,10 +722,8 @@ def export_subgraph(
         fh.write("\n")
     if edges_csv_path is None:
         return
-    left = [x.symbols for x in left_roster(sub)]
-    right = [y.symbols for y in right_roster(sub)]
-    rows = sub.edge_index.scan(left, right)
-    _write_rank_csv(edges_csv_path, rows, sub.left_size.value * sub.left_degree.value)
+    rows = _neighbour_rows(sub, _spliced(sub, "left"), list(_spliced(sub, "right")))
+    _write_rank_csv(edges_csv_path, rows, edges)
 
 
 def import_subgraph(json_path: str) -> Subgraph:

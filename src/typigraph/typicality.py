@@ -62,6 +62,7 @@ from .core import (
     CondPmf,
     JointPmf,
     Pmf,
+    entropy_continuity_bound,
     record,
 )
 
@@ -949,16 +950,15 @@ class JointTypeIndex:
     A sequence is packed once into one position bitmask per symbol but the
     last (position t is bit n-1-t), so the joint count N(a, b) of two
     aligned sequences is the popcount of xmask[a] & ymask[b], and into one
-    int type key that spells its counts of those symbols in every block.
+    int type key that spells its counts of those symbols.
 
-    The positions are split into consecutive blocks: one block of all n
-    positions for the joint ball, one per u-run for conditional types. A
-    block admits the |X| x |Y| count matrices whose every cell lies inside
-    its (lo, hi) box. Once both marginals of a block are known, the free
-    cells N(a, b) with a < |X|-1 and b < |Y|-1 fix the rest of the matrix,
-    so the boxes cut bounds on the free cells, their row sums, their column
-    sums and their total (`_free_bounds`) that a pair meets exactly when its
-    matrix is admissible. These are filed the first time a (row type,
+    The index admits the |X| x |Y| count matrices whose every cell lies
+    inside its (lo, hi) box: the joint ball's boxes, or (c, c) for one
+    exact joint type. Once both marginals are known, the free cells
+    N(a, b) with a < |X|-1 and b < |Y|-1 fix the rest of the matrix, so
+    the boxes cut bounds on the free cells, their row sums, their column
+    sums and their total (`_free_bounds`) that a pair meets exactly when
+    its matrix is admissible. These are filed the first time a (row type,
     column type) pair is asked about, in a dict keyed by the row type key
     holding one dict of entries keyed by the column type key, so memory
     grows with the pairs of types seen and no ball or set of matrices is
@@ -970,18 +970,12 @@ class JointTypeIndex:
     not skipped, and its pairs fail one by one.
     """
 
-    def __init__(self, kx: int, ky: int, blocks):
-        """blocks: (length, flat per-cell (lo, hi) count boxes) pairs, in
-        position order."""
-        self.kx, self.ky = kx, ky
-        self._bare = (kx - 1) * (ky - 1) == 1
-        self._one_probe = self._bare and len(blocks) == 1  # binary, one block
-        self._blocks = list(blocks)
-        n = sum(length for length, _ in blocks)
-        self._bits = []
-        for length, _ in blocks:
-            n -= length
-            self._bits.append(((1 << length) - 1) << n)
+    def __init__(self, kx: int, ky: int, n: int, boxes):
+        """boxes: flat, row-major per-cell (lo, hi) count boxes of the
+        |X| x |Y| count matrix of two length-n sequences."""
+        self.kx, self.ky, self.n = kx, ky, n
+        self._boxes = list(boxes)
+        self._binary = (kx - 1) * (ky - 1) == 1
         # x type key -> {y type key -> entry}, both levels filled on lookup
         self._filed = _Filled(lambda xkey: _Filled(partial(self._file, xkey)))
         self._tables = {
@@ -990,19 +984,18 @@ class JointTypeIndex:
 
     @classmethod
     def ball(cls, joint: JointPmf, lam, n: int) -> "JointTypeIndex":
-        """The joint lam-ball (support included) at blocklength n: one block
-        of the ball's per-cell boxes, so building it lists nothing."""
+        """The joint lam-ball (support included) at blocklength n, built
+        from the ball's per-cell boxes, so building it lists nothing."""
         boxes = _ball_boxes(joint.flat(), n, Fraction(lam))
-        return cls(joint.row_alphabet.size, joint.col_alphabet.size, [(n, boxes)])
+        return cls(joint.row_alphabet.size, joint.col_alphabet.size, n, boxes)
 
     def _pack(self, seqs, k: int) -> list:
         """(type key, masks) of each sequence in seqs, over k symbols. The
-        key spells the block counts of every symbol but the last, block by
-        block, in base (block length + 1). The masks are one int on binary
-        alphabets with one block, one int per block on binary alphabets,
-        and one tuple of per-symbol masks per block otherwise."""
+        key spells the counts of every symbol but the last in base n + 1.
+        The masks are one int on binary alphabets and a tuple of per-symbol
+        masks otherwise."""
         tables = self._tables.get(k)
-        if self._one_probe:  # binary, one block: the key is the count of symbol 0
+        if self._binary:  # the key is the count of symbol 0
             (digits,) = tables
             masks = [int(bytes(s).translate(digits), 2) for s in seqs]
             return [(m.bit_count(), m) for m in masks]
@@ -1017,49 +1010,30 @@ class JointTypeIndex:
             else:
                 raw = bytes(symbols)
                 masks = [int(raw.translate(table), 2) for table in tables]
-            if self._bare:
-                block = tuple(map(masks[0].__and__, self._bits))
-                counts = [[m.bit_count()] for m in block]
-            else:
-                block = [tuple([m & p for m in masks]) for p in self._bits]
-                counts = [list(map(int.bit_count, b)) for b in block]
             key = 0
-            for (length, _), cs in zip(self._blocks, counts):
-                for c in cs:
-                    key = key * (length + 1) + c
-            packed.append((key, block))
+            for m in masks:
+                key = key * (self.n + 1) + m.bit_count()
+            packed.append((key, tuple(masks)))
         return packed
 
-    def _types(self, key: int, k: int) -> list[list[int]]:
-        """The full per-block count vectors over k symbols that key spells."""
-        types = []
-        for length, _ in reversed(self._blocks):
-            counts = []
-            for _ in range(k - 1):
-                key, c = divmod(key, length + 1)
-                counts.append(c)
-            counts.reverse()
-            types.append(counts + [length - sum(counts)])
-        return types[::-1]
+    def _types(self, key: int, k: int) -> list[int]:
+        """The full count vector over k symbols that key spells."""
+        counts = []
+        for _ in range(k - 1):
+            key, c = divmod(key, self.n + 1)
+            counts.append(c)
+        counts.reverse()
+        return counts + [self.n - sum(counts)]
 
     def _file(self, xkey: int, ykey: int):
-        """The entry of a pair of type keys: per block, the bounds that
-        `_free_bounds` cuts from its boxes, or on binary alphabets the one
-        interval they leave, as a frozenset (that set itself on one binary
-        block); empty when some block admits none."""
-        cells = []
-        for (_, boxes), rows, cols in zip(
-            self._blocks, self._types(xkey, self.kx), self._types(ykey, self.ky)
-        ):
-            bounds = _free_bounds(boxes, rows, cols)
-            if self._bare:
-                lo, hi = max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
-                cells.append(frozenset(range(lo, hi + 1)))
-            else:
-                cells.append(bounds if all(lo <= hi for lo, hi in bounds) else ())
-        if self._one_probe:
-            return cells[0]
-        return tuple(cells) if all(cells) else ()
+        """The entry of a pair of type keys: the bounds that `_free_bounds`
+        cuts from the boxes, empty when one of them admits nothing, or on
+        binary alphabets the one interval they leave, as a frozenset."""
+        bounds = _free_bounds(self._boxes, self._types(xkey, self.kx), self._types(ykey, self.ky))
+        if self._binary:
+            lo, hi = max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
+            return frozenset(range(lo, hi + 1))
+        return bounds if all(lo <= hi for lo, hi in bounds) else ()
 
     def scan(self, xs, ys) -> Iterator[list[int]]:
         """For each x in xs, the ascending indices of the ys that form an
@@ -1073,8 +1047,6 @@ class JointTypeIndex:
         for j, (key, _) in enumerate(packed):
             groups[key].append(j)
         ymasks = [masks for _, masks in packed]
-        if not self._one_probe:
-            ymasks = list(zip(*ymasks))  # per block
         for xkey, xmasks in self._pack(xs, self.kx):
             row = self._filed[xkey]
             hits: list[int] = []
@@ -1082,15 +1054,10 @@ class JointTypeIndex:
                 entry = row[ykey]
                 if not entry:
                     continue
-                if self._one_probe:
+                if self._binary:
                     hits += [j for j in ids if (xmasks & ymasks[j]).bit_count() in entry]
-                    continue
-                for xf, yf, cells in zip(xmasks, ymasks, entry):
-                    if self._bare:
-                        ids = [j for j in ids if (xf & yf[j]).bit_count() in cells]
-                    else:
-                        ids = [j for j in ids if _inside(cells, xf, yf[j])]
-                hits += ids
+                else:
+                    hits += [j for j in ids if _inside(entry, xmasks, ymasks[j])]
             hits.sort()
             yield hits
 
@@ -1101,7 +1068,7 @@ class JointTypeIndex:
         packed = self._pack(ys, self.ky)
         filed = self._filed
         u = 0
-        if self._one_probe:
+        if self._binary:
             for xkey, xmask in self._pack(xs, self.kx):
                 row = filed[xkey]
                 for ykey, ymask in packed:
@@ -1111,16 +1078,7 @@ class JointTypeIndex:
             row = filed[xkey]
             for ykey, ymasks in packed:
                 entry = row[ykey]
-                if not entry:
-                    continue
-                for xf, yf, cells in zip(xmasks, ymasks, entry):
-                    if self._bare:
-                        if (xf & yf).bit_count() not in cells:
-                            break
-                    elif not _inside(cells, xf, yf):
-                        break
-                else:
-                    u += 1
+                u += bool(entry) and _inside(entry, xmasks, ymasks)
         return u
 
 
@@ -1174,7 +1132,5 @@ def typical_set_rate_envelope(p: Pmf, n: int, delta) -> float:
 
     Valid when the continuity precondition |supp|*delta <= 1/2 holds.
     """
-    from .core import entropy_continuity_bound
-
     k = p.alphabet.size
     return entropy_continuity_bound(Fraction(delta) * k, k) + k * math.log2(n + 1) / n

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,46 @@ def test_subgraph_edge_cap_exit_3(joint_file, tmp_path, capsys):
     assert "exceeds cap 10" in err
     assert "Traceback" not in err and "--mode" not in err
     assert not out.exists() and not edges.exists()
+
+
+def test_subgraph_edges_b2_n14(joint_file, tmp_path):
+    """168,168 edges, listed per left vertex: the 3432 x 3432 = 11,778,624
+    candidate pairs are over the default cap, the edges are not."""
+    out, edges = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(
+        ["subgraph", "--dist", joint_file, "--n", "14", "--kind", "an",
+         "--out", str(out), "--edges", str(edges)]
+    ) == 0
+    with open(edges, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 168_168
+    assert Counter(int(i) for i, _ in rows) == dict.fromkeys(range(3432), 49)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_subgraph_edges_and_rank_wring_build_no_sequence_per_row(
+    joint_file, tmp_path, capsys, monkeypatch, n
+):
+    """The subgraph rosters are kept as symbol rows: an edge export and a
+    rank-CSV wring build the u-sequence and nothing per roster row, at 70
+    rows a side (n=8) as at 924 (n=12)."""
+    calls = []
+    init = typigraph.typicality.Sequence.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        init(self)
+
+    monkeypatch.setattr(typigraph.typicality.Sequence, "__post_init__", counted)
+    out, edges = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(
+        ["subgraph", "--dist", joint_file, "--n", str(n), "--kind", "an",
+         "--out", str(out), "--edges", str(edges)]
+    ) == 0
+    assert len(calls) == 1
+    assert main(["wring", "--edges", str(edges), "--graph", str(out), "--delta", "0.05"]) == 0
+    assert len(calls) == 2
+    assert "wring:" in capsys.readouterr().out
 
 
 def test_subgraph_gamma_requires_aux(joint_file, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -386,6 +388,34 @@ def test_edge_readers_return_the_narrowest_unsigned_ids(tmp_path, size, code, sp
     assert got == [pairs, pairs]
     bulk = typigraph.graph._bulk_edge_columns(str(path), size, size)
     assert (bulk is None) is (spelling == "non-canonical")
+
+
+def test_shuffled_rank_csv_is_checked_for_repeats_in_small_memory(tmp_path):
+    """A rank CSV of 150,000 distinct edges in shuffled order is read in bulk
+    and checked for repeated edges under 32 bytes of traced memory per
+    edge: six for the two-byte id columns and one two-byte copy of the
+    right ids grouped by left id, the rest room for the per-chunk
+    temporaries, about 3.5 MB at any size. A list and a set of every packed
+    key (94 bytes per edge in all) go past it."""
+    sizes, edges = (1000, 900), 150_000
+    rng = random.Random(1)
+    keys = rng.sample(range(sizes[0] * sizes[1]), edges)
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "left_rank,right_rank\n" + "".join(f"{k // sizes[1]},{k % sizes[1]}\n" for k in keys)
+    )
+    tracemalloc.start()
+    try:
+        lefts, rights = typigraph.graph._read_edge_csv(str(path), *sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(lefts) == [k // sizes[1] for k in keys]
+    assert list(rights) == [k % sizes[1] for k in keys]
+    assert peak < 32 * edges, f"{peak / edges:.1f} bytes per edge"
+    with open(path, "a") as fh:  # one edge twice: not plain, so the row reader names it
+        fh.write(f"{keys[7] // sizes[1]},{keys[7] % sizes[1]}\n")
+    assert typigraph.graph._bulk_edge_columns(str(path), *sizes) is None
 
 
 def non_edge(g):

@@ -255,4 +255,3 @@ def test_post_init_is_looked_up_per_call(monkeypatch):
 def test_cached_properties_on_records(samples):
     dist, sub = samples["EdgeDistribution"], samples["Subgraph"]
     assert dist.per_letter is dist.per_letter
-    assert sub.edge_index is sub.edge_index

@@ -158,89 +158,68 @@ def _csv_edges(sub):
     return [(int(i), int(j)) for i, j in rows[1:]]
 
 
-def _index_case(kx, ky, weights, spans, xs, ys):
-    """(joint, blocks, the lam of a one-block ball or None, xs, ys). Per
-    (length, lam, x, y) span, a block holds the joint's lam-ball at its
-    length, as the joint ball does, or for lam None the exact joint type of
-    x, y in its positions, as a subgraph's u-runs do."""
+def _index_case(kx, ky, weights, lam, x, y, xs, ys):
+    """(joint, boxes, lam, xs, ys): the boxes of the joint's lam-ball at the
+    codewords' length, as the joint ball has, or for lam None the (c, c)
+    boxes of the exact joint type of x, y."""
     flat = [Fraction(w, sum(weights)) for w in weights]
     joint = JointPmf(
         Alphabet(tuple(range(kx))),
         Alphabet(tuple(range(ky))),
         tuple(tuple(flat[a * ky : (a + 1) * ky]) for a in range(kx)),
     )
-    blocks, start = [], 0
-    for length, lam, x, y in spans:
-        if lam is None:
-            pairs = [a * ky + b for a, b in zip(x[start : start + length], y[start : start + length])]
-            blocks.append((length, [(c, c) for c in oracles.counts_of(pairs, kx * ky)]))
-        else:
-            blocks.append((length, typicality._ball_boxes(flat, length, lam)))
-        start += length
-    return joint, blocks, spans[0][1] if len(spans) == 1 else None, xs, ys
+    if lam is None:
+        pairs = [a * ky + b for a, b in zip(x, y)]
+        boxes = [(c, c) for c in oracles.counts_of(pairs, kx * ky)]
+    else:
+        boxes = typicality._ball_boxes(flat, len(x), lam)
+    return joint, boxes, lam, xs, ys
 
 
 @st.composite
-def indexed_blocks(draw):
-    """An `_index_case` on a joint up to 4x4 (zero cells included) with one
-    to three blocks, and up to 6 row and 8 column codewords."""
+def indexed_boxes(draw):
+    """An `_index_case` on a joint up to 4x4 (zero cells included), a ball
+    or an exact joint type, and up to 6 row and 8 column codewords."""
     # (2, 2) twice: binary joints take the index's one-int paths
     shapes = [(2, 2), (1, 1), (1, 3), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (2, 2), (3, 4)]
     kx, ky = draw(st.sampled_from(shapes))
     weights = draw(st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any))
-    longest = 5 if kx * ky <= 9 else 4
-    ball = draw(st.booleans())  # the joint ball: one block
-    if ball:
-        lengths = [draw(st.integers(1, longest + 1))]
-    else:
-        lengths = draw(st.lists(st.integers(1, longest), min_size=1, max_size=3))
-    n = sum(lengths)
+    n = draw(st.integers(1, 6 if kx * ky <= 9 else 5))
     words = [st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple) for k in (kx, ky)]
     xs = draw(st.lists(words[0], min_size=1, max_size=6))
     ys = draw(st.lists(words[1], min_size=1, max_size=6))
     ys += [tuple(a % ky for a in x) for x in xs[: draw(st.integers(0, 2))]]  # closer pairs
-    spans = [
-        (
-            length,
-            draw(slacks if ball else st.one_of(st.none(), slacks)),
-            draw(st.sampled_from(xs)),
-            draw(st.sampled_from(ys)),
-        )
-        for length in lengths
-    ]
-    return _index_case(kx, ky, weights, spans, xs, ys)
+    lam = draw(st.one_of(st.none(), slacks))
+    return _index_case(kx, ky, weights, lam, draw(st.sampled_from(xs)), draw(st.sampled_from(ys)), xs, ys)
 
 
 X4, Y4 = [(0, 1, 2, 3, 3, 0), (3, 2, 1, 0, 1, 1)], [(0, 1, 2, 3, 0, 3), (0, 1, 3, 3, 3, 0)]
-X2, Y2 = [(0, 1, 1, 0, 1, 0, 0), (1, 0, 0, 1, 1, 0, 0)], [(0, 1, 0, 1, 1, 0, 1), (1, 0, 1, 0, 1, 0, 0)]
 
 
 @PROPERTY
-@given(indexed_blocks())
-@example(_index_case(  # 4 x 4 with a zero cell: a ball block, then an exact one
-    4, 4, [3, 1, 0, 1, 1, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 3],
-    [(3, Fraction(1, 3), X4[0], Y4[0]), (3, None, X4[0], Y4[0])], X4, Y4,
+@given(indexed_boxes())
+@example(_index_case(  # 4 x 4 with a zero cell, the ball
+    4, 4, [3, 1, 0, 1, 1, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 3], Fraction(1, 3), X4[0], Y4[0], X4, Y4,
 ))
-@example(_index_case(  # binary, three exact runs, as in a subgraph
-    2, 2, [2, 1, 1, 2], [(2, None, X2[0], Y2[0]), (3, None, X2[1], Y2[0]), (2, None, X2[0], Y2[1])],
-    X2, Y2,
+@example(_index_case(  # the same, one exact joint type
+    4, 4, [3, 1, 0, 1, 1, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 3], None, X4[0], Y4[0], X4, Y4,
 ))
 def test_joint_type_index_matches_the_listed_ball(case):
     """scan and count, which file the admissible cells per pair of types on
     first use, against the ball listed up front; a second question to the
     same index reads what the first one filed."""
-    joint, blocks, lam, xs, ys = case
-    kx, ky = joint.row_alphabet.size, joint.col_alphabet.size
-    admits = oracles.listed_ball(kx, ky, blocks)
+    joint, boxes, lam, xs, ys = case
+    kx, ky, n = joint.row_alphabet.size, joint.col_alphabet.size, len(xs[0])
+    admits = oracles.listed_ball(kx, ky, [(n, boxes)])
     want = [[j for j, y in enumerate(ys) if admits(x, y)] for x in xs]
-    indexes = [JointTypeIndex(kx, ky, blocks)]
+    indexes = [JointTypeIndex(kx, ky, n, boxes)]
     if lam is not None:
-        indexes.append(JointTypeIndex.ball(joint, lam, len(xs[0])))
+        indexes.append(JointTypeIndex.ball(joint, lam, n))
     for index in indexes:
         assert list(index.scan(xs, ys)) == want
         assert index.count(xs, ys) == sum(map(len, want))
         assert sum(map(len, index._filed.values())) <= len(set(xs)) * len(set(ys))
-    assert JointTypeIndex(kx, ky, blocks).count(xs, ys) == sum(map(len, want))
+    assert JointTypeIndex(kx, ky, n, boxes).count(xs, ys) == sum(map(len, want))
 
 
 @PROPERTY

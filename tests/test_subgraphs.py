@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from typigraph import subgraphs
 from typigraph.core import (
     Alphabet,
     CapExceeded,
@@ -402,23 +403,65 @@ def test_subgraph_export_tamper_detected(binary_joint, tmp_path):
 def test_export_counts_written_edges(binary_joint, monkeypatch, tmp_path):
     """An edge CSV whose rows are not left_size * left_degree is refused."""
     an = build_exact_type_subgraph(binary_joint, 8)
-    real = JointTypeIndex.scan
+    real = subgraphs._neighbour_rows
 
-    def drop_first_edge(self, xs, ys):
-        rows = real(self, xs, ys)
+    def drop_first_edge(sub, left, right):
+        rows = real(sub, left, right)
         yield next(rows)[1:]
         yield from rows
 
-    monkeypatch.setattr(JointTypeIndex, "scan", drop_first_edge)
+    monkeypatch.setattr(subgraphs, "_neighbour_rows", drop_first_edge)
     with pytest.raises(InvariantViolation, match="1119 edges written.*1120"):
         export_subgraph(an, str(tmp_path / "a.json"), str(tmp_path / "a.csv"))
 
 
 def test_export_edge_cap(binary_joint, tmp_path):
-    an = build_exact_type_subgraph(binary_joint, 12)  # 924 x 924 pairs
+    an = build_exact_type_subgraph(binary_joint, 12)  # 924 x 36 edges
     with pytest.raises(CapExceeded, match="cap"):
         export_subgraph(
             an, str(tmp_path / "a.json"), str(tmp_path / "a.csv"), edge_cap=1000
         )
     assert not (tmp_path / "a.json").exists()  # refused before the header
     assert not (tmp_path / "a.csv").exists()
+
+
+def test_export_edge_cap_counts_edges(binary_joint, copy_channel, tmp_path):
+    """The cap is on the edge count |L| * deg, not on the |L| * |R|
+    candidate pairs: a cap of exactly the edge count exports, one less is
+    refused before any file is written."""
+    jpath, cpath = tmp_path / "a.json", tmp_path / "a.csv"
+    an = build_exact_type_subgraph(binary_joint, 12)
+    assert an.left_size.value * an.left_degree.value < an.left_size.value * an.right_size.value
+    for sub in (an, build_aux_subgraph(binary_joint, copy_channel, 10)):
+        edges = sub.left_size.value * sub.left_degree.value
+        with pytest.raises(CapExceeded, match=f"{edges} edges exceeds cap {edges - 1}"):
+            export_subgraph(sub, str(jpath), str(cpath), edge_cap=edges - 1)
+        assert not jpath.exists() and not cpath.exists()
+        export_subgraph(sub, str(jpath), str(cpath), edge_cap=edges)
+        assert len(cpath.read_text().splitlines()) == edges + 1
+        jpath.unlink()
+        cpath.unlink()
+
+
+def test_edge_export_and_is_edge_build_no_pair_index(binary_joint, copy_channel, monkeypatch, tmp_path):
+    """Subgraph edges come from their definition: the export lists each left
+    vertex's neighbours and is_edge compares per-run joint counts, so
+    neither packs sequences into a JointTypeIndex."""
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("a JointTypeIndex was built")
+
+    monkeypatch.setattr(JointTypeIndex, "__init__", no_index)
+    for sub in (
+        build_exact_type_subgraph(binary_joint, 8),
+        build_aux_subgraph(binary_joint, copy_channel, 8),
+    ):
+        cpath = tmp_path / "a.csv"
+        export_subgraph(sub, str(tmp_path / "a.json"), str(cpath))
+        with open(cpath, newline="") as fh:
+            first = {int(j) for i, j in list(csv.reader(fh))[1:] if i == "0"}
+        x = next(left_roster(sub))
+        assert len(first) == sub.left_degree.value
+        assert [is_edge(sub, x, y) for y in right_roster(sub)] == [
+            j in first for j in range(sub.right_size.value)
+        ]

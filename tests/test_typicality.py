@@ -788,7 +788,7 @@ def test_joint_type_index_files_each_type_apart():
                 cells[rng.randrange(k * k)] += 1
             draws.append(tuple(cells))
         for target in draws[:12]:
-            index = JointTypeIndex(k, k, [(n, [(c, c) for c in target])])
+            index = JointTypeIndex(k, k, n, [(c, c) for c in target])
             for other in draws:
                 pairs = [divmod(c, k) for c in range(k * k) for _ in range(other[c])]
                 rng.shuffle(pairs)
@@ -802,7 +802,7 @@ def test_joint_type_index_symbols_past_one_byte():
     target = [0] * 600
     target[299 * 2 + 1] = 2  # (299, 1) twice
     target[257 * 2 + 0] = 1  # (257, 0) once
-    index = JointTypeIndex(300, 2, [(3, [(c, c) for c in target])])
+    index = JointTypeIndex(300, 2, 3, [(c, c) for c in target])
     assert index.count([(299, 257, 299)], [(1, 0, 1)]) == 1
     assert index.count([(299, 257, 299)], [(1, 1, 0)]) == 0
     assert index.count([(299, 256, 299)], [(1, 0, 1)]) == 0
