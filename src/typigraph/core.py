@@ -19,7 +19,8 @@ import json
 import math
 from array import array
 from fractions import Fraction
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Iterable, Sequence as _Seq
 
 
@@ -291,6 +292,13 @@ class CondPmf:
 # ---------------------------------------------------------------------------
 
 
+def float_sum(xs) -> float:
+    """The floats xs added left to right from 0.0, as `sum` adds them before
+    Python 3.12, which made `sum` compensate for rounding: so every
+    version gives the same bits."""
+    return reduce(add, xs, 0.0)
+
+
 def _plog2p(p: Fraction) -> float:
     if p == 0:
         return 0.0
@@ -299,11 +307,11 @@ def _plog2p(p: Fraction) -> float:
 
 def entropy(p: Pmf) -> float:
     """Shannon entropy in bits."""
-    return -sum(_plog2p(q) for q in p.probs)
+    return -float_sum(map(_plog2p, p.probs))
 
 
 def joint_entropy(p: JointPmf) -> float:
-    return -sum(_plog2p(q) for q in p.flat())
+    return -float_sum(map(_plog2p, p.flat()))
 
 
 def conditional_entropy(p: JointPmf, given: str = "row") -> float:

@@ -12,22 +12,29 @@ entropic values are floats in bits. Every tool takes one form of the edge
 multiset, an `EdgeDistribution`: two id columns that name each edge's
 endpoints, each side's distinct symbol rows indexed by id, and one byte
 column of letter-pair codes per position. Per-letter counts are
-`bytes.count` calls, and conditioning filters every column with
-`itertools.compress`. `edge_distribution` builds it from ids and rows (a
-rank CSV gives both, with the rosters' ranks as ids, and their arrays are
-adopted as they are read); `fano_distribution` builds it from aligned
-`Sequence` pairs.
+`bytes.count` calls, and conditioning filters the columns in bulk.
+`edge_distribution` builds it from ids and rows (a rank CSV gives both,
+with the rosters' ranks as ids, and their arrays are adopted as they are
+read); `fano_distribution` builds it from aligned `Sequence` pairs.
+
+Left ids that never decrease, as an export's rank CSV lists them, are
+worked once per run of one id rather than once per edge: the column build
+joins one repeated row per run, block MI reads the left degrees off the
+run lengths, and `wring` keeps the left ids as run lengths while it
+conditions. The runs are found where they are needed (`_runs`), and any
+other left column is worked edge by edge, to the same columns and floats.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, compress, repeat
-from operator import add, floordiv, itemgetter, mod, mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import Optional
 
 from .core import Alphabet, InvariantViolation, JointPmf, id_typecode, record, replace
@@ -48,7 +55,9 @@ class EdgeDistribution:
     edge by edge, the code a*|Y| + b of the letter pair (a, b) at position
     t: one byte per edge while |X||Y| <= 256, a tuple of ints beyond that.
     So an edge costs the two id widths plus n column bytes: 14 bytes at
-    n = 10 with two "H" columns. distinct is set only
+    n = 10 with two "H" columns. The left ids may come in runs of one id
+    (`_runs`), as a rank CSV's do; that is found by the tools that use it,
+    not kept on the record. distinct is set only
     where it was proved that no (xid, yid) pair repeats, as the reader of a
     rank CSV proves it; conditioning keeps it, since a subset of a distinct
     edge set is distinct. The exact per-letter laws are derived on first use.
@@ -130,6 +139,48 @@ def _joined(enc: list, ids) -> int:
         raise ValueError(f"ids must lie in [0, {len(enc)})") from None
 
 
+def _runs(ids, size: int) -> Optional[list]:
+    """Where each id's run starts, when the ids never decrease, as an
+    export's left ranks do: id i fills ids[starts[i]:starts[i + 1]], and
+    starts[size] is len(ids). None when some id decreases or lies past
+    [0, size).
+
+    Each start is one `bisect_left`, and bisection keeps the starts in
+    order whatever the column holds. Each run is then compared, as an
+    array of its own, to its first id repeated, one run at a time: so the
+    check holds no second column.
+    """
+    starts = [bisect_left(ids, i) for i in range(size + 1)]
+    if starts[0] or starts[-1] != len(ids):
+        return None
+    for i, (a, b) in enumerate(zip(starts, islice(starts, 1, None))):
+        if a < b and (ids[a] != i or ids[a:b] != ids[a : a + 1] * (b - a)):
+            return None
+    return starts
+
+
+def _repeated(typecode: str, counts: list) -> array:
+    """The id column of the given typecode in which id i fills a run of
+    counts[i]: one array repeat per run."""
+    ids = array(typecode)
+    for i, c in enumerate(counts):
+        if c:
+            ids.extend(array(typecode, (i,)) * c)
+    return ids
+
+
+def _run_joined(enc: list, ids, starts: list, lo: int, hi: int) -> int:
+    """`_joined(enc, ids[lo:hi])` for ids with runs `starts`: one repeat of
+    a row per run."""
+    return int.from_bytes(
+        b"".join(
+            enc[i] * (min(starts[i + 1], hi) - max(starts[i], lo))
+            for i in range(ids[lo], ids[hi - 1] + 1)
+        ),
+        "big",
+    )
+
+
 def edge_distribution(
     xids, yids, xrows, yrows, x_alphabet: Alphabet, y_alphabet: Alphabet
 ) -> EdgeDistribution:
@@ -143,7 +194,9 @@ def edge_distribution(
 
     Each row is encoded once as a row of digits (a*|Y| on the left, b on
     the right). For each slice of `_JOIN_SLICE` edges, the rows of the left
-    and of the right endpoints are joined into two byte strings whose sum,
+    and of the right endpoints are joined into two byte strings (the left
+    one as one repeated row per run when the left ids never decrease,
+    `_runs`; one row per edge otherwise) whose sum,
     as big integers, is every edge's row of pair codes: no digit carries.
     The sum is cut into one piece per position, and each column is the
     join of its pieces. So the big integers stay the size of one slice,
@@ -168,11 +221,17 @@ def edge_distribution(
         for rows, scale in ((xrows, ky), (yrows, 1))
     )
     stride = n * width
+    starts = _runs(xids, len(xrows))
     pieces: list = [[] for _ in range(n)]
     for k in range(0, len(xids), _JOIN_SLICE):
-        xs, ys = xids[k : k + _JOIN_SLICE], yids[k : k + _JOIN_SLICE]
-        size = len(xs) * stride
-        blob = (_joined(xenc, xs) + _joined(yenc, ys)).to_bytes(size, "big")
+        end = min(k + _JOIN_SLICE, len(xids))
+        left = (
+            _joined(xenc, xids[k:end])
+            if starts is None
+            else _run_joined(xenc, xids, starts, k, end)
+        )
+        size = (end - k) * stride
+        blob = (left + _joined(yenc, yids[k:end])).to_bytes(size, "big")
         for t, column in enumerate(pieces):
             column.append(
                 blob[t::n]
@@ -280,8 +339,11 @@ def block_mi(dist: EdgeDistribution) -> float:
     of its endpoints' counts, so equal inputs share one computed term. On
     a distinct edge set every c is 1 and the pairs come in edge order, so
     the pairs are not counted: each edge's term is looked up by the product
-    of its endpoints' degrees. Degrees are counted straight off the id
-    arrays, so no per-edge list of ints is built.
+    of its endpoints' degrees. The right degrees are counted off the right
+    id array. When the left ids never decrease (`_runs`), as in an export's
+    rank CSV, the left degrees are the run lengths, and each run's terms
+    are looked up in one table for its left degree, keyed by the right
+    degree; otherwise the left degrees are counted like the right ones.
     """
     total = len(dist)
     log2 = math.log2
@@ -290,18 +352,31 @@ def block_mi(dist: EdgeDistribution) -> float:
     def term(c: int, product: int) -> float:
         return (c / total) * log2(c * total / product)
 
-    x_counts, y_counts = Counter(dist.xids), Counter(dist.yids)
-    if dist.distinct:
+    xids, yids = dist.xids, dist.yids
+    starts = _runs(xids, len(dist.xrows))
+    if starts is None:
+        x_counts = Counter(xids)
         x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
+    else:
+        x_deg = list(map(sub, islice(starts, 1, None), starts))
+    y_counts = Counter(yids)
+    if dist.distinct:
         y_deg = list(map(y_counts.__getitem__, range(len(dist.yrows))))
-        products = map(mul, map(x_deg.__getitem__, dist.xids), map(y_deg.__getitem__, dist.yids))
-        terms = map(_Filled(partial(term, 1)).__getitem__, products)
+        if starts is None:
+            products = map(mul, map(x_deg.__getitem__, xids), map(y_deg.__getitem__, yids))
+            terms = map(_Filled(partial(term, 1)).__getitem__, products)
+        else:
+            tables = _Filled(lambda dx: _Filled(lambda dy: term(1, dx * dy)))
+            terms = chain.from_iterable(
+                map(tables[b - a].__getitem__, map(y_deg.__getitem__, yids[a:b]))
+                for a, b in zip(starts, islice(starts, 1, None))
+            )
     else:
         width = len(dist.yrows)
         pair_counts = Counter(_pair_keys(dist))
         products = map(
             mul,
-            map(x_counts.__getitem__, map(floordiv, pair_counts, repeat(width))),
+            map(x_deg.__getitem__, map(floordiv, pair_counts, repeat(width))),
             map(y_counts.__getitem__, map(mod, pair_counts, repeat(width))),
         )
         terms = map(term, pair_counts.values(), products)
@@ -453,6 +528,11 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
     multiset. Runs past 2*sigma/delta are cut off and flagged, never
     silently truncated. The survivors keep the id columns and rows of
     `dist`, restricted to the surviving edges.
+
+    Conditioning filters the right ids edge by edge. Left ids that never
+    decrease (`_runs`) are kept per run: each step counts each run's kept
+    edges in the keep mask, and the survivors' left ids are those counts'
+    repeats, so they still run. Other left ids are filtered edge by edge.
     """
     check_budget(delta, sigma)
     kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
@@ -462,6 +542,7 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
     hard_cap = dist.n * kx * ky
     step_cap = 2.0 * sigma / delta
     columns, xids, yids = dist.columns, dist.xids, dist.yids
+    starts = _runs(xids, len(dist.xrows))
     positions: list[int] = []
     values: list[tuple] = []
     steps: list[WringingStep] = []
@@ -483,7 +564,12 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         )
         a_star, b_star = best_ab[3], best_ab[4]
         keep, columns = _restrict(columns, t_star, a_star * ky + b_star, kx * ky)
-        xids = array(xids.typecode, compress(xids, keep))
+        if starts is None:
+            xids = array(xids.typecode, compress(xids, keep))
+        else:
+            counts = [keep[a:b].count(1) for a, b in zip(starts, islice(starts, 1, None))]
+            xids = _repeated(xids.typecode, counts)
+            starts = list(accumulate(counts, initial=0))
         yids = array(yids.typecode, compress(yids, keep))
         if not xids:
             # cannot happen for the argmax value; defensive, loud

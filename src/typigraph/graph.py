@@ -35,6 +35,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     conditionalize,
+    float_sum,
     id_typecode,
     joint_from_dict,
     joint_to_dict,
@@ -199,7 +200,7 @@ def _log_stats(degs):
     logs = [math.log2(d) for d in degs if d > 0]
     if not logs:
         return None, None, None
-    return min(logs), max(logs), sum(logs) / len(logs)
+    return min(logs), max(logs), float_sum(logs) / len(logs)
 
 
 def stats(g: TypicalityGraph) -> VertexStats:
@@ -399,11 +400,9 @@ def export_graph(
 def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int, int]]:
     """Yield (CSV row, left rank, right rank) for each edge, in file order.
 
-    Blank rows are skipped. Non-integer, out-of-range and repeated ranks
-    raise ValueError naming the CSV row; repeats are found with one set of
-    packed i*n_right + j keys.
+    Blank rows are skipped. Non-integer and out-of-range ranks raise
+    ValueError naming the CSV row; repeats are left to the caller.
     """
-    seen: set = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["left_rank", "right_rank"]:
@@ -423,11 +422,33 @@ def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int,
                     f"edge CSV row {line}: ranks ({i}, {j}) outside the "
                     f"{n_left} x {n_right} rosters"
                 )
-            key = i * n_right + j
-            if key in seen:
-                raise ValueError(f"edge CSV row {line}: repeated edge ({i}, {j})")
-            seen.add(key)
             yield line, i, j
+
+
+def _repeats(lefts: array, rights: array, n_left: int) -> bool:
+    """Whether some (left, right) pair of the id columns repeats. The right
+    ids are counting-sorted by left id into one array of their width, and
+    each left id's run is checked with a set of its own."""
+    starts = list(accumulate(map(Counter(lefts).get, range(n_left), repeat(0)), initial=0))
+    grouped, fill = array(rights.typecode, bytes(len(rights) * rights.itemsize)), starts[:-1]
+    for i, j in zip(lefts, rights):
+        grouped[fill[i]] = j
+        fill[i] += 1
+    return any(len(set(grouped[a:b])) != b - a for a, b in zip(starts, islice(starts, 1, None)))
+
+
+def _first_repeat(path: str, n_left: int, n_right: int) -> ValueError:
+    """The error that names the first repeated edge of the CSV, found by
+    reading it again with a set of the packed keys i*n_right + j seen so
+    far; called only once a repeat is known to come before any other
+    error."""
+    seen: set = set()
+    for line, i, j in _scan_edge_rows(path, n_left, n_right):
+        key = i * n_right + j
+        if key in seen:
+            return ValueError(f"edge CSV row {line}: repeated edge ({i}, {j})")
+        seen.add(key)
+    raise InvariantViolation("a repeated edge was counted but not found")
 
 
 _CSV_CHUNK = 1 << 16  # characters of edge CSV checked per bulk step
@@ -439,16 +460,16 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
     checked in chunks; None as soon as a chunk is not plain. Each column is
     the narrowest unsigned array that holds its roster's ranks
     (`core.id_typecode`: "H" up to 65,536 rows), so an edge costs the two
-    id widths, four bytes on graph_export's 912-row rosters.
+    id widths, four bytes on graph_export's 912-row rosters. A step's
+    text, cells and lists are dropped before the next chunk is read.
 
     A plain chunk is whole lines of `rank,rank` (blank lines skipped) whose
     cells are canonical decimal ranks, as the exports write them. Cells are
     looked up in a table of each roster's rank spellings, so a miss (out of
     range, negative, signed, zero-padded, space-padded or not an integer)
     makes the chunk not plain. Repeats cost one comparison per edge while
-    the packed keys i*n_right + j increase, as they do in an export.
-    Otherwise the right ids are counting-sorted by left id into one array of
-    their width, and each left id's run is checked with a set of its own.
+    the packed keys i*n_right + j increase, as they do in an export;
+    otherwise `_repeats` checks the columns.
     """
     left_ids = {str(k): k for k in range(n_left)}
     right_ids = left_ids if n_right == n_left else {str(k): k for k in range(n_right)}
@@ -457,42 +478,40 @@ def _bulk_edge_columns(path: str, n_left: int, n_right: int):
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != "left_rank,right_rank":
             return None
-        rest = ""
-        while True:
-            chunk = fh.read(_CSV_CHUNK)
-            text = rest + chunk
-            if chunk:  # keep the last partial line for the next step
+        rest, more = "", True
+        while more:
+            text = fh.read(_CSV_CHUNK)
+            more = bool(text)
+            text = rest + text
+            if more:  # keep the last partial line for the next step
                 cut = text.rfind("\n") + 1
                 text, rest = text[:cut], text[cut:]
             text = text.strip("\n")  # universal newlines: no "\r" is left
             if "\n\n" in text:
                 text = "\n".join(filter(None, text.split("\n")))
-            if text:
-                if text.count(",") != text.count("\n") + 1 or _TWO_COMMAS(text):
-                    return None
-                cells = text.replace("\n", ",").split(",")
-                try:
-                    i = list(map(left_ids.__getitem__, cells[0::2]))
-                    j = list(map(right_ids.__getitem__, cells[1::2]))
-                except KeyError:
-                    return None
-                keys = list(map(add, map(mul, i, repeat(n_right)), j))
-                increasing = (
-                    increasing and last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))
-                )
-                last = keys[-1]
-                lefts.fromlist(i)
-                rights.fromlist(j)
-            if not chunk:
-                break
-    if not increasing:
-        starts = list(accumulate(map(Counter(lefts).get, range(n_left), repeat(0)), initial=0))
-        grouped, fill = array(rights.typecode, bytes(len(rights) * rights.itemsize)), starts[:-1]
-        for i, j in zip(lefts, rights):
-            grouped[fill[i]] = j
-            fill[i] += 1
-        if any(len(set(grouped[a:b])) != b - a for a, b in zip(starts, islice(starts, 1, None))):
-            return None
+            if not text:
+                continue
+            if text.count(",") != text.count("\n") + 1 or _TWO_COMMAS(text):
+                return None
+            cells = text.replace("\n", ",").split(",")
+            del text
+            try:
+                i = list(map(left_ids.__getitem__, cells[0::2]))
+                j = list(map(right_ids.__getitem__, cells[1::2]))
+            except KeyError:
+                return None
+            del cells
+            keys = list(map(add, map(mul, i, repeat(n_right)), j))
+            increasing = (
+                increasing and last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))
+            )
+            last = keys[-1]
+            del keys
+            lefts.fromlist(i)
+            rights.fromlist(j)
+            del i, j
+    if not increasing and _repeats(lefts, rights, n_left):
+        return None
     return lefts, rights
 
 
@@ -506,15 +525,28 @@ def _read_edge_csv(path: str, n_left: int, n_right: int) -> tuple[array, array]:
     inside its roster, which is how the exports spell them. Otherwise the
     whole file is read again row by row: there any spelling `int` accepts
     gives the same pairs, blank rows are skipped, and non-integer,
-    out-of-range and repeated ranks raise a ValueError naming the CSV row.
+    out-of-range and repeated ranks raise a ValueError naming the CSV row,
+    the first such row in the file. The row reader keeps only the two
+    columns; repeats are found by `_repeats`, among the rows before a bad
+    one if there is one, and only then is the file read a third time to
+    name the row.
     """
     columns = _bulk_edge_columns(path, n_left, n_right)
-    if columns is None:
-        columns = array(id_typecode(n_left)), array(id_typecode(n_right))
+    if columns is not None:
+        return columns
+    lefts, rights = array(id_typecode(n_left)), array(id_typecode(n_right))
+    error = None
+    try:
         for _, i, j in _scan_edge_rows(path, n_left, n_right):
-            columns[0].append(i)
-            columns[1].append(j)
-    return columns
+            lefts.append(i)
+            rights.append(j)
+    except ValueError as exc:
+        error = exc
+    if _repeats(lefts, rights, n_left):
+        error = _first_repeat(path, n_left, n_right)
+    if error is not None:
+        raise error
+    return lefts, rights
 
 
 def _field(header: dict, path: str, expected: type):

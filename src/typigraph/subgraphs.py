@@ -48,6 +48,7 @@ from .core import (
     cond_to_dict,
     conditionalize,
     entropy,
+    float_sum,
     joint_entropy,
     joint_from_dict,
     joint_to_dict,
@@ -318,9 +319,7 @@ def _aux_target_rates(triple: JointPmf, kx: int, ky: int) -> "RateTuple":
                     sum(row[a * ky + b] for b in range(ky)) for a in range(kx)
                 ]
             acc.extend(sums)
-        return -sum(
-            float(p) * math.log2(p) if p > 0 else 0.0 for p in acc
-        )
+        return -float_sum(float(p) * math.log2(p) if p > 0 else 0.0 for p in acc)
 
     h_ux = collapse(keep_col=False)
     h_uy = collapse(keep_col=True)

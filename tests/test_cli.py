@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -623,6 +624,42 @@ def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys, monkeypat
     assert rc == 2
 
 
+def test_wring_of_a_sorted_rank_csv_works_left_ids_per_run(
+    joint_file, tmp_path, capsys, monkeypatch
+):
+    """An export lists each left rank's edges as one run. Its wring counts
+    the right ids and joins their rows edge by edge, but neither counts the
+    left ids nor joins one left row per edge: those are worked per run."""
+    gjson, gcsv = tmp_path / "g.json", tmp_path / "g.csv"
+    assert main(["graph", "--dist", joint_file, "--n", "8", "--out", str(gjson),
+                 "--edges", str(gcsv)]) == 0
+    lefts, rights = (list(c) for c in zip(*(
+        map(int, line.split(",")) for line in gcsv.read_text().splitlines()[1:]
+    )))
+    assert lefts == sorted(lefts) and rights != sorted(rights)
+    seen = []
+    real_counter, real_joined = typigraph.diagnostics.Counter, typigraph.diagnostics._joined
+
+    def counter(items=()):
+        items = list(items)
+        seen.append(items)
+        return real_counter(items)
+
+    def joined(enc, ids):
+        seen.append(list(ids))
+        return real_joined(enc, ids)
+
+    monkeypatch.setattr(typigraph.diagnostics, "Counter", counter)
+    monkeypatch.setattr(typigraph.diagnostics, "_joined", joined)
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.02"]) == 0
+    assert "k=0" not in capsys.readouterr().out
+    assert rights in seen  # the spies see the right ids
+    assert lefts not in seen
+    slices = range(0, len(lefts), typigraph.diagnostics._JOIN_SLICE)
+    assert not any(ids == lefts[k : k + len(ids)] for ids in seen for k in slices)
+
+
 def test_wring_rejects_tampered_edge_count(joint_file, tmp_path, capsys):
     gjson = tmp_path / "g.json"
     gcsv = tmp_path / "g.csv"
@@ -984,6 +1021,45 @@ def test_wring_rank_csv_skips_pair_count(binary_joint, tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(typigraph.diagnostics, "_pair_keys", counted)
     test_wring_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys, run)
+
+
+# --- float sums ------------------------------------------------------------------
+
+
+def test_no_subcommand_sums_floats_with_the_builtin_sum(
+    binary_joint, copy_channel, tmp_path, monkeypatch, capsys
+):
+    """Python 3.12 made `sum` over floats compensate for rounding, so a
+    float summed by it differs in its last bits between versions. With a
+    module-level `sum` in every typigraph module that refuses a float item,
+    info, graph, both subgraph kinds, simulate (which assembles the bracket)
+    and wring still run: their floats are added by `core.float_sum`."""
+    builtin_sum = sum
+
+    def int_sum(items, start=0):
+        items = list(items)
+        assert not any(isinstance(v, float) for v in items), "a float summed by sum()"
+        return builtin_sum(items, start)
+
+    for name, module in list(sys.modules.items()):
+        if name == "typigraph" or name.startswith("typigraph."):
+            monkeypatch.setattr(module, "sum", int_sum, raising=False)
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    save_distribution(copy_channel, "copy.json")
+    runs = [
+        ["info", "--dist", "joint.json", "--out", "i.json"],
+        ["graph", "--dist", "joint.json", "--n", "6", "--out", "g.json", "--edges", "g.csv"],
+        ["subgraph", "--dist", "joint.json", "--kind", "an", "--n", "8", "--out", "s.json"],
+        ["subgraph", "--dist", "joint.json", "--kind", "gamma", "--aux", "copy.json",
+         "--n", "12"],
+        ["simulate", "--dist", "joint.json", "--n", "8", "--r1", "2/8", "--r2", "2/8",
+         "--trials", "20", "--seed", "1"],
+        ["wring", "--edges", "g.csv", "--graph", "g.json", "--delta", "0.05"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 # --- argparse plumbing ---------------------------------------------------------

@@ -335,6 +335,8 @@ def test_import_checks_edges_against_the_graph(binary_joint, tmp_path, edit, mes
         "+0,1\n01,1\n-0,0\n",  # spellings int reads, and the exports never write
         "0,1\n \n1,1\n",  # a row of one space is not blank
         "0,1\n2,0\n",  # left rank out of range
+        "+0,1\n0,1\n0,x\n",  # a repeat, then a bad row: the repeat is reported
+        "+0,1\n1,1\n2,0\n1,1\n",  # a bad row, then a repeat: the bad row is reported
         "0,1\n1,0",  # no final line end
         "\n0,0\r\n\r\n1,1\n\n",  # blank rows first, between and last
         "",  # header only
@@ -394,8 +396,8 @@ def test_shuffled_rank_csv_is_checked_for_repeats_in_small_memory(tmp_path):
     """A rank CSV of 150,000 distinct edges in shuffled order is read in bulk
     and checked for repeated edges under 32 bytes of traced memory per
     edge: six for the two-byte id columns and one two-byte copy of the
-    right ids grouped by left id, the rest room for the per-chunk
-    temporaries, about 3.5 MB at any size. A list and a set of every packed
+    right ids grouped by left id, the rest room for one chunk's
+    temporaries, about 1.2 MB at any size. A list and a set of every packed
     key (94 bytes per edge in all) go past it."""
     sizes, edges = (1000, 900), 150_000
     rng = random.Random(1)
@@ -416,6 +418,57 @@ def test_shuffled_rank_csv_is_checked_for_repeats_in_small_memory(tmp_path):
     with open(path, "a") as fh:  # one edge twice: not plain, so the row reader names it
         fh.write(f"{keys[7] // sizes[1]},{keys[7] % sizes[1]}\n")
     assert typigraph.graph._bulk_edge_columns(str(path), *sizes) is None
+
+
+def _traced_read(path, sizes):
+    """The id columns of the rank CSV at path and the traced peak of reading it."""
+    tracemalloc.start()
+    try:
+        columns = typigraph.graph._read_edge_csv(str(path), *sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return columns, peak
+
+
+def test_sorted_rank_csv_is_read_in_small_memory(tmp_path):
+    """A sorted rank CSV of 150,000 edges, as the exports write it, is read
+    in bulk under 18 bytes of traced memory per edge: four for the two-byte
+    id columns, the rest room for one chunk's text, cells and lists. A step
+    that keeps its temporaries while the next chunk is read holds two
+    chunks' worth, 23 bytes per edge at this size."""
+    sizes, edges = (1000, 900), 150_000
+    keys = sorted(random.Random(3).sample(range(sizes[0] * sizes[1]), edges))
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "left_rank,right_rank\n" + "".join(f"{k // sizes[1]},{k % sizes[1]}\n" for k in keys)
+    )
+    (lefts, rights), peak = _traced_read(path, sizes)
+    assert list(zip(lefts, rights)) == [divmod(k, sizes[1]) for k in keys]
+    assert peak < 18 * edges, f"{peak / edges:.1f} bytes per edge"
+
+
+def test_row_reader_checks_repeats_in_small_memory(tmp_path):
+    """A rank CSV of 120,000 edges with every left rank spelled "+i" is read
+    row by row and checked for repeats under 20 bytes of traced memory per
+    edge: the two id columns and the grouped copy of `_repeats`. A set of
+    every packed key (about 88 bytes per edge) goes past it. A repeat that
+    follows is still named by its row."""
+    sizes, edges = (1000, 900), 120_000
+    keys = sorted(random.Random(5).sample(range(sizes[0] * sizes[1]), edges))
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "left_rank,right_rank\n" + "".join(f"+{k // sizes[1]},{k % sizes[1]}\n" for k in keys)
+    )
+    assert typigraph.graph._bulk_edge_columns(str(path), *sizes) is None
+    (lefts, rights), peak = _traced_read(path, sizes)
+    assert list(zip(lefts, rights)) == [divmod(k, sizes[1]) for k in keys]
+    assert peak < 20 * edges, f"{peak / edges:.1f} bytes per edge"
+    with open(path, "a") as fh:
+        fh.write(f"{keys[9] // sizes[1]},{keys[9] % sizes[1]}\n")
+    i, j = divmod(keys[9], sizes[1])
+    with pytest.raises(ValueError, match=rf"row {edges + 2}: repeated edge \({i}, {j}\)"):
+        typigraph.graph._read_edge_csv(str(path), *sizes)
 
 
 def non_edge(g):

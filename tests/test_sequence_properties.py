@@ -9,7 +9,8 @@ exactly; the subgraph edge CSVs (both kinds) must list exactly the roster
 pairs whose (per-block) joint type is the target; and the diagnostics
 must reproduce the per-edge reference in `oracles` exactly, floats
 included, on label multisets with repeated edges, and give the same floats
-on rank ids into shuffled rosters as on the Sequence pairs they stand for.
+on rank ids into shuffled rosters as on the Sequence pairs they stand for,
+and on left ids worked per run as on the same ids worked edge by edge.
 The rank-CSV writer must write the bytes of the `csv.writer` reference in
 `oracles`, and the bulk rank-CSV reader must read what the row-by-row
 reference there reads, or raise its error, at every chunk size. The uniform
@@ -23,6 +24,7 @@ import itertools
 import os
 import random
 import tempfile
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
@@ -31,10 +33,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+import typigraph.diagnostics
 import typigraph.graph
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet, replace
 from typigraph.deviation import simulate
 from typigraph.diagnostics import (
+    _runs,
     block_mi,
     dominant_joint_type,
     edge_distribution,
@@ -437,6 +441,80 @@ def test_rank_ids_match_sequence_pairs(case, rnd, unused, delta):
     assert _wring_trace(got) == _wring_trace(want)
     if want.converged:
         assert pinsker_check(got.survivors, delta) == pinsker_check(want.survivors, delta)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 9), max_size=12), st.integers(0, 8), st.sampled_from("BH"))
+@example([1, 0], 2, "B")  # decreasing
+@example([0, 0, 2, 2, 1], 3, "H")  # decreasing at the end only
+@example([0, 3], 3, "B")  # an id past the rows
+@example([], 0, "B")
+@example([2, 2], 300, "B")  # rows past the typecode's range: their runs are empty
+def test_runs_of_an_id_column(ids, size, typecode):
+    """`_runs` gives each id's run start exactly when the column never
+    decreases and every id lies in [0, size); None otherwise."""
+    got = _runs(array(typecode, ids), size)
+    if any(map(int.__gt__, ids, ids[1:])) or any(v >= size for v in ids):
+        assert got is None
+    else:
+        assert got == [sum(v < i for v in ids) for i in range(size + 1)]
+
+
+@st.composite
+def id_edge_sets(draw):
+    """Edges as (left id, right id) pairs into rosters with rows no edge
+    uses, sorted by left id or in drawn order, distinct or with repeats,
+    with "B" or "H" id columns; binary, 3 x 2 and 17 x 16 alphabets (the
+    last has int columns). Right rows include each left row's letterwise
+    image, and many edges join the two, so the wring has work to do."""
+    kx, ky = draw(st.sampled_from([(2, 2), (3, 2), (17, 16)]))
+    n = draw(st.integers(2, 4))
+    xrows = draw(st.lists(st.tuples(*[st.integers(0, kx - 1)] * n), min_size=2, max_size=8,
+                          unique=True))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, ky - 1)] * n), max_size=3))
+    yrows = draw(st.permutations(sorted({tuple(a % ky for a in x) for x in xrows} | set(extra))))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(xrows) - 1), st.integers(-8, len(yrows) - 1)),
+        min_size=6, max_size=40,
+    ))
+    pairs = [(i, yrows.index(tuple(a % ky for a in xrows[i])) if j < 0 else j) for i, j in picks]
+    distinct = draw(st.booleans())
+    if distinct:
+        pairs = list(dict.fromkeys(pairs))
+    if draw(st.booleans()):
+        pairs.sort(key=lambda e: e[0])
+    return kx, ky, xrows, yrows, pairs, distinct, draw(st.sampled_from("BH")), draw(
+        st.sampled_from("BH"))
+
+
+@PROPERTY
+@given(id_edge_sets(), st.sampled_from([0.005, 0.05, 0.2]), st.integers(1, 8))
+def test_left_runs_give_the_per_edge_results(case, delta, join_slice):
+    """Left ids worked per run, when they never decrease, give the columns,
+    the block MI and the whole wring trace of the per-edge code (`_runs`
+    patched to find no runs), float for float, and both equal the per-edge
+    reference; the survivors keep the id typecodes. The column build's
+    slices are cut short, so that runs straddle them."""
+    kx, ky, xrows, yrows, pairs, distinct, xcode, ycode = case
+    xa, ya = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
+
+    def build():
+        dist = edge_distribution(
+            array(xcode, [i for i, _ in pairs]), array(ycode, [j for _, j in pairs]),
+            xrows, yrows, xa, ya,
+        )
+        return replace(dist, distinct=distinct)
+
+    with mock.patch.object(typigraph.diagnostics, "_JOIN_SLICE", join_slice):
+        dist = build()
+        with mock.patch.object(typigraph.diagnostics, "_runs", lambda ids, size: None):
+            plain = build()
+            want = block_mi(plain), _wring_trace(wring(plain, delta))
+    raw = [(xrows[i], yrows[j]) for i, j in pairs]
+    assert dist.columns == plain.columns
+    assert (block_mi(dist), _wring_trace(wring(dist, delta))) == want
+    survivors = _check_wring(dist, kx, ky, raw, delta).survivors
+    assert (survivors.xids.typecode, survivors.yids.typecode) == (xcode, ycode)
 
 
 NON_CANONICAL = ("+1", "01", "1_0", "-0", " 1", "\u0661")  # int reads 1, 1, 10, 0, 1, 1
