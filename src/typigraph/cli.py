@@ -50,6 +50,8 @@ from .graph import (
     GRAPH_SCHEMA,
     GraphSpec,
     _read_edge_csv,
+    _repeats,
+    _rows,
     build_graph,
     check_degree_bound,
     export_graph,
@@ -272,10 +274,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
     )
     g = build_graph(spec)
     config = _config(args)
+    lc, rc = g.vertex_counts()
     if spec.mode == "explicit":
         st = stats(g)
         print(
-            f"left={len(g.left)} right={len(g.right)} "
+            f"left={lc} right={rc} "
             f"edges={g.edge_count.value} "
             f"isolated_left={st.isolated_left} isolated_right={st.isolated_right}"
         )
@@ -294,7 +297,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
         if not report.all_ok:
             raise InvariantViolation("degree bound violated")
     else:
-        lc, rc = g.vertex_counts()
         print(f"left={lc} right={rc} edges={g.edge_count.value}")
         if args.out:
             payload = {
@@ -470,11 +472,13 @@ def _label_ids(cells: list) -> tuple[list[int], list[tuple], Alphabet]:
 
 
 def _label_distribution(path: str) -> EdgeDistribution:
+    """An `x,y` label CSV's edges, marked distinct when no (x, y) pair repeats."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r][1:]
     xids, xrows, x_alpha = _label_ids([r[0].split() for r in rows])
     yids, yrows, y_alpha = _label_ids([r[1].split() for r in rows])
-    return edge_distribution(xids, yids, xrows, yrows, x_alpha, y_alpha)
+    dist = edge_distribution(xids, yids, xrows, yrows, x_alpha, y_alpha)
+    return dist if _repeats(dist.xids, dist.yids, len(xrows)) else replace(dist, distinct=True)
 
 
 def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDistribution]:
@@ -493,7 +497,7 @@ def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDis
         if schema == GRAPH_SCHEMA:
             g = import_graph(graph_path)
             joint = g.spec.joint
-            left, right = [x.symbols for x in g.left], [y.symbols for y in g.right]
+            left, right = list(_rows(g, "left")), list(_rows(g, "right"))
         elif schema == SUBGRAPH_SCHEMA:
             sub = import_subgraph(graph_path)
             joint = sub.joint

@@ -194,7 +194,10 @@ def suen_tail_log(gamma: float, theta_cap: float, theta_small: float, a: float) 
         raise ValueError("moments must be nonnegative")
     if gamma == 0:
         return 0.0
-    branches = [(1 - a) ** 2 * gamma**2 / (8 * theta_cap + 2 * gamma)]
+    try:
+        branches = [(1 - a) ** 2 * gamma**2 / (8 * theta_cap + 2 * gamma)]
+    except OverflowError:  # gamma**2 leaves float range; the branch may not
+        branches = [(1 - a) ** 2 * gamma * (gamma / (8 * theta_cap + 2 * gamma))]
     if theta_small > 0:
         branches.append((1 - a) * gamma / (6 * theta_small))
     return min(branches)
@@ -216,7 +219,10 @@ def suen_zero_log(gamma: float, theta_cap: float, theta_small: float) -> float:
         return 0.0
     branches = [gamma / 2]
     if theta_cap > 0:
-        branches.append(gamma**2 / (8 * theta_cap))
+        try:
+            branches.append(gamma**2 / (8 * theta_cap))
+        except OverflowError:  # gamma**2 leaves float range; the branch may not
+            branches.append(gamma * (gamma / (8 * theta_cap)))
     if theta_small > 0:
         branches.append(gamma / (6 * theta_small))
     return min(branches)
@@ -581,6 +587,9 @@ def simulation_sizes(n: int, r1: float, r2: float, trials: int) -> tuple[int, in
     return m1, m2
 
 
+_TAIL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)  # a of P(U <= a*gamma)
+
+
 def simulate(
     joint: JointPmf,
     params: TypicalityParams,
@@ -589,7 +598,6 @@ def simulate(
     r2: float,
     trials: int,
     seed: int,
-    a_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 ) -> MonteCarloReport:
     """Monte Carlo law of U under fresh uniform codebooks each trial.
 
@@ -627,7 +635,7 @@ def simulate(
     sum_u = sum(u * c for u, c in hist.items())
     sum_u2 = sum(u * u * c for u, c in hist.items())
     tail_hits = [
-        sum(c for u, c in hist.items() if u <= a * moments.gamma) for a in a_grid
+        sum(c for u, c in hist.items() if u <= a * moments.gamma) for a in _TAIL_GRID
     ]
     mean_u = sum_u / trials
     var_u = (
@@ -645,6 +653,6 @@ def simulate(
         wilson_high=high,
         mean_u=mean_u,
         var_u=var_u,
-        tails=tuple((a, tail_hits[i] / trials) for i, a in enumerate(a_grid)),
+        tails=tuple((a, hits / trials) for a, hits in zip(_TAIL_GRID, tail_hits)),
         moments=moments,
     )

@@ -58,8 +58,9 @@ class EdgeDistribution:
     n = 10 with two "H" columns. The left ids may come in runs of one id
     (`_runs`), as a rank CSV's do; that is found by the tools that use it,
     not kept on the record. distinct is set only
-    where it was proved that no (xid, yid) pair repeats, as the reader of a
-    rank CSV proves it; conditioning keeps it, since a subset of a distinct
+    where it was proved that no (xid, yid) pair repeats: the reader of a
+    rank CSV refuses a repeat, and a label CSV's ids are checked
+    (`graph._repeats`); conditioning keeps it, since a subset of a distinct
     edge set is distinct. The exact per-letter laws are derived on first use.
     """
 
@@ -392,6 +393,9 @@ class BlockMiReport:
     exact_within_bound: Optional[bool]
 
 
+_EXACT_MI_EDGES = 2_000_000  # largest edge set whose exact MI block_mi_bound takes
+
+
 def block_mi_bound(
     m1_count: int,
     m2_count: int,
@@ -401,7 +405,6 @@ def block_mi_bound(
     x_size: int,
     y_size: int,
     edges: Optional[EdgeDistribution] = None,
-    exact_cap: int = 2_000_000,
 ) -> BlockMiReport:
     """Counting bound on the block MI of a uniform edge within M1 x M2.
 
@@ -424,7 +427,7 @@ def block_mi_bound(
     )
     exact = None
     within: Optional[bool] = None
-    if edges is not None and len(edges) <= exact_cap:
+    if edges is not None and len(edges) <= _EXACT_MI_EDGES:
         exact = block_mi(edges)
         if floor_ok:
             within = exact <= lemma_bound + _FP_TOL

@@ -10,9 +10,9 @@ A vertex's degree depends only on its type, so one degree kernel per side
 answers every degree question: its table gives the edge count, the
 statistics and the degree bound exactly, at the level of types, and
 `degree_of` asks the same kernel, which reads the table once it is built
-and otherwise counts the one type. Explicit mode also holds the two rosters,
-capped by their exact sizes; `edge_list` streams the edges from one pair
-scan over them, on demand, and nothing holds the edge set.
+and otherwise counts the one type. A graph holds its spec and counts only:
+an explicit graph, its roster sizes capped, walks a side's rows on demand
+(`_rows`), and `edge_list` streams the edges from one pair scan over them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, lt, mul
 from typing import Iterator, Optional
@@ -72,35 +72,20 @@ class GraphSpec:
             raise ValueError("cap must be positive")
 
 
-def _roster(pmf, eps, n: int) -> tuple[Sequence, ...]:
-    """The eps-typical sequences in lexicographic order: one box walk over
-    the ball's per-symbol boxes."""
-    boxes = _ball_boxes(pmf.probs, n, Fraction(eps))
-    return tuple(Sequence(pmf.alphabet, row) for row in _box_rows(len(boxes), [(n, boxes)]))
-
-
-def _type_counts(x: Sequence) -> tuple[int, ...]:
-    """x's type as a count vector, the key of a degree table."""
-    return tuple(map(x.symbols.count, range(x.alphabet.size)))
-
-
 @record
 class TypicalityGraph:
-    """Exact vertex and edge counts, degrees per type, rosters if explicit.
+    """The graph of a spec: exact vertex and edge counts, degrees per type.
 
-    `left` and `right` are the lexicographic rosters in explicit mode and
-    None in implicit mode. Each side's degree kernel is built once, when
-    first needed, and answers for that side: `stats` and
-    `check_degree_bound` read its table, and `degree_of` asks it for one
-    type.
+    Each side's degree kernel is built once, when first needed, and
+    answers for that side: `stats` and `check_degree_bound` read its
+    table, and `degree_of` asks it for one type. An explicit graph walks a
+    side's vertices on demand (`roster`).
     """
 
     spec: GraphSpec
     left_count: BigCount
     right_count: BigCount
     edge_count: BigCount
-    left: Optional[tuple[Sequence, ...]] = None
-    right: Optional[tuple[Sequence, ...]] = None
 
     @cached_property
     def _kernels(self) -> dict:  # side -> its _DegreeKernel; outside eq, hash and repr
@@ -131,7 +116,14 @@ class TypicalityGraph:
         alphabet = joint.row_alphabet if side == "left" else joint.col_alphabet
         if x.alphabet != alphabet:
             raise ValueError(f"x's alphabet does not match the joint's {side} alphabet")
-        return BigCount.from_int(kernel.degree_of(_type_counts(x)))
+        counts = tuple(map(x.symbols.count, range(alphabet.size)))
+        return BigCount.from_int(kernel.degree_of(counts))
+
+    def roster(self, side: str) -> Iterator[Sequence]:
+        """The "left" or "right" vertices as `Sequence`s in id (lexicographic)
+        order, built as they are walked. ValueError on an implicit graph."""
+        joint = _oriented(self.spec.joint, self.spec.params, side)[0]
+        return map(partial(Sequence, joint.row_alphabet), _rows(self, side))
 
 
 def build_graph(spec: GraphSpec) -> TypicalityGraph:
@@ -139,22 +131,18 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
 
     The left degree table gives |L| and the edge count. Explicit mode
     refuses, with CapExceeded, rosters whose exact size is over spec.cap
-    before enumerating either. No sequence pair is scanned.
+    before either is walked. No sequence pair is scanned.
     """
     joint, n, params = spec.joint, spec.n, spec.params
     left_kernel = _DegreeKernel(joint, params, n, "left")
     left_table = left_kernel.table()
     left_count = sum(size for size, _ in left_table.values())
     right_count = typical_set_size(joint.col_marginal(), params.eps2, n).value
-    left = right = None
-    if spec.mode == "explicit":
-        if max(left_count, right_count) > spec.cap:
-            raise CapExceeded(
-                f"rosters of {left_count} and {right_count} sequences exceed "
-                f"cap {spec.cap}; implicit mode builds no rosters"
-            )
-        left = _roster(joint.row_marginal(), params.eps1, n)
-        right = _roster(joint.col_marginal(), params.eps2, n)
+    if spec.mode == "explicit" and max(left_count, right_count) > spec.cap:
+        raise CapExceeded(
+            f"rosters of {left_count} and {right_count} sequences exceed "
+            f"cap {spec.cap}; implicit mode builds no rosters"
+        )
     g = TypicalityGraph(
         spec=spec,
         left_count=BigCount.from_int(left_count),
@@ -162,22 +150,27 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
         edge_count=BigCount.from_int(
             sum(size * deg for size, deg in left_table.values())
         ),
-        left=left,
-        right=right,
     )
     g._kernels["left"] = left_kernel
     return g
 
 
-def _rosters(g: TypicalityGraph) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
-    if g.left is None:
+def _rows(g: TypicalityGraph, side: str) -> Iterator[tuple[int, ...]]:
+    """The "left" or "right" roster as symbol rows in lexicographic order:
+    one box walk over the side's ball boxes. ValueError at once on an
+    implicit graph, whose rosters `build_graph` did not bound."""
+    spec = g.spec
+    if spec.mode != "explicit":
         raise ValueError("an implicit graph holds no rosters; build it in explicit mode")
-    return g.left, g.right
+    joint, eps, _ = _oriented(spec.joint, spec.params, side)
+    boxes = _ball_boxes(joint.row_marginal().probs, spec.n, eps)
+    return _box_rows(len(boxes), [(spec.n, boxes)])
 
 
-def _vertex_degrees(table: dict, roster) -> list[int]:
+def _vertex_degrees(g: TypicalityGraph, side: str) -> list[int]:
     """Each vertex's degree in roster order, read from its type's entry."""
-    return [table[_type_counts(x)][1] for x in roster]
+    table, k = g._table(side), _oriented(g.spec.joint, g.spec.params, side)[0].row_alphabet.size
+    return [table[tuple(map(row.count, range(k)))][1] for row in _rows(g, side)]
 
 
 @record
@@ -209,23 +202,10 @@ def stats(g: TypicalityGraph) -> VertexStats:
     The vertices are walked in roster order, so the means are summed in
     that order.
     """
-    left, right = _rosters(g)
-    ld = _vertex_degrees(g._table("left"), left)
-    rd = _vertex_degrees(g._table("right"), right)
-    lmin, lmax, lmean = _log_stats(ld)
-    rmin, rmax, rmean = _log_stats(rd)
+    ld, rd = _vertex_degrees(g, "left"), _vertex_degrees(g, "right")
     return VertexStats(
-        left_size=g.left_count,
-        right_size=g.right_count,
-        edge_count=g.edge_count,
-        isolated_left=ld.count(0),
-        isolated_right=rd.count(0),
-        left_degree_log2_min=lmin,
-        left_degree_log2_max=lmax,
-        left_degree_log2_mean=lmean,
-        right_degree_log2_min=rmin,
-        right_degree_log2_max=rmax,
-        right_degree_log2_mean=rmean,
+        g.left_count, g.right_count, g.edge_count, ld.count(0), rd.count(0),
+        *_log_stats(ld), *_log_stats(rd),
     )
 
 
@@ -266,10 +246,9 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
 
 def _scan_rows(g: TypicalityGraph) -> Iterator[list[int]]:
     """One pair scan over the rosters: each left vertex's right ids, in order."""
-    left, right = _rosters(g)
     spec = g.spec
     index = JointTypeIndex.ball(spec.joint, spec.params.lam, spec.n)
-    return index.scan([x.symbols for x in left], [y.symbols for y in right])
+    return index.scan(_rows(g, "left"), _rows(g, "right"))
 
 
 def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:

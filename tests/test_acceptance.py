@@ -101,15 +101,16 @@ def test_criterion_2_graph_adjacency_matches_pair_predicate():
     for n in (4, 6, 8):
         params = default_params(n)
         g = build_graph(GraphSpec(joint=JOINT, n=n, params=params))
+        left, right = list(g.roster("left")), list(g.roster("right"))
         if n == 4:
-            ok = ok and len(g.left) == 14 and len(g.right) == 14
+            ok = ok and len(left) == 14 and len(right) == 14
         px, py = JOINT.row_marginal(), JOINT.col_marginal()
         want_left = [x for x in _bin_sequences(n) if is_typical(x, px, params.eps1)]
         want_right = [y for y in _bin_sequences(n) if is_typical(y, py, params.eps2)]
-        ok = ok and list(g.left) == want_left and list(g.right) == want_right
+        ok = ok and left == want_left and right == want_right
         edges = set(edge_list(g))
-        for i, x in enumerate(g.left):
-            for j, y in enumerate(g.right):
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
                 ok = ok and ((i, j) in edges) == is_jointly_typical(x, y, JOINT, params.lam)
     ok = ok and time.monotonic() - start < 30.0
     _report(2, "graph adjacency equals the pair predicate", ok)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +15,8 @@ import typigraph.diagnostics
 import typigraph.graph
 import typigraph.typicality
 from typigraph.cli import main
-from typigraph.core import Alphabet, JointPmf, Pmf, save_distribution
+from typigraph.core import Alphabet, JointPmf, Pmf, replace, save_distribution
+from typigraph.diagnostics import block_mi
 
 BIN = Alphabet((0, 1))
 
@@ -278,13 +281,16 @@ def test_subgraph_edges_b2_n14(joint_file, tmp_path):
     assert Counter(int(i) for i, _ in rows) == dict.fromkeys(range(3432), 49)
 
 
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 12, pytest.param(None, id="graph")])
 def test_subgraph_edges_and_rank_wring_build_no_sequence_per_row(
     joint_file, tmp_path, capsys, monkeypatch, n
 ):
-    """The subgraph rosters are kept as symbol rows: an edge export and a
+    """Rosters are kept as symbol rows: a subgraph edge export and its
     rank-CSV wring build the u-sequence and nothing per roster row, at 70
-    rows a side (n=8) as at 924 (n=12)."""
+    rows a side (n=8) as at 924 (n=12), and a graph edge export and its
+    wring, at 912 rows a side (n=10), build no Sequence at all."""
+    graph = n is None
+    export, n = (["graph"], 10) if graph else (["subgraph", "--kind", "an"], n)
     calls = []
     init = typigraph.typicality.Sequence.__post_init__
 
@@ -295,12 +301,11 @@ def test_subgraph_edges_and_rank_wring_build_no_sequence_per_row(
     monkeypatch.setattr(typigraph.typicality.Sequence, "__post_init__", counted)
     out, edges = tmp_path / "s.json", tmp_path / "s.csv"
     assert main(
-        ["subgraph", "--dist", joint_file, "--n", str(n), "--kind", "an",
-         "--out", str(out), "--edges", str(edges)]
+        export + ["--dist", joint_file, "--n", str(n), "--out", str(out), "--edges", str(edges)]
     ) == 0
-    assert len(calls) == 1
+    assert len(calls) == (0 if graph else 1)
     assert main(["wring", "--edges", str(edges), "--graph", str(out), "--delta", "0.05"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == (0 if graph else 2)
     assert "wring:" in capsys.readouterr().out
 
 
@@ -763,6 +768,22 @@ def test_wring_malformed_export_header_exit_2(
     assert f"error: {header}: " in err
 
 
+def test_wring_implicit_graph_header_exit_2(joint_file, tmp_path, capsys):
+    """A graph header whose spec reads implicit mode names no rosters for
+    the ranks: one error line, not a traceback."""
+    header, ranks = tmp_path / "h.json", tmp_path / "e.csv"
+    main(["graph", "--n", "4", "--dist", joint_file, "--out", str(header), "--edges", str(ranks)])
+    doc = json.loads(header.read_text())
+    doc["spec"]["mode"] = "implicit"
+    header.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {header}: an implicit graph holds no rosters" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "field, forged, exact",
     [("left_size", "71", 70), ("right_size", "71", 70),
@@ -935,8 +956,10 @@ def test_wring_rank_csv_builds_no_sequence_per_edge(
     capsys.readouterr()
     assert main(["wring", "--edges", str(ranks), "--graph", str(header), "--delta", "0.05"]) == 0
     assert f"/{edges} " in capsys.readouterr().out
-    # the rosters are built (the subgraph's from per-block parts), the edges are not
-    assert 0 < len(calls) <= 2 * sum(sizes) + 1 < edges
+    # no edge is built: the graph's rosters are symbol rows, the subgraph's
+    # are built from per-block parts
+    assert len(calls) <= 2 * sum(sizes) + 1 < edges
+    assert (len(calls) == 0) == (export[0] == "graph")
 
 
 def test_wring_label_csv_builds_no_sequence_per_edge(tmp_path, capsys, monkeypatch):
@@ -960,6 +983,35 @@ def test_wring_label_csv_builds_no_sequence_per_edge(tmp_path, capsys, monkeypat
     assert f"/{len(pairs)} " in capsys.readouterr().out
     # the ids come straight from the label tuples: no Sequence at all
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeat"])
+def test_label_csv_block_mi_counts_no_pair_keys_without_repeats(tmp_path, repeat):
+    """An `x,y` label CSV of 60,000 shuffled edges with no repeated (x, y)
+    pair is marked distinct, so its block MI counts no pair keys: under 16
+    bytes of traced memory per edge at peak, where counting them takes
+    about 90. One repeated edge leaves it unmarked. The MI is the same
+    float either way."""
+    n, edges = 9, 60_000
+    rng = random.Random(3)
+    keys = rng.sample(range(1 << 2 * n), edges)
+    if repeat:
+        keys.append(keys[edges // 2])
+    path = tmp_path / "e.csv"
+    write_xy_csv(path, [
+        (f"{k >> n:0{n}b}", f"{k & ((1 << n) - 1):0{n}b}") for k in keys
+    ])
+    dist = typigraph.cli._label_distribution(str(path))
+    assert dist.distinct is not repeat
+    tracemalloc.start()
+    try:
+        mi = block_mi(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mi == block_mi(replace(dist, distinct=False))
+    if not repeat:
+        assert peak < 16 * edges, f"{peak / edges:.1f} bytes per edge"
 
 
 # Byte pins for wring, recorded before the edge multiset was held as rank-id

@@ -193,6 +193,19 @@ def test_suen_logs_are_the_bounds_exponents():
         suen_tail_log(1.0, 0.0, 0.0, 1.0)
 
 
+def test_suen_logs_where_gamma_squared_leaves_float_range():
+    """gamma**2 overflows past about 1.3e154, but gamma^2/(8 Theta) need
+    not: the branch is then taken as gamma * (gamma / (8 Theta))."""
+    gamma, theta_cap = 1e200, 1e300
+    with pytest.raises(OverflowError):
+        gamma**2
+    assert suen_zero_log(gamma, theta_cap, 0.0) == pytest.approx(1.25e99, rel=1e-12)
+    assert suen_tail_log(gamma, theta_cap, 0.0, 0.5) == pytest.approx(3.125e98, rel=1e-12)
+    # a branch past float range itself leaves the others to decide
+    assert suen_zero_log(1e300, 1.0, 0.0) == 5e299
+    assert suen_tail_log(1e300, 1.0, 1e200, 0.0) == pytest.approx(1e100 / 6)
+
+
 def test_suen_tail_monotone_in_a():
     prev = 0.0
     for a in (0.0, 0.2, 0.4, 0.6, 0.8):
@@ -358,6 +371,24 @@ def test_large_codebook_bounds_finish_with_finite_exponents(binary_joint, monkey
         assert rep.bounds["suen_zero"] == 0.0  # the float bound underflows
         assert set(rep.exponents) == {"suen_zero", "suen_tail"}
         assert all(0 < e < 1 for e in rep.exponents.values())
+
+
+def test_bracket_exponents_finite_where_gamma_squared_overflows(binary_joint):
+    """B2, r = 1/4, n = 1600 and 2000: gamma is past 1e170, so gamma**2
+    leaves float range, yet both Suen exponents are finite, and the Theta
+    branch, the active one, matches its value from logs."""
+    i_xy = mutual_information(binary_joint)
+    for n in (1600, 2000):
+        m = exact_pair_moments(binary_joint, default_params(n), n, 0.25, 0.25)
+        with pytest.raises(OverflowError):
+            m.gamma**2
+        lll, rep = bracket(m, 0.25, 0.25, i_xy)
+        assert all(0 < e < 1 for e in rep.exponents.values())
+        assert rep.exponents["suen_tail"] <= rep.exponents["suen_zero"]
+        theta_branch = math.exp(2 * math.log(m.gamma) - math.log(8 * m.theta_cap))
+        assert suen_zero_log(m.gamma, m.theta_cap, m.theta_small) == pytest.approx(
+            theta_branch, rel=1e-12
+        )
 
 
 def test_only_deviation_assembles_the_bracket():

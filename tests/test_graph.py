@@ -43,15 +43,19 @@ def vertex_degrees(g):
     edges = list(edge_list(g))
     left = Counter(i for i, _ in edges)
     right = Counter(j for _, j in edges)
-    return [left[i] for i in range(len(g.left))], [right[j] for j in range(len(g.right))]
+    nl, nr = g.vertex_counts()
+    return [left[i] for i in range(nl)], [right[j] for j in range(nr)]
 
 
 def test_binary_example_n4(binary_joint):
     g = explicit(binary_joint, 4)
     assert g.vertex_counts() == (14, 14)
     assert g.edge_count.value == 78
-    # rosters in lexicographic order
-    assert [s.symbols for s in g.left] == sorted(s.symbols for s in g.left)
+    # rosters in lexicographic order, walked afresh on each call
+    for side in ("left", "right"):
+        rows = [s.symbols for s in g.roster(side)]
+        assert len(rows) == 14 and rows == sorted(rows)
+        assert [s.symbols for s in g.roster(side)] == rows
 
 
 def test_edges_match_brute_force(binary_joint):
@@ -71,8 +75,8 @@ def test_adjacency_matches_predicate(binary_joint):
     lam = g.spec.params.lam
     want = {
         (i, j)
-        for i, x in enumerate(g.left)
-        for j, y in enumerate(g.right)
+        for i, x in enumerate(g.roster("left"))
+        for j, y in enumerate(g.roster("right"))
         if is_jointly_typical(x, y, binary_joint, lam)
     }
     assert set(edge_list(g)) == want
@@ -84,15 +88,18 @@ def test_implicit_agrees_with_explicit(binary_joint):
         ge = explicit(binary_joint, n)
         gi = build_graph(GraphSpec(binary_joint, n, params, mode="implicit"))
         assert isinstance(gi, TypicalityGraph)
-        assert gi.left is None and gi.right is None
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="implicit graph holds no rosters"):
+                gi.roster(side)
         assert gi.vertex_counts() == ge.vertex_counts()
         assert gi.edge_count.value == ge.edge_count.value
         # per-vertex degrees through exact counting
         ld, rd = vertex_degrees(ge)
-        for i in (0, len(ge.left) // 2, len(ge.left) - 1):
-            assert gi.degree_of(ge.left[i], "left").value == ld[i]
-        for j in (0, len(ge.right) - 1):
-            assert gi.degree_of(ge.right[j], "right").value == rd[j]
+        left, right = list(ge.roster("left")), list(ge.roster("right"))
+        for i in (0, len(left) // 2, len(left) - 1):
+            assert gi.degree_of(left[i], "left").value == ld[i]
+        for j in (0, len(right) - 1):
+            assert gi.degree_of(right[j], "right").value == rd[j]
         # nothing per vertex or per edge without rosters
         for needs_rosters in (stats, lambda g: next(edge_list(g))):
             with pytest.raises(ValueError, match="rosters"):
@@ -102,11 +109,13 @@ def test_implicit_agrees_with_explicit(binary_joint):
 def test_degree_views(binary_joint):
     g = explicit(binary_joint, 4)
     ld, rd = vertex_degrees(g)
-    assert [g.degree_of(x, "left").value for x in g.left] == ld
-    assert [g.degree_of(y, "right").value for y in g.right] == rd
+    assert [g.degree_of(x, "left").value for x in g.roster("left")] == ld
+    assert [g.degree_of(y, "right").value for y in g.roster("right")] == rd
     assert sum(ld) == g.edge_count.value == sum(rd)
     with pytest.raises(ValueError):
-        g.degree_of(g.left[0], "middle")
+        g.degree_of(next(g.roster("left")), "middle")
+    with pytest.raises(ValueError):
+        g.roster("middle")
 
 
 def test_degree_of_refuses_another_alphabet(binary_joint):
@@ -201,7 +210,7 @@ def test_spec_validation(binary_joint):
 def test_stats_and_isolated(binary_joint):
     g = explicit(binary_joint, 6)
     st = stats(g)
-    assert st.left_size.value == len(g.left)
+    assert st.left_size.value == len(list(g.roster("left")))
     ld, rd = vertex_degrees(g)
     assert st.isolated_left == ld.count(0)
     assert st.isolated_right == rd.count(0)
@@ -249,7 +258,8 @@ def test_export_import_roundtrip(binary_joint, tmp_path):
 
     g2 = import_graph(str(jpath), str(cpath))
     assert list(edge_list(g2)) == list(edge_list(g))
-    assert [s.symbols for s in g2.left] == [s.symbols for s in g.left]
+    for side in ("left", "right"):
+        assert list(g2.roster(side)) == list(g.roster(side))
 
     # rebuild-from-spec path (no CSV)
     g3 = import_graph(str(jpath))
@@ -283,7 +293,7 @@ def test_import_rejects_tampered_header(binary_joint, tmp_path):
     "edit, message",
     [
         (lambda row, g: ["-1", row[1]], "outside"),
-        (lambda row, g: [row[0], str(len(g.right))], "outside"),
+        (lambda row, g: [row[0], str(g.right_count.value)], "outside"),
         (lambda row, g: [row[0], "1.5"], "integer"),
         (lambda row, g: row + ["0"], "integer"),
         (lambda row, g: None, "repeated"),
@@ -495,8 +505,8 @@ def test_degree_bound_violation_names_side_type_degree_bound(binary_joint, monke
     ld, rd = vertex_degrees(g)
     want = {
         (side, tuple(x.symbols.count(s) for s in (0, 1)), deg, 1)
-        for side, roster, degs in (("left", g.left, ld), ("right", g.right, rd))
-        for x, deg in zip(roster, degs)
+        for side, degs in (("left", ld), ("right", rd))
+        for x, deg in zip(g.roster(side), degs)
         if deg > 1
     }
     assert set(rep.violations) == want

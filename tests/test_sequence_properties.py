@@ -107,8 +107,8 @@ def test_graph_adjacency_and_count_pairs_match_brute_force(case, eps1, eps2, lam
     params = TypicalityParams(eps1=eps1, eps2=eps2, lam=lam)
 
     g = build_graph(GraphSpec(joint, n, params))
-    assert [x.symbols for x in g.left] == left
-    assert [y.symbols for y in g.right] == right
+    assert [x.symbols for x in g.roster("left")] == left
+    assert [y.symbols for y in g.roster("right")] == right
     want = tuple(
         tuple(j for j, y in enumerate(right) if oracles.jointly_typical(x, y, probs, lam))
         for x in left
