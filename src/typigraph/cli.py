@@ -32,6 +32,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     Pmf,
+    _repeats,
     conditional_entropy,
     entropy,
     format_fraction,
@@ -50,7 +51,6 @@ from .graph import (
     GRAPH_SCHEMA,
     GraphSpec,
     _read_edge_csv,
-    _repeats,
     _rows,
     build_graph,
     check_degree_bound,

@@ -18,8 +18,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, islice, repeat
 from operator import add, attrgetter
 from typing import Iterable, Sequence as _Seq
 
@@ -139,6 +141,18 @@ def id_typecode(size: int) -> str:
     """The narrowest unsigned `array` typecode that holds every id in
     [0, size): "B" up to 256 rows, "H" up to 65,536, then "I" and "Q"."""
     return next(code for code in "BHIQ" if size <= 1 << 8 * array(code).itemsize)
+
+
+def _repeats(lefts: array, rights: array, n_left: int) -> bool:
+    """Whether some (left, right) pair of the id columns repeats. The right
+    ids are counting-sorted by left id into one array of their width, and
+    each left id's run is checked with a set of its own."""
+    starts = list(accumulate(map(Counter(lefts).get, range(n_left), repeat(0)), initial=0))
+    grouped, fill = array(rights.typecode, bytes(len(rights) * rights.itemsize)), starts[:-1]
+    for i, j in zip(lefts, rights):
+        grouped[fill[i]] = j
+        fill[i] += 1
+    return any(len(set(grouped[a:b])) != b - a for a, b in zip(starts, islice(starts, 1, None)))
 
 
 # ---------------------------------------------------------------------------

@@ -127,22 +127,30 @@ def exact_pair_moments(
 ) -> MomentEstimates:
     """The exact moments of U at codebook sizes M_i = `codebook_size(n, r_i)`.
 
-    Both sides' kernels are bounded before either table is built, so an
-    oversized run raises CapExceeded before any type is listed.
+    The right side shares the left kernel when their shapes agree (as on a
+    symmetric joint with eps1 = eps2), and then one table serves both
+    sides. Every kernel is bounded before any table is built, so an
+    oversized run raises CapExceeded before any type is listed. Two
+    kernels must give the same pair count; a shared table meets that by
+    construction, and the shape equality that shares it is exact.
     """
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    kernels = [_DegreeKernel(joint, params, n, side) for side in ("left", "right")]
+    left_kernel = _DegreeKernel(joint, params, n, "left")
+    kernels = dict.fromkeys(  # one kernel when the right shape is the left's
+        (left_kernel, _DegreeKernel.of_side(joint, params, n, "right", [left_kernel]))
+    )
     for kernel in kernels:
         kernel.check()
-    left, right = (kernel.table().values() for kernel in kernels)
+    tables = [kernel.table().values() for kernel in kernels]
+    left, right = tables[0], tables[-1]
     t1 = sum(size for size, _ in left)
     t2 = sum(size for size, _ in right)
     if t1 == 0 or t2 == 0:
         raise ValueError("a typical set is empty; the crossing law is undefined")
     pairs = sum(size * deg for size, deg in left)
     right_pairs = sum(size * deg for size, deg in right)
-    if pairs != right_pairs:
+    if pairs != right_pairs:  # only two kernels can disagree
         raise InvariantViolation(
             f"pair count from the left degrees ({pairs}) differs from the "
             f"right degrees ({right_pairs})"

@@ -37,7 +37,15 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import Optional
 
-from .core import Alphabet, InvariantViolation, JointPmf, id_typecode, record, replace
+from .core import (
+    Alphabet,
+    InvariantViolation,
+    JointPmf,
+    _repeats,
+    id_typecode,
+    record,
+    replace,
+)
 from .typicality import JointTypeVector, _Filled
 
 _FP_TOL = 1e-9
@@ -59,9 +67,10 @@ class EdgeDistribution:
     (`_runs`), as a rank CSV's do; that is found by the tools that use it,
     not kept on the record. distinct is set only
     where it was proved that no (xid, yid) pair repeats: the reader of a
-    rank CSV refuses a repeat, and a label CSV's ids are checked
-    (`graph._repeats`); conditioning keeps it, since a subset of a distinct
-    edge set is distinct. The exact per-letter laws are derived on first use.
+    rank CSV refuses a repeat, and the ids of a label CSV or of Fano pairs
+    are checked (`core._repeats`); conditioning keeps it, since a subset of
+    a distinct edge set is distinct. The exact per-letter laws are derived
+    on first use.
     """
 
     xids: array
@@ -272,7 +281,8 @@ def fano_distribution(edges) -> EdgeDistribution:
     given as aligned (Sequence, Sequence) pairs.
 
     Each side's ids are dense, in first-occurrence order of its distinct
-    sequences, compared by symbols.
+    sequences, compared by symbols. The set is marked distinct when no
+    pair repeats.
     """
     edges = tuple(edges)
     if not edges:
@@ -280,7 +290,8 @@ def fano_distribution(edges) -> EdgeDistribution:
     x0, y0 = edges[0]
     xids, xrows = _endpoint_ids(list(map(itemgetter(0), edges)), x0.n, x0.alphabet)
     yids, yrows = _endpoint_ids(list(map(itemgetter(1), edges)), x0.n, y0.alphabet)
-    return edge_distribution(xids, yids, xrows, yrows, x0.alphabet, y0.alphabet)
+    dist = edge_distribution(xids, yids, xrows, yrows, x0.alphabet, y0.alphabet)
+    return dist if _repeats(dist.xids, dist.yids, len(xrows)) else replace(dist, distinct=True)
 
 
 def _pair_keys(dist: EdgeDistribution):

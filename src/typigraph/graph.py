@@ -6,13 +6,14 @@ joins (x, y) exactly when the pair is jointly lam-typical. Vertex ids are
 lexicographic ranks within each roster.
 
 A vertex's degree depends only on its type, so one degree kernel per side
-(`typicality._DegreeKernel`, whose `_oriented` decides what a side is)
-answers every degree question: its table gives the edge count, the
-statistics and the degree bound exactly, at the level of types, and
-`degree_of` asks the same kernel, which reads the table once it is built
-and otherwise counts the one type. A graph holds its spec and counts only:
-an explicit graph, its roster sizes capped, walks a side's rows on demand
-(`_rows`), and `edge_list` streams the edges from one pair scan over them.
+(`typicality._DegreeKernel`, whose `_oriented` decides what a side is;
+both sides share one when their shapes agree) answers every degree
+question: its table gives the edge count, the statistics and the degree
+bound exactly, at the level of types, and `degree_of` asks the same
+kernel, which reads a type's filed orbit and otherwise counts the one
+type. A graph holds its spec and counts only: an explicit graph, its
+roster sizes capped, walks a side's rows on demand (`_rows`), and
+`edge_list` streams the edges from one pair scan over them.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import json
 import math
 import re
 from array import array
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, islice, repeat, zip_longest
+from itertools import islice, repeat, zip_longest
 from operator import add, lt, mul
 from typing import Iterator, Optional
 
@@ -34,6 +34,7 @@ from .core import (
     CapExceeded,
     InvariantViolation,
     JointPmf,
+    _repeats,
     conditionalize,
     float_sum,
     id_typecode,
@@ -76,10 +77,11 @@ class GraphSpec:
 class TypicalityGraph:
     """The graph of a spec: exact vertex and edge counts, degrees per type.
 
-    Each side's degree kernel is built once, when first needed, and
-    answers for that side: `stats` and `check_degree_bound` read its
-    table, and `degree_of` asks it for one type. An explicit graph walks a
-    side's vertices on demand (`roster`).
+    Each side's degree kernel is built once, when first needed, or is the
+    other side's when their shapes agree, and answers for that side:
+    `stats` and `check_degree_bound` read its table, and `degree_of` asks
+    it for one type. An explicit graph walks a side's vertices on demand
+    (`roster`).
     """
 
     spec: GraphSpec
@@ -95,10 +97,14 @@ class TypicalityGraph:
         return self.left_count.value, self.right_count.value
 
     def _kernel(self, side: str) -> _DegreeKernel:
-        if side not in self._kernels:
+        """The side's kernel: the other side's when their shapes agree."""
+        kernels = self._kernels
+        if side not in kernels:
             spec = self.spec
-            self._kernels[side] = _DegreeKernel(spec.joint, spec.params, spec.n, side)
-        return self._kernels[side]
+            kernels[side] = _DegreeKernel.of_side(
+                spec.joint, spec.params, spec.n, side, list(kernels.values())
+            )
+        return kernels[side]
 
     def _table(self, side: str) -> dict:
         return self._kernel(side).table()
@@ -402,18 +408,6 @@ def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int,
                     f"{n_left} x {n_right} rosters"
                 )
             yield line, i, j
-
-
-def _repeats(lefts: array, rights: array, n_left: int) -> bool:
-    """Whether some (left, right) pair of the id columns repeats. The right
-    ids are counting-sorted by left id into one array of their width, and
-    each left id's run is checked with a set of its own."""
-    starts = list(accumulate(map(Counter(lefts).get, range(n_left), repeat(0)), initial=0))
-    grouped, fill = array(rights.typecode, bytes(len(rights) * rights.itemsize)), starts[:-1]
-    for i, j in zip(lefts, rights):
-        grouped[fill[i]] = j
-        fill[i] += 1
-    return any(len(set(grouped[a:b])) != b - a for a, b in zip(starts, islice(starts, 1, None)))
 
 
 def _first_repeat(path: str, n_left: int, n_right: int) -> ValueError:

@@ -20,8 +20,8 @@ per remainder, so a ternary ball costs one box width of such steps.
 Where sequences are listed (type classes, rosters), `_box_rows` walks them
 in lexicographic order inside per-block, per-symbol count boxes.
 
-Everything that counts jointly typical pairs goes through one kernel per
-side, `_DegreeKernel`: the exact degree of a row type, from compositions of
+Everything that counts jointly typical pairs goes through the degree
+kernel, `_DegreeKernel`: the exact degree of a row type, from compositions of
 its row counts inside the per-cell boxes of the joint ball, with the column
 sums tested against the integer boxes of the column ball. Partial column
 sums past a column's hi are dropped as they arise; the front half of the
@@ -36,12 +36,17 @@ listed compositions of a two-cell row are weighed the same way, C(r, c)
 stepped along the walk from one `math.comb`. Before a
 type or a composition is listed, the kernel bounds its steps exactly, once
 per kernel for its ball, and refuses with CapExceeded over KERNEL_STEP_CAP.
-A kernel serves one side, which `_oriented` decides (the right side is the
-left side on the transposed joint, with eps1 and eps2 swapped). Its
-`table()`, {counts: (class size, degree)}, gives the pair count, every
-vertex degree and the degree second moments as plain sums; its
-`degree_of(counts)` reads that table once built and otherwise counts the
-one type.
+A kernel's work depends only on its shape: n and the integer row, cell and
+column boxes of a side, which `_oriented` decides (the right side is the
+left side on the transposed joint, with eps1 and eps2 swapped). So the
+right side shares the left kernel when their shapes agree, as they do on a
+joint that is its own transpose with eps1 = eps2. Row permutations that,
+with some column permutation, keep the shape keep every degree
+(`_row_symmetries`): a kernel counts the first type it meets of each orbit
+and files the whole orbit. Its `table()`, {counts: (class size, degree)},
+gives the pair count, every vertex degree and the degree second moments as
+plain sums; its `degree_of(counts)` reads a filed orbit and otherwise
+counts the one type.
 """
 
 from __future__ import annotations
@@ -567,9 +572,22 @@ class _DegreeKernel:
     """Exact degrees of one side's row types at blocklength n.
 
     `_oriented` orients the side, and `boxes` bound its typical row types.
-    `table()` and `degree_of(counts)` share one set of memos, and both
-    bound their work (`check`) before anything is listed; a passed bound on
-    the side's ball is recorded, so it is taken once per kernel.
+    What the kernel computes depends only on its `shape` (`_shape`): n,
+    `boxes`, the per-cell lam-boxes of each row and the column boxes. A
+    side whose shape is another kernel's is served by that kernel
+    (`of_side`). `table()` and `degree_of(counts)` share one set of memos,
+    and both bound their work (`check`) before anything is listed; a passed
+    bound on the side's ball is recorded, so it is taken once per kernel.
+    The bound covers the whole ball, though only one type per orbit is
+    counted.
+
+    The row permutations found by `_row_symmetries`, once per kernel, map
+    the shape onto itself, so a type and every image of it have one
+    degree. `table()` walks the ball in `_compositions_in_boxes` order and
+    counts a type only when its orbit is not yet filed; the degree is then
+    filed for the whole orbit, walked from the type by the generators, so
+    each type costs a lookup and each orbit one count. On a joint with no
+    symmetry there is no generator and every type is counted.
 
     The degree of a row type (n_0, ..., n_{k-1}) sums, over the count
     matrices whose row a is a composition of n_a inside that row's lam-ball
@@ -605,11 +623,8 @@ class _DegreeKernel:
     """
 
     def __init__(self, joint: JointPmf, params: TypicalityParams, n: int, side: str):
-        joint, row_eps, col_eps = _oriented(joint, params, side)
-        self.n = n
-        self.boxes = _ball_boxes(joint.row_marginal().probs, n, row_eps)
-        self._cells = [_ball_boxes(probs, n, params.lam) for probs in joint.probs]
-        self._cols = _ball_boxes(joint.col_marginal().probs, n, col_eps)
+        self.shape = _shape(joint, params, n, side)
+        self.n, self.boxes, self._cells, self._cols = self.shape
         self._split = len(self._cells) // 2
         self._width = n.bit_length() + 1
         top = 1 << (self._width - 1)
@@ -624,7 +639,22 @@ class _DegreeKernel:
         # first cell's box
         self._binomial_rows: dict = {}
         self._checked = False  # the side's ball is bounded under the cap
+        self._filed: dict = {}  # counts -> degree, for whole orbits of row types
+        # generators of the row permutations that keep every degree
+        self._symmetries = _row_symmetries(self.boxes, self._cells, self._cols)
         self._table: Optional[dict] = None
+
+    @classmethod
+    def of_side(
+        cls, joint: JointPmf, params: TypicalityParams, n: int, side: str, built=()
+    ) -> "_DegreeKernel":
+        """The side's kernel: the first of the kernels `built` whose shape is
+        the side's, which then serves this side too, or a new one."""
+        shape = _shape(joint, params, n, side)
+        for kernel in built:
+            if kernel.shape == shape:
+                return kernel
+        return cls(joint, params, n, side)
 
     def _pack(self, vec) -> int:
         return sum(v << (self._width * j) for j, v in enumerate(vec))
@@ -769,29 +799,130 @@ class _DegreeKernel:
         if type_boxes is None:
             self._checked = True
 
+    def _filed_degree(self, counts: tuple) -> int:
+        """The degree of counts, read where its orbit is filed; otherwise
+        counted by `_degree` and filed for the whole orbit, walked from
+        counts by the generators."""
+        filed = self._filed
+        degree = filed.get(counts)
+        if degree is None:
+            degree = filed[counts] = self._degree(counts)
+            walk, generators = [counts], self._symmetries
+            while walk:
+                t = walk.pop()
+                for p in generators:
+                    u = tuple(map(t.__getitem__, p))
+                    if u not in filed:
+                        filed[u] = degree
+                        walk.append(u)
+        return degree
+
     def table(self) -> dict[tuple[int, ...], tuple[int, int]]:
         """{counts: (class size, degree)} for every type in the side's ball,
-        built on the first call after its work is bounded."""
+        in `_compositions_in_boxes` order, built on the first call after its
+        work is bounded. Only the first type met of each orbit is counted."""
         if self._table is None:
             self.check()
             self._table = {
-                c: (multinomial(self.n, c), self._degree(c))
+                c: (multinomial(self.n, c), self._filed_degree(c))
                 for c in _compositions_in_boxes(self.boxes, self.n)
             }
         return self._table
 
     def degree_of(self, counts) -> int:
         """Exact degree of the row type counts: the number of typical
-        other-side sequences jointly typical with any one x of that type."""
+        other-side sequences jointly typical with any one x of that type.
+        A type whose orbit is filed is read; another is bounded alone,
+        counted and filed with its orbit."""
         counts = tuple(counts)
         if len(counts) != len(self.boxes):
             raise ValueError("row type does not match the row alphabet")
         if sum(counts) != self.n:
             raise ValueError("row type does not sum to n")
-        if self._table is not None and counts in self._table:
-            return self._table[counts][1]
-        self.check([(c, c) for c in counts])
-        return self._degree(counts)
+        if counts not in self._filed:
+            self.check([(c, c) for c in counts])
+        return self._filed_degree(counts)
+
+
+def _shape(joint: JointPmf, params: TypicalityParams, n: int, side: str) -> tuple:
+    """(n, row boxes, per-cell boxes of each row, column boxes) of the
+    side's kernel: the integers that all of its work depends on."""
+    joint, row_eps, col_eps = _oriented(joint, params, side)
+    return (
+        n,
+        _ball_boxes(joint.row_marginal().probs, n, row_eps),
+        [_ball_boxes(probs, n, params.lam) for probs in joint.probs],
+        _ball_boxes(joint.col_marginal().probs, n, col_eps),
+    )
+
+
+def _row_symmetries(boxes, cells, cols) -> list[tuple[int, ...]]:
+    """Generators of the group of row permutations p for which some column
+    permutation q maps the boxes onto themselves: boxes[p[a]] = boxes[a],
+    cells[p[a]][q[b]] = cells[a][b] and cols[q[b]] = cols[b]. Moving
+    each row's count to its image under such a p keeps the ball, the class
+    size and the degree, since (p, q) maps each count matrix of the one
+    type onto one of the other, row multinomials and column sums kept.
+
+    Rows can only swap with rows of the same signature, their box and the
+    sorted (cell box, column box) pairs; where every signature differs,
+    that one pass returns no generator. Otherwise p is searched row by
+    row among the row's peers, and a partial p is dropped as soon as the
+    columns of its image rows, each with its column box, are not the
+    columns of the rows it maps, as a multiset: q exists exactly when the
+    whole columns agree so. The group is built from its stabilizer chain,
+    last row first: for row a, with rows 0..a-1 fixed, one p is searched
+    per image of a that the generators found so far do not yet reach. So
+    at most one generator per pair of peers is kept, and the group, up to
+    k! permutations, is never listed.
+    """
+    k = len(cells)
+    classes: dict = defaultdict(list)
+    for a in range(k):
+        classes[boxes[a], tuple(sorted(zip(cells[a], cols)))].append(a)
+    if len(classes) == k:
+        return []
+    peers = [()] * k
+    for rows in classes.values():
+        for a in rows:
+            peers[a] = rows
+    # the column profiles (column box, cells of rows 0..a-1), per a
+    profiles = [[(col,) for col in cols]]
+    for row in cells:
+        profiles.append([s + (v,) for s, v in zip(profiles[-1], row)])
+    wanted = [sorted(p) for p in profiles]
+
+    def extend(p: list, columns: list, images=None) -> Optional[tuple[int, ...]]:
+        """p completed to a whole permutation, with row len(p) sent into
+        images (by default its peers), or None."""
+        a = len(p)
+        if a == k:
+            return tuple(p)
+        for b in peers[a] if images is None else images:
+            if b not in p:
+                nxt = [s + (v,) for s, v in zip(columns, cells[b])]
+                if sorted(nxt) == wanted[a + 1]:
+                    found = extend(p + [b], nxt)
+                    if found is not None:
+                        return found
+        return None
+
+    generators: list = []
+    for a in range(k - 1, -1, -1):
+        reached = {a}
+        for b in peers[a]:
+            if b > a and b not in reached:
+                p = extend(list(range(a)), profiles[a], (b,))
+                if p is not None:
+                    generators.append(p)
+                    walk = [a]
+                    while walk:
+                        x = walk.pop()
+                        for g in generators:
+                            if g[x] not in reached:
+                                reached.add(g[x])
+                                walk.append(g[x])
+    return generators
 
 
 def degree_table(

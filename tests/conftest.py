@@ -25,6 +25,20 @@ def binary_joint():
     )
 
 
+@pytest.fixture
+def lopsided_joint():
+    """A binary joint with no symmetry: neither its transpose nor a letter
+    swap keeps its kernels' boxes, so each side gets a kernel of its own."""
+    return JointPmf(
+        BIN,
+        BIN,
+        (
+            (Fraction(1, 2), Fraction(1, 5)),
+            (Fraction(1, 10), Fraction(1, 5)),
+        ),
+    )
+
+
 @pytest.fixture(scope="session")
 def diagonal_joint():
     """D_k as a function of k: the k x k joint with 3/(4k) on the diagonal

@@ -532,10 +532,9 @@ def test_simulate_codebook_out_of_float_range_exit_2(joint_file, capsys):
     assert "1100.5" in err and "Traceback" not in err
 
 
-def test_simulate_builds_one_kernel_per_side(joint_file, monkeypatch):
-    """One run: one degree kernel per side, each bounded and its table
-    built once, the ones whose tables give the moments, and no typical-set
-    sum."""
+def _simulate_counting_kernels(monkeypatch, path):
+    """Run `simulate` on the joint at path; (kernels built, by side; their
+    check and table calls; typical-set sums)."""
     built, calls, sums = [], [], []
     real_sum = typigraph.typicality.typical_set_size
 
@@ -560,12 +559,33 @@ def test_simulate_builds_one_kernel_per_side(joint_file, monkeypatch):
     for module in (typigraph.typicality, typigraph.graph, typigraph.deviation):
         monkeypatch.setattr(module, "_DegreeKernel", Counted)
         monkeypatch.setattr(module, "typical_set_size", counted_sum)
-    args = ["simulate", "--dist", joint_file, "--n", "8", "--r1", "2/8", "--r2", "2/8",
+    args = ["simulate", "--dist", path, "--n", "8", "--r1", "2/8", "--r2", "2/8",
             "--trials", "20", "--seed", "3"]
     assert main(args) == 0
+    return built, calls, sums
+
+
+def test_simulate_builds_one_kernel_per_side(lopsided_joint, tmp_path, monkeypatch):
+    """One run on a joint with no symmetry: one degree kernel per side,
+    each bounded and its table built once, the ones whose tables give the
+    moments, and no typical-set sum."""
+    path = tmp_path / "lopsided.json"
+    save_distribution(lopsided_joint, str(path))
+    built, calls, sums = _simulate_counting_kernels(monkeypatch, str(path))
     assert built == ["left", "right"]
     assert calls[:2] == [("check", "left"), ("check", "right")]
     assert [c for c in calls if c[0] == "table"] == [("table", "left"), ("table", "right")]
+    assert sums == []
+
+
+def test_simulate_shares_one_kernel_on_a_symmetric_joint(joint_file, monkeypatch):
+    """B2 is its own transpose and eps1 = eps2: the right side's shape is
+    the left's, so one kernel is built, bounded first, and its one table
+    gives both sides' moments."""
+    built, calls, sums = _simulate_counting_kernels(monkeypatch, joint_file)
+    assert built == ["left"]
+    assert calls[0] == ("check", "left")
+    assert [c for c in calls if c[0] == "table"] == [("table", "left")]
     assert sums == []
 
 

@@ -14,6 +14,7 @@ from typigraph.core import (
     Alphabet,
     CapExceeded,
     InvariantViolation,
+    JointPmf,
     mutual_information,
 )
 from typigraph.deviation import (
@@ -546,8 +547,8 @@ def test_simulate_work_cap(binary_joint, monkeypatch):
         simulate(binary_joint, params, 12, 1.0, 1.0, trials=2, seed=1)
 
 
-def test_simulate_bounds_each_side_once(binary_joint, monkeypatch):
-    # simulate checks both kernels, then builds their tables: one bound each
+def _bounded_kernels(monkeypatch, joint):
+    """The kernels whose steps `simulate` bounds on joint, one entry per bound."""
     steps, bounded = typicality._DegreeKernel.steps, []
 
     def counted(kernel, type_boxes):
@@ -555,11 +556,22 @@ def test_simulate_bounds_each_side_once(binary_joint, monkeypatch):
         return steps(kernel, type_boxes)
 
     monkeypatch.setattr(typicality._DegreeKernel, "steps", counted)
-    simulate(binary_joint, default_params(8), 8, 0.25, 0.25, trials=20, seed=5)
+    simulate(joint, default_params(8), 8, 0.25, 0.25, trials=20, seed=5)
+    return bounded
+
+
+def test_simulate_bounds_each_side_once(lopsided_joint, monkeypatch):
+    # simulate checks both kernels, then builds their tables: one bound each
+    bounded = _bounded_kernels(monkeypatch, lopsided_joint)
     assert len(bounded) == 2 and bounded[0] is not bounded[1]
 
 
-def test_exact_pair_moments_bounds_both_kernels_before_any_table(binary_joint, monkeypatch):
+def test_simulate_bounds_a_shared_kernel_once(binary_joint, monkeypatch):
+    # B2's right side shares the left kernel: one kernel, one bound
+    assert len(_bounded_kernels(monkeypatch, binary_joint)) == 1
+
+
+def test_exact_pair_moments_bounds_both_kernels_before_any_table(lopsided_joint, monkeypatch):
     """Only the right kernel is over the cap: the refusal comes before the
     left table is built."""
     steps, table = typicality._DegreeKernel.steps, typicality._DegreeKernel.table
@@ -579,8 +591,48 @@ def test_exact_pair_moments_bounds_both_kernels_before_any_table(binary_joint, m
     monkeypatch.setattr(typicality._DegreeKernel, "steps", right_over_cap)
     monkeypatch.setattr(typicality._DegreeKernel, "table", recorded)
     with pytest.raises(CapExceeded, match="over cap"):
-        exact_pair_moments(binary_joint, default_params(8), 8, 0.25, 0.25)
+        exact_pair_moments(lopsided_joint, default_params(8), 8, 0.25, 0.25)
     assert len(bounded) == 2 and built == []
+
+
+def test_exact_pair_moments_builds_a_shared_table_once(binary_joint, monkeypatch):
+    """On T3 and B2 one kernel serves both sides: it is bounded once and its
+    table built once, and the moments are the pinned ones of two tables."""
+    third = Alphabet((0, 1, 2))
+    diag = (Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))
+    t3 = JointPmf(third, third, tuple(
+        tuple(diag[i] if i == j else Fraction(1, 20) for j in range(3)) for i in range(3)
+    ))
+    kernel_type = typicality._DegreeKernel
+    steps, table, degree = kernel_type.steps, kernel_type.table, kernel_type._degree
+    bounded, built, counted = [], [], []
+
+    def counted_steps(kernel, type_boxes):
+        bounded.append(kernel)
+        return steps(kernel, type_boxes)
+
+    def counted_table(kernel):
+        if kernel._table is None:
+            built.append(kernel)
+        return table(kernel)
+
+    def counted_degree(kernel, counts):
+        counted.append(counts)
+        return degree(kernel, counts)
+
+    monkeypatch.setattr(kernel_type, "steps", counted_steps)
+    monkeypatch.setattr(kernel_type, "table", counted_table)
+    monkeypatch.setattr(kernel_type, "_degree", counted_degree)
+    for joint, n, second in (
+        (t3, 10, Fraction(44298557087, 146094112500)),
+        (binary_joint, 24, Fraction(76634937409484, 1330116247956937)),
+    ):
+        for calls in (bounded, built, counted):
+            calls.clear()
+        m = exact_pair_moments(joint, default_params(n), n, 2 / n, 2 / n)
+        assert m.left_second_exact == m.right_second_exact == second
+        assert len(bounded) == len(built) == 1 and bounded == built
+        assert len(counted) == len(set(counted))  # no type counted twice
 
 
 def test_simulate_mean_tracks_gamma(binary_joint):

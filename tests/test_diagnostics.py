@@ -114,6 +114,31 @@ def test_block_mi_weighted():
     assert block_mi(fano_distribution(edges)) == pytest.approx(h_y - float(h_y_given_x), abs=1e-9)
 
 
+@pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeat"])
+def test_fano_block_mi_counts_no_pair_keys_without_repeats(repeat):
+    """60,000 shuffled Fano pairs with no repeated (x, y) pair are marked
+    distinct, so their block MI counts no pair keys: under 16 bytes of
+    traced memory per edge at peak. One repeated pair leaves the set
+    unmarked. The MI is the same float either way."""
+    n, edges = 9, 60_000
+    rng = random.Random(3)
+    keys = rng.sample(range(1 << 2 * n), edges)
+    if repeat:
+        keys.append(keys[edges // 2])
+    seqs = [Sequence(BIN, tuple((k >> (n - 1 - t)) & 1 for t in range(n))) for k in range(1 << n)]
+    dist = fano_distribution([(seqs[k >> n], seqs[k & ((1 << n) - 1)]) for k in keys])
+    assert dist.distinct is not repeat
+    tracemalloc.start()
+    try:
+        mi = block_mi(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mi == block_mi(replace(dist, distinct=False))
+    if not repeat:
+        assert peak < 16 * edges, f"{peak / edges:.1f} bytes per edge"
+
+
 def test_block_mi_bound_report():
     rep = block_mi_bound(
         16, 16, 16, 8, schedule_delta(8), 2, 2, edges=fano_distribution(matching_edges())

@@ -145,33 +145,47 @@ def test_degree_of_reads_the_built_table(binary_joint, monkeypatch):
     assert g.degree_of(typical, "left").value == kernel.table()[(4, 4)][1]
 
 
-def test_degree_of_counts_a_type_off_the_table(binary_joint):
-    """A non-typical x is counted by the side's kernel; a side whose table
-    is not built gets a kernel but no table."""
+def test_degree_of_counts_a_type_off_the_table(lopsided_joint):
+    """A non-typical x is counted by the side's kernel; on a joint with no
+    symmetry a side whose table is not built gets a kernel but no table."""
     n = 8
     params = default_params(n)
-    g = build_graph(GraphSpec(binary_joint, n, params, mode="implicit"))
+    g = build_graph(GraphSpec(lopsided_joint, n, params, mode="implicit"))
     lopsided = Sequence(BIN, (0,) * 8)  # (8, 0) is not eps1-typical
     assert (8, 0) not in g._table("left")
     assert g.degree_of(lopsided, "left").value == oracles.row_type_degree(
-        binary_joint.probs, (8, 0), params.eps2, params.lam, n
+        lopsided_joint.probs, (8, 0), params.eps2, params.lam, n
     )
     typical = Sequence(BIN, (0, 1) * 4)
-    assert g.degree_of(typical, "right").value == g.degree_of(typical, "left").value
+    flipped = tuple(zip(*lopsided_joint.probs))
+    assert g.degree_of(typical, "right").value == oracles.row_type_degree(
+        flipped, (4, 4), params.eps1, params.lam, n
+    )
+    assert g._kernels["right"] is not g._kernels["left"]
     assert g._kernels["right"]._table is None
 
 
-def test_degree_of_every_right_type_shares_one_kernel(monkeypatch):
-    """After build_graph, degree_of over every typical right type builds one
-    kernel, and its degrees are those of the right degree table."""
-    third = Alphabet((0, 1, 2))
-    diag = (Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))
-    t3 = JointPmf(third, third, tuple(
-        tuple(diag[i] if i == j else Fraction(1, 20) for j in range(3)) for i in range(3)
-    ))
-    n = 10
+def test_degree_of_on_a_symmetric_joint_shares_the_left_kernel(binary_joint):
+    """B2's right side has the left side's shape: degree_of on the right
+    asks the left kernel, and an off-table type is filed with its orbit."""
+    n = 8
     params = default_params(n)
-    g = build_graph(GraphSpec(t3, n, params, mode="implicit"))
+    g = build_graph(GraphSpec(binary_joint, n, params, mode="implicit"))
+    typical = Sequence(BIN, (0, 1) * 4)
+    assert g.degree_of(typical, "right").value == g.degree_of(typical, "left").value
+    assert g._kernels["right"] is g._kernels["left"]
+    kernel = g._kernels["left"]
+    want = oracles.row_type_degree(binary_joint.probs, (8, 0), params.eps2, params.lam, n)
+    assert g.degree_of(Sequence(BIN, (0,) * 8), "right").value == want
+    assert kernel._filed[(0, 8)] == want  # the letter swap's image
+
+
+def _right_degrees_after_build(monkeypatch, joint, n):
+    """build_graph on joint, then degree_of over every typical right type,
+    each checked against the right degree table; (graph, kernels built by
+    the degree_of calls, by side)."""
+    params = default_params(n)
+    g = build_graph(GraphSpec(joint, n, params, mode="implicit"))
     built = []
 
     class Counted(typicality._DegreeKernel):
@@ -180,12 +194,34 @@ def test_degree_of_every_right_type_shares_one_kernel(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(typigraph.graph, "_DegreeKernel", Counted)
-    want = degree_table(t3, params, n, "right")
+    want = degree_table(joint, params, n, "right")
+    alphabet = joint.col_alphabet
     for counts, (_, degree) in want.items():
-        y = Sequence(third, tuple(b for b, c in enumerate(counts) for _ in range(c)))
+        y = Sequence(alphabet, tuple(b for b, c in enumerate(counts) for _ in range(c)))
         assert g.degree_of(y, "right").value == degree
+    return g, built
+
+
+def test_degree_of_every_right_type_shares_one_kernel(monkeypatch, lopsided_joint):
+    """On a joint with no symmetry, degree_of over every typical right type
+    after build_graph builds one kernel, and its degrees are those of the
+    right degree table."""
+    g, built = _right_degrees_after_build(monkeypatch, lopsided_joint, 10)
     assert built == ["right"]
     assert g._kernels["right"]._table is None
+
+
+def test_degree_of_every_right_type_reads_the_shared_left_table(monkeypatch):
+    """T3 is its own transpose: after build_graph, degree_of over every
+    typical right type builds no kernel and reads the left table."""
+    third = Alphabet((0, 1, 2))
+    diag = (Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))
+    t3 = JointPmf(third, third, tuple(
+        tuple(diag[i] if i == j else Fraction(1, 20) for j in range(3)) for i in range(3)
+    ))
+    g, built = _right_degrees_after_build(monkeypatch, t3, 10)
+    assert built == []
+    assert g._kernels["right"] is g._kernels["left"]
 
 
 def test_cap_exceeded(binary_joint):

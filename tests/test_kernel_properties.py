@@ -10,10 +10,18 @@ sides' degree tables, on joints up to 5x5, must equal those of
 `oracles.degree_table`, the former dict-of-final-sums kernel. On binary
 joints up to n=40, the two-cell last row's close from binomial prefix rows
 must equal the box sum it replaces, and the stepped weights of two-cell
-row compositions must equal their multinomials.
+row compositions must equal their multinomials. On joints with a planted
+symmetry (averaged over the transpose or over a random pair of letter
+permutations) and on random ones, the orbit table must equal the former
+kernel's, the table counted type by type, and a separately built right
+table, and the row permutations found must be exactly those that keep the
+kernel's boxes.
 """
 
+import itertools
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,3 +250,95 @@ def test_kernel_rows_weigh_each_composition_by_its_multinomial(case, eps1, eps2,
                 (kernel._pack(c), multinomial(count, c))
                 for c in _compositions_in_boxes(cells, count)
             ]
+
+
+def _cycle(perm) -> list:
+    """The powers of a permutation, from the identity up to its order."""
+    powers = [tuple(range(len(perm)))]
+    while True:
+        nxt = tuple(perm[a] for a in powers[-1])
+        if nxt == powers[0]:
+            return powers
+        powers.append(nxt)
+
+
+@st.composite
+def planted_joints(draw):
+    """(joint, planted row permutation or None, planted column permutation
+    or None, whether the joint is its own transpose), n <= 8."""
+    kind = draw(st.sampled_from(("transpose", "letters", "none")))
+    kx = draw(st.integers(1, 4))
+    ky = kx if kind == "transpose" else draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(8, next(n for cells, n in MAX_N_BY_CELLS if kx * ky <= cells))))
+    w = draw(st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any))
+    w = [w[a * ky : (a + 1) * ky] for a in range(kx)]
+    pi = sigma = None
+    if kind == "transpose":
+        w = [[w[a][b] + w[b][a] for b in range(ky)] for a in range(kx)]
+    elif kind == "letters":
+        pi = draw(st.permutations(range(kx)))
+        sigma = draw(st.permutations(range(ky)))
+        rows, cols = _cycle(pi), _cycle(sigma)
+        order = len(rows) * len(cols) // math.gcd(len(rows), len(cols))
+        w = [
+            [sum(w[rows[j % len(rows)][a]][cols[j % len(cols)][b]] for j in range(order))
+             for b in range(ky)]
+            for a in range(kx)
+        ]
+    total = sum(map(sum, w))
+    probs = tuple(tuple(Fraction(v, total) for v in row) for row in w)
+    joint = JointPmf(Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky))), probs)
+    return joint, n, pi, sigma, kind == "transpose"
+
+
+def _keeps_the_boxes(kernel, p) -> bool:
+    """Whether some column permutation q has boxes[p[a]] = boxes[a],
+    cells[p[a]][q[b]] = cells[a][b] and cols[q[b]] = cols[b]."""
+    boxes, cells, cols = kernel.boxes, kernel._cells, kernel._cols
+    return all(boxes[p[a]] == boxes[a] for a in range(len(p))) and any(
+        all(cols[q[b]] == cols[b] for b in range(len(q)))
+        and all(cells[p[a]][q[b]] == cells[a][b] for a in range(len(p)) for b in range(len(q)))
+        for q in itertools.permutations(range(len(cols)))
+    )
+
+
+def _closure(generators, k) -> set:
+    group, walk = {tuple(range(k))}, [tuple(range(k))]
+    while walk:
+        g = walk.pop()
+        for p in generators:
+            h = tuple(g[a] for a in p)
+            if h not in group:
+                group.add(h)
+                walk.append(h)
+    return group
+
+
+@PROPERTY
+@given(planted_joints(), slacks, st.one_of(st.none(), slacks), slacks)
+def test_orbit_tables_match_the_type_by_type_tables(case, eps1, eps2, lam):
+    joint, n, pi, sigma, transposed = case
+    params = TypicalityParams(eps1=eps1, eps2=eps1 if eps2 is None else eps2, lam=lam)
+    probs = joint.probs
+    kernels = {}
+    for side, oriented, row_eps, col_eps, planted in (
+        ("left", probs, params.eps1, params.eps2, pi),
+        ("right", tuple(zip(*probs)), params.eps2, params.eps1, sigma),
+    ):
+        kernel = kernels[side] = _DegreeKernel(joint, params, n, side)
+        table = kernel.table()
+        assert table == oracles.degree_table(oriented, row_eps, col_eps, params.lam, n)
+        plain = _DegreeKernel(joint, params, n, side)
+        plain._symmetries = []  # every type counted apart
+        assert list(plain.table().items()) == list(table.items())
+        k = len(kernel.boxes)
+        group = _closure(kernel._symmetries, k)
+        assert group == set(filter(partial(_keeps_the_boxes, kernel), itertools.permutations(range(k))))
+        assert all(tuple(g[a] for a in h) in group for g in group for h in group)
+        assert all(tuple(sorted(range(k), key=g.__getitem__)) in group for g in group)
+        if planted is not None:
+            assert tuple(planted) in group
+    shared = _DegreeKernel.of_side(joint, params, n, "right", [kernels["left"]])
+    if transposed and params.eps1 == params.eps2:
+        assert shared is kernels["left"]
+    assert shared.table() == kernels["right"].table()

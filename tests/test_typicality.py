@@ -704,25 +704,48 @@ def test_kernel_degree_of_checks_the_row_type(binary_joint):
         kernel.degree_of((4, 3))
 
 
-def test_b2_tables_close_the_last_row_from_one_prefix_row_per_remainder(
-    monkeypatch, binary_joint
-):
-    # B2's last row has two cells: every close reads a binomial prefix row,
-    # one per last-row count (33 at n=192), and makes no weighted box sum
+def _prefix_rows_per_side(monkeypatch, joint, n) -> list[tuple[int, int]]:
+    """Both sides' tables of joint at n, each from a kernel of its own:
+    per side, (prefix rows filed, last-row counts of the types counted).
+    No close may make a weighted box sum."""
     box_sum, weighted = typicality._box_multinomial_sum, []
+    degree, counted = typicality._DegreeKernel._degree, []
 
-    def counted(boxes, total, unit=False):
+    def counted_sum(boxes, total, unit=False):
         if not unit:
             weighted.append((boxes, total))
         return box_sum(boxes, total, unit)
 
-    monkeypatch.setattr(typicality, "_box_multinomial_sum", counted)
-    n = 192
+    def counted_degree(kernel, counts):
+        counted.append(counts)
+        return degree(kernel, counts)
+
+    monkeypatch.setattr(typicality, "_box_multinomial_sum", counted_sum)
+    monkeypatch.setattr(typicality._DegreeKernel, "_degree", counted_degree)
+    out = []
     for side in ("left", "right"):
-        kernel = typicality._DegreeKernel(binary_joint, default_params(n), n, side)
-        last_counts = {counts[-1] for counts in kernel.table()}
-        assert len(kernel._binomial_rows) == len(last_counts) == 33
+        counted.clear()
+        kernel = typicality._DegreeKernel(joint, default_params(n), n, side)
+        table = kernel.table()
+        assert set(counted) <= set(table)
+        out.append((len(kernel._binomial_rows), len({counts[-1] for counts in counted})))
     assert weighted == []
+    return out
+
+
+def test_b2_tables_close_the_last_row_from_one_prefix_row_per_remainder(
+    monkeypatch, lopsided_joint
+):
+    # a binary last row has two cells: every close reads a binomial prefix
+    # row, one per last-row count of a counted type (34 and 33 at n=192 on
+    # a joint with no symmetry, where every type is counted)
+    assert _prefix_rows_per_side(monkeypatch, lopsided_joint, 192) == [(34, 34), (33, 33)]
+
+
+def test_b2_tables_count_one_type_per_mirror_pair(monkeypatch, binary_joint):
+    # B2's letter swap keeps its boxes: the first type met of each mirror
+    # pair is counted, and those meet 17 of the 33 last-row counts at n=192
+    assert _prefix_rows_per_side(monkeypatch, binary_joint, 192) == [(17, 17), (17, 17)]
 
 
 def test_b2_tables_step_their_row_weights(monkeypatch, binary_joint):
