@@ -50,6 +50,8 @@ from .typicality import (
 from .graph import (
     GRAPH_SCHEMA,
     GraphSpec,
+    TypicalityGraph,
+    _is_export,
     _read_edge_csv,
     _rows,
     build_graph,
@@ -74,6 +76,8 @@ from .diagnostics import (
     EdgeDistribution,
     check_budget,
     edge_distribution,
+    graph_block_mi,
+    graph_distribution,
     pinsker_check,
     wring,
     wringing_to_dict,
@@ -481,9 +485,12 @@ def _label_distribution(path: str) -> EdgeDistribution:
     return dist if _repeats(dist.xids, dist.yids, len(xrows)) else replace(dist, distinct=True)
 
 
-def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDistribution]:
+def _rank_distribution(path: str, graph_path: Optional[str]):
     """The edges of a rank CSV with the rosters of the export header at
-    graph_path as rows and the ranks as ids; None if the CSV lists none."""
+    graph_path as rows and the ranks as ids; None if the CSV lists none.
+
+    A CSV that is byte for byte the graph's own export (`graph._is_export`)
+    is not read: its graph is returned, to be wrung from its joint types."""
     if not graph_path:
         raise ConfigError(
             "rank-format edge CSV needs --graph HEADER.json for the rosters"
@@ -496,6 +503,8 @@ def _rank_distribution(path: str, graph_path: Optional[str]) -> Optional[EdgeDis
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema == GRAPH_SCHEMA:
             g = import_graph(graph_path)
+            if _is_export(g, path):
+                return g
             joint = g.spec.joint
             left, right = list(_rows(g, "left")), list(_rows(g, "right"))
         elif schema == SUBGRAPH_SCHEMA:
@@ -540,7 +549,12 @@ def cmd_wring(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.edges}: {exc}") from exc
     if dist is None:
         raise ConfigError(f"{args.edges}: no edges")
-    result = wring(dist, args.delta, args.sigma)
+    sigma = args.sigma
+    if isinstance(dist, TypicalityGraph):  # its own export: wrung from its joint types
+        if sigma is None:
+            sigma = graph_block_mi(dist)
+        dist = graph_distribution(dist)
+    result = wring(dist, args.delta, sigma)
     print(
         f"wring: k={result.k} surviving={len(result.survivors)}/{len(dist)} "
         f"fraction={format_fraction(result.surviving_fraction)} "

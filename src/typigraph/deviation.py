@@ -136,7 +136,7 @@ def exact_pair_moments(
     """
     m1 = codebook_size(n, r1)
     m2 = codebook_size(n, r2)
-    left_kernel = _DegreeKernel(joint, params, n, "left")
+    left_kernel = _DegreeKernel.of_side(joint, params, n, "left")
     kernels = dict.fromkeys(  # one kernel when the right shape is the left's
         (left_kernel, _DegreeKernel.of_side(joint, params, n, "right", [left_kernel]))
     )

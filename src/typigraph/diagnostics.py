@@ -1,4 +1,4 @@
-"""Converse-side diagnostics on explicit edge sets.
+"""Converse-side diagnostics on explicit edge sets and whole graphs.
 
 These tools examine the uniform distribution over the edges of a
 (sub)graph: per-letter joint laws, the dominant joint type and its
@@ -8,8 +8,9 @@ Pinsker near-independence check, and the square-root-order strong-converse
 rate bound.
 
 All distribution arithmetic is exact (counts over the edge multiset);
-entropic values are floats in bits. Every tool takes one form of the edge
-multiset, an `EdgeDistribution`: two id columns that name each edge's
+entropic values are floats in bits. Every tool takes one form of an edge
+multiset, an `EdgeDistribution` (the wring and the Pinsker check also take
+a whole graph's `TypeDistribution`, below): two id columns that name each edge's
 endpoints, each side's distinct symbol rows indexed by id, and one byte
 column of letter-pair codes per position. Per-letter counts are
 `bytes.count` calls, and conditioning filters the columns in bulk.
@@ -23,6 +24,18 @@ joins one repeated row per run, block MI reads the left degrees off the
 run lengths, and `wring` keeps the left ids as run lengths while it
 conditions. The runs are found where they are needed (`_runs`), and any
 other left column is worked edge by edge, to the same columns and floats.
+
+A whole typicality graph is wrung without its edges. Whether a pair is an
+edge depends only on the types of its ends and on their joint type, so
+the uniform law on the edges does not change when positions are
+permuted, and every count the wring reads is a sum of multinomials over
+the graph's joint types: `graph_distribution` keeps the law so, as a
+`TypeDistribution`, and `graph_block_mi` reads the block MI off the
+graph's two degree tables. `wring` and `pinsker_check` read only each
+position's integer letter-pair counts (`letter_counts`) and condition
+through `condition`, which both forms provide, so one greedy loop, with
+its stopping rules, tie-breaks, step records and `bound_ok`, serves both,
+and equal counts give equal floats.
 """
 
 from __future__ import annotations
@@ -42,11 +55,18 @@ from .core import (
     InvariantViolation,
     JointPmf,
     _repeats,
+    float_sum,
     id_typecode,
     record,
     replace,
 )
-from .typicality import JointTypeVector, _Filled
+from .typicality import (
+    JointTypeVector,
+    _ball_boxes,
+    _compositions_in_boxes,
+    _Filled,
+    multinomial,
+)
 
 _FP_TOL = 1e-9
 _JOIN_SLICE = 1 << 15  # edges per slice of the column build
@@ -64,8 +84,9 @@ class EdgeDistribution:
     t: one byte per edge while |X||Y| <= 256, a tuple of ints beyond that.
     So an edge costs the two id widths plus n column bytes: 14 bytes at
     n = 10 with two "H" columns. The left ids may come in runs of one id
-    (`_runs`), as a rank CSV's do; that is found by the tools that use it,
-    not kept on the record. distinct is set only
+    (`_runs`), as a rank CSV's do; the runs are found on first use and
+    cached outside the fields (`left_runs`), and conditioning files the
+    survivors' runs as it builds them. distinct is set only
     where it was proved that no (xid, yid) pair repeats: the reader of a
     rank CSV refuses a repeat, and the ids of a label CSV or of Fano pairs
     are checked (`core._repeats`); conditioning keeps it, since a subset of
@@ -95,19 +116,50 @@ class EdgeDistribution:
     @cached_property
     def per_letter(self) -> tuple:
         """Exact JointPmf of the letter pair at each position."""
-        kx, ky = self.x_alphabet.size, self.y_alphabet.size
         total = len(self)
         return tuple(
             JointPmf(
                 self.x_alphabet,
                 self.y_alphabet,
-                tuple(
-                    tuple(Fraction(c, total) for c in row)
-                    for row in _column_counts(col, kx, ky)
-                ),
+                tuple(tuple(Fraction(c, total) for c in row) for row in counts),
             )
-            for col in self.columns
+            for counts in self.letter_counts()
         )
+
+    @cached_property
+    def left_runs(self) -> Optional[list]:
+        """`_runs` of the left ids: where each left id's run starts, or None
+        when some left id decreases."""
+        return _runs(self.xids, len(self.xrows))
+
+    def letter_counts(self) -> list:
+        """The |X| x |Y| counts of the letter pairs at each position."""
+        kx, ky = self.x_alphabet.size, self.y_alphabet.size
+        return [_column_counts(col, kx, ky) for col in self.columns]
+
+    def condition(self, t: int, code: int) -> "EdgeDistribution":
+        """The edges whose letter pair at position t has the code a*|Y| + b,
+        with their ids, rows and columns (`_restrict`).
+
+        The right ids are filtered edge by edge. Left ids that never
+        decrease (`_runs`) are kept per run: each run's kept edges are
+        counted in the keep mask, and the new left ids are those counts'
+        repeats, so they still run, with their starts filed as the
+        survivors' `left_runs`. Other left ids are filtered edge by edge.
+        """
+        codes = self.x_alphabet.size * self.y_alphabet.size
+        keep, columns = _restrict(self.columns, t, code, codes)
+        yids = array(self.yids.typecode, compress(self.yids, keep))
+        starts = self.left_runs
+        if starts is None:
+            xids = array(self.xids.typecode, compress(self.xids, keep))
+            return replace(self, xids=xids, yids=yids, columns=columns)
+        counts = [keep[a:b].count(1) for a, b in zip(starts, islice(starts, 1, None))]
+        survivors = replace(
+            self, xids=_repeated(self.xids.typecode, counts), yids=yids, columns=columns
+        )
+        survivors.__dict__["left_runs"] = list(accumulate(counts, initial=0))
+        return survivors
 
 
 def _column_counts(column, kx: int, ky: int) -> list[list[int]]:
@@ -294,6 +346,115 @@ def fano_distribution(edges) -> EdgeDistribution:
     return dist if _repeats(dist.xids, dist.yids, len(xrows)) else replace(dist, distinct=True)
 
 
+# ---------------------------------------------------------------------------
+# a whole typicality graph, by joint types
+# ---------------------------------------------------------------------------
+
+
+@record
+class TypeDistribution:
+    """Uniform law over the edges of a whole typicality graph, kept as joint
+    types instead of edges.
+
+    Whether (x, y) is an edge depends only on the types of x and y and on
+    their joint type, so permuting positions maps edges to edges, and the
+    edges of one joint type J number the multinomial M(n; J). Conditioning
+    positions on letter pairs whose count matrix is C keeps, of each J, the
+    pairs that agree on those positions: M(n - k; J - C) of them, k the
+    number of positions conditioned. Every open position then has the
+    letter-pair counts N(a, b) = sum over J of M(n - k - 1; J - C - e_ab).
+
+    fixed lists the (position, pair code a*|Y| + b) conditions in order.
+    types holds a (weight, residual) pair for each J with J >= C cellwise:
+    residual is J - C flattened row-major, weight is M(n - k; J - C). With
+    m = n - k open positions, N(a, b) = sum of weight * residual[ab] / m,
+    and conditioning on (a, b) keeps weight * residual[ab] / m.
+    """
+
+    x_alphabet: Alphabet
+    y_alphabet: Alphabet
+    n: int
+    fixed: tuple
+    types: tuple
+
+    def __len__(self) -> int:
+        return sum(weight for weight, _ in self.types)
+
+    def letter_counts(self) -> list:
+        """The |X| x |Y| counts of the letter pairs at each position: all
+        of them at its code on a fixed position, the shared N(a, b) on an
+        open one."""
+        kx, ky = self.x_alphabet.size, self.y_alphabet.size
+        total, m, fixed = len(self), self.n - len(self.fixed), dict(self.fixed)
+        if m:
+            flat = [sum(w * r[c] for w, r in self.types) // m for c in range(kx * ky)]
+            shared = [flat[a * ky : (a + 1) * ky] for a in range(kx)]
+        counts = []
+        for t in range(self.n):
+            if t in fixed:
+                point = [[0] * ky for _ in range(kx)]
+                point[fixed[t] // ky][fixed[t] % ky] = total
+                counts.append(point)
+            else:
+                counts.append(shared)
+        return counts
+
+    def condition(self, t: int, code: int) -> "TypeDistribution":
+        """The edges whose letter pair at position t has the code a*|Y| + b."""
+        fixed = dict(self.fixed)
+        if t in fixed:
+            return self if fixed[t] == code else replace(self, types=())
+        m = self.n - len(self.fixed)
+        types = tuple(
+            (w * r[code] // m, r[:code] + (r[code] - 1,) + r[code + 1 :])
+            for w, r in self.types
+            if r[code]
+        )
+        return replace(self, fixed=self.fixed + ((t, code),), types=types)
+
+
+def graph_distribution(g) -> TypeDistribution:
+    """The uniform law over the edges of the typicality graph g, by joint
+    types: J runs over the count matrices inside the per-cell lam-boxes of
+    the joint ball whose row sums lie in the row ball and whose column sums
+    lie in the column ball. No edge, roster or sequence is listed; every J
+    holds an edge, so there are at most as many as edges.
+    InvariantViolation unless the types hold g's exact edge count."""
+    spec = g.spec
+    joint, n, params = spec.joint, spec.n, spec.params
+    ky = joint.col_alphabet.size
+    rows = _ball_boxes(joint.row_marginal().probs, n, params.eps1)
+    cols = _ball_boxes(joint.col_marginal().probs, n, params.eps2)
+    types = tuple(
+        (multinomial(n, j), j)
+        for j in _compositions_in_boxes(_ball_boxes(joint.flat(), n, params.lam), n)
+        if all(lo <= sum(j[a * ky : (a + 1) * ky]) <= hi for a, (lo, hi) in enumerate(rows))
+        and all(lo <= sum(j[b::ky]) <= hi for b, (lo, hi) in enumerate(cols))
+    )
+    law = TypeDistribution(joint.row_alphabet, joint.col_alphabet, n, (), types)
+    if len(law) != g.edge_count.value:
+        raise InvariantViolation(
+            f"the joint types hold {len(law)} edges, but the exact pair count "
+            f"is {g.edge_count.value}"
+        )
+    return law
+
+
+def graph_block_mi(g) -> float:
+    """Exact I between the endpoints of a uniform edge of the typicality
+    graph g, in bits, from its two degree tables: every vertex of a type
+    has that type's degree, so with E edges the MI is log2 E minus, over
+    both sides and their types, (size * degree / E) * log2 degree."""
+    e = g.edge_count.value
+    terms = (
+        size * deg / e * math.log2(deg)
+        for side in ("left", "right")
+        for size, deg in g._table(side).values()
+        if deg
+    )
+    return max(0.0, math.log2(e) - float_sum(terms))
+
+
 def _pair_keys(dist: EdgeDistribution):
     """Each edge's packed pair id xid*|yrows| + yid, in edge order."""
     return map(add, map(mul, dist.xids, repeat(len(dist.yrows))), dist.yids)
@@ -365,7 +526,7 @@ def block_mi(dist: EdgeDistribution) -> float:
         return (c / total) * log2(c * total / product)
 
     xids, yids = dist.xids, dist.yids
-    starts = _runs(xids, len(dist.xrows))
+    starts = dist.left_runs
     if starts is None:
         x_counts = Counter(xids)
         x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
@@ -458,8 +619,9 @@ def block_mi_bound(
 # ---------------------------------------------------------------------------
 
 
-def _per_letter_mi(column, kx: int, ky: int, total: int) -> float:
-    counts = _column_counts(column, kx, ky)
+def _per_letter_mi(counts: list, total: int) -> float:
+    """The MI of one position's letter pair, from its |X| x |Y| counts."""
+    kx, ky = len(counts), len(counts[0])
     rows = [sum(r) for r in counts]
     cols = [sum(counts[a][b] for a in range(kx)) for b in range(ky)]
     acc = 0.0
@@ -469,6 +631,19 @@ def _per_letter_mi(column, kx: int, ky: int, total: int) -> float:
             if c:
                 acc += (c / total) * math.log2(c * total / (rows[a] * cols[b]))
     return max(0.0, acc)
+
+
+def _pinsker_tv(counts: list, total: int) -> float:
+    """The TV between one position's letter-pair law and the product of
+    its marginals, exact from its counts, then rounded once to a float."""
+    rows = [sum(r) for r in counts]
+    cols = [sum(col) for col in zip(*counts)]
+    gap = sum(
+        abs(c * total - rows[a] * cols[b])
+        for a, row in enumerate(counts)
+        for b, c in enumerate(row)
+    )
+    return float(Fraction(gap, total * total))
 
 
 def _restrict(columns: tuple, t: int, code: int, codes: int) -> tuple[bytes, tuple]:
@@ -517,7 +692,7 @@ class WringingResult:
     sigma: float
     surviving_fraction: Fraction
     per_letter_mi: tuple  # after conditioning
-    survivors: EdgeDistribution  # the conditioned edge multiset
+    survivors: object  # the conditioned EdgeDistribution or TypeDistribution
     steps: tuple
     converged: bool
     bound_ok: Optional[bool]  # survival >= (delta/(|X||Y|(2 sigma-delta)))^k
@@ -532,7 +707,7 @@ def check_budget(delta: float, sigma: Optional[float] = None) -> None:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
 
-def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -> WringingResult:
+def wring(dist, delta: float, sigma: Optional[float] = None) -> WringingResult:
     """Condition per-letter values until every per-letter MI is <= delta.
 
     Greedy: repeatedly pick the worst position (largest per-letter MI, ties
@@ -540,30 +715,32 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
     lexicographic), and restrict the edge multiset. Conditioning on a point
     law is never selected (its MI is 0), so each step strictly shrinks the
     multiset. Runs past 2*sigma/delta are cut off and flagged, never
-    silently truncated. The survivors keep the id columns and rows of
-    `dist`, restricted to the surviving edges.
+    silently truncated.
 
-    Conditioning filters the right ids edge by edge. Left ids that never
-    decrease (`_runs`) are kept per run: each step counts each run's kept
-    edges in the keep mask, and the survivors' left ids are those counts'
-    repeats, so they still run. Other left ids are filtered edge by edge.
+    dist is an `EdgeDistribution`, whose survivors keep its id columns and
+    rows, restricted to the surviving edges (`EdgeDistribution.condition`),
+    or a `TypeDistribution`, conditioned by joint types. One loop serves
+    both: it reads each position's integer letter-pair counts, so equal
+    counts give equal floats. sigma defaults to `block_mi(dist)` on edges;
+    a TypeDistribution needs it given (`graph_block_mi` for a whole graph).
     """
     check_budget(delta, sigma)
     kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
     if sigma is None:
+        if not isinstance(dist, EdgeDistribution):
+            raise ValueError("sigma must be given for a TypeDistribution")
         sigma = block_mi(dist)
     total0 = len(dist)
     hard_cap = dist.n * kx * ky
     step_cap = 2.0 * sigma / delta
-    columns, xids, yids = dist.columns, dist.xids, dist.yids
-    starts = _runs(xids, len(dist.xrows))
     positions: list[int] = []
     values: list[tuple] = []
     steps: list[WringingStep] = []
     converged = False
     while True:
-        total = len(xids)
-        mis = [_per_letter_mi(col, kx, ky, total) for col in columns]
+        total = len(dist)
+        counts = dist.letter_counts()
+        mis = [_per_letter_mi(c, total) for c in counts]
         worst = max(mis)
         if worst <= delta + _FP_TOL:
             converged = True
@@ -572,20 +749,11 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         if k >= hard_cap or k + 1 > step_cap:
             break  # flagged partial result
         t_star = mis.index(worst)
-        counts = _column_counts(columns[t_star], kx, ky)
-        best_ab = max(
-            ((counts[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky))
-        )
+        best = counts[t_star]
+        best_ab = max(((best[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky)))
         a_star, b_star = best_ab[3], best_ab[4]
-        keep, columns = _restrict(columns, t_star, a_star * ky + b_star, kx * ky)
-        if starts is None:
-            xids = array(xids.typecode, compress(xids, keep))
-        else:
-            counts = [keep[a:b].count(1) for a, b in zip(starts, islice(starts, 1, None))]
-            xids = _repeated(xids.typecode, counts)
-            starts = list(accumulate(counts, initial=0))
-        yids = array(yids.typecode, compress(yids, keep))
-        if not xids:
+        dist = dist.condition(t_star, a_star * ky + b_star)
+        if not len(dist):
             # cannot happen for the argmax value; defensive, loud
             raise InvariantViolation("conditioning emptied the edge multiset")
         positions.append(t_star)
@@ -594,13 +762,11 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
             WringingStep(
                 position=t_star,
                 value=values[-1],
-                surviving=len(xids),
-                fraction=Fraction(len(xids), total0),
+                surviving=len(dist),
+                fraction=Fraction(len(dist), total0),
                 max_mi_before=worst,
             )
         )
-    total = len(xids)
-    final_mi = tuple(_per_letter_mi(col, kx, ky, total) for col in columns)
     k = len(positions)
     fraction = Fraction(total, total0)
     bound_ok: Optional[bool] = None
@@ -614,8 +780,8 @@ def wring(dist: EdgeDistribution, delta: float, sigma: Optional[float] = None) -
         delta=delta,
         sigma=sigma,
         surviving_fraction=fraction,
-        per_letter_mi=final_mi,
-        survivors=replace(dist, xids=xids, yids=yids, columns=columns),
+        per_letter_mi=tuple(mis),
+        survivors=dist,
         steps=tuple(steps),
         converged=converged,
         bound_ok=bound_ok,
@@ -653,38 +819,30 @@ def wringing_to_dict(result: WringingResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def pinsker_check(dist: EdgeDistribution, delta: float) -> tuple:
+def pinsker_check(dist, delta: float) -> tuple:
     """Per-letter TV to the product of marginals; each must be <= 2*sqrt(delta).
 
-    Requires every per-letter MI to be at most delta already (run the wring
-    first); under that hypothesis the bound is a theorem, so a violation
-    raises instead of returning quietly.
+    dist is an `EdgeDistribution` or a `TypeDistribution`; each TV is exact
+    from the position's letter-pair counts. Requires every per-letter MI
+    to be at most delta already (run the wring first); under that
+    hypothesis the bound is a theorem, so a violation raises instead of
+    returning quietly.
     """
     check_budget(delta)
-    kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
     total = len(dist)
     cap = 2.0 * math.sqrt(delta)
-    for t, col in enumerate(dist.columns):
-        mi = _per_letter_mi(col, kx, ky, total)
+    counts = dist.letter_counts()
+    for t, c in enumerate(counts):
+        mi = _per_letter_mi(c, total)
         if mi > delta + _FP_TOL:
             raise ValueError(
                 f"per-letter MI {mi} at position {t} exceeds delta; wring first"
             )
-    tvs = []
-    for law in dist.per_letter:
-        rows = law.row_marginal().probs
-        cols = law.col_marginal().probs
-        tv = sum(
-            abs(law.cell(a, b) - rows[a] * cols[b])
-            for a in range(kx)
-            for b in range(ky)
-        )
-        tvs.append(float(tv))
-        if float(tv) > cap + _FP_TOL:
-            raise InvariantViolation(
-                f"per-letter TV {float(tv)} exceeded 2*sqrt(delta)"
-            )
-    return tuple(tvs)
+    tvs = tuple(_pinsker_tv(c, total) for c in counts)
+    for tv in tvs:
+        if tv > cap + _FP_TOL:
+            raise InvariantViolation(f"per-letter TV {tv} exceeded 2*sqrt(delta)")
+    return tvs
 
 
 def strong_converse_bound(

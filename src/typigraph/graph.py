@@ -14,6 +14,12 @@ kernel, which reads a type's filed orbit and otherwise counts the one
 type. A graph holds its spec and counts only: an explicit graph, its
 roster sizes capped, walks a side's rows on demand (`_rows`), and
 `edge_list` streams the edges from one pair scan over them.
+
+An export's edge CSV is defined in one place, `_rank_texts`: the writer
+writes its text, and `_is_export` tells whether a file is byte for byte
+that text for a graph. The export's size follows from the vertex degrees
+alone, so a file of another size is told apart before any pair is
+scanned; one of that size is compared rank by rank with one pair scan.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 from array import array
 from fractions import Fraction
@@ -140,7 +147,7 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
     before either is walked. No sequence pair is scanned.
     """
     joint, n, params = spec.joint, spec.n, spec.params
-    left_kernel = _DegreeKernel(joint, params, n, "left")
+    left_kernel = _DegreeKernel.of_side(joint, params, n, "left")
     left_table = left_kernel.table()
     left_count = sum(size for size, _ in left_table.values())
     right_count = typical_set_size(joint.col_marginal(), params.eps2, n).value
@@ -173,10 +180,12 @@ def _rows(g: TypicalityGraph, side: str) -> Iterator[tuple[int, ...]]:
     return _box_rows(len(boxes), [(spec.n, boxes)])
 
 
-def _vertex_degrees(g: TypicalityGraph, side: str) -> list[int]:
-    """Each vertex's degree in roster order, read from its type's entry."""
+def _vertex_degrees(g: TypicalityGraph, side: str, rows=None) -> list[int]:
+    """Each vertex's degree in roster order, read from its type's entry;
+    rows is the side's roster when the caller holds it already."""
     table, k = g._table(side), _oriented(g.spec.joint, g.spec.params, side)[0].row_alphabet.size
-    return [table[tuple(map(row.count, range(k)))][1] for row in _rows(g, side)]
+    rows = _rows(g, side) if rows is None else rows
+    return [table[tuple(map(row.count, range(k)))][1] for row in rows]
 
 
 @record
@@ -250,11 +259,14 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
     )
 
 
-def _scan_rows(g: TypicalityGraph) -> Iterator[list[int]]:
-    """One pair scan over the rosters: each left vertex's right ids, in order."""
+def _scan_rows(g: TypicalityGraph, left=None, right=None) -> Iterator[list[int]]:
+    """One pair scan over the rosters: each left vertex's right ids, in
+    order. left and right are the rosters when the caller holds them."""
     spec = g.spec
     index = JointTypeIndex.ball(spec.joint, spec.params.lam, spec.n)
-    return index.scan(_rows(g, "left"), _rows(g, "right"))
+    return index.scan(
+        _rows(g, "left") if left is None else left, _rows(g, "right") if right is None else right
+    )
 
 
 def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
@@ -264,31 +276,75 @@ def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
         yield from zip(repeat(i), nbrs)
 
 
-def _write_rank_csv(path: str, rows, expected: int) -> None:
-    """Write a `left_rank,right_rank` edge CSV from scan rows (each left
-    rank's list of right ranks, in left-rank order). InvariantViolation
-    unless exactly `expected` edges were written.
+_RANK_HEAD = "left_rank,right_rank\r\n"
 
-    Each left rank's edges go out as one joined string, in the bytes of
-    csv's default dialect: canonical decimal ranks and CRLF line ends. Right
-    ranks are spelled from a table of str(k), grown to the largest rank met.
+
+def _rank_texts(rows) -> Iterator[tuple[int, str]]:
+    """(edge count, lines) of each left rank with an edge, in left-rank
+    order, from scan rows (each left rank's list of right ranks): the text
+    an export writes for that rank after its `_RANK_HEAD`.
+
+    A rank's edges are one joined string, in the bytes of csv's default
+    dialect: canonical decimal ranks and CRLF line ends. Right ranks are
+    spelled from a table of str(k), grown to the largest rank met.
     """
-    written = 0
     spell: list[str] = []
+    for i, nbrs in enumerate(rows):
+        if nbrs:
+            top = max(nbrs)
+            if top >= len(spell):
+                spell.extend(map(str, range(len(spell), top + 1)))
+            head = f"{i},"
+            yield len(nbrs), head + f"\r\n{head}".join(map(spell.__getitem__, nbrs)) + "\r\n"
+
+
+def _write_rank_csv(path: str, rows, expected: int) -> None:
+    """Write a `left_rank,right_rank` edge CSV from scan rows, in the text
+    of `_rank_texts`. InvariantViolation unless exactly `expected` edges
+    were written."""
+    written = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("left_rank,right_rank\r\n")
-        for i, nbrs in enumerate(rows):
-            if nbrs:
-                top = max(nbrs)
-                if top >= len(spell):
-                    spell.extend(map(str, range(len(spell), top + 1)))
-                head = f"{i},"
-                fh.write(head + f"\r\n{head}".join(map(spell.__getitem__, nbrs)) + "\r\n")
-                written += len(nbrs)
+        fh.write(_RANK_HEAD)
+        for count, text in _rank_texts(rows):
+            fh.write(text)
+            written += count
     if written != expected:
         raise InvariantViolation(
             f"{written} edges written, but the exact pair count is {expected}"
         )
+
+
+def _is_export(g: TypicalityGraph, path: str) -> bool:
+    """Whether the file at path is byte for byte the edge CSV that
+    `export_graph` writes for g: only an explicit graph with an edge, whose
+    |L|*|R| pair scan is under its cap, has one.
+
+    Each roster is walked once. The export's byte length follows from the
+    vertex degrees alone: the header, each edge's left rank and comma, and
+    its right rank and CRLF. Only when the file has that length is it
+    compared with the export's text, one left rank at a time from one pair
+    scan, stopping at the first difference.
+    """
+    spec = g.spec
+    nl, nr = g.vertex_counts()
+    if spec.mode != "explicit" or not g.edge_count.value or nl * nr > spec.cap:
+        return False
+    left, right = list(_rows(g, "left")), list(_rows(g, "right"))
+    size = len(_RANK_HEAD)
+    for side, rows, tail in (("left", left, 1), ("right", right, 2)):
+        degrees = _vertex_degrees(g, side, rows)
+        size += sum(d * (len(str(i)) + tail) for i, d in enumerate(degrees))
+    if os.path.getsize(path) != size:
+        return False
+    written = 0
+    with open(path, "rb") as fh:
+        if fh.read(len(_RANK_HEAD)) != _RANK_HEAD.encode():
+            return False
+        for count, text in _rank_texts(_scan_rows(g, left, right)):
+            if fh.read(len(text)) != text.encode():
+                return False
+            written += count
+        return written == g.edge_count.value and not fh.read(1)
 
 
 # ---------------------------------------------------------------------------

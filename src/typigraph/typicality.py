@@ -573,10 +573,11 @@ class _DegreeKernel:
 
     `_oriented` orients the side, and `boxes` bound its typical row types.
     What the kernel computes depends only on its `shape` (`_shape`): n,
-    `boxes`, the per-cell lam-boxes of each row and the column boxes. A
-    side whose shape is another kernel's is served by that kernel
-    (`of_side`). `table()` and `degree_of(counts)` share one set of memos,
-    and both bound their work (`check`) before anything is listed; a passed
+    `boxes`, the per-cell lam-boxes of each row and the column boxes, and
+    it is built from that shape alone. `of_side` computes a side's shape
+    once; a side whose shape is another kernel's is served by that kernel.
+    `table()` and `degree_of(counts)` share one set of memos, and both
+    bound their work (`check`) before anything is listed; a passed
     bound on the side's ball is recorded, so it is taken once per kernel.
     The bound covers the whole ball, though only one type per orbit is
     counted.
@@ -622,11 +623,13 @@ class _DegreeKernel:
     most 2^(width-1) - 1 before a count of at most n < 2^(width-1) is added.
     """
 
-    def __init__(self, joint: JointPmf, params: TypicalityParams, n: int, side: str):
-        self.shape = _shape(joint, params, n, side)
-        self.n, self.boxes, self._cells, self._cols = self.shape
+    def __init__(self, shape: tuple):
+        """The kernel of one shape, (n, row boxes, per-cell boxes of each
+        row, column boxes), as `_shape` gives it."""
+        self.shape = shape
+        self.n, self.boxes, self._cells, self._cols = shape
         self._split = len(self._cells) // 2
-        self._width = n.bit_length() + 1
+        self._width = self.n.bit_length() + 1
         top = 1 << (self._width - 1)
         self._offsets = [top - 1 - hi for _, hi in self._cols]
         self._over = self._pack([top] * len(self._cols))
@@ -649,12 +652,13 @@ class _DegreeKernel:
         cls, joint: JointPmf, params: TypicalityParams, n: int, side: str, built=()
     ) -> "_DegreeKernel":
         """The side's kernel: the first of the kernels `built` whose shape is
-        the side's, which then serves this side too, or a new one."""
+        the side's, which then serves this side too, or a new one built
+        from that shape."""
         shape = _shape(joint, params, n, side)
         for kernel in built:
             if kernel.shape == shape:
                 return kernel
-        return cls(joint, params, n, side)
+        return cls(shape)
 
     def _pack(self, vec) -> int:
         return sum(v << (self._width * j) for j, v in enumerate(vec))
@@ -934,7 +938,7 @@ def degree_table(
     are all sums over this table. One kernel serves every type, so its
     composition lists and memos are shared across the table.
     """
-    return _DegreeKernel(joint, params, n, side).table()
+    return _DegreeKernel.of_side(joint, params, n, side).table()
 
 
 def jointly_typical_pair_count(joint: JointPmf, params: TypicalityParams, n: int) -> BigCount:

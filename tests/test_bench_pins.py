@@ -4,16 +4,21 @@ Every full-scale pin of the exact_counts and exponent_sweep workloads in
 `bench/pins.json` (read, never written) is computed again here from the
 benchmark's own joints and scales (`bench/workloads.py`), so a kernel
 change that moves an exact integer fails the tests, not only the
-benchmark run.
+benchmark run. graph_export's four commands are run at full scale in a
+temporary directory, and the files they write must have the pinned
+digests, so a byte drift of either wring path fails the tests too.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import typigraph as tg
+import typigraph.cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -84,3 +89,22 @@ def test_exponent_sweep_pins(workloads, pins):
         got[f"sweep.n{n}.symmetric_condition_ok"] = lll.symmetric_condition_ok
         got[f"sweep.n{n}.phi_condition_ok"] = lll.phi_condition_ok
     assert {key: workloads.pin_text(v) for key, v in got.items()} == pins["exponent_sweep"]
+
+
+def test_graph_export_pins(workloads, pins, tmp_path, monkeypatch, capsys):
+    """The graph and subgraph exports and the wring of each: every digest,
+    both step counts and the edge count are the pinned ones."""
+    cfg = workloads.SCALES["full"]["graph_export"]
+    monkeypatch.chdir(tmp_path)
+    tg.save_distribution(workloads.make_joints(tg)["b2"], "b2.json")
+    for argv in workloads.GraphExport.prepare(SimpleNamespace(cfg=cfg))["argvs"]:
+        assert tg.cli.main(argv) == 0, argv
+    capsys.readouterr()
+    got = {
+        f"sha256.{name}": hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("g.json", "g.csv", "s.json", "s.csv", "wg.json", "ws.json")
+    }
+    for name in ("wg.json", "ws.json"):
+        got[f"{name}.k"] = json.loads((tmp_path / name).read_text())["payload"]["k"]
+    got["graph.edges"] = json.loads((tmp_path / "g.json").read_text())["edge_count"]["value"]
+    assert {key: workloads.pin_text(v) for key, v in got.items()} == pins["graph_export"]

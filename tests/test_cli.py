@@ -539,10 +539,13 @@ def _simulate_counting_kernels(monkeypatch, path):
     real_sum = typigraph.typicality.typical_set_size
 
     class Counted(typigraph.typicality._DegreeKernel):
-        def __init__(self, joint, params, n, side):
-            built.append(side)
-            self.side = side
-            super().__init__(joint, params, n, side)
+        @classmethod
+        def of_side(cls, joint, params, n, side, kernels=()):
+            kernel = super().of_side(joint, params, n, side, kernels)
+            if kernel not in kernels:  # built for this side
+                built.append(side)
+                kernel.side = side
+            return kernel
 
         def check(self, type_boxes=None):
             calls.append(("check", self.side))
@@ -627,10 +630,19 @@ def test_wring_product_edges_k0(tmp_path, capsys):
     assert "k=0" in capsys.readouterr().out
 
 
+def _drop_last_edge(path):
+    """Cut an edge CSV's last line: an export so cut is no longer the
+    graph's own bytes, and its size shows that before any pair is scanned,
+    so wring reads its edges."""
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rindex(b"\n", 0, len(data) - 1) + 1])
+
+
 def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys, monkeypatch):
     gjson = tmp_path / "g.json"
     gcsv = tmp_path / "g.csv"
     main(["graph", "--dist", joint_file, "--n", "4", "--out", str(gjson), "--edges", str(gcsv)])
+    _drop_last_edge(gcsv)
     capsys.readouterr()
 
     # the rosters come from the header alone: no second pair scan
@@ -658,6 +670,7 @@ def test_wring_of_a_sorted_rank_csv_works_left_ids_per_run(
     gjson, gcsv = tmp_path / "g.json", tmp_path / "g.csv"
     assert main(["graph", "--dist", joint_file, "--n", "8", "--out", str(gjson),
                  "--edges", str(gcsv)]) == 0
+    _drop_last_edge(gcsv)
     lefts, rights = (list(c) for c in zip(*(
         map(int, line.split(",")) for line in gcsv.read_text().splitlines()[1:]
     )))
@@ -683,6 +696,64 @@ def test_wring_of_a_sorted_rank_csv_works_left_ids_per_run(
     assert lefts not in seen
     slices = range(0, len(lefts), typigraph.diagnostics._JOIN_SLICE)
     assert not any(ids == lefts[k : k + len(ids)] for ids in seen for k in slices)
+
+
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} ran on the graph's own export")
+
+    return refused
+
+
+def test_wring_of_a_graph_export_reads_no_edge(joint_file, tmp_path, capsys, monkeypatch):
+    """The exact export is wrung from the graph's joint types: its edges
+    are not read into columns, no block MI is summed over them, no
+    Sequence is built, and each roster is walked once, to recognise the
+    file."""
+    gjson, gcsv = tmp_path / "g.json", tmp_path / "g.csv"
+    main(["graph", "--dist", joint_file, "--n", "4", "--out", str(gjson), "--edges", str(gcsv)])
+    capsys.readouterr()
+    for module, name in ((typigraph.cli, "_read_edge_csv"), (typigraph.cli, "edge_distribution"),
+                         (typigraph.diagnostics, "block_mi")):
+        monkeypatch.setattr(module, name, _refuse(name))
+    monkeypatch.setattr(typigraph.typicality.Sequence, "__post_init__", _refuse("Sequence"))
+    walks, rows = [], typigraph.graph._rows
+
+    def walked(g, side):
+        walks.append(side)
+        return rows(g, side)
+
+    monkeypatch.setattr(typigraph.graph, "_rows", walked)
+    monkeypatch.setattr(typigraph.cli, "_rows", walked)
+    rc = main(["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.3"])
+    assert rc == 0
+    assert "wring:" in capsys.readouterr().out
+    assert sorted(walks) == ["left", "right"]
+
+
+def test_wring_of_a_graph_export_works_no_id(joint_file, tmp_path, capsys, monkeypatch):
+    """Twin of the sorted-rank test on the exact export: the type path
+    neither counts nor joins any id column, and still conditions."""
+    gjson, gcsv = tmp_path / "g.json", tmp_path / "g.csv"
+    assert main(["graph", "--dist", joint_file, "--n", "8", "--out", str(gjson),
+                 "--edges", str(gcsv)]) == 0
+    seen = []
+    real_counter, real_joined = typigraph.diagnostics.Counter, typigraph.diagnostics._joined
+
+    def counter(items=()):
+        seen.append(list(items))
+        return real_counter(seen[-1])
+
+    def joined(enc, ids):
+        seen.append(list(ids))
+        return real_joined(enc, ids)
+
+    monkeypatch.setattr(typigraph.diagnostics, "Counter", counter)
+    monkeypatch.setattr(typigraph.diagnostics, "_joined", joined)
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.02"]) == 0
+    assert "k=0" not in capsys.readouterr().out
+    assert seen == []
 
 
 def test_wring_rejects_tampered_edge_count(joint_file, tmp_path, capsys):

@@ -189,9 +189,12 @@ def _right_degrees_after_build(monkeypatch, joint, n):
     built = []
 
     class Counted(typicality._DegreeKernel):
-        def __init__(self, *args):
-            built.append(args[-1])
-            super().__init__(*args)
+        @classmethod
+        def of_side(cls, joint, params, n, side, kernels=()):
+            kernel = super().of_side(joint, params, n, side, kernels)
+            if kernel not in kernels:  # built for this side
+                built.append(side)
+            return kernel
 
     monkeypatch.setattr(typigraph.graph, "_DegreeKernel", Counted)
     want = degree_table(joint, params, n, "right")
@@ -200,6 +203,25 @@ def _right_degrees_after_build(monkeypatch, joint, n):
         y = Sequence(alphabet, tuple(b for b, c in enumerate(counts) for _ in range(c)))
         assert g.degree_of(y, "right").value == degree
     return g, built
+
+
+def test_both_tables_compute_each_side_shape_once(monkeypatch, lopsided_joint):
+    """A kernel is built from the shape that `of_side` computed to compare
+    it: building both tables of a joint with no symmetry computes each
+    side's shape once, and the tables are those of `degree_table`."""
+    shape, shaped = typicality._shape, []
+
+    def counted(joint, params, n, side):
+        shaped.append(side)
+        return shape(joint, params, n, side)
+
+    monkeypatch.setattr(typicality, "_shape", counted)
+    g = explicit(lopsided_joint, 8)
+    tables = [g._table("left"), g._table("right")]
+    assert shaped == ["left", "right"]
+    monkeypatch.setattr(typicality, "_shape", shape)
+    params = default_params(8)
+    assert tables == [degree_table(lopsided_joint, params, 8, side) for side in ("left", "right")]
 
 
 def test_degree_of_every_right_type_shares_one_kernel(monkeypatch, lopsided_joint):

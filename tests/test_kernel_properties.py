@@ -204,7 +204,7 @@ def binary_joints(draw):
 @given(binary_joints(), slacks, slacks, slacks, st.sampled_from(("left", "right")))
 def test_two_cell_close_matches_the_box_sum(case, eps1, eps2, lam, side):
     joint, n = case
-    kernel = _DegreeKernel(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n, side)
+    kernel = _DegreeKernel.of_side(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n, side)
     table = kernel.table()
     for s, closed in kernel._last.items():
         assert closed == _box_multinomial_sum(*kernel._last_boxes(s))
@@ -220,7 +220,7 @@ def test_two_cell_close_meets_every_kind_of_window(binary_joint):
     for lam in (default_params(12).lam, Fraction(1, 2)):
         params = TypicalityParams(eps1=lam, eps2=lam, lam=lam)
         for side in ("left", "right"):
-            kinds |= _closes_every_partial_sum(_DegreeKernel(binary_joint, params, 12, side))
+            kinds |= _closes_every_partial_sum(_DegreeKernel.of_side(binary_joint, params, 12, side))
     assert kinds == {"0", "r", "empty"}
 
 
@@ -243,7 +243,7 @@ def test_stepped_binomials_are_the_multinomials_of_two_cell_boxes(boxes, total):
 @given(binary_joints(), slacks, slacks, slacks, st.sampled_from(("left", "right")))
 def test_kernel_rows_weigh_each_composition_by_its_multinomial(case, eps1, eps2, lam, side):
     joint, n = case
-    kernel = _DegreeKernel(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n, side)
+    kernel = _DegreeKernel.of_side(joint, TypicalityParams(eps1=eps1, eps2=eps2, lam=lam), n, side)
     for a, cells in enumerate(kernel._cells):
         for count in range(n + 1):
             assert kernel._row(a, count) == [
@@ -325,10 +325,10 @@ def test_orbit_tables_match_the_type_by_type_tables(case, eps1, eps2, lam):
         ("left", probs, params.eps1, params.eps2, pi),
         ("right", tuple(zip(*probs)), params.eps2, params.eps1, sigma),
     ):
-        kernel = kernels[side] = _DegreeKernel(joint, params, n, side)
+        kernel = kernels[side] = _DegreeKernel.of_side(joint, params, n, side)
         table = kernel.table()
         assert table == oracles.degree_table(oriented, row_eps, col_eps, params.lam, n)
-        plain = _DegreeKernel(joint, params, n, side)
+        plain = _DegreeKernel.of_side(joint, params, n, side)
         plain._symmetries = []  # every type counted apart
         assert list(plain.table().items()) == list(table.items())
         k = len(kernel.boxes)

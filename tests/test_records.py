@@ -75,6 +75,7 @@ def samples():
         deviation.exponent_report({"suen_zero": 0.5}, n, 0.25, 0.25, 0.278),
         report,
         dist,
+        diagnostics.graph_distribution(g),
         diagnostics.dominant_joint_type(dist),
         diagnostics.block_mi_bound(3, 3, 3, n, Fraction(1, 4), 2, 2, edges=dist),
         wrung.steps[0],
@@ -84,7 +85,7 @@ def samples():
 
 
 def test_every_value_class_is_a_record(samples):
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 30
     assert set(samples) == set(RECORDS)
     for mod in MODULES:
         for cls in vars(mod).values():

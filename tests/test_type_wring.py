@@ -1,0 +1,231 @@
+"""The whole-graph wring by joint types against the wring of its edges.
+
+A rank CSV that is byte for byte a typicality graph's own export is wrung
+from the graph's joint types (`diagnostics.graph_distribution`), with the
+block MI read off its degree tables (`diagnostics.graph_block_mi`). On
+B2, T3 and random small joints, that run must give the edge path's
+positions, values, surviving counts, fractions, verdicts and Pinsker TVs,
+with every float within 1e-12. A CSV that differs from the export in any
+byte takes the edge path, and one whose size differs starts no pair scan.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import typigraph.cli
+import typigraph.typicality
+from typigraph.cli import main
+from typigraph.core import Alphabet, JointPmf, replace, save_distribution
+from typigraph.diagnostics import (
+    edge_distribution,
+    graph_block_mi,
+    graph_distribution,
+    pinsker_check,
+    wring,
+)
+from typigraph.graph import GraphSpec, _is_export, _read_edge_csv, _rows, build_graph, export_graph
+from typigraph.typicality import TypicalityParams, default_params
+
+PROPERTY = settings.get_profile("typigraph")
+
+TERNARY = Alphabet((0, 1, 2))
+T3 = JointPmf(
+    TERNARY,
+    TERNARY,
+    tuple(
+        tuple((Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))[i] if i == j else Fraction(1, 20)
+              for j in range(3))
+        for i in range(3)
+    ),
+)
+BIN = Alphabet((0, 1))
+B2 = JointPmf(BIN, BIN, ((Fraction(2, 5), Fraction(1, 10)), (Fraction(1, 10), Fraction(2, 5))))
+MAX_PAIRS = 20_000  # |L| x |R| of a drawn graph, so the edge path stays quick
+
+slacks = st.builds(Fraction, st.integers(1, 6), st.integers(2, 12))
+
+
+@st.composite
+def graphs(draw):
+    """(joint, n, params): B2 up to n = 8 and T3 up to n = 5 on their
+    default slacks, or a random joint of up to three symbols a side on
+    random slacks."""
+    kind = draw(st.sampled_from(["b2", "t3", "random"]))
+    if kind == "b2":
+        n = draw(st.integers(1, 8))
+        return B2, n, default_params(n)
+    if kind == "t3":
+        n = draw(st.integers(1, 5))
+        return T3, n, default_params(n)
+    kx, ky = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(0, 4), min_size=kx * ky, max_size=kx * ky).filter(any))
+    total = sum(weights)
+    probs = tuple(
+        tuple(Fraction(weights[a * ky + b], total) for b in range(ky)) for a in range(kx)
+    )
+    joint = JointPmf(Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky))), probs)
+    params = TypicalityParams(eps1=draw(slacks), eps2=draw(slacks), lam=draw(slacks))
+    return joint, draw(st.integers(1, 8)), params
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
+
+
+@PROPERTY
+@given(
+    graphs(),
+    st.floats(0.001, 1.0),
+    st.one_of(st.none(), st.floats(0.0, 2.0)),
+)
+def test_type_path_matches_the_edge_path(tmp_path_factory, case, delta, sigma):
+    joint, n, params = case
+    g = build_graph(GraphSpec(joint, n, params))
+    nl, nr = g.vertex_counts()
+    assume(g.edge_count.value and nl * nr <= MAX_PAIRS)
+    base = tmp_path_factory.mktemp("export")
+    header, ranks = str(base / "g.json"), str(base / "g.csv")
+    export_graph(g, header, ranks)
+    assert _is_export(g, ranks)
+
+    law = graph_distribution(g)
+    assert len(law) == g.edge_count.value
+    left, right = list(_rows(g, "left")), list(_rows(g, "right"))
+    dist = replace(
+        edge_distribution(
+            *_read_edge_csv(ranks, nl, nr), left, right, joint.row_alphabet, joint.col_alphabet
+        ),
+        distinct=True,
+    )
+    got = wring(law, delta, graph_block_mi(g) if sigma is None else sigma)
+    want = wring(dist, delta, sigma)
+
+    assert (got.k, got.positions, got.values) == (want.k, want.positions, want.values)
+    assert got.positions == tuple(range(got.k))  # exchangeable: the open positions tie
+    assert len(got.survivors) == len(want.survivors)
+    assert got.surviving_fraction == want.surviving_fraction
+    assert (got.converged, got.bound_ok) == (want.converged, want.bound_ok)
+    assert _close(got.sigma, want.sigma)
+    assert len(got.per_letter_mi) == len(want.per_letter_mi)
+    assert all(map(_close, got.per_letter_mi, want.per_letter_mi))
+    for s, t in zip(got.steps, want.steps, strict=True):
+        assert (s.position, s.value, s.surviving, s.fraction) == (
+            t.position, t.value, t.surviving, t.fraction
+        )
+        assert _close(s.max_mi_before, t.max_mi_before)
+    if want.converged:
+        tvs, want_tvs = pinsker_check(got.survivors, delta), pinsker_check(want.survivors, delta)
+        assert len(tvs) == len(want_tvs) and all(map(_close, tvs, want_tvs))
+
+
+# --- recognition ------------------------------------------------------------------
+
+
+@pytest.fixture
+def export(tmp_path, monkeypatch):
+    """B2's n = 6 export, g.json and g.csv, in tmp_path as the working
+    directory; the CSV's path."""
+    monkeypatch.chdir(tmp_path)
+    save_distribution(B2, "joint.json")
+    assert main(["graph", "--dist", "joint.json", "--n", "6", "--out", "g.json",
+                 "--edges", "g.csv"]) == 0
+    return tmp_path / "g.csv"
+
+
+def _wring(monkeypatch, capsys, forced_edges=False):
+    """(exit code, stdout, record) of `wring` on g.csv with g.json."""
+    with monkeypatch.context() as patch:
+        if forced_edges:
+            patch.setattr(typigraph.cli, "_is_export", lambda g, path: False)
+        capsys.readouterr()
+        rc = main(["wring", "--edges", "g.csv", "--graph", "g.json", "--delta", "0.05",
+                   "--out", "w.json"])
+    with open("w.json", "rb") as fh:
+        return rc, capsys.readouterr().out, fh.read()
+
+
+def _lines(path):
+    return path.read_bytes().split(b"\r\n")
+
+
+def _lf(path):
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+
+
+def _blank_line(path):
+    path.write_bytes(path.read_bytes() + b"\r\n")
+
+
+def _swap_rows(path):
+    lines = _lines(path)
+    lines[1], lines[-2] = lines[-2], lines[1]
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _same_width_rank(path):
+    """The last edge's right rank moved to another right rank of the same
+    digit count that its left rank does not reach: same size, one byte off."""
+    lines = _lines(path)
+    i, j = lines[-2].split(b",")
+    reached = {line.split(b",")[1] for line in lines[1:-1] if line.split(b",")[0] == i}
+    other = next(
+        str(k).encode()
+        for k in range(10 ** (len(j) - 1), 10 ** len(j))
+        if str(k).encode() not in reached
+    )
+    lines[-2] = i + b"," + other
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _no_type_path(g):
+    raise AssertionError("the type path was taken")
+
+
+def test_the_exact_export_takes_the_type_path(export, monkeypatch, capsys):
+    """The type path gives the edge path's record, byte for byte."""
+    typed = _wring(monkeypatch, capsys)
+    assert typed == _wring(monkeypatch, capsys, forced_edges=True)
+    assert typed[0] == 0 and b'"surviving_edges"' in typed[2]
+    monkeypatch.setattr(typigraph.cli, "graph_distribution", _no_type_path)
+    with pytest.raises(AssertionError, match="type path"):
+        _wring(monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, resized",
+    [(_lf, True), (_blank_line, True), (_swap_rows, False), (_same_width_rank, False)],
+    ids=["lf-line-ends", "appended-blank-line", "two-rows-swapped", "same-width-rank"],
+)
+def test_an_edited_export_takes_the_edge_path(export, monkeypatch, capsys, edit, resized):
+    """A CSV that differs from the export in any byte is read as edges, to
+    the record that reading gives; one whose size differs is told apart
+    before any pair is scanned."""
+    size, edges = export.stat().st_size, len(_lines(export)) - 2
+    edit(export)
+    assert (export.stat().st_size != size) == resized
+    want = _wring(monkeypatch, capsys, forced_edges=True)
+    assert want[0] == 0
+    monkeypatch.setattr(typigraph.cli, "graph_distribution", _no_type_path)
+    if resized:
+        def no_scan(*args):
+            raise AssertionError("a pair was scanned to recognise a CSV of another size")
+
+        monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "scan", no_scan)
+    assert _wring(monkeypatch, capsys) == want
+    assert json.loads(want[2])["payload"]["edge_count_in"] == edges
+
+
+def test_an_edgeless_export_has_no_edges(tmp_path, monkeypatch, capsys):
+    """A graph with no edge exports a header-only CSV, which is no export
+    to recognise: wring exits 2 with "no edges", as before."""
+    monkeypatch.chdir(tmp_path)
+    save_distribution(B2, "joint.json")
+    assert main(["graph", "--dist", "joint.json", "--n", "3", "--lambda", "1/100",
+                 "--out", "g.json", "--edges", "g.csv"]) == 0
+    assert "edges=0" in capsys.readouterr().out
+    assert main(["wring", "--edges", "g.csv", "--graph", "g.json", "--delta", "0.05"]) == 2
+    assert "no edges" in capsys.readouterr().err

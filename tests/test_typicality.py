@@ -630,7 +630,7 @@ def test_degree_table_pins(diagonal_joint, k, n, digest):
 
 def _kernel(joint, n):
     """(left kernel, row-type boxes) of joint under default_params(n)."""
-    kernel = typicality._DegreeKernel(joint, default_params(n), n, "left")
+    kernel = typicality._DegreeKernel.of_side(joint, default_params(n), n, "left")
     return kernel, kernel.boxes
 
 
@@ -725,7 +725,7 @@ def _prefix_rows_per_side(monkeypatch, joint, n) -> list[tuple[int, int]]:
     out = []
     for side in ("left", "right"):
         counted.clear()
-        kernel = typicality._DegreeKernel(joint, default_params(n), n, side)
+        kernel = typicality._DegreeKernel.of_side(joint, default_params(n), n, side)
         table = kernel.table()
         assert set(counted) <= set(table)
         out.append((len(kernel._binomial_rows), len({counts[-1] for counts in counted})))
@@ -767,7 +767,7 @@ def test_b2_tables_step_their_row_weights(monkeypatch, binary_joint):
     monkeypatch.setattr(typicality, "multinomial", counted_multinomial)
     n, types, rows = 600, 0, 0
     for side in ("left", "right"):
-        kernel = typicality._DegreeKernel(binary_joint, default_params(n), n, side)
+        kernel = typicality._DegreeKernel.of_side(binary_joint, default_params(n), n, side)
         types += len(kernel.table())
         rows += len(kernel._rows) + len(kernel._binomial_rows)
     assert calls["multinomial"] == types
