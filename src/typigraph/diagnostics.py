@@ -16,14 +16,9 @@ column of letter-pair codes per position. Per-letter counts are
 `bytes.count` calls, and conditioning filters the columns in bulk.
 `edge_distribution` builds it from ids and rows (a rank CSV gives both,
 with the rosters' ranks as ids, and their arrays are adopted as they are
-read); `fano_distribution` builds it from aligned `Sequence` pairs.
-
-Left ids that never decrease, as an export's rank CSV lists them, are
-worked once per run of one id rather than once per edge: the column build
-joins one repeated row per run, block MI reads the left degrees off the
-run lengths, and `wring` keeps the left ids as run lengths while it
-conditions. The runs are found where they are needed (`_runs`), and any
-other left column is worked edge by edge, to the same columns and floats.
+read); `fano_distribution` builds it from aligned `Sequence` pairs. The
+columns are built, measured and conditioned edge by edge, whatever order
+the ids come in.
 
 A whole typicality graph is wrung without its edges. Whether a pair is an
 edge depends only on the types of its ends and on their joint type, so
@@ -42,12 +37,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, floordiv, itemgetter, mod, mul, sub
+from itertools import chain, compress, repeat
+from operator import add, floordiv, itemgetter, mod, mul
 from typing import Optional
 
 from .core import (
@@ -83,15 +77,12 @@ class EdgeDistribution:
     edge by edge, the code a*|Y| + b of the letter pair (a, b) at position
     t: one byte per edge while |X||Y| <= 256, a tuple of ints beyond that.
     So an edge costs the two id widths plus n column bytes: 14 bytes at
-    n = 10 with two "H" columns. The left ids may come in runs of one id
-    (`_runs`), as a rank CSV's do; the runs are found on first use and
-    cached outside the fields (`left_runs`), and conditioning files the
-    survivors' runs as it builds them. distinct is set only
-    where it was proved that no (xid, yid) pair repeats: the reader of a
-    rank CSV refuses a repeat, and the ids of a label CSV or of Fano pairs
-    are checked (`core._repeats`); conditioning keeps it, since a subset of
-    a distinct edge set is distinct. The exact per-letter laws are derived
-    on first use.
+    n = 10 with two "H" columns. distinct is set only where it was proved
+    that no (xid, yid) pair repeats: the reader of a rank CSV refuses a
+    repeat, and the ids of a label CSV or of Fano pairs are checked
+    (`core._repeats`); conditioning keeps it, since a subset of a distinct
+    edge set is distinct. The exact per-letter laws are derived on first
+    use.
     """
 
     xids: array
@@ -126,12 +117,6 @@ class EdgeDistribution:
             for counts in self.letter_counts()
         )
 
-    @cached_property
-    def left_runs(self) -> Optional[list]:
-        """`_runs` of the left ids: where each left id's run starts, or None
-        when some left id decreases."""
-        return _runs(self.xids, len(self.xrows))
-
     def letter_counts(self) -> list:
         """The |X| x |Y| counts of the letter pairs at each position."""
         kx, ky = self.x_alphabet.size, self.y_alphabet.size
@@ -139,27 +124,14 @@ class EdgeDistribution:
 
     def condition(self, t: int, code: int) -> "EdgeDistribution":
         """The edges whose letter pair at position t has the code a*|Y| + b,
-        with their ids, rows and columns (`_restrict`).
-
-        The right ids are filtered edge by edge. Left ids that never
-        decrease (`_runs`) are kept per run: each run's kept edges are
-        counted in the keep mask, and the new left ids are those counts'
-        repeats, so they still run, with their starts filed as the
-        survivors' `left_runs`. Other left ids are filtered edge by edge.
+        with their ids, rows and columns (`_restrict`); both id columns are
+        filtered edge by edge with the keep mask and keep their typecodes.
         """
         codes = self.x_alphabet.size * self.y_alphabet.size
         keep, columns = _restrict(self.columns, t, code, codes)
+        xids = array(self.xids.typecode, compress(self.xids, keep))
         yids = array(self.yids.typecode, compress(self.yids, keep))
-        starts = self.left_runs
-        if starts is None:
-            xids = array(self.xids.typecode, compress(self.xids, keep))
-            return replace(self, xids=xids, yids=yids, columns=columns)
-        counts = [keep[a:b].count(1) for a, b in zip(starts, islice(starts, 1, None))]
-        survivors = replace(
-            self, xids=_repeated(self.xids.typecode, counts), yids=yids, columns=columns
-        )
-        survivors.__dict__["left_runs"] = list(accumulate(counts, initial=0))
-        return survivors
+        return replace(self, xids=xids, yids=yids, columns=columns)
 
 
 def _column_counts(column, kx: int, ky: int) -> list[list[int]]:
@@ -201,48 +173,6 @@ def _joined(enc: list, ids) -> int:
         raise ValueError(f"ids must lie in [0, {len(enc)})") from None
 
 
-def _runs(ids, size: int) -> Optional[list]:
-    """Where each id's run starts, when the ids never decrease, as an
-    export's left ranks do: id i fills ids[starts[i]:starts[i + 1]], and
-    starts[size] is len(ids). None when some id decreases or lies past
-    [0, size).
-
-    Each start is one `bisect_left`, and bisection keeps the starts in
-    order whatever the column holds. Each run is then compared, as an
-    array of its own, to its first id repeated, one run at a time: so the
-    check holds no second column.
-    """
-    starts = [bisect_left(ids, i) for i in range(size + 1)]
-    if starts[0] or starts[-1] != len(ids):
-        return None
-    for i, (a, b) in enumerate(zip(starts, islice(starts, 1, None))):
-        if a < b and (ids[a] != i or ids[a:b] != ids[a : a + 1] * (b - a)):
-            return None
-    return starts
-
-
-def _repeated(typecode: str, counts: list) -> array:
-    """The id column of the given typecode in which id i fills a run of
-    counts[i]: one array repeat per run."""
-    ids = array(typecode)
-    for i, c in enumerate(counts):
-        if c:
-            ids.extend(array(typecode, (i,)) * c)
-    return ids
-
-
-def _run_joined(enc: list, ids, starts: list, lo: int, hi: int) -> int:
-    """`_joined(enc, ids[lo:hi])` for ids with runs `starts`: one repeat of
-    a row per run."""
-    return int.from_bytes(
-        b"".join(
-            enc[i] * (min(starts[i + 1], hi) - max(starts[i], lo))
-            for i in range(ids[lo], ids[hi - 1] + 1)
-        ),
-        "big",
-    )
-
-
 def edge_distribution(
     xids, yids, xrows, yrows, x_alphabet: Alphabet, y_alphabet: Alphabet
 ) -> EdgeDistribution:
@@ -256,10 +186,9 @@ def edge_distribution(
 
     Each row is encoded once as a row of digits (a*|Y| on the left, b on
     the right). For each slice of `_JOIN_SLICE` edges, the rows of the left
-    and of the right endpoints are joined into two byte strings (the left
-    one as one repeated row per run when the left ids never decrease,
-    `_runs`; one row per edge otherwise) whose sum,
-    as big integers, is every edge's row of pair codes: no digit carries.
+    and of the right endpoints are joined into two byte strings, one row
+    per edge, whose sum, as big integers, is every edge's row of pair
+    codes: no digit carries.
     The sum is cut into one piece per position, and each column is the
     join of its pieces. So the big integers stay the size of one slice,
     and at the end an edge holds its two ids and n column bytes (n codes
@@ -283,17 +212,12 @@ def edge_distribution(
         for rows, scale in ((xrows, ky), (yrows, 1))
     )
     stride = n * width
-    starts = _runs(xids, len(xrows))
     pieces: list = [[] for _ in range(n)]
     for k in range(0, len(xids), _JOIN_SLICE):
         end = min(k + _JOIN_SLICE, len(xids))
-        left = (
-            _joined(xenc, xids[k:end])
-            if starts is None
-            else _run_joined(xenc, xids, starts, k, end)
-        )
         size = (end - k) * stride
-        blob = (left + _joined(yenc, yids[k:end])).to_bytes(size, "big")
+        left, right = _joined(xenc, xids[k:end]), _joined(yenc, yids[k:end])
+        blob = (left + right).to_bytes(size, "big")
         for t, column in enumerate(pieces):
             column.append(
                 blob[t::n]
@@ -512,11 +436,8 @@ def block_mi(dist: EdgeDistribution) -> float:
     of its endpoints' counts, so equal inputs share one computed term. On
     a distinct edge set every c is 1 and the pairs come in edge order, so
     the pairs are not counted: each edge's term is looked up by the product
-    of its endpoints' degrees. The right degrees are counted off the right
-    id array. When the left ids never decrease (`_runs`), as in an export's
-    rank CSV, the left degrees are the run lengths, and each run's terms
-    are looked up in one table for its left degree, keyed by the right
-    degree; otherwise the left degrees are counted like the right ones.
+    of its endpoints' degrees. Each side's degrees are counted off its id
+    array.
     """
     total = len(dist)
     log2 = math.log2
@@ -526,24 +447,13 @@ def block_mi(dist: EdgeDistribution) -> float:
         return (c / total) * log2(c * total / product)
 
     xids, yids = dist.xids, dist.yids
-    starts = dist.left_runs
-    if starts is None:
-        x_counts = Counter(xids)
-        x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
-    else:
-        x_deg = list(map(sub, islice(starts, 1, None), starts))
+    x_counts = Counter(xids)
+    x_deg = list(map(x_counts.__getitem__, range(len(dist.xrows))))
     y_counts = Counter(yids)
     if dist.distinct:
         y_deg = list(map(y_counts.__getitem__, range(len(dist.yrows))))
-        if starts is None:
-            products = map(mul, map(x_deg.__getitem__, xids), map(y_deg.__getitem__, yids))
-            terms = map(_Filled(partial(term, 1)).__getitem__, products)
-        else:
-            tables = _Filled(lambda dx: _Filled(lambda dy: term(1, dx * dy)))
-            terms = chain.from_iterable(
-                map(tables[b - a].__getitem__, map(y_deg.__getitem__, yids[a:b]))
-                for a, b in zip(starts, islice(starts, 1, None))
-            )
+        products = map(mul, map(x_deg.__getitem__, xids), map(y_deg.__getitem__, yids))
+        terms = map(_Filled(partial(term, 1)).__getitem__, products)
     else:
         width = len(dist.yrows)
         pair_counts = Counter(_pair_keys(dist))

@@ -661,43 +661,6 @@ def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys, monkeypat
     assert rc == 2
 
 
-def test_wring_of_a_sorted_rank_csv_works_left_ids_per_run(
-    joint_file, tmp_path, capsys, monkeypatch
-):
-    """An export lists each left rank's edges as one run. Its wring counts
-    the right ids and joins their rows edge by edge, but neither counts the
-    left ids nor joins one left row per edge: those are worked per run."""
-    gjson, gcsv = tmp_path / "g.json", tmp_path / "g.csv"
-    assert main(["graph", "--dist", joint_file, "--n", "8", "--out", str(gjson),
-                 "--edges", str(gcsv)]) == 0
-    _drop_last_edge(gcsv)
-    lefts, rights = (list(c) for c in zip(*(
-        map(int, line.split(",")) for line in gcsv.read_text().splitlines()[1:]
-    )))
-    assert lefts == sorted(lefts) and rights != sorted(rights)
-    seen = []
-    real_counter, real_joined = typigraph.diagnostics.Counter, typigraph.diagnostics._joined
-
-    def counter(items=()):
-        items = list(items)
-        seen.append(items)
-        return real_counter(items)
-
-    def joined(enc, ids):
-        seen.append(list(ids))
-        return real_joined(enc, ids)
-
-    monkeypatch.setattr(typigraph.diagnostics, "Counter", counter)
-    monkeypatch.setattr(typigraph.diagnostics, "_joined", joined)
-    capsys.readouterr()
-    assert main(["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.02"]) == 0
-    assert "k=0" not in capsys.readouterr().out
-    assert rights in seen  # the spies see the right ids
-    assert lefts not in seen
-    slices = range(0, len(lefts), typigraph.diagnostics._JOIN_SLICE)
-    assert not any(ids == lefts[k : k + len(ids)] for ids in seen for k in slices)
-
-
 def _refuse(what):
     def refused(*args, **kwargs):
         raise AssertionError(f"{what} ran on the graph's own export")

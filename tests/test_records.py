@@ -256,3 +256,14 @@ def test_post_init_is_looked_up_per_call(monkeypatch):
 def test_cached_properties_on_records(samples):
     dist, sub = samples["EdgeDistribution"], samples["Subgraph"]
     assert dist.per_letter is dist.per_letter
+
+    # conditioning sorted left ids files no cache beside the survivors' fields
+    bit = dist.x_alphabet
+    sorted_left = diagnostics.edge_distribution(
+        [0, 0, 1, 1], [0, 1, 0, 1], [(0, 0), (0, 1)], [(0, 0), (1, 1)], bit, bit
+    )
+    survivors = sorted_left.condition(0, 0)
+    assert list(survivors.xids) == [0, 1]
+    assert set(vars(survivors)) == set(survivors._fields)
+    assert survivors.per_letter is survivors.per_letter
+    assert set(vars(survivors)) == {*survivors._fields, "per_letter"}

@@ -9,8 +9,7 @@ exactly; the subgraph edge CSVs (both kinds) must list exactly the roster
 pairs whose (per-block) joint type is the target; and the diagnostics
 must reproduce the per-edge reference in `oracles` exactly, floats
 included, on label multisets with repeated edges, and give the same floats
-on rank ids into shuffled rosters as on the Sequence pairs they stand for,
-and on left ids worked per run as on the same ids worked edge by edge.
+on rank ids into shuffled rosters as on the Sequence pairs they stand for.
 The rank-CSV writer must write the bytes of the `csv.writer` reference in
 `oracles`, and the bulk rank-CSV reader must read what the row-by-row
 reference there reads, or raise its error, at every chunk size. The uniform
@@ -38,7 +37,6 @@ import typigraph.graph
 from typigraph.core import Alphabet, CondPmf, JointPmf, Pmf, product_alphabet, replace
 from typigraph.deviation import simulate
 from typigraph.diagnostics import (
-    _runs,
     block_mi,
     dominant_joint_type,
     edge_distribution,
@@ -443,23 +441,6 @@ def test_rank_ids_match_sequence_pairs(case, rnd, unused, delta):
         assert pinsker_check(got.survivors, delta) == pinsker_check(want.survivors, delta)
 
 
-@PROPERTY
-@given(st.lists(st.integers(0, 9), max_size=12), st.integers(0, 8), st.sampled_from("BH"))
-@example([1, 0], 2, "B")  # decreasing
-@example([0, 0, 2, 2, 1], 3, "H")  # decreasing at the end only
-@example([0, 3], 3, "B")  # an id past the rows
-@example([], 0, "B")
-@example([2, 2], 300, "B")  # rows past the typecode's range: their runs are empty
-def test_runs_of_an_id_column(ids, size, typecode):
-    """`_runs` gives each id's run start exactly when the column never
-    decreases and every id lies in [0, size); None otherwise."""
-    got = _runs(array(typecode, ids), size)
-    if any(map(int.__gt__, ids, ids[1:])) or any(v >= size for v in ids):
-        assert got is None
-    else:
-        assert got == [sum(v < i for v in ids) for i in range(size + 1)]
-
-
 @st.composite
 def id_edge_sets(draw):
     """Edges as (left id, right id) pairs into rosters with rows no edge
@@ -489,30 +470,25 @@ def id_edge_sets(draw):
 
 @PROPERTY
 @given(id_edge_sets(), st.sampled_from([0.005, 0.05, 0.2]), st.integers(1, 8))
-def test_left_runs_give_the_per_edge_results(case, delta, join_slice):
-    """Left ids worked per run, when they never decrease, give the columns,
-    the block MI and the whole wring trace of the per-edge code (`_runs`
-    patched to find no runs), float for float, and both equal the per-edge
-    reference; the survivors keep the id typecodes. The column build's
-    slices are cut short, so that runs straddle them."""
+def test_id_columns_give_the_per_edge_results(case, delta, join_slice):
+    """Id columns, sorted by left id or not, give each edge's letter-pair
+    codes as columns, and the block MI, the whole wring trace and the
+    Pinsker TVs of the per-edge reference, float for float; the survivors
+    keep the id typecodes. The column build's slices are cut short, so
+    that the edges of one left id straddle them."""
     kx, ky, xrows, yrows, pairs, distinct, xcode, ycode = case
     xa, ya = Alphabet(tuple(range(kx))), Alphabet(tuple(range(ky)))
-
-    def build():
+    with mock.patch.object(typigraph.diagnostics, "_JOIN_SLICE", join_slice):
         dist = edge_distribution(
             array(xcode, [i for i, _ in pairs]), array(ycode, [j for _, j in pairs]),
             xrows, yrows, xa, ya,
         )
-        return replace(dist, distinct=distinct)
-
-    with mock.patch.object(typigraph.diagnostics, "_JOIN_SLICE", join_slice):
-        dist = build()
-        with mock.patch.object(typigraph.diagnostics, "_runs", lambda ids, size: None):
-            plain = build()
-            want = block_mi(plain), _wring_trace(wring(plain, delta))
+    dist = replace(dist, distinct=distinct)
     raw = [(xrows[i], yrows[j]) for i, j in pairs]
-    assert dist.columns == plain.columns
-    assert (block_mi(dist), _wring_trace(wring(dist, delta))) == want
+    column = bytes if kx * ky <= 256 else tuple
+    assert dist.columns == tuple(
+        column(x[t] * ky + y[t] for x, y in raw) for t in range(len(xrows[0]))
+    )
     survivors = _check_wring(dist, kx, ky, raw, delta).survivors
     assert (survivors.xids.typecode, survivors.yids.typecode) == (xcode, ycode)
 
