@@ -33,6 +33,7 @@ from .core import (
     JointPmf,
     Pmf,
     _repeats,
+    _write_json,
     conditional_entropy,
     entropy,
     format_fraction,
@@ -50,7 +51,6 @@ from .typicality import (
 from .graph import (
     GRAPH_SCHEMA,
     GraphSpec,
-    TypicalityGraph,
     _is_export,
     _read_edge_csv,
     _rows,
@@ -76,7 +76,6 @@ from .diagnostics import (
     EdgeDistribution,
     check_budget,
     edge_distribution,
-    graph_block_mi,
     graph_distribution,
     pinsker_check,
     wring,
@@ -138,12 +137,6 @@ def _config(args: argparse.Namespace) -> dict:
     }
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     return {"config": echo, "config_sha256": hashlib.sha256(blob.encode()).hexdigest()}
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _stamp(path: str, config: dict) -> None:
@@ -476,21 +469,30 @@ def _label_ids(cells: list) -> tuple[list[int], list[tuple], Alphabet]:
 
 
 def _label_distribution(path: str) -> EdgeDistribution:
-    """An `x,y` label CSV's edges, marked distinct when no (x, y) pair repeats."""
+    """An `x,y` label CSV's edges, marked distinct when no (x, y) pair repeats.
+    Blank rows are skipped; a row of other than two cells raises ValueError
+    naming its CSV row, and a file of no edge row "no edges"."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r][1:]
-    xids, xrows, x_alpha = _label_ids([r[0].split() for r in rows])
-    yids, yrows, y_alpha = _label_ids([r[1].split() for r in rows])
+        rows = [(line, r) for line, r in enumerate(csv.reader(fh), 1) if line > 1 and r]
+    for line, r in rows:
+        if len(r) != 2:
+            raise ValueError(f"label CSV row {line}: expected two cells, got {r!r}")
+    if not rows:
+        raise ValueError("no edges")
+    xids, xrows, x_alpha = _label_ids([r[0].split() for _, r in rows])
+    yids, yrows, y_alpha = _label_ids([r[1].split() for _, r in rows])
     dist = edge_distribution(xids, yids, xrows, yrows, x_alpha, y_alpha)
     return dist if _repeats(dist.xids, dist.yids, len(xrows)) else replace(dist, distinct=True)
 
 
 def _rank_distribution(path: str, graph_path: Optional[str]):
     """The edges of a rank CSV with the rosters of the export header at
-    graph_path as rows and the ranks as ids; None if the CSV lists none.
+    graph_path as rows and the ranks as ids; ValueError "no edges" if the
+    CSV lists none.
 
     A CSV that is byte for byte the graph's own export (`graph._is_export`)
-    is not read: its graph is returned, to be wrung from its joint types."""
+    is not read: the law of its graph's edges is kept by joint types
+    (`graph_distribution`)."""
     if not graph_path:
         raise ConfigError(
             "rank-format edge CSV needs --graph HEADER.json for the rosters"
@@ -504,7 +506,7 @@ def _rank_distribution(path: str, graph_path: Optional[str]):
         if schema == GRAPH_SCHEMA:
             g = import_graph(graph_path)
             if _is_export(g, path):
-                return g
+                return graph_distribution(g)
             joint = g.spec.joint
             left, right = list(_rows(g, "left")), list(_rows(g, "right"))
         elif schema == SUBGRAPH_SCHEMA:
@@ -517,10 +519,8 @@ def _rank_distribution(path: str, graph_path: Optional[str]):
         raise ConfigError(f"{graph_path}: {exc}") from exc
     xids, yids = _read_edge_csv(path, len(left), len(right))
     if not xids:
-        return None
-    dist = edge_distribution(
-        xids, yids, left, right, joint.row_alphabet, joint.col_alphabet
-    )
+        raise ValueError("no edges")
+    dist = edge_distribution(xids, yids, left, right, joint.row_alphabet, joint.col_alphabet)
     return replace(dist, distinct=True)  # _read_edge_csv refuses a repeated edge
 
 
@@ -536,27 +536,18 @@ def cmd_wring(args: argparse.Namespace) -> int:
         head = next(csv.reader(fh), None)
     try:
         if head is None:
-            dist = None
-        elif head == ["x", "y"]:
+            raise ValueError("no edges")
+        if head == ["x", "y"]:
             dist = _label_distribution(args.edges)
         elif head == ["left_rank", "right_rank"]:
             dist = _rank_distribution(args.edges, args.graph)
         else:
-            raise ConfigError(
-                f"{args.edges}: header must be 'x,y' or 'left_rank,right_rank'"
-            )
-    except (ValueError, IndexError) as exc:
+            raise ValueError("header must be 'x,y' or 'left_rank,right_rank'")
+    except ValueError as exc:
         raise ConfigError(f"{args.edges}: {exc}") from exc
-    if dist is None:
-        raise ConfigError(f"{args.edges}: no edges")
-    sigma = args.sigma
-    if isinstance(dist, TypicalityGraph):  # its own export: wrung from its joint types
-        if sigma is None:
-            sigma = graph_block_mi(dist)
-        dist = graph_distribution(dist)
-    result = wring(dist, args.delta, sigma)
+    result = wring(dist, args.delta, args.sigma)
     print(
-        f"wring: k={result.k} surviving={len(result.survivors)}/{len(dist)} "
+        f"wring: k={result.k} surviving={result.survivors.size}/{dist.size} "
         f"fraction={format_fraction(result.surviving_fraction)} "
         f"converged={result.converged}"
     )
@@ -567,7 +558,7 @@ def cmd_wring(args: argparse.Namespace) -> int:
     config = _config(args)
     payload = wringing_to_dict(result)
     payload["pinsker_tv"] = list(pinsker) if pinsker is not None else None
-    payload["edge_count_in"] = len(dist)
+    payload["edge_count_in"] = dist.size
     if args.out:
         _write_json(args.out, _record(config, payload))
     return EXIT_OK

@@ -562,6 +562,12 @@ def save_distribution(obj, path: str) -> None:
         doc = cond_to_dict(obj)
     else:
         raise ValueError("save_distribution expects a Pmf, JointPmf, or CondPmf")
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """doc as indented JSON with sorted keys and a final newline: every
+    JSON file the package writes is spelled so."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,11 +9,12 @@ rate bound.
 
 All distribution arithmetic is exact (counts over the edge multiset);
 entropic values are floats in bits. Every tool takes one form of an edge
-multiset, an `EdgeDistribution` (the wring and the Pinsker check also take
-a whole graph's `TypeDistribution`, below): two id columns that name each edge's
-endpoints, each side's distinct symbol rows indexed by id, and one byte
-column of letter-pair codes per position. Per-letter counts are
-`bytes.count` calls, and conditioning filters the columns in bulk.
+multiset, an `EdgeDistribution` (`block_mi`, the wring and the Pinsker
+check also take a whole graph's `TypeDistribution`, below): two id
+columns that name each edge's endpoints, each side's distinct symbol rows
+indexed by id, and one byte column of letter-pair codes per position.
+Per-letter counts are `bytes.count` calls, and conditioning filters the
+columns in bulk.
 `edge_distribution` builds it from ids and rows (a rank CSV gives both,
 with the rosters' ranks as ids, and their arrays are adopted as they are
 read); `fano_distribution` builds it from aligned `Sequence` pairs. The
@@ -25,12 +26,12 @@ edge depends only on the types of its ends and on their joint type, so
 the uniform law on the edges does not change when positions are
 permuted, and every count the wring reads is a sum of multinomials over
 the graph's joint types: `graph_distribution` keeps the law so, as a
-`TypeDistribution`, and `graph_block_mi` reads the block MI off the
-graph's two degree tables. `wring` and `pinsker_check` read only each
-position's integer letter-pair counts (`letter_counts`) and condition
-through `condition`, which both forms provide, so one greedy loop, with
-its stopping rules, tie-breaks, step records and `bound_ok`, serves both,
-and equal counts give equal floats.
+`TypeDistribution`. Both forms of a law give one interface: its exact
+edge count `size`, each position's integer letter-pair counts
+(`letter_counts`) and `condition`; `block_mi` takes either form. So one
+greedy loop in `wring`, with its stopping rules, tie-breaks, step records
+and `bound_ok`, and one `pinsker_check` serve both, and equal counts give
+equal floats.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .core import (
 )
 from .typicality import (
     JointTypeVector,
-    _ball_boxes,
     _compositions_in_boxes,
     _Filled,
     multinomial,
@@ -95,7 +95,9 @@ class EdgeDistribution:
     columns: tuple
     distinct: bool = False
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of edges, repeats counted."""
         return len(self.xids)
 
     def pairs(self):
@@ -107,7 +109,7 @@ class EdgeDistribution:
     @cached_property
     def per_letter(self) -> tuple:
         """Exact JointPmf of the letter pair at each position."""
-        total = len(self)
+        total = self.size
         return tuple(
             JointPmf(
                 self.x_alphabet,
@@ -301,7 +303,9 @@ class TypeDistribution:
     fixed: tuple
     types: tuple
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of edges, exact at any size."""
         return sum(weight for weight, _ in self.types)
 
     def letter_counts(self) -> list:
@@ -309,19 +313,15 @@ class TypeDistribution:
         of them at its code on a fixed position, the shared N(a, b) on an
         open one."""
         kx, ky = self.x_alphabet.size, self.y_alphabet.size
-        total, m, fixed = len(self), self.n - len(self.fixed), dict(self.fixed)
+        total, m, fixed = self.size, self.n - len(self.fixed), dict(self.fixed)
+        cells = range(kx * ky)
         if m:
-            flat = [sum(w * r[c] for w, r in self.types) // m for c in range(kx * ky)]
-            shared = [flat[a * ky : (a + 1) * ky] for a in range(kx)]
-        counts = []
-        for t in range(self.n):
-            if t in fixed:
-                point = [[0] * ky for _ in range(kx)]
-                point[fixed[t] // ky][fixed[t] % ky] = total
-                counts.append(point)
-            else:
-                counts.append(shared)
-        return counts
+            shared = [sum(w * r[c] for w, r in self.types) // m for c in cells]
+        flats = (
+            [total if c == fixed[t] else 0 for c in cells] if t in fixed else shared
+            for t in range(self.n)
+        )
+        return [[f[a * ky : (a + 1) * ky] for a in range(kx)] for f in flats]
 
     def condition(self, t: int, code: int) -> "TypeDistribution":
         """The edges whose letter pair at position t has the code a*|Y| + b."""
@@ -341,42 +341,26 @@ def graph_distribution(g) -> TypeDistribution:
     """The uniform law over the edges of the typicality graph g, by joint
     types: J runs over the count matrices inside the per-cell lam-boxes of
     the joint ball whose row sums lie in the row ball and whose column sums
-    lie in the column ball. No edge, roster or sequence is listed; every J
-    holds an edge, so there are at most as many as edges.
-    InvariantViolation unless the types hold g's exact edge count."""
-    spec = g.spec
-    joint, n, params = spec.joint, spec.n, spec.params
+    lie in the column ball, the boxes of g's left kernel. No edge, roster
+    or sequence is listed; every J holds an edge, so there are at most as
+    many as edges. InvariantViolation unless the types hold g's exact edge
+    count."""
+    joint = g.spec.joint
+    n, rows, cells, cols = g._kernel("left").shape
     ky = joint.col_alphabet.size
-    rows = _ball_boxes(joint.row_marginal().probs, n, params.eps1)
-    cols = _ball_boxes(joint.col_marginal().probs, n, params.eps2)
     types = tuple(
         (multinomial(n, j), j)
-        for j in _compositions_in_boxes(_ball_boxes(joint.flat(), n, params.lam), n)
+        for j in _compositions_in_boxes(list(chain.from_iterable(cells)), n)
         if all(lo <= sum(j[a * ky : (a + 1) * ky]) <= hi for a, (lo, hi) in enumerate(rows))
         and all(lo <= sum(j[b::ky]) <= hi for b, (lo, hi) in enumerate(cols))
     )
     law = TypeDistribution(joint.row_alphabet, joint.col_alphabet, n, (), types)
-    if len(law) != g.edge_count.value:
+    if law.size != g.edge_count.value:
         raise InvariantViolation(
-            f"the joint types hold {len(law)} edges, but the exact pair count "
+            f"the joint types hold {law.size} edges, but the exact pair count "
             f"is {g.edge_count.value}"
         )
     return law
-
-
-def graph_block_mi(g) -> float:
-    """Exact I between the endpoints of a uniform edge of the typicality
-    graph g, in bits, from its two degree tables: every vertex of a type
-    has that type's degree, so with E edges the MI is log2 E minus, over
-    both sides and their types, (size * degree / E) * log2 degree."""
-    e = g.edge_count.value
-    terms = (
-        size * deg / e * math.log2(deg)
-        for side in ("left", "right")
-        for size, deg in g._table(side).values()
-        if deg
-    )
-    return max(0.0, math.log2(e) - float_sum(terms))
 
 
 def _pair_keys(dist: EdgeDistribution):
@@ -406,7 +390,7 @@ def dominant_joint_type(dist: EdgeDistribution) -> DominantTypeResult:
         key = tuple(cells)
         tally[key] = tally.get(key, 0) + c
     best_key = min(tally, key=lambda k: (-tally[k], k))
-    fraction = Fraction(tally[best_key], len(dist))
+    fraction = Fraction(tally[best_key], dist.size)
     counts = tuple(
         tuple(best_key[a * ky + b] for b in range(ky)) for a in range(kx)
     )
@@ -428,18 +412,21 @@ def dominant_joint_type(dist: EdgeDistribution) -> DominantTypeResult:
 # ---------------------------------------------------------------------------
 
 
-def block_mi(dist: EdgeDistribution) -> float:
+def block_mi(dist) -> float:
     """Exact I between the two endpoints of a uniform random edge, in bits.
 
-    The terms are added one after another, in first-occurrence order of
-    their pair. A term depends only on the pair's count c and the product
-    of its endpoints' counts, so equal inputs share one computed term. On
-    a distinct edge set every c is 1 and the pairs come in edge order, so
-    the pairs are not counted: each edge's term is looked up by the product
-    of its endpoints' degrees. Each side's degrees are counted off its id
-    array.
+    dist is an `EdgeDistribution` or a `TypeDistribution` (`_type_block_mi`).
+    On edges, the terms are added one after another, in first-occurrence
+    order of their pair. A term depends only on the pair's count c and the
+    product of its endpoints' counts, so equal inputs share one computed
+    term. On a distinct edge set every c is 1 and the pairs come in edge
+    order, so the pairs are not counted: each edge's term is looked up by
+    the product of its endpoints' degrees. Each side's degrees are counted
+    off its id array.
     """
-    total = len(dist)
+    if isinstance(dist, TypeDistribution):
+        return _type_block_mi(dist)
+    total = dist.size
     log2 = math.log2
 
     @lru_cache(maxsize=None)
@@ -464,6 +451,29 @@ def block_mi(dist: EdgeDistribution) -> float:
         )
         terms = map(term, pair_counts.values(), products)
     return max(0.0, reduce(add, terms, 0.0))
+
+
+def _type_block_mi(law: TypeDistribution) -> float:
+    """The block MI of a law kept by joint types. With m open positions,
+    the M(m; t) vertices of a side's residual type t share one degree,
+    E_t // M(m; t), E_t the weight of the types whose residual sums to t.
+    So the MI is log2 E minus the sum of E_t / E * log2 degree over the row
+    types, then the column types, each side in lexicographic order: on a
+    whole graph, the terms of its two degree tables, in their order."""
+    kx, ky = law.x_alphabet.size, law.y_alphabet.size
+    total, m = law.size, law.n - len(law.fixed)
+    rows, cols = {}, {}
+    for weight, r in law.types:
+        t = tuple(sum(r[a * ky : (a + 1) * ky]) for a in range(kx))
+        rows[t] = rows.get(t, 0) + weight
+        t = tuple(sum(r[b::ky]) for b in range(ky))
+        cols[t] = cols.get(t, 0) + weight
+    terms = (
+        mass / total * math.log2(mass // multinomial(m, t))
+        for side in (rows, cols)
+        for t, mass in sorted(side.items())
+    )
+    return max(0.0, math.log2(total) - float_sum(terms))
 
 
 @record
@@ -509,7 +519,7 @@ def block_mi_bound(
     )
     exact = None
     within: Optional[bool] = None
-    if edges is not None and len(edges) <= _EXACT_MI_EDGES:
+    if edges is not None and edges.size <= _EXACT_MI_EDGES:
         exact = block_mi(edges)
         if floor_ok:
             within = exact <= lemma_bound + _FP_TOL
@@ -531,23 +541,20 @@ def block_mi_bound(
 
 def _per_letter_mi(counts: list, total: int) -> float:
     """The MI of one position's letter pair, from its |X| x |Y| counts."""
-    kx, ky = len(counts), len(counts[0])
-    rows = [sum(r) for r in counts]
-    cols = [sum(counts[a][b] for a in range(kx)) for b in range(ky)]
-    acc = 0.0
-    for a in range(kx):
-        for b in range(ky):
-            c = counts[a][b]
-            if c:
-                acc += (c / total) * math.log2(c * total / (rows[a] * cols[b]))
-    return max(0.0, acc)
+    rows, cols = list(map(sum, counts)), list(map(sum, zip(*counts)))
+    terms = (
+        (c / total) * math.log2(c * total / (rows[a] * cols[b]))
+        for a, row in enumerate(counts)
+        for b, c in enumerate(row)
+        if c
+    )
+    return max(0.0, float_sum(terms))
 
 
 def _pinsker_tv(counts: list, total: int) -> float:
     """The TV between one position's letter-pair law and the product of
     its marginals, exact from its counts, then rounded once to a float."""
-    rows = [sum(r) for r in counts]
-    cols = [sum(col) for col in zip(*counts)]
+    rows, cols = list(map(sum, counts)), list(map(sum, zip(*counts)))
     gap = sum(
         abs(c * total - rows[a] * cols[b])
         for a, row in enumerate(counts)
@@ -630,17 +637,15 @@ def wring(dist, delta: float, sigma: Optional[float] = None) -> WringingResult:
     dist is an `EdgeDistribution`, whose survivors keep its id columns and
     rows, restricted to the surviving edges (`EdgeDistribution.condition`),
     or a `TypeDistribution`, conditioned by joint types. One loop serves
-    both: it reads each position's integer letter-pair counts, so equal
-    counts give equal floats. sigma defaults to `block_mi(dist)` on edges;
-    a TypeDistribution needs it given (`graph_block_mi` for a whole graph).
+    both: it reads each law's exact `size` and each position's integer
+    letter-pair counts, so equal counts give equal floats. sigma defaults
+    to `block_mi(dist)`, on either form.
     """
     check_budget(delta, sigma)
     kx, ky = dist.x_alphabet.size, dist.y_alphabet.size
     if sigma is None:
-        if not isinstance(dist, EdgeDistribution):
-            raise ValueError("sigma must be given for a TypeDistribution")
         sigma = block_mi(dist)
-    total0 = len(dist)
+    total0 = dist.size
     hard_cap = dist.n * kx * ky
     step_cap = 2.0 * sigma / delta
     positions: list[int] = []
@@ -648,7 +653,7 @@ def wring(dist, delta: float, sigma: Optional[float] = None) -> WringingResult:
     steps: list[WringingStep] = []
     converged = False
     while True:
-        total = len(dist)
+        total = dist.size
         counts = dist.letter_counts()
         mis = [_per_letter_mi(c, total) for c in counts]
         worst = max(mis)
@@ -660,10 +665,9 @@ def wring(dist, delta: float, sigma: Optional[float] = None) -> WringingResult:
             break  # flagged partial result
         t_star = mis.index(worst)
         best = counts[t_star]
-        best_ab = max(((best[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky)))
-        a_star, b_star = best_ab[3], best_ab[4]
+        *_, a_star, b_star = max((best[a][b], -a, -b, a, b) for a in range(kx) for b in range(ky))
         dist = dist.condition(t_star, a_star * ky + b_star)
-        if not len(dist):
+        if not dist.size:
             # cannot happen for the argmax value; defensive, loud
             raise InvariantViolation("conditioning emptied the edge multiset")
         positions.append(t_star)
@@ -672,8 +676,8 @@ def wring(dist, delta: float, sigma: Optional[float] = None) -> WringingResult:
             WringingStep(
                 position=t_star,
                 value=values[-1],
-                surviving=len(dist),
-                fraction=Fraction(len(dist), total0),
+                surviving=dist.size,
+                fraction=Fraction(dist.size, total0),
                 max_mi_before=worst,
             )
         )
@@ -709,7 +713,7 @@ def wringing_to_dict(result: WringingResult) -> dict:
         "positions": list(result.positions),
         "values": [[str(a), str(b)] for a, b in result.values],
         "surviving_fraction": str(result.surviving_fraction),
-        "surviving_edges": len(result.survivors),
+        "surviving_edges": result.survivors.size,
         "per_letter_mi": list(result.per_letter_mi),
         "steps": [
             {
@@ -739,7 +743,7 @@ def pinsker_check(dist, delta: float) -> tuple:
     returning quietly.
     """
     check_budget(delta)
-    total = len(dist)
+    total = dist.size
     cap = 2.0 * math.sqrt(delta)
     counts = dist.letter_counts()
     for t, c in enumerate(counts):

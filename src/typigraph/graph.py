@@ -42,6 +42,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     _repeats,
+    _write_json,
     conditionalize,
     float_sum,
     id_typecode,
@@ -431,9 +432,7 @@ def export_graph(
         },
         "edges_csv": edges_csv_path is not None,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, header)
     if edges_csv_path is not None:
         _write_rank_csv(edges_csv_path, _scan_rows(g), g.edge_count.value)
 

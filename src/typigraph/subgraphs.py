@@ -44,6 +44,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     Pmf,
+    _write_json,
     cond_from_dict,
     cond_to_dict,
     conditionalize,
@@ -716,9 +717,7 @@ def export_subgraph(
         "support_shrunk": sub.tilde.support_shrunk,
         **extra,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, header)
     if edges_csv_path is None:
         return
     rows = _neighbour_rows(sub, _spliced(sub, "left"), list(_spliced(sub, "right")))

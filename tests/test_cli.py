@@ -670,15 +670,21 @@ def _refuse(what):
 
 def test_wring_of_a_graph_export_reads_no_edge(joint_file, tmp_path, capsys, monkeypatch):
     """The exact export is wrung from the graph's joint types: its edges
-    are not read into columns, no block MI is summed over them, no
-    Sequence is built, and each roster is walked once, to recognise the
-    file."""
+    are not read into columns, its block MI is summed over joint types,
+    not edges, no Sequence is built, and each roster is walked once, to
+    recognise the file."""
     gjson, gcsv = tmp_path / "g.json", tmp_path / "g.csv"
     main(["graph", "--dist", joint_file, "--n", "4", "--out", str(gjson), "--edges", str(gcsv)])
     capsys.readouterr()
-    for module, name in ((typigraph.cli, "_read_edge_csv"), (typigraph.cli, "edge_distribution"),
-                         (typigraph.diagnostics, "block_mi")):
+    for module, name in ((typigraph.cli, "_read_edge_csv"), (typigraph.cli, "edge_distribution")):
         monkeypatch.setattr(module, name, _refuse(name))
+    block_mi, laws = typigraph.diagnostics.block_mi, []
+
+    def by_types(law):
+        laws.append(type(law).__name__)
+        return block_mi(law)
+
+    monkeypatch.setattr(typigraph.diagnostics, "block_mi", by_types)
     monkeypatch.setattr(typigraph.typicality.Sequence, "__post_init__", _refuse("Sequence"))
     walks, rows = [], typigraph.graph._rows
 
@@ -692,6 +698,7 @@ def test_wring_of_a_graph_export_reads_no_edge(joint_file, tmp_path, capsys, mon
     assert rc == 0
     assert "wring:" in capsys.readouterr().out
     assert sorted(walks) == ["left", "right"]
+    assert laws == ["TypeDistribution"]
 
 
 def test_wring_of_a_graph_export_works_no_id(joint_file, tmp_path, capsys, monkeypatch):
@@ -872,6 +879,30 @@ def test_wring_names_bad_rank_row(joint_file, tmp_path, capsys, row, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert "row 3" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "row", ["0 1,1 0,zz", "0 1", "0 1,1 0,"], ids=["three-cells", "one-cell", "trailing-comma"]
+)
+def test_wring_names_bad_label_row(tmp_path, capsys, row):
+    """A label row of other than two cells is refused by its CSV row (a
+    blank row counts), as a bad rank row is: it is neither cut to two
+    cells nor indexed past its end."""
+    path = tmp_path / "labels.csv"
+    path.write_text(f"x,y\n0 1,1 0\n\n{row}\n1 0,0 1\n")
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(path), "--delta", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "label CSV row 4: expected two cells" in err and repr(row.split(",")) in err
+
+
+@pytest.mark.parametrize("text", ["", "x,y\n", "x,y\r\n\r\n"], ids=["empty", "header", "blank-rows"])
+def test_wring_of_a_csv_without_edges_says_no_edges(tmp_path, capsys, text):
+    path = tmp_path / "edges.csv"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(path), "--delta", "0.1"]) == 2
+    assert f"{path}: no edges" in capsys.readouterr().err
 
 
 def _set(doc, path, value):

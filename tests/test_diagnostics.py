@@ -232,7 +232,7 @@ def test_wring_rejects_nonfinite_budgets(delta, sigma):
 def test_edge_distribution_from_ids_and_rows():
     xa, ya = Alphabet(("a", "b")), BIN
     dist = edge_distribution([1, 0, 1], [0, 0, 1], [(0, 0), (1, 0)], [(0, 1), (1, 1)], xa, ya)
-    assert len(dist) == 3
+    assert dist.size == 3
     assert list(dist.pairs()) == [((1, 0), (0, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1))]
     assert dist.columns == (bytes([2, 0, 3]), bytes([1, 1, 1]))
     seqs = [(Sequence(xa, x), Sequence(ya, y)) for x, y in dist.pairs()]

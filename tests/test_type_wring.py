@@ -2,11 +2,14 @@
 
 A rank CSV that is byte for byte a typicality graph's own export is wrung
 from the graph's joint types (`diagnostics.graph_distribution`), with the
-block MI read off its degree tables (`diagnostics.graph_block_mi`). On
-B2, T3 and random small joints, that run must give the edge path's
-positions, values, surviving counts, fractions, verdicts and Pinsker TVs,
-with every float within 1e-12. A CSV that differs from the export in any
-byte takes the edge path, and one whose size differs starts no pair scan.
+block MI read off those types (`diagnostics.block_mi`, which takes either
+form of a law). On B2, T3 and random small joints, that run must give the
+edge path's positions, values, surviving counts, fractions, verdicts and
+Pinsker TVs, with every float within 1e-12, and σ must be the sum over the
+graph's two degree tables bit for bit. A CSV that differs from the export
+in any byte takes the edge path, and one whose size differs starts no pair
+scan. Implicit graphs with more than 2^63 edges are wrung by their exact
+size.
 """
 
 import json
@@ -16,19 +19,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 import typigraph.cli
 import typigraph.typicality
 from typigraph.cli import main
-from typigraph.core import Alphabet, JointPmf, replace, save_distribution
+from typigraph.core import Alphabet, JointPmf, float_sum, replace, save_distribution
 from typigraph.diagnostics import (
+    block_mi,
     edge_distribution,
-    graph_block_mi,
     graph_distribution,
     pinsker_check,
     wring,
 )
 from typigraph.graph import GraphSpec, _is_export, _read_edge_csv, _rows, build_graph, export_graph
-from typigraph.typicality import TypicalityParams, default_params
+from typigraph.typicality import TypicalityParams, default_params, degree_table
 
 PROPERTY = settings.get_profile("typigraph")
 
@@ -93,7 +97,7 @@ def test_type_path_matches_the_edge_path(tmp_path_factory, case, delta, sigma):
     assert _is_export(g, ranks)
 
     law = graph_distribution(g)
-    assert len(law) == g.edge_count.value
+    assert law.size == g.edge_count.value
     left, right = list(_rows(g, "left")), list(_rows(g, "right"))
     dist = replace(
         edge_distribution(
@@ -101,13 +105,14 @@ def test_type_path_matches_the_edge_path(tmp_path_factory, case, delta, sigma):
         ),
         distinct=True,
     )
-    got = wring(law, delta, graph_block_mi(g) if sigma is None else sigma)
+    got = wring(law, delta, sigma)
     want = wring(dist, delta, sigma)
 
     assert (got.k, got.positions, got.values) == (want.k, want.positions, want.values)
     assert got.positions == tuple(range(got.k))  # exchangeable: the open positions tie
-    assert len(got.survivors) == len(want.survivors)
+    assert got.survivors.size == want.survivors.size
     assert got.surviving_fraction == want.surviving_fraction
+    assert _close(block_mi(got.survivors), block_mi(want.survivors))
     assert (got.converged, got.bound_ok) == (want.converged, want.bound_ok)
     assert _close(got.sigma, want.sigma)
     assert len(got.per_letter_mi) == len(want.per_letter_mi)
@@ -120,6 +125,59 @@ def test_type_path_matches_the_edge_path(tmp_path_factory, case, delta, sigma):
     if want.converged:
         tvs, want_tvs = pinsker_check(got.survivors, delta), pinsker_check(want.survivors, delta)
         assert len(tvs) == len(want_tvs) and all(map(_close, tvs, want_tvs))
+
+
+# --- block MI by joint types --------------------------------------------------------
+
+
+def _table_sigma(joint, n, params):
+    """The block MI of a uniform edge from the two degree tables, in their
+    order: log2 E minus the sum of size * deg / E * log2 deg."""
+    tables = [degree_table(joint, params, n, side).values() for side in ("left", "right")]
+    e = sum(size * deg for size, deg in tables[0])
+    terms = (size * deg / e * math.log2(deg) for table in tables for size, deg in table if deg)
+    return max(0.0, math.log2(e) - float_sum(terms))
+
+
+@PROPERTY
+@given(graphs(), st.sampled_from(["explicit", "implicit"]))
+def test_type_block_mi_is_the_degree_table_sum(tmp_path_factory, case, mode):
+    """σ of the type law is the degree tables' sum bit for bit, and the
+    exported edges' MI within 1e-12 where the edges are few."""
+    joint, n, params = case
+    g = build_graph(GraphSpec(joint, n, params, mode))
+    assume(g.edge_count.value)
+    sigma = block_mi(graph_distribution(g))
+    assert sigma == _table_sigma(joint, n, params)
+    nl, nr = g.vertex_counts()
+    if mode == "explicit" and nl * nr <= MAX_PAIRS:
+        ranks = str(tmp_path_factory.mktemp("export") / "g.csv")
+        export_graph(g, ranks + ".json", ranks)
+        left, right = list(_rows(g, "left")), list(_rows(g, "right"))
+        edges = [(left[i], right[j]) for i, j in zip(*_read_edge_csv(ranks, nl, nr))]
+        assert _close(sigma, oracles.block_mi(edges))
+
+
+@pytest.mark.parametrize("joint, n", [(B2, n) for n in range(2, 13)] + [(T3, n) for n in range(2, 7)])
+def test_type_block_mi_on_b2_and_t3(joint, n):
+    params = default_params(n)
+    g = build_graph(GraphSpec(joint, n, params, "implicit"))
+    assert block_mi(graph_distribution(g)) == _table_sigma(joint, n, params)
+
+
+@pytest.mark.parametrize("n, types", [(40, 600), (100, 4641)])
+def test_implicit_graphs_past_2_63_edges_are_wrung(n, types):
+    """An implicit B2 graph whose edges overflow an index is wrung from its
+    joint types by their exact size, σ taken from the law itself."""
+    g = build_graph(GraphSpec(B2, n, default_params(n), "implicit"))
+    law = graph_distribution(g)
+    assert len(law.types) == types
+    assert law.size == g.edge_count.value > 2**63
+    result = wring(law, 0.05)
+    assert result.converged and result.sigma == _table_sigma(B2, n, default_params(n))
+    assert result.survivors.size == result.surviving_fraction * law.size
+    tvs = pinsker_check(result.survivors, 0.05)
+    assert len(tvs) == n and max(tvs) <= 2 * math.sqrt(0.05)
 
 
 # --- recognition ------------------------------------------------------------------
