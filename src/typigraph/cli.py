@@ -329,7 +329,7 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
         try:
             sub = build_aux_subgraph(joint, aux, args.n, params)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{args.aux}: {exc}") from exc
     rates, slack = measure_rates(sub)
     if sub.kind == "single_type":
         blocks, name = "", "single-type"
@@ -470,8 +470,10 @@ def _label_ids(cells: list) -> tuple[list[int], list[tuple], Alphabet]:
 
 def _label_distribution(path: str) -> EdgeDistribution:
     """An `x,y` label CSV's edges, marked distinct when no (x, y) pair repeats.
-    Blank rows are skipped; a row of other than two cells raises ValueError
-    naming its CSV row, and a file of no edge row "no edges"."""
+    Blank rows are skipped. A row of other than two cells, with an empty
+    sequence, or whose sequences are not of the first edge row's
+    blocklength raises ValueError naming its CSV row, and a file of no edge
+    row "no edges"."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [(line, r) for line, r in enumerate(csv.reader(fh), 1) if line > 1 and r]
     for line, r in rows:
@@ -479,8 +481,18 @@ def _label_distribution(path: str) -> EdgeDistribution:
             raise ValueError(f"label CSV row {line}: expected two cells, got {r!r}")
     if not rows:
         raise ValueError("no edges")
-    xids, xrows, x_alpha = _label_ids([r[0].split() for _, r in rows])
-    yids, yrows, y_alpha = _label_ids([r[1].split() for _, r in rows])
+    cells = [(line, r[0].split(), r[1].split()) for line, r in rows]
+    first, n = cells[0][0], len(cells[0][1])
+    for line, x, y in cells:
+        if not x or not y:
+            raise ValueError(f"label CSV row {line}: a sequence is empty")
+        if len(x) != n or len(y) != n:
+            raise ValueError(
+                f"label CSV row {line}: sequences of lengths {len(x)} and {len(y)}, "
+                f"where row {first} sets the blocklength {n} of both"
+            )
+    xids, xrows, x_alpha = _label_ids([x for _, x, _ in cells])
+    yids, yrows, y_alpha = _label_ids([y for _, _, y in cells])
     dist = edge_distribution(xids, yids, xrows, yrows, x_alpha, y_alpha)
     return dist if _repeats(dist.xids, dist.yids, len(xrows)) else replace(dist, distinct=True)
 
@@ -532,9 +544,9 @@ def cmd_wring(args: argparse.Namespace) -> int:
         raise ConfigError(f"--{exc}") from exc
     if not os.path.exists(args.edges):
         raise ConfigError(f"{args.edges}: file not found")
-    with open(args.edges, "r", encoding="utf-8", newline="") as fh:
-        head = next(csv.reader(fh), None)
     try:
+        with open(args.edges, "r", encoding="utf-8", newline="") as fh:
+            head = next(csv.reader(fh), None)
         if head is None:
             raise ValueError("no edges")
         if head == ["x", "y"]:

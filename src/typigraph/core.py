@@ -476,7 +476,10 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"not an exact probability: {value!r}") from None
     raise ValueError(
         f"not an exact probability: {value!r} (use \"num/den\" strings or ints)"
     )
@@ -515,26 +518,43 @@ def cond_to_dict(w: CondPmf) -> dict:
     }
 
 
+def _key(doc: dict, key: str):
+    """doc[key]; ValueError naming the key when doc has none."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _list(value, key: str) -> list:
+    """value, read under key, when it is a list; ValueError otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} should be a list, found {value!r}")
+    return value
+
+
 def pmf_from_dict(doc: dict) -> Pmf:
-    alphabet = Alphabet(tuple(doc["alphabet"]))
-    return Pmf(alphabet, tuple(parse_fraction(v) for v in doc["probs"]))
+    alphabet = Alphabet(tuple(_list(_key(doc, "alphabet"), "alphabet")))
+    return Pmf(alphabet, tuple(parse_fraction(v) for v in _list(_key(doc, "probs"), "probs")))
 
 
 def joint_from_dict(doc: dict) -> JointPmf:
-    rows = Alphabet(tuple(doc["row_alphabet"]))
-    cols = Alphabet(tuple(doc["col_alphabet"]))
-    probs = tuple(tuple(parse_fraction(v) for v in row) for row in doc["probs"])
+    rows = Alphabet(tuple(_list(_key(doc, "row_alphabet"), "row_alphabet")))
+    cols = Alphabet(tuple(_list(_key(doc, "col_alphabet"), "col_alphabet")))
+    probs = tuple(
+        tuple(parse_fraction(v) for v in _list(row, "probs"))
+        for row in _list(_key(doc, "probs"), "probs")
+    )
     return JointPmf(rows, cols, probs)
 
 
 def cond_from_dict(doc: dict) -> CondPmf:
-    given = Alphabet(tuple(doc["given_alphabet"]))
-    out = Alphabet(tuple(doc["out_alphabet"]))
+    given = Alphabet(tuple(_list(_key(doc, "given_alphabet"), "given_alphabet")))
+    out = Alphabet(tuple(_list(_key(doc, "out_alphabet"), "out_alphabet")))
     rows = tuple(
         None
         if row is None
-        else Pmf(out, tuple(parse_fraction(v) for v in row))
-        for row in doc["rows"]
+        else Pmf(out, tuple(parse_fraction(v) for v in _list(row, "rows")))
+        for row in _list(_key(doc, "rows"), "rows")
     )
     return CondPmf(given, out, rows)
 
@@ -543,7 +563,7 @@ def load_distribution(path: str):
     """Load a Pmf, JointPmf, or CondPmf from a JSON document."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = doc.get("type")
+    kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "pmf":
         return pmf_from_dict(doc)
     if kind == "joint_pmf":

@@ -15,6 +15,11 @@ type. A graph holds its spec and counts only: an explicit graph, its
 roster sizes capped, walks a side's rows on demand (`_rows`), and
 `edge_list` streams the edges from one pair scan over them.
 
+The pair scan (`JointTypeIndex.scan`) tests each left row against the
+whole right roster at once, from bit planes of the roster, and gives the
+row's neighbours as one bit set over the right ranks; its consumers read
+a row's edges off that set (`_flags`) with no Python work per pair.
+
 An export's edge CSV is defined in one place, `_rank_texts`: the writer
 writes its text, and `_is_export` tells whether a file is byte for byte
 that text for a graph. The export's size follows from the vertex degrees
@@ -32,7 +37,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice, repeat, zip_longest
+from itertools import compress, islice, repeat, zip_longest
 from operator import add, lt, mul
 from typing import Iterator, Optional
 
@@ -260,9 +265,10 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
     )
 
 
-def _scan_rows(g: TypicalityGraph, left=None, right=None) -> Iterator[list[int]]:
-    """One pair scan over the rosters: each left vertex's right ids, in
-    order. left and right are the rosters when the caller holds them."""
+def _scan_rows(g: TypicalityGraph, left=None, right=None) -> Iterator[int]:
+    """One pair scan over the rosters: each left vertex's right ids as a bit
+    set, rank j at bit |R|-1-j (`_flags`). left and right are the rosters
+    when the caller holds them."""
     spec = g.spec
     index = JointTypeIndex.ball(spec.joint, spec.params.lam, spec.n)
     return index.scan(
@@ -270,43 +276,60 @@ def _scan_rows(g: TypicalityGraph, left=None, right=None) -> Iterator[list[int]]
     )
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(hits: int, width: int) -> bytes:
+    """A scan row's bit set over width right ranks, as one 0/1 byte per
+    rank in rank order: selectors for `compress`."""
+    return format(hits, f"0{width}b").encode().translate(_BITS)
+
+
 def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
     """Stream (left_id, right_id) pairs in lexicographic order, from one
     pair scan over the rosters."""
-    for i, nbrs in enumerate(_scan_rows(g)):
-        yield from zip(repeat(i), nbrs)
+    ranks = range(g.vertex_counts()[1])
+    for i, hits in enumerate(_scan_rows(g)):
+        yield from zip(repeat(i), compress(ranks, _flags(hits, len(ranks))))
 
 
 _RANK_HEAD = "left_rank,right_rank\r\n"
 
 
-def _rank_texts(rows) -> Iterator[tuple[int, str]]:
+def _rank_texts(rows, width: Optional[int] = None) -> Iterator[tuple[int, str]]:
     """(edge count, lines) of each left rank with an edge, in left-rank
-    order, from scan rows (each left rank's list of right ranks): the text
-    an export writes for that rank after its `_RANK_HEAD`.
+    order: the text an export writes for that rank after its `_RANK_HEAD`.
+    rows hold each left rank's right ranks: scan bit sets over width right
+    ranks, or, with no width, ascending lists.
 
     A rank's edges are one joined string, in the bytes of csv's default
     dialect: canonical decimal ranks and CRLF line ends. Right ranks are
-    spelled from a table of str(k), grown to the largest rank met.
+    spelled from a table of str(k), picked by a bit set's flags or grown
+    to the largest listed rank met.
     """
-    spell: list[str] = []
+    spell = list(map(str, range(width or 0)))
     for i, nbrs in enumerate(rows):
-        if nbrs:
+        if not nbrs:
+            continue
+        if width is None:
             top = max(nbrs)
             if top >= len(spell):
                 spell.extend(map(str, range(len(spell), top + 1)))
-            head = f"{i},"
-            yield len(nbrs), head + f"\r\n{head}".join(map(spell.__getitem__, nbrs)) + "\r\n"
+            count, picked = len(nbrs), map(spell.__getitem__, nbrs)
+        else:
+            count, picked = nbrs.bit_count(), compress(spell, _flags(nbrs, width))
+        head = f"{i},"
+        yield count, head + f"\r\n{head}".join(picked) + "\r\n"
 
 
-def _write_rank_csv(path: str, rows, expected: int) -> None:
-    """Write a `left_rank,right_rank` edge CSV from scan rows, in the text
-    of `_rank_texts`. InvariantViolation unless exactly `expected` edges
-    were written."""
+def _write_rank_csv(path: str, rows, expected: int, width: Optional[int] = None) -> None:
+    """Write a `left_rank,right_rank` edge CSV from the rows of
+    `_rank_texts`, in its text. InvariantViolation unless exactly
+    `expected` edges were written."""
     written = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_RANK_HEAD)
-        for count, text in _rank_texts(rows):
+        for count, text in _rank_texts(rows, width):
             fh.write(text)
             written += count
     if written != expected:
@@ -341,7 +364,7 @@ def _is_export(g: TypicalityGraph, path: str) -> bool:
     with open(path, "rb") as fh:
         if fh.read(len(_RANK_HEAD)) != _RANK_HEAD.encode():
             return False
-        for count, text in _rank_texts(_scan_rows(g, left, right)):
+        for count, text in _rank_texts(_scan_rows(g, left, right), nr):
             if fh.read(len(text)) != text.encode():
                 return False
             written += count
@@ -434,7 +457,7 @@ def export_graph(
     }
     _write_json(json_path, header)
     if edges_csv_path is not None:
-        _write_rank_csv(edges_csv_path, _scan_rows(g), g.edge_count.value)
+        _write_rank_csv(edges_csv_path, _scan_rows(g), g.edge_count.value, nr)
 
 
 def _scan_edge_rows(path: str, n_left: int, n_right: int) -> Iterator[tuple[int, int, int]]:

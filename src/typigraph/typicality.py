@@ -1079,30 +1079,36 @@ def _digit_table(a: int) -> bytes:
 
 
 class JointTypeIndex:
-    """Admissible joint types of sequence pairs, filed on demand for bitmask
-    tests.
-
-    A sequence is packed once into one position bitmask per symbol but the
-    last (position t is bit n-1-t), so the joint count N(a, b) of two
-    aligned sequences is the popcount of xmask[a] & ymask[b], and into one
-    int type key that spells its counts of those symbols.
+    """Admissible joint types of sequence pairs, tested with bitmasks.
 
     The index admits the |X| x |Y| count matrices whose every cell lies
     inside its (lo, hi) box: the joint ball's boxes, or (c, c) for one
-    exact joint type. Once both marginals are known, the free cells
-    N(a, b) with a < |X|-1 and b < |Y|-1 fix the rest of the matrix, so
-    the boxes cut bounds on the free cells, their row sums, their column
-    sums and their total (`_free_bounds`) that a pair meets exactly when
-    its matrix is admissible. These are filed the first time a (row type,
-    column type) pair is asked about, in a dict keyed by the row type key
-    holding one dict of entries keyed by the column type key, so memory
-    grows with the pairs of types seen and no ball or set of matrices is
-    ever listed. On binary alphabets the bounds leave one interval of
-    N(0, 0), filed as a frozenset: a pair test is two int-keyed lookups, a
-    popcount and one set probe, which filters faster than a bitmask's shift
-    and mask. An empty entry admits no pair. Bounds that are each
-    satisfiable can still admit no matrix together; such a type pair is
-    not skipped, and its pairs fail one by one.
+    exact joint type. No ball or set of matrices is ever listed.
+
+    `scan` tests one x against a whole roster of ys at once. The roster is
+    bit-sliced once into one plane per position and column symbol, and x's
+    joint counts with every y are bit-sliced counters summed from those
+    planes and compared with the boxes, so a scan builds no type key, files
+    nothing per pair of types and sorts nothing. Its rows are bit sets over
+    the roster.
+
+    `count` probes pair by pair, for the few codewords of a Monte Carlo
+    trial. A sequence is packed once into one position bitmask per symbol
+    but the last (position t is bit n-1-t), so the joint count N(a, b) of
+    two aligned sequences is the popcount of xmask[a] & ymask[b], and into
+    one int type key that spells its counts of those symbols. Once both
+    marginals are known, the free cells N(a, b) with a < |X|-1 and
+    b < |Y|-1 fix the rest of the matrix, so the boxes cut bounds on the
+    free cells, their row sums, their column sums and their total
+    (`_free_bounds`) that a pair meets exactly when its matrix is
+    admissible. These are filed the first time a (row type, column type)
+    pair is asked about, in a dict keyed by the row type key holding one
+    dict of entries keyed by the column type key, so memory grows with the
+    pairs of types seen. On binary alphabets the bounds leave one interval
+    of N(0, 0), filed as a frozenset: a pair test is two int-keyed lookups,
+    a popcount and one set probe. An empty entry admits no pair. Bounds
+    that are each satisfiable can still admit no matrix together; such a
+    type pair is not skipped, and its pairs fail one by one.
     """
 
     def __init__(self, kx: int, ky: int, n: int, boxes):
@@ -1113,6 +1119,7 @@ class JointTypeIndex:
         self._binary = (kx - 1) * (ky - 1) == 1
         # x type key -> {y type key -> entry}, both levels filled on lookup
         self._filed = _Filled(lambda xkey: _Filled(partial(self._file, xkey)))
+        self._tests = _Filled(lambda key: self._cell_tests(*key))  # (a, r) -> tests
         self._tables = {
             k: [_digit_table(a) for a in range(k - 1)] for k in (kx, ky) if k <= 256
         }
@@ -1170,35 +1177,74 @@ class JointTypeIndex:
             return frozenset(range(lo, hi + 1))
         return bounds if all(lo <= hi for lo, hi in bounds) else ()
 
-    def scan(self, xs, ys) -> Iterator[list[int]]:
-        """For each x in xs, the ascending indices of the ys that form an
-        admissible pair with it. xs and ys hold symbol tuples.
+    def scan(self, xs, ys) -> Iterator[int]:
+        """For each x in xs, the ys that form an admissible pair with it, as
+        one int: the y at index j is bit N-1-j of N = len(ys), so
+        format(hits, f"0{N}b") flags the ys in order. xs and ys hold symbol
+        tuples.
 
-        The ys are grouped by type key, and a group whose entry with x's
-        type key is empty is skipped whole.
+        The ys are bit-sliced once: plane (t, b) marks the ys with y[t] = b
+        (`_planes`); each x is then tested against all of them (`_hits`).
         """
-        packed = self._pack(ys, self.ky)
-        groups: dict = defaultdict(list)
-        for j, (key, _) in enumerate(packed):
-            groups[key].append(j)
-        ymasks = [masks for _, masks in packed]
-        for xkey, xmasks in self._pack(xs, self.kx):
-            row = self._filed[xkey]
-            hits: list[int] = []
-            for ykey, ids in groups.items():
-                entry = row[ykey]
-                if not entry:
-                    continue
-                if self._binary:
-                    hits += [j for j in ids if (xmasks & ymasks[j]).bit_count() in entry]
-                else:
-                    hits += [j for j in ids if _inside(entry, xmasks, ymasks[j])]
-            hits.sort()
-            yield hits
+        ys = list(ys)
+        planes = [_planes(column, self.ky, len(ys)) for column in zip(*ys)]
+        full = (1 << len(ys)) - 1
+        for x in xs:
+            yield full and self._hits(x, planes, full)  # no ys, no planes
+
+    def _hits(self, x, planes, full: int) -> int:
+        """The bit set of the ys admissible with x, from the planes of the
+        ys: cell (a, b)'s count over every y at once is a ripple-carry
+        counter of bit planes, the sum of the planes (t, b) over the
+        positions t with x[t] = a, and a y is a hit when its every counter
+        passes its test (`_tests`, `_at_least`)."""
+        at: list[list[int]] = [[] for _ in range(self.kx)]
+        for t, a in enumerate(x):
+            at[a].append(t)
+        hits = full
+        for a, ts in enumerate(at):
+            r = len(ts)
+            tests = self._tests[a, r]
+            if tests is None:
+                return 0
+            for b, lo, hi in tests:
+                counter = [0] * r.bit_length()
+                for t in ts:
+                    p = planes[t][b]
+                    for i, c in enumerate(counter):
+                        counter[i] = c ^ p
+                        p &= c
+                        if not p:
+                            break
+                if lo:
+                    hits &= _at_least(counter, lo)
+                if hi < r:
+                    hits &= ~_at_least(counter, hi + 1)
+                if not hits:
+                    return 0
+        return hits
+
+    def _cell_tests(self, a: int, r: int) -> Optional[list[tuple[int, int, int]]]:
+        """The (b, lo, hi) count tests of row a for an x that holds a r
+        times: each cell's box clipped to [0, r], less those that keep all
+        of [0, r]; None when one keeps none of it. On two column symbols
+        N(a, 1) = r - N(a, 0), so both boxes bound N(a, 0)."""
+        boxes = self._boxes[a * self.ky : (a + 1) * self.ky]
+        if self.ky == 2:
+            (lo0, hi0), (lo1, hi1) = boxes
+            boxes = [(max(lo0, r - hi1), min(hi0, r - lo1))]
+        tests = []
+        for b, (lo, hi) in enumerate(boxes):
+            lo, hi = max(lo, 0), min(hi, r)
+            if lo > hi:
+                return None
+            if lo or hi < r:
+                tests.append((b, lo, hi))
+        return tests
 
     def count(self, xs, ys) -> int:
         """Number of admissible pairs in xs x ys, probed pair by pair: for the
-        few codewords of a Monte Carlo trial, grouping costs more than it
+        few codewords of a Monte Carlo trial, bit-slicing costs more than it
         saves. Each codeword is packed once."""
         packed = self._pack(ys, self.ky)
         filed = self._filed
@@ -1228,6 +1274,30 @@ class _Filled(dict):
     def __missing__(self, key):
         value = self[key] = self._make(key)
         return value
+
+
+def _planes(column, k: int, width: int) -> list[int]:
+    """One position of a roster bit-sliced: for each symbol b < k, the int
+    whose bit width-1-j is set where row j holds b."""
+    if k <= 256:
+        raw = bytes(column)
+        return [int(raw.translate(_digit_table(b)), 2) for b in range(k)]
+    planes = [0] * k
+    for j, s in enumerate(column):
+        planes[s] |= 1 << (width - 1 - j)
+    return planes
+
+
+def _at_least(counter, k: int) -> int:
+    """The rows whose bit-sliced count is at least k, 0 < k < 2**len(counter),
+    as a bit set (its bits past the rows all set). counter holds the count's
+    bit planes, least significant first; read upwards, a row's count is at
+    least k's low bits when its bit beats k's, or ties and the lower bits
+    were at least."""
+    ge = -1
+    for i, c in enumerate(counter):
+        ge = c & ge if k >> i & 1 else c | ge
+    return ge
 
 
 def _free_bounds(boxes, rows, cols) -> list[tuple[int, int]]:

@@ -721,3 +721,11 @@ def dataclass_twin(cls):
     if "__post_init__" in cls.__dict__:
         namespace["__post_init__"] = cls.__dict__["__post_init__"]
     return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)
+
+
+def scan_ranks(index, xs, ys):
+    """`index.scan(xs, ys)` read bit by bit: each x's rows of ys as an
+    ascending list of indices, index j being bit len(ys)-1-j of its int."""
+    ys = list(ys)
+    top = len(ys) - 1
+    return [[j for j in range(len(ys)) if hits >> (top - j) & 1] for hits in index.scan(xs, ys)]

@@ -896,6 +896,25 @@ def test_wring_names_bad_label_row(tmp_path, capsys, row):
     assert "label CSV row 4: expected two cells" in err and repr(row.split(",")) in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("0 1 1,0 1", "lengths 3 and 2"), ("0 1,1", "lengths 2 and 1"),
+     ("1 0 1,0 1 1", "lengths 3 and 3"), (" ,0 1", "a sequence is empty")],
+    ids=["longer-x", "shorter-y", "both-longer", "empty-x"],
+)
+def test_wring_names_label_row_of_another_blocklength(tmp_path, capsys, row, message):
+    """A label row whose sequences are empty or not of the first edge row's
+    blocklength is refused by its CSV row, as a row of other than two
+    cells is."""
+    path = tmp_path / "labels.csv"
+    path.write_text(f"x,y\n0 1,1 0\n\n{row}\n1 0,0 1\n")
+    capsys.readouterr()
+    assert main(["wring", "--edges", str(path), "--delta", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "label CSV row 4: " in err and message in err
+    assert "a sequence is empty" in message or "row 2 sets the blocklength 2" in err
+
+
 @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\r\n\r\n"], ids=["empty", "header", "blank-rows"])
 def test_wring_of_a_csv_without_edges_says_no_edges(tmp_path, capsys, text):
     path = tmp_path / "edges.csv"

@@ -218,7 +218,7 @@ def test_joint_type_index_matches_the_listed_ball(case):
     if lam is not None:
         indexes.append(JointTypeIndex.ball(joint, lam, n))
     for index in indexes:
-        assert list(index.scan(xs, ys)) == want
+        assert oracles.scan_ranks(index, xs, ys) == want
         assert index.count(xs, ys) == sum(map(len, want))
         assert sum(map(len, index._filed.values())) <= len(set(xs)) * len(set(ys))
     assert JointTypeIndex(kx, ky, n, boxes).count(xs, ys) == sum(map(len, want))

@@ -76,6 +76,22 @@ def graphs(draw):
     return joint, draw(st.integers(1, 8)), params
 
 
+def test_t3_export_and_its_recognition_test_no_pair_alone(tmp_path, monkeypatch):
+    """T3 at n = 6 (480 x 480 rows, 77,850 edges): the export and its
+    recognition read every row from the bit-sliced scan, which tests no
+    pair alone."""
+
+    def pair_test(*args):
+        raise AssertionError("a pair was tested alone")
+
+    monkeypatch.setattr(typigraph.typicality, "_inside", pair_test)
+    g = build_graph(GraphSpec(T3, 6, default_params(6)))
+    header, ranks = str(tmp_path / "g.json"), str(tmp_path / "g.csv")
+    export_graph(g, header, ranks)
+    assert g.edge_count.value == 77_850
+    assert _is_export(g, ranks)
+
+
 def _close(a, b):
     return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
 

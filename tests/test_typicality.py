@@ -882,7 +882,7 @@ def test_joint_ball_of_d3_at_n50_files_on_demand(monkeypatch, diagonal_joint):
         for x in xs
     ]
     assert 0 < sum(map(len, want)) < len(xs) * len(ys)
-    assert list(index.scan(xs, ys)) == want
+    assert oracles.scan_ranks(index, xs, ys) == want
     assert index.count(xs, ys) == sum(map(len, want))
     assert sum(map(len, index._filed.values())) <= len(xs) * len(ys)
 
@@ -892,13 +892,101 @@ def test_joint_type_index_matches_predicate(binary_joint):
     params = default_params(n)
     index = JointTypeIndex.ball(binary_joint, params.lam, n)
     seqs = list(itertools.product(range(2), repeat=n))
-    for xs, hits in zip(seqs, index.scan(seqs, seqs)):
+    for xs, hits in zip(seqs, oracles.scan_ranks(index, seqs, seqs)):
         x = Sequence(BIN, xs)
         assert hits == [
             j
             for j, ys in enumerate(seqs)
             if is_jointly_typical(x, Sequence(BIN, ys), binary_joint, params.lam)
         ]
+
+
+def _boxed(kx, ky, boxes):
+    """The pair predicate straight from the boxes, unclipped: every cell of
+    the joint count matrix lies in its (lo, hi)."""
+
+    def admits(x, y):
+        counts = oracles.counts_of([a * ky + b for a, b in zip(x, y)], kx * ky)
+        return all(lo <= c <= hi for c, (lo, hi) in zip(counts, boxes))
+
+    return admits
+
+
+def _check_scan(kx, ky, n, boxes, xs, ys):
+    """scan's rows against `_boxed`, with no bit set past the roster."""
+    index = JointTypeIndex(kx, ky, n, boxes)
+    rows = list(index.scan(xs, ys))
+    assert all(0 <= hits < 1 << len(ys) for hits in rows)
+    admits = _boxed(kx, ky, boxes)
+    want = [[j for j, y in enumerate(ys) if admits(x, y)] for x in xs]
+    assert oracles.scan_ranks(index, xs, ys) == want
+    return want
+
+
+@pytest.mark.parametrize("size", [0, 1, 8, 9, 255, 256])
+def test_joint_type_index_scan_roster_sizes(size):
+    """Rosters on both sides of a byte and of the empty roster, on a binary
+    and a ternary ball: an empty roster gives every x the empty set."""
+    rng = random.Random(size)
+    n = 5
+    for k, weights in ((2, [4, 1, 1, 4]), (3, [4, 1, 1, 1, 4, 1, 1, 1, 6])):
+        flat = [Fraction(w, sum(weights)) for w in weights]
+        boxes = typicality._ball_boxes(flat, n, Fraction(1, 5))
+        xs = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(12)]
+        ys = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(size)]
+        ys[: min(size, 6)] = [x for x in xs[: min(size, 6)]]  # some hits
+        want = _check_scan(k, k, n, boxes, xs, ys)
+        assert (sum(map(len, want)) > 0) is (size > 0)
+    assert list(JointTypeIndex(2, 2, n, boxes[:4]).scan(xs, iter([]))) == [0] * len(xs)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_joint_type_index_scan_counter_widths(n):
+    """n = 7 needs three counter planes and n = 8 four: boxes that reach a
+    count of n, or stop one short of it, on every binary pair."""
+    seqs = list(itertools.product(range(2), repeat=n))
+    xs = random.Random(n).sample(seqs, 24) + [(0,) * n, (1,) * n]
+    for boxes in (
+        [(n, n), (0, 0), (0, 0), (0, 0)],  # the all-zero pair alone
+        [(0, n - 1), (0, n), (0, n), (0, n)],  # all but the all-zero pair
+        [(3, n), (0, 3), (0, 3), (3, n)],
+        typicality._ball_boxes([Fraction(w, 10) for w in (4, 1, 1, 4)], n, Fraction(1, 8)),
+    ):
+        want = _check_scan(2, 2, n, boxes, xs, seqs)
+        assert any(want) and not all(len(w) == len(seqs) for w in want)
+
+
+def test_joint_type_index_scan_empty_and_clipped_boxes():
+    """A box with lo > hi admits no pair, wherever its row's symbol is
+    missing too; boxes past 0 and n act as if clipped to them."""
+    n, k = 4, 3
+    seqs = list(itertools.product(range(k), repeat=n))
+    xs = seqs[::4]
+    clipped = [(0, 2), (1, 4), (0, 0), (0, 4), (0, 4), (0, 4), (1, 4), (0, 4), (0, 1)]
+    wide = [(-3, 2), (1, 9), (-1, 0), (-5, 4), (0, 7), (-2, 4), (1, 4), (0, 99), (-1, 1)]
+    want = _check_scan(k, k, n, clipped, xs, seqs)
+    assert any(want)
+    assert _check_scan(k, k, n, wide, xs, seqs) == want
+    for cell in (0, 4, 8):
+        empty = list(clipped)
+        empty[cell] = (3, 2)
+        assert _check_scan(k, k, n, empty, xs, seqs) == [[]] * len(xs)
+
+
+def test_joint_type_index_scan_symbols_past_one_byte():
+    """Column symbols past 255 are bit-sliced without the byte translation."""
+    ky, n = 300, 3
+    rng = random.Random(300)
+    symbols = [0, 1, 255, 256, 257, 299]
+    ys = [tuple(rng.choice(symbols) for _ in range(n)) for _ in range(40)]
+    xs = [(0, 1, 0), (1, 1, 1), (0, 0, 1)]
+    for x, y in ((xs[0], (299, 257, 299)), (xs[2], (256, 256, 0))):
+        ys.append(y)
+        target = oracles.counts_of([a * ky + b for a, b in zip(x, y)], 2 * ky)
+        want = _check_scan(2, ky, n, [(c, c) for c in target], xs, ys)
+        assert want[xs.index(x)][-1] == len(ys) - 1
+    loose = [(0, 1)] * (2 * ky)
+    assert any(_check_scan(2, ky, n, loose, xs, ys))
 
 
 # --- misc ---------------------------------------------------------------------
