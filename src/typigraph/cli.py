@@ -32,6 +32,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     Pmf,
+    _decimal,
     _repeats,
     _write_json,
     conditional_entropy,
@@ -164,7 +165,10 @@ def _parse_rational(text: str, flag: str) -> Fraction:
 
 
 def _parse_rate(text: str, flag: str) -> float:
-    v = float(_parse_rational(text, flag))
+    try:
+        v = float(_parse_rational(text, flag))
+    except OverflowError:
+        raise ConfigError(f"{flag}: {text} is out of float range") from None
     if v < 0:
         raise ConfigError(f"{flag} must be nonnegative")
     return v
@@ -276,7 +280,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         st = stats(g)
         print(
             f"left={lc} right={rc} "
-            f"edges={g.edge_count.value} "
+            f"edges={_decimal(g.edge_count.value)} "
             f"isolated_left={st.isolated_left} isolated_right={st.isolated_right}"
         )
         report = check_degree_bound(g)
@@ -294,12 +298,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
         if not report.all_ok:
             raise InvariantViolation("degree bound violated")
     else:
-        print(f"left={lc} right={rc} edges={g.edge_count.value}")
+        lc, rc, edges = map(_decimal, (lc, rc, g.edge_count.value))
+        print(f"left={lc} right={rc} edges={edges}")
         if args.out:
             payload = {
-                "left_size": str(lc),
-                "right_size": str(rc),
-                "edge_count": str(g.edge_count.value),
+                "left_size": lc,
+                "right_size": rc,
+                "edge_count": edges,
                 "edge_count_log2": g.edge_count.log2,
             }
             _write_json(args.out, _record(config, payload))
@@ -344,9 +349,9 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
             and abs(rates.r_y_prime - t.r_y_prime) <= sub.delta3 + tol
         )
     print(
-        f"left={sub.left_size.value} right={sub.right_size.value} "
-        f"left_degree={sub.left_degree.value} "
-        f"right_degree={sub.right_degree.value}{blocks}"
+        f"left={_decimal(sub.left_size.value)} right={_decimal(sub.right_size.value)} "
+        f"left_degree={_decimal(sub.left_degree.value)} "
+        f"right_degree={_decimal(sub.right_degree.value)}{blocks}"
     )
     print(
         f"rates: r_x={float(_f6(rates.r_x)):.6f} r_y={float(_f6(rates.r_y)):.6f} "

@@ -485,8 +485,37 @@ def parse_fraction(value) -> Fraction:
     )
 
 
+_SPELT = 10**512  # str() spells counts below it: 512 digits, under any limit CPython allows
+
+
+def _decimal(count: int) -> str:
+    """The decimal digits of an exact count, however long. CPython refuses
+    int-to-str conversion past its digit limit (4,300 by default), which is
+    left in place to keep parses of hostile digit strings short; so a long
+    count is split by repeatedly squared powers of 10**512 and only chunks
+    below 10**512 go through str()."""
+    if count < _SPELT:
+        return str(count)
+    powers = [_SPELT]  # powers[i] = 10 ** (512 * 2**i)
+    while powers[-1] <= count:
+        powers.append(powers[-1] * powers[-1])
+
+    def spell(v: int, i: int) -> str:  # v < powers[i], zero-padded to 512 * 2**i digits
+        if not i:
+            return str(v).zfill(512)
+        high, low = divmod(v, powers[i - 1])
+        return spell(high, i - 1) + spell(low, i - 1)
+
+    return spell(count, len(powers) - 1).lstrip("0")
+
+
 def format_fraction(f: Fraction) -> str:
-    return str(Fraction(f))
+    """str(Fraction(f)), spelt by `_decimal`, so of any length."""
+    f = Fraction(f)
+    text = _decimal(abs(f.numerator))
+    if f.denominator != 1:
+        text += "/" + _decimal(f.denominator)
+    return "-" + text if f < 0 else text
 
 
 def pmf_to_dict(p: Pmf) -> dict:

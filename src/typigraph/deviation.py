@@ -619,9 +619,10 @@ def simulate(
     oversized run raises CapExceeded before any work: too many pair tests
     (`simulation_sizes`) or too much joint-type kernel work for the exact
     moments (`exact_pair_moments`). Pairs are counted by
-    `JointTypeIndex.ball`, which files the bounds the ball's boxes put on
-    each pair of codeword types as it is met and lists no ball, so the
-    ball's size sets no cap. U is kept as a histogram, from which every statistic is summed.
+    `JointTypeIndex.ball`, which tests them against the ball's per-cell
+    boxes and lists no ball, so the ball's size sets no cap: pair by pair
+    on two binary alphabets, from its bit-sliced scan otherwise. U is kept
+    as a histogram, from which every statistic is summed.
     The exact pair moments, computed once before the first trial by
     `exact_pair_moments`, come back on the report.
     """

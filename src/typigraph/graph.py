@@ -46,6 +46,7 @@ from .core import (
     CapExceeded,
     InvariantViolation,
     JointPmf,
+    _decimal,
     _repeats,
     _write_json,
     conditionalize,
@@ -159,7 +160,7 @@ def build_graph(spec: GraphSpec) -> TypicalityGraph:
     right_count = typical_set_size(joint.col_marginal(), params.eps2, n).value
     if spec.mode == "explicit" and max(left_count, right_count) > spec.cap:
         raise CapExceeded(
-            f"rosters of {left_count} and {right_count} sequences exceed "
+            f"rosters of {_decimal(left_count)} and {_decimal(right_count)} sequences exceed "
             f"cap {spec.cap}; implicit mode builds no rosters"
         )
     g = TypicalityGraph(
@@ -438,7 +439,7 @@ def export_graph(
         },
         "left_size": g.left_count.value,
         "right_size": g.right_count.value,
-        "edge_count": {"value": str(g.edge_count.value), "log2": g.edge_count.log2},
+        "edge_count": {"value": _decimal(g.edge_count.value), "log2": g.edge_count.log2},
         "isolated_left": st.isolated_left,
         "isolated_right": st.isolated_right,
         "log2_degree": {
@@ -616,14 +617,16 @@ def _field(header: dict, path: str, expected: type):
     return doc
 
 
-def _count_field(header: dict, path: str) -> int:
-    """An exact count that an export header writes as a decimal string."""
+def _count_field(header: dict, path: str) -> str:
+    """An exact count that an export header writes as a decimal string, as
+    that string: it is compared with the `_decimal` digits of the rebuilt
+    count and never parsed, so a count of any length imports."""
     text = _field(header, path, str)
-    if not (text.isascii() and text.isdigit() and str(int(text)) == text):
+    if not (text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")):
         raise ValueError(
             f"export header {path!r} should be a decimal integer string, found {text!r}"
         )
-    return int(text)
+    return text
 
 
 def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
@@ -650,10 +653,11 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> Typica
     g = build_graph(spec)
     if g.vertex_counts() != sizes:
         raise InvariantViolation("roster sizes disagree with the export header")
-    if recorded != g.edge_count.value:
+    exact = _decimal(g.edge_count.value)
+    if recorded != exact:
         raise InvariantViolation(
             f"edge count {recorded} in the export header differs from the "
-            f"exact pair count {g.edge_count.value}"
+            f"exact pair count {exact}"
         )
     if edges_csv_path is not None:
         got = zip(*_read_edge_csv(edges_csv_path, *g.vertex_counts()))

@@ -44,6 +44,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     Pmf,
+    _decimal,
     _write_json,
     cond_from_dict,
     cond_to_dict,
@@ -572,10 +573,7 @@ def verify_decomposition(d: MarkovDecomposition, joint: JointPmf) -> Fraction:
 def make_decomposition(
     weights: Pmf, left: CondPmf, right: CondPmf, joint: JointPmf
 ) -> MarkovDecomposition:
-    d = MarkovDecomposition(
-        weights=weights, left_factors=left, right_factors=right, residual=Fraction(0)
-    )
-    residual = verify_decomposition(d, joint)
+    residual = total_variation(induced_joint(weights, left, right), joint)
     return MarkovDecomposition(
         weights=weights, left_factors=left, right_factors=right, residual=residual
     )
@@ -684,7 +682,7 @@ def export_subgraph(
     """
     edges = sub.left_size.value * sub.left_degree.value
     if edges_csv_path is not None and edges > edge_cap:
-        raise CapExceeded(f"edge export of {edges} edges exceeds cap {edge_cap}")
+        raise CapExceeded(f"edge export of {_decimal(edges)} edges exceeds cap {edge_cap}")
     if sub.kind == "single_type":
         extra = {"rounded_joint": joint_to_dict(sub.rounded_joint())}
     else:
@@ -703,7 +701,7 @@ def export_subgraph(
             "params": _params_to_dict(sub.params),
         },
         **{
-            name: {"value": str(c.value), "log2": c.log2}
+            name: {"value": _decimal(c.value), "log2": c.log2}
             for name, c in counts.items()
         },
         "delta3": sub.delta3,
@@ -748,9 +746,10 @@ def import_subgraph(json_path: str) -> Subgraph:
     else:
         raise ValueError(f"unknown subgraph kind {kind!r}")
     for name, recorded in counts.items():
-        if getattr(sub, name).value != recorded:
+        rebuilt = _decimal(getattr(sub, name).value)
+        if rebuilt != recorded:
             raise InvariantViolation(
                 f"{name} {recorded} in the export header differs from the "
-                f"rebuilt {getattr(sub, name).value}"
+                f"rebuilt {rebuilt}"
             )
     return sub

@@ -1068,7 +1068,7 @@ def count_types(alphabet_size: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sequence pairs: joint counts from bitmask popcounts
+# sequence pairs: joint counts from bit-sliced counters
 # ---------------------------------------------------------------------------
 
 
@@ -1083,7 +1083,9 @@ class JointTypeIndex:
 
     The index admits the |X| x |Y| count matrices whose every cell lies
     inside its (lo, hi) box: the joint ball's boxes, or (c, c) for one
-    exact joint type. No ball or set of matrices is ever listed.
+    exact joint type. No ball or set of matrices is ever listed. Every
+    test reads the boxes of a row a clipped to the count r of a in x
+    (`_row_boxes`), the one place where a box becomes a count test.
 
     `scan` tests one x against a whole roster of ys at once. The roster is
     bit-sliced once into one plane per position and column symbol, and x's
@@ -1092,23 +1094,17 @@ class JointTypeIndex:
     nothing per pair of types and sorts nothing. Its rows are bit sets over
     the roster.
 
-    `count` probes pair by pair, for the few codewords of a Monte Carlo
-    trial. A sequence is packed once into one position bitmask per symbol
-    but the last (position t is bit n-1-t), so the joint count N(a, b) of
-    two aligned sequences is the popcount of xmask[a] & ymask[b], and into
-    one int type key that spells its counts of those symbols. Once both
-    marginals are known, the free cells N(a, b) with a < |X|-1 and
-    b < |Y|-1 fix the rest of the matrix, so the boxes cut bounds on the
-    free cells, their row sums, their column sums and their total
-    (`_free_bounds`) that a pair meets exactly when its matrix is
-    admissible. These are filed the first time a (row type, column type)
-    pair is asked about, in a dict keyed by the row type key holding one
-    dict of entries keyed by the column type key, so memory grows with the
-    pairs of types seen. On binary alphabets the bounds leave one interval
-    of N(0, 0), filed as a frozenset: a pair test is two int-keyed lookups,
-    a popcount and one set probe. An empty entry admits no pair. Bounds
-    that are each satisfiable can still admit no matrix together; such a
-    type pair is not skipped, and its pairs fail one by one.
+    `count` sums the rows of `scan`, except on two binary alphabets, where
+    it probes pair by pair, for the few codewords of a Monte Carlo trial. A
+    binary sequence is packed once into the bitmask of its zeros (position
+    t is bit n-1-t), so a pair's N(0, 0) is the popcount of the AND of its
+    two masks. Once the counts of zeros |x|_0 and |y|_0 are known, N(0, 0)
+    fixes the matrix: row 0's clipped box bounds N(0, 0) and row 1's bounds
+    N(1, 0) = |y|_0 - N(0, 0). The one interval of N(0, 0) they leave is
+    filed as a frozenset the first time a pair of counts of zeros is asked
+    about (`_file`), so a pair test is two int-keyed lookups, a popcount
+    and one set probe, and memory grows with the pairs of counts seen. The
+    choice between the probe and the scan depends only on the alphabets.
     """
 
     def __init__(self, kx: int, ky: int, n: int, boxes):
@@ -1116,13 +1112,10 @@ class JointTypeIndex:
         |X| x |Y| count matrix of two length-n sequences."""
         self.kx, self.ky, self.n = kx, ky, n
         self._boxes = list(boxes)
-        self._binary = (kx - 1) * (ky - 1) == 1
-        # x type key -> {y type key -> entry}, both levels filled on lookup
-        self._filed = _Filled(lambda xkey: _Filled(partial(self._file, xkey)))
+        self._binary = kx == ky == 2
         self._tests = _Filled(lambda key: self._cell_tests(*key))  # (a, r) -> tests
-        self._tables = {
-            k: [_digit_table(a) for a in range(k - 1)] for k in (kx, ky) if k <= 256
-        }
+        # binary: |x|_0 -> {|y|_0 -> admissible N(0, 0)}, both levels filled on lookup
+        self._filed = _Filled(lambda x0: _Filled(partial(self._file, x0)))
 
     @classmethod
     def ball(cls, joint: JointPmf, lam, n: int) -> "JointTypeIndex":
@@ -1130,52 +1123,6 @@ class JointTypeIndex:
         from the ball's per-cell boxes, so building it lists nothing."""
         boxes = _ball_boxes(joint.flat(), n, Fraction(lam))
         return cls(joint.row_alphabet.size, joint.col_alphabet.size, n, boxes)
-
-    def _pack(self, seqs, k: int) -> list:
-        """(type key, masks) of each sequence in seqs, over k symbols. The
-        key spells the counts of every symbol but the last in base n + 1.
-        The masks are one int on binary alphabets and a tuple of per-symbol
-        masks otherwise."""
-        tables = self._tables.get(k)
-        if self._binary:  # the key is the count of symbol 0
-            (digits,) = tables
-            masks = [int(bytes(s).translate(digits), 2) for s in seqs]
-            return [(m.bit_count(), m) for m in masks]
-        packed = []
-        for symbols in seqs:
-            if tables is None:  # symbols past one byte
-                last = len(symbols) - 1
-                masks = [0] * (k - 1)
-                for t, s in enumerate(symbols):
-                    if s < k - 1:
-                        masks[s] |= 1 << (last - t)
-            else:
-                raw = bytes(symbols)
-                masks = [int(raw.translate(table), 2) for table in tables]
-            key = 0
-            for m in masks:
-                key = key * (self.n + 1) + m.bit_count()
-            packed.append((key, tuple(masks)))
-        return packed
-
-    def _types(self, key: int, k: int) -> list[int]:
-        """The full count vector over k symbols that key spells."""
-        counts = []
-        for _ in range(k - 1):
-            key, c = divmod(key, self.n + 1)
-            counts.append(c)
-        counts.reverse()
-        return counts + [self.n - sum(counts)]
-
-    def _file(self, xkey: int, ykey: int):
-        """The entry of a pair of type keys: the bounds that `_free_bounds`
-        cuts from the boxes, empty when one of them admits nothing, or on
-        binary alphabets the one interval they leave, as a frozenset."""
-        bounds = _free_bounds(self._boxes, self._types(xkey, self.kx), self._types(ykey, self.ky))
-        if self._binary:
-            lo, hi = max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
-            return frozenset(range(lo, hi + 1))
-        return bounds if all(lo <= hi for lo, hi in bounds) else ()
 
     def scan(self, xs, ys) -> Iterator[int]:
         """For each x in xs, the ys that form an admissible pair with it, as
@@ -1224,42 +1171,51 @@ class JointTypeIndex:
                     return 0
         return hits
 
-    def _cell_tests(self, a: int, r: int) -> Optional[list[tuple[int, int, int]]]:
-        """The (b, lo, hi) count tests of row a for an x that holds a r
-        times: each cell's box clipped to [0, r], less those that keep all
-        of [0, r]; None when one keeps none of it. On two column symbols
-        N(a, 1) = r - N(a, 0), so both boxes bound N(a, 0)."""
+    def _row_boxes(self, a: int, r: int) -> Optional[list[tuple[int, int]]]:
+        """The boxes of row a's cells for an x that holds a r times, each
+        clipped to [0, r]; None when one keeps none of it. On two column
+        symbols N(a, 1) = r - N(a, 0), so both boxes bound N(a, 0) and
+        leave it one box."""
         boxes = self._boxes[a * self.ky : (a + 1) * self.ky]
         if self.ky == 2:
             (lo0, hi0), (lo1, hi1) = boxes
             boxes = [(max(lo0, r - hi1), min(hi0, r - lo1))]
-        tests = []
-        for b, (lo, hi) in enumerate(boxes):
-            lo, hi = max(lo, 0), min(hi, r)
-            if lo > hi:
-                return None
-            if lo or hi < r:
-                tests.append((b, lo, hi))
-        return tests
+        boxes = [(max(lo, 0), min(hi, r)) for lo, hi in boxes]
+        return None if any(lo > hi for lo, hi in boxes) else boxes
+
+    def _cell_tests(self, a: int, r: int) -> Optional[list[tuple[int, int, int]]]:
+        """The (b, lo, hi) count tests of row a for an x that holds a r
+        times: its clipped boxes (`_row_boxes`), less those that keep all of
+        [0, r]; None when one keeps none of it."""
+        boxes = self._row_boxes(a, r)
+        if boxes is None:
+            return None
+        return [(b, lo, hi) for b, (lo, hi) in enumerate(boxes) if lo or hi < r]
+
+    def _file(self, x0: int, y0: int) -> frozenset:
+        """The admissible N(0, 0) of a binary pair whose x holds x0 zeros and
+        whose y holds y0: row 0's box bounds N(0, 0), and row 1's bounds
+        N(1, 0) = y0 - N(0, 0). Empty when either row admits nothing."""
+        zeros, ones = self._row_boxes(0, x0), self._row_boxes(1, self.n - x0)
+        if zeros is None or ones is None:
+            return frozenset()
+        ((lo, hi),), ((lo1, hi1),) = zeros, ones
+        return frozenset(range(max(lo, y0 - hi1), min(hi, y0 - lo1) + 1))
 
     def count(self, xs, ys) -> int:
-        """Number of admissible pairs in xs x ys, probed pair by pair: for the
-        few codewords of a Monte Carlo trial, bit-slicing costs more than it
-        saves. Each codeword is packed once."""
-        packed = self._pack(ys, self.ky)
+        """Number of admissible pairs in xs x ys: the rows of `scan`, summed,
+        or on two binary alphabets probed pair by pair, since for the few
+        codewords of a Monte Carlo trial bit-slicing costs more than it
+        saves there. Each codeword is packed once."""
+        if not self._binary:
+            return sum(hits.bit_count() for hits in self.scan(xs, ys))
+        packed = _zeros(ys)
         filed = self._filed
         u = 0
-        if self._binary:
-            for xkey, xmask in self._pack(xs, self.kx):
-                row = filed[xkey]
-                for ykey, ymask in packed:
-                    u += (xmask & ymask).bit_count() in row[ykey]
-            return u
-        for xkey, xmasks in self._pack(xs, self.kx):
-            row = filed[xkey]
-            for ykey, ymasks in packed:
-                entry = row[ykey]
-                u += bool(entry) and _inside(entry, xmasks, ymasks)
+        for x0, xmask in _zeros(xs):
+            row = filed[x0]
+            for y0, ymask in packed:
+                u += (xmask & ymask).bit_count() in row[y0]
         return u
 
 
@@ -1274,6 +1230,14 @@ class _Filled(dict):
     def __missing__(self, key):
         value = self[key] = self._make(key)
         return value
+
+
+def _zeros(seqs) -> list[tuple[int, int]]:
+    """(count of zeros, bitmask of zeros) of each binary sequence in seqs;
+    position t is bit n-1-t."""
+    digits = _digit_table(0)
+    masks = [int(bytes(s).translate(digits), 2) for s in seqs]
+    return [(m.bit_count(), m) for m in masks]
 
 
 def _planes(column, k: int, width: int) -> list[int]:
@@ -1298,38 +1262,6 @@ def _at_least(counter, k: int) -> int:
     for i, c in enumerate(counter):
         ge = c & ge if k >> i & 1 else c | ge
     return ge
-
-
-def _free_bounds(boxes, rows, cols) -> list[tuple[int, int]]:
-    """(lo, hi) bounds on the free cells N(a, b), a < |X|-1 and b < |Y|-1 in
-    row-major order, then on their sums per row, their sums per column and
-    their total, that hold exactly when the count matrix with row sums
-    `rows` and column sums `cols` has every cell inside its (lo, hi) box
-    (boxes: flat, row-major). The last column's N(a, |Y|-1) is rows[a]
-    minus row a's free sum, the last row's N(|X|-1, b) is cols[b] minus
-    column b's free sum, and the corner is cols[-1] - sum(rows[:-1]) plus
-    the free total; each is in its box when that sum is in its bound."""
-    kx, ky = len(rows), len(cols)
-    last = [boxes[a * ky + ky - 1] for a in range(kx - 1)]
-    bottom = boxes[(kx - 1) * ky : kx * ky - 1]
-    corner = cols[-1] - sum(rows[:-1])
-    lo, hi = boxes[-1]
-    return (
-        [boxes[a * ky + b] for a in range(kx - 1) for b in range(ky - 1)]
-        + [(r - h, r - l) for r, (l, h) in zip(rows, last)]
-        + [(c - h, c - l) for c, (l, h) in zip(cols, bottom)]
-        + [(lo - corner, hi - corner)]
-    )
-
-
-def _inside(bounds, xf, yf) -> bool:
-    """Whether the free cells of row masks xf and column masks yf, with
-    their row sums, column sums and total, lie inside `_free_bounds`."""
-    free = [(a & b).bit_count() for a in xf for b in yf]
-    w = len(yf)
-    sums = [sum(free[a * w : (a + 1) * w]) for a in range(len(xf))]
-    sums += [sum(free[b::w]) for b in range(w)]
-    return all(lo <= v <= hi for v, (lo, hi) in zip(free + sums + [sum(free)], bounds))
 
 
 def typical_set_rate_envelope(p: Pmf, n: int, delta) -> float:

@@ -15,8 +15,11 @@ import typigraph.diagnostics
 import typigraph.graph
 import typigraph.typicality
 from typigraph.cli import main
-from typigraph.core import Alphabet, JointPmf, Pmf, replace, save_distribution
+from typigraph.core import (
+    Alphabet, InvariantViolation, JointPmf, Pmf, replace, save_distribution,
+)
 from typigraph.diagnostics import block_mi
+from typigraph.subgraphs import import_subgraph
 
 BIN = Alphabet((0, 1))
 
@@ -155,6 +158,26 @@ def test_graph_implicit_mode(joint_file, capsys):
     rc = main(["graph", "--dist", joint_file, "--n", "30", "--cap", "1000", "--mode", "implicit"])
     assert rc == 0
     assert "left=" in capsys.readouterr().out
+
+
+def test_subgraph_counts_past_the_int_str_digit_limit(joint_file, tmp_path, capsys):
+    """B2's an subgraph at n = 15000: its counts run past 4,300 decimal
+    digits, where int-to-str stops by default, and are printed, exported and
+    imported again, with the limit left in place."""
+    out = tmp_path / "s.json"
+    args = ["subgraph", "--dist", joint_file, "--kind", "an", "--n", "15000", "--out", str(out)]
+    assert main(args) == 0
+    left = capsys.readouterr().out.split()[0].removeprefix("left=")
+    doc = json.loads(out.read_text())
+    assert len(left) > 4300 and doc["left_size"]["value"] == left
+    sub = import_subgraph(str(out))
+    if sys.get_int_max_str_digits():
+        with pytest.raises(ValueError):
+            str(sub.left_size.value)
+    doc["left_size"]["value"] = left[:-1] + str(9 - int(left[-1]))
+    out.write_text(json.dumps(doc))
+    with pytest.raises(InvariantViolation, match="left_size"):
+        import_subgraph(str(out))
 
 
 def test_graph_param_overrides(joint_file, capsys):
@@ -409,27 +432,54 @@ def test_simulate_outputs(joint_file, tmp_path, capsys):
     assert out.read_bytes() == first  # fixed (config, seed): identical bytes
 
 
+T3 = JointPmf(
+    Alphabet((0, 1, 2)),
+    Alphabet((0, 1, 2)),
+    tuple(
+        tuple((Fraction(1, 5), Fraction(1, 5), Fraction(3, 10))[i] if i == j else Fraction(1, 20)
+              for j in range(3))
+        for i in range(3)
+    ),
+)
+
+
 def test_simulate_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys):
-    """The record and CSV of a small run, as recorded before `deviation.bracket`
-    took over the bracket's assembly."""
+    """The record and CSV of a small run at r1 = r2 = 2/n: on B2 at n = 12
+    as recorded before `deviation.bracket` took over the bracket's
+    assembly, on T3 at n = 8 as recorded while its pairs were still counted
+    one by one."""
     monkeypatch.chdir(tmp_path)
-    save_distribution(binary_joint, "joint.json")
-    rc = main(["simulate", "--dist", "joint.json", "--n", "12", "--r1", "2/12", "--r2", "2/12",
-               "--trials", "2000", "--seed", "7", "--out", "mc.json"])
-    assert rc == 0
-    assert capsys.readouterr().out == (
-        "P(U=0): empirical=0.013500 wilson99=[0.008281, 0.021937] "
-        "bracket=[0.000000, 0.641180]\n"
-        "bracket verdict: inside\n"
-    )
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("mc.json", "mc.csv")
-    }
-    assert digests == {
-        "mc.json": "27e4d374993fad9a5ffa0916887f3ce35479b660f8070a1745388d108684e086",
-        "mc.csv": "124e1909fbc6bbe7e05406f51510d3c8fca90c8e32e30c5fe59db06076c293e7",
-    }
+    cases = [
+        (
+            binary_joint, 12,
+            "P(U=0): empirical=0.013500 wilson99=[0.008281, 0.021937] "
+            "bracket=[0.000000, 0.641180]\n",
+            {
+                "mc.json": "27e4d374993fad9a5ffa0916887f3ce35479b660f8070a1745388d108684e086",
+                "mc.csv": "124e1909fbc6bbe7e05406f51510d3c8fca90c8e32e30c5fe59db06076c293e7",
+            },
+        ),
+        (
+            T3, 8,
+            "P(U=0): empirical=0.000000 wilson99=[0.000000, 0.003306] "
+            "bracket=[0.000000, 0.641180]\n",
+            {
+                "mc.json": "717dcb733df47cdb2d7fe3611c38611bce5b824baf630294fbcb6591feb87d64",
+                "mc.csv": "f917059b9d99b7228b64e924437e0d00b145afb948fc3a9c9921ea02dbf2b7c4",
+            },
+        ),
+    ]
+    for joint, n, stdout, digests in cases:
+        save_distribution(joint, "joint.json")
+        rate = f"2/{n}"
+        rc = main(["simulate", "--dist", "joint.json", "--n", str(n), "--r1", rate, "--r2", rate,
+                   "--trials", "2000", "--seed", "7", "--out", "mc.json"])
+        assert rc == 0
+        assert capsys.readouterr().out == stdout + "bracket verdict: inside\n"
+        assert {
+            out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+            for out in ("mc.json", "mc.csv")
+        } == digests
 
 
 def test_simulate_cap_exit_3(joint_file, tmp_path, capsys):
@@ -530,6 +580,17 @@ def test_simulate_codebook_out_of_float_range_exit_2(joint_file, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "1100.5" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--r1", "--r2"])
+def test_simulate_rate_out_of_float_range_exit_2(joint_file, flag, capsys):
+    rates = {"--r1": "1/4", "--r2": "1/4", flag: "1e400"}
+    args = ["simulate", "--dist", joint_file, "--n", "4", *(a for kv in rates.items() for a in kv),
+            "--trials", "1", "--seed", "1"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: 1e400 is out of float range" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def _simulate_counting_kernels(monkeypatch, path):

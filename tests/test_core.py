@@ -14,6 +14,7 @@ from typigraph.core import (
     InvariantViolation,
     JointPmf,
     Pmf,
+    _decimal,
     cond_from_dict,
     cond_to_dict,
     conditional_entropy,
@@ -259,6 +260,21 @@ def test_parse_fraction():
     with pytest.raises(ValueError):
         parse_fraction(True)
     assert format_fraction(Fraction(6, 4)) == "3/2"
+
+
+def test_decimal_spells_counts_of_any_length():
+    """str() below 10**512; past it, chunks of str() digits, with the zeros
+    inside a count kept and none in front of it."""
+    for v in (0, 7, 10**512 - 1, 3**1000, 2**4000):
+        assert _decimal(v) == str(v)
+    assert _decimal(10**512) == "1" + "0" * 512
+    assert _decimal(10**9000) == "1" + "0" * 9000
+    digits = "".join(random.Random(9).choice("0123456789") for _ in range(6000))
+    first, rest = int(digits[:3000]), int(digits[3000:])
+    assert _decimal(first * 10**3000 + rest) == digits.lstrip("0")
+    for f in (Fraction(-6, 4), Fraction(0), Fraction(-5), Fraction(2**4000, 3)):
+        assert format_fraction(f) == str(f)
+    assert format_fraction(Fraction(10**5000 + 1, -3)) == "-1" + "0" * 4999 + "1/3"
 
 
 def test_json_roundtrips(binary_joint, tmp_path):

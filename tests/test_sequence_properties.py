@@ -207,9 +207,8 @@ X4, Y4 = [(0, 1, 2, 3, 3, 0), (3, 2, 1, 0, 1, 1)], [(0, 1, 2, 3, 0, 3), (0, 1, 3
     4, 4, [3, 1, 0, 1, 1, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 3], None, X4[0], Y4[0], X4, Y4,
 ))
 def test_joint_type_index_matches_the_listed_ball(case):
-    """scan and count, which file the admissible cells per pair of types on
-    first use, against the ball listed up front; a second question to the
-    same index reads what the first one filed."""
+    """scan and count against the ball listed up front; a second question
+    to the same index reads what the first one filed."""
     joint, boxes, lam, xs, ys = case
     kx, ky, n = joint.row_alphabet.size, joint.col_alphabet.size, len(xs[0])
     admits = oracles.listed_ball(kx, ky, [(n, boxes)])

@@ -84,7 +84,7 @@ def test_t3_export_and_its_recognition_test_no_pair_alone(tmp_path, monkeypatch)
     def pair_test(*args):
         raise AssertionError("a pair was tested alone")
 
-    monkeypatch.setattr(typigraph.typicality, "_inside", pair_test)
+    monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "count", pair_test)
     g = build_graph(GraphSpec(T3, 6, default_params(6)))
     header, ranks = str(tmp_path / "g.json"), str(tmp_path / "g.csv")
     export_graph(g, header, ranks)

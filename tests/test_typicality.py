@@ -913,13 +913,15 @@ def _boxed(kx, ky, boxes):
 
 
 def _check_scan(kx, ky, n, boxes, xs, ys):
-    """scan's rows against `_boxed`, with no bit set past the roster."""
+    """scan's rows against `_boxed`, with no bit set past the roster, and
+    `count` on a fresh index against their total."""
     index = JointTypeIndex(kx, ky, n, boxes)
     rows = list(index.scan(xs, ys))
     assert all(0 <= hits < 1 << len(ys) for hits in rows)
     admits = _boxed(kx, ky, boxes)
     want = [[j for j, y in enumerate(ys) if admits(x, y)] for x in xs]
     assert oracles.scan_ranks(index, xs, ys) == want
+    assert JointTypeIndex(kx, ky, n, boxes).count(xs, ys) == sum(map(len, want))
     return want
 
 
