@@ -33,6 +33,7 @@ from .core import (
     JointPmf,
     Pmf,
     _decimal,
+    _load_json,
     _repeats,
     _write_json,
     conditional_entropy,
@@ -142,8 +143,7 @@ def _config(args: argparse.Namespace) -> dict:
 
 def _stamp(path: str, config: dict) -> None:
     """Inject the config echo and hash into an already-written export."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     doc.update(config)
     _write_json(path, doc)
 
@@ -457,10 +457,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_label_column(cells: list) -> list:
+    """A column's label tuples: ints when every token is its int's
+    canonical spelling (so "01" and "1_0" are not), the tokens otherwise."""
     try:
-        return [tuple(int(t) for t in tokens) for tokens in cells]
+        ints = [tuple(map(int, tokens)) for tokens in cells]
+        if all(list(map(str, t)) == tokens for t, tokens in zip(ints, cells)):
+            return ints
     except ValueError:
-        return [tuple(tokens) for tokens in cells]
+        pass
+    return [tuple(tokens) for tokens in cells]
 
 
 def _label_ids(cells: list) -> tuple[list[int], list[tuple], Alphabet]:
@@ -517,8 +522,7 @@ def _rank_distribution(path: str, graph_path: Optional[str]):
     if not os.path.exists(graph_path):
         raise ConfigError(f"{graph_path}: file not found")
     try:
-        with open(graph_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_json(graph_path)
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema == GRAPH_SCHEMA:
             g = import_graph(graph_path)

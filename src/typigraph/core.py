@@ -576,22 +576,40 @@ def joint_from_dict(doc: dict) -> JointPmf:
     return JointPmf(rows, cols, probs)
 
 
+def _cond_rows(doc: dict, key: str, out: Alphabet) -> tuple:
+    """The channel rows listed under doc[key], each a list of fractions
+    over out, or null where the conditioning symbol has no mass."""
+    return tuple(
+        None if row is None else Pmf(out, tuple(parse_fraction(v) for v in _list(row, key)))
+        for row in _list(_key(doc, key), key)
+    )
+
+
 def cond_from_dict(doc: dict) -> CondPmf:
     given = Alphabet(tuple(_list(_key(doc, "given_alphabet"), "given_alphabet")))
     out = Alphabet(tuple(_list(_key(doc, "out_alphabet"), "out_alphabet")))
-    rows = tuple(
-        None
-        if row is None
-        else Pmf(out, tuple(parse_fraction(v) for v in _list(row, "rows")))
-        for row in _list(_key(doc, "rows"), "rows")
-    )
-    return CondPmf(given, out, rows)
+    return CondPmf(given, out, _cond_rows(doc, "rows", out))
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _load_json(path: str):
+    """The JSON document at path, every JSON input's one reader; ValueError
+    naming the first key that an object repeats."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def load_distribution(path: str):
     """Load a Pmf, JointPmf, or CondPmf from a JSON document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "pmf":
         return pmf_from_dict(doc)

@@ -22,17 +22,15 @@ a row's edges off that set (`_flags`) with no Python work per pair.
 
 An export's edge CSV is defined in one place, `_rank_texts`: the writer
 writes its text, and `_is_export` tells whether a file is byte for byte
-that text for a graph. The export's size follows from the vertex degrees
-alone, so a file of another size is told apart before any pair is
-scanned; one of that size is compared rank by rank with one pair scan.
+that text for a graph, comparing them rank by rank from one pair scan up
+to the first difference. `import_graph` and `subgraphs.import_subgraph`
+read their header through one `_read_header`.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
 import re
 from array import array
 from fractions import Fraction
@@ -47,6 +45,7 @@ from .core import (
     InvariantViolation,
     JointPmf,
     _decimal,
+    _load_json,
     _repeats,
     _write_json,
     conditionalize,
@@ -187,12 +186,10 @@ def _rows(g: TypicalityGraph, side: str) -> Iterator[tuple[int, ...]]:
     return _box_rows(len(boxes), [(spec.n, boxes)])
 
 
-def _vertex_degrees(g: TypicalityGraph, side: str, rows=None) -> list[int]:
-    """Each vertex's degree in roster order, read from its type's entry;
-    rows is the side's roster when the caller holds it already."""
+def _vertex_degrees(g: TypicalityGraph, side: str) -> list[int]:
+    """Each vertex's degree in roster order, read from its type's entry."""
     table, k = g._table(side), _oriented(g.spec.joint, g.spec.params, side)[0].row_alphabet.size
-    rows = _rows(g, side) if rows is None else rows
-    return [table[tuple(map(row.count, range(k)))][1] for row in rows]
+    return [table[tuple(map(row.count, range(k)))][1] for row in _rows(g, side)]
 
 
 @record
@@ -266,15 +263,12 @@ def check_degree_bound(g: TypicalityGraph) -> DegreeBoundReport:
     )
 
 
-def _scan_rows(g: TypicalityGraph, left=None, right=None) -> Iterator[int]:
+def _scan_rows(g: TypicalityGraph) -> Iterator[int]:
     """One pair scan over the rosters: each left vertex's right ids as a bit
-    set, rank j at bit |R|-1-j (`_flags`). left and right are the rosters
-    when the caller holds them."""
+    set, rank j at bit |R|-1-j (`_flags`)."""
     spec = g.spec
     index = JointTypeIndex.ball(spec.joint, spec.params.lam, spec.n)
-    return index.scan(
-        _rows(g, "left") if left is None else left, _rows(g, "right") if right is None else right
-    )
+    return index.scan(_rows(g, "left"), _rows(g, "right"))
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -297,36 +291,33 @@ def edge_list(g: TypicalityGraph) -> Iterator[tuple[int, int]]:
 _RANK_HEAD = "left_rank,right_rank\r\n"
 
 
-def _rank_texts(rows, width: Optional[int] = None) -> Iterator[tuple[int, str]]:
+def _rank_texts(rows, width: int) -> Iterator[tuple[int, str]]:
     """(edge count, lines) of each left rank with an edge, in left-rank
     order: the text an export writes for that rank after its `_RANK_HEAD`.
-    rows hold each left rank's right ranks: scan bit sets over width right
-    ranks, or, with no width, ascending lists.
+    rows hold each left rank's right ranks, all below width: scan bit sets
+    over width right ranks, or ascending lists.
 
     A rank's edges are one joined string, in the bytes of csv's default
     dialect: canonical decimal ranks and CRLF line ends. Right ranks are
-    spelled from a table of str(k), picked by a bit set's flags or grown
-    to the largest listed rank met.
+    spelled from a table of str(k) for k below width, picked by a bit
+    set's flags or by the listed ranks.
     """
-    spell = list(map(str, range(width or 0)))
+    spell = list(map(str, range(width)))
     for i, nbrs in enumerate(rows):
         if not nbrs:
             continue
-        if width is None:
-            top = max(nbrs)
-            if top >= len(spell):
-                spell.extend(map(str, range(len(spell), top + 1)))
-            count, picked = len(nbrs), map(spell.__getitem__, nbrs)
-        else:
+        if isinstance(nbrs, int):
             count, picked = nbrs.bit_count(), compress(spell, _flags(nbrs, width))
+        else:
+            count, picked = len(nbrs), map(spell.__getitem__, nbrs)
         head = f"{i},"
         yield count, head + f"\r\n{head}".join(picked) + "\r\n"
 
 
-def _write_rank_csv(path: str, rows, expected: int, width: Optional[int] = None) -> None:
+def _write_rank_csv(path: str, rows, expected: int, width: int) -> None:
     """Write a `left_rank,right_rank` edge CSV from the rows of
-    `_rank_texts`, in its text. InvariantViolation unless exactly
-    `expected` edges were written."""
+    `_rank_texts` over width right ranks, in its text. InvariantViolation
+    unless exactly `expected` edges were written."""
     written = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_RANK_HEAD)
@@ -344,28 +335,19 @@ def _is_export(g: TypicalityGraph, path: str) -> bool:
     `export_graph` writes for g: only an explicit graph with an edge, whose
     |L|*|R| pair scan is under its cap, has one.
 
-    Each roster is walked once. The export's byte length follows from the
-    vertex degrees alone: the header, each edge's left rank and comma, and
-    its right rank and CRLF. Only when the file has that length is it
-    compared with the export's text, one left rank at a time from one pair
-    scan, stopping at the first difference.
+    The file is compared with the export's text one left rank at a time,
+    from one pair scan that walks each roster once, stopping at the first
+    difference.
     """
     spec = g.spec
     nl, nr = g.vertex_counts()
     if spec.mode != "explicit" or not g.edge_count.value or nl * nr > spec.cap:
         return False
-    left, right = list(_rows(g, "left")), list(_rows(g, "right"))
-    size = len(_RANK_HEAD)
-    for side, rows, tail in (("left", left, 1), ("right", right, 2)):
-        degrees = _vertex_degrees(g, side, rows)
-        size += sum(d * (len(str(i)) + tail) for i, d in enumerate(degrees))
-    if os.path.getsize(path) != size:
-        return False
     written = 0
     with open(path, "rb") as fh:
         if fh.read(len(_RANK_HEAD)) != _RANK_HEAD.encode():
             return False
-        for count, text in _rank_texts(_scan_rows(g, left, right), nr):
+        for count, text in _rank_texts(_scan_rows(g), nr):
             if fh.read(len(text)) != text.encode():
                 return False
             written += count
@@ -386,24 +368,6 @@ def _params_to_dict(p: TypicalityParams) -> dict:
         "lambda": str(p.lam),
         "schedule": p.schedule,
     }
-
-
-def _params_from_header(header: dict) -> TypicalityParams:
-    """The slack parameters of an export header's spec.params, whose slacks
-    are fraction strings. ValueError names the key that is missing or
-    malformed."""
-    slacks = []
-    for key in ("eps1", "eps2", "lambda"):
-        text = _field(header, f"spec.params.{key}", str)
-        try:
-            slacks.append(Fraction(text))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(
-                f"export header 'spec.params.{key}' should be a fraction string, "
-                f"found {text!r}"
-            ) from None
-    eps1, eps2, lam = slacks
-    return TypicalityParams(eps1, eps2, lam, _field(header, "spec.params.schedule", str))
 
 
 def export_graph(
@@ -629,6 +593,32 @@ def _count_field(header: dict, path: str) -> str:
     return text
 
 
+def _read_header(path: str, schema: str) -> tuple[dict, JointPmf, int, TypicalityParams]:
+    """(header, joint, n, params) of the export header at path, read from
+    its spec: the joint, the blocklength and the slack parameters, whose
+    slacks are fraction strings. ValueError when the file is not a JSON
+    object of that schema, or naming the key that is missing or malformed."""
+    header = _load_json(path)
+    if not isinstance(header, dict):
+        raise ValueError(f"export header should be a JSON object, found {type(header).__name__}")
+    if header.get("schema") != schema:
+        raise ValueError(f"unexpected schema {header.get('schema')!r}")
+    joint = joint_from_dict(_field(header, "spec.joint", dict))
+    n = _field(header, "spec.n", int)
+    slacks = []
+    for key in ("eps1", "eps2", "lambda"):
+        text = _field(header, f"spec.params.{key}", str)
+        try:
+            slacks.append(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"export header 'spec.params.{key}' should be a fraction string, "
+                f"found {text!r}"
+            ) from None
+    params = TypicalityParams(*slacks, _field(header, "spec.params.schedule", str))
+    return header, joint, n, params
+
+
 def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
     """Rebuild a graph from an export, checked against its header.
 
@@ -637,16 +627,9 @@ def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> Typica
     must list the edges of `edge_list` in its order; it is read and checked
     in bulk, then compared with them edge by edge.
     """
-    with open(json_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("schema") != GRAPH_SCHEMA:
-        raise ValueError(f"unexpected schema {header.get('schema')!r}")
+    header, joint, n, params = _read_header(json_path, GRAPH_SCHEMA)
     spec = GraphSpec(
-        joint=joint_from_dict(_field(header, "spec.joint", dict)),
-        n=_field(header, "spec.n", int),
-        params=_params_from_header(header),
-        mode=_field(header, "spec.mode", str),
-        cap=_field(header, "spec.cap", int),
+        joint, n, params, _field(header, "spec.mode", str), _field(header, "spec.cap", int)
     )
     sizes = (_field(header, "left_size", int), _field(header, "right_size", int))
     recorded = _count_field(header, "edge_count.value")

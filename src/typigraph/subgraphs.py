@@ -28,7 +28,6 @@ as well.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cache, partial
@@ -44,7 +43,11 @@ from .core import (
     InvariantViolation,
     JointPmf,
     Pmf,
+    _cond_rows,
     _decimal,
+    _key,
+    _list,
+    _load_json,
     _write_json,
     cond_from_dict,
     cond_to_dict,
@@ -52,7 +55,6 @@ from .core import (
     entropy,
     float_sum,
     joint_entropy,
-    joint_from_dict,
     joint_to_dict,
     parse_fraction,
     product_alphabet,
@@ -60,13 +62,7 @@ from .core import (
     record,
     total_variation,
 )
-from .graph import (
-    _count_field,
-    _field,
-    _params_from_header,
-    _params_to_dict,
-    _write_rank_csv,
-)
+from .graph import _count_field, _field, _params_to_dict, _read_header, _write_rank_csv
 from .typicality import (
     BigCount,
     Sequence,
@@ -627,32 +623,16 @@ def rate_point(d: MarkovDecomposition, tol: float = 1e-9) -> tuple[float, float]
 
 
 def load_decomposition(doc, joint: JointPmf) -> MarkovDecomposition:
-    """Parse a JSON decomposition (rational entries) and attach its residual."""
+    """Parse a JSON decomposition (rational entries) and attach its residual.
+    doc is the document or its path; ValueError names a key that is missing
+    or does not hold a list."""
     if isinstance(doc, str):
-        with open(doc, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    u_alpha = Alphabet(tuple(doc["u_alphabet"]))
-    weights = Pmf(u_alpha, tuple(parse_fraction(v) for v in doc["weights"]))
-    left = CondPmf(
-        u_alpha,
-        joint.row_alphabet,
-        tuple(
-            None
-            if row is None
-            else Pmf(joint.row_alphabet, tuple(parse_fraction(v) for v in row))
-            for row in doc["left_factors"]
-        ),
-    )
-    right = CondPmf(
-        u_alpha,
-        joint.col_alphabet,
-        tuple(
-            None
-            if row is None
-            else Pmf(joint.col_alphabet, tuple(parse_fraction(v) for v in row))
-            for row in doc["right_factors"]
-        ),
-    )
+        doc = _load_json(doc)
+    u_alpha = Alphabet(tuple(_list(_key(doc, "u_alphabet"), "u_alphabet")))
+    weights = Pmf(u_alpha, tuple(map(parse_fraction, _list(_key(doc, "weights"), "weights"))))
+    x, y = joint.row_alphabet, joint.col_alphabet
+    left = CondPmf(u_alpha, x, _cond_rows(doc, "left_factors", x))
+    right = CondPmf(u_alpha, y, _cond_rows(doc, "right_factors", y))
     return make_decomposition(weights, left, right, joint)
 
 
@@ -718,8 +698,9 @@ def export_subgraph(
     _write_json(json_path, header)
     if edges_csv_path is None:
         return
-    rows = _neighbour_rows(sub, _spliced(sub, "left"), list(_spliced(sub, "right")))
-    _write_rank_csv(edges_csv_path, rows, edges)
+    right = list(_spliced(sub, "right"))
+    rows = _neighbour_rows(sub, _spliced(sub, "left"), right)
+    _write_rank_csv(edges_csv_path, rows, edges, len(right))
 
 
 def import_subgraph(json_path: str) -> Subgraph:
@@ -729,14 +710,8 @@ def import_subgraph(json_path: str) -> Subgraph:
     ValueError; a rebuilt size or degree that differs from the header
     raises InvariantViolation.
     """
-    with open(json_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("schema") != SUBGRAPH_SCHEMA:
-        raise ValueError(f"unexpected schema {header.get('schema')!r}")
+    header, joint, n, params = _read_header(json_path, SUBGRAPH_SCHEMA)
     kind = _field(header, "kind", str)
-    joint = joint_from_dict(_field(header, "spec.joint", dict))
-    n = _field(header, "spec.n", int)
-    params = _params_from_header(header)
     counts = {name: _count_field(header, f"{name}.value") for name in _COUNTS}
     if kind == "single_type":
         sub = build_exact_type_subgraph(joint, n, params)

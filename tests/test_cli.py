@@ -16,7 +16,8 @@ import typigraph.graph
 import typigraph.typicality
 from typigraph.cli import main
 from typigraph.core import (
-    Alphabet, InvariantViolation, JointPmf, Pmf, replace, save_distribution,
+    Alphabet, CondPmf, InvariantViolation, JointPmf, Pmf, product_alphabet, replace,
+    save_distribution,
 )
 from typigraph.diagnostics import block_mi
 from typigraph.subgraphs import import_subgraph
@@ -71,6 +72,21 @@ def test_info_malformed_file_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad.json" in err
+
+
+def test_info_refuses_a_repeated_key(tmp_path, capsys):
+    """A joint whose "probs" appears twice exits 2 naming the key, rather
+    than summarising the last copy."""
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"type": "joint_pmf", "row_alphabet": [0, 1], "col_alphabet": [0, 1],'
+        ' "probs": [["1/4", "1/4"], ["1/4", "1/4"]],'
+        ' "probs": [["1/2", "0"], ["0", "1/2"]]}'
+    )
+    assert main(["info", "--dist", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: repeated key 'probs'" in captured.err
 
 
 def test_info_json_record(joint_file, tmp_path):
@@ -158,6 +174,41 @@ def test_graph_implicit_mode(joint_file, capsys):
     rc = main(["graph", "--dist", joint_file, "--n", "30", "--cap", "1000", "--mode", "implicit"])
     assert rc == 0
     assert "left=" in capsys.readouterr().out
+
+
+def test_graph_implicit_record_bytes_pinned(binary_joint, tmp_path, monkeypatch, capsys):
+    """`graph --mode implicit --out` writes a run record of the three exact
+    counts, as decimal strings, and the edge count's log2."""
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    assert main(["graph", "--dist", "joint.json", "--n", "40", "--mode", "implicit",
+                 "--out", "imp.json"]) == 0
+    assert capsys.readouterr().out == (
+        "left=1010791520232 right=1010791520232 edges=81669492725057891399460\n"
+    )
+    assert hashlib.sha256((tmp_path / "imp.json").read_bytes()).hexdigest() == (
+        "b4973d22cbb943107e2ff9a835f39d24d5f9b6a886b9ef5f94000da74eff215c"
+    )
+
+
+def test_graph_failing_degree_bound_exits_4_after_writing(
+    binary_joint, joint_file, tmp_path, monkeypatch, capsys
+):
+    """With every conditional ball cut to one sequence, each type of degree
+    above 1 violates the bound: graph prints FAIL with their number, still
+    writes --out, and exits 4."""
+    monkeypatch.setattr(typigraph.graph, "_cond_ball_size", lambda w, counts, slack: 1)
+    g = typigraph.graph.build_graph(
+        typigraph.graph.GraphSpec(binary_joint, 4, typigraph.typicality.default_params(4))
+    )
+    k = sum(deg > 1 for side in ("left", "right") for _, deg in g._table(side).values())
+    assert k > 0
+    out = tmp_path / "g.json"
+    assert main(["graph", "--dist", joint_file, "--n", "4", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert f"degree-bound: FAIL ({k} violations)" in captured.out
+    assert "degree bound violated" in captured.err
+    assert json.loads(out.read_text())["schema"] == "typigraph.graph/1"
 
 
 def test_subgraph_counts_past_the_int_str_digit_limit(joint_file, tmp_path, capsys):
@@ -355,6 +406,38 @@ def test_subgraph_gamma_wrong_aux_type(joint_file, tmp_path, capsys):
         ["subgraph", "--dist", joint_file, "--n", "12", "--kind", "gamma", "--aux", str(bad)]
     )
     assert rc == 2
+
+
+def test_subgraph_gamma_channel_off_the_joint_names_aux(tmp_path, capsys):
+    """A channel that does not condition on the joint's pair alphabet exits
+    2 naming the --aux file."""
+    joint, aux = tmp_path / "t.json", tmp_path / "bin_aux.json"
+    t = Alphabet((0, 1, 2))
+    save_distribution(JointPmf(t, t, ((Fraction(1, 9),) * 3,) * 3), str(joint))
+    pairs = product_alphabet(BIN, BIN)
+    half = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
+    save_distribution(CondPmf(pairs, BIN, (half,) * 4), str(aux))
+    rc = main(["subgraph", "--dist", str(joint), "--n", "6", "--kind", "gamma",
+               "--aux", str(aux)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {aux}:") and "pair alphabet" in err
+
+
+def test_subgraph_failing_verification_exits_4(joint_file, tmp_path, monkeypatch, capsys):
+    """A failed rate verification prints FAIL, still writes --out, and
+    exits 4."""
+    verify = typigraph.cli.verify_single_type
+    monkeypatch.setattr(
+        typigraph.cli, "verify_single_type", lambda sub: replace(verify(sub), all_ok=False)
+    )
+    out = tmp_path / "s.json"
+    assert main(["subgraph", "--dist", joint_file, "--n", "8", "--kind", "an",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "single-type verification: FAIL" in captured.out
+    assert "rate verification failed" in captured.err
+    assert import_subgraph(str(out)).kind == "single_type"
 
 
 # Byte pins for the subgraph export, recorded before the single-type
@@ -693,8 +776,7 @@ def test_wring_product_edges_k0(tmp_path, capsys):
 
 def _drop_last_edge(path):
     """Cut an edge CSV's last line: an export so cut is no longer the
-    graph's own bytes, and its size shows that before any pair is scanned,
-    so wring reads its edges."""
+    graph's own bytes, so wring reads its edges."""
     data = path.read_bytes()
     path.write_bytes(data[: data.rindex(b"\n", 0, len(data) - 1) + 1])
 
@@ -706,14 +788,17 @@ def test_wring_rank_csv_via_graph_header(joint_file, tmp_path, capsys, monkeypat
     _drop_last_edge(gcsv)
     capsys.readouterr()
 
-    # the rosters come from the header alone: no second pair scan
+    # past recognition, the rosters come from the header alone: the edge
+    # path scans no pair
     def no_scan(*args, **kwargs):
         raise AssertionError("a sequence pair was scanned while reading a graph header")
 
-    monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "scan", no_scan)
-    rc = main(
-        ["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.3"]
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(typigraph.cli, "_is_export", lambda g, path: False)
+        patch.setattr(typigraph.typicality.JointTypeIndex, "scan", no_scan)
+        rc = main(
+            ["wring", "--edges", str(gcsv), "--graph", str(gjson), "--delta", "0.3"]
+        )
     assert rc == 0
     assert "wring:" in capsys.readouterr().out
 
@@ -974,6 +1059,28 @@ def test_wring_names_label_row_of_another_blocklength(tmp_path, capsys, row, mes
     err = capsys.readouterr().err
     assert "label CSV row 4: " in err and message in err
     assert "a sequence is empty" in message or "row 2 sets the blocklength 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, xrows, x_symbols",
+    [
+        ("x,y\n1 0 1,0 0 1\n01 0 1,1 0 1\n",
+         (("1", "0", "1"), ("01", "0", "1")), ("0", "01", "1")),
+        ("x,y\n1_0 0,0 1\n10 0,1 1\n", (("1_0", "0"), ("10", "0")), ("0", "10", "1_0")),
+        ("x,y\n1 0 1,0 0 1\n-1 0 1,1 0 1\n", ((1, 0, 1), (-1, 0, 1)), (-1, 0, 1)),
+    ],
+    ids=["zero-padded", "underscore", "canonical"],
+)
+def test_label_tokens_are_ints_only_in_canonical_spelling(tmp_path, text, xrows, x_symbols):
+    """A label column is read as ints only when every token is its int's
+    canonical spelling; otherwise its tokens stay strings, so "01" and "1",
+    or "1_0" and "10", are distinct labels and their rows distinct x rows."""
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    dist = typigraph.cli._label_distribution(str(path))
+    x = dist.x_alphabet.symbols
+    assert tuple(tuple(x[k] for k in row) for row in dist.xrows) == xrows
+    assert x == x_symbols and list(dist.xids) == [0, 1]
 
 
 @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\r\n\r\n"], ids=["empty", "header", "blank-rows"])
@@ -1323,6 +1430,43 @@ def test_malformed_input_exits_2_without_traceback(
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["joint.json"]
+
+
+def _write_inputs():
+    """A pmf and a cond_pmf beside joint.json, and an edge CSV of ranks."""
+    save_distribution(Pmf(BIN, (Fraction(1, 2), Fraction(1, 2))), "pmf.json")
+    half = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
+    save_distribution(CondPmf(BIN, BIN, (half, half)), "cond.json")
+    with open("g.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("left_rank,right_rank\r\n0,0\r\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["info", "--dist", "joint.json", "--out", "missing/rec.json"], "missing/rec.json"),
+        (["wring", "--edges", "g.csv", "--graph", "nope.json", "--delta", "0.1"],
+         "nope.json: file not found"),
+        (["graph", "--dist", "pmf.json", "--n", "4"], "pmf.json: expected a joint_pmf"),
+        (["info", "--dist", "cond.json"], "cond.json: no entropic summary for a cond_pmf"),
+    ],
+    ids=["out-in-missing-dir", "wring-missing-graph", "graph-given-pmf", "info-given-cond"],
+)
+def test_unusable_input_or_output_exits_2(
+    binary_joint, tmp_path, monkeypatch, capsys, argv, message
+):
+    """An --out into a missing directory (an OSError), a missing --graph
+    header, and a distribution of the wrong kind each exit 2 with one
+    error line naming the file."""
+    monkeypatch.chdir(tmp_path)
+    save_distribution(binary_joint, "joint.json")
+    _write_inputs()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_unknown_subcommand_exits_2():

@@ -300,6 +300,25 @@ def test_load_distribution_rejects_unknown(tmp_path):
         load_distribution(str(path))
 
 
+def test_json_inputs_refuse_a_repeated_key(binary_joint, tmp_path):
+    """A key repeated in any object of a JSON input is a ValueError naming
+    it, not the last copy's value; -Infinity, which an edgeless graph's
+    header holds, still reads."""
+    path = tmp_path / "j.json"
+    path.write_text(
+        '{"type": "joint_pmf", "row_alphabet": [0, 1], "col_alphabet": [0, 1],'
+        ' "probs": [["1/4", "1/4"], ["1/4", "1/4"]],'
+        ' "probs": [["1/2", "0"], ["0", "1/2"]]}'
+    )
+    with pytest.raises(ValueError, match="repeated key 'probs'"):
+        load_distribution(str(path))
+    path.write_text('{"a": {"log2": -Infinity, "b": 1, "b": 2}}')
+    with pytest.raises(ValueError, match="repeated key 'b'"):
+        typigraph.core._load_json(str(path))
+    path.write_text('{"log2": -Infinity}')
+    assert typigraph.core._load_json(str(path)) == {"log2": -math.inf}
+
+
 def test_tuple_labels_survive_json(tmp_path):
     pairs = product_alphabet(BIN, BIN)
     p = Pmf(pairs, (Fraction(2, 5), Fraction(1, 10), Fraction(1, 10), Fraction(2, 5)))

@@ -588,7 +588,7 @@ def test_rank_csv_writer_matches_csv_writer(skip, rows):
     rows = [[]] * skip + rows
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-        typigraph.graph._write_rank_csv(got, iter(rows), sum(map(len, rows)))
+        typigraph.graph._write_rank_csv(got, iter(rows), sum(map(len, rows)), 1002)  # past 1001, the top rank
         oracles.write_rank_csv(want, rows)
         with open(got, "rb") as fh, open(want, "rb") as gh:
             assert fh.read() == gh.read()

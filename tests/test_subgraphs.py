@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from typigraph import subgraphs
+from typigraph.graph import import_graph
 from typigraph.core import (
     Alphabet,
     CapExceeded,
@@ -328,6 +329,52 @@ def test_load_decomposition(binary_joint):
     }
     d = load_decomposition(doc, mixture_joint())
     assert d.residual == 0
+
+
+DECOMPOSITION = {
+    "u_alphabet": [0, 1],
+    "weights": ["1/2", "1/2"],
+    "left_factors": [["3/4", "1/4"], ["1/4", "3/4"]],
+    "right_factors": [["3/4", "1/4"], ["1/4", "3/4"]],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda doc: doc.clear(), "u_alphabet"),
+        (lambda doc: doc.pop("right_factors"), "right_factors"),
+        (lambda doc: doc.update(u_alphabet=5), "u_alphabet"),
+        (lambda doc: doc.update(left_factors="ab"), "left_factors"),
+        (lambda doc: doc.update(weights={"0": "1"}), "weights"),
+        (lambda doc: doc.update(right_factors=[["1/2", "1/2"], 5]), "right_factors"),
+    ],
+    ids=["empty", "no-right-factors", "number-alphabet", "string-factors", "object-weights",
+         "number-row"],
+)
+def test_load_decomposition_names_the_bad_key(tmp_path, edit, key):
+    """A decomposition key that is missing or holds no list is a ValueError
+    naming it, from the document and from its file alike."""
+    doc = json.loads(json.dumps(DECOMPOSITION))
+    edit(doc)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    for source in (doc, str(path)):
+        with pytest.raises(ValueError, match=repr(key)):
+            load_decomposition(source, mixture_joint())
+
+
+@pytest.mark.parametrize(
+    "text", ["[1, 2]", '"typigraph.subgraph/1"', "null"], ids=["list", "string", "null"]
+)
+def test_headers_that_are_no_json_object_are_value_errors(tmp_path, text):
+    """Both importers read their header through one reader, which refuses
+    a JSON document that is not an object with a ValueError."""
+    path = tmp_path / "h.json"
+    path.write_text(text)
+    for reader in (import_subgraph, import_graph):
+        with pytest.raises(ValueError, match="JSON object"):
+            reader(str(path))
 
 
 def test_markov_point_certified_by_aux_subgraph():

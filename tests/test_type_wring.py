@@ -7,9 +7,8 @@ form of a law). On B2, T3 and random small joints, that run must give the
 edge path's positions, values, surviving counts, fractions, verdicts and
 Pinsker TVs, with every float within 1e-12, and σ must be the sum over the
 graph's two degree tables bit for bit. A CSV that differs from the export
-in any byte takes the edge path, and one whose size differs starts no pair
-scan. Implicit graphs with more than 2^63 edges are wrung by their exact
-size.
+in any byte, of its size or another, takes the edge path. Implicit graphs
+with more than 2^63 edges are wrung by their exact size.
 """
 
 import json
@@ -31,7 +30,9 @@ from typigraph.diagnostics import (
     pinsker_check,
     wring,
 )
-from typigraph.graph import GraphSpec, _is_export, _read_edge_csv, _rows, build_graph, export_graph
+from typigraph.graph import (
+    GraphSpec, _is_export, _read_edge_csv, _rows, build_graph, edge_list, export_graph,
+)
 from typigraph.typicality import TypicalityParams, default_params, degree_table
 
 PROPERTY = settings.get_profile("typigraph")
@@ -199,6 +200,21 @@ def test_implicit_graphs_past_2_63_edges_are_wrung(n, types):
 # --- recognition ------------------------------------------------------------------
 
 
+def test_conditioning_a_fixed_position_again():
+    """Conditioning a fixed position again keeps the law on its own code and
+    empties it on another, for the joint types as for the edges."""
+    g = build_graph(GraphSpec(B2, 5, default_params(5)))
+    xids, yids = zip(*edge_list(g))
+    left, right = list(_rows(g, "left")), list(_rows(g, "right"))
+    edges = edge_distribution(list(xids), list(yids), left, right, BIN, BIN)
+    for law in (graph_distribution(g), edges):
+        fixed = law.condition(2, 1)
+        assert 0 < fixed.size < law.size
+        assert fixed.condition(2, 1) == fixed
+        assert fixed.condition(2, 3).size == 0
+    assert graph_distribution(g).condition(2, 1).size == edges.condition(2, 1).size
+
+
 @pytest.fixture
 def export(tmp_path, monkeypatch):
     """B2's n = 6 export, g.json and g.csv, in tmp_path as the working
@@ -275,20 +291,14 @@ def test_the_exact_export_takes_the_type_path(export, monkeypatch, capsys):
     ids=["lf-line-ends", "appended-blank-line", "two-rows-swapped", "same-width-rank"],
 )
 def test_an_edited_export_takes_the_edge_path(export, monkeypatch, capsys, edit, resized):
-    """A CSV that differs from the export in any byte is read as edges, to
-    the record that reading gives; one whose size differs is told apart
-    before any pair is scanned."""
+    """A CSV that differs from the export in any byte, of the export's size
+    or another, is read as edges, to the record that reading gives."""
     size, edges = export.stat().st_size, len(_lines(export)) - 2
     edit(export)
     assert (export.stat().st_size != size) == resized
     want = _wring(monkeypatch, capsys, forced_edges=True)
     assert want[0] == 0
     monkeypatch.setattr(typigraph.cli, "graph_distribution", _no_type_path)
-    if resized:
-        def no_scan(*args):
-            raise AssertionError("a pair was scanned to recognise a CSV of another size")
-
-        monkeypatch.setattr(typigraph.typicality.JointTypeIndex, "scan", no_scan)
     assert _wring(monkeypatch, capsys) == want
     assert json.loads(want[2])["payload"]["edge_count_in"] == edges
 
