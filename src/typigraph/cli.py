@@ -65,6 +65,7 @@ from .graph import (
 from .subgraphs import (
     EDGE_SCAN_CAP,
     SUBGRAPH_SCHEMA,
+    _is_subgraph_export,
     _spliced,
     build_aux_subgraph,
     build_exact_type_subgraph,
@@ -80,6 +81,7 @@ from .diagnostics import (
     edge_distribution,
     graph_distribution,
     pinsker_check,
+    subgraph_distribution,
     wring,
     wringing_to_dict,
 )
@@ -210,7 +212,13 @@ def _load_any(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_common(args: argparse.Namespace) -> None:
+def _check_common(args: argparse.Namespace, outputs: tuple = ("out",)) -> None:
+    """Refuse bad numeric flags, and any output path among the flags named
+    by outputs whose directory does not exist, before any work."""
+    for flag in outputs:
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{path}: no such directory {os.path.dirname(path)!r}")
     if getattr(args, "n", None) is not None and args.n < 1:
         raise ConfigError("--n must be >= 1")
     if getattr(args, "seed", None) is not None and not (0 <= args.seed < 1 << 64):
@@ -265,7 +273,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    _check_common(args)
+    _check_common(args, ("out", "edges"))
     if args.edges and not (args.out and args.mode == "explicit"):
         raise ConfigError("--edges needs --out and --mode explicit")
     joint = _load_joint(args.dist)
@@ -317,7 +325,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_subgraph(args: argparse.Namespace) -> int:
-    _check_common(args)
+    _check_common(args, ("out", "edges"))
     if args.edges and not args.out:
         raise ConfigError("--edges needs --out")
     joint = _load_joint(args.dist)
@@ -510,11 +518,11 @@ def _label_distribution(path: str) -> EdgeDistribution:
 def _rank_distribution(path: str, graph_path: Optional[str]):
     """The edges of a rank CSV with the rosters of the export header at
     graph_path as rows and the ranks as ids; ValueError "no edges" if the
-    CSV lists none.
+    CSV lists none. The header is read once, for its schema and its import.
 
-    A CSV that is byte for byte the graph's own export (`graph._is_export`)
-    is not read: the law of its graph's edges is kept by joint types
-    (`graph_distribution`)."""
+    A CSV that is byte for byte the header's own export (`graph._is_export`,
+    `subgraphs._is_subgraph_export`) is not read: the law of its edges is
+    kept by joint types (`graph_distribution`, `subgraph_distribution`)."""
     if not graph_path:
         raise ConfigError(
             "rank-format edge CSV needs --graph HEADER.json for the rosters"
@@ -525,13 +533,15 @@ def _rank_distribution(path: str, graph_path: Optional[str]):
         doc = _load_json(graph_path)
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema == GRAPH_SCHEMA:
-            g = import_graph(graph_path)
+            g = import_graph(doc)
             if _is_export(g, path):
                 return graph_distribution(g)
             joint = g.spec.joint
             left, right = list(_rows(g, "left")), list(_rows(g, "right"))
         elif schema == SUBGRAPH_SCHEMA:
-            sub = import_subgraph(graph_path)
+            sub = import_subgraph(doc)
+            if _is_subgraph_export(sub, path):
+                return subgraph_distribution(sub)
             joint = sub.joint
             left, right = list(_spliced(sub, "left")), list(_spliced(sub, "right"))
         else:

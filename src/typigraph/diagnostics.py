@@ -10,7 +10,7 @@ rate bound.
 All distribution arithmetic is exact (counts over the edge multiset);
 entropic values are floats in bits. Every tool takes one form of an edge
 multiset, an `EdgeDistribution` (`block_mi`, the wring and the Pinsker
-check also take a whole graph's `TypeDistribution`, below): two id
+check also take a `TypeDistribution`, below): two id
 columns that name each edge's endpoints, each side's distinct symbol rows
 indexed by id, and one byte column of letter-pair codes per position.
 Per-letter counts are `bytes.count` calls, and conditioning filters the
@@ -21,17 +21,22 @@ read); `fano_distribution` builds it from aligned `Sequence` pairs. The
 columns are built, measured and conditioned edge by edge, whatever order
 the ids come in.
 
-A whole typicality graph is wrung without its edges. Whether a pair is an
-edge depends only on the types of its ends and on their joint type, so
-the uniform law on the edges does not change when positions are
-permuted, and every count the wring reads is a sum of multinomials over
-the graph's joint types: `graph_distribution` keeps the law so, as a
-`TypeDistribution`. Both forms of a law give one interface: its exact
-edge count `size`, each position's integer letter-pair counts
-(`letter_counts`) and `condition`; `block_mi` takes either form. So one
-greedy loop in `wring`, with its stopping rules, tie-breaks, step records
-and `bound_ok`, and one `pinsker_check` serve both, and equal counts give
-equal floats.
+A typicality graph or subgraph is wrung without its edges, as a
+`TypeDistribution`: a product of position blocks, each kept by its joint
+types. Whether a pair is an edge of a whole graph depends only on the
+types of its ends and on their joint type, so the uniform law on the
+edges does not change when positions are permuted, and every count the
+wring reads is a sum of multinomials over the graph's joint types:
+`graph_distribution` keeps the law so, as one block of every position. In
+a subgraph, (x, y) is an edge when, in every u-run, their joint type is
+the run's target counts, so its edges are the product over runs of one
+joint-type class each, and positions are exchangeable inside a run:
+`subgraph_distribution` keeps one block per u-run, of one joint type.
+Both forms of a law give one interface: its exact edge count `size`, each
+position's integer letter-pair counts (`letter_counts`) and `condition`;
+`block_mi` takes either form. So one greedy loop in `wring`, with its
+stopping rules, tie-breaks, step records and `bound_ok`, and one
+`pinsker_check` serve both, and equal counts give equal floats.
 """
 
 from __future__ import annotations
@@ -279,72 +284,94 @@ def fano_distribution(edges) -> EdgeDistribution:
 
 @record
 class TypeDistribution:
-    """Uniform law over the edges of a whole typicality graph, kept as joint
-    types instead of edges.
+    """Uniform law over the edges of a typicality graph or subgraph, kept
+    as a product of position blocks, each by its joint types, instead of
+    edges.
 
-    Whether (x, y) is an edge depends only on the types of x and y and on
-    their joint type, so permuting positions maps edges to edges, and the
-    edges of one joint type J number the multinomial M(n; J). Conditioning
-    positions on letter pairs whose count matrix is C keeps, of each J, the
-    pairs that agree on those positions: M(n - k; J - C) of them, k the
-    number of positions conditioned. Every open position then has the
-    letter-pair counts N(a, b) = sum over J of M(n - k - 1; J - C - e_ab).
+    (x, y) is an edge exactly when, on every block, the pair's restriction
+    to the block's positions is an edge of that block, and permuting a
+    block's positions maps its edges to edges. So the blocks' letter pairs
+    are independent, the edges number the product of the block sizes, and
+    the edges of one block's joint type J over its len positions number
+    the multinomial M(len; J). A whole graph is one block of every
+    position and many joint types; a subgraph is one block per u-run, of
+    one joint type, the run's target counts.
 
     fixed lists the (position, pair code a*|Y| + b) conditions in order.
-    types holds a (weight, residual) pair for each J with J >= C cellwise:
-    residual is J - C flattened row-major, weight is M(n - k; J - C). With
-    m = n - k open positions, N(a, b) = sum of weight * residual[ab] / m,
-    and conditioning on (a, b) keeps weight * residual[ab] / m.
+    blocks holds, per block, its open positions and a (weight, residual)
+    pair for each J with J >= C cellwise, C the count matrix of the pairs
+    fixed on the block: residual is J - C flattened row-major and weight
+    is M(m; J - C), m the number of open positions. A block's size is its
+    weight sum. At each of its open positions the letter-pair counts are
+    the product of the other blocks' sizes times N(a, b) = sum of weight *
+    residual[ab] / m, and conditioning on (a, b) touches that block only,
+    keeping weight * residual[ab] / m of each J.
     """
 
     x_alphabet: Alphabet
     y_alphabet: Alphabet
     n: int
     fixed: tuple
-    types: tuple
+    blocks: tuple  # (open positions, ((weight, residual), ...)) per block
+
+    @cached_property
+    def _sizes(self) -> tuple:
+        """Each block's edge count."""
+        return tuple(sum(weight for weight, _ in types) for _, types in self.blocks)
 
     @property
     def size(self) -> int:
         """The number of edges, exact at any size."""
-        return sum(weight for weight, _ in self.types)
+        return math.prod(self._sizes)
 
     def letter_counts(self) -> list:
         """The |X| x |Y| counts of the letter pairs at each position: all
-        of them at its code on a fixed position, the shared N(a, b) on an
-        open one."""
+        of them at its code on a fixed position, its block's shared counts
+        on an open one."""
         kx, ky = self.x_alphabet.size, self.y_alphabet.size
-        total, m, fixed = self.size, self.n - len(self.fixed), dict(self.fixed)
-        cells = range(kx * ky)
-        if m:
-            shared = [sum(w * r[c] for w, r in self.types) // m for c in cells]
-        flats = (
-            [total if c == fixed[t] else 0 for c in cells] if t in fixed else shared
-            for t in range(self.n)
-        )
-        return [[f[a * ky : (a + 1) * ky] for a in range(kx)] for f in flats]
+        cells, sizes = range(kx * ky), self._sizes
+        total = math.prod(sizes)
+        flats = {t: [total if c == code else 0 for c in cells] for t, code in self.fixed}
+        for r, (positions, types) in enumerate(self.blocks):
+            if positions:
+                others, m = math.prod(sizes[:r]) * math.prod(sizes[r + 1 :]), len(positions)
+                shared = [others * (sum(w * res[c] for w, res in types) // m) for c in cells]
+                flats.update(dict.fromkeys(positions, shared))
+        rows = map(flats.get, range(self.n))
+        return [[f[a * ky : (a + 1) * ky] for a in range(kx)] for f in rows]
 
     def condition(self, t: int, code: int) -> "TypeDistribution":
         """The edges whose letter pair at position t has the code a*|Y| + b."""
         fixed = dict(self.fixed)
         if t in fixed:
-            return self if fixed[t] == code else replace(self, types=())
-        m = self.n - len(self.fixed)
-        types = tuple(
-            (w * r[code] // m, r[:code] + (r[code] - 1,) + r[code + 1 :])
-            for w, r in self.types
-            if r[code]
+            if fixed[t] == code:
+                return self
+            return replace(self, blocks=tuple((positions, ()) for positions, _ in self.blocks))
+        blocks = list(self.blocks)
+        r = next((r for r, (positions, _) in enumerate(blocks) if t in positions), None)
+        if r is None:
+            raise IndexError(f"position {t} is outside 0..{self.n - 1}")
+        positions, types = blocks[r]
+        m = len(positions)
+        blocks[r] = (
+            tuple(s for s in positions if s != t),
+            tuple(
+                (w * res[code] // m, res[:code] + (res[code] - 1,) + res[code + 1 :])
+                for w, res in types
+                if res[code]
+            ),
         )
-        return replace(self, fixed=self.fixed + ((t, code),), types=types)
+        return replace(self, fixed=self.fixed + ((t, code),), blocks=tuple(blocks))
 
 
 def graph_distribution(g) -> TypeDistribution:
     """The uniform law over the edges of the typicality graph g, by joint
-    types: J runs over the count matrices inside the per-cell lam-boxes of
-    the joint ball whose row sums lie in the row ball and whose column sums
-    lie in the column ball, the boxes of g's left kernel. No edge, roster
-    or sequence is listed; every J holds an edge, so there are at most as
-    many as edges. InvariantViolation unless the types hold g's exact edge
-    count."""
+    types, as one block of all n positions: J runs over the count matrices
+    inside the per-cell lam-boxes of the joint ball whose row sums lie in
+    the row ball and whose column sums lie in the column ball, the boxes of
+    g's left kernel. No edge, roster or sequence is listed; every J holds
+    an edge, so there are at most as many as edges. InvariantViolation
+    unless the types hold g's exact edge count."""
     joint = g.spec.joint
     n, rows, cells, cols = g._kernel("left").shape
     ky = joint.col_alphabet.size
@@ -354,13 +381,36 @@ def graph_distribution(g) -> TypeDistribution:
         if all(lo <= sum(j[a * ky : (a + 1) * ky]) <= hi for a, (lo, hi) in enumerate(rows))
         and all(lo <= sum(j[b::ky]) <= hi for b, (lo, hi) in enumerate(cols))
     )
-    law = TypeDistribution(joint.row_alphabet, joint.col_alphabet, n, (), types)
-    if law.size != g.edge_count.value:
-        raise InvariantViolation(
-            f"the joint types hold {law.size} edges, but the exact pair count "
-            f"is {g.edge_count.value}"
-        )
+    block = (tuple(range(n)), types)
+    law = TypeDistribution(joint.row_alphabet, joint.col_alphabet, n, (), (block,))
+    _check_size(law, g.edge_count.value)
     return law
+
+
+def subgraph_distribution(sub) -> TypeDistribution:
+    """The uniform law over the edges of the subgraph sub, as one block per
+    u-run of one joint type each: (x, y) is an edge when, in every u-run,
+    their joint counts are the run's target J_u, so the edges number the
+    product of the M(len_u; J_u). No edge, roster or sequence is listed.
+    InvariantViolation unless that product is the subgraph's edge count
+    left_size * left_degree."""
+    blocks, start = [], 0
+    for nu, target in zip(sub.block_lengths, sub.block_targets):
+        if nu:
+            j = tuple(chain.from_iterable(target))
+            blocks.append((tuple(range(start, start + nu)), ((multinomial(nu, j), j),)))
+        start += nu
+    joint = sub.joint
+    law = TypeDistribution(joint.row_alphabet, joint.col_alphabet, sub.n, (), tuple(blocks))
+    _check_size(law, sub.left_size.value * sub.left_degree.value)
+    return law
+
+
+def _check_size(law: TypeDistribution, edges: int) -> None:
+    if law.size != edges:
+        raise InvariantViolation(
+            f"the joint types hold {law.size} edges, but the exact pair count is {edges}"
+        )
 
 
 def _pair_keys(dist: EdgeDistribution):
@@ -454,26 +504,32 @@ def block_mi(dist) -> float:
 
 
 def _type_block_mi(law: TypeDistribution) -> float:
-    """The block MI of a law kept by joint types. With m open positions,
-    the M(m; t) vertices of a side's residual type t share one degree,
-    E_t // M(m; t), E_t the weight of the types whose residual sums to t.
-    So the MI is log2 E minus the sum of E_t / E * log2 degree over the row
-    types, then the column types, each side in lexicographic order: on a
-    whole graph, the terms of its two degree tables, in their order."""
+    """The block MI of a law kept by joint types: the sum of its blocks'
+    MIs, since the blocks' letter pairs are independent. In a block with m
+    open positions, the M(m; t) vertices of a side's residual type t share
+    one degree, E_t // M(m; t), E_t the weight of the types whose residual
+    sums to t. So a block's MI is log2 E minus the sum of E_t / E *
+    log2 degree over the row types, then the column types, each side in
+    lexicographic order, E the block's size: on a whole graph, the terms
+    of its two degree tables, in their order."""
     kx, ky = law.x_alphabet.size, law.y_alphabet.size
-    total, m = law.size, law.n - len(law.fixed)
-    rows, cols = {}, {}
-    for weight, r in law.types:
-        t = tuple(sum(r[a * ky : (a + 1) * ky]) for a in range(kx))
-        rows[t] = rows.get(t, 0) + weight
-        t = tuple(sum(r[b::ky]) for b in range(ky))
-        cols[t] = cols.get(t, 0) + weight
-    terms = (
-        mass / total * math.log2(mass // multinomial(m, t))
-        for side in (rows, cols)
-        for t, mass in sorted(side.items())
-    )
-    return max(0.0, math.log2(total) - float_sum(terms))
+
+    def mi(m, types, total):
+        rows, cols = {}, {}
+        for weight, r in types:
+            t = tuple(sum(r[a * ky : (a + 1) * ky]) for a in range(kx))
+            rows[t] = rows.get(t, 0) + weight
+            t = tuple(sum(r[b::ky]) for b in range(ky))
+            cols[t] = cols.get(t, 0) + weight
+        terms = (
+            mass / total * math.log2(mass // multinomial(m, t))
+            for side in (rows, cols)
+            for t, mass in sorted(side.items())
+        )
+        return max(0.0, math.log2(total) - float_sum(terms))
+
+    blocks = zip(law.blocks, law._sizes)
+    return float_sum(mi(len(positions), types, size) for (positions, types), size in blocks)
 
 
 @record

@@ -21,10 +21,12 @@ row's neighbours as one bit set over the right ranks; its consumers read
 a row's edges off that set (`_flags`) with no Python work per pair.
 
 An export's edge CSV is defined in one place, `_rank_texts`: the writer
-writes its text, and `_is_export` tells whether a file is byte for byte
-that text for a graph, comparing them rank by rank from one pair scan up
-to the first difference. `import_graph` and `subgraphs.import_subgraph`
-read their header through one `_read_header`.
+writes its text, and `_is_rank_csv` tells whether a file is byte for byte
+that text, comparing them rank by rank as the rows stream, up to the
+first difference. `_is_export` feeds it a graph's pair scan and
+`subgraphs._is_subgraph_export` a subgraph's neighbour listing.
+`import_graph` and `subgraphs.import_subgraph` read their header through
+one `_read_header`, which also takes a header already read.
 """
 
 from __future__ import annotations
@@ -330,28 +332,33 @@ def _write_rank_csv(path: str, rows, expected: int, width: int) -> None:
         )
 
 
+def _is_rank_csv(path: str, rows, expected: int, width: int) -> bool:
+    """Whether the file at path is byte for byte the edge CSV that
+    `_write_rank_csv` writes from rows over width right ranks, holding
+    `expected` edges: the file is compared with the text one left rank at
+    a time, as rows stream, stopping at the first difference."""
+    written = 0
+    with open(path, "rb") as fh:
+        if fh.read(len(_RANK_HEAD)) != _RANK_HEAD.encode():
+            return False
+        for count, text in _rank_texts(rows, width):
+            if fh.read(len(text)) != text.encode():
+                return False
+            written += count
+        return written == expected and not fh.read(1)
+
+
 def _is_export(g: TypicalityGraph, path: str) -> bool:
     """Whether the file at path is byte for byte the edge CSV that
-    `export_graph` writes for g: only an explicit graph with an edge, whose
-    |L|*|R| pair scan is under its cap, has one.
-
-    The file is compared with the export's text one left rank at a time,
-    from one pair scan that walks each roster once, stopping at the first
-    difference.
+    `export_graph` writes for g (`_is_rank_csv`), its rows from one pair
+    scan that walks each roster once: only an explicit graph with an edge,
+    whose |L|*|R| pair scan is under its cap, has one.
     """
     spec = g.spec
     nl, nr = g.vertex_counts()
     if spec.mode != "explicit" or not g.edge_count.value or nl * nr > spec.cap:
         return False
-    written = 0
-    with open(path, "rb") as fh:
-        if fh.read(len(_RANK_HEAD)) != _RANK_HEAD.encode():
-            return False
-        for count, text in _rank_texts(_scan_rows(g), nr):
-            if fh.read(len(text)) != text.encode():
-                return False
-            written += count
-        return written == g.edge_count.value and not fh.read(1)
+    return _is_rank_csv(path, _scan_rows(g), g.edge_count.value, nr)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +600,14 @@ def _count_field(header: dict, path: str) -> str:
     return text
 
 
-def _read_header(path: str, schema: str) -> tuple[dict, JointPmf, int, TypicalityParams]:
-    """(header, joint, n, params) of the export header at path, read from
-    its spec: the joint, the blocklength and the slack parameters, whose
-    slacks are fraction strings. ValueError when the file is not a JSON
-    object of that schema, or naming the key that is missing or malformed."""
-    header = _load_json(path)
+def _read_header(source, schema: str) -> tuple[dict, JointPmf, int, TypicalityParams]:
+    """(header, joint, n, params) of an export header, read from its spec:
+    the joint, the blocklength and the slack parameters, whose slacks are
+    fraction strings. source is the header's path, or the document
+    already read from it (a dict), which is not read again. ValueError
+    when the document is not a JSON object of that schema, or naming the
+    key that is missing or malformed."""
+    header = source if isinstance(source, dict) else _load_json(source)
     if not isinstance(header, dict):
         raise ValueError(f"export header should be a JSON object, found {type(header).__name__}")
     if header.get("schema") != schema:
@@ -619,9 +628,10 @@ def _read_header(path: str, schema: str) -> tuple[dict, JointPmf, int, Typicalit
     return header, joint, n, params
 
 
-def import_graph(json_path: str, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
+def import_graph(json_path, edges_csv_path: Optional[str] = None) -> TypicalityGraph:
     """Rebuild a graph from an export, checked against its header.
 
+    json_path is the header's path or its document as read (`_read_header`).
     The graph is rebuilt from the embedded spec, which scans no pair; its
     roster sizes and exact edge count must match the header. An edge CSV
     must list the edges of `edge_list` in its order; it is read and checked

@@ -62,7 +62,9 @@ from .core import (
     record,
     total_variation,
 )
-from .graph import _count_field, _field, _params_to_dict, _read_header, _write_rank_csv
+from .graph import (
+    _count_field, _field, _is_rank_csv, _params_to_dict, _read_header, _write_rank_csv,
+)
 from .typicality import (
     BigCount,
     Sequence,
@@ -696,15 +698,34 @@ def export_subgraph(
         **extra,
     }
     _write_json(json_path, header)
-    if edges_csv_path is None:
-        return
+    if edges_csv_path is not None:
+        rows, width = _export_rows(sub)
+        _write_rank_csv(edges_csv_path, rows, edges, width)
+
+
+def _export_rows(sub: Subgraph) -> tuple:
+    """(rows, width) of the edge CSV that `export_subgraph` writes: each
+    left rank's ascending right ranks (`_neighbour_rows`), streamed, and
+    the right roster's size."""
     right = list(_spliced(sub, "right"))
-    rows = _neighbour_rows(sub, _spliced(sub, "left"), right)
-    _write_rank_csv(edges_csv_path, rows, edges, len(right))
+    return _neighbour_rows(sub, _spliced(sub, "left"), right), len(right)
 
 
-def import_subgraph(json_path: str) -> Subgraph:
-    """Rebuild a subgraph deterministically from its export header.
+def _is_subgraph_export(sub: Subgraph, path: str) -> bool:
+    """Whether the file at path is byte for byte the edge CSV that
+    `export_subgraph` writes for sub (`graph._is_rank_csv`): only an
+    export of at most `EDGE_SCAN_CAP` edges E = left_size * left_degree is
+    compared."""
+    edges = sub.left_size.value * sub.left_degree.value
+    if edges > EDGE_SCAN_CAP:
+        return False
+    rows, width = _export_rows(sub)
+    return _is_rank_csv(path, rows, edges, width)
+
+
+def import_subgraph(json_path) -> Subgraph:
+    """Rebuild a subgraph deterministically from its export header, given
+    as its path or its document as read (`graph._read_header`).
 
     A missing key, a value of the wrong type or an unknown kind raises
     ValueError; a rebuilt size or degree that differs from the header

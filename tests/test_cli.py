@@ -1433,31 +1433,56 @@ def test_malformed_input_exits_2_without_traceback(
 
 
 def _write_inputs():
-    """A pmf and a cond_pmf beside joint.json, and an edge CSV of ranks."""
+    """A pmf and a cond_pmf beside joint.json, an edge CSV of ranks and one
+    of labels."""
     save_distribution(Pmf(BIN, (Fraction(1, 2), Fraction(1, 2))), "pmf.json")
     half = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
     save_distribution(CondPmf(BIN, BIN, (half, half)), "cond.json")
     with open("g.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("left_rank,right_rank\r\n0,0\r\n")
+    with open("labels.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y\r\n0 1,0 1\r\n1 0,1 1\r\n")
+
+
+SIMULATE4 = ["simulate", "--dist", "joint.json", "--n", "4", "--r1", "1/4", "--r2", "1/4",
+             "--trials", "5", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["info", "--dist", "joint.json", "--out", "missing/rec.json"], "missing/rec.json"),
+        (["info", "--dist", "joint.json", "--format", "csv", "--out", "missing/rec.csv"],
+         "missing/rec.csv"),
+        (["graph", "--dist", "joint.json", "--n", "4", "--out", "missing/g.json"],
+         "missing/g.json"),
+        (["graph", "--dist", "joint.json", "--n", "4", "--out", "g.json",
+          "--edges", "missing/g.csv"], "missing/g.csv"),
+        (["subgraph", "--dist", "joint.json", "--n", "6", "--kind", "an",
+          "--out", "missing/s.json"], "missing/s.json"),
+        (["subgraph", "--dist", "joint.json", "--n", "6", "--kind", "an", "--out", "s.json",
+          "--edges", "missing/s.csv"], "missing/s.csv"),
+        (SIMULATE4 + ["--out", "missing/mc.json"], "missing/mc.json"),
+        (["wring", "--edges", "labels.csv", "--delta", "0.1", "--out", "missing/w.json"],
+         "missing/w.json"),
         (["wring", "--edges", "g.csv", "--graph", "nope.json", "--delta", "0.1"],
          "nope.json: file not found"),
         (["graph", "--dist", "pmf.json", "--n", "4"], "pmf.json: expected a joint_pmf"),
         (["info", "--dist", "cond.json"], "cond.json: no entropic summary for a cond_pmf"),
     ],
-    ids=["out-in-missing-dir", "wring-missing-graph", "graph-given-pmf", "info-given-cond"],
+    ids=["out-in-missing-dir", "info-csv-out-in-missing-dir", "graph-out-in-missing-dir",
+         "graph-edges-in-missing-dir", "subgraph-out-in-missing-dir",
+         "subgraph-edges-in-missing-dir", "simulate-out-in-missing-dir",
+         "wring-out-in-missing-dir", "wring-missing-graph", "graph-given-pmf",
+         "info-given-cond"],
 )
 def test_unusable_input_or_output_exits_2(
     binary_joint, tmp_path, monkeypatch, capsys, argv, message
 ):
-    """An --out into a missing directory (an OSError), a missing --graph
-    header, and a distribution of the wrong kind each exit 2 with one
-    error line naming the file."""
+    """An --out or --edges into a missing directory, refused before any
+    work, a missing --graph header, and a distribution of the wrong kind
+    each exit 2 with one error line naming the file, print nothing to
+    stdout and write no file."""
     monkeypatch.chdir(tmp_path)
     save_distribution(binary_joint, "joint.json")
     _write_inputs()
@@ -1466,6 +1491,7 @@ def test_unusable_input_or_output_exits_2(
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

@@ -2,7 +2,8 @@
 
 Each case is one CLI invocation on small valid inputs (n <= 6) and one of
 its input files to mutate: the distribution JSON, the aux `cond_pmf` JSON,
-the graph and subgraph export headers, and the rank and label edge CSVs.
+the graph and subgraph export headers (an `an` and a two-run `gamma`
+subgraph), and the rank and label edge CSVs.
 A mutant replaces, inserts, deletes or duplicates bytes of that file at
 seeded positions (half the written bytes are past ASCII, so many mutants
 are not UTF-8), or renames one key of a JSON file. Every mutant must end in
@@ -12,11 +13,12 @@ an exit code the README documents (0, 2, 3 or 4) with no exception escaping
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from typigraph.cli import main
-from typigraph.core import save_distribution
+from typigraph.core import CondPmf, Pmf, product_alphabet, save_distribution
 
 SEEDS = (3, 11, 29)
 PER_SEED = 20  # random mutants per seed and case
@@ -53,6 +55,7 @@ def _mutants(data: bytes, json_keys: bool) -> list[bytes]:
 
 WRING_G = ["wring", "--edges", "g.csv", "--graph", "g.json", "--delta", "0.05"]
 WRING_S = ["wring", "--edges", "s.csv", "--graph", "s.json", "--delta", "0.05"]
+WRING_U = ["wring", "--edges", "u.csv", "--graph", "u.json", "--delta", "0.05"]
 CASES = [  # (command, the input file it reads that is mutated)
     (["info", "--dist", "joint.json"], "joint.json"),
     (["graph", "--dist", "joint.json", "--n", "4", "--out", "o.json", "--edges", "o.csv"],
@@ -63,25 +66,35 @@ CASES = [  # (command, the input file it reads that is mutated)
     (WRING_G, "g.csv"),
     (WRING_S, "s.json"),
     (WRING_S, "s.csv"),
+    (WRING_U, "u.json"),
+    (WRING_U, "u.csv"),
     (["wring", "--edges", "labels.csv", "--delta", "0.05"], "labels.csv"),
 ]
 
 
 @pytest.fixture
 def inputs(binary_joint, copy_channel, tmp_path, monkeypatch):
-    """The valid inputs, written by the CLI itself; name -> bytes."""
+    """The valid inputs, written by the CLI itself; name -> bytes. u.json
+    and u.csv are the gamma export of a fair-coin U at n = 6: two u-runs,
+    of 4 and 2 positions, and 48 edges."""
     monkeypatch.chdir(tmp_path)
     save_distribution(binary_joint, "joint.json")
     save_distribution(copy_channel, "copy.json")
+    half = Pmf(copy_channel.out_alphabet, (Fraction(1, 2), Fraction(1, 2)))
+    pairs = product_alphabet(binary_joint.row_alphabet, binary_joint.col_alphabet)
+    save_distribution(CondPmf(pairs, half.alphabet, (half,) * pairs.size), "coin.json")
     for argv in (
         ["graph", "--dist", "joint.json", "--n", "4", "--out", "g.json", "--edges", "g.csv"],
         ["subgraph", "--dist", "joint.json", "--kind", "an", "--n", "6", "--out", "s.json",
          "--edges", "s.csv"],
+        ["subgraph", "--dist", "joint.json", "--kind", "gamma", "--aux", "coin.json", "--n", "6",
+         "--out", "u.json", "--edges", "u.csv"],
     ):
         assert main(argv) == 0
     with open("labels.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y\r\n0 1 1 0,0 1 0 0\r\n1 1 0 0,1 1 0 1\r\n0 0 1 1,0 1 1 1\r\n")
-    names = ("joint.json", "copy.json", "g.json", "g.csv", "s.json", "s.csv", "labels.csv")
+    names = ("joint.json", "copy.json", "g.json", "g.csv", "s.json", "s.csv", "u.json", "u.csv",
+             "labels.csv")
     return {name: (tmp_path / name).read_bytes() for name in names}
 
 

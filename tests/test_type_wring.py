@@ -1,18 +1,23 @@
-"""The whole-graph wring by joint types against the wring of its edges.
+"""The wring by joint types against the wring of the edges.
 
 A rank CSV that is byte for byte a typicality graph's own export is wrung
-from the graph's joint types (`diagnostics.graph_distribution`), with the
-block MI read off those types (`diagnostics.block_mi`, which takes either
-form of a law). On B2, T3 and random small joints, that run must give the
-edge path's positions, values, surviving counts, fractions, verdicts and
-Pinsker TVs, with every float within 1e-12, and σ must be the sum over the
-graph's two degree tables bit for bit. A CSV that differs from the export
-in any byte, of its size or another, takes the edge path. Implicit graphs
-with more than 2^63 edges are wrung by their exact size.
+from the graph's joint types (`diagnostics.graph_distribution`), and one
+that is a subgraph's own export from one joint type per u-run
+(`diagnostics.subgraph_distribution`), with the block MI read off those
+types (`diagnostics.block_mi`, which takes either form of a law). On B2,
+T3 and random small joints, that run must give the edge path's
+positions, values, surviving counts, fractions, verdicts and Pinsker TVs,
+with every float within 1e-12, and a graph's σ must be the sum over its
+two degree tables bit for bit. A CSV that differs from the export in any
+byte, of its size or another, takes the edge path. Implicit graphs with
+more than 2^63 edges are wrung by their exact size. Each wring reads its
+`--graph` header once.
 """
 
+import builtins
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -20,18 +25,27 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 import typigraph.cli
+import typigraph.diagnostics
+import typigraph.graph
 import typigraph.typicality
 from typigraph.cli import main
-from typigraph.core import Alphabet, JointPmf, float_sum, replace, save_distribution
+from typigraph.core import (
+    Alphabet, CondPmf, JointPmf, Pmf, float_sum, product_alphabet, replace, save_distribution,
+)
 from typigraph.diagnostics import (
     block_mi,
     edge_distribution,
     graph_distribution,
     pinsker_check,
+    subgraph_distribution,
     wring,
+    wringing_to_dict,
 )
 from typigraph.graph import (
     GraphSpec, _is_export, _read_edge_csv, _rows, build_graph, edge_list, export_graph,
+)
+from typigraph.subgraphs import (
+    _neighbour_rows, _spliced, build_aux_subgraph, build_exact_type_subgraph,
 )
 from typigraph.typicality import TypicalityParams, default_params, degree_table
 
@@ -188,7 +202,7 @@ def test_implicit_graphs_past_2_63_edges_are_wrung(n, types):
     joint types by their exact size, σ taken from the law itself."""
     g = build_graph(GraphSpec(B2, n, default_params(n), "implicit"))
     law = graph_distribution(g)
-    assert len(law.types) == types
+    assert [len(kinds) for _, kinds in law.blocks] == [types]  # one block, all positions
     assert law.size == g.edge_count.value > 2**63
     result = wring(law, 0.05)
     assert result.converged and result.sigma == _table_sigma(B2, n, default_params(n))
@@ -213,6 +227,9 @@ def test_conditioning_a_fixed_position_again():
         assert fixed.condition(2, 1) == fixed
         assert fixed.condition(2, 3).size == 0
     assert graph_distribution(g).condition(2, 1).size == edges.condition(2, 1).size
+    for law in (graph_distribution(g), edges):
+        with pytest.raises(IndexError):
+            law.condition(5, 1)
 
 
 @pytest.fixture
@@ -226,14 +243,15 @@ def export(tmp_path, monkeypatch):
     return tmp_path / "g.csv"
 
 
-def _wring(monkeypatch, capsys, forced_edges=False):
-    """(exit code, stdout, record) of `wring` on g.csv with g.json."""
+def _wring(monkeypatch, capsys, forced_edges=False, stem="g"):
+    """(exit code, stdout, record) of `wring` on STEM.csv with STEM.json."""
     with monkeypatch.context() as patch:
         if forced_edges:
             patch.setattr(typigraph.cli, "_is_export", lambda g, path: False)
+            patch.setattr(typigraph.cli, "_is_subgraph_export", lambda sub, path: False)
         capsys.readouterr()
-        rc = main(["wring", "--edges", "g.csv", "--graph", "g.json", "--delta", "0.05",
-                   "--out", "w.json"])
+        rc = main(["wring", "--edges", f"{stem}.csv", "--graph", f"{stem}.json",
+                   "--delta", "0.05", "--out", "w.json"])
     with open("w.json", "rb") as fh:
         return rc, capsys.readouterr().out, fh.read()
 
@@ -313,3 +331,204 @@ def test_an_edgeless_export_has_no_edges(tmp_path, monkeypatch, capsys):
     assert "edges=0" in capsys.readouterr().out
     assert main(["wring", "--edges", "g.csv", "--graph", "g.json", "--delta", "0.05"]) == 2
     assert "no edges" in capsys.readouterr().err
+
+
+# --- subgraphs: one block per u-run --------------------------------------------------
+
+ALPHABETS = (BIN, TERNARY)
+
+
+@st.composite
+def subgraphs(draw):
+    """An `an` or a `gamma` subgraph of a random binary or ternary joint at
+    n <= 8; a gamma channel has up to three letters and random rows."""
+    x, y = draw(st.sampled_from(ALPHABETS)), draw(st.sampled_from(ALPHABETS))
+    cells = x.size * y.size
+    weights = draw(st.lists(st.integers(0, 4), min_size=cells, max_size=cells).filter(any))
+    probs = tuple(
+        tuple(Fraction(weights[a * y.size + b], sum(weights)) for b in range(y.size))
+        for a in range(x.size)
+    )
+    joint, n = JointPmf(x, y, probs), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return build_exact_type_subgraph(joint, n)
+    u = Alphabet(tuple(range(draw(st.integers(1, 3)))))
+    rows = []
+    for _ in range(cells):
+        w = draw(st.lists(st.integers(0, 3), min_size=u.size, max_size=u.size).filter(any))
+        rows.append(Pmf(u, tuple(Fraction(v, sum(w)) for v in w)))
+    channel = CondPmf(product_alphabet(x, y), u, tuple(rows))
+    return build_aux_subgraph(joint, channel, n)
+
+
+def _subgraph_edges(sub):
+    """The listed edges of sub as an `EdgeDistribution`, and as symbol pairs."""
+    left, right = list(_spliced(sub, "left")), list(_spliced(sub, "right"))
+    xids, yids = [], []
+    for i, nbrs in enumerate(_neighbour_rows(sub, left, right)):
+        xids += [i] * len(nbrs)
+        yids += nbrs
+    joint = sub.joint
+    dist = edge_distribution(xids, yids, left, right, joint.row_alphabet, joint.col_alphabet)
+    return replace(dist, distinct=True), [(left[i], right[j]) for i, j in zip(xids, yids)]
+
+
+@PROPERTY
+@given(subgraphs(), st.floats(0.001, 1.0))
+def test_the_block_law_matches_the_subgraph_edges(sub, delta):
+    """One block per u-run, of one joint type each, gives the edge path's
+    wringing record on every key but σ, and σ within 1e-12 of the edges'
+    block MI; the Pinsker TVs and the survivors' MI agree too."""
+    assume(sub.left_size.value * sub.left_degree.value <= MAX_PAIRS)
+    law = subgraph_distribution(sub)
+    assert len(law.blocks) == sum(1 for nu in sub.block_lengths if nu)
+    dist, pairs = _subgraph_edges(sub)
+    assert law.size == dist.size == len(pairs)
+    assert law.letter_counts() == dist.letter_counts()
+    assert _close(block_mi(law), oracles.block_mi(pairs))
+    got, want = wring(law, delta), wring(dist, delta)
+    got_record, want_record = wringing_to_dict(got), wringing_to_dict(want)
+    assert _close(got_record.pop("sigma"), want_record.pop("sigma"))
+    assert got_record == want_record
+    assert _close(block_mi(got.survivors), block_mi(want.survivors))
+    if want.converged:
+        assert pinsker_check(got.survivors, delta) == pinsker_check(want.survivors, delta)
+
+
+def test_the_benchmark_subgraph_sigma_rounds_alike(binary_joint):
+    """B2's n = 12 `an` subgraph, graph_export's: σ by types is
+    log2 E - 2 log2 36 and the edges' sum of 33,264 terms is 1.5e-12 off
+    it; both round to the six digits that ws.json records."""
+    sub = build_exact_type_subgraph(binary_joint, 12)
+    law = subgraph_distribution(sub)
+    assert law.size == 33_264 and len(law.blocks) == 1
+    typed, edges = block_mi(law), block_mi(_subgraph_edges(sub)[0])
+    assert typed == math.log2(33_264) - (math.log2(36) + math.log2(36))
+    assert abs(typed - edges) < 2e-12
+    assert round(typed, 6) == round(edges, 6) == 4.681824
+
+
+def test_a_tampered_subgraph_count_is_no_law(binary_joint):
+    sub = build_exact_type_subgraph(binary_joint, 6)
+    forged = replace(sub, left_degree=replace(sub.left_degree, value=sub.left_degree.value + 1))
+    with pytest.raises(typigraph.core.InvariantViolation, match="joint types hold"):
+        subgraph_distribution(forged)
+
+
+def _coin(joint):
+    """A channel to U that is a fair coin whatever the pair: the gamma
+    subgraph's two u-runs then have targets of their own."""
+    half = Pmf(BIN, (Fraction(1, 2), Fraction(1, 2)))
+    pairs = product_alphabet(joint.row_alphabet, joint.col_alphabet)
+    return CondPmf(pairs, BIN, (half,) * pairs.size)
+
+
+GAMMA = ["--kind", "gamma", "--aux", "coin.json"]
+
+
+def _export_inputs(joint):
+    """joint.json and coin.json in the working directory."""
+    save_distribution(joint, "joint.json")
+    save_distribution(_coin(joint), "coin.json")
+
+
+@pytest.fixture(params=["an", "gamma"])
+def sub_export(request, binary_joint, tmp_path, monkeypatch):
+    """B2's n = 10 subgraph export of the given kind, s.json and s.csv, in
+    tmp_path as the working directory; the CSV's path. The gamma export
+    has two u-runs, of 6 and 4 positions, and 1,080 edges."""
+    monkeypatch.chdir(tmp_path)
+    _export_inputs(binary_joint)
+    kind = ["--kind", "an"] if request.param == "an" else GAMMA
+    assert main(["subgraph", "--dist", "joint.json", "--n", "10", *kind, "--out", "s.json",
+                 "--edges", "s.csv"]) == 0
+    return tmp_path / "s.csv"
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called on the subgraph's own export")
+
+    return refused
+
+
+def test_a_subgraph_export_takes_the_type_path(sub_export, monkeypatch, capsys):
+    """The exact `an` and `gamma` exports are wrung from their u-runs'
+    joint types, one block a run, reading no edge into columns, to the
+    edge path's record byte for byte."""
+    want = _wring(monkeypatch, capsys, forced_edges=True, stem="s")
+    assert want[0] == 0
+    blocks, law_of = [], typigraph.cli.subgraph_distribution
+
+    def spied(sub):
+        law = law_of(sub)
+        blocks.append(len(law.blocks))
+        return law
+
+    with monkeypatch.context() as patch:
+        for module in (typigraph.cli, typigraph.graph):
+            patch.setattr(module, "_read_edge_csv", _refuse("_read_edge_csv"))
+        for module in (typigraph.cli, typigraph.diagnostics):
+            patch.setattr(module, "edge_distribution", _refuse("edge_distribution"))
+        patch.setattr(typigraph.cli, "subgraph_distribution", spied)
+        assert _wring(monkeypatch, capsys, stem="s") == want
+    runs = json.loads((sub_export.parent / "s.json").read_text()).get("u_sequence")
+    assert blocks == [len(set(runs)) if runs else 1]
+
+
+def _drop_last_edge(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rindex(b"\n", 0, len(data) - 1) + 1])
+
+
+@pytest.mark.parametrize(
+    "edit, edges",
+    [(_drop_last_edge, -1), (_blank_line, 0), (_same_width_rank, 0)],
+    ids=["last-edge-dropped", "appended-blank-line", "one-rank-changed"],
+)
+def test_an_edited_subgraph_export_takes_the_edge_path(
+    sub_export, monkeypatch, capsys, edit, edges
+):
+    """A subgraph CSV edited in one place is read as edges, to the record
+    that reading gives."""
+    count = len(_lines(sub_export)) - 2
+    edit(sub_export)
+    want = _wring(monkeypatch, capsys, forced_edges=True, stem="s")
+    assert want[0] == 0
+    monkeypatch.setattr(typigraph.cli, "subgraph_distribution", _no_type_path)
+    assert _wring(monkeypatch, capsys, stem="s") == want
+    assert json.loads(want[2])["payload"]["edge_count_in"] == count + edges
+
+
+@pytest.mark.parametrize(
+    "export_argv, stem, edited",
+    [
+        (["graph", "--n", "6"], "g", False),
+        (["graph", "--n", "6"], "g", True),
+        (["subgraph", "--kind", "an", "--n", "8"], "s", False),
+        (["subgraph", "--kind", "an", "--n", "8"], "s", True),
+        (["subgraph", *GAMMA, "--n", "8"], "s", False),
+    ],
+    ids=["graph-export", "graph-edited", "an-export", "an-edited", "gamma-export"],
+)
+def test_each_wring_reads_its_header_once(
+    binary_joint, tmp_path, monkeypatch, capsys, export_argv, stem, edited
+):
+    """The --graph header is opened once per wring, for its schema and its
+    import, on the type path and on the edge path."""
+    monkeypatch.chdir(tmp_path)
+    _export_inputs(binary_joint)
+    assert main([*export_argv, "--dist", "joint.json", "--out", f"{stem}.json",
+                 "--edges", f"{stem}.csv"]) == 0
+    if edited:
+        _blank_line(tmp_path / f"{stem}.csv")
+    opened, real_open = [], builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert _wring(monkeypatch, capsys, stem=stem)[0] == 0
+    assert opened.count(f"{stem}.json") == 1
